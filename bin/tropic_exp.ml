@@ -233,6 +233,7 @@ let chaos_schedule_names () =
 let print_chaos_result ~with_trace r =
   if with_trace then
     List.iter (fun line -> Printf.printf "  %s\n" line) r.Chaos.Runner.trace;
+  let total = Chaos.Runner.total r in
   Printf.printf
     "seed %4d  %-19s %3d committed / %2d aborted / %2d failed, %2d faults, \
      quiesced at %.0fs, sched: %d deferrals, %d wakeups (%d spurious), \
@@ -240,38 +241,63 @@ let print_chaos_result ~with_trace r =
      KILL, shed %d, breaker %d trips / %d probes / %d closes\n"
     r.Chaos.Runner.seed r.Chaos.Runner.schedule r.Chaos.Runner.committed
     r.Chaos.Runner.aborted r.Chaos.Runner.failed r.Chaos.Runner.injected
-    r.Chaos.Runner.duration r.Chaos.Runner.deferrals r.Chaos.Runner.wakeups
-    r.Chaos.Runner.spurious_wakeups r.Chaos.Runner.retries
-    r.Chaos.Runner.transient_failures r.Chaos.Runner.timeouts
-    r.Chaos.Runner.auto_terms r.Chaos.Runner.auto_kills r.Chaos.Runner.sheds
-    r.Chaos.Runner.breaker_trips r.Chaos.Runner.breaker_probes
-    r.Chaos.Runner.breaker_closes;
+    r.Chaos.Runner.duration
+    (total (fun s -> s.Tropic.Controller.deferrals))
+    (total (fun s -> s.Tropic.Controller.wakeups))
+    (total (fun s -> s.Tropic.Controller.spurious_wakeups))
+    (total (fun s -> s.Tropic.Controller.exec_retries))
+    (total (fun s -> s.Tropic.Controller.transient_failures))
+    (total (fun s -> s.Tropic.Controller.timeouts))
+    (total (fun s -> s.Tropic.Controller.auto_terms))
+    (total (fun s -> s.Tropic.Controller.auto_kills))
+    (total (fun s -> s.Tropic.Controller.sheds))
+    (total (fun s -> s.Tropic.Controller.breaker_trips))
+    (total (fun s -> s.Tropic.Controller.breaker_probes))
+    (total (fun s -> s.Tropic.Controller.breaker_closes));
+  let m = r.Chaos.Runner.membership in
   if
-    r.Chaos.Runner.joins > 0 || r.Chaos.Runner.leaves > 0
-    || r.Chaos.Runner.stale_sessions > 0
+    m.Coord.Types.joins > 0 || m.Coord.Types.leaves > 0
+    || m.Coord.Types.stale_sessions_rejected > 0
   then
     Printf.printf
       "       membership: %d joins / %d leaves / %d catchups, %d stale \
        sessions rejected\n"
-      r.Chaos.Runner.joins r.Chaos.Runner.leaves r.Chaos.Runner.catchups
-      r.Chaos.Runner.stale_sessions;
-  if r.Chaos.Runner.group_flushes > 0 then
+      m.Coord.Types.joins m.Coord.Types.leaves m.Coord.Types.catchups
+      m.Coord.Types.stale_sessions_rejected;
+  let g = r.Chaos.Runner.group in
+  if g.Coord.Types.flushes > 0 then
     Printf.printf
       "       group-commit: %d flushes, %d cmds batched, acks %d deferred \
        / %d unsafe\n"
-      r.Chaos.Runner.group_flushes r.Chaos.Runner.group_batched
-      r.Chaos.Runner.acks_deferred r.Chaos.Runner.unsafe_acks;
-  if r.Chaos.Runner.shards > 1 then begin
+      g.Coord.Types.flushes g.Coord.Types.batched_cmds
+      g.Coord.Types.acks_deferred g.Coord.Types.unsafe_acks;
+  let shards = List.length r.Chaos.Runner.stats in
+  if shards > 1 then begin
     Printf.printf "       2pc: %d started / %d committed / %d aborted / %d prepares (%d shards)\n"
-      r.Chaos.Runner.twopc_started r.Chaos.Runner.twopc_committed
-      r.Chaos.Runner.twopc_aborted r.Chaos.Runner.twopc_prepares
-      r.Chaos.Runner.shards;
-    List.iter
-      (fun line -> Printf.printf "       %s\n" line)
-      r.Chaos.Runner.per_shard
+      (total (fun s -> s.Tropic.Controller.twopc_started))
+      (total (fun s -> s.Tropic.Controller.twopc_committed))
+      (total (fun s -> s.Tropic.Controller.twopc_aborted))
+      (total (fun s -> s.Tropic.Controller.twopc_prepares))
+      shards;
+    List.iteri
+      (fun sid s ->
+        Printf.printf
+          "       shard %d: %d committed / %d aborted / %d failed, shed %d, \
+           %d wakeups, watchdog %d TERM / %d KILL, 2pc %d started / %d \
+           committed / %d aborted / %d prepares, %s\n"
+          sid s.Tropic.Controller.committed s.Tropic.Controller.aborted
+          s.Tropic.Controller.failed s.Tropic.Controller.sheds
+          s.Tropic.Controller.wakeups s.Tropic.Controller.auto_terms
+          s.Tropic.Controller.auto_kills s.Tropic.Controller.twopc_started
+          s.Tropic.Controller.twopc_committed
+          s.Tropic.Controller.twopc_aborted
+          s.Tropic.Controller.twopc_prepares
+          (Tropic.Controller.phase_summary s))
+      r.Chaos.Runner.stats
   end;
   if with_trace then begin
-    Printf.printf "  %s\n" r.Chaos.Runner.phases;
+    Printf.printf "  %s\n"
+      (Tropic.Controller.phase_summary (List.hd r.Chaos.Runner.stats));
     let dump = r.Chaos.Runner.span_dump in
     let cap =
       match Sys.getenv_opt "TROPIC_SPAN_CAP" with

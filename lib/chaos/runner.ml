@@ -59,38 +59,16 @@ type result = {
   aborted : int;
   failed : int;
   injected : int;
-  deferrals : int;
-  wakeups : int;
-  spurious_wakeups : int;
-  retries : int;
-  transient_failures : int;
-  timeouts : int;
-  auto_terms : int;
-  auto_kills : int;
-  sheds : int;
-  breaker_trips : int;
-  breaker_probes : int;
-  breaker_closes : int;
-  twopc_started : int;
-  twopc_committed : int;
-  twopc_aborted : int;
-  twopc_prepares : int;
-  joins : int;
-  leaves : int;
-  catchups : int;
-  stale_sessions : int; (* append replies rejected as stale-session *)
-  group_flushes : int;
-  group_batched : int; (* commands that rode a grouped append *)
-  acks_deferred : int; (* acks held back until batch quorum *)
-  unsafe_acks : int;   (* acks released before quorum (unsafe-ack build) *)
-  shards : int;
-  per_shard : string list;
+  stats : Tropic.Controller.stats list;
+  membership : Coord.Types.membership_stats;
+  group : Coord.Types.group_stats;
   violations : Invariant.violation list;
   trace : string list;
-  phases : string;
   span_dump : string list;
   duration : float;
 }
+
+let total r f = List.fold_left (fun acc s -> acc + f s) 0 r.stats
 
 let reproducer r =
   Printf.sprintf "tropic_exp chaos --build %s --schedule %s --seed %d"
@@ -649,67 +627,6 @@ let run_one ?(trace = false) config ~schedule ~seed =
     ()
   done;
   Invariant.stop tracker;
-  (* Cumulative scheduler counters per shard: the leader at quiescence
-     plus the banked totals of every instance a crash retired, summed
-     into platform totals; [per_shard] keeps the breakdown for the run
-     line on multi-shard platforms.  Latency percentiles come from the
-     final leader only (quantiles don't merge). *)
-  let shard_stats =
-    List.filter_map
-      (fun sid ->
-        let retired = Tropic.Platform.shard_retired_stats platform sid in
-        match Tropic.Platform.shard_leader platform sid with
-        | None -> Some (sid, Tropic.Controller.copy_stats retired)
-        | Some leader ->
-          (* Leader counters plus whatever earlier (crashed) instances
-             banked — a late fail-over must not erase the shard's totals. *)
-          let s = Tropic.Controller.copy_stats (Tropic.Controller.stats leader) in
-          Tropic.Controller.absorb_stats ~into:s retired;
-          Some (sid, s))
-      (List.init (Tropic.Platform.shard_count platform) Fun.id)
-  in
-  let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 shard_stats in
-  let deferrals = sum (fun s -> s.Tropic.Controller.deferrals)
-  and wakeups = sum (fun s -> s.Tropic.Controller.wakeups)
-  and spurious_wakeups = sum (fun s -> s.Tropic.Controller.spurious_wakeups)
-  and retries = sum (fun s -> s.Tropic.Controller.exec_retries)
-  and transient_failures = sum (fun s -> s.Tropic.Controller.transient_failures)
-  and timeouts = sum (fun s -> s.Tropic.Controller.timeouts)
-  and auto_terms = sum (fun s -> s.Tropic.Controller.auto_terms)
-  and auto_kills = sum (fun s -> s.Tropic.Controller.auto_kills)
-  and sheds = sum (fun s -> s.Tropic.Controller.sheds)
-  and breaker_trips = sum (fun s -> s.Tropic.Controller.breaker_trips)
-  and breaker_probes = sum (fun s -> s.Tropic.Controller.breaker_probes)
-  and breaker_closes = sum (fun s -> s.Tropic.Controller.breaker_closes)
-  and twopc_started = sum (fun s -> s.Tropic.Controller.twopc_started)
-  and twopc_committed = sum (fun s -> s.Tropic.Controller.twopc_committed)
-  and twopc_aborted = sum (fun s -> s.Tropic.Controller.twopc_aborted)
-  and twopc_prepares = sum (fun s -> s.Tropic.Controller.twopc_prepares) in
-  let phases =
-    match shard_stats with
-    | (_, s) :: _ -> Tropic.Controller.phase_summary s
-    | [] ->
-      "phases[p50/p99 s]: simulate n/a, lock-wait n/a, replay n/a, undo n/a"
-  in
-  let per_shard =
-    if Tropic.Platform.shard_count platform = 1 then []
-    else
-      List.map
-        (fun (sid, s) ->
-          Printf.sprintf
-            "shard %d: %d committed / %d aborted / %d failed, shed %d, %d \
-             wakeups, watchdog %d TERM / %d KILL, 2pc %d started / %d \
-             committed / %d aborted / %d prepares, %s"
-            sid s.Tropic.Controller.committed s.Tropic.Controller.aborted
-            s.Tropic.Controller.failed s.Tropic.Controller.sheds
-            s.Tropic.Controller.wakeups s.Tropic.Controller.auto_terms
-            s.Tropic.Controller.auto_kills s.Tropic.Controller.twopc_started
-            s.Tropic.Controller.twopc_committed
-            s.Tropic.Controller.twopc_aborted
-            s.Tropic.Controller.twopc_prepares
-            (Tropic.Controller.phase_summary s))
-        shard_stats
-  in
   (* Lifecycle invariants over the recorded span tree — only meaningful
      once quiesced: live transactions legitimately hold open spans, and a
      non-quiescent run already reports the [quiescence] violation. *)
@@ -717,8 +634,6 @@ let run_one ?(trace = false) config ~schedule ~seed =
     if !quiesced then Invariant.check_trace ~at:(Des.Sim.now sim) tracer
     else []
   in
-  let membership = Tropic.Platform.membership_stats platform in
-  let group = Tropic.Platform.group_commit_stats platform in
   (* Evaluate *)
   let ordered_ops = List.sort (fun (a, _) (b, _) -> compare a b) !ops in
   let txns =
@@ -932,38 +847,16 @@ let run_one ?(trace = false) config ~schedule ~seed =
     aborted = count `A;
     failed = count `F;
     injected = Nemesis.fired nemesis;
-    deferrals;
-    wakeups;
-    spurious_wakeups;
-    retries;
-    transient_failures;
-    timeouts;
-    auto_terms;
-    auto_kills;
-    sheds;
-    breaker_trips;
-    breaker_probes;
-    breaker_closes;
-    twopc_started;
-    twopc_committed;
-    twopc_aborted;
-    twopc_prepares;
-    joins = membership.Coord.Types.joins;
-    leaves = membership.Coord.Types.leaves;
-    catchups = membership.Coord.Types.catchups;
-    stale_sessions = membership.Coord.Types.stale_sessions_rejected;
-    group_flushes = group.Coord.Types.flushes;
-    group_batched = group.Coord.Types.batched_cmds;
-    acks_deferred = group.Coord.Types.acks_deferred;
-    unsafe_acks = group.Coord.Types.unsafe_acks;
-    shards = Tropic.Platform.shard_count platform;
-    per_shard;
+    stats =
+      List.init (Tropic.Platform.shard_count platform)
+        (Tropic.Platform.shard_stats platform);
+    membership = Tropic.Platform.membership_stats platform;
+    group = Tropic.Platform.group_commit_stats platform;
     violations =
       Invariant.tracker_violations tracker
       @ quiescence_violations @ crash_violations @ plan_violations
       @ acked_durable_violations @ horizon_violations @ trace_violations;
     trace = List.rev !trace_buf;
-    phases;
     span_dump = (if trace then Trace.to_normalized_lines tracer else []);
     duration = Des.Sim.now sim;
   }

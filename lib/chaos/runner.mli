@@ -73,48 +73,29 @@ type result = {
   aborted : int;
   failed : int;
   injected : int;  (** nemesis events actually fired *)
-  deferrals : int;  (** lock-conflict deferrals seen by the final leader *)
-  wakeups : int;  (** waiters moved blocked→ready by the final leader *)
-  spurious_wakeups : int;  (** woken waiters that conflicted again *)
-  retries : int;  (** physical retry attempts (final leader's tally) *)
-  transient_failures : int;  (** transient device errors workers saw *)
-  timeouts : int;  (** per-action deadline expiries *)
-  auto_terms : int;  (** TERMs the watchdog issued *)
-  auto_kills : int;  (** KILLs the watchdog issued *)
-  sheds : int;  (** requests fast-aborted by admission control *)
-  breaker_trips : int;  (** breaker [Closed]/[Half_open] -> [Tripped] *)
-  breaker_probes : int;  (** canary transactions admitted half-open *)
-  breaker_closes : int;  (** probe successes that re-closed a breaker *)
-  twopc_started : int;  (** cross-shard transactions reaching prepare *)
-  twopc_committed : int;  (** cross-shard commits (decision durable) *)
-  twopc_aborted : int;  (** cross-shard aborts, incl. presumed aborts *)
-  twopc_prepares : int;  (** participant prepare votes cast *)
-  joins : int;  (** replicas added to the coordination membership *)
-  leaves : int;  (** replicas removed from the coordination membership *)
-  catchups : int;  (** learners caught up and promoted to voting *)
-  stale_sessions : int;
-      (** append replies dropped for carrying a stale replication
-          session id (proof the churn window was actually exercised) *)
-  group_flushes : int;  (** grouped appends the coordination leader flushed *)
-  group_batched : int;  (** client commands that rode a grouped append *)
-  acks_deferred : int;  (** acks held back until their batch reached quorum *)
-  unsafe_acks : int;
-      (** acks released before quorum — nonzero only on the unsafe-ack
-          build (proof the ablation was actually exercised) *)
-  shards : int;  (** resource-tree shards the platform ran with *)
-  per_shard : string list;
-      (** one per-shard counter line per shard leader (sheds, wakeups,
-          watchdog, 2PC, phase p50/p99); empty on single-shard runs *)
+  stats : Tropic.Controller.stats list;
+      (** one counter record per shard, in shard order, each shared by
+          every controller instance of that shard, so it covers the whole
+          run across fail-overs *)
+  membership : Coord.Types.membership_stats;
+      (** coordination membership counters summed over every shard's
+          ensemble; [stale_sessions_rejected] is proof the churn window
+          was actually exercised *)
+  group : Coord.Types.group_stats;
+      (** group-commit counters summed over every shard's ensemble;
+          [unsafe_acks] is nonzero only on the unsafe-ack build *)
   violations : Invariant.violation list;
       (** includes [trace-*] lifecycle violations from
           {!Invariant.check_trace} when the run quiesced *)
   trace : string list;  (** injection/progress log, oldest first *)
-  phases : string;  (** final leader's per-phase p50/p99 breakdown *)
   span_dump : string list;
       (** normalized span-tree dump of the run (only with [~trace:true],
           i.e. when replaying a reproducer); empty otherwise *)
   duration : float;  (** virtual seconds to quiescence *)
 }
+
+(** [total r f] sums counter [f] over every shard's record. *)
+val total : result -> (Tropic.Controller.stats -> int) -> int
 
 (** One-line reproducer: the exact CLI invocation that replays this run. *)
 val reproducer : result -> string

@@ -70,8 +70,6 @@ let net e = e.enet
 let config e = e.econfig
 let membership_stats e = e.stats
 let group_stats e = e.gstats
-let replica_count e = Hashtbl.length e.slots
-
 let replica_ids e =
   List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) e.slots [])
 

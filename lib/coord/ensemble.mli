@@ -37,10 +37,6 @@ val membership_stats : t -> Types.membership_stats
 (** Group-commit counters, shared across instances the same way. *)
 val group_stats : t -> Types.group_stats
 
-(** Number of replica instances currently hosted (including removed-but-
-    still-running ones awaiting teardown or re-add). *)
-val replica_count : t -> int
-
 (** Node ids currently hosting a replica instance, sorted. *)
 val replica_ids : t -> int list
 

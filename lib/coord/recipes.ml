@@ -124,6 +124,4 @@ let leader_payload client ~election =
 let acquire_lease client ~lease ~payload =
   join_election client ~election:lease ~payload
 
-let holds_lease client ~lease ~member = is_leader client ~election:lease ~member
 let await_lease client ~lease ~member = await_leadership client ~election:lease ~member
-let lease_holder client ~lease = leader_payload client ~election:lease

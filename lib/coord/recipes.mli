@@ -50,10 +50,5 @@ val leader_payload : Client.t -> election:string -> string option
 (** Race for [lease]; returns this contender's member key. *)
 val acquire_lease : Client.t -> lease:string -> payload:string -> string
 
-val holds_lease : Client.t -> lease:string -> member:string -> bool
-
 (** Block until [member] holds [lease]. *)
 val await_lease : Client.t -> lease:string -> member:string -> unit
-
-(** Current holder's payload, if anyone holds the lease. *)
-val lease_holder : Client.t -> lease:string -> string option

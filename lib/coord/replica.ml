@@ -105,9 +105,7 @@ let log_base r = r.log_base
 let has_snapshot r = Option.is_some r.snapshot
 let store r = r.machine
 let station_busy_time r = Des.Station.busy_time r.station
-let station_queue_length r = Des.Station.queue_length r.station
 let group_stats r = r.gstats
-let batch_length r = r.batch_len
 let members r = r.members
 let is_member r = Types.member r.members r.rid
 let quorum r = Types.quorum_of r.members

@@ -95,11 +95,5 @@ val store : t -> Store.t
 (** Cumulative busy time of the leader-side op service station. *)
 val station_busy_time : t -> float
 
-(** Jobs queued at the op service station right now. *)
-val station_queue_length : t -> int
-
 (** Group-commit counters (shared across this ensemble's instances). *)
 val group_stats : t -> Types.group_stats
-
-(** Client commands parked in the open batch right now. *)
-val batch_length : t -> int

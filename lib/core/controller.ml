@@ -212,14 +212,8 @@ let fresh_stats () =
     undo_lat = Metrics.Cdf.create ();
   }
 
-(* Snapshot of the integer counters that shares the latency recorders:
-   lets a caller fold other instances' counters in (via [absorb_stats])
-   without mutating the live record. *)
-let copy_stats (st : stats) = { st with accepted = st.accepted }
-
-(* Counters survive a fail-over by being absorbed into an accumulator
-   when the instance is retired; the latency recorders stay with the
-   instance (exact quantiles cannot be merged after the fact). *)
+(* Sums the integer counters only: latency recorders are per shard and
+   are not summed across shards. *)
 let absorb_stats ~(into : stats) (src : stats) =
   into.accepted <- into.accepted + src.accepted;
   into.committed <- into.committed + src.committed;
@@ -251,7 +245,7 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares
 
 let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
-    ~(config : config) ~devices ~device_roots ~sim () =
+    ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
   let shard =
     match shard with
     | Some s -> s
@@ -259,17 +253,22 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
   in
   let gclient = Option.value gclient ~default:client in
   let health = Health.create config.health in
-  (* Surface breaker transitions as trace instants (system lane when no
-     canary transaction is involved). *)
-  (match trace with
-   | None -> ()
-   | Some tr ->
-     Health.set_listener health (fun ev ->
-         Trace.instant tr
-           ~txn:(Option.value ev.Health.txn ~default:0)
-           ~cat:"health" ~name:ev.Health.kind
-           ~attrs:[ ("root", ev.Health.root) ]
-           ()));
+  (* Breaker transitions feed the shard's counters, and the trace (system
+     lane when no canary transaction is involved) when one is attached. *)
+  Health.set_listener health (fun ev ->
+      (match ev.Health.kind with
+       | "breaker-trip" -> stats.breaker_trips <- stats.breaker_trips + 1
+       | "breaker-probe" -> stats.breaker_probes <- stats.breaker_probes + 1
+       | "breaker-close" -> stats.breaker_closes <- stats.breaker_closes + 1
+       | _ -> ());
+      Option.iter
+        (fun tr ->
+          Trace.instant tr
+            ~txn:(Option.value ev.Health.txn ~default:0)
+            ~cat:"health" ~name:ev.Health.kind
+            ~attrs:[ ("root", ev.Health.root) ]
+            ())
+        trace);
   {
     cname = name;
     client;
@@ -316,25 +315,14 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     leading = false;
     stopped = false;
     procs = [];
-    st = fresh_stats ();
+    st = stats;
   }
 
 let name t = t.cname
 let is_leader t = t.leading
 let tree t = t.tree
 let shard t = t.shard
-let shard_id t = t.shard.Shard.sid
-
-(* The breaker counters live in Health; mirror them into the stats record
-   so one struct carries everything into experiment summaries. *)
-let refresh_breaker_stats t =
-  t.st.breaker_trips <- Health.trips t.health;
-  t.st.breaker_probes <- Health.probes t.health;
-  t.st.breaker_closes <- Health.closes t.health
-
-let stats t =
-  refresh_breaker_stats t;
-  t.st
+let stats t = t.st
 let todo_length t = Sched.length t.sched
 let blocked_length t = Sched.blocked_length t.sched
 let lock_count t = Mglock.lock_count t.locks
@@ -926,7 +914,6 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
           (fun root -> (root, Health.gate t.health ~now ~root))
           (write_roots t locks)
       in
-      refresh_breaker_stats t;
       if List.exists (fun (_, g) -> g = `Defer) gates then begin
         txn.Txn.state <- Txn.Deferred;
         t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
@@ -958,7 +945,6 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
               if g = `Probe then
                 Health.begin_probe t.health ~now ~root ~txn:txn.Txn.id)
             gates;
-          refresh_breaker_stats t;
           Hashtbl.replace t.started_at txn.Txn.id now;
           Option.iter
             (fun tr ->
@@ -1136,7 +1122,6 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
               ~retries:exec.Proto.retries ~timeouts:exec.Proto.timeouts
               ~latency)
           (write_roots t txn.Txn.locks);
-      refresh_breaker_stats t;
       (match outcome with
        | Proto.Phy_committed -> commit_txn t txn
        | Proto.Phy_aborted reason -> abort_txn t txn reason
@@ -2121,7 +2106,6 @@ let spawn_health_monitor t =
             t.breaker_parked []
           |> List.sort compare
         in
-        refresh_breaker_stats t;
         if eligible <> [] then begin
           List.iter (Hashtbl.remove t.breaker_parked) eligible;
           ignore (Sched.wake t.sched eligible);

@@ -126,7 +126,11 @@ type t
     [persist_pool] is a set of extra coordination sessions the controller
     uses to overlap the txn-record writes of an input burst (they then
     coalesce into shared replica-side group-commit batches); empty
-    (default) keeps every persist synchronous on [client]. *)
+    (default) keeps every persist synchronous on [client].
+
+    [stats] is the shard's counter record: every controller instance of
+    one shard (leader, standbys and restarted ones) is given the same
+    record, so counters and latency recorders survive fail-over. *)
 val create :
   ?trace:Trace.t ->
   ?shard:Shard.t ->
@@ -139,6 +143,7 @@ val create :
   devices:Physical.device_lookup ->
   device_roots:Data.Path.t list ->
   sim:Des.Sim.t ->
+  stats:stats ->
   unit ->
   t
 
@@ -152,30 +157,22 @@ val crash : t -> unit
 val name : t -> string
 val is_leader : t -> bool
 
-(** The shard this controller serves, and its id. *)
+(** The shard this controller serves. *)
 val shard : t -> Shard.t
-
-val shard_id : t -> int
 
 (** Current logical tree (meaningful on the leader). *)
 val tree : t -> Data.Tree.t
 
+(** The shard's counter record, shared with every other controller
+    instance of the same shard. *)
 val stats : t -> stats
 
-(** Zeroed counters with empty latency recorders — an accumulator for
-    {!absorb_stats}. *)
+(** Zeroed counters with empty latency recorders: a shard's record, or
+    an accumulator for {!absorb_stats}. *)
 val fresh_stats : unit -> stats
 
-(** Snapshot of the integer counters that shares the latency recorders
-    with [src]; safe to {!absorb_stats} into without touching the live
-    record. *)
-val copy_stats : stats -> stats
-
 (** [absorb_stats ~into src] adds [src]'s integer counters into [into].
-    Latency recorders are not merged (exact quantiles cannot be combined
-    after the fact).  Lets transaction totals survive controller
-    fail-overs: fold a retired instance's stats into an accumulator and
-    add that to the current leader's. *)
+    Latency recorders are per shard and are not summed across shards. *)
 val absorb_stats : into:stats -> stats -> unit
 
 (** Scheduled-but-not-started transactions: ready + blocked (the

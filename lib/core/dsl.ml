@@ -42,7 +42,6 @@ let register_action env def =
 
 let register_proc env ~name body = Hashtbl.replace env.procs name body
 let find_action env ~kind ~action = Hashtbl.find_opt env.actions (kind, action)
-let has_proc env name = Hashtbl.mem env.procs name
 let abort message = raise (Abort message)
 
 let fresh_ctx env tree =

@@ -44,7 +44,6 @@ val constraints_of : env -> Constraints.registry
 val register_action : env -> action_def -> unit
 val register_proc : env -> name:string -> proc_body -> unit
 val find_action : env -> kind:string -> action:string -> action_def option
-val has_proc : env -> string -> bool
 
 (** {1 Primitives usable inside stored procedures} *)
 

@@ -1,10 +1,5 @@
 type breaker_state = Closed | Tripped | Half_open
 
-let breaker_state_to_string = function
-  | Closed -> "closed"
-  | Tripped -> "tripped"
-  | Half_open -> "half-open"
-
 type config = {
   enabled : bool;
   alpha : float;
@@ -46,15 +41,11 @@ type entry = {
 type t = {
   cfg : config;
   entries : (string, entry) Hashtbl.t; (* keyed by root path *)
-  mutable trips : int;
-  mutable probes : int;
-  mutable closes : int;
   mutable listener : (event -> unit) option;
 }
 
 let create cfg =
-  { cfg; entries = Hashtbl.create 8; trips = 0; probes = 0; closes = 0;
-    listener = None }
+  { cfg; entries = Hashtbl.create 8; listener = None }
 
 let set_listener t f = t.listener <- Some f
 
@@ -92,7 +83,6 @@ let trip t e ~now =
   e.state <- Tripped;
   e.tripped_at <- now;
   e.probe <- None;
-  t.trips <- t.trips + 1;
   emit t "breaker-trip" e ~txn:None
 
 let gate t ~now ~root =
@@ -127,7 +117,6 @@ let begin_probe t ~now ~root ~txn =
     | Half_open, None ->
       e.probe <- Some txn;
       e.probe_at <- now;
-      t.probes <- t.probes + 1;
       emit t "breaker-probe" e ~txn:(Some txn)
     | _, _ -> ()
   end
@@ -151,7 +140,6 @@ let observe t ~now ~root ~txn ~ok ~retries ~timeouts ~latency =
         e.failure <- 0.;
         e.timeout <- 0.;
         e.latency <- 0.;
-        t.closes <- t.closes + 1;
         emit t "breaker-close" e ~txn:(Some txn)
       end
       else trip t e ~now
@@ -179,7 +167,3 @@ let state_of t ~root =
   match Hashtbl.find_opt t.entries (key root) with
   | None -> Closed
   | Some e -> e.state
-
-let trips t = t.trips
-let probes t = t.probes
-let closes t = t.closes

@@ -31,8 +31,6 @@
 
 type breaker_state = Closed | Tripped | Half_open
 
-val breaker_state_to_string : breaker_state -> string
-
 type config = {
   enabled : bool;
   alpha : float;  (** EWMA weight of the newest sample, in (0, 1] *)
@@ -65,8 +63,9 @@ val create : config -> t
     path; [txn] the canary transaction when one is involved. *)
 type event = { kind : string; root : string; txn : int option }
 
-(** At most one listener; used by the controller to surface breaker
-    transitions into the span trace. *)
+(** At most one listener; used by the controller to count breaker
+    transitions in its shard's stats and surface them into the span
+    trace. *)
 val set_listener : t -> (event -> unit) -> unit
 
 (** Admission decision for one device root.  [`Admit] — breaker closed
@@ -105,8 +104,3 @@ val forget_probe : t -> txn:int -> unit
 val score : t -> root:Data.Path.t -> float
 
 val state_of : t -> root:Data.Path.t -> breaker_state
-val trips : t -> int  (** Closed/Half_open → Tripped transitions *)
-
-val probes : t -> int  (** canary slots claimed *)
-
-val closes : t -> int  (** Half_open → Closed transitions *)

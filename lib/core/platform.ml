@@ -51,11 +51,9 @@ type t = {
   control : Controller.t array;
   work : Worker.t array;
   submitters : Coord.Client.t array array;  (* per shard *)
-  retired : Controller.stats array;
-      (* per shard: counters of controller instances retired by
-         [restart_controller], so fail-overs do not erase transaction
-         totals (a crashed leader's commits would otherwise vanish from
-         the run summary with its in-memory stats record) *)
+  stats : Controller.stats array;
+      (* per shard: the one counter record every controller instance of
+         that shard writes, so counters survive fail-over *)
   mutable next_submitter : int;
   (* await support: key -> wakeup channels, fed by per-client dispatchers.
      Namespaced keys are globally unique, so one table serves all shards. *)
@@ -233,7 +231,7 @@ let connect_controller t sid cname =
     ~shard:(Shard.view t.pshard ~sid)
     ?gclient ~persist_pool ~name:cname ~client ~env:t.penv
     ~config:t.pspec.controller_config ~devices:t.pdevices
-    ~device_roots:t.pdevice_roots ~sim:t.psim ()
+    ~device_roots:t.pdevice_roots ~sim:t.psim ~stats:t.stats.(sid) ()
 
 let connect_worker t sid wname =
   let client = Coord.Ensemble.connect t.ensembles.(sid) ~name:wname () in
@@ -276,7 +274,7 @@ let create pspec env ~initial_tree ~devices psim =
       control = [||];
       work = [||];
       submitters;
-      retired = Array.init pspec.shards (fun _ -> Controller.fresh_stats ());
+      stats = Array.init pspec.shards (fun _ -> Controller.fresh_stats ());
       next_submitter = 0;
       awaiters = Hashtbl.create 256;
     }
@@ -468,15 +466,15 @@ let kill_controller t i = Controller.crash t.control.(i)
 let restart_controller t i =
   let cname = Controller.name t.control.(i) in
   let sid = i / t.pspec.controllers in
-  (* The replaced instance's counters would die with it; bank them so the
-     shard's cumulative totals survive the fail-over. *)
-  Controller.absorb_stats ~into:t.retired.(sid)
-    (Controller.stats t.control.(i));
   let c = connect_controller t sid cname in
   t.control.(i) <- c;
   Controller.start c
 
-let shard_retired_stats t sid = t.retired.(sid)
+let shard_stats t sid = t.stats.(sid)
+
+(* Every instance writes its shard's record, so a retired instance leaves
+   no counters behind. *)
+let shard_retired_stats _ _ = Controller.fresh_stats ()
 
 let kill_worker t i = Worker.crash t.work.(i)
 
@@ -489,46 +487,3 @@ let restart_worker t i =
   let w = connect_worker t sid wname in
   t.work.(i) <- w;
   Worker.start w
-
-type leader_stats = {
-  ls_leader : int option;
-  ls_committed : int;
-  ls_aborted : int;
-  ls_failed : int;
-  ls_sheds : int;
-  ls_todo : int;
-}
-
-let no_leader_stats =
-  {
-    ls_leader = None;
-    ls_committed = 0;
-    ls_aborted = 0;
-    ls_failed = 0;
-    ls_sheds = 0;
-    ls_todo = 0;
-  }
-
-(* Platform totals: every shard leader's counters summed.  [ls_leader]
-   reports shard 0's leading slot (the historical single-shard field). *)
-let leader_stats t =
-  let acc = ref no_leader_stats in
-  let any = ref false in
-  for sid = 0 to t.pspec.shards - 1 do
-    match shard_leader t sid with
-    | None -> ()
-    | Some c ->
-      any := true;
-      let st = Controller.stats c in
-      acc :=
-        {
-          ls_leader =
-            (if sid = 0 then shard_leader_index t 0 else !acc.ls_leader);
-          ls_committed = !acc.ls_committed + st.Controller.committed;
-          ls_aborted = !acc.ls_aborted + st.Controller.aborted;
-          ls_failed = !acc.ls_failed + st.Controller.failed;
-          ls_sheds = !acc.ls_sheds + st.Controller.sheds;
-          ls_todo = !acc.ls_todo + Controller.todo_length c;
-        }
-  done;
-  if !any then !acc else no_leader_stats

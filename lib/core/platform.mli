@@ -101,10 +101,15 @@ val await_leader_controller : t -> Controller.t
 (** Current leader of shard [sid], and its flat slot index. *)
 val shard_leader : t -> int -> Controller.t option
 
-(** Accumulated counters of shard [sid]'s controller instances retired by
-    {!restart_controller} — add to the current leader's
-    {!Controller.stats} for fail-over-proof cumulative totals.  Latency
-    recorders in the result are always empty. *)
+(** Shard [sid]'s counter record, shared by all of that shard's
+    controller instances (leader, standbys and restarted ones), so its
+    counters and latency recorders cover the whole run across
+    fail-overs.  The same record {!Controller.stats} returns for any of
+    them. *)
+val shard_stats : t -> int -> Controller.stats
+
+(** Always a fresh, empty record: no counters are banked apart from
+    {!shard_stats}, so "retired + leader" sums stay exact. *)
 val shard_retired_stats : t -> int -> Controller.stats
 
 val shard_leader_index : t -> int -> int option
@@ -141,20 +146,6 @@ val restart_worker : t -> int -> unit
 
 (** Flat index of shard 0's leading controller, if any. *)
 val leader_index : t -> int option
-
-(** Platform transaction-counter totals (every shard leader summed) —
-    what the goal-state frontend reports next to its convergence result.
-    All zeroes when no controller is leading. *)
-type leader_stats = {
-  ls_leader : int option;
-  ls_committed : int;
-  ls_aborted : int;
-  ls_failed : int;
-  ls_sheds : int;   (** admission-control sheds *)
-  ls_todo : int;    (** scheduled-but-not-started transactions *)
-}
-
-val leader_stats : t -> leader_stats
 
 (** Shard 0's (global) coordination ensemble. *)
 val coord : t -> Coord.Ensemble.t

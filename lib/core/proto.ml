@@ -17,11 +17,6 @@ type outcome =
   | Phy_aborted of string
   | Phy_failed of string
 
-let pp_outcome fmt = function
-  | Phy_committed -> Format.pp_print_string fmt "committed"
-  | Phy_aborted reason -> Format.fprintf fmt "aborted (%s)" reason
-  | Phy_failed reason -> Format.fprintf fmt "failed (%s)" reason
-
 type exec_stats = {
   retries : int;
   transient_failures : int;
@@ -179,13 +174,6 @@ let progress_key_ns ns txn_id =
   Printf.sprintf "%s/progress/p%010d" ns txn_id
 
 let default_ns = ns_of_shard 0
-let election_path = election_path_ns default_ns
-let input_queue = input_queue_ns default_ns
-let phy_queue = phy_queue_ns default_ns
-let checkpoint_key = checkpoint_key_ns default_ns
-let txns_prefix = txns_prefix_ns default_ns
-let signal_key = signal_key_ns default_ns
-let executing_key = executing_key_ns default_ns
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard two-phase commit (presumed abort).

@@ -20,8 +20,6 @@ type outcome =
   | Phy_aborted of string  (** an action failed; undo chain completed *)
   | Phy_failed of string   (** an undo failed too: layers now inconsistent *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** Physical-layer robustness counters a worker accumulated while
     executing one transaction (retried attempts, transient device
     errors observed, per-action deadline expiries), plus phase timings
@@ -72,20 +70,6 @@ val executing_key_ns : string -> int -> string
     leader crash {e resume} instead of re-running non-idempotent actions
     whose effects already landed on the device. *)
 val progress_key_ns : string -> int -> string
-
-(** Shard-0 values of the namespaced keys above. *)
-
-val election_path : string
-val input_queue : string
-val phy_queue : string
-val checkpoint_key : string
-val txns_prefix : string
-
-(** Key carrying a pending TERM/KILL signal for a transaction. *)
-val signal_key : int -> string
-
-(** Ephemeral marker a worker holds while physically executing a txn. *)
-val executing_key : int -> string
 
 (** {1 Cross-shard two-phase commit (presumed abort)}
 

@@ -22,9 +22,6 @@ let blocked_length t = Hashtbl.length t.blocked
 let length t = ready_length t + blocked_length t
 let is_idle t = length t = 0
 
-let blocked_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.blocked [] |> List.sort compare
-
 let submit t txn =
   let was_idle = is_idle t in
   Deque.push_back t.ready txn;

@@ -63,8 +63,5 @@ val length : t -> int
 
 val is_idle : t -> bool
 
-(** Blocked txn ids, ascending. *)
-val blocked_ids : t -> int list
-
 (** Ready transactions in queue order, then blocked ones by id. *)
 val to_list : t -> Txn.t list

@@ -23,7 +23,6 @@ let roots_of t sid =
     (fun (root, owner) -> if owner = sid then Some root else None)
     t.assignment
 
-let owned_roots t = roots_of t t.sid
 
 (* Deterministic fallback for paths outside every assigned subtree (the
    hierarchy above the device roots, or paths of a workload the partition

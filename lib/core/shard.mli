@@ -27,7 +27,6 @@ val make : sid:int -> shards:int -> Data.Path.t list -> t
 val view : t -> sid:int -> t
 
 val roots_of : t -> int -> Data.Path.t list
-val owned_roots : t -> Data.Path.t list
 
 (** Owning shard of an arbitrary path — total: paths inside an assigned
     subtree (or on its root-ward spine) map to that subtree's owner,

@@ -21,11 +21,6 @@ let disabled = { default_config with enabled = false }
 
 type stage = Armed | Termed | Killed
 
-let stage_to_string = function
-  | Armed -> "armed"
-  | Termed -> "termed"
-  | Killed -> "killed"
-
 type entry = { deadline : float; mutable stage : stage; mutable stage_at : float }
 
 type t = {
@@ -53,9 +48,6 @@ let estimate cfg (log : Xlog.t) =
       0. log
   in
   cfg.slack +. (cfg.latency_factor *. work)
-
-let stage_of t txn_id =
-  Option.map (fun e -> e.stage) (Hashtbl.find_opt t.table txn_id)
 
 (* One watchdog pass.  [started] is the authoritative list of in-flight
    transactions; table entries for anything else are dropped (the txn

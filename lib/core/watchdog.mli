@@ -36,8 +36,6 @@ val disabled : config
 
 type stage = Armed | Termed | Killed
 
-val stage_to_string : stage -> string
-
 type t
 
 val create : config -> t
@@ -58,6 +56,5 @@ val scan :
 (** Entries currently tracked (in-flight transactions seen by scan). *)
 val tracked : t -> int
 
-val stage_of : t -> int -> stage option
 val terms_issued : t -> int
 val kills_issued : t -> int

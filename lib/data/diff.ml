@@ -20,11 +20,6 @@ let pp_change fmt = function
 
 let change_to_string c = Format.asprintf "%a" pp_change c
 
-let path_of = function
-  | Added (p, _) | Removed p | Kind_changed (p, _, _)
-  | Attr_set (p, _, _, _) | Attr_removed (p, _, _) ->
-    p
-
 (* The ordering contract (see diff.mli) is enforced structurally: every
    per-node pass below folds over an [Smap.merge] of the old and new maps,
    and [Smap.fold] visits keys in ascending name order.  The accumulator is

@@ -16,9 +16,6 @@ type change =
 val pp_change : Format.formatter -> change -> unit
 val change_to_string : change -> string
 
-(** [path_of change] is the node the change applies to. *)
-val path_of : change -> Path.t
-
 (** Changes in a {e deterministic, dependency-safe} order; empty iff the
     trees are equal.  The order is a guarantee the goal-state planner
     depends on:

@@ -110,7 +110,6 @@ module Id = struct
   let parent node = node.parent
   let ancestors node = node.ancestors
   let pp fmt node = pp fmt node.path
-  let interned_count () = Hashtbl.length table + 1
 end
 
 let to_sexp p = Sexp.Atom (to_string p)

@@ -79,9 +79,6 @@ module Id : sig
   val ancestors : id -> id list
 
   val pp : Format.formatter -> id -> unit
-
-  (** Number of distinct paths interned so far (including the root). *)
-  val interned_count : unit -> int
 end
 
 val to_sexp : t -> Sexp.t

@@ -60,8 +60,6 @@ let children t path =
 let child_names t path =
   Option.map (List.map fst) (children t path)
 
-let attrs_of node = Smap.bindings node.attrs
-
 let fold f t init =
   let rec go path node acc =
     let acc = f path node acc in

@@ -40,9 +40,6 @@ val children : t -> Path.t -> (string * node) list option
 (** Child names only. *)
 val child_names : t -> Path.t -> string list option
 
-(** Attributes of a node, in name order. *)
-val attrs_of : node -> (string * Value.t) list
-
 (** Preorder fold over every node (including the root, path = []). *)
 val fold : (Path.t -> node -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -87,8 +87,6 @@ let rec of_sexp sexp =
 
 let as_bool = function Bool b -> Some b | _ -> None
 let as_int = function Int i -> Some i | _ -> None
-let as_float = function Float f -> Some f | _ -> None
-
 let as_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

@@ -20,7 +20,6 @@ val of_sexp : Sexp.t -> (t, string) result
 
 val as_bool : t -> bool option
 val as_int : t -> int option
-val as_float : t -> float option
 
 (** [as_number] accepts both [Int] and [Float]. *)
 val as_number : t -> float option

@@ -4,11 +4,6 @@ let exponential st ~mean =
   let u = 1. -. Random.State.float st 1. in
   -.mean *. log u
 
-let gaussian st ~mean ~stddev =
-  let u1 = 1. -. Random.State.float st 1. in
-  let u2 = Random.State.float st 1. in
-  mean +. (stddev *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
 let flip st ~p =
   if p <= 0. then false
   else if p >= 1. then true

@@ -6,9 +6,6 @@ val uniform : Random.State.t -> lo:float -> hi:float -> float
 (** Exponential variate with the given mean. *)
 val exponential : Random.State.t -> mean:float -> float
 
-(** Standard-normal-based variate (Box–Muller) with [mean] and [stddev]. *)
-val gaussian : Random.State.t -> mean:float -> stddev:float -> float
-
 (** Bernoulli trial: [true] with probability [p] (clamped to [0,1]). *)
 val flip : Random.State.t -> p:float -> bool
 

@@ -8,7 +8,7 @@ type 'm t = {
   net_sim : Sim.t;
   nodes : int;
   latency : src:int -> dst:int -> rng:Random.State.t -> float;
-  mutable drop_rate : float;
+  drop_rate : float;
   up : bool array;
   inboxes : (int * 'm) Channel.t array;
   mutable cuts : Pair_set.t;
@@ -38,8 +38,6 @@ let create ?(latency = default_latency) ?(drop_rate = 0.) sim ~nodes =
 let sim net = net.net_sim
 let node_count net = net.nodes
 let inbox net i = net.inboxes.(i)
-let is_up net i = net.up.(i)
-
 let ordered a b = if a <= b then (a, b) else (b, a)
 let cut net a b = Pair_set.mem (ordered a b) net.cuts
 
@@ -90,11 +88,8 @@ let partition net group_a group_b =
     group_a
 
 let heal net = net.cuts <- Pair_set.empty
-let set_drop_rate net p = net.drop_rate <- p
-
 let set_node_delay net i extra =
   net.extra_delay.(i) <- (if extra > 0. then extra else 0.)
 
-let node_delay net i = net.extra_delay.(i)
 let delivered net = net.n_delivered
 let dropped net = net.n_dropped

@@ -31,7 +31,6 @@ val inbox : 'm t -> int -> (int * 'm) Channel.t
 
 val crash : 'm t -> int -> unit
 val restart : 'm t -> int -> unit
-val is_up : 'm t -> int -> bool
 
 (** [partition net a b] cuts all links between node groups [a] and [b]. *)
 val partition : 'm t -> int list -> int list -> unit
@@ -39,16 +38,12 @@ val partition : 'm t -> int list -> int list -> unit
 (** Remove all partitions. *)
 val heal : 'm t -> unit
 
-val set_drop_rate : 'm t -> float -> unit
-
 (** [set_node_delay net i extra] adds [extra] seconds of latency to every
     message node [i] {e sends} (egress congestion: the node still hears
     the world on time, but the world hears it late).  Pass [0.] (or a
     negative value) to clear.  Messages already in flight keep the delay
     drawn at send time. *)
 val set_node_delay : 'm t -> int -> float -> unit
-
-val node_delay : 'm t -> int -> float
 
 (** Total messages actually delivered (for tests / stats). *)
 val delivered : 'm t -> int

@@ -125,7 +125,6 @@ let sleep d =
       let ev = Sim.after p.sim d (fun () -> resume (Ok ())) in
       fun () -> Sim.cancel ev)
 
-let yield () = sleep 0.
 let now () = Sim.now (sim_of (self ()))
 
 let await target =

@@ -32,9 +32,6 @@ val self : unit -> t
 (** Suspend for [d] simulated seconds. *)
 val sleep : float -> unit
 
-(** Let other ready processes run, then continue. *)
-val yield : unit -> unit
-
 (** Current simulation time (convenience for [Sim.now (sim_of (self ()))]). *)
 val now : unit -> float
 

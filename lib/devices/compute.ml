@@ -128,10 +128,6 @@ let vm_names host =
 let vm_state host name =
   Option.map (fun vm -> vm.state) (Hashtbl.find_opt host.vms name)
 
-let imported_images host =
-  List.sort String.compare
-    (Hashtbl.fold (fun k () acc -> k :: acc) host.imported [])
-
 let used_mem_mb host =
   Hashtbl.fold (fun _ vm acc -> acc + vm.vm_mem_mb) host.vms 0
 

@@ -36,8 +36,6 @@ val vm_names : t -> string list
 (** [`Stopped], [`Running], or [None] if the VM does not exist. *)
 val vm_state : t -> string -> [ `Stopped | `Running ] option
 
-val imported_images : t -> string list
-
 (** Sum of memory of all VMs placed on the host. *)
 val used_mem_mb : t -> int
 

@@ -32,10 +32,6 @@ let hang_next ?(count = 1) t ~action =
 
 let clear t ~action = Hashtbl.remove t.plans action
 
-let clear_all t =
-  Hashtbl.reset t.plans;
-  t.probability <- 0.
-
 (* Clamped to [0,1]; NaN has no sensible clamp and is rejected. *)
 let set_probability t p =
   if Float.is_nan p then Error "fault probability is NaN"

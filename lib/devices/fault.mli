@@ -36,7 +36,6 @@ val fail_always : ?severity:severity -> t -> action:string -> unit
 val hang_next : ?count:int -> t -> action:string -> unit
 
 val clear : t -> action:string -> unit
-val clear_all : t -> unit
 
 (** Background failure probability applied to every action.  Values outside
     [\[0, 1\]] are clamped; NaN is rejected. *)

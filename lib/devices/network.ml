@@ -90,9 +90,6 @@ let create ?(timing = `Instant) ?latency ?rng ~root ~max_vlans () =
 
 let device switch = Lazy.force switch.handle
 
-let vlan_ids switch =
-  List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) switch.vlans [])
-
 let ports_of switch id =
   Option.map
     (fun vlan -> List.sort String.compare vlan.ports)

@@ -17,7 +17,6 @@ val device : t -> Device.t
 
 (** {1 Inspection} *)
 
-val vlan_ids : t -> int list
 val ports_of : t -> int -> string list option
 val max_vlans : t -> int
 

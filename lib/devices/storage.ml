@@ -119,4 +119,3 @@ let is_exported host name =
   | None -> false
 
 let capacity_mb host = host.capacity
-let force_remove_image host name = Hashtbl.remove host.images name

@@ -30,8 +30,3 @@ val is_template : t -> string -> bool
 val is_exported : t -> string -> bool
 val used_mb : t -> int
 val capacity_mb : t -> int
-
-(** {1 Out-of-band events} *)
-
-(** An image disappears behind TROPIC's back (disk failure, manual rm). *)
-val force_remove_image : t -> string -> unit

@@ -5,12 +5,8 @@ type scheduling_result = {
   aggressive_makespan : float;
   fifo_mean_latency : float;
   aggressive_mean_latency : float;
-  fifo_sched : Common.sched_counters;
-  aggressive_sched : Common.sched_counters;
-  fifo_robust : Common.robust_counters;
-  aggressive_robust : Common.robust_counters;
-  fifo_phases : string;
-  aggressive_phases : string;
+  fifo_stats : Tropic.Controller.stats;
+  aggressive_stats : Tropic.Controller.stats;
 }
 
 type safety_result = {
@@ -98,19 +94,13 @@ let scheduling_run ~seed policy =
       done);
   ( !last_commit,
     Metrics.Cdf.mean latencies,
-    Common.sched_counters platform,
-    Common.robust_counters platform,
-    Common.phase_summary platform )
+    Tropic.Platform.shard_stats platform 0 )
 
 let scheduling_ablation ~seed () =
-  let fifo_makespan, fifo_mean_latency, fifo_sched, fifo_robust, fifo_phases =
+  let fifo_makespan, fifo_mean_latency, fifo_stats =
     scheduling_run ~seed `Fifo
   in
-  let ( aggressive_makespan,
-        aggressive_mean_latency,
-        aggressive_sched,
-        aggressive_robust,
-        aggressive_phases ) =
+  let aggressive_makespan, aggressive_mean_latency, aggressive_stats =
     scheduling_run ~seed `Aggressive
   in
   {
@@ -118,12 +108,8 @@ let scheduling_ablation ~seed () =
     aggressive_makespan;
     fifo_mean_latency;
     aggressive_mean_latency;
-    fifo_sched;
-    aggressive_sched;
-    fifo_robust;
-    aggressive_robust;
-    fifo_phases;
-    aggressive_phases;
+    fifo_stats;
+    aggressive_stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -270,13 +256,13 @@ let print r =
   Printf.printf
     "FIFO:       makespan %.2f s, mean latency %.2f s  (%s | %s | %s)\nAggressive: makespan %.2f s, mean latency %.2f s  (%s | %s | %s)\n"
     r.scheduling.fifo_makespan r.scheduling.fifo_mean_latency
-    (Common.sched_summary r.scheduling.fifo_sched)
-    (Common.robust_summary r.scheduling.fifo_robust)
-    r.scheduling.fifo_phases
+    (Common.sched_summary r.scheduling.fifo_stats)
+    (Common.robust_summary r.scheduling.fifo_stats)
+    (Tropic.Controller.phase_summary r.scheduling.fifo_stats)
     r.scheduling.aggressive_makespan r.scheduling.aggressive_mean_latency
-    (Common.sched_summary r.scheduling.aggressive_sched)
-    (Common.robust_summary r.scheduling.aggressive_robust)
-    r.scheduling.aggressive_phases;
+    (Common.sched_summary r.scheduling.aggressive_stats)
+    (Common.robust_summary r.scheduling.aggressive_stats)
+    (Tropic.Controller.phase_summary r.scheduling.aggressive_stats);
   Common.section "Ablation 2: logical-first safety vs device-only execution";
   Printf.printf
     "with constraints:    %d overcommitted hosts, %d device ops\nwithout constraints: %d overcommitted hosts, %d device ops\n"

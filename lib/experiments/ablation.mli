@@ -15,12 +15,8 @@ type scheduling_result = {
   aggressive_makespan : float;
   fifo_mean_latency : float;
   aggressive_mean_latency : float;
-  fifo_sched : Common.sched_counters;
-  aggressive_sched : Common.sched_counters;
-  fifo_robust : Common.robust_counters;
-  aggressive_robust : Common.robust_counters;
-  fifo_phases : string;  (** per-phase p50/p99 latency breakdown *)
-  aggressive_phases : string;
+  fifo_stats : Tropic.Controller.stats;  (** the FIFO run's shard counters *)
+  aggressive_stats : Tropic.Controller.stats;
 }
 
 type safety_result = {

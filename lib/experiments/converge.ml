@@ -12,7 +12,8 @@ let vlan_name = "tenants"
 
 type result = {
   phases : (string * Plan.Executor.report) list;
-  stats : Tropic.Platform.leader_stats;
+  stats : Tropic.Controller.stats;
+  todo : int;
   trace : Trace.t option;
 }
 
@@ -135,7 +136,10 @@ let run ?(seed = default_seed) ?(quick = false) ?(record_trace = false)
         phases);
   {
     phases = List.rev !reports;
-    stats = Tropic.Platform.leader_stats platform;
+    stats = Tropic.Platform.shard_stats platform 0;
+    todo =
+      Option.fold ~none:0 ~some:Tropic.Controller.todo_length
+        (Tropic.Platform.leader_controller platform);
     trace = tracer;
   }
 
@@ -170,6 +174,5 @@ let print r =
   let s = r.stats in
   Printf.printf
     "controller: committed=%d aborted=%d failed=%d sheds=%d todo=%d\n%!"
-    s.Tropic.Platform.ls_committed s.Tropic.Platform.ls_aborted
-    s.Tropic.Platform.ls_failed s.Tropic.Platform.ls_sheds
-    s.Tropic.Platform.ls_todo
+    s.Tropic.Controller.committed s.Tropic.Controller.aborted
+    s.Tropic.Controller.failed s.Tropic.Controller.sheds r.todo

@@ -20,7 +20,8 @@ val restored_goal : Plan.Model.t
 
 type result = {
   phases : (string * Plan.Executor.report) list;  (** in execution order *)
-  stats : Tropic.Platform.leader_stats;
+  stats : Tropic.Controller.stats;  (** the shard's controller counters *)
+  todo : int;  (** scheduled-but-not-started transactions at the end *)
   trace : Trace.t option;
 }
 

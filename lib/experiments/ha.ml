@@ -9,9 +9,7 @@ type result = {
   committed : int;
   aborted : int;
   lost : int;
-  sched : Common.sched_counters;
-  robust : Common.robust_counters;
-  phases : string;
+  stats : Tropic.Controller.stats;
   membership : string;
 }
 
@@ -117,9 +115,7 @@ let run ?(seed = default_seed) ?(session_timeout = 10.) ?(rate = 2.)
     committed = !committed;
     aborted = !aborted;
     lost = !submitted - !committed - !aborted;
-    sched = Common.sched_counters platform;
-    robust = Common.robust_counters platform;
-    phases = Common.phase_summary platform;
+    stats = Tropic.Platform.shard_stats platform 0;
     membership = Common.membership_summary platform;
   }
 
@@ -133,5 +129,7 @@ let print r =
     r.recovery_seconds;
   Printf.printf "submitted=%d committed=%d aborted=%d lost=%d (paper: 0 lost)\n"
     r.submitted r.committed r.aborted r.lost;
-  Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.sched)
-    (Common.robust_summary r.robust) r.phases r.membership
+  Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.stats)
+    (Common.robust_summary r.stats)
+    (Tropic.Controller.phase_summary r.stats)
+    r.membership

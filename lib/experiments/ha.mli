@@ -18,10 +18,9 @@ type result = {
   committed : int;
   aborted : int;
   lost : int;                     (** must be 0 *)
-  sched : Common.sched_counters;  (** surviving leader's wake counters *)
-  robust : Common.robust_counters;
-      (** surviving leader's retry/timeout/signal tallies *)
-  phases : string;  (** per-phase p50/p99 latency breakdown *)
+  stats : Tropic.Controller.stats;
+      (** the shard's counters and per-phase latency recorders, summed
+          over the killed leader and its successor *)
   membership : string;  (** coordination membership/session counters *)
 }
 

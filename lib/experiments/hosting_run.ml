@@ -13,9 +13,7 @@ type result = {
   deferrals : int;
   violations : int;
   layers_consistent : bool;
-  sched : Common.sched_counters;
-  robust : Common.robust_counters;
-  phases : string;
+  stats : Tropic.Controller.stats;
   membership : string;
   trace : Trace.t option;
 }
@@ -134,9 +132,7 @@ let run ?(seed = default_seed) ?(rate = 1.0) ?(duration = 300.)
     deferrals = controller_stats.Tropic.Controller.deferrals;
     violations = controller_stats.Tropic.Controller.violations;
     layers_consistent = layers_consistent platform inv;
-    sched = Common.sched_counters platform;
-    robust = Common.robust_counters platform;
-    phases = Common.phase_summary platform;
+    stats = Tropic.Platform.shard_stats platform 0;
     membership = Common.membership_summary platform;
     trace = tracer;
   }
@@ -160,5 +156,7 @@ let print r =
   Printf.printf
     "lock-conflict deferrals: %d; constraint violations: %d; layers consistent at end: %b\n"
     r.deferrals r.violations r.layers_consistent;
-  Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.sched)
-    (Common.robust_summary r.robust) r.phases r.membership
+  Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.stats)
+    (Common.robust_summary r.stats)
+    (Tropic.Controller.phase_summary r.stats)
+    r.membership

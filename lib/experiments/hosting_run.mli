@@ -20,9 +20,9 @@ type result = {
   layers_consistent : bool;
       (** every non-quarantined device equals its logical subtree at the
           end of the run *)
-  sched : Common.sched_counters;  (** leader's wake-on-release counters *)
-  robust : Common.robust_counters;  (** leader's retry/timeout/signal tallies *)
-  phases : string;  (** per-phase p50/p99 breakdown (simulate/lock-wait/...) *)
+  stats : Tropic.Controller.stats;
+      (** the shard's counters and per-phase latency recorders, summed
+          over every controller instance of the run *)
   membership : string;  (** coordination membership/session counters *)
   trace : Trace.t option;  (** span recorder, when [record_trace] was set *)
 }

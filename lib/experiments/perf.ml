@@ -41,9 +41,7 @@ type result = {
   latency : Metrics.Cdf.t;
   sim_events : int;
   wall_seconds : float;
-  sched : Common.sched_counters;
-  robust : Common.robust_counters;
-  phases : string;
+  stats : Tropic.Controller.stats;
 }
 
 (* The paper's logical-only deployment (§5, §6.1): 8 VM slots per host,
@@ -152,9 +150,7 @@ let run cfg =
     latency;
     sim_events = Des.Sim.executed sim;
     wall_seconds;
-    sched = Common.sched_counters platform;
-    robust = Common.robust_counters platform;
-    phases = Common.phase_summary platform;
+    stats = Tropic.Platform.shard_stats platform 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -198,8 +194,9 @@ let print_result r =
     (100. *. Metrics.Series.max_value r.cpu_util)
     (100. *. Metrics.Series.max_value r.coord_util)
     r.sim_events r.wall_seconds;
-  Printf.printf "    %s\n    %s\n    %s\n%!" (Common.sched_summary r.sched)
-    (Common.robust_summary r.robust) r.phases
+  Printf.printf "    %s\n    %s\n    %s\n%!" (Common.sched_summary r.stats)
+    (Common.robust_summary r.stats)
+    (Tropic.Controller.phase_summary r.stats)
 
 let print_fig4_fig5 ?(multipliers = [ 1; 2; 3; 4; 5 ]) cfg =
   Common.section

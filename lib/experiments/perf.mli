@@ -35,9 +35,9 @@ type result = {
   latency : Metrics.Cdf.t;
   sim_events : int;
   wall_seconds : float;
-  sched : Common.sched_counters;  (** leader's wake-on-release counters *)
-  robust : Common.robust_counters;  (** leader's retry/timeout/signal tallies *)
-  phases : string;  (** per-phase p50/p99 latency breakdown *)
+  stats : Tropic.Controller.stats;
+      (** the shard's counters and per-phase latency recorders, summed
+          over every controller instance of the run *)
 }
 
 val run : config -> result

@@ -4,9 +4,7 @@ type throughput_point = {
   committed : int;
   throughput_per_s : float;
   median_latency : float;
-  sched : Common.sched_counters;
-  robust : Common.robust_counters;
-  phases : string;
+  stats : Tropic.Controller.stats;
 }
 
 type memory_point = {
@@ -86,9 +84,7 @@ let throughput_point ~seed ~rate ~duration hosts =
     median_latency =
       (if Metrics.Cdf.count latency = 0 then Float.nan
        else Metrics.Cdf.quantile latency 0.5);
-    sched = Common.sched_counters platform;
-    robust = Common.robust_counters platform;
-    phases = Common.phase_summary platform;
+    stats = Tropic.Platform.shard_stats platform 0;
   }
 
 let live_bytes () =
@@ -144,8 +140,9 @@ let print r =
       Printf.printf
         "hosts=%6d  offered=%d committed=%d  throughput=%.2f txn/s  median=%.3f s  %s | %s | %s\n"
         p.hosts p.offered p.committed p.throughput_per_s p.median_latency
-        (Common.sched_summary p.sched)
-        (Common.robust_summary p.robust) p.phases)
+        (Common.sched_summary p.stats)
+        (Common.robust_summary p.stats)
+        (Tropic.Controller.phase_summary p.stats))
     r.throughput;
   List.iter
     (fun m ->

@@ -13,9 +13,9 @@ type throughput_point = {
   committed : int;
   throughput_per_s : float;
   median_latency : float;
-  sched : Common.sched_counters;  (** leader's wake-on-release counters *)
-  robust : Common.robust_counters;  (** leader's retry/timeout/signal tallies *)
-  phases : string;  (** per-phase p50/p99 latency breakdown *)
+  stats : Tropic.Controller.stats;
+      (** the shard's counters and per-phase latency recorders, summed
+          over every controller instance of the run *)
 }
 
 type memory_point = {

@@ -17,8 +17,6 @@ let set_bucket t i v =
   if i >= 0 && i < Array.length t.values then t.values.(i) <- v
 
 let bucket_count t = Array.length t.values
-let bucket_width t = t.bucket
-
 let rows t =
   Array.to_list
     (Array.mapi (fun i v -> (float_of_int i *. t.bucket, v)) t.values)

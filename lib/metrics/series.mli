@@ -15,7 +15,6 @@ val add : ?v:float -> t -> float -> unit
 val set_bucket : t -> int -> float -> unit
 
 val bucket_count : t -> int
-val bucket_width : t -> float
 
 (** [(bucket_start_time, value)] rows, in order. *)
 val rows : t -> (float * float) list

@@ -67,7 +67,6 @@ let compute_path i = Data.Path.v (Printf.sprintf "/vmRoot/host%05d" i)
 let storage_path i = Data.Path.v (Printf.sprintf "/storageRoot/storage%05d" i)
 let switch_path i = Data.Path.v (Printf.sprintf "/netRoot/switch%03d" i)
 
-let storage_for_host size h = storage_path (h mod size.storage_hosts)
 let prepop_vm_name ~host ~index = Printf.sprintf "pre%05d-%d" host index
 
 let ok_tree what = function

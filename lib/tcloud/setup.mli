@@ -57,8 +57,5 @@ val storage_path : int -> Data.Path.t
 (** [/netRoot/switchNNN] *)
 val switch_path : int -> Data.Path.t
 
-(** Storage host co-assigned to a compute host (4 hosts per storage). *)
-val storage_for_host : size -> int -> Data.Path.t
-
 (** Name of the [i]-th prepopulated VM on host [h]. *)
 val prepop_vm_name : host:int -> index:int -> string

@@ -5,13 +5,6 @@ type op =
   | Migrate of { vm : string; src : int; dst : int }
   | Destroy of { vm : string; host : int; storage : int }
 
-let pp_op fmt = function
-  | Spawn { vm; host; _ } -> Format.fprintf fmt "spawn %s on host %d" vm host
-  | Start { vm; host } -> Format.fprintf fmt "start %s on host %d" vm host
-  | Stop { vm; host } -> Format.fprintf fmt "stop %s on host %d" vm host
-  | Migrate { vm; src; dst } -> Format.fprintf fmt "migrate %s %d->%d" vm src dst
-  | Destroy { vm; host; _ } -> Format.fprintf fmt "destroy %s on host %d" vm host
-
 type weights = {
   w_spawn : float;
   w_start : float;
@@ -169,6 +162,3 @@ let mix_of ops =
     { n_spawn = 0; n_start = 0; n_stop = 0; n_migrate = 0; n_destroy = 0 }
     ops
 
-let pp_mix fmt m =
-  Format.fprintf fmt "spawn=%d start=%d stop=%d migrate=%d destroy=%d"
-    m.n_spawn m.n_start m.n_stop m.n_migrate m.n_destroy

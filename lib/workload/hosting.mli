@@ -13,8 +13,6 @@ type op =
   | Migrate of { vm : string; src : int; dst : int }
   | Destroy of { vm : string; host : int; storage : int }
 
-val pp_op : Format.formatter -> op -> unit
-
 type weights = {
   w_spawn : float;
   w_start : float;
@@ -56,4 +54,3 @@ type mix = {
 }
 
 val mix_of : (float * op) list -> mix
-val pp_mix : Format.formatter -> mix -> unit

@@ -83,8 +83,10 @@ let test_hang_storm_clean () =
   let rescued =
     List.exists
       (fun r ->
-        r.Chaos.Runner.auto_terms > 0 || r.Chaos.Runner.timeouts > 0
-        || r.Chaos.Runner.retries > 0)
+        let total = Chaos.Runner.total r in
+        total (fun s -> s.Tropic.Controller.auto_terms) > 0
+        || total (fun s -> s.Tropic.Controller.timeouts) > 0
+        || total (fun s -> s.Tropic.Controller.exec_retries) > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "robustness layer exercised on some seed" true rescued
@@ -128,7 +130,10 @@ let test_flap_storm_clean () =
     sweep.Chaos.Runner.runs;
   let engaged =
     List.exists
-      (fun r -> r.Chaos.Runner.sheds > 0 || r.Chaos.Runner.breaker_trips > 0)
+      (fun r ->
+        let total = Chaos.Runner.total r in
+        total (fun s -> s.Tropic.Controller.sheds) > 0
+        || total (fun s -> s.Tropic.Controller.breaker_trips) > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "overload layer exercised on some seed" true engaged
@@ -220,10 +225,12 @@ let test_shard_crash_clean () =
         (Printf.sprintf "seed %d: cross-shard commits happened"
            r.Chaos.Runner.seed)
         true
-        (r.Chaos.Runner.twopc_committed > 0))
+        (Chaos.Runner.total r (fun s -> s.Tropic.Controller.twopc_committed) > 0))
     sweep.Chaos.Runner.runs;
   let prepared =
-    List.exists (fun r -> r.Chaos.Runner.twopc_prepares > 0) sweep.Chaos.Runner.runs
+    List.exists
+      (fun r -> Chaos.Runner.total r (fun s -> s.Tropic.Controller.twopc_prepares) > 0)
+      sweep.Chaos.Runner.runs
   in
   check bool_c "participants voted on some seed" true prepared
 
@@ -270,11 +277,13 @@ let test_member_churn_clean () =
         (Printf.sprintf "seed %d: membership actually churned"
            r.Chaos.Runner.seed)
         true
-        (r.Chaos.Runner.joins > 0 && r.Chaos.Runner.leaves > 0
-        && r.Chaos.Runner.catchups > 0))
+        (let m = r.Chaos.Runner.membership in
+         m.Coord.Types.joins > 0 && m.Coord.Types.leaves > 0
+         && m.Coord.Types.catchups > 0))
     sweep.Chaos.Runner.runs;
   let fenced =
-    List.exists (fun r -> r.Chaos.Runner.stale_sessions > 0)
+    List.exists
+      (fun r -> r.Chaos.Runner.membership.Coord.Types.stale_sessions_rejected > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "stale session echoes rejected on some seed" true fenced
@@ -323,8 +332,8 @@ let test_commit_storm_clean () =
       check bool_c
         (Printf.sprintf "seed %d: batches formed" r.Chaos.Runner.seed)
         true
-        (r.Chaos.Runner.group_flushes > 0
-        && r.Chaos.Runner.acks_deferred > 0))
+        (let g = r.Chaos.Runner.group in
+         g.Coord.Types.flushes > 0 && g.Coord.Types.acks_deferred > 0))
     sweep.Chaos.Runner.runs
 
 (* Acking a submission before its batch reaches quorum turns a leader
@@ -348,7 +357,7 @@ let test_unsafe_ack_convicted () =
   List.iter
     (fun r ->
       check bool_c "unsafe acks were actually released" true
-        (r.Chaos.Runner.unsafe_acks > 0);
+        (r.Chaos.Runner.group.Coord.Types.unsafe_acks > 0);
       check bool_c "reproducer names the build" true
         (Str_contains.contains (Chaos.Runner.reproducer r) "unsafe-ack"))
     sweep.Chaos.Runner.violating

@@ -392,6 +392,33 @@ let test_single_shard_request_stays_local () =
       Alcotest.check int_c "no coordination started on owner" 0
         (Controller.stats leader).Controller.twopc_started)
 
+(* Each shard's controller instances share one stats record, so after a
+   kill-and-restart of every shard leader the successors' phase summary
+   still holds the dead leaders' simulate samples. *)
+let test_kill_restart_keeps_phase_samples () =
+  with_two_shards (fun platform _inv ->
+      spawn_on platform ~vm:"k0" ~host:0;
+      spawn_on platform ~vm:"k1" ~host:1;
+      for sid = 0 to Platform.shard_count platform - 1 do
+        match Platform.shard_leader_index platform sid with
+        | None -> Alcotest.failf "shard %d has no leader" sid
+        | Some i ->
+          Platform.kill_controller platform i;
+          Platform.restart_controller platform i
+      done;
+      (* host0 and host1 belong to different shards: each committed one
+         spawn before its leader died. *)
+      for sid = 0 to Platform.shard_count platform - 1 do
+        let st = Controller.stats (Platform.await_shard_leader platform sid) in
+        Alcotest.(check bool)
+          (Printf.sprintf "shard %d reports simulate latency" sid)
+          false
+          (Str_contains.contains (Controller.phase_summary st) "simulate n/a");
+        Alcotest.(check int)
+          (Printf.sprintf "shard %d spawn counted" sid)
+          1 st.Controller.committed
+      done)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ?rand:None) tests)
@@ -418,5 +445,7 @@ let () =
             test_presumed_abort_on_lost_coordinator;
           Alcotest.test_case "single-shard request stays local" `Quick
             test_single_shard_request_stays_local;
+          Alcotest.test_case "kill-restart keeps phase samples" `Quick
+            test_kill_restart_keeps_phase_samples;
         ] );
     ]

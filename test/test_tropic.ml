@@ -921,6 +921,37 @@ let test_e2e_controller_failover_no_loss () =
       let new_leader = Platform.await_leader_controller platform in
       check bool_c "leadership moved" true (new_leader != leader))
 
+(* Every controller instance of a shard writes one stats record, so a
+   leader killed mid-stream (and never restarted) keeps its commits and
+   latency samples in the shard's totals. *)
+let test_e2e_failover_keeps_shard_stats () =
+  with_platform ~horizon:900. (fun platform _inv ->
+      let submit_all prefix =
+        List.init 3 (fun i ->
+            Platform.submit platform ~proc:"spawnVM"
+              ~args:(spawn_args (Printf.sprintf "%s%d" prefix i)))
+      in
+      let await_all ids =
+        List.iter
+          (fun id -> expect_committed "stream txn" (Platform.await platform id))
+          ids
+      in
+      (* The first leader commits the early half itself. *)
+      await_all (submit_all "s");
+      let leader = Platform.await_leader_controller platform in
+      (match Platform.leader_index platform with
+       | Some i -> Platform.kill_controller platform i
+       | None -> Alcotest.fail "no leader to kill");
+      await_all (submit_all "t");
+      let successor = Platform.await_leader_controller platform in
+      check bool_c "leadership moved" true (successor != leader);
+      let st = Platform.shard_stats platform 0 in
+      check bool_c "successor writes the shard record" true
+        (Controller.stats successor == st);
+      check int_c "every commit counted" 6 st.Controller.committed;
+      check bool_c "every commit simulated" true
+        (Metrics.Cdf.count st.Controller.simulate_lat >= 6))
+
 let test_e2e_reload_refuses_violating_state () =
   with_platform (fun platform inv ->
       let _, compute0 = inv.Tcloud.Setup.computes.(0) in
@@ -1220,6 +1251,9 @@ let breaker_fsm_prop =
   QCheck.Test.make ~name:"health breaker FSM invariants" ~count:300
     (QCheck.make gen) (fun ops ->
       let h = Health.create cfg in
+      let probes = ref 0 in
+      Health.set_listener h (fun ev ->
+          if ev.Health.kind = "breaker-probe" then incr probes);
       let root = Data.Path.v host0 in
       let now = ref 0. in
       let next_txn = ref 0 in
@@ -1253,9 +1287,9 @@ let breaker_fsm_prop =
            | 2 ->
              (* Try to claim the canary slot with a fresh txn. *)
              incr next_txn;
-             let before = Health.probes h in
+             let before = !probes in
              Health.begin_probe h ~now:!now ~root ~txn:!next_txn;
-             if Health.probes h > before then begin
+             if !probes > before then begin
                if !outstanding <> None then
                  QCheck.Test.fail_report
                    "second canary admitted while one is outstanding";
@@ -1379,6 +1413,63 @@ let test_e2e_breaker_trips_then_canary_reopens () =
       let st = Controller.stats leader in
       check bool_c "canary probed" true (st.Controller.breaker_probes >= 1);
       check bool_c "breaker closed" true (st.Controller.breaker_closes >= 1))
+
+(* Breaker counters live in the shard's record, fed by breaker events:
+   a trip seen by one leader stays counted after fail-over, whichever
+   instance is asked, standbys included. *)
+let test_e2e_breaker_count_survives_failover () =
+  let spec =
+    {
+      quick_spec with
+      Platform.worker_retry =
+        { Physical.default_retry with Physical.max_attempts = 2 };
+      Platform.controller_config =
+        {
+          Tcloud.Setup.controller_config with
+          Controller.health =
+            { Health.default_config with Health.alpha = 0.9; cooldown = 15. };
+        };
+    }
+  in
+  with_platform ~spec ~horizon:900. (fun platform inv ->
+      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+      let faults = Devices.Device.faults (Devices.Compute.device compute0) in
+      (match Devices.Fault.set_probability faults 1.0 with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail e);
+      (match Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "bf1") with
+       | Txn.Aborted _ | Txn.Failed _ -> ()
+       | other ->
+         Alcotest.failf "expected abort under faults, got %s"
+           (Txn.state_to_string other));
+      let leader = Platform.await_leader_controller platform in
+      check bool_c "breaker tripped" true
+        ((Controller.stats leader).Controller.breaker_trips >= 1);
+      (match Platform.leader_index platform with
+       | Some i -> Platform.kill_controller platform i
+       | None -> Alcotest.fail "no leader to kill");
+      let rec await_successor () =
+        let c = Platform.await_leader_controller platform in
+        if c == leader then begin
+          Des.Proc.sleep 0.5;
+          await_successor ()
+        end
+        else c
+      in
+      let successor = await_successor () in
+      let standbys =
+        List.filter
+          (fun c -> c != leader && c != successor)
+          (Array.to_list (Platform.controllers platform))
+      in
+      check bool_c "a standby remains" true (standbys <> []);
+      List.iter
+        (fun c ->
+          check bool_c "standby still sees the trip" true
+            ((Controller.stats c).Controller.breaker_trips >= 1))
+        standbys;
+      check bool_c "successor still sees the trip" true
+        ((Controller.stats successor).Controller.breaker_trips >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* Per-transaction span tracing (lib/trace) *)
@@ -1546,6 +1637,7 @@ let suite =
     ("e2e: aggressive hot subtree does not starve", `Quick, test_e2e_aggressive_no_starvation);
     ("e2e: FIFO preserves submission order", `Quick, test_e2e_fifo_preserves_submission_order);
     ("e2e: controller failover loses nothing", `Quick, test_e2e_controller_failover_no_loss);
+    ("e2e: failover keeps the shard's stats", `Quick, test_e2e_failover_keeps_shard_stats);
     ("e2e: failover preserves quarantine", `Quick, test_e2e_failover_preserves_quarantine);
     ("e2e: converge under failover", `Quick, test_e2e_converge_under_failover);
     ("e2e: reload refuses violating state", `Quick, test_e2e_reload_refuses_violating_state);
@@ -1557,6 +1649,7 @@ let suite =
     QCheck_alcotest.to_alcotest breaker_fsm_prop;
     ("overload: admission sheds under storm", `Quick, test_e2e_admission_sheds_overload);
     ("overload: breaker trips then canary reopens", `Quick, test_e2e_breaker_trips_then_canary_reopens);
+    ("overload: breaker count survives failover", `Quick, test_e2e_breaker_count_survives_failover);
     ("trace: commit lifecycle span order", `Quick, test_trace_commit_lifecycle);
     ("trace: fault replay undo reversed", `Quick, test_trace_fault_replay_undo_reversed);
     ("trace: lock-wait names blocking holder", `Quick, test_trace_lock_wait_names_holder);

@@ -231,8 +231,7 @@ let run_sched_policy ~wake ~txns:n ~subtrees =
   }
 
 let run_sched_bench () =
-  let quick = Experiments.Common.quick_mode () in
-  let txns = if quick then 64 else 256 in
+  let txns = 256 in
   let levels = [ 2; 8; 16 ] in
   Experiments.Common.section
     (Printf.sprintf
@@ -277,13 +276,12 @@ let run_sched_bench () =
     "{\n\
     \  \"bench\": \"sched-contention\",\n\
     \  \"generated_by\": \"bench/main.exe sched\",\n\
-    \  \"quick\": %b,\n\
     \  \"txns\": %d,\n\
     \  \"points\": [\n%s\n  ],\n\
     \  \"high_contention\": { \"subtrees\": %d, \"attempts_ratio\": %.3f, \
      \"meets_2x_target\": %b }\n\
      }\n"
-    quick txns
+    txns
     (String.concat ",\n" (List.map point_json points))
     (fst best).sp_subtrees (ratio best)
     (ratio best >= 2.);
@@ -359,8 +357,7 @@ let run_overload_policy ~shed ~requests ~arrival_gap ~service ~high ~low =
   }
 
 let run_overload_bench () =
-  let quick = Experiments.Common.quick_mode () in
-  let requests = if quick then 500 else 2_000 in
+  let requests = 2_000 in
   (* 25% overload: arrivals every 0.8 s, service 1 s.  Watermarks match
      the chaos harness's admission config (high 48, low 32). *)
   let arrival_gap = 0.8 and service = 1.0 in
@@ -401,7 +398,6 @@ let run_overload_bench () =
     "{\n\
     \  \"bench\": \"overload-shed-vs-queue\",\n\
     \  \"generated_by\": \"bench/main.exe overload\",\n\
-    \  \"quick\": %b,\n\
     \  \"requests\": %d,\n\
     \  \"arrival_gap_s\": %.3f,\n\
     \  \"service_s\": %.3f,\n\
@@ -411,7 +407,7 @@ let run_overload_bench () =
     \  \"headline\": { \"shed_p99_s\": %.3f, \"queue_p99_s\": %.3f, \
      \"p99_bound_s\": %.3f, \"bounded_p99\": %b }\n\
      }\n"
-    quick requests arrival_gap service high low
+    requests arrival_gap service high low
     (String.concat ",\n" (List.map point_json [ queue_pt; shed_pt ]))
     shed_pt.ov_p99 queue_pt.ov_p99 p99_bound bounded_p99;
   close_out oc;
@@ -439,7 +435,13 @@ type shard_point = {
   sh_txn_per_s : float;
 }
 
-let run_shard_point ~shards ~hosts ~toggles =
+(* Closed-loop toggle load shared by the shard and throughput benches: a
+   seed-42 deployment of [hosts] compute hosts with one prepopulated VM
+   each, and one driver per host toggling its VM start/stop [ops] times
+   with zero think time.  [on_txn state latency] sees every outcome.
+   Returns the platform and the virtual seconds from the first submission
+   (every shard led) to the last commit. *)
+let run_toggles ?timing spec ~hosts ~ops ~on_txn =
   let sim = Des.Sim.create ~seed:42 () in
   let size =
     {
@@ -448,7 +450,37 @@ let run_shard_point ~shards ~hosts ~toggles =
       prepopulated_vms_per_host = 1;
     }
   in
-  let inv = Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) size in
+  let inv = Tcloud.Setup.build ?timing ~rng:(Des.Sim.rng sim) size in
+  let platform =
+    Tropic.Platform.create spec inv.Tcloud.Setup.env
+      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  in
+  let driver h () =
+    let host = Data.Path.to_string (Tcloud.Setup.compute_path h) in
+    let vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
+    let one proc args =
+      let t0 = Des.Sim.now sim in
+      let state = Tropic.Platform.run_txn platform ~proc ~args in
+      on_txn state (Des.Sim.now sim -. t0)
+    in
+    for _ = 1 to ops do
+      one "startVM" (Tcloud.Procs.start_vm_args ~host ~vm);
+      one "stopVM" (Tcloud.Procs.stop_vm_args ~host ~vm)
+    done
+  in
+  let elapsed = ref 0. in
+  Experiments.Common.run_scenario platform (fun () ->
+      for sid = 0 to spec.Tropic.Platform.shards - 1 do
+        ignore (Tropic.Platform.await_shard_leader platform sid)
+      done;
+      let t0 = Des.Sim.now sim in
+      List.init hosts (fun h ->
+          Des.Proc.spawn ~name:(Printf.sprintf "driver-%d" h) sim (driver h))
+      |> List.iter (fun p -> ignore (Des.Proc.await p));
+      elapsed := Des.Sim.now sim -. t0);
+  (platform, !elapsed)
+
+let run_shard_point ~shards ~hosts ~toggles =
   let spec =
     {
       Tropic.Platform.default_spec with
@@ -460,59 +492,22 @@ let run_shard_point ~shards ~hosts ~toggles =
       trace = None;
     }
   in
-  let platform =
-    Tropic.Platform.create spec inv.Tcloud.Setup.env
-      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  let committed = ref 0 and failed = ref 0 in
+  let _, elapsed =
+    run_toggles ~timing:`Process spec ~hosts ~ops:toggles ~on_txn:(fun state _ ->
+        if state = Tropic.Txn.Committed then incr committed else incr failed)
   in
-  let committed = ref 0 and failed = ref 0 and live = ref 0 in
-  let elapsed = ref 0. in
-  let driver h () =
-    let host = Data.Path.to_string (Tcloud.Setup.compute_path h) in
-    let vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
-    let toggle proc args =
-      match Tropic.Platform.run_txn platform ~proc ~args with
-      | Tropic.Txn.Committed -> incr committed
-      | _ -> incr failed
-    in
-    for _ = 1 to toggles do
-      toggle "startVM" (Tcloud.Procs.start_vm_args ~host ~vm);
-      toggle "stopVM" (Tcloud.Procs.stop_vm_args ~host ~vm)
-    done;
-    decr live
-  in
-  ignore
-    (Des.Proc.spawn ~name:"shard-bench" sim (fun () ->
-         for sid = 0 to shards - 1 do
-           ignore (Tropic.Platform.await_shard_leader platform sid)
-         done;
-         let t0 = Des.Sim.now sim in
-         live := hosts;
-         for h = 0 to hosts - 1 do
-           ignore
-             (Des.Proc.spawn ~name:(Printf.sprintf "driver-%d" h) sim (driver h))
-         done;
-         while !live > 0 do
-           Des.Proc.sleep 0.5
-         done;
-         elapsed := Des.Sim.now sim -. t0));
-  ignore (Des.Sim.run ~until:100_000. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     failwith (Printf.sprintf "%s crashed: %s" who (Printexc.to_string exn)));
   {
     sh_shards = shards;
     sh_committed = !committed;
     sh_failed = !failed;
-    sh_virtual_s = !elapsed;
+    sh_virtual_s = elapsed;
     sh_txn_per_s =
-      (if !elapsed > 0. then float_of_int !committed /. !elapsed else 0.);
+      (if elapsed > 0. then float_of_int !committed /. elapsed else 0.);
   }
 
 let run_shard_bench () =
-  let quick = Experiments.Common.quick_mode () in
-  let hosts = if quick then 8 else 16 in
-  let toggles = if quick then 2 else 4 in
+  let hosts = 16 and toggles = 4 in
   Experiments.Common.section
     (Printf.sprintf
        "Shard scaling: committed-txn/s vs shard count (%d hosts, %d toggles \
@@ -547,14 +542,13 @@ let run_shard_bench () =
     "{\n\
     \  \"bench\": \"shard-scaling\",\n\
     \  \"generated_by\": \"bench/main.exe shard\",\n\
-    \  \"quick\": %b,\n\
     \  \"hosts\": %d,\n\
     \  \"toggles_per_host\": %d,\n\
     \  \"points\": [\n%s\n  ],\n\
     \  \"headline\": { \"speedup_2\": %.3f, \"speedup_4\": %.3f, \
      \"speedup_8\": %.3f, \"monotonic_1_to_4\": %b }\n\
      }\n"
-    quick hosts (2 * toggles)
+    hosts (2 * toggles)
     (String.concat ",\n" (List.map point_json points))
     (speedup (List.nth points 1))
     (speedup (List.nth points 2))
@@ -596,15 +590,6 @@ type tp_point = {
 }
 
 let run_throughput_point ~group_commit ~sessions ~ops =
-  let sim = Des.Sim.create ~seed:42 () in
-  let size =
-    {
-      Tcloud.Setup.small with
-      Tcloud.Setup.compute_hosts = sessions;
-      prepopulated_vms_per_host = 1;
-    }
-  in
-  let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) size in
   let spec =
     {
       Tropic.Platform.default_spec with
@@ -633,57 +618,23 @@ let run_throughput_point ~group_commit ~sessions ~ops =
       trace = None;
     }
   in
-  let platform =
-    Tropic.Platform.create spec inv.Tcloud.Setup.env
-      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
-  in
-  let committed = ref 0 and other = ref 0 and live = ref 0 in
-  let elapsed = ref 0. in
+  let committed = ref 0 and other = ref 0 in
   let lat = Metrics.Cdf.create () in
-  let driver h () =
-    let host = Data.Path.to_string (Tcloud.Setup.compute_path h) in
-    let vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
-    let one proc args =
-      let t0 = Des.Sim.now sim in
-      (match Tropic.Platform.run_txn platform ~proc ~args with
-       | Tropic.Txn.Committed ->
-         incr committed;
-         Metrics.Cdf.add lat (Des.Sim.now sim -. t0)
-       | _ -> incr other)
-    in
-    for _ = 1 to ops do
-      one "startVM" (Tcloud.Procs.start_vm_args ~host ~vm);
-      one "stopVM" (Tcloud.Procs.stop_vm_args ~host ~vm)
-    done;
-    decr live
+  let platform, elapsed =
+    run_toggles spec ~hosts:sessions ~ops ~on_txn:(fun state latency ->
+        if state = Tropic.Txn.Committed then begin
+          incr committed;
+          Metrics.Cdf.add lat latency
+        end
+        else incr other)
   in
-  ignore
-    (Des.Proc.spawn ~name:"throughput-bench" sim (fun () ->
-         ignore (Tropic.Platform.await_shard_leader platform 0);
-         let t0 = Des.Sim.now sim in
-         live := sessions;
-         for h = 0 to sessions - 1 do
-           ignore
-             (Des.Proc.spawn ~name:(Printf.sprintf "session-%d" h) sim
-                (driver h))
-         done;
-         while !live > 0 do
-           Des.Proc.sleep 0.25
-         done;
-         elapsed := Des.Sim.now sim -. t0));
-  ignore (Des.Sim.run ~until:100_000. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     failwith (Printf.sprintf "%s crashed: %s" who (Printexc.to_string exn)));
   let g = Tropic.Platform.group_commit_stats platform in
   {
     tp_sessions = sessions;
     tp_committed = !committed;
     tp_other = !other;
-    tp_virtual_s = !elapsed;
-    tp_rate =
-      (if !elapsed > 0. then float_of_int !committed /. !elapsed else 0.);
+    tp_virtual_s = elapsed;
+    tp_rate = (if elapsed > 0. then float_of_int !committed /. elapsed else 0.);
     tp_p50 = Metrics.Cdf.quantile lat 0.5;
     tp_p99 = Metrics.Cdf.quantile lat 0.99;
     tp_flushes = g.Coord.Types.flushes;
@@ -696,11 +647,10 @@ let run_throughput_point ~group_commit ~sessions ~ops =
   }
 
 let run_throughput_bench () =
-  let quick = Experiments.Common.quick_mode () in
-  let ladder = if quick then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
+  let ladder = [ 1; 2; 4; 8; 16; 32; 64 ] in
   (* Closed loop with a fixed per-ladder transaction budget, so high
      concurrency levels don't multiply the run length. *)
-  let budget = if quick then 96 else 512 in
+  let budget = 512 in
   Experiments.Common.section
     (Printf.sprintf
        "Saturation throughput: committed-txn/s vs closed-loop sessions \
@@ -752,7 +702,6 @@ let run_throughput_bench () =
     "{\n\
     \  \"bench\": \"throughput-saturation\",\n\
     \  \"generated_by\": \"bench/main.exe throughput\",\n\
-    \  \"quick\": %b,\n\
     \  \"txn_budget_per_level\": %d,\n\
     \  \"group_commit_on\": [\n%s\n  ],\n\
     \  \"group_commit_off\": [\n%s\n  ],\n\
@@ -760,7 +709,7 @@ let run_throughput_bench () =
      \"off_txn_per_s\": %.3f, \"speedup\": %.3f, \"meets_3x_target\": %b, \
      \"saturated\": %b }\n\
      }\n"
-    quick budget (ladder_json on_pts) (ladder_json off_pts)
+    budget (ladder_json on_pts) (ladder_json off_pts)
     top_on.tp_sessions top_on.tp_rate top_off.tp_rate ratio (ratio >= 3.)
     plateau;
   close_out oc;

@@ -193,7 +193,7 @@ let () =
     printf "%-52s -> %s\n" what (Tropic.Txn.state_to_string state)
   in
   ignore
-    (Des.Proc.spawn ~name:"floating-ip" sim (fun () ->
+    (Tropic.Platform.run platform (fun () ->
          run "assign 10.0.0.1 to web1" "assignFloatingIp"
            [ Value.Str pool; Value.Str "10.0.0.1"; Value.Str "web1" ];
          (* Second address for the same VM: the one-ip-per-vm constraint
@@ -214,7 +214,6 @@ let () =
          match Tree.subtree (Tropic.Platform.logical_tree platform) pool_path with
          | Ok node -> Format.printf "%a@." Tree.pp node
          | Error e -> printf "error: %s\n" (Tree.error_to_string e)));
-  ignore (Des.Sim.run ~until:600. sim);
   match Des.Sim.failures sim with
   | [] -> printf "\ncustom_service finished cleanly.\n"
   | (who, exn) :: _ ->

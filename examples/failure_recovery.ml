@@ -34,7 +34,7 @@ let () =
       ~devices:inv.Tcloud.Setup.devices sim
   in
   ignore
-    (Des.Proc.spawn ~name:"failure-recovery" sim (fun () ->
+    (Tropic.Platform.run platform (fun () ->
          let _, compute0 = inv.Tcloud.Setup.computes.(0) in
 
          (* --- Scene 1: device fault at the last step --- *)
@@ -118,7 +118,6 @@ let () =
              printf "  txn ha%d -> %s\n" k (Tropic.Txn.state_to_string state))
            ids;
          printf "  no transaction lost.\n"));
-  ignore (Des.Sim.run ~until:2_000. sim);
   match Des.Sim.failures sim with
   | [] -> printf "\nfailure_recovery finished cleanly.\n"
   | (who, exn) :: _ ->

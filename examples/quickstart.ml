@@ -27,7 +27,7 @@ let () =
   in
 
   ignore
-    (Des.Proc.spawn ~name:"quickstart" sim (fun () ->
+    (Tropic.Platform.run platform (fun () ->
          let host = Data.Path.to_string (Tcloud.Setup.compute_path 0) in
          let storage = Data.Path.to_string (Tcloud.Setup.storage_path 0) in
 
@@ -84,8 +84,6 @@ let () =
          printf "  -> %s; VMs on hypervisor now = [%s]\n"
            (Tropic.Txn.state_to_string state)
            (String.concat "; " (Devices.Compute.vm_names compute))));
-
-  ignore (Des.Sim.run ~until:600. sim);
   match Des.Sim.failures sim with
   | [] -> printf "\nquickstart finished cleanly.\n"
   | (who, exn) :: _ ->

@@ -34,7 +34,7 @@ let () =
       ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
   in
   ignore
-    (Des.Proc.spawn ~name:"reconciliation" sim (fun () ->
+    (Tropic.Platform.run platform (fun () ->
          let _, compute0 = inv.Tcloud.Setup.computes.(0) in
          let spawn vm =
            match
@@ -131,7 +131,6 @@ let () =
          with
          | Tropic.Txn.Committed -> printf "  host0 serves transactions again.\n"
          | other -> printf "  %s\n" (Tropic.Txn.state_to_string other)));
-  ignore (Des.Sim.run ~until:2_000. sim);
   match Des.Sim.failures sim with
   | [] -> printf "\nreconciliation finished cleanly.\n"
   | (who, exn) :: _ ->

@@ -34,7 +34,7 @@ let () =
     state
   in
   ignore
-    (Des.Proc.spawn ~name:"lifecycle" sim (fun () ->
+    (Tropic.Platform.run platform (fun () ->
          (* hosts 0,2,4 run xen; hosts 1,3,5 run kvm. *)
          ignore
            (run "spawn db1 on host0 (xen)" "spawnVM"
@@ -91,7 +91,6 @@ let () =
            (run "\ndestroy race00" "destroyVM"
               (Tcloud.Procs.destroy_vm_args ~host:(host 4)
                  ~storage:(storage 0) ~vm:"race00"))));
-  ignore (Des.Sim.run ~until:2_000. sim);
   match Des.Sim.failures sim with
   | [] -> printf "\nvm_lifecycle finished cleanly.\n"
   | (who, exn) :: _ ->

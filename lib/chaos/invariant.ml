@@ -348,28 +348,21 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
                      (Data.Path.to_string root) where)
               end)
         devices;
-      let todo = Tropic.Controller.todo_length leader in
-      let inflight = Tropic.Controller.inflight leader in
-      let locks = Tropic.Controller.lock_count leader in
-      if todo > 0 then
-        violation "quiescence-drained"
-          (Printf.sprintf "todo queue still holds %d transactions%s" todo
-             where);
-      if inflight > 0 then
-        violation "quiescence-drained"
-          (Printf.sprintf "%d transactions still in flight%s" inflight where);
-      if locks > 0 then
-        violation "quiescence-drained"
-          (Printf.sprintf "lock table still holds %d entries%s" locks where);
-      let blocked = Tropic.Controller.blocked_length leader in
-      let waiters = Tropic.Controller.waiter_count leader in
-      if blocked > 0 then
-        violation "quiescence-drained"
-          (Printf.sprintf "blocked table still holds %d transactions%s" blocked
-             where);
-      if waiters > 0 then
-        violation "quiescence-drained"
-          (Printf.sprintf "lock table still indexes %d waiters%s" waiters
-             where)
+      (* Drained: the same backlog {!Tropic.Platform.quiescent} reads. *)
+      Option.iter
+        (fun (b : Tropic.Platform.backlog) ->
+          let drained n fmt =
+            if n > 0 then
+              violation "quiescence-drained" (Printf.sprintf fmt n where)
+          in
+          drained b.todo "todo queue still holds %d transactions%s";
+          drained b.inflight "%d transactions still in flight%s";
+          drained b.unfinished "%d transactions not yet terminal%s";
+          drained b.locks "lock table still holds %d entries%s";
+          drained b.blocked "blocked table still holds %d transactions%s";
+          drained b.waiters "lock table still indexes %d waiters%s";
+          drained b.input_items "inputQ still holds %d items%s";
+          drained b.phy_items "phyQ still holds %d items%s")
+        (Tropic.Platform.shard_backlog platform sid)
   done;
   List.rev !found

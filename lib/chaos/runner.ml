@@ -552,86 +552,78 @@ let run_one ?(trace = false) config ~schedule ~seed =
   in
   (* Quiescence monitor: wait for the workload and the schedule, give the
      repair sweeper time, then play operator: [reload] any subtree whose
-     divergence has no repair rule (out-of-band removals), and settle. *)
-  let quiesced = ref false in
+     divergence has no repair rule (out-of-band removals), and settle.  The
+     run ends at the first event after which the monitor has returned and
+     the platform is quiescent. *)
   let final_states = Hashtbl.create 64 in
   let storm_states = Hashtbl.create 64 in
-  ignore
-    (Des.Proc.spawn ~name:"quiesce-monitor" sim (fun () ->
-         let deadline = config.horizon -. (3. *. config.quiesce_grace) -. 20. in
-         while !completed < workload_target && Des.Sim.now sim < deadline do
-           Des.Proc.sleep 1.0
-         done;
-         let schedule_end = Schedule.end_time schedule +. 10. in
-         if Des.Sim.now sim < schedule_end then
-           Des.Proc.sleep (schedule_end -. Des.Sim.now sim);
-         (* The storm's fire-and-forget backlog must also drain before
-            quiescence is declared: acked submissions still parked behind
-            workload locks are live transactions, not durability
-            violations.  Bounded by the same deadline — a backlog that
-            never drains is a wedge the invariants should convict. *)
-         let storm_live () =
-           List.exists
-             (fun id ->
-               match Tropic.Platform.txn_state platform id with
-               | Some state -> not (Tropic.Txn.is_terminal state)
-               | None -> false)
-             (Nemesis.storm_txns nemesis)
-         in
-         while storm_live () && Des.Sim.now sim < deadline do
-           Des.Proc.sleep 5.0
-         done;
-         Des.Proc.sleep config.quiesce_grace;
-         if reload_unrepairable () > 0 then Des.Proc.sleep config.quiesce_grace;
-         if reload_unrepairable () > 0 then Des.Proc.sleep config.quiesce_grace;
-         (* Authoritative final states, including never-awaited stragglers. *)
-         List.iter
-           (fun (id, _) ->
-             match Hashtbl.find_opt states id with
+  let quiesced =
+    Tropic.Platform.run ~until:config.horizon platform (fun () ->
+      let deadline = config.horizon -. (3. *. config.quiesce_grace) -. 20. in
+      while !completed < workload_target && Des.Sim.now sim < deadline do
+        Des.Proc.sleep 1.0
+      done;
+      let schedule_end = Schedule.end_time schedule +. 10. in
+      if Des.Sim.now sim < schedule_end then
+        Des.Proc.sleep (schedule_end -. Des.Sim.now sim);
+      (* The storm's fire-and-forget backlog must also drain before
+         quiescence is declared: acked submissions still parked behind
+         workload locks are live transactions, not durability
+         violations.  Bounded by the same deadline — a backlog that
+         never drains is a wedge the invariants should convict. *)
+      let storm_live () =
+        List.exists
+          (fun id ->
+            match Tropic.Platform.txn_state platform id with
+            | Some state -> not (Tropic.Txn.is_terminal state)
+            | None -> false)
+          (Nemesis.storm_txns nemesis)
+      in
+      while storm_live () && Des.Sim.now sim < deadline do
+        Des.Proc.sleep 5.0
+      done;
+      Des.Proc.sleep config.quiesce_grace;
+      if reload_unrepairable () > 0 then Des.Proc.sleep config.quiesce_grace;
+      if reload_unrepairable () > 0 then Des.Proc.sleep config.quiesce_grace;
+      (* Authoritative final states, including never-awaited stragglers. *)
+      List.iter
+        (fun (id, _) ->
+          match Hashtbl.find_opt states id with
+          | Some state -> Hashtbl.replace final_states id state
+          | None ->
+            (match Tropic.Platform.txn_state platform id with
              | Some state -> Hashtbl.replace final_states id state
-             | None ->
-               (match Tropic.Platform.txn_state platform id with
-                | Some state -> Hashtbl.replace final_states id state
-                | None -> ()))
-           !ops;
-         List.iter
-           (fun (_, report) ->
-             List.iter
-               (fun ex ->
-                 match ex.Plan.Executor.ex_txn with
-                 | None -> ()
-                 | Some id ->
-                   (match Tropic.Platform.txn_state platform id with
-                    | Some state -> Hashtbl.replace final_states id state
-                    | None -> ()))
-               report.Plan.Executor.history)
-           !plan_reports;
-         (* Storm submissions are fire-and-forget, but each returned id
-            was acked by the coordination service — read their records
-            here (client queries must run inside the simulation) for the
-            acked-durable check below. *)
-         List.iter
-           (fun id ->
-             match Tropic.Platform.txn_state platform id with
-             | Some state -> Hashtbl.replace storm_states id state
-             | None -> ())
-           (Nemesis.storm_txns nemesis);
-         quiesced := true));
-  (* Drive the simulation by hand so the run ends at quiescence instead of
-     grinding heartbeats until the horizon. *)
-  while
-    (not !quiesced)
-    && Des.Sim.now sim <= config.horizon
-    && Des.Sim.step sim
-  do
-    ()
-  done;
+             | None -> ()))
+        !ops;
+      List.iter
+        (fun (_, report) ->
+          List.iter
+            (fun ex ->
+              match ex.Plan.Executor.ex_txn with
+              | None -> ()
+              | Some id ->
+                (match Tropic.Platform.txn_state platform id with
+                 | Some state -> Hashtbl.replace final_states id state
+                 | None -> ()))
+            report.Plan.Executor.history)
+        !plan_reports;
+      (* Storm submissions are fire-and-forget, but each returned id
+         was acked by the coordination service — read their records
+         here (client queries must run inside the simulation) for the
+         acked-durable check below. *)
+      List.iter
+        (fun id ->
+          match Tropic.Platform.txn_state platform id with
+          | Some state -> Hashtbl.replace storm_states id state
+          | None -> ())
+        (Nemesis.storm_txns nemesis))
+  in
   Invariant.stop tracker;
   (* Lifecycle invariants over the recorded span tree — only meaningful
      once quiesced: live transactions legitimately hold open spans, and a
      non-quiescent run already reports the [quiescence] violation. *)
   let trace_violations =
-    if !quiesced then Invariant.check_trace ~at:(Des.Sim.now sim) tracer
+    if quiesced then Invariant.check_trace ~at:(Des.Sim.now sim) tracer
     else []
   in
   (* Evaluate *)
@@ -762,7 +754,7 @@ let run_one ?(trace = false) config ~schedule ~seed =
      batch window's tail on a leader crash.  Skipped when not quiesced —
      such runs already carry the [quiescence] violation. *)
   let acked_durable_violations =
-    if not !quiesced then []
+    if not quiesced then []
     else begin
       let now = Des.Sim.now sim in
       let seen = Hashtbl.create 64 in
@@ -818,7 +810,7 @@ let run_one ?(trace = false) config ~schedule ~seed =
     end
   in
   let horizon_violations =
-    if !quiesced then []
+    if quiesced then []
     else
       [
         {

@@ -156,6 +156,8 @@ type t = {
       (* txns whose record changed while [defer_persists] was on; written
          (concurrently, via the pool) at the next [flush_persists] *)
   mutable defer_persists : bool;
+  mutable writes_in_flight : int;
+      (* record writes and queue jobs issued and not yet acked *)
   mutable phyq_buf : int list;
       (* phyQ offers buffered during a deferred scheduler drain; enqueued
          (newest first in the list, reversed on flush) only after the
@@ -305,6 +307,7 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     persist_pool;
     dirty = Hashtbl.create 32;
     defer_persists = false;
+    writes_in_flight = 0;
     phyq_buf = [];
     pjobs = None;
     packs = Des.Channel.create ~name:(name ^ ".packs") ();
@@ -334,6 +337,12 @@ let inflight t =
     (fun _ (txn : Txn.t) n -> if txn.Txn.state = Txn.Started then n + 1 else n)
     t.txns 0
 
+let unfinished t =
+  Hashtbl.fold
+    (fun _ (txn : Txn.t) n -> if Txn.is_terminal txn.Txn.state then n else n + 1)
+    t.txns
+    (t.writes_in_flight + Hashtbl.length t.dirty)
+
 let started_txns t =
   Hashtbl.fold
     (fun id (txn : Txn.t) acc ->
@@ -352,10 +361,13 @@ let quarantined t =
 (* Persistence helpers *)
 
 let persist_now t ~client (txn : Txn.t) =
-  match
+  t.writes_in_flight <- t.writes_in_flight + 1;
+  let written =
     Coord.Client.write client ~key:(Txn.record_key_ns t.ns txn.Txn.id)
       ~value:(Txn.to_string txn) ()
-  with
+  in
+  t.writes_in_flight <- t.writes_in_flight - 1;
+  match written with
   | Ok _ -> ()
   | Error e ->
     Log.err (fun m ->
@@ -380,7 +392,9 @@ let persist t (txn : Txn.t) =
    persist pool when one is attached; inline through the main session
    otherwise.  Blocks until every job is applied. *)
 let run_coord_jobs t jobs =
-  match (t.pjobs, jobs) with
+  let n = List.length jobs in
+  t.writes_in_flight <- t.writes_in_flight + n;
+  (match (t.pjobs, jobs) with
   | _, [] -> ()
   | None, jobs ->
     List.iter
@@ -398,11 +412,11 @@ let run_coord_jobs t jobs =
           ignore (Coord.Recipes.enqueue t.client ~queue payload))
       jobs
   | Some chan, jobs ->
-    let n = List.length jobs in
     List.iter (fun job -> Des.Channel.send chan job) jobs;
     for _ = 1 to n do
       Des.Channel.recv t.packs
-    done
+    done);
+  t.writes_in_flight <- t.writes_in_flight - n
 
 let flush_persists t =
   if Hashtbl.length t.dirty > 0 then begin

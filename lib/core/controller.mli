@@ -182,7 +182,13 @@ val todo_length : t -> int
 (** Transactions parked in the blocked table — 0 at quiescence. *)
 val blocked_length : t -> int
 
+(** Started transactions, holding their locks — 0 at quiescence. *)
 val inflight : t -> int
+
+(** Transactions this instance tracks that are not yet terminal
+    (including one being simulated between the todo queue and Started),
+    plus record writes not yet durable — 0 at quiescence. *)
+val unfinished : t -> int
 
 (** Ids of the in-flight (Started) transactions, ascending. *)
 val started_txns : t -> int list

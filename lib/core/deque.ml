@@ -3,7 +3,6 @@ type 'a t = { mutable front : 'a list; mutable back : 'a list }
 
 let create () = { front = []; back = [] }
 let length d = List.length d.front + List.length d.back
-let is_empty d = d.front = [] && d.back = []
 let push_front d x = d.front <- x :: d.front
 let push_back d x = d.back <- x :: d.back
 

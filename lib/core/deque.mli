@@ -5,7 +5,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push_front : 'a t -> 'a -> unit
 val push_back : 'a t -> 'a -> unit
 val pop_front : 'a t -> 'a option

@@ -199,6 +199,50 @@ let coord_io_busy t =
     0. t.ensembles
 
 (* ------------------------------------------------------------------ *)
+(* Quiescence *)
+
+type backlog = {
+  todo : int;
+  blocked : int;
+  inflight : int;
+  unfinished : int;
+  locks : int;
+  waiters : int;
+  input_items : int;
+  phy_items : int;
+}
+
+let drained =
+  { todo = 0; blocked = 0; inflight = 0; unfinished = 0; locks = 0;
+    waiters = 0; input_items = 0; phy_items = 0 }
+
+let shard_backlog t sid =
+  let ensemble = t.ensembles.(sid) in
+  match shard_leader t sid, Coord.Ensemble.leader_id ensemble with
+  | Some c, Some _ ->
+    let store = Coord.Ensemble.leader_store ensemble in
+    let ns = Proto.ns_of_shard sid in
+    Some
+      {
+        todo = Controller.todo_length c;
+        blocked = Controller.blocked_length c;
+        inflight = Controller.inflight c;
+        unfinished = Controller.unfinished c;
+        locks = Controller.lock_count c;
+        waiters = Controller.waiter_count c;
+        input_items = Coord.Store.count_children store (Proto.input_queue_ns ns);
+        phy_items = Coord.Store.count_children store (Proto.phy_queue_ns ns);
+      }
+  | _ -> None
+
+let quiescent t =
+  List.for_all
+    (fun sid -> shard_backlog t sid = Some drained)
+    (List.init t.pspec.shards Fun.id)
+
+let run ?until t body = Des.Proc.run ?until ~idle:(fun () -> quiescent t) t.psim body
+
+(* ------------------------------------------------------------------ *)
 (* Construction *)
 
 let worker_mode = function

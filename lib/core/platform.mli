@@ -56,6 +56,40 @@ val create :
 val sim : t -> Des.Sim.t
 val spec : t -> spec
 
+(** {1 Running}
+
+    A shard is drained when it has a leading controller that tracks no
+    unfinished transaction (none queued, blocked, being simulated or
+    Started), holds no lock and no lock waiter, and whose coordination
+    leader store holds no inputQ or phyQ item. *)
+
+(** What a shard's leader and coordination leader still hold. *)
+type backlog = {
+  todo : int;         (** pending transactions, ready and blocked *)
+  blocked : int;      (** parked in the blocked table *)
+  inflight : int;     (** Started, holding their locks *)
+  unfinished : int;
+      (** tracked by the leader and not yet terminal, plus record writes
+          not yet acked *)
+  locks : int;        (** lock-table entries *)
+  waiters : int;      (** lock waiters indexed *)
+  input_items : int;  (** inputQ items not yet accepted *)
+  phy_items : int;    (** phyQ items not yet executed *)
+}
+
+(** Shard [sid]'s backlog, or [None] while it has no leading controller
+    or no coordination leader. *)
+val shard_backlog : t -> int -> backlog option
+
+(** Every shard is drained: nothing is left to do but heartbeats. *)
+val quiescent : t -> bool
+
+(** [run ?until t body] runs [body] as a process and drives the simulation
+    to the first event after which [body] has returned and {!quiescent}
+    holds — or to [until] (default 36 000 s) if that never happens.
+    Returns [true] iff it stopped at quiescence.  See {!Des.Proc.run}. *)
+val run : ?until:float -> t -> (unit -> unit) -> bool
+
 (** {1 Client API (call from inside a process)} *)
 
 (** Enqueue an orchestration request; returns the transaction id. *)

@@ -16,14 +16,11 @@ let create policy =
     just_woken = Hashtbl.create 8;
   }
 
-let policy t = t.policy
-let ready_length t = Deque.length t.ready
 let blocked_length t = Hashtbl.length t.blocked
-let length t = ready_length t + blocked_length t
-let is_idle t = length t = 0
+let length t = Deque.length t.ready + blocked_length t
 
 let submit t txn =
-  let was_idle = is_idle t in
+  let was_idle = length t = 0 in
   Deque.push_back t.ready txn;
   was_idle
 
@@ -89,8 +86,3 @@ let remove t id =
     Hashtbl.remove t.just_woken id;
     if Deque.remove t.ready (fun (q : Txn.t) -> q.Txn.id = id) > 0 then `Ready
     else `Absent
-
-let to_list t =
-  Deque.to_list t.ready
-  @ (Hashtbl.fold (fun _ txn acc -> txn :: acc) t.blocked []
-     |> List.sort (fun (a : Txn.t) b -> compare a.Txn.id b.Txn.id))

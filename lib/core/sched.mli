@@ -32,7 +32,6 @@ type attempt = [ `Started | `Finished | `Conflict ]
 type t
 
 val create : policy -> t
-val policy : t -> policy
 
 (** Enqueue a newly accepted transaction at the back of the ready queue.
     Returns [true] when the scheduler was idle (no ready, no blocked) —
@@ -55,13 +54,7 @@ val wake : t -> int list -> int
     [`Blocked]. *)
 val remove : t -> int -> [ `Ready | `Blocked | `Absent ]
 
-val ready_length : t -> int
 val blocked_length : t -> int
 
 (** ready + blocked — the refactored equivalent of the old todoQ length. *)
 val length : t -> int
-
-val is_idle : t -> bool
-
-(** Ready transactions in queue order, then blocked ones by id. *)
-val to_list : t -> Txn.t list

@@ -26,16 +26,9 @@ type entry = { deadline : float; mutable stage : stage; mutable stage_at : float
 type t = {
   cfg : config;
   table : (int, entry) Hashtbl.t;
-  mutable terms_issued : int;
-  mutable kills_issued : int;
 }
 
-let create cfg =
-  { cfg; table = Hashtbl.create 16; terms_issued = 0; kills_issued = 0 }
-
-let tracked t = Hashtbl.length t.table
-let terms_issued t = t.terms_issued
-let kills_issued t = t.kills_issued
+let create cfg = { cfg; table = Hashtbl.create 16 }
 
 (* Expected wall-clock of a transaction's physical phase: the sum of its
    actions' nominal device latencies, scaled by [latency_factor] to absorb
@@ -82,14 +75,12 @@ let scan t ~now ~started ~signal =
              if now >= entry.deadline then begin
                entry.stage <- Termed;
                entry.stage_at <- now;
-               t.terms_issued <- t.terms_issued + 1;
                signal id Proto.Term
              end
            | Termed ->
              if now >= entry.stage_at +. t.cfg.term_grace then begin
                entry.stage <- Killed;
                entry.stage_at <- now;
-               t.kills_issued <- t.kills_issued + 1;
                signal id Proto.Kill
              end
            | Killed ->
@@ -98,7 +89,6 @@ let scan t ~now ~started ~signal =
                 idempotent. *)
              if now >= entry.stage_at +. t.cfg.kill_grace then begin
                entry.stage_at <- now;
-               t.kills_issued <- t.kills_issued + 1;
                signal id Proto.Kill
              end))
       started

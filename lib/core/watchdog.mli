@@ -52,9 +52,3 @@ val scan :
   started:(int * Xlog.t) list ->
   signal:(int -> Proto.signal -> unit) ->
   unit
-
-(** Entries currently tracked (in-flight transactions seen by scan). *)
-val tracked : t -> int
-
-val terms_issued : t -> int
-val kills_issued : t -> int

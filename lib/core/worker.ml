@@ -15,8 +15,6 @@ type t = {
   trace : Trace.t option;
   mutable stopped : bool;
   mutable procs : Des.Proc.t list;
-  mutable n_executed : int;
-  mutable n_committed : int;
 }
 
 let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
@@ -32,13 +30,9 @@ let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
     trace;
     stopped = false;
     procs = [];
-    n_executed = 0;
-    n_committed = 0;
   }
 
 let name w = w.wname
-let executed w = w.n_executed
-let committed w = w.n_committed
 
 let check_signal w txn_id () =
   match Coord.Client.get w.client (Proto.signal_key_ns w.ns txn_id) with
@@ -157,9 +151,6 @@ let execute_txn w txn_id =
                   | Proto.Phy_failed _ -> "failed");
                o)
          in
-         w.n_executed <- w.n_executed + 1;
-         if outcome = Proto.Phy_committed then
-           w.n_committed <- w.n_committed + 1;
          let exec =
            {
              Proto.retries = counters.Physical.retries;

@@ -36,8 +36,3 @@ val create :
 val start : t -> unit
 val crash : t -> unit
 val name : t -> string
-
-(** Transactions physically executed so far, by outcome. *)
-val executed : t -> int
-
-val committed : t -> int

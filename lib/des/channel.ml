@@ -12,9 +12,6 @@ let create ?(name = "chan") () =
 let name ch = ch.chan_name
 let length ch = Queue.length ch.items
 
-let waiting ch =
-  Queue.fold (fun n w -> if w.live then n + 1 else n) 0 ch.waiters
-
 let rec pop_live_waiter ch =
   match Queue.take_opt ch.waiters with
   | None -> None

@@ -25,6 +25,3 @@ val try_recv : 'a t -> 'a option
 
 (** Items currently queued (excludes waiting receivers). *)
 val length : 'a t -> int
-
-(** Number of receivers currently blocked. *)
-val waiting : 'a t -> int

@@ -134,3 +134,14 @@ let await target =
     suspend (fun _self resume ->
         target.joiners <- resume :: target.joiners;
         fun () -> ())
+
+let run ?(until = 36_000.) ?(idle = fun () -> true) sim body =
+  let main = spawn ~name:"main" sim body in
+  let settled () =
+    match result main with
+    | None -> false
+    | Some (Error _) -> true
+    | Some (Ok ()) -> idle ()
+  in
+  ignore (Sim.run ~until ~stop:settled sim);
+  result main = Some (Ok ()) && idle ()

@@ -58,3 +58,14 @@ val sim_of : t -> Sim.t
 
 (** [result p] is [Some r] once [p] has finished. *)
 val result : t -> (unit, exn) result option
+
+(** {1 Driving a simulation} *)
+
+(** [run ?until ?idle sim body] spawns [body] as process ["main"] and runs
+    [sim] up to the first event after which [body] has returned and
+    [idle ()] holds (default: always), so nothing but background
+    heartbeats is left.  A crash of [body] also stops the run (the failure
+    is in {!Sim.failures}).  Otherwise the run ends when the clock would
+    pass [until] (default 36 000 s).  Returns [true] iff it stopped with
+    [body] returned and [idle ()] holding. *)
+val run : ?until:float -> ?idle:(unit -> bool) -> Sim.t -> (unit -> unit) -> bool

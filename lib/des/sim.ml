@@ -62,7 +62,7 @@ let step sim =
     ev.fn ();
     true
 
-let run ?until sim =
+let run ?until ?(stop = fun () -> false) sim =
   let start = sim.executed in
   let continue () =
     purge sim;
@@ -71,12 +71,14 @@ let run ?until sim =
     | Some _, None -> true
     | Some ev, Some limit -> ev.time <= limit
   in
-  while continue () do
-    ignore (step sim)
+  let stopped = ref false in
+  while (not !stopped) && continue () do
+    ignore (step sim);
+    stopped := stop ()
   done;
   (match until with
-   | Some limit -> sim.clock <- Float.max sim.clock limit
-   | None -> ());
+   | Some limit when not !stopped -> sim.clock <- Float.max sim.clock limit
+   | Some _ | None -> ());
   sim.executed - start
 
 let executed sim = sim.executed

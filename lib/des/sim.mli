@@ -30,9 +30,12 @@ val after : t -> float -> (unit -> unit) -> event
 (** [cancel sim ev] prevents [ev] from firing; no-op if already fired. *)
 val cancel : event -> unit
 
-(** [run ?until sim] executes events in order until the queue is empty or
-    the clock would pass [until].  Returns the number of events executed. *)
-val run : ?until:float -> t -> int
+(** [run ?until ?stop sim] executes events in order until the queue is
+    empty, the clock would pass [until], or [stop ()] holds after an event
+    (checked after every event; the clock then stays at that event's time
+    instead of advancing to [until]).  Returns the number of events
+    executed. *)
+val run : ?until:float -> ?stop:(unit -> bool) -> t -> int
 
 (** [step sim] executes the next event if any; [true] if one was run. *)
 val step : t -> bool

@@ -62,36 +62,34 @@ let scheduling_run ~seed policy =
   in
   let latencies = Metrics.Cdf.create () in
   let last_commit = ref 0. in
-  Common.run_scenario ~horizon:600. sim (fun () ->
+  Common.run_scenario platform (fun () ->
       (* Let elections settle so submission order is scheduling order. *)
       ignore (Tropic.Platform.await_leader_controller platform);
       Des.Proc.sleep 1.;
       let t0 = Des.Proc.now () in
       let submit_and_track vm h =
         let args = spawn_args ~vm ~h ~storage_hosts:8 in
-        ignore
-          (Des.Proc.spawn ~name:vm sim (fun () ->
-               let id = Tropic.Platform.submit platform ~proc:"spawnVM" ~args in
-               match Tropic.Platform.await platform id with
-               | Tropic.Txn.Committed ->
-                 let t = Des.Proc.now () in
-                 Metrics.Cdf.add latencies (t -. t0);
-                 if t -. t0 > !last_commit then last_commit := t -. t0
-               | other ->
-                 failwith
-                   (Printf.sprintf "ablation txn not committed: %s"
-                      (Tropic.Txn.state_to_string other))))
+        Des.Proc.spawn ~name:vm sim (fun () ->
+            let id = Tropic.Platform.submit platform ~proc:"spawnVM" ~args in
+            match Tropic.Platform.await platform id with
+            | Tropic.Txn.Committed ->
+              let t = Des.Proc.now () in
+              Metrics.Cdf.add latencies (t -. t0);
+              if t -. t0 > !last_commit then last_commit := t -. t0
+            | other ->
+              failwith
+                (Printf.sprintf "ablation txn not committed: %s"
+                   (Tropic.Txn.state_to_string other)))
       in
-      (* Hot head: four spawns on host 0... *)
-      List.iteri (fun i () -> submit_and_track (Printf.sprintf "hot%d" i) 0)
-        [ (); (); (); () ];
-      (* ...queued ahead of six independent spawns. *)
-      List.iteri (fun i () -> submit_and_track (Printf.sprintf "ind%d" i) (i + 1))
-        [ (); (); (); (); (); () ];
-      (* Wait for all ten to finish. *)
-      while Metrics.Cdf.count latencies < 10 do
-        Des.Proc.sleep 0.5
-      done);
+      (* Hot head: four spawns on host 0, queued ahead of six independent
+         spawns. *)
+      let hot =
+        List.init 4 (fun i -> submit_and_track (Printf.sprintf "hot%d" i) 0)
+      in
+      let ind =
+        List.init 6 (fun i -> submit_and_track (Printf.sprintf "ind%d" i) (i + 1))
+      in
+      List.iter (fun p -> ignore (Des.Proc.await p)) (hot @ ind));
   ( !last_commit,
     Metrics.Cdf.mean latencies,
     Tropic.Platform.shard_stats platform 0 )
@@ -149,7 +147,7 @@ let safety_run ~seed ~with_constraints =
       env ~initial_tree:inv.Tcloud.Setup.tree
       ~devices:inv.Tcloud.Setup.devices sim
   in
-  Common.run_scenario ~horizon:3_000. sim (fun () ->
+  Common.run_scenario platform (fun () ->
       (* Twelve 1 GB spawns against one 8 GB host. *)
       let ids =
         List.init 12 (fun k ->
@@ -201,7 +199,7 @@ let recovery_run ~seed ~checkpoint_every ~txns =
       ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
   in
   let recovery = ref Float.nan in
-  Common.run_scenario ~horizon:4_000. sim (fun () ->
+  Common.run_scenario platform (fun () ->
       for k = 0 to txns - 1 do
         let h = k mod size.Tcloud.Setup.compute_hosts in
         ignore

@@ -1,16 +1,11 @@
-let run_scenario ?(horizon = 36_000.) sim body =
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"experiment" sim (fun () ->
-         body ();
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
+let run_scenario platform body =
+  let quiesced = Tropic.Platform.run platform body in
+  (match Des.Sim.failures (Tropic.Platform.sim platform) with
    | [] -> ()
    | (who, exn) :: _ ->
      failwith
        (Printf.sprintf "process %s crashed: %s" who (Printexc.to_string exn)));
-  if not !finished then failwith "experiment did not finish before horizon"
+  if not quiesced then failwith "experiment did not quiesce before the horizon"
 
 let time_it f =
   let t0 = Sys.time () in

@@ -1,10 +1,9 @@
 (** Shared plumbing for experiment harnesses. *)
 
-(** [run_scenario ?horizon sim body] spawns [body] as a process, drains the
-    simulation (bounded by [horizon], default 36 000 s), and fails with the
-    first recorded process crash, if any.
-    @raise Failure if a process crashed or [body] did not finish. *)
-val run_scenario : ?horizon:float -> Des.Sim.t -> (unit -> unit) -> unit
+(** [run_scenario platform body] runs [body] with {!Tropic.Platform.run}
+    and fails with the first recorded process crash, if any.
+    @raise Failure if a process crashed or the run never quiesced. *)
+val run_scenario : Tropic.Platform.t -> (unit -> unit) -> unit
 
 (** Wall-clock seconds spent evaluating [f] (monotonic-ish, via
     [Sys.time]'s processor time — the experiments are CPU-bound). *)

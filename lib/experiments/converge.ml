@@ -128,7 +128,7 @@ let run ?(seed = default_seed) ?(quick = false) ?(record_trace = false)
     | None -> builtin_phases
   in
   let reports = ref [] in
-  Common.run_scenario ~horizon:36_000. sim (fun () ->
+  Common.run_scenario platform (fun () ->
       List.iter
         (fun (name, model) ->
           let report = Plan.Executor.converge platform ctx ~model in

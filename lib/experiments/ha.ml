@@ -101,7 +101,7 @@ let run ?(seed = default_seed) ?(session_timeout = 10.) ?(rate = 2.)
       Des.Proc.sleep gap
     done
   in
-  Common.run_scenario ~horizon:(duration +. 120.) sim (fun () ->
+  Common.run_scenario platform (fun () ->
       ignore (Des.Proc.spawn ~name:"killer" sim killer);
       generator ());
   {

@@ -88,7 +88,7 @@ let run ?(seed = default_seed) ?(rate = 1.0) ?(duration = 300.)
     }
   in
   let ops = Workload.Hosting.generate ~seed workload_config in
-  Common.run_scenario ~horizon:(duration +. 3_600.) sim (fun () ->
+  Common.run_scenario platform (fun () ->
       (* Ops are issued in trace order; each is awaited so the generated
          stream stays well-formed (a start only follows its spawn). *)
       List.iter

@@ -90,6 +90,7 @@ let run cfg =
   let rng = Random.State.make [| cfg.seed + 1 |] in
   let storage_hosts = (deployment_size cfg).Tcloud.Setup.storage_hosts in
   let vm_counter = ref 0 in
+  let requests = ref [] in
   let spawn_one () =
     incr vm_counter;
     incr offered;
@@ -101,8 +102,8 @@ let run cfg =
         ~host:(Data.Path.to_string (Tcloud.Setup.compute_path host))
     in
     let arrival = Des.Proc.now () in
-    ignore
-      (Des.Proc.spawn ~name:vm sim (fun () ->
+    requests :=
+      Des.Proc.spawn ~name:vm sim (fun () ->
            let id = Tropic.Platform.submit platform ~proc:"spawnVM" ~args in
            match Tropic.Platform.await platform id with
            | Tropic.Txn.Committed ->
@@ -114,7 +115,8 @@ let run cfg =
            | Tropic.Txn.Failed _ -> incr failed
            | Tropic.Txn.Initialized | Tropic.Txn.Accepted | Tropic.Txn.Deferred
            | Tropic.Txn.Started ->
-             () (* unreachable: await only returns terminal states *)))
+             () (* unreachable: await only returns terminal states *))
+      :: !requests
   in
   let generator () =
     for second = 0 to cfg.duration - 1 do
@@ -127,13 +129,14 @@ let run cfg =
           Des.Proc.sleep gap
         done
       end
-    done
+    done;
+    List.iter (fun p -> ignore (Des.Proc.await p)) !requests;
+    (* Let the utilization bucket the drain ended in close. *)
+    let edge = cfg.bucket *. Float.ceil (Des.Proc.now () /. cfg.bucket) in
+    Des.Proc.sleep (edge -. Des.Proc.now ())
   in
   let (), wall_seconds =
-    Common.time_it (fun () ->
-        Common.run_scenario ~horizon sim generator;
-        (* run_scenario drains every event up to horizon, including awaits. *)
-        ())
+    Common.time_it (fun () -> Common.run_scenario platform generator)
   in
   (* Any spawned awaiter that never resolved counts as lost. *)
   let resolved = !committed + !aborted + !failed in

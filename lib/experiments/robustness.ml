@@ -80,7 +80,7 @@ let e2e_run ~seed injections =
       ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
   in
   let aborted = ref 0 and committed = ref 0 in
-  Common.run_scenario ~horizon:36_000. sim (fun () ->
+  Common.run_scenario platform (fun () ->
       for k = 0 to injections - 1 do
         let h = k mod size.Tcloud.Setup.compute_hosts in
         let _, compute = inv.Tcloud.Setup.computes.(h) in

@@ -45,7 +45,7 @@ let throughput_point ~seed ~rate ~duration hosts =
   let committed = ref 0 and offered = ref 0 in
   let first_commit = ref Float.nan and last_commit = ref 0. in
   let rng = Random.State.make [| 17 |] in
-  Common.run_scenario ~horizon:(duration +. 180.) sim (fun () ->
+  Common.run_scenario platform (fun () ->
       let gap = 1. /. rate in
       let count = int_of_float (duration *. rate) in
       for k = 0 to count - 1 do

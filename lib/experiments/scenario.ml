@@ -456,7 +456,7 @@ let run_script ?(record_trace = false) ?(base_dir = ".") script =
              | None -> "absent")
         end
     in
-    Common.run_scenario ~horizon:36_000. sim (fun () ->
+    Common.run_scenario platform (fun () ->
         List.iter interpret commands;
         flush_pending ());
     (* End-of-run cross-layer check: every device either matches its

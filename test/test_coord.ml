@@ -8,23 +8,6 @@ let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 let string_c = Alcotest.string
 
-(* Run [scenario] as a process against a fresh ensemble; the simulation is
-   bounded by [horizon] because replicas and pingers run forever. *)
-let with_ensemble ?(replicas = 3) ?(horizon = 120.) ?(seed = 7) scenario =
-  let sim = Des.Sim.create ~seed () in
-  let ens = Ensemble.create ~replicas sim in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario sim ens;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
-
 let ok_create what = function
   | Ok key -> key
   | Error e -> Alcotest.failf "%s: %s" what (Format.asprintf "%a" Types.pp_op_error e)
@@ -129,7 +112,7 @@ let test_store_parent () =
 (* Ensemble: elections and replication *)
 
 let test_single_leader_elected () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let leader = Ensemble.await_leader ens in
       check bool_c "leader id valid" true (leader >= 0 && leader < 3);
       (* Exactly one leader among live replicas once settled. *)
@@ -142,7 +125,7 @@ let test_single_leader_elected () =
       check int_c "exactly one leader" 1 (List.length leaders))
 
 let test_client_kv_roundtrip () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"kv" () in
       let key = ok_create "create" (Client.create c ~key:"/app/cfg" ~value:"v1" ()) in
       check string_c "key" "/app/cfg" key;
@@ -162,7 +145,7 @@ let test_client_kv_roundtrip () =
       Client.close c)
 
 let test_replicas_converge () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"writer" () in
       for i = 1 to 20 do
         ignore
@@ -183,7 +166,7 @@ let test_replicas_converge () =
       Client.close c)
 
 let test_watch_key_fires () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"watcher" () in
       let w = Ensemble.connect ens ~name:"writer" () in
       ignore (ok_create "create" (Client.create w ~key:"/watched" ~value:"0" ()));
@@ -198,7 +181,7 @@ let test_watch_key_fires () =
       Client.close w)
 
 let test_watch_children_fires () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"watcher" () in
       let w = Ensemble.connect ens ~name:"writer" () in
       Client.watch_children c "/dir";
@@ -211,7 +194,7 @@ let test_watch_children_fires () =
       Client.close w)
 
 let test_ephemeral_expires_on_close () =
-  with_ensemble ~horizon:60. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~session_timeout:3. ~name:"mortal" () in
       let observer = Ensemble.connect ens ~name:"observer" () in
       ignore
@@ -227,7 +210,7 @@ let test_ephemeral_expires_on_close () =
       Client.close observer)
 
 let test_leader_crash_no_committed_loss () =
-  with_ensemble ~horizon:120. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"client" () in
       for i = 1 to 10 do
         ignore
@@ -249,7 +232,7 @@ let test_leader_crash_no_committed_loss () =
       Client.close c)
 
 let test_crashed_replica_rejoins () =
-  with_ensemble ~horizon:120. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"client" () in
       ignore (ok_create "w1" (Client.create c ~key:"/log/a" ~value:"1" ()));
       let victim =
@@ -271,7 +254,7 @@ let test_crashed_replica_rejoins () =
       Client.close c)
 
 let test_majority_loss_blocks_then_recovers () =
-  with_ensemble ~horizon:200. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"client" () in
       ignore (ok_create "before" (Client.create c ~key:"/x/a" ~value:"1" ()));
       let leader = Ensemble.await_leader ens in
@@ -296,7 +279,7 @@ let test_majority_loss_blocks_then_recovers () =
 (* Recipes *)
 
 let test_queue_fifo () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"queue" () in
       List.iter
         (fun v -> ignore (Recipes.enqueue c ~queue:"/q/test" v))
@@ -316,7 +299,7 @@ let test_queue_fifo () =
       Client.close c)
 
 let test_queue_blocking_dequeue () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let consumer = Ensemble.connect ens ~name:"consumer" () in
       let producer = Ensemble.connect ens ~name:"producer" () in
       ignore
@@ -334,7 +317,7 @@ let test_queue_blocking_dequeue () =
       Client.close producer)
 
 let test_queue_concurrent_consumers () =
-  with_ensemble ~horizon:200. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let producer = Ensemble.connect ens ~name:"producer" () in
       let total = 12 in
       for i = 1 to total do
@@ -364,7 +347,7 @@ let test_queue_concurrent_consumers () =
       Client.close producer)
 
 let test_election_recipe () =
-  with_ensemble ~horizon:120. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let a = Ensemble.connect ens ~session_timeout:3. ~name:"ctrl-a" () in
       let b = Ensemble.connect ens ~session_timeout:3. ~name:"ctrl-b" () in
       let ma = Recipes.join_election a ~election:"/elect" ~payload:"A" in
@@ -506,7 +489,7 @@ let store_model_prop =
 let test_chaos_single_crashes () =
   List.iter
     (fun seed ->
-      with_ensemble ~horizon:400. ~seed (fun sim ens ->
+      Drive.ensemble ~seed (fun sim ens ->
           let client = Ensemble.connect ens ~name:"chaos-writer" () in
           let acked = ref [] in
           let writer =
@@ -553,7 +536,7 @@ let test_chaos_single_crashes () =
 (* Partitions: divergent logs must converge, acked writes must survive *)
 
 let test_partitioned_leader_steps_down () =
-  with_ensemble ~horizon:200. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"part-writer" () in
       ignore (ok_create "before" (Client.create c ~key:"/p/before" ~value:"1" ()));
       let old_leader = Ensemble.await_leader ens in
@@ -589,7 +572,7 @@ let test_partitioned_leader_steps_down () =
       Client.close c)
 
 let test_divergent_log_truncated () =
-  with_ensemble ~horizon:300. (fun sim ens ->
+  Drive.ensemble (fun sim ens ->
       let c = Ensemble.connect ens ~name:"div-writer" () in
       ignore (ok_create "w0" (Client.create c ~key:"/d/base" ~value:"0" ()));
       let old_leader = Ensemble.await_leader ens in
@@ -641,7 +624,7 @@ let test_divergent_log_truncated () =
       Client.close c)
 
 let test_graceful_disconnect_immediate () =
-  with_ensemble ~horizon:60. (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~session_timeout:30. ~name:"polite" () in
       let observer = Ensemble.connect ens ~name:"observer" () in
       ignore
@@ -665,20 +648,8 @@ let test_graceful_disconnect_immediate () =
 let compaction_config =
   { Types.default_config with Types.snapshot_threshold = 25 }
 
-let with_compacting_ensemble ?(horizon = 200.) scenario =
-  let sim = Des.Sim.create ~seed:9 () in
-  let ens = Ensemble.create ~replicas:3 ~config:compaction_config sim in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario ens;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish"
+let with_compacting_ensemble scenario =
+  Drive.ensemble ~seed:9 ~config:compaction_config (fun _ ens -> scenario ens)
 
 let write_n ?(from = 1) client n =
   for i = from to from + n - 1 do
@@ -758,7 +729,7 @@ let test_restart_from_snapshot () =
    compacted away must rejoin via snapshot install — including when it
    crashes again mid-install and comes back to an even bigger gap. *)
 let test_rejoin_after_compaction_repeated_crashes () =
-  with_compacting_ensemble ~horizon:300. (fun ens ->
+  with_compacting_ensemble (fun ens ->
       let c = Ensemble.connect ens ~name:"writer" () in
       write_n c 10;
       let leader = Ensemble.await_leader ens in

@@ -85,6 +85,43 @@ let test_sim_run_until () =
   ignore (Des.Sim.run sim);
   check int_c "rest fired" 10 !count
 
+(* [stop] is checked after every event: the run halts on the event that
+   first makes it hold, without parking the clock at [until]; [until]
+   still bounds a predicate that never holds in time. *)
+let test_sim_run_stop () =
+  let sim = Des.Sim.create () in
+  let count = ref 0 in
+  for i = 1 to 10 do
+    ignore (Des.Sim.at sim (float_of_int i) (fun () -> incr count))
+  done;
+  let n = Des.Sim.run ~until:9.5 ~stop:(fun () -> !count >= 3) sim in
+  check int_c "halted on the third event" 3 !count;
+  check int_c "three executed" 3 n;
+  check float_c "clock at that event" 3.0 (Des.Sim.now sim);
+  ignore (Des.Sim.run ~until:5.5 ~stop:(fun () -> !count >= 8) sim);
+  check int_c "until still bounds" 5 !count;
+  check float_c "clock parked at limit" 5.5 (Des.Sim.now sim)
+
+(* [Proc.run] stops once the body has returned and [idle] holds, even
+   though a heartbeat process would run forever. *)
+let test_proc_run_stops_when_idle () =
+  let sim = Des.Sim.create () in
+  ignore
+    (Des.Proc.spawn ~name:"heartbeat" sim (fun () ->
+         while true do
+           Des.Proc.sleep 1.0
+         done));
+  let busy = ref true in
+  ignore (Des.Sim.at sim 4.2 (fun () -> busy := false));
+  let stopped =
+    Des.Proc.run ~idle:(fun () -> not !busy) sim (fun () -> Des.Proc.sleep 2.)
+  in
+  check bool_c "stopped idle" true stopped;
+  check float_c "at the event that went idle" 4.2 (Des.Sim.now sim);
+  let stopped = Des.Proc.run ~until:10. sim (fun () -> Des.Proc.sleep 60.) in
+  check bool_c "body still running at the horizon" false stopped;
+  check float_c "clock at the horizon" 10. (Des.Sim.now sim)
+
 (* ------------------------------------------------------------------ *)
 (* Proc *)
 
@@ -528,6 +565,8 @@ let suite =
     ("sim: cancel", `Quick, test_sim_cancel);
     ("sim: scheduling in the past", `Quick, test_sim_past_raises);
     ("sim: run until", `Quick, test_sim_run_until);
+    ("sim: run stop predicate", `Quick, test_sim_run_stop);
+    ("proc: run stops when idle", `Quick, test_proc_run_stops_when_idle);
     ("sim: determinism", `Quick, test_sim_determinism);
     ("proc: sleep advances time", `Quick, test_proc_sleep_advances_time);
     ("proc: kill suspended", `Quick, test_proc_kill_suspended);

@@ -101,34 +101,25 @@ let run_hosting_mix ~seed ~fault_probability =
       ~devices:inv.Tcloud.Setup.devices sim
   in
   let committed = ref 0 and aborted = ref 0 and failed = ref 0 in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"mix" sim (fun () ->
-         List.iter
-           (fun (_, op) ->
-             let proc, args =
-               Workload.Hosting.to_submission
-                 ~host_path:(fun i ->
-                   Data.Path.to_string (Tcloud.Setup.compute_path i))
-                 ~storage_path:(fun i ->
-                   Data.Path.to_string (Tcloud.Setup.storage_path i))
-                 op
-             in
-             match Tropic.Platform.run_txn platform ~proc ~args with
-             | Tropic.Txn.Committed -> incr committed
-             | Tropic.Txn.Aborted _ -> incr aborted
-             | Tropic.Txn.Failed _ -> incr failed
-             | Tropic.Txn.Initialized | Tropic.Txn.Accepted | Tropic.Txn.Deferred
-             | Tropic.Txn.Started ->
-               ())
-           (hosting_ops ~seed ~count:150);
-         finished := true));
-  ignore (Des.Sim.run ~until:7_200. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "mix did not finish";
+  Experiments.Common.run_scenario platform (fun () ->
+      List.iter
+        (fun (_, op) ->
+          let proc, args =
+            Workload.Hosting.to_submission
+              ~host_path:(fun i ->
+                Data.Path.to_string (Tcloud.Setup.compute_path i))
+              ~storage_path:(fun i ->
+                Data.Path.to_string (Tcloud.Setup.storage_path i))
+              op
+          in
+          match Tropic.Platform.run_txn platform ~proc ~args with
+          | Tropic.Txn.Committed -> incr committed
+          | Tropic.Txn.Aborted _ -> incr aborted
+          | Tropic.Txn.Failed _ -> incr failed
+          | Tropic.Txn.Initialized | Tropic.Txn.Accepted | Tropic.Txn.Deferred
+          | Tropic.Txn.Started ->
+            ())
+        (hosting_ops ~seed ~count:150));
   (platform, inv, !committed, !aborted, !failed)
 
 (* Every device whose subtree is not quarantined must agree exactly with
@@ -205,7 +196,6 @@ let test_repeated_controller_crashes () =
       ~devices:inv.Tcloud.Setup.devices sim
   in
   let states = ref [] in
-  let finished = ref false in
   (* Assassin: kills whichever controller leads, twice, mid-stream.  Only
      two kills with three controllers — a quorum of the coordination
      service stays up throughout, but the platform loses its leader. *)
@@ -224,35 +214,27 @@ let test_repeated_controller_crashes () =
              in
              Tropic.Platform.kill_controller platform index)
            [ 5.; 15. ]));
-  ignore
-    (Des.Proc.spawn ~name:"stream" sim (fun () ->
-         let ids =
-           List.init 40 (fun k ->
-               let h = k mod size.Tcloud.Setup.compute_hosts in
-               let id =
-                 Tropic.Platform.submit platform ~proc:"spawnVM"
-                   ~args:
-                     (Tcloud.Procs.spawn_vm_args
-                        ~vm:(Printf.sprintf "cr%03d" k)
-                        ~template:"base.img" ~mem_mb:512
-                        ~storage:
-                          (Data.Path.to_string
-                             (Tcloud.Setup.storage_path
-                                (h mod size.Tcloud.Setup.storage_hosts)))
-                        ~host:
-                          (Data.Path.to_string (Tcloud.Setup.compute_path h)))
-               in
-               Des.Proc.sleep 0.5;
-               id)
-         in
-         states := List.map (fun id -> Tropic.Platform.await platform id) ids;
-         finished := true));
-  ignore (Des.Sim.run ~until:600. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "stream did not finish";
+  Experiments.Common.run_scenario platform (fun () ->
+      let ids =
+        List.init 40 (fun k ->
+            let h = k mod size.Tcloud.Setup.compute_hosts in
+            let id =
+              Tropic.Platform.submit platform ~proc:"spawnVM"
+                ~args:
+                  (Tcloud.Procs.spawn_vm_args
+                     ~vm:(Printf.sprintf "cr%03d" k)
+                     ~template:"base.img" ~mem_mb:512
+                     ~storage:
+                       (Data.Path.to_string
+                          (Tcloud.Setup.storage_path
+                             (h mod size.Tcloud.Setup.storage_hosts)))
+                     ~host:
+                       (Data.Path.to_string (Tcloud.Setup.compute_path h)))
+            in
+            Des.Proc.sleep 0.5;
+            id)
+      in
+      states := List.map (fun id -> Tropic.Platform.await platform id) ids);
   let committed =
     List.length (List.filter (fun s -> s = Tropic.Txn.Committed) !states)
   in

@@ -9,24 +9,6 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 
-(* Run [scenario] as a process against a fresh ensemble; the simulation is
-   bounded by [horizon] because replicas and pingers run forever. *)
-let with_ensemble ?(replicas = 3) ?(horizon = 240.) ?(seed = 7)
-    ?(config = Types.default_config) scenario =
-  let sim = Des.Sim.create ~seed () in
-  let ens = Ensemble.create ~replicas ~config sim in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario sim ens;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
-
 let ok_create what = function
   | Ok key -> key
   | Error e ->
@@ -50,7 +32,7 @@ let eventually ?(for_ = 30.) what cond =
 (* Add / remove through the ensemble *)
 
 let test_add_remove_replica () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"cli" () in
       ignore (ok_create "create" (Client.create c ~key:"/m/a" ~value:"1" ()));
@@ -79,7 +61,7 @@ let test_add_remove_replica () =
 (* The config state machine travels with snapshots: a replica added after
    compaction learns the membership from the snapshot, not the log. *)
 let test_add_survives_leader_crash_of_old_member () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let leader = Ensemble.await_leader ens in
       let c = Ensemble.connect ens ~name:"cli" () in
       ignore (ok_create "seed write" (Client.create c ~key:"/k" ~value:"v" ()));
@@ -101,7 +83,7 @@ let test_add_survives_leader_crash_of_old_member () =
 (* Client leader retry follows the current membership *)
 
 let test_client_follows_membership () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"cli" () in
       ignore (ok_create "before" (Client.create c ~key:"/f/a" ~value:"x" ()));
@@ -137,7 +119,7 @@ let test_client_follows_membership () =
 (* Session-timeout clamp (mirrors the Fault.set_probability fix) *)
 
 let test_session_timeout_clamp () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       let leader = Ensemble.await_leader ens in
       let observer = Ensemble.connect ens ~name:"observer" () in
       let victim = Ensemble.connect ens ~name:"victim" () in
@@ -242,7 +224,7 @@ let rejoin_window ~session_ids =
   let config = { Types.default_config with Types.session_ids } in
   let lied = ref false in
   let stale = ref 0 in
-  with_ensemble ~seed:11 ~config (fun sim ens ->
+  Drive.ensemble ~seed:11 ~config (fun sim ens ->
       let leader = Ensemble.await_leader ens in
       let c = Ensemble.connect ens ~name:"load" () in
       (* Steady append traffic, so the victim has fresh acks to delay. *)

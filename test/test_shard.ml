@@ -162,7 +162,7 @@ let twoshard_spec ?(prepare_timeout = 20.) () =
     controller_session_timeout = 3.0;
   }
 
-let with_two_shards ?prepare_timeout ?(horizon = 600.) ?(seed = 7) scenario =
+let with_two_shards ?prepare_timeout ?(seed = 7) scenario =
   let sim = Des.Sim.create ~seed () in
   let inv =
     Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) twoshard_size
@@ -173,17 +173,7 @@ let with_two_shards ?prepare_timeout ?(horizon = 600.) ?(seed = 7) scenario =
       inv.Tcloud.Setup.env ~initial_tree:inv.Tcloud.Setup.tree
       ~devices:inv.Tcloud.Setup.devices sim
   in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario platform inv;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+  Experiments.Common.run_scenario platform (fun () -> scenario platform inv)
 
 let host_path h = Tcloud.Setup.compute_path h
 

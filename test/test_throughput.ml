@@ -15,24 +15,6 @@ let cfg ?(group_size = Types.default_config.Types.group_size)
     ?(unsafe_ack = false) () =
   { Types.default_config with Types.group_size; group_timeout; unsafe_ack }
 
-(* Run [scenario] as a process against a fresh ensemble; the simulation is
-   bounded by [horizon] because replicas and pingers run forever. *)
-let with_ensemble ?(config = Types.default_config) ?(replicas = 3)
-    ?(horizon = 300.) ?(seed = 7) scenario =
-  let sim = Des.Sim.create ~seed () in
-  let ens = Ensemble.create ~replicas ~config sim in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario sim ens;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
-
 let crash_leader ens =
   match Ensemble.leader_id ens with
   | Some id -> Ensemble.crash_replica ens id
@@ -49,7 +31,7 @@ let ok_write what = function
 (* An ack is a durability promise: crash the leader the instant a write
    returns and the value must survive the fail-over. *)
 let test_ack_implies_quorum_durable () =
-  with_ensemble (fun _sim ens ->
+  Drive.ensemble (fun _sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"writer" () in
       ok_write "acked write" (Client.write c ~key:"/acked" ~value:"v1" ());
@@ -75,7 +57,7 @@ let test_ack_implies_quorum_durable () =
    new leader must land the item exactly once (session dedup). *)
 let test_crash_before_flush_no_ack_exactly_once () =
   let config = cfg ~group_size:100 ~group_timeout:0.5 () in
-  with_ensemble ~config (fun sim ens ->
+  Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"submitter" () in
       let acked_at = ref None in
@@ -110,7 +92,7 @@ let test_crash_before_flush_no_ack_exactly_once () =
    the acked write. *)
 let test_unsafe_ack_acks_early_and_loses () =
   let config = cfg ~group_size:100 ~group_timeout:0.5 ~unsafe_ack:true () in
-  with_ensemble ~config (fun sim ens ->
+  Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"submitter" () in
       let acked_at = ref None in
@@ -135,7 +117,7 @@ let test_unsafe_ack_acks_early_and_loses () =
 
 let test_flush_on_size () =
   let config = cfg ~group_size:4 ~group_timeout:0.5 () in
-  with_ensemble ~config (fun sim ens ->
+  Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let clients =
         List.init 4 (fun i ->
@@ -167,7 +149,7 @@ let test_flush_on_size () =
 
 let test_flush_on_timeout () =
   let config = cfg ~group_size:100 ~group_timeout:0.25 () in
-  with_ensemble ~config (fun sim ens ->
+  Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"w" () in
       Des.Proc.sleep 1.0;
@@ -213,7 +195,7 @@ let prop_storm_exactly_once_fifo =
       in
       let drained = ref [] in
       let gstats = ref None in
-      with_ensemble ~config ~horizon:600.
+      Drive.ensemble ~config
         ~seed:(17 + nclients + (13 * nitems) + group_size)
         (fun sim ens ->
           ignore (Ensemble.await_leader ens);
@@ -302,47 +284,31 @@ let test_wake_passes_deduplicated () =
     Tropic.Platform.create quick_spec inv.Tcloud.Setup.env
       ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
   in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         ignore (Tropic.Platform.await_leader_controller platform);
-         let n = 6 in
-         let remaining = ref n in
-         for k = 0 to n - 1 do
-           ignore
-             (Des.Proc.spawn ~name:(Printf.sprintf "rival%d" k) sim (fun () ->
-                  let vm = Printf.sprintf "rival%d" k in
-                  ignore
-                    (Tropic.Platform.run_txn platform ~proc:"spawnVM"
-                       ~args:
-                         (Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img"
-                            ~mem_mb:128 ~storage:"/storageRoot/storage00000"
-                            ~host:"/vmRoot/host00000"));
-                  decr remaining))
-         done;
-         while !remaining > 0 do
-           Des.Proc.sleep 0.5
-         done;
-         let st =
-           Tropic.Controller.stats
-             (Tropic.Platform.await_leader_controller platform)
-         in
-         check bool_c "contention woke blocked rivals" true
-           (st.Tropic.Controller.wakeups > 0);
-         check bool_c "wake passes happened" true
-           (st.Tropic.Controller.wake_passes > 0);
-         check bool_c
-           (Printf.sprintf "passes are deduplicated (%d passes <= %d wakeups)"
-              st.Tropic.Controller.wake_passes st.Tropic.Controller.wakeups)
-           true
-           (st.Tropic.Controller.wake_passes <= st.Tropic.Controller.wakeups);
-         finished := true));
-  ignore (Des.Sim.run ~until:600. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+  Experiments.Common.run_scenario platform (fun () ->
+      ignore (Tropic.Platform.await_leader_controller platform);
+      List.init 6 (fun k ->
+          Des.Proc.spawn ~name:(Printf.sprintf "rival%d" k) sim (fun () ->
+              let vm = Printf.sprintf "rival%d" k in
+              ignore
+                (Tropic.Platform.run_txn platform ~proc:"spawnVM"
+                   ~args:
+                     (Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img"
+                        ~mem_mb:128 ~storage:"/storageRoot/storage00000"
+                        ~host:"/vmRoot/host00000"))))
+      |> List.iter (fun p -> ignore (Des.Proc.await p));
+      let st =
+        Tropic.Controller.stats
+          (Tropic.Platform.await_leader_controller platform)
+      in
+      check bool_c "contention woke blocked rivals" true
+        (st.Tropic.Controller.wakeups > 0);
+      check bool_c "wake passes happened" true
+        (st.Tropic.Controller.wake_passes > 0);
+      check bool_c
+        (Printf.sprintf "passes are deduplicated (%d passes <= %d wakeups)"
+           st.Tropic.Controller.wake_passes st.Tropic.Controller.wakeups)
+        true
+        (st.Tropic.Controller.wake_passes <= st.Tropic.Controller.wakeups))
 
 let () =
   Alcotest.run "throughput"

@@ -263,45 +263,35 @@ let run_traced_workload (seed, ops) =
       inv.Tcloud.Setup.env ~initial_tree:inv.Tcloud.Setup.tree
       ~devices:inv.Tcloud.Setup.devices sim
   in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"workload" sim (fun () ->
-         List.iteri
-           (fun k op ->
-             let _, compute = inv.Tcloud.Setup.computes.(op.host) in
-             let faults =
-               Devices.Device.faults (Devices.Compute.device compute)
-             in
-             if op.fail_start then
-               Devices.Fault.fail_next faults ~action:Devices.Schema.act_start_vm;
-             if op.fail_remove then
-               Devices.Fault.fail_next faults ~action:Devices.Schema.act_remove_vm;
-             let vm = Printf.sprintf "q%d" k in
-             let host =
-               Data.Path.to_string (Tcloud.Setup.compute_path op.host)
-             in
-             let storage =
-               Data.Path.to_string (Tcloud.Setup.storage_path (op.host mod 2))
-             in
-             let state =
-               Tropic.Platform.run_txn platform ~proc:"spawnVM"
-                 ~args:
-                   (Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img"
-                      ~mem_mb:op.mem ~storage ~host)
-             in
-             if state = Tropic.Txn.Committed && op.stop_after then
-               ignore
-                 (Tropic.Platform.run_txn platform ~proc:"stopVM"
-                    ~args:(Tcloud.Procs.stop_vm_args ~host ~vm)))
-           ops;
-         finished := true));
-  ignore (Des.Sim.run ~until:3_000. sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     QCheck.Test.fail_reportf "process %s crashed: %s" who
-       (Printexc.to_string exn));
-  if not !finished then QCheck.Test.fail_report "workload did not finish";
+  Experiments.Common.run_scenario platform (fun () ->
+      List.iteri
+        (fun k op ->
+          let _, compute = inv.Tcloud.Setup.computes.(op.host) in
+          let faults =
+            Devices.Device.faults (Devices.Compute.device compute)
+          in
+          if op.fail_start then
+            Devices.Fault.fail_next faults ~action:Devices.Schema.act_start_vm;
+          if op.fail_remove then
+            Devices.Fault.fail_next faults ~action:Devices.Schema.act_remove_vm;
+          let vm = Printf.sprintf "q%d" k in
+          let host =
+            Data.Path.to_string (Tcloud.Setup.compute_path op.host)
+          in
+          let storage =
+            Data.Path.to_string (Tcloud.Setup.storage_path (op.host mod 2))
+          in
+          let state =
+            Tropic.Platform.run_txn platform ~proc:"spawnVM"
+              ~args:
+                (Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img"
+                   ~mem_mb:op.mem ~storage ~host)
+          in
+          if state = Tropic.Txn.Committed && op.stop_after then
+            ignore
+              (Tropic.Platform.run_txn platform ~proc:"stopVM"
+                 ~args:(Tcloud.Procs.stop_vm_args ~host ~vm)))
+        ops);
   match Trace.Check.validate tracer with
   | [] -> true
   | errors ->

@@ -465,25 +465,19 @@ let quick_spec =
 
 (* Run [scenario] against a freshly built platform; returns the inventory
    for device-level assertions. *)
-let with_platform ?(spec = quick_spec) ?(size = Tcloud.Setup.small)
-    ?(horizon = 600.) ?(seed = 11) scenario =
+let make_platform ?(spec = quick_spec) ?(size = Tcloud.Setup.small)
+    ?(seed = 11) () =
   let sim = Des.Sim.create ~seed () in
   let inv = Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) size in
   let platform =
     Platform.create spec inv.Tcloud.Setup.env ~initial_tree:inv.Tcloud.Setup.tree
       ~devices:inv.Tcloud.Setup.devices sim
   in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario platform inv;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+  (platform, inv)
+
+let with_platform ?spec ?size ?seed scenario =
+  let platform, inv = make_platform ?spec ?size ?seed () in
+  Experiments.Common.run_scenario platform (fun () -> scenario platform inv)
 
 let expect_committed what state =
   match state with
@@ -883,7 +877,7 @@ let test_e2e_fifo_preserves_submission_order () =
       check bool_c "commit order = submission order" true (ascending times))
 
 let test_e2e_controller_failover_no_loss () =
-  with_platform ~horizon:900. (fun platform _inv ->
+  with_platform (fun platform _inv ->
       (* A stream of transactions; the lead controller dies mid-stream. *)
       let early =
         List.init 3 (fun i ->
@@ -925,7 +919,7 @@ let test_e2e_controller_failover_no_loss () =
    leader killed mid-stream (and never restarted) keeps its commits and
    latency samples in the shard's totals. *)
 let test_e2e_failover_keeps_shard_stats () =
-  with_platform ~horizon:900. (fun platform _inv ->
+  with_platform (fun platform _inv ->
       let submit_all prefix =
         List.init 3 (fun i ->
             Platform.submit platform ~proc:"spawnVM"
@@ -979,7 +973,7 @@ let test_e2e_reload_refuses_violating_state () =
            (Data.Path.v (host0 ^ "/oob3"))))
 
 let test_e2e_failover_preserves_quarantine () =
-  with_platform ~horizon:900. (fun platform inv ->
+  with_platform (fun platform inv ->
       let _, compute0 = inv.Tcloud.Setup.computes.(0) in
       let faults = Devices.Device.faults (Devices.Compute.device compute0) in
       Devices.Fault.fail_next faults ~action:Schema.act_start_vm;
@@ -1017,7 +1011,7 @@ let test_e2e_failover_preserves_quarantine () =
    goal exactly.  A second converge against the reached goal must plan
    nothing (idempotence). *)
 let test_e2e_converge_under_failover () =
-  with_platform ~horizon:900. (fun platform inv ->
+  with_platform (fun platform inv ->
       let goal =
         {
           Plan.Model.hosts =
@@ -1080,6 +1074,57 @@ let test_e2e_converge_under_failover () =
       check bool_c "reconverge is a no-op" true
         (again.Plan.Executor.status = Plan.Executor.Converged
         && again.Plan.Executor.history = []))
+
+(* ------------------------------------------------------------------ *)
+(* Run driver: Platform.run stops at quiescence *)
+
+(* A body that submits and forgets returns while its transactions are
+   still in flight; the run keeps going until every one is terminal and
+   stops there, far below the horizon. *)
+let test_run_drains_fire_and_forget () =
+  let platform, _inv = make_platform () in
+  let ids = ref [] in
+  let quiesced =
+    Platform.run platform (fun () ->
+        ids :=
+          List.init 4 (fun k ->
+              Platform.submit platform ~proc:"spawnVM"
+                ~args:(spawn_args (Printf.sprintf "ff%d" k)));
+        check bool_c "still busy when the body returns" false
+          (Platform.quiescent platform))
+  in
+  check bool_c "stopped at quiescence" true quiesced;
+  check bool_c "far below the horizon" true
+    (Des.Sim.now (Platform.sim platform) < 600.);
+  Experiments.Common.run_scenario platform (fun () ->
+      List.iter
+        (fun id ->
+          match Platform.txn_state platform id with
+          | Some state when Txn.is_terminal state -> ()
+          | Some state ->
+            Alcotest.failf "txn %d still %s" id (Txn.state_to_string state)
+          | None -> Alcotest.failf "txn %d has no record" id)
+        !ids)
+
+(* [quick_spec] runs without the watchdog and without action deadlines,
+   so a hung action never drains: the run goes to its horizon and does
+   not report quiescence. *)
+let test_run_hung_reaches_horizon () =
+  let platform, inv = make_platform () in
+  let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+  Devices.Fault.hang_next
+    (Devices.Device.faults (Devices.Compute.device compute0))
+    ~action:Schema.act_start_vm;
+  let quiesced =
+    Platform.run ~until:300. platform (fun () ->
+        ignore
+          (Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "hung")))
+  in
+  check bool_c "no quiescence" false quiesced;
+  check bool_c "a transaction is still in flight" false
+    (Platform.quiescent platform);
+  check (Alcotest.float 0.) "clock at the horizon" 300.
+    (Des.Sim.now (Platform.sim platform))
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: retry backoff, deadlines, stall watchdog *)
@@ -1431,7 +1476,7 @@ let test_e2e_breaker_count_survives_failover () =
         };
     }
   in
-  with_platform ~spec ~horizon:900. (fun platform inv ->
+  with_platform ~spec (fun platform inv ->
       let _, compute0 = inv.Tcloud.Setup.computes.(0) in
       let faults = Devices.Device.faults (Devices.Compute.device compute0) in
       (match Devices.Fault.set_probability faults 1.0 with
@@ -1477,7 +1522,7 @@ let test_e2e_breaker_count_survives_failover () =
 (* Like [with_platform] but with a span recorder attached; [scenario]
    additionally receives the tracer. *)
 let with_traced_platform ?(spec = quick_spec) ?(size = Tcloud.Setup.small)
-    ?(horizon = 600.) ?(seed = 11) scenario =
+    ?(seed = 11) scenario =
   let sim = Des.Sim.create ~seed () in
   let tracer = Trace.create ~sim () in
   let inv = Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) size in
@@ -1487,17 +1532,7 @@ let with_traced_platform ?(spec = quick_spec) ?(size = Tcloud.Setup.small)
       inv.Tcloud.Setup.env ~initial_tree:inv.Tcloud.Setup.tree
       ~devices:inv.Tcloud.Setup.devices sim
   in
-  let finished = ref false in
-  ignore
-    (Des.Proc.spawn ~name:"scenario" sim (fun () ->
-         scenario platform inv tracer;
-         finished := true));
-  ignore (Des.Sim.run ~until:horizon sim);
-  (match Des.Sim.failures sim with
-   | [] -> ()
-   | (who, exn) :: _ ->
-     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
-  if not !finished then Alcotest.fail "scenario did not finish before horizon"
+  Experiments.Common.run_scenario platform (fun () -> scenario platform inv tracer)
 
 let txn_spans tracer id =
   List.filter (fun s -> s.Trace.txn = id) (Trace.spans tracer)
@@ -1645,6 +1680,8 @@ let suite =
     ("robust: jittered backoff within bounds", `Quick, test_backoff_jitter_within_bounds);
     ("robust: transient fault retried", `Quick, test_e2e_transient_fault_retried);
     ("robust: hang rescued by deadline", `Quick, test_e2e_hang_rescued_by_deadline);
+    ("run: fire-and-forget drains", `Quick, test_run_drains_fire_and_forget);
+    ("run: hung action reaches the horizon", `Quick, test_run_hung_reaches_horizon);
     ("robust: worker crash rescued by watchdog", `Quick, test_e2e_worker_crash_rescued_by_watchdog);
     QCheck_alcotest.to_alcotest breaker_fsm_prop;
     ("overload: admission sheds under storm", `Quick, test_e2e_admission_sheds_overload);

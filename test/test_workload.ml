@@ -204,7 +204,7 @@ let test_gauge_utilization () =
     Metrics.Gauge.utilization_series sim ~bucket:4. ~duration:20.
       ~busy:(fun () -> Des.Station.busy_time st)
   in
-  ignore (Des.Sim.run ~until:21. sim);
+  ignore (Des.Sim.run sim);
   List.iter
     (fun (_, u) ->
       if u < 0.4 || u > 0.6 then
@@ -224,7 +224,7 @@ let test_gauge_rate () =
     Metrics.Gauge.rate_series sim ~bucket:2. ~duration:10.
       ~count:(fun () -> !counter)
   in
-  ignore (Des.Sim.run ~until:11. sim);
+  ignore (Des.Sim.run sim);
   List.iter
     (fun (_, r) ->
       if r < 9. || r > 11. then Alcotest.failf "rate %.2f outside [9, 11]" r)

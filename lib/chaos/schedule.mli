@@ -83,70 +83,8 @@ type t = {
 
 val at : float -> action -> step
 val every : ?start:float -> period:float -> until:float -> action -> step
-val random_window : start:float -> until:float -> count:int -> action -> step
 
 (** {1 Preset schedules (the default sweep grid)} *)
-
-(** Leader-controller crash/restart cycles. *)
-val controller_crashes : t
-
-(** Coordination-service chaos: replica crashes and leader partitions. *)
-val coord_faults : t
-
-(** Device chaos: fault bursts, power cycles, out-of-band mutations. *)
-val device_storm : t
-
-(** Operator signals: TERM and KILL against live transactions. *)
-val signal_storm : t
-
-(** Leader crashes aimed at the window where conflicting transactions sit
-    in the scheduler's blocked table: the recovered leader must re-derive
-    the blocked set from persisted transaction records, losing no
-    transaction and waking none twice. *)
-val blocked_crash : t
-
-(** A bit of everything at once. *)
-val mixed : t
-
-(** The robustness gauntlet: device hangs on the slow actions, transient
-    fault bursts, and worker crashes mid-execution.  Clean only when the
-    retry/deadline/watchdog layer is on. *)
-val hang_storm : t
-
-(** The overload gauntlet: the hot host flaps between dead and healthy
-    while a request storm floods the controller.  Clean only with health
-    scoring + circuit breakers + admission control; the no-breaker build
-    trips the bounded-queue invariant. *)
-val flap_storm : t
-
-(** The goal-state gauntlet: leader and worker crashes landing mid-plan
-    while the converge workload runs.  The executor must resume after
-    fail-over and converge exactly; the no-plan-deps build livelocks on
-    the workload's capacity swap and is convicted. *)
-val plan_crash : t
-
-(** The sharding gauntlet: shard-leader crashes landing between 2PC
-    prepare and decision while the two-shard migrate workload runs.
-    Recovery must resume every in-doubt transaction to its durably
-    decided outcome; the no-2pc build (decision record skipped) is
-    convicted by the exactly-once and convergence invariants. *)
-val shard_crash : t
-
-(** The membership gauntlet: coordination replicas removed and re-added
-    within one leader term while crashes and partitions run, with a
-    delayed-message window keeping the old incarnation's append replies
-    in flight across the churn.  Clean only with replication session ids;
-    the no-session-id build is convicted by the progress-integrity
-    invariant. *)
-val member_churn : t
-
-(** The group-commit durability gauntlet: an open-loop request storm
-    keeps the coordination leader's append batcher full while
-    leader-targeted replica crashes land inside the batch windows.
-    Stock group commit acks only after batch quorum, so every acked
-    submission survives; the unsafe-ack build (acks at enqueue) is
-    convicted by the acked-durable invariant. *)
-val commit_storm : t
 
 (** All of the above, in sweep order. *)
 val presets : t list
@@ -154,7 +92,6 @@ val presets : t list
 (** Look a preset up by name. *)
 val find : string -> t option
 
-val action_to_string : action -> string
 val describe : t -> string
 
 (** Latest virtual time at which the schedule can still be acting

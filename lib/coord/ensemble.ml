@@ -67,7 +67,6 @@ let create ?(replicas = 3) ?(clients = 64) ?(spares = 4)
 
 let sim e = e.esim
 let net e = e.enet
-let config e = e.econfig
 let membership_stats e = e.stats
 let group_stats e = e.gstats
 let replica_ids e =

@@ -28,7 +28,6 @@ val create :
 
 val sim : t -> Des.Sim.t
 val net : t -> Types.msg Des.Net.t
-val config : t -> Types.config
 
 (** Counters shared by every replica instance this ensemble ever created
     (instances come and go across {!add_replica}/{!remove_replica}). *)

@@ -96,16 +96,13 @@ type t = {
 
 let sim r = Des.Net.sim r.net
 let now r = Des.Sim.now (sim r)
-let id r = r.rid
 let is_leader r = r.role = Leader
 let term r = r.term
-let commit_index r = r.commit_index
 let log_length r = Vec.length r.log - 1
 let log_base r = r.log_base
 let has_snapshot r = Option.is_some r.snapshot
 let store r = r.machine
 let station_busy_time r = Des.Station.busy_time r.station
-let group_stats r = r.gstats
 let members r = r.members
 let is_member r = Types.member r.members r.rid
 let quorum r = Types.quorum_of r.members

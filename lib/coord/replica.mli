@@ -60,10 +60,8 @@ val reset_volatile : t -> unit
 
 (** {1 Introspection (tests and harnesses)} *)
 
-val id : t -> int
 val is_leader : t -> bool
 val term : t -> int
-val commit_index : t -> int
 
 (** Effective membership: boot/snapshot base plus every configuration
     entry in the log, committed or not. *)
@@ -94,6 +92,3 @@ val store : t -> Store.t
 
 (** Cumulative busy time of the leader-side op service station. *)
 val station_busy_time : t -> float
-
-(** Group-commit counters (shared across this ensemble's instances). *)
-val group_stats : t -> Types.group_stats

@@ -11,10 +11,6 @@ let get v i =
   check v i;
   v.data.(i)
 
-let set v i x =
-  check v i;
-  v.data.(i) <- x
-
 let push v x =
   if v.size = Array.length v.data then begin
     let capacity = max 16 (2 * Array.length v.data) in
@@ -28,10 +24,3 @@ let push v x =
 let truncate v n =
   if n < 0 || n > v.size then invalid_arg "Vec.truncate";
   v.size <- n
-
-let to_list v = Array.to_list (Array.sub v.data 0 v.size)
-
-let of_list xs =
-  let v = create () in
-  List.iter (push v) xs;
-  v

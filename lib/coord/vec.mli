@@ -8,12 +8,8 @@ val length : 'a t -> int
 (** @raise Invalid_argument when out of bounds. *)
 val get : 'a t -> int -> 'a
 
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 
 (** [truncate v n] keeps the first [n] elements.
     @raise Invalid_argument if [n] exceeds the length. *)
 val truncate : 'a t -> int -> unit
-
-val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t

@@ -33,12 +33,6 @@ let default_config =
     twopc_decision_record = true;
   }
 
-(* Stored-procedure name of the shadow transaction a participant shard
-   runs for a cross-shard 2PC: it holds the write locks and carries the
-   decided log slice, but is never offered to the physical layer (the
-   coordinator's worker replays the full log). *)
-let participant_proc = "__2pc_participant"
-let is_participant (txn : Txn.t) = String.equal txn.Txn.proc participant_proc
 
 type stats = {
   mutable accepted : int;
@@ -86,97 +80,6 @@ let phase_summary st =
     "phases[p50/p99 s]: simulate %s, lock-wait %s, replay %s, undo %s"
     (pair st.simulate_lat) (pair st.lock_wait_lat) (pair st.replay_lat)
     (pair st.undo_lat)
-
-(* Coordinator-side state of one in-flight cross-shard transaction. *)
-type pending_2pc = {
-  participants : int list;
-  mutable votes : (int * (Data.Path.t * Data.Sexp.t) list) list;
-      (* shard -> locked-subtree snapshots, one entry per Prepared vote *)
-  mutable decided : bool;
-  mutable p2_deadline : float;
-}
-
-(* Participant-side state of one prepared cross-shard transaction. *)
-type part_2pc = {
-  coord : int;
-  mutable applied : bool;  (* commit slice applied, awaiting Finish *)
-  mutable pt_deadline : float;
-}
-
-(* Work item for the persist-pool sessions (parallel record writes and
-   queue-item deletes). *)
-type pjob =
-  | Pwrite of string * string
-  | Pdelete of string
-  | Penqueue of string * string  (* queue, payload: sequential create *)
-
-type t = {
-  cname : string;
-  client : Coord.Client.t;
-  gclient : Coord.Client.t;  (* global (shard 0) ensemble: 2PC state *)
-  shard : Shard.t;
-  ns : string;
-  env : Dsl.env;
-  cfg : config;
-  devices : Physical.device_lookup;
-  device_roots : Data.Path.t list;
-  sim : Des.Sim.t;
-  cpu : Des.Station.t;
-  mutable tree : Data.Tree.t;
-  locks : Mglock.t;
-  sched : Sched.t;
-  txns : (int, Txn.t) Hashtbl.t;
-  quarantine : (string, unit) Hashtbl.t;
-  mutable next_start_seq : int;
-  mutable next_internal_txn : int; (* negative lock owners for reload *)
-  mutable checkpoint_seq : int;
-  mutable commits_since_checkpoint : int;
-  mutable prune_candidates : string list; (* terminal record keys *)
-  signaled : (int, unit) Hashtbl.t; (* txns with a pending signal key *)
-  mutable max_request_seq : int; (* highest request item seq processed *)
-  watchdog : Watchdog.t;
-  health : Health.t;
-  breaker_parked : (int, Data.Path.t list) Hashtbl.t;
-      (* txns deferred at admission by a tripped breaker, with the device
-         roots they were gated on *)
-  started_at : (int, float) Hashtbl.t; (* Started time, for latency scores *)
-  wait_since : (int, float) Hashtbl.t; (* lock-park time, for phase stats *)
-  trace : Trace.t option;
-  mutable shedding : bool; (* admission watermark hysteresis *)
-  mutable wake_pending : bool; (* health monitor woke parked txns *)
-  wake_buf : (int, unit) Hashtbl.t;
-      (* txn ids released since the last scheduler pass; delivered to the
-         scheduler in ONE deduplicated [Sched.wake] per pass instead of
-         one ready-deque scan per lock release *)
-  persist_pool : Coord.Client.t list;
-      (* extra coordination sessions for overlapping record persists and
-         item deletes across an input burst; empty = the pre-pool serial
-         write path *)
-  dirty : (int, Txn.t) Hashtbl.t;
-      (* txns whose record changed while [defer_persists] was on; written
-         (concurrently, via the pool) at the next [flush_persists] *)
-  mutable defer_persists : bool;
-  mutable writes_in_flight : int;
-      (* record writes and queue jobs issued and not yet acked *)
-  mutable phyq_buf : int list;
-      (* phyQ offers buffered during a deferred scheduler drain; enqueued
-         (newest first in the list, reversed on flush) only after the
-         Started records they announce are durable *)
-  mutable pjobs : pjob Des.Channel.t option; (* pool work queue, lazy *)
-  packs : unit Des.Channel.t; (* one ack per completed pool job *)
-  pending : (int, pending_2pc) Hashtbl.t; (* coordinator-side, by gid *)
-  parts : (int, part_2pc) Hashtbl.t; (* participant-side, by gid *)
-  mutable recovered_cross : (Txn.t * bool) list;
-      (* Started cross-coordinator records found by recovery (flag: needs
-         a phyQ re-offer), resolved against the decision record on the
-         first 2PC drain *)
-  mutable recovered_cross_terminal : Txn.t list;
-      (* terminal cross-coordinator records: re-send Finish *)
-  mutable leading : bool;
-  mutable stopped : bool;
-  mutable procs : Des.Proc.t list;
-  st : stats;
-}
 
 let fresh_stats () =
   {
@@ -246,6 +149,53 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.twopc_aborted <- into.twopc_aborted + src.twopc_aborted;
   into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares
 
+
+type t = {
+  cname : string;
+  client : Coord.Client.t;
+  gclient : Coord.Client.t;  (* global (shard 0) ensemble: 2PC state *)
+  shard : Shard.t;
+  ns : string;
+  env : Dsl.env;
+  cfg : config;
+  devices : Physical.device_lookup;
+  device_roots : Data.Path.t list;
+  sim : Des.Sim.t;
+  cpu : Des.Station.t;
+  mutable tree : Data.Tree.t;
+  locks : Mglock.t;
+  sched : Sched.t;
+  txns : (int, Txn.t) Hashtbl.t;
+  quarantine : (string, unit) Hashtbl.t;
+  mutable next_start_seq : int;
+  mutable next_internal_txn : int; (* negative lock owners for reload *)
+  mutable checkpoint_seq : int;
+  mutable commits_since_checkpoint : int;
+  mutable prune_candidates : string list; (* terminal record keys *)
+  signaled : (int, unit) Hashtbl.t; (* txns with a pending signal key *)
+  mutable max_request_seq : int; (* highest request item seq processed *)
+  watchdog : Watchdog.t;
+  health : Health.t;
+  shedder : Health.shedder;
+  breaker_parked : (int, Data.Path.t list) Hashtbl.t;
+      (* txns deferred at admission by a tripped breaker, with the device
+         roots they were gated on *)
+  started_at : (int, float) Hashtbl.t; (* Started time, for latency scores *)
+  wait_since : (int, float) Hashtbl.t; (* lock-park time, for phase stats *)
+  trace : Trace.t option;
+  mutable wake_pending : bool; (* health monitor woke parked txns *)
+  wake_buf : (int, unit) Hashtbl.t;
+      (* txn ids released since the last scheduler pass; delivered to the
+         scheduler in ONE deduplicated [Sched.wake] per pass instead of
+         one ready-deque scan per lock release *)
+  persist : Persist.t;
+  twopc : Twopc.t;
+  mutable leading : bool;
+  mutable stopped : bool;
+  mutable procs : Des.Proc.t list;
+  st : stats;
+}
+
 let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
   let shard =
@@ -254,6 +204,7 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     | None -> Shard.singleton ~roots:device_roots
   in
   let gclient = Option.value gclient ~default:client in
+  let ns = Proto.ns_of_shard shard.Shard.sid in
   let health = Health.create config.health in
   (* Breaker transitions feed the shard's counters, and the trace (system
      lane when no canary transaction is involved) when one is attached. *)
@@ -276,7 +227,7 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     client;
     gclient;
     shard;
-    ns = Proto.ns_of_shard shard.Shard.sid;
+    ns;
     env;
     cfg = config;
     devices;
@@ -297,24 +248,18 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     max_request_seq = 0;
     watchdog = Watchdog.create config.watchdog;
     health;
+    shedder = Health.shedder config.admission;
     breaker_parked = Hashtbl.create 8;
     started_at = Hashtbl.create 32;
     wait_since = Hashtbl.create 32;
     trace;
-    shedding = false;
     wake_pending = false;
     wake_buf = Hashtbl.create 32;
-    persist_pool;
-    dirty = Hashtbl.create 32;
-    defer_persists = false;
-    writes_in_flight = 0;
-    phyq_buf = [];
-    pjobs = None;
-    packs = Des.Channel.create ~name:(name ^ ".packs") ();
-    pending = Hashtbl.create 8;
-    parts = Hashtbl.create 8;
-    recovered_cross = [];
-    recovered_cross_terminal = [];
+    persist = Persist.create ~sim ~name ~ns ~client ~pool:persist_pool;
+    twopc =
+      Twopc.create ?trace ~name ~gclient ~shard
+        ~timeout:config.twopc_prepare_timeout
+        ~record:config.twopc_decision_record sim;
     leading = false;
     stopped = false;
     procs = [];
@@ -340,8 +285,7 @@ let inflight t =
 let unfinished t =
   Hashtbl.fold
     (fun _ (txn : Txn.t) n -> if Txn.is_terminal txn.Txn.state then n else n + 1)
-    t.txns
-    (t.writes_in_flight + Hashtbl.length t.dirty)
+    t.txns (Persist.unfinished t.persist)
 
 let started_txns t =
   Hashtbl.fold
@@ -357,77 +301,7 @@ let quarantined t =
     t.quarantine []
   |> List.sort Data.Path.compare
 
-(* ------------------------------------------------------------------ *)
-(* Persistence helpers *)
-
-let persist_now t ~client (txn : Txn.t) =
-  t.writes_in_flight <- t.writes_in_flight + 1;
-  let written =
-    Coord.Client.write client ~key:(Txn.record_key_ns t.ns txn.Txn.id)
-      ~value:(Txn.to_string txn) ()
-  in
-  t.writes_in_flight <- t.writes_in_flight - 1;
-  match written with
-  | Ok _ -> ()
-  | Error e ->
-    Log.err (fun m ->
-        m "%s: persisting txn %d failed: %s" t.cname txn.Txn.id
-          (Format.asprintf "%a" Coord.Types.pp_op_error e))
-
-(* While the main loop processes a burst of input items it defers txn-record
-   persists into [dirty] (latest state per txn id wins); [flush_persists]
-   pushes them through the session pool so the writes overlap and ride
-   shared replica-side group-commit batches.  Deferral is gated on the pool
-   actually existing: without one the flush would replay the same writes
-   serially through the main session — no overlap, just delayed durability
-   and perturbed timing — so no-pool deployments keep the synchronous write
-   path bit-for-bit. *)
-let deferring t = t.defer_persists && t.persist_pool <> []
-
-let persist t (txn : Txn.t) =
-  if deferring t then Hashtbl.replace t.dirty txn.Txn.id txn
-  else persist_now t ~client:t.client txn
-
-(* Run a set of coordination writes/deletes, overlapping them through the
-   persist pool when one is attached; inline through the main session
-   otherwise.  Blocks until every job is applied. *)
-let run_coord_jobs t jobs =
-  let n = List.length jobs in
-  t.writes_in_flight <- t.writes_in_flight + n;
-  (match (t.pjobs, jobs) with
-  | _, [] -> ()
-  | None, jobs ->
-    List.iter
-      (fun job ->
-        match job with
-        | Pwrite (key, value) -> (
-          match Coord.Client.write t.client ~key ~value () with
-          | Ok _ -> ()
-          | Error e ->
-            Log.err (fun m ->
-                m "%s: pooled persist of %s failed: %s" t.cname key
-                  (Format.asprintf "%a" Coord.Types.pp_op_error e)))
-        | Pdelete key -> ignore (Coord.Client.delete t.client ~key ())
-        | Penqueue (queue, payload) ->
-          ignore (Coord.Recipes.enqueue t.client ~queue payload))
-      jobs
-  | Some chan, jobs ->
-    List.iter (fun job -> Des.Channel.send chan job) jobs;
-    for _ = 1 to n do
-      Des.Channel.recv t.packs
-    done);
-  t.writes_in_flight <- t.writes_in_flight - n
-
-let flush_persists t =
-  if Hashtbl.length t.dirty > 0 then begin
-    let txns = Hashtbl.fold (fun _ txn acc -> txn :: acc) t.dirty [] in
-    Hashtbl.reset t.dirty;
-    run_coord_jobs t
-      (List.map
-         (fun (txn : Txn.t) ->
-           Pwrite (Txn.record_key_ns t.ns txn.Txn.id, Txn.to_string txn))
-         txns)
-  end
+let persist t txn = Persist.write t.persist txn
 
 let finish t (txn : Txn.t) state =
   txn.Txn.state <- state;
@@ -518,10 +392,12 @@ let flush_wakes t =
 let release_locks t (txn : Txn.t) =
   wake_released t (Mglock.release_all t.locks ~txn:txn.Txn.id)
 
-let write_paths (txn : Txn.t) =
-  List.filter_map
-    (fun (path, mode) -> if mode = Mglock.W then Some path else None)
-    txn.Txn.locks
+(* Drop a not-yet-started transaction from the scheduler, and from the
+   lock manager's waiter index if it was parked. *)
+let unschedule t id =
+  match Sched.remove t.sched id with
+  | `Blocked -> Mglock.cancel_wait t.locks ~txn:id
+  | `Ready | `Absent -> ()
 
 (* Device roots under a lock set's write paths — the granularity at which
    health is scored and breakers trip. *)
@@ -538,39 +414,22 @@ let write_roots t locks =
    base and all terminal records can be pruned. *)
 let maybe_checkpoint t =
   match t.cfg.checkpoint_every with
-  | None -> ()
-  | Some period ->
-    if t.commits_since_checkpoint >= period && inflight t = 0 then begin
-      (* Deferred records must hit the store before the checkpoint prunes:
-         a dirty record flushed after its key was pruned would resurrect a
-         terminal txn the checkpoint already folded in. *)
-      flush_persists t;
-      let seq = t.next_start_seq - 1 in
-      let snapshot =
-        Data.Sexp.List
-          [ Data.Sexp.of_int seq; Data.Tree.to_sexp t.tree ]
-      in
-      (match
-         Coord.Client.write t.client ~key:(Proto.checkpoint_key_ns t.ns)
-           ~value:(Data.Sexp.to_string snapshot) ()
-       with
-       | Ok _ ->
-         t.checkpoint_seq <- seq;
-         t.commits_since_checkpoint <- 0;
-         List.iter
-           (fun key -> ignore (Coord.Client.delete t.client ~key ()))
-           t.prune_candidates;
-         t.prune_candidates <- [];
-         Log.info (fun m -> m "%s: checkpoint at start_seq %d" t.cname seq)
-       | Error _ -> ())
+  | Some period when t.commits_since_checkpoint >= period && inflight t = 0 ->
+    (* Deferred records must hit the store before the checkpoint prunes:
+       a dirty record flushed after its key was pruned would resurrect a
+       terminal txn the checkpoint already folded in. *)
+    Persist.flush t.persist;
+    let seq = t.next_start_seq - 1 in
+    if Recovery.save_checkpoint t.client ~ns:t.ns ~seq t.tree then begin
+      t.checkpoint_seq <- seq;
+      t.commits_since_checkpoint <- 0;
+      List.iter
+        (fun key -> ignore (Coord.Client.delete t.client ~key ()))
+        t.prune_candidates;
+      t.prune_candidates <- [];
+      Log.info (fun m -> m "%s: checkpoint at start_seq %d" t.cname seq)
     end
-
-let commit_txn t (txn : Txn.t) =
-  finish t txn Txn.Committed;
-  release_locks t txn;
-  t.st.committed <- t.st.committed + 1;
-  t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-  maybe_checkpoint t
+  | Some _ | None -> ()
 
 (* Roll the logical layer back via the undo actions in the execution log.
    If some logical undo cannot apply, the affected subtrees are quarantined
@@ -581,140 +440,140 @@ let rollback_logical t (txn : Txn.t) =
     t.tree <- tree';
     Ok ()
   | Error (index, reason) ->
-    List.iter (quarantine_path t) (write_paths txn);
+    List.iter (quarantine_path t) (Txn.write_paths txn);
     Error (Printf.sprintf "logical undo #%d failed: %s" index reason)
 
-let abort_txn t (txn : Txn.t) reason =
-  match rollback_logical t txn with
-  | Ok () ->
-    finish t txn (Txn.Aborted reason);
-    release_locks t txn;
-    t.st.aborted <- t.st.aborted + 1
-  | Error undo_reason ->
-    finish t txn (Txn.Failed (reason ^ "; " ^ undo_reason));
-    release_locks t txn;
-    t.st.failed <- t.st.failed + 1
-
-let fail_txn t (txn : Txn.t) reason =
-  (* The physical layer is now inconsistent with the logical layer under
-     this transaction's write set: quarantine until reconciliation. *)
-  let result = rollback_logical t txn in
-  List.iter (quarantine_path t) (write_paths txn);
-  (match result with
-   | Ok () -> finish t txn (Txn.Failed reason)
-   | Error undo_reason ->
-     finish t txn (Txn.Failed (reason ^ "; " ^ undo_reason)));
+(* The one terminal transition: roll the logical layer back ([undo]; an
+   undo that cannot apply fails the transaction), quarantine the write set
+   when the layers diverge, persist the terminal state, release the locks
+   and count the outcome ([count = false] for participant shadows, which
+   the coordinator shard accounts for).  A decided cross-shard coordinator
+   then hands its verdict to the participants — after its terminal record
+   is durable, since they take the finish marker as license to forget. *)
+let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
+    (txn : Txn.t) state =
+  let state =
+    match (undo, state) with
+    | true, (Txn.Aborted reason | Txn.Failed reason) -> (
+      match rollback_logical t txn with
+      | Ok () -> state
+      | Error undo_reason -> Txn.Failed (reason ^ "; " ^ undo_reason))
+    | _ -> state
+  in
+  if quarantine then List.iter (quarantine_path t) (Txn.write_paths txn);
+  finish t txn state;
   release_locks t txn;
-  t.st.failed <- t.st.failed + 1
+  (if count then
+     match state with
+     | Txn.Committed ->
+       t.st.committed <- t.st.committed + 1;
+       t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
+       maybe_checkpoint t
+     | Txn.Aborted _ -> t.st.aborted <- t.st.aborted + 1
+     | Txn.Failed _ -> t.st.failed <- t.st.failed + 1
+     | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Started -> ());
+  if Twopc.decided t.twopc txn.Txn.id then begin
+    Persist.flush t.persist;
+    Twopc.finish t.twopc txn.Txn.id state
+  end
+
+let mark_started t (txn : Txn.t) ~locks =
+  txn.Txn.state <- Txn.Started;
+  txn.Txn.locks <- locks;
+  txn.Txn.start_seq <- Some t.next_start_seq;
+  t.next_start_seq <- t.next_start_seq + 1
+
+(* Logical simulation under the CPU cost model: base + per-action. *)
+let simulate t (txn : Txn.t) ~tree =
+  let result =
+    Logical.simulate ~guard_locks:t.cfg.constraint_guard_locks t.env ~tree
+      ~proc:txn.Txn.proc ~args:txn.Txn.args
+  in
+  let actions =
+    match result with Ok s -> s.Logical.actions | Error _ -> 0
+  in
+  Des.Station.request t.cpu
+    ~service:(t.cfg.cpu_per_txn +. (t.cfg.cpu_per_action *. float_of_int actions));
+  result
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard two-phase commit (presumed abort).
+(* Cross-shard work the 2PC protocol hands back (see Twopc) *)
 
-   The coordinator is the lowest-numbered shard touched by the request.
-   It W-locks its own roots, then asks every other touched shard to
-   prepare: the participant runs a shadow transaction that W-locks its
-   roots, persists the vote, and replies with snapshots of the locked
-   subtrees.  The coordinator grafts the snapshots into its logical tree,
-   simulates the full procedure, persists Started, atomically creates the
-   decision record (the commit point), applies the tree, offers the full
-   log to its own physical layer, and sends each participant its log
-   slice.  The physical outcome is propagated with Finish — a rollback
-   undoes each shard's slice via the ordinary undo machinery.
+let rec local t (work : Twopc.local) =
+  match work with
+  | Twopc.Admit txn ->
+    Hashtbl.replace t.txns txn.Txn.id txn;
+    persist t txn;
+    ignore (Sched.submit t.sched txn)
+  | Twopc.Revote txn ->
+    Twopc.revote t.twopc txn
+      (Twopc.snapshots t.tree (Router.arg_paths txn.Txn.args))
+  | Twopc.Apply (txn, log) ->
+    (* The coordinator's worker replays the full log physically, so the
+       slice never reaches this shard's phyQ. *)
+    t.tree <-
+      Recovery.apply_log ~name:t.cname ~what:"2pc apply" t.env t.tree txn log;
+    txn.Txn.log <- log;
+    persist t txn;
+    Twopc.applied t.twopc txn.Txn.id
+  | Twopc.Decide_votes (txn, snaps) -> decide_cross t txn snaps
+  | Twopc.Offer gid -> Persist.offer t.persist gid
+  | Twopc.End { role; txn; state; undo; quarantine } ->
+    unschedule t txn.Txn.id;
+    terminate t ~undo ~quarantine ~count:(role = Twopc.Coord) txn state;
+    if role <> Twopc.Part then
+      t.st.twopc_aborted <- t.st.twopc_aborted + 1
 
-   Aborts need no durable record before the commit point: a missing
-   decision record means abort, and a timed-out party can close the race
-   by creating the record as Abort — the atomic first-writer-wins create
-   arbitrates every interleaving. *)
-
-let twopc_instant t ~txn name =
-  Option.iter
-    (fun tr -> Trace.instant tr ~txn ~cat:"2pc" ~name ())
-    t.trace
-
-let send_twopc t ~shard msg =
-  ignore
-    (Coord.Recipes.enqueue t.gclient ~queue:(Proto.twopc_queue shard)
-       (Proto.twopc_to_string msg))
-
-let read_decision t gid =
-  if not t.cfg.twopc_decision_record then None
-  else
-    match Coord.Client.get t.gclient (Proto.twopc_decision_key gid) with
-    | None -> None
-    | Some (value, _) ->
-      (match Proto.decision_of_string value with
-       | Ok d -> Some d
-       | Error reason ->
-         Log.err (fun m ->
-             m "%s: corrupt 2pc decision for %d: %s" t.cname gid reason);
-         None)
-
-(* Returns the decision in force: ours if the create won, the existing
-   record's otherwise.  With the decision record ablated away, every
-   proposal "wins" — and is forgotten at the next crash. *)
-let propose_decision t gid proposal =
-  if not t.cfg.twopc_decision_record then proposal
-  else
-    match
-      Coord.Client.create t.gclient ~key:(Proto.twopc_decision_key gid)
-        ~value:(Proto.decision_to_string proposal) ()
-    with
-    | Ok _ -> proposal
-    | Error _ -> Option.value (read_decision t gid) ~default:proposal
-
-let write_finish t gid ~ok =
-  if t.cfg.twopc_decision_record then
-    ignore
-      (Coord.Client.create t.gclient ~key:(Proto.twopc_finish_key gid)
-         ~value:(if ok then "ok" else "rollback") ())
-
-let read_finish t gid =
-  match Coord.Client.get t.gclient (Proto.twopc_finish_key gid) with
-  | Some ("ok", _) -> Some true
-  | Some (_, _) -> Some false
-  | None -> None
-
-(* Coordinator-side abort before the commit point: nothing was applied to
-   any tree, so only locks and the pending entry need tearing down. *)
-let abort_cross t (txn : Txn.t) reason =
+(* Coordinator has every vote in: graft the participant snapshots, simulate
+   the full procedure against the combined view, persist Started and reach
+   the commit point. *)
+and decide_cross t (txn : Txn.t) snaps =
   let gid = txn.Txn.id in
-  (match Hashtbl.find_opt t.pending gid with
-   | Some p ->
-     Hashtbl.remove t.pending gid;
-     ignore (propose_decision t gid Proto.Abort);
-     List.iter
-       (fun shard ->
-         send_twopc t ~shard (Proto.Decide { gid; commit = false; log = [] }))
-       p.participants
-   | None -> ());
-  (match Sched.remove t.sched gid with
-   | `Blocked -> Mglock.cancel_wait t.locks ~txn:gid
-   | `Ready | `Absent -> ());
-  twopc_instant t ~txn:gid "2pc-abort";
-  finish t txn (Txn.Aborted reason);
-  release_locks t txn;
-  t.st.aborted <- t.st.aborted + 1;
-  t.st.twopc_aborted <- t.st.twopc_aborted + 1
+  let abort reason = Twopc.abort t.twopc ~local:(local t) txn reason in
+  let sim_t0 = Des.Sim.now t.sim in
+  match simulate t txn ~tree:(Twopc.graft t.tree snaps) with
+  | Error reason ->
+    t.st.violations <- t.st.violations + 1;
+    abort reason
+  | Ok { Logical.new_tree; log; locks; _ } ->
+    Metrics.Cdf.add t.st.simulate_lat (Des.Sim.now t.sim -. sim_t0);
+    if
+      List.exists
+        (fun (path, _) ->
+          not (Twopc.permitted t.twopc gid (Shard.owner_of t.shard path)))
+        locks
+    then abort "write set escaped the prepared shards"
+    else if
+      List.exists
+        (fun (path, _) -> Shard.owns t.shard path && is_quarantined t path)
+        locks
+    then abort "resource quarantined pending reconciliation"
+    else begin
+      (* Swap the prepare-time root locks for the simulated lock set
+         (finer-grained; includes the foreign paths in this table so local
+         reconciliation serializes against the in-flight 2PC). *)
+      wake_released t (Mglock.release_all t.locks ~txn:gid);
+      match Mglock.try_acquire t.locks ~txn:gid locks with
+      | Error conflict ->
+        abort
+          (Format.asprintf "lock conflict after prepare: %a" Mglock.pp_conflict
+             conflict)
+      | Ok () ->
+        txn.Txn.log <- log;
+        mark_started t txn ~locks;
+        persist t txn;
+        (match Twopc.commit_point t.twopc ~local:(local t) txn log with
+         | None -> ()
+         | Some slices ->
+           t.tree <- new_tree;
+           t.st.twopc_committed <- t.st.twopc_committed + 1;
+           unschedule t gid;
+           Hashtbl.replace t.started_at gid (Des.Sim.now t.sim);
+           Persist.offer t.persist gid;
+           Twopc.announce t.twopc gid slices)
+    end
 
-(* Participant-side terminal transitions.  These do not bump the
-   client-visible committed/aborted counters: the coordinator shard
-   already accounts for the transaction once. *)
-let finish_participant t (txn : Txn.t) state =
-  (match Sched.remove t.sched txn.Txn.id with
-   | `Blocked -> Mglock.cancel_wait t.locks ~txn:txn.Txn.id
-   | `Ready | `Absent -> ());
-  Hashtbl.remove t.parts txn.Txn.id;
-  finish t txn state;
-  release_locks t txn
-
-(* Roll a decided-and-applied participant slice back (physical replay
-   failed after the commit point, or the decision turned out to be abort
-   on a redelivery race). *)
-let rollback_participant t (txn : Txn.t) reason =
-  match rollback_logical t txn with
-  | Ok () -> finish_participant t txn (Txn.Aborted reason)
-  | Error undo_reason ->
-    finish_participant t txn (Txn.Failed (reason ^ "; " ^ undo_reason))
+let drain_twopc t = Twopc.drain t.twopc ~txns:t.txns ~local:(local t)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling (paper §3.1.1) *)
@@ -758,108 +617,64 @@ let park_on_conflict t (txn : Txn.t) (conflict : Mglock.conflict) =
 let try_start_participant t (txn : Txn.t) : Sched.attempt =
   note_reattempt t txn;
   let gid = txn.Txn.id in
-  match Hashtbl.find_opt t.parts gid with
-  | None ->
-    (* The coordinator gave up on us (Decide abort arrived while queued). *)
-    finish t txn (Txn.Aborted "2pc aborted before prepare");
+  let roots = Router.arg_paths txn.Txn.args in
+  let vote_no reason =
+    terminate t ~count:false txn (Txn.Aborted reason);
+    Twopc.vote t.twopc gid (Error reason);
     `Finished
-  | Some part ->
-    let roots = Router.arg_paths txn.Txn.args in
-    let vote_no reason =
-      Hashtbl.remove t.parts gid;
-      finish t txn (Txn.Aborted reason);
-      send_twopc t ~shard:part.coord
-        (Proto.Prepared
-           { gid; shard = t.shard.Shard.sid; ok = false; reason; snaps = [] });
-      `Finished
-    in
-    if List.exists (is_quarantined t) roots then
-      vote_no "resource quarantined pending reconciliation"
-    else begin
-      let locks = List.map (fun p -> (p, Mglock.W)) roots in
-      match Mglock.try_acquire t.locks ~txn:gid locks with
-      | Error conflict ->
-        park_on_conflict t txn conflict;
-        `Conflict
-      | Ok () ->
-        let snaps =
-          List.filter_map
-            (fun root ->
-              match Data.Tree.subtree t.tree root with
-              | Ok node -> Some (root, Data.Tree.node_to_sexp node)
-              | Error _ -> None)
-            roots
-        in
-        if List.length snaps <> List.length roots then begin
-          wake_released t (Mglock.release_all t.locks ~txn:gid);
-          vote_no "participant root missing from logical tree"
-        end
-        else begin
-          txn.Txn.state <- Txn.Started;
-          txn.Txn.locks <- locks;
-          txn.Txn.start_seq <- Some t.next_start_seq;
-          t.next_start_seq <- t.next_start_seq + 1;
-          (* The Prepared vote is a durability promise to the coordinator:
-             the record must hit the coordination service before the vote
-             leaves, so it is never deferred into a batch flush. *)
-          persist_now t ~client:t.client txn;
-          part.pt_deadline <-
-            Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
-          t.st.twopc_prepares <- t.st.twopc_prepares + 1;
-          twopc_instant t ~txn:gid "2pc-prepared";
-          send_twopc t ~shard:part.coord
-            (Proto.Prepared
-               { gid; shard = t.shard.Shard.sid; ok = true; reason = "";
-                 snaps });
-          `Started
-        end
-    end
+  in
+  if Twopc.coordinator t.twopc gid = None then
+    (* The coordinator gave up on us (Decide abort arrived while queued). *)
+    vote_no "2pc aborted before prepare"
+  else if List.exists (is_quarantined t) roots then
+    vote_no "resource quarantined pending reconciliation"
+  else begin
+    let locks = List.map (fun p -> (p, Mglock.W)) roots in
+    match Mglock.try_acquire t.locks ~txn:gid locks with
+    | Error conflict ->
+      park_on_conflict t txn conflict;
+      `Conflict
+    | Ok () ->
+      let snaps = Twopc.snapshots t.tree roots in
+      if List.length snaps <> List.length roots then
+        vote_no "participant root missing from logical tree"
+      else begin
+        mark_started t txn ~locks;
+        (* The Prepared vote is a durability promise to the coordinator:
+           the record must hit the coordination service before the vote
+           leaves, so it is never deferred into a batch flush. *)
+        Persist.write_now t.persist txn;
+        t.st.twopc_prepares <- t.st.twopc_prepares + 1;
+        Twopc.vote t.twopc gid (Ok snaps);
+        `Started
+      end
+  end
 
 (* Coordinator admission of a cross-shard transaction: W-lock the locally
    owned roots, then fan the prepare out and park until the votes are in
    (the 2PC drain, not a lock release, finishes this transaction). *)
 let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
   note_reattempt t txn;
-  let gid = txn.Txn.id in
   let own_roots =
     Router.arg_paths txn.Txn.args
     |> List.filter (Shard.owns t.shard)
     |> List.sort_uniq Data.Path.compare
   in
   if List.exists (is_quarantined t) own_roots then begin
-    finish t txn (Txn.Aborted "resource quarantined pending reconciliation");
-    t.st.aborted <- t.st.aborted + 1;
+    terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
     t.st.twopc_aborted <- t.st.twopc_aborted + 1;
     `Finished
   end
   else begin
     let locks = List.map (fun p -> (p, Mglock.W)) own_roots in
-    match Mglock.try_acquire t.locks ~txn:gid locks with
+    match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
     | Error conflict ->
       park_on_conflict t txn conflict;
       `Conflict
     | Ok () ->
       txn.Txn.locks <- locks;
-      let now = Des.Sim.now t.sim in
-      Hashtbl.replace t.pending gid
-        {
-          participants;
-          votes = [];
-          decided = false;
-          p2_deadline = now +. t.cfg.twopc_prepare_timeout;
-        };
+      Twopc.prepare t.twopc txn ~participants;
       t.st.twopc_started <- t.st.twopc_started + 1;
-      twopc_instant t ~txn:gid "2pc-prepare";
-      List.iter
-        (fun shard ->
-          let roots =
-            Router.arg_paths txn.Txn.args
-            |> List.filter (fun p -> Shard.owner_of t.shard p = shard)
-            |> List.sort_uniq Data.Path.compare
-          in
-          send_twopc t ~shard
-            (Proto.Prepare { gid; coord = t.shard.Shard.sid; roots }))
-        participants;
       (* Parked in the scheduler's blocked table with no lock waiter: the
          incoming votes (or the prepare timeout) resolve it. *)
       `Conflict
@@ -889,21 +704,13 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
         sid
     | _ -> ()
   in
-  match
-    Logical.simulate ~guard_locks:t.cfg.constraint_guard_locks t.env
-      ~tree:t.tree ~proc:txn.Txn.proc ~args:txn.Txn.args
-  with
+  match simulate t txn ~tree:t.tree with
   | Error reason ->
-    Des.Station.request t.cpu ~service:t.cfg.cpu_per_txn;
     end_simulate ~outcome:"violation" ~actions:None;
-    finish t txn (Txn.Aborted reason);
-    t.st.aborted <- t.st.aborted + 1;
+    terminate t txn (Txn.Aborted reason);
     t.st.violations <- t.st.violations + 1;
     `Finished
   | Ok { Logical.new_tree; log; locks; actions } ->
-    (* The CPU cost model of logical simulation: base + per-action. *)
-    Des.Station.request t.cpu
-      ~service:(t.cfg.cpu_per_txn +. (t.cfg.cpu_per_action *. float_of_int actions));
     end_simulate ~outcome:"ok" ~actions:(Some actions);
     if List.exists (fun (path, _) -> is_quarantined t path) locks then begin
       Option.iter
@@ -911,8 +718,7 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
           Trace.instant tr ~txn:txn.Txn.id ~cat:"controller"
             ~name:"quarantine-abort" ())
         t.trace;
-      finish t txn (Txn.Aborted "resource quarantined pending reconciliation");
-      t.st.aborted <- t.st.aborted + 1;
+      terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
       `Finished
     end
     else begin
@@ -966,39 +772,25 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
                 ~attrs:[ ("start_seq", string_of_int t.next_start_seq) ]
                 ())
             t.trace;
-          txn.Txn.state <- Txn.Started;
           txn.Txn.log <- log;
-          txn.Txn.locks <- locks;
-          txn.Txn.start_seq <- Some t.next_start_seq;
-          t.next_start_seq <- t.next_start_seq + 1;
+          mark_started t txn ~locks;
           persist t txn;
           t.tree <- new_tree;
           (* During a deferred drain the phyQ offer waits until the Started
-             record is flushed (record-before-offer, same order as the
-             synchronous path).  A crash between flush and offer leaves a
-             Started record with no queue item — recovery's [needs_phy]
-             re-offer covers exactly that window. *)
-          if deferring t then t.phyq_buf <- txn.Txn.id :: t.phyq_buf
-          else
-            ignore
-              (Coord.Recipes.enqueue t.client
-                 ~queue:(Proto.phy_queue_ns t.ns)
-                 (string_of_int txn.Txn.id));
+             record is flushed (record-before-offer).  A crash between
+             flush and offer leaves a Started record with no queue item —
+             recovery's re-offer covers exactly that window. *)
+          Persist.offer t.persist txn.Txn.id;
           `Started
       end
     end
 
 let try_start t (txn : Txn.t) : Sched.attempt =
-  if is_participant txn then try_start_participant t txn
-  else if t.shard.Shard.count = 1 then try_start_single t txn
+  if Twopc.is_participant txn then try_start_participant t txn
   else
-    match Router.classify t.shard ~args:txn.Txn.args with
-    | Router.Single _ -> try_start_single t txn
-    | Router.Cross { participants; coord } ->
-      let participants =
-        List.filter (fun s -> s <> t.shard.Shard.sid) (coord :: participants)
-      in
-      try_start_cross t txn ~participants
+    match Twopc.participants_of t.twopc txn with
+    | [] -> try_start_single t txn
+    | participants -> try_start_cross t txn ~participants
 
 (* One scheduler pass: deliver the buffered wakes in a single [Sched.wake],
    then drain.  Draining can release more waiters (participant vote-no,
@@ -1009,21 +801,12 @@ let rec schedule t =
   (* The drain itself runs with persists deferred: every txn the pass
      starts batches its Started record into one pooled flush, and the phyQ
      offers follow only once those records are durable.  Participant
-     prepares opt out via [persist_now] (the vote is the durability
+     prepares opt out via [Persist.write_now] (the vote is the durability
      promise). *)
-  t.defer_persists <- true;
+  Persist.defer t.persist;
   Sched.drain t.sched ~attempt:(try_start t) ~on_spurious:(fun _ ->
       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1);
-  t.defer_persists <- false;
-  flush_persists t;
-  (match List.rev t.phyq_buf with
-   | [] -> ()
-   | ids ->
-     t.phyq_buf <- [];
-     run_coord_jobs t
-       (List.map
-          (fun id -> Penqueue (Proto.phy_queue_ns t.ns, string_of_int id))
-          ids));
+  Persist.release t.persist;
   if Hashtbl.length t.wake_buf > 0 then schedule t
 
 (* ------------------------------------------------------------------ *)
@@ -1051,39 +834,18 @@ let accept_request t ~txn_id ~proc ~args =
       (fun tr ->
         ignore (Trace.begin_span tr ~txn:txn_id ~cat:"txn" ~name:proc ()))
       t.trace;
-    (* Admission control: once the pending queue reaches the high
-       watermark, shed new arrivals with a fast overload abort — no locks,
-       no hardware — until it drains back to the low watermark
-       (hysteresis), so admission latency stays bounded under storms. *)
+    (* Admission control: past the high watermark, new arrivals get a fast
+       overload abort — no locks, no hardware — so admission latency stays
+       bounded under storms. *)
     let pending = Sched.length t.sched in
-    let shed =
-      match t.cfg.admission.Health.queue_high with
-      | None -> false
-      | Some high ->
-        if t.shedding then
-          if pending <= t.cfg.admission.Health.queue_low then begin
-            t.shedding <- false;
-            false
-          end
-          else true
-        else if pending >= high then begin
-          t.shedding <- true;
-          Log.info (fun m ->
-              m "%s: admission shedding on (pending=%d >= high=%d)" t.cname
-                pending high);
-          true
-        end
-        else false
-    in
-    if shed then begin
+    if Health.shed t.shedder ~pending then begin
       Option.iter
         (fun tr ->
           Trace.instant tr ~txn:txn_id ~cat:"admission" ~name:"shed"
             ~attrs:[ ("pending", string_of_int pending) ]
             ())
         t.trace;
-      finish t txn (Txn.Aborted Txn.overload_reason);
-      t.st.aborted <- t.st.aborted + 1;
+      terminate t txn (Txn.Aborted Txn.overload_reason);
       t.st.sheds <- t.st.sheds + 1;
       false
     end
@@ -1136,27 +898,13 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
               ~retries:exec.Proto.retries ~timeouts:exec.Proto.timeouts
               ~latency)
           (write_roots t txn.Txn.locks);
+      (* A failed undo leaves the physical layer inconsistent with the
+         logical one under the write set: quarantine until reconciliation. *)
       (match outcome with
-       | Proto.Phy_committed -> commit_txn t txn
-       | Proto.Phy_aborted reason -> abort_txn t txn reason
-       | Proto.Phy_failed reason -> fail_txn t txn reason);
-      (* Cross-shard coordinator: propagate the physical outcome to the
-         participants (rollback included — their slices undo through the
-         same machinery). *)
-      (match Hashtbl.find_opt t.pending txn_id with
-       | Some p when p.decided ->
-         Hashtbl.remove t.pending txn_id;
-         let ok = txn.Txn.state = Txn.Committed in
-         (* The terminal txn record must be durable before the Finish
-            marker: participants take the marker as license to forget. *)
-         flush_persists t;
-         write_finish t txn_id ~ok;
-         twopc_instant t ~txn:txn_id "2pc-finish";
-         List.iter
-           (fun shard ->
-             send_twopc t ~shard (Proto.Finish { gid = txn_id; ok }))
-           p.participants
-       | Some _ | None -> ());
+       | Proto.Phy_committed -> terminate t txn Txn.Committed
+       | Proto.Phy_aborted reason -> terminate t ~undo:true txn (Txn.Aborted reason)
+       | Proto.Phy_failed reason ->
+         terminate t ~undo:true ~quarantine:true txn (Txn.Failed reason));
       (* Clean up the signal marker, if one was ever written. *)
       if Hashtbl.mem t.signaled txn_id then begin
         Hashtbl.remove t.signaled txn_id;
@@ -1180,23 +928,19 @@ let handle_signal t ~txn_id signal =
         | Proto.Kill -> t.st.kills <- t.st.kills + 1)
      | Txn.Initialized | Txn.Committed | Txn.Aborted _ | Txn.Failed _ -> ());
     (match txn.Txn.state with
-     | Txn.Accepted | Txn.Deferred when Hashtbl.mem t.pending txn_id ->
+     | Txn.Accepted | Txn.Deferred when Twopc.preparing t.twopc txn_id ->
        (* Cross-shard coordinator still gathering votes: a decided abort
           releases the participants along with the local locks. *)
-       abort_cross t txn
+       Twopc.abort t.twopc ~local:(local t) txn
          (Printf.sprintf "signal %s during prepare"
             (Proto.signal_to_string signal))
      | Txn.Accepted | Txn.Deferred ->
-       (* Not yet started: drop from the scheduler (and the lock manager's
-          waiter index, if it was parked), nothing to roll back. *)
-       (match Sched.remove t.sched txn_id with
-        | `Blocked -> Mglock.cancel_wait t.locks ~txn:txn_id
-        | `Ready | `Absent -> ());
+       (* Not yet started: nothing to roll back. *)
+       unschedule t txn_id;
        Hashtbl.remove t.breaker_parked txn_id;
-       finish t txn
+       terminate t txn
          (Txn.Aborted
-            (Printf.sprintf "signal %s before start" (Proto.signal_to_string signal)));
-       t.st.aborted <- t.st.aborted + 1
+            (Printf.sprintf "signal %s before start" (Proto.signal_to_string signal)))
      | Txn.Started ->
        Hashtbl.replace t.signaled txn_id ();
        ignore
@@ -1211,17 +955,12 @@ let handle_signal t ~txn_id signal =
           (* Immediate: abort in the logical layer only; the physical side
              is left as-is.  Recorded as Failed so the cross-layer
              inconsistency (and its quarantine) survives a controller
-             fail-over until reconciliation. *)
-          let result = rollback_logical t txn in
-          List.iter (quarantine_path t) (write_paths txn);
-          (match result with
-           | Ok () -> finish t txn (Txn.Failed "killed by operator")
-           | Error undo_reason ->
-             finish t txn (Txn.Failed ("killed by operator; " ^ undo_reason)));
-          release_locks t txn;
+             fail-over until reconciliation; a decided cross-shard
+             coordinator passes the verdict on to its participants. *)
+          terminate t ~undo:true ~quarantine:true txn
+            (Txn.Failed "killed by operator");
           Health.forget_probe t.health ~txn:txn_id;
-          Hashtbl.remove t.started_at txn_id;
-          t.st.failed <- t.st.failed + 1)
+          Hashtbl.remove t.started_at txn_id)
      | Txn.Initialized | Txn.Committed | Txn.Aborted _ | Txn.Failed _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -1309,639 +1048,35 @@ let handle_repair t path =
                Data.Path.pp path
                (List.length plan.Recon.unrepaired)))
 
+
 (* ------------------------------------------------------------------ *)
 (* Recovery (idempotent; §2.3) *)
 
-let load_checkpoint t =
-  let rec wait () =
-    match Coord.Client.get t.client (Proto.checkpoint_key_ns t.ns) with
-    | Some (value, _) ->
-      (match Data.Sexp.of_string value with
-       | Ok (Data.Sexp.List [ seq; tree ]) ->
-         (match Data.Sexp.to_int seq, Data.Tree.of_sexp tree with
-          | Ok seq, Ok tree ->
-            t.checkpoint_seq <- seq;
-            t.next_start_seq <- seq + 1;
-            t.tree <- tree
-          | _, _ -> failwith "corrupt checkpoint")
-       | Ok _ | Error _ -> failwith "corrupt checkpoint")
-    | None ->
-      (* The platform bootstrap has not written the initial checkpoint yet. *)
-      Des.Proc.sleep 0.2;
-      wait ()
-  in
-  wait ()
-
 let recover t =
-  load_checkpoint t;
-  let is_cross (txn : Txn.t) =
-    (not (is_participant txn))
-    && t.shard.Shard.count > 1
-    && Router.is_cross t.shard ~args:txn.Txn.args
+  (* The tree is published as it is restored — checkpoint first, then the
+     replayed records — because clients read a leader's tree while it
+     recovers. *)
+  let checkpoint_seq, tree = Recovery.load_checkpoint t.client ~ns:t.ns in
+  t.checkpoint_seq <- checkpoint_seq;
+  t.tree <- tree;
+  let records = Recovery.records ~name:t.cname t.client ~ns:t.ns in
+  t.tree <-
+    Recovery.replay ~name:t.cname t.env t.tree ~checkpoint_seq ~shard:t.shard
+      records;
+  let r =
+    Recovery.rebuild ~name:t.cname t.client ~ns:t.ns ~shard:t.shard
+      ~checkpoint_seq ~txns:t.txns ~locks:t.locks ~sched:t.sched
+      ~twopc:t.twopc ~persist:t.persist records
   in
-  let record_keys =
-    Coord.Client.get_children t.client (Proto.txns_prefix_ns t.ns)
-  in
-  let records =
-    List.filter_map
-      (fun key ->
-        match Coord.Client.get t.client key with
-        | None -> None
-        | Some (value, _) ->
-          (match Txn.of_string value with
-           | Ok txn -> Some txn
-           | Error reason ->
-             Log.err (fun m -> m "%s: corrupt record %s: %s" t.cname key reason);
-             None))
-      record_keys
-  in
-  (* Replay the logical effects of everything at-or-beyond Started, in the
-     order the previous leaders started them. *)
-  let replayable =
-    List.filter
-      (fun (txn : Txn.t) ->
-        (match txn.Txn.state with
-         | Txn.Started | Txn.Committed -> true
-         | Txn.Initialized | Txn.Accepted | Txn.Deferred
-         | Txn.Aborted _ | Txn.Failed _ -> false)
-        && match txn.Txn.start_seq with
-           | Some seq -> seq > t.checkpoint_seq
-           | None -> false)
-      records
-    |> List.sort (fun (a : Txn.t) b ->
-           compare a.Txn.start_seq b.Txn.start_seq)
-  in
-  List.iter
-    (fun (txn : Txn.t) ->
-      (* A cross-shard coordinator log replays own-slice-only: the foreign
-         records were simulated against participant snapshots that are not
-         part of this shard's checkpoint lineage (the foreign subtrees of
-         the local tree are cosmetic copies). *)
-      let log =
-        if is_cross txn then Xlog.slice txn.Txn.log ~keep:(Shard.owns t.shard)
-        else txn.Txn.log
-      in
-      List.iter
-        (fun record ->
-          match Dsl.apply_record t.env t.tree record with
-          | Ok tree' -> t.tree <- tree'
-          | Error reason ->
-            Log.err (fun m ->
-                m "%s: recovery replay of txn %d failed: %s" t.cname
-                  txn.Txn.id reason))
-        log)
-    replayable;
-  (* Rebuild scheduler and lock state; figure out which Started txns still
-     need to be (re)offered to the physical layer. *)
-  let phy_ids =
-    List.filter_map
-      (fun key ->
-        match Coord.Client.get t.client key with
-        | Some (value, _) -> int_of_string_opt value
-        | None -> None)
-      (Coord.Client.get_children t.client (Proto.phy_queue_ns t.ns))
-  in
-  let result_ids =
-    List.filter_map
-      (fun key ->
-        match Coord.Client.get t.client key with
-        | Some (value, _) ->
-          (match Proto.input_of_string value with
-           | Ok (Proto.Result { txn_id; _ }) -> Some txn_id
-           | Ok (Proto.Request _ | Proto.Control _) | Error _ -> None)
-        | None -> None)
-      (Coord.Client.get_children t.client (Proto.input_queue_ns t.ns))
-  in
-  let max_seq = ref t.checkpoint_seq in
-  List.iter
-    (fun (txn : Txn.t) ->
-      (match txn.Txn.start_seq with
-       | Some seq when seq > !max_seq -> max_seq := seq
-       | Some _ | None -> ());
-      match txn.Txn.state with
-      | Txn.Accepted | Txn.Deferred ->
-        (* Re-derive the blocked set rather than persist it: the txn goes
-           back to the ready queue and the first post-recovery drain either
-           starts it or re-parks it on its (rebuilt) conflict.  (A queued
-           cross-shard coordinator simply re-runs its prepare round — the
-           decision record arbitrates against any earlier attempt.) *)
-        Hashtbl.replace t.txns txn.Txn.id txn;
-        if is_participant txn then
-          Hashtbl.replace t.parts txn.Txn.id
-            {
-              coord = txn.Txn.id mod t.shard.Shard.count;
-              applied = false;
-              pt_deadline =
-                Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
-            };
-        ignore (Sched.submit t.sched txn)
-      | Txn.Started ->
-        Hashtbl.replace t.txns txn.Txn.id txn;
-        (match Mglock.try_acquire t.locks ~txn:txn.Txn.id txn.Txn.locks with
-         | Ok () -> ()
-         | Error conflict ->
-           Log.err (fun m ->
-               m "%s: recovery lock conflict for txn %d: %a" t.cname
-                 txn.Txn.id Mglock.pp_conflict conflict));
-        let executing =
-          Option.is_some
-            (Coord.Client.get t.client (Proto.executing_key_ns t.ns txn.Txn.id))
-        in
-        let needs_phy =
-          (not executing)
-          && (not (List.mem txn.Txn.id phy_ids))
-          && not (List.mem txn.Txn.id result_ids)
-        in
-        if is_participant txn then
-          (* A prepared shadow transaction: never physical; rebuild the
-             side state with an already-expired deadline, so the first
-             drain consults the decision record. *)
-          Hashtbl.replace t.parts txn.Txn.id
-            {
-              coord = txn.Txn.id mod t.shard.Shard.count;
-              applied = txn.Txn.log <> [];
-              pt_deadline = Des.Sim.now t.sim;
-            }
-        else if is_cross txn then
-          (* Coordinator of an in-flight cross-shard transaction: the
-             decision record (or its absence — presumed abort) resolves it
-             on the first 2PC drain. *)
-          t.recovered_cross <- (txn, needs_phy) :: t.recovered_cross
-        else if needs_phy then
-          ignore
-            (Coord.Recipes.enqueue t.client ~queue:(Proto.phy_queue_ns t.ns)
-               (string_of_int txn.Txn.id))
-      | Txn.Failed _ ->
-        (* A failed transaction left the layers inconsistent under its
-           write set; a new leader must not serve those resources until
-           reconciliation.  Conservative: if the previous leader already
-           reconciled but had not yet checkpointed the record away, the
-           subtree needs another reload. *)
-        List.iter (quarantine_path t) (write_paths txn);
-        if is_cross txn then
-          t.recovered_cross_terminal <- txn :: t.recovered_cross_terminal;
-        t.prune_candidates <-
-          Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
-      | Txn.Committed | Txn.Aborted _ ->
-        if is_cross txn then
-          t.recovered_cross_terminal <- txn :: t.recovered_cross_terminal;
-        t.prune_candidates <-
-          Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
-      | Txn.Initialized -> ())
-    (List.sort (fun (a : Txn.t) b -> compare a.Txn.id b.Txn.id) records);
-  t.next_start_seq <- !max_seq + 1;
-  (* Only this shard's own request stream advances the redelivery
-     watermark: participant shadow records carry the coordinator's gid —
-     a different residue class, numbered by a different submitter — and
-     letting one of those (often far larger) ids in would make the new
-     leader silently drop every later locally-numbered request as a
-     redelivery. *)
-  List.iter
-    (fun (txn : Txn.t) ->
-      if
-        txn.Txn.id mod t.shard.Shard.count = t.shard.Shard.sid
-        && txn.Txn.id > t.max_request_seq
-      then t.max_request_seq <- txn.Txn.id)
-    records;
-  List.iter
-    (fun key ->
-      match Proto.seq_of_item_key key with
-      | Ok txn_id -> Hashtbl.replace t.signaled txn_id ()
-      | Error _ -> ())
-    (Coord.Client.get_children t.client (Proto.signals_prefix_ns t.ns));
+  t.next_start_seq <- r.Recovery.next_start_seq;
+  t.max_request_seq <- r.Recovery.max_request_seq;
+  List.iter (quarantine_path t) r.Recovery.quarantine;
+  t.prune_candidates <- r.Recovery.prune;
+  List.iter (fun id -> Hashtbl.replace t.signaled id ()) r.Recovery.signaled;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
         t.cname (List.length records) (Sched.length t.sched) (inflight t)
         (Data.Tree.size t.tree))
-
-(* ------------------------------------------------------------------ *)
-(* 2PC message handling (drained from this shard's durable mailbox) *)
-
-let subtree_snaps t roots =
-  List.filter_map
-    (fun root ->
-      match Data.Tree.subtree t.tree root with
-      | Ok node -> Some (root, Data.Tree.node_to_sexp node)
-      | Error _ -> None)
-    roots
-
-(* Participant: apply the coordinator's decided log slice to the logical
-   tree.  The coordinator's worker replays the full log physically, so the
-   slice never reaches this shard's phyQ. *)
-let apply_participant_slice t (txn : Txn.t) (part : part_2pc) log =
-  List.iter
-    (fun record ->
-      match Dsl.apply_record t.env t.tree record with
-      | Ok tree' -> t.tree <- tree'
-      | Error reason ->
-        Log.err (fun m ->
-            m "%s: 2pc apply for txn %d failed: %s" t.cname txn.Txn.id reason))
-    log;
-  txn.Txn.log <- log;
-  persist t txn;
-  part.applied <- true;
-  part.pt_deadline <- Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
-  twopc_instant t ~txn:txn.Txn.id "2pc-applied"
-
-(* Participant receives a Prepare.  First delivery spawns the shadow
-   transaction; redeliveries (process-then-delete, coordinator retry after
-   fail-over) re-vote from current state. *)
-let handle_prepare t ~gid ~coord ~roots =
-  match Hashtbl.find_opt t.txns gid with
-  | Some txn ->
-    (match Hashtbl.find_opt t.parts gid with
-     | Some part when txn.Txn.state = Txn.Started && not part.applied ->
-       send_twopc t ~shard:coord
-         (Proto.Prepared
-            {
-              gid;
-              shard = t.shard.Shard.sid;
-              ok = true;
-              reason = "";
-              snaps = subtree_snaps t (Router.arg_paths txn.Txn.args);
-            })
-     | Some _ -> ()
-     | None ->
-       (match txn.Txn.state with
-        | Txn.Aborted reason ->
-          send_twopc t ~shard:coord
-            (Proto.Prepared
-               { gid; shard = t.shard.Shard.sid; ok = false; reason; snaps = [] })
-        | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Started
-        | Txn.Committed | Txn.Failed _ -> ()));
-    false
-  | None ->
-    let args =
-      List.map (fun p -> Data.Value.Str (Data.Path.to_string p)) roots
-    in
-    let txn =
-      Txn.make ~id:gid ~proc:participant_proc ~args
-        ~submitted_at:(Des.Sim.now t.sim)
-    in
-    txn.Txn.state <- Txn.Accepted;
-    Hashtbl.replace t.txns gid txn;
-    Hashtbl.replace t.parts gid
-      {
-        coord;
-        applied = false;
-        pt_deadline = Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
-      };
-    persist t txn;
-    ignore (Sched.submit t.sched txn);
-    true
-
-(* Coordinator has every vote in: graft the participant snapshots, simulate
-   the full procedure against the combined view, and atomically create the
-   decision record — the commit point of the whole transaction. *)
-let decide_cross t (txn : Txn.t) (p : pending_2pc) =
-  let gid = txn.Txn.id in
-  let abort reason = abort_cross t txn reason in
-  let grafted =
-    List.fold_left
-      (fun tree (_, snaps) ->
-        List.fold_left
-          (fun tree (path, sexp) ->
-            match Data.Tree.node_of_sexp sexp with
-            | Error _ -> tree
-            | Ok node ->
-              (match Data.Tree.replace_subtree tree path node with
-               | Ok tree' -> tree'
-               | Error _ -> tree))
-          tree snaps)
-      t.tree p.votes
-  in
-  let sim_t0 = Des.Sim.now t.sim in
-  match
-    Logical.simulate ~guard_locks:t.cfg.constraint_guard_locks t.env
-      ~tree:grafted ~proc:txn.Txn.proc ~args:txn.Txn.args
-  with
-  | Error reason ->
-    Des.Station.request t.cpu ~service:t.cfg.cpu_per_txn;
-    t.st.violations <- t.st.violations + 1;
-    abort reason
-  | Ok { Logical.new_tree; log; locks; actions } ->
-    Des.Station.request t.cpu
-      ~service:
-        (t.cfg.cpu_per_txn +. (t.cfg.cpu_per_action *. float_of_int actions));
-    Metrics.Cdf.add t.st.simulate_lat (Des.Sim.now t.sim -. sim_t0);
-    let permitted sid =
-      sid = t.shard.Shard.sid || List.mem sid p.participants
-    in
-    if
-      List.exists
-        (fun (path, _) -> not (permitted (Shard.owner_of t.shard path)))
-        locks
-    then abort "write set escaped the prepared shards"
-    else if
-      List.exists
-        (fun (path, _) -> Shard.owns t.shard path && is_quarantined t path)
-        locks
-    then abort "resource quarantined pending reconciliation"
-    else begin
-      (* Swap the prepare-time root locks for the simulated lock set
-         (finer-grained; includes the foreign paths in this table so local
-         reconciliation serializes against the in-flight 2PC). *)
-      wake_released t (Mglock.release_all t.locks ~txn:gid);
-      match Mglock.try_acquire t.locks ~txn:gid locks with
-      | Error conflict ->
-        abort
-          (Format.asprintf "lock conflict after prepare: %a" Mglock.pp_conflict
-             conflict)
-      | Ok () ->
-        txn.Txn.state <- Txn.Started;
-        txn.Txn.log <- log;
-        txn.Txn.locks <- locks;
-        txn.Txn.start_seq <- Some t.next_start_seq;
-        t.next_start_seq <- t.next_start_seq + 1;
-        persist t txn;
-        let slices =
-          List.map
-            (fun sid ->
-              ( sid,
-                Xlog.slice log ~keep:(fun path ->
-                    Shard.owner_of t.shard path = sid) ))
-            p.participants
-        in
-        (match propose_decision t gid (Proto.Commit slices) with
-         | Proto.Abort ->
-           (* A timed-out participant presumed abort first; obey the
-              record.  The tree was never applied, so nothing rolls back. *)
-           Hashtbl.remove t.pending gid;
-           (match Sched.remove t.sched gid with
-            | `Blocked -> Mglock.cancel_wait t.locks ~txn:gid
-            | `Ready | `Absent -> ());
-           twopc_instant t ~txn:gid "2pc-abort";
-           finish t txn (Txn.Aborted "2pc decision lost to presumed abort");
-           release_locks t txn;
-           t.st.aborted <- t.st.aborted + 1;
-           t.st.twopc_aborted <- t.st.twopc_aborted + 1;
-           List.iter
-             (fun sid ->
-               send_twopc t ~shard:sid
-                 (Proto.Decide { gid; commit = false; log = [] }))
-             p.participants
-         | Proto.Commit _ ->
-           p.decided <- true;
-           p.p2_deadline <- Des.Sim.now t.sim +. t.cfg.twopc_prepare_timeout;
-           t.tree <- new_tree;
-           t.st.twopc_committed <- t.st.twopc_committed + 1;
-           (match Sched.remove t.sched gid with
-            | `Blocked -> Mglock.cancel_wait t.locks ~txn:gid
-            | `Ready | `Absent -> ());
-           Hashtbl.replace t.started_at gid (Des.Sim.now t.sim);
-           twopc_instant t ~txn:gid "2pc-decide-commit";
-           ignore
-             (Coord.Recipes.enqueue t.client ~queue:(Proto.phy_queue_ns t.ns)
-                (string_of_int gid));
-           List.iter
-             (fun sid ->
-               let log = Option.value (List.assoc_opt sid slices) ~default:[] in
-               send_twopc t ~shard:sid (Proto.Decide { gid; commit = true; log }))
-             p.participants)
-    end
-
-(* Coordinator receives a vote. *)
-let handle_prepared t ~gid ~shard ~ok ~reason ~snaps =
-  match Hashtbl.find_opt t.pending gid with
-  | None -> false (* already decided or aborted; the record arbitrates *)
-  | Some p ->
-    (match Hashtbl.find_opt t.txns gid with
-     | None ->
-       Hashtbl.remove t.pending gid;
-       false
-     | Some txn ->
-       if p.decided then false
-       else if not ok then begin
-         abort_cross t txn
-           (Printf.sprintf "shard %d refused prepare: %s" shard reason);
-         true
-       end
-       else if List.mem_assoc shard p.votes then false
-       else begin
-         p.votes <- (shard, snaps) :: p.votes;
-         if List.length p.votes = List.length p.participants then begin
-           decide_cross t txn p;
-           true
-         end
-         else false
-       end)
-
-(* Participant receives the decision. *)
-let handle_decide t ~gid ~commit ~log =
-  match Hashtbl.find_opt t.parts gid with
-  | None -> false
-  | Some part ->
-    (match Hashtbl.find_opt t.txns gid with
-     | None ->
-       Hashtbl.remove t.parts gid;
-       false
-     | Some txn ->
-       if not commit then begin
-         if part.applied then rollback_participant t txn "2pc abort"
-         else if txn.Txn.state = Txn.Started then
-           finish_participant t txn (Txn.Aborted "2pc abort")
-         else begin
-           (* Still queued: drop before it ever votes. *)
-           (match Sched.remove t.sched gid with
-            | `Blocked -> Mglock.cancel_wait t.locks ~txn:gid
-            | `Ready | `Absent -> ());
-           Hashtbl.remove t.parts gid;
-           finish t txn (Txn.Aborted "2pc abort before prepare")
-         end;
-         true
-       end
-       else begin
-         if txn.Txn.state = Txn.Started && not part.applied then
-           apply_participant_slice t txn part log;
-         false
-       end)
-
-(* Participant receives the physical outcome. *)
-let handle_finish t ~gid ~ok =
-  match Hashtbl.find_opt t.parts gid with
-  | None -> false
-  | Some part ->
-    (match Hashtbl.find_opt t.txns gid with
-     | None ->
-       Hashtbl.remove t.parts gid;
-       false
-     | Some txn ->
-       if ok then finish_participant t txn Txn.Committed
-       else if part.applied then
-         rollback_participant t txn "2pc physical rollback"
-       else finish_participant t txn (Txn.Aborted "2pc physical rollback");
-       true)
-
-(* Presumed abort: a coordinator stuck gathering votes aborts outright; a
-   prepared participant that waited too long closes the race by creating
-   the decision record as Abort itself — if the create loses, it obeys the
-   commit it reads (applying its slice from the record's payload). *)
-let check_timeouts t =
-  let now = Des.Sim.now t.sim in
-  let progressed = ref false in
-  let stale_coords =
-    Hashtbl.fold
-      (fun gid p acc ->
-        if (not p.decided) && now >= p.p2_deadline then gid :: acc else acc)
-      t.pending []
-  in
-  List.iter
-    (fun gid ->
-      match Hashtbl.find_opt t.txns gid with
-      | Some txn ->
-        abort_cross t txn "2pc prepare timed out";
-        progressed := true
-      | None -> Hashtbl.remove t.pending gid)
-    stale_coords;
-  let waiting =
-    Hashtbl.fold
-      (fun gid part acc ->
-        if now >= part.pt_deadline then (gid, part) :: acc else acc)
-      t.parts []
-  in
-  List.iter
-    (fun (gid, (part : part_2pc)) ->
-      match Hashtbl.find_opt t.txns gid with
-      | None -> Hashtbl.remove t.parts gid
-      | Some txn ->
-        if txn.Txn.state <> Txn.Started then
-          (* Not yet voted (queued or lock-parked): nothing to presume. *)
-          part.pt_deadline <- now +. t.cfg.twopc_prepare_timeout
-        else if not part.applied then (
-          match propose_decision t gid Proto.Abort with
-          | Proto.Abort ->
-            twopc_instant t ~txn:gid "2pc-presume-abort";
-            finish_participant t txn (Txn.Aborted "2pc presumed abort");
-            (* Not [st.aborted] — the coordinator shard accounts for the
-               client-visible outcome — but it is a 2PC abort this shard
-               decided, and the counter doc promises presumed aborts. *)
-            t.st.twopc_aborted <- t.st.twopc_aborted + 1;
-            progressed := true
-          | Proto.Commit slices ->
-            let log =
-              Option.value (List.assoc_opt t.shard.Shard.sid slices) ~default:[]
-            in
-            apply_participant_slice t txn part log)
-        else
-          match read_finish t gid with
-          | Some true ->
-            finish_participant t txn Txn.Committed;
-            progressed := true
-          | Some false ->
-            rollback_participant t txn "2pc physical rollback";
-            progressed := true
-          | None -> part.pt_deadline <- now +. t.cfg.twopc_prepare_timeout)
-    waiting;
-  !progressed
-
-(* Cross-shard transactions a new leader inherited: terminal coordinators
-   re-broadcast their verdict (the participants may never have heard it);
-   in-flight ones resolve against the decision record — missing means
-   presumed abort. *)
-let participants_of t (txn : Txn.t) =
-  match Router.classify t.shard ~args:txn.Txn.args with
-  | Router.Single _ -> []
-  | Router.Cross { coord; participants } ->
-    List.filter (fun s -> s <> t.shard.Shard.sid) (coord :: participants)
-
-let resolve_recovered t =
-  let inflight_cross = t.recovered_cross in
-  t.recovered_cross <- [];
-  let terminal = t.recovered_cross_terminal in
-  t.recovered_cross_terminal <- [];
-  List.iter
-    (fun (txn : Txn.t) ->
-      let gid = txn.Txn.id in
-      let ok = txn.Txn.state = Txn.Committed in
-      write_finish t gid ~ok;
-      List.iter
-        (fun sid -> send_twopc t ~shard:sid (Proto.Finish { gid; ok }))
-        (participants_of t txn))
-    terminal;
-  let progressed = ref false in
-  List.iter
-    (fun ((txn : Txn.t), needs_phy) ->
-      let gid = txn.Txn.id in
-      let participants = participants_of t txn in
-      let now = Des.Sim.now t.sim in
-      let commit slices =
-        Hashtbl.replace t.pending gid
-          {
-            participants;
-            votes = [];
-            decided = true;
-            p2_deadline = now +. t.cfg.twopc_prepare_timeout;
-          };
-        List.iter
-          (fun sid ->
-            let log = Option.value (List.assoc_opt sid slices) ~default:[] in
-            send_twopc t ~shard:sid (Proto.Decide { gid; commit = true; log }))
-          participants;
-        if needs_phy then
-          ignore
-            (Coord.Recipes.enqueue t.client ~queue:(Proto.phy_queue_ns t.ns)
-               (string_of_int gid))
-      in
-      let abort () =
-        (* Recovery replayed this coordinator's own slice into the tree;
-           undo exactly that slice. *)
-        txn.Txn.log <- Xlog.slice txn.Txn.log ~keep:(Shard.owns t.shard);
-        twopc_instant t ~txn:gid "2pc-recovery-abort";
-        (match rollback_logical t txn with
-         | Ok () -> finish t txn (Txn.Aborted "2pc presumed abort on recovery")
-         | Error undo_reason ->
-           finish t txn
-             (Txn.Failed ("2pc presumed abort on recovery; " ^ undo_reason)));
-        release_locks t txn;
-        t.st.aborted <- t.st.aborted + 1;
-        t.st.twopc_aborted <- t.st.twopc_aborted + 1;
-        List.iter
-          (fun sid ->
-            send_twopc t ~shard:sid
-              (Proto.Decide { gid; commit = false; log = [] }))
-          participants;
-        progressed := true
-      in
-      match read_decision t gid with
-      | Some (Proto.Commit slices) -> commit slices
-      | Some Proto.Abort -> abort ()
-      | None ->
-        (match propose_decision t gid Proto.Abort with
-         | Proto.Commit slices -> commit slices
-         | Proto.Abort -> abort ()))
-    inflight_cross;
-  !progressed
-
-(* Drain this shard's 2PC mailbox (process-then-delete, like inputQ).
-   Returns true when the scheduler should run afterwards. *)
-let drain_twopc t =
-  if t.shard.Shard.count = 1 then false
-  else begin
-    let progressed = ref (resolve_recovered t) in
-    let queue = Proto.twopc_queue t.shard.Shard.sid in
-    let rec loop () =
-      match Coord.Client.first_child_value t.gclient queue with
-      | None -> ()
-      | Some (key, payload) ->
-        (match Proto.twopc_of_string payload with
-         | Error reason ->
-           Log.err (fun m -> m "%s: bad 2pc item %s: %s" t.cname key reason)
-         | Ok (Proto.Prepare { gid; coord; roots }) ->
-           if handle_prepare t ~gid ~coord ~roots then progressed := true
-         | Ok (Proto.Prepared { gid; shard; ok; reason; snaps }) ->
-           if handle_prepared t ~gid ~shard ~ok ~reason ~snaps then
-             progressed := true
-         | Ok (Proto.Decide { gid; commit; log }) ->
-           if handle_decide t ~gid ~commit ~log then progressed := true
-         | Ok (Proto.Finish { gid; ok }) ->
-           if handle_finish t ~gid ~ok then progressed := true);
-        ignore (Coord.Client.delete t.gclient ~key ());
-        loop ()
-    in
-    loop ();
-    if check_timeouts t then progressed := true;
-    !progressed
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Main loop *)
@@ -1993,13 +1128,29 @@ let next_item t =
        ignore (Coord.Client.await_change t.client ~timeout:1.0);
        None)
 
+(* A leader duty: every [interval], while this instance leads. *)
+let spawn_duty t ~name ~interval duty =
+  let loop () =
+    while not t.stopped do
+      Des.Proc.sleep interval;
+      if t.leading && not t.stopped then duty ()
+    done
+  in
+  t.procs <- Des.Proc.spawn ~name:(t.cname ^ "." ^ name) t.sim loop :: t.procs
+
+(* Controls go through inputQ like any item, so they serialize with
+   transaction processing (and survive into the next leader's replay). *)
+let enqueue_control t control =
+  ignore
+    (Coord.Recipes.enqueue t.client ~queue:(Proto.input_queue_ns t.ns)
+       (Proto.input_to_string (Proto.Control control)))
+
 (* §4: inconsistencies are "detected by periodically comparing the data
    between the two layers", and repair runs at an operator-chosen
    frequency.  The sweeper compares every device's exported state with the
    logical subtree (a read-only snapshot comparison) and enqueues Repair
-   controls for divergent or quarantined subtrees, so the healing itself
-   serializes with transaction processing in the main loop. *)
-let spawn_repair_sweeper t interval =
+   controls for divergent or quarantined subtrees. *)
+let sweep_repairs t () =
   let device_diverged root =
     match t.devices root with
     | None -> false
@@ -2009,58 +1160,30 @@ let spawn_repair_sweeper t interval =
        | Ok logical ->
          not (Data.Tree.equal logical (Devices.Device.export device)))
   in
-  let sweeper () =
-    while not t.stopped do
-      Des.Proc.sleep interval;
-      if t.leading && not t.stopped then begin
-        let quarantined_roots =
-          List.filter_map (fun path -> t.devices path) (quarantined t)
-          |> List.map Devices.Device.root
-        in
-        let drifted =
-          List.filter
-            (fun root ->
-              (* Only sweep owned subtrees — the copies this shard keeps
-                 of foreign subtrees go stale the moment the owner commits
-                 a single-shard transaction there, and "repairing" a
-                 foreign device against a stale copy would undo the
-                 owner's committed work.  Also skip subtrees with
-                 transactions physically in flight: a transient mismatch
-                 there is work in progress, not drift. *)
-              Shard.owns t.shard root
-              && Mglock.holders t.locks root = []
-              && device_diverged root)
-            t.device_roots
-        in
-        List.sort_uniq Data.Path.compare (quarantined_roots @ drifted)
-        |> List.iter (fun root ->
-               ignore
-                 (Coord.Recipes.enqueue t.client
-                    ~queue:(Proto.input_queue_ns t.ns)
-                    (Proto.input_to_string (Proto.Control (Proto.Repair root)))))
-      end
-    done
+  let quarantined_roots =
+    List.filter_map (fun path -> t.devices path) (quarantined t)
+    |> List.map Devices.Device.root
   in
-  t.procs <-
-    Des.Proc.spawn ~name:(t.cname ^ ".repair") t.sim sweeper :: t.procs
+  let drifted =
+    List.filter
+      (fun root ->
+        (* Only sweep owned subtrees — the copies this shard keeps of
+           foreign subtrees go stale the moment the owner commits a
+           single-shard transaction there, and "repairing" a foreign device
+           against a stale copy would undo the owner's committed work.  Also
+           skip subtrees with transactions physically in flight: a transient
+           mismatch there is work in progress, not drift. *)
+        Shard.owns t.shard root
+        && Mglock.holders t.locks root = []
+        && device_diverged root)
+      t.device_roots
+  in
+  List.sort_uniq Data.Path.compare (quarantined_roots @ drifted)
+  |> List.iter (fun root -> enqueue_control t (Proto.Repair root))
 
-(* The watchdog automates §4's operator (see Watchdog): periodically scan
-   the in-flight transactions and escalate TERM → KILL on the overdue ones.
-   Signals are injected as ordinary inputQ control items so they serialize
-   with transaction processing (and survive into the next leader's replay
-   if this one dies mid-escalation). *)
-let spawn_watchdog t =
-  let started () =
-    (* Prepared 2PC shadow transactions are excluded: they legitimately
-       hold locks until the coordinator's decision, and the presumed-abort
-       timeout — not a KILL — is what unsticks them. *)
-    Hashtbl.fold
-      (fun id (txn : Txn.t) acc ->
-        if txn.Txn.state = Txn.Started && not (is_participant txn) then
-          (id, txn.Txn.log) :: acc
-        else acc)
-      t.txns []
-  in
+(* The watchdog automates §4's operator (see Watchdog): scan the in-flight
+   transactions and escalate TERM → KILL on the overdue ones. *)
+let watch t () =
   let signal txn_id signal =
     (match signal with
      | Proto.Term -> t.st.auto_terms <- t.st.auto_terms + 1
@@ -2075,98 +1198,49 @@ let spawn_watchdog t =
     Log.info (fun m ->
         m "%s: watchdog %s txn %d" t.cname (Proto.signal_to_string signal)
           txn_id);
-    ignore
-      (Coord.Recipes.enqueue t.client ~queue:(Proto.input_queue_ns t.ns)
-         (Proto.input_to_string (Proto.Control (Proto.Signal (txn_id, signal)))))
+    enqueue_control t (Proto.Signal (txn_id, signal))
   in
-  let loop () =
-    while not t.stopped do
-      Des.Proc.sleep t.cfg.watchdog.Watchdog.poll_interval;
-      if t.leading && not t.stopped then begin
-        let sts = started () in
-        Log.debug (fun m ->
-            m "%s: watchdog scan at %.2f: started=[%s]" t.cname
-              (Des.Sim.now t.sim)
-              (String.concat ","
-                 (List.map (fun (id, _) -> string_of_int id) sts)));
-        Watchdog.scan t.watchdog ~now:(Des.Sim.now t.sim) ~started:sts ~signal
-      end
-    done
+  (* Prepared 2PC shadow transactions are excluded: they legitimately hold
+     locks until the coordinator's decision, and the presumed-abort timeout
+     — not a KILL — is what unsticks them. *)
+  let started =
+    Hashtbl.fold
+      (fun id (txn : Txn.t) acc ->
+        if txn.Txn.state = Txn.Started && not (Twopc.is_participant txn) then
+          (id, txn.Txn.log) :: acc
+        else acc)
+      t.txns []
   in
-  t.procs <-
-    Des.Proc.spawn ~name:(t.cname ^ ".watchdog") t.sim loop :: t.procs
+  Watchdog.scan t.watchdog ~now:(Des.Sim.now t.sim) ~started ~signal
 
 (* Breaker-parked transactions sit in the scheduler's blocked table with no
    lock waiter entry, so no release ever wakes them; this monitor re-gates
-   them periodically and moves the admissible ones back to the ready queue
-   (gate is also what ages Tripped breakers into Half_open).  The main loop
-   notices [wake_pending] on its next iteration and drains. *)
-let spawn_health_monitor t =
-  let loop () =
-    while not t.stopped do
-      Des.Proc.sleep t.cfg.health.Health.poll_interval;
-      if t.leading && (not t.stopped) && Hashtbl.length t.breaker_parked > 0
-      then begin
-        let now = Des.Sim.now t.sim in
-        let eligible =
-          Hashtbl.fold
-            (fun id roots acc ->
-              if
-                List.for_all
-                  (fun root -> Health.gate t.health ~now ~root <> `Defer)
-                  roots
-              then id :: acc
-              else acc)
-            t.breaker_parked []
-          |> List.sort compare
-        in
-        if eligible <> [] then begin
-          List.iter (Hashtbl.remove t.breaker_parked) eligible;
-          ignore (Sched.wake t.sched eligible);
-          t.wake_pending <- true;
-          Log.info (fun m ->
-              m "%s: breaker released %d parked txn(s)" t.cname
-                (List.length eligible))
-        end
-      end
-    done
-  in
-  t.procs <-
-    Des.Proc.spawn ~name:(t.cname ^ ".health") t.sim loop :: t.procs
-
-(* Long-lived persist-pool workers: each owns one extra coordination
-   session and drains the shared job queue, so a burst flush's record
-   writes overlap — and coalesce into shared replica-side group-commit
-   batches — instead of serializing on the main session.  Registered in
-   [t.procs] so [crash] kills them with the rest of the controller. *)
-let spawn_persist_workers t =
-  if t.persist_pool <> [] then begin
-    let jobs = Des.Channel.create ~name:(t.cname ^ ".pjobs") () in
-    t.pjobs <- Some jobs;
-    List.iteri
-      (fun i client ->
-        let worker () =
-          while not t.stopped do
-            (match Des.Channel.recv jobs with
-             | Pwrite (key, value) -> (
-               match Coord.Client.write client ~key ~value () with
-               | Ok _ -> ()
-               | Error e ->
-                 Log.err (fun m ->
-                     m "%s: pooled persist of %s failed: %s" t.cname key
-                       (Format.asprintf "%a" Coord.Types.pp_op_error e)))
-             | Pdelete key -> ignore (Coord.Client.delete client ~key ())
-             | Penqueue (queue, payload) ->
-               ignore (Coord.Recipes.enqueue client ~queue payload));
-            Des.Channel.send t.packs ()
-          done
-        in
-        t.procs <-
-          Des.Proc.spawn
-            ~name:(Printf.sprintf "%s.persist-%d" t.cname i)
-            t.sim worker
-          :: t.procs)
-      t.persist_pool
+   them and moves the admissible ones back to the ready queue (gate is also
+   what ages Tripped breakers into Half_open).  The main loop notices
+   [wake_pending] on its next iteration and drains. *)
+let regate_parked t () =
+  if Hashtbl.length t.breaker_parked > 0 then begin
+    let now = Des.Sim.now t.sim in
+    let eligible =
+      Hashtbl.fold
+        (fun id roots acc ->
+          if
+            List.for_all
+              (fun root -> Health.gate t.health ~now ~root <> `Defer)
+              roots
+          then id :: acc
+          else acc)
+        t.breaker_parked []
+      |> List.sort compare
+    in
+    if eligible <> [] then begin
+      List.iter (Hashtbl.remove t.breaker_parked) eligible;
+      ignore (Sched.wake t.sched eligible);
+      t.wake_pending <- true;
+      Log.info (fun m ->
+          m "%s: breaker released %d parked txn(s)" t.cname
+            (List.length eligible))
+    end
   end
 
 let run t () =
@@ -2180,12 +1254,16 @@ let run t () =
   Coord.Recipes.await_lease t.client ~lease ~member;
   t.leading <- true;
   Log.info (fun m -> m "%s: elected leader" t.cname);
-  (match t.cfg.repair_interval with
-   | Some interval -> spawn_repair_sweeper t interval
-   | None -> ());
-  if t.cfg.watchdog.Watchdog.enabled then spawn_watchdog t;
-  if t.cfg.health.Health.enabled then spawn_health_monitor t;
-  spawn_persist_workers t;
+  Option.iter
+    (fun interval -> spawn_duty t ~name:"repair" ~interval (sweep_repairs t))
+    t.cfg.repair_interval;
+  if t.cfg.watchdog.Watchdog.enabled then
+    spawn_duty t ~name:"watchdog"
+      ~interval:t.cfg.watchdog.Watchdog.poll_interval (watch t);
+  if t.cfg.health.Health.enabled then
+    spawn_duty t ~name:"health" ~interval:t.cfg.health.Health.poll_interval
+      (regate_parked t);
+  t.procs <- List.rev_append (Persist.start_workers t.persist) t.procs;
   recover t;
   schedule t;
   (* Items already sitting in inputQ behind the one just processed are
@@ -2197,16 +1275,13 @@ let run t () =
      process→persist→delete ordering a single-item pass guarantees still
      holds at burst granularity (a crash mid-burst replays the items,
      which processing dedups exactly as it did before). *)
-  (* Burst reads are pointless without a pool to overlap the resulting
-     writes: a one-item "burst" keeps the op sequence of the classic
-     process-then-delete loop. *)
-  let input_burst = if t.persist_pool = [] then 1 else 16 in
+  let input_burst = Persist.input_burst t.persist in
   while not t.stopped do
     if drain_twopc t || t.wake_pending then schedule t;
     match next_item t with
     | None -> ()
     | Some (key, payload) ->
-      t.defer_persists <- true;
+      Persist.defer t.persist;
       let need_schedule = ref (process_item t ~key ~payload) in
       let keys = ref [ key ] in
       if input_burst > 1 && not t.stopped then begin
@@ -2228,10 +1303,9 @@ let run t () =
                 if process_item t ~key:k ~payload then need_schedule := true)
           (take (input_burst - 1) backlog)
       end;
-      t.defer_persists <- false;
-      flush_persists t;
+      Persist.release t.persist;
       if not t.stopped then begin
-        run_coord_jobs t (List.rev_map (fun k -> Pdelete k) !keys);
+        Persist.delete_items t.persist (List.rev !keys);
         if drain_twopc t || !need_schedule || t.wake_pending then schedule t
       end
   done
@@ -2245,6 +1319,6 @@ let crash t =
   t.leading <- false;
   List.iter Des.Proc.kill t.procs;
   t.procs <- [];
-  List.iter Coord.Client.close t.persist_pool;
+  Persist.close t.persist;
   if t.gclient != t.client then Coord.Client.close t.gclient;
   Coord.Client.close t.client

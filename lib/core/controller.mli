@@ -1,21 +1,19 @@
 (** The TROPIC controller (logical layer).
 
-    Each instance joins the controller election; the winner serves
-    transactions: it accepts requests from inputQ, schedules them (FIFO
-    with defer-on-conflict, or the "aggressive" variant the paper leaves as
-    future work), simulates them against the logical tree under constraint
-    checks and multi-granularity locks, hands runnable transactions to the
-    physical layer via phyQ, and finalizes them when results come back —
-    rolling the logical layer back with undo actions on aborts.
+    Each instance joins its shard's election; the winner accepts requests
+    from inputQ (shedding past the {!Health.admission} watermarks),
+    schedules them (FIFO with defer-on-conflict, or the paper's
+    "aggressive" variant), simulates them against the logical tree under
+    constraint checks and multi-granularity locks, hands them to the
+    physical layer via phyQ and finalizes them when results come back —
+    rolling the logical layer back with undo actions on aborts.  It also
+    serves operator signals, reload and repair.  {!Persist} writes every
+    state transition to the coordination service, {!Recovery} rebuilds a
+    new leader from it, and {!Twopc} runs cross-shard transactions.
 
-    Every state transition that matters is persisted in the coordination
-    service first, so when a controller dies, the next leader's {e
-    idempotent recovery} — checkpoint + log replay, re-acquired locks,
-    re-queued work — resumes every in-flight transaction without loss.
-
-    The controller charges its logical work to a CPU {!Des.Station}
-    (simulation is single-threaded, as in the paper's Python prototype);
-    the station's busy time is what Figure 4 plots. *)
+    Logical work is charged to a CPU {!Des.Station} (simulation is
+    single-threaded, as in the paper's Python prototype); its busy time is
+    what Figure 4 plots. *)
 
 type config = {
   scheduling : [ `Fifo | `Aggressive ];
@@ -52,10 +50,6 @@ type config = {
 }
 
 val default_config : config
-
-(** Stored-procedure name of the shadow transactions a participant shard
-    runs on behalf of a cross-shard coordinator. *)
-val participant_proc : string
 
 type stats = {
   mutable accepted : int;

@@ -50,8 +50,6 @@ val find_action : env -> kind:string -> action:string -> action_def option
 (** Read a node; records an R intent on the path. @raise Abort if absent. *)
 val query : ctx -> Data.Path.t -> Data.Tree.node
 
-val query_opt : ctx -> Data.Path.t -> Data.Tree.node option
-
 (** Attribute of a node (recorded read); [None] if node or attribute absent. *)
 val get_attr : ctx -> Data.Path.t -> string -> Data.Value.t option
 

@@ -25,6 +25,18 @@ type admission = { queue_high : int option; queue_low : int }
 
 let no_admission = { queue_high = None; queue_low = 0 }
 
+type shedder = { admission : admission; mutable shedding : bool }
+
+let shedder admission = { admission; shedding = false }
+
+let shed s ~pending =
+  Option.iter
+    (fun high ->
+      s.shedding <-
+        (if s.shedding then pending > s.admission.queue_low else pending >= high))
+    s.admission.queue_high;
+  s.shedding
+
 type event = { kind : string; root : string; txn : int option }
 
 type entry = {

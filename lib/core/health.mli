@@ -54,6 +54,16 @@ type admission = { queue_high : int option; queue_low : int }
 
 val no_admission : admission
 
+(** Admission hysteresis over one pending queue. *)
+type shedder
+
+val shedder : admission -> shedder
+
+(** Whether to shed an arrival that finds [pending] transactions queued:
+    shedding starts when [pending] reaches [queue_high] and stops once it
+    drains to [queue_low]. *)
+val shed : shedder -> pending:int -> bool
+
 type t
 
 val create : config -> t

@@ -85,25 +85,6 @@ let of_sexp sexp =
       |> Result.map List.rev
     in
     Ok (Request { proc; args })
-  (* Pre-robustness form: no exec counters. *)
-  | Data.Sexp.List [ Data.Sexp.Atom "result"; txn_id; outcome ] ->
-    let* txn_id = Data.Sexp.to_int txn_id in
-    let* outcome = outcome_of_sexp outcome in
-    Ok (Result { txn_id; outcome; exec = no_exec_stats })
-  (* PR 3 form: integer exec counters, no phase timings. *)
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "result"; txn_id; outcome; retries; transient; timeouts
-      ] ->
-    let* txn_id = Data.Sexp.to_int txn_id in
-    let* outcome = outcome_of_sexp outcome in
-    let* retries = Data.Sexp.to_int retries in
-    let* transient_failures = Data.Sexp.to_int transient in
-    let* timeouts = Data.Sexp.to_int timeouts in
-    Ok
-      (Result
-         { txn_id; outcome;
-           exec =
-             { no_exec_stats with retries; transient_failures; timeouts } })
   | Data.Sexp.List
       [ Data.Sexp.Atom "result"; txn_id; outcome; retries; transient; timeouts;
         Data.Sexp.Atom replay_s; Data.Sexp.Atom undo_s ] ->
@@ -174,142 +155,3 @@ let progress_key_ns ns txn_id =
   Printf.sprintf "%s/progress/p%010d" ns txn_id
 
 let default_ns = ns_of_shard 0
-
-(* ------------------------------------------------------------------ *)
-(* Cross-shard two-phase commit (presumed abort).
-
-   All 2PC state lives on the global (shard 0) ensemble: one durable
-   message queue per shard, plus per-transaction decision and finish
-   records.  Decision records are written with an atomic create, so the
-   first writer — normally the coordinator deciding commit, or a timed-out
-   participant deciding abort — wins, and everyone else obeys what they
-   read.  A missing decision record means abort (presumed abort). *)
-
-let twopc_queue sid = Printf.sprintf "/tropic/2pc/q%03d" sid
-let twopc_decision_key gid = Printf.sprintf "/tropic/2pc/d%010d" gid
-let twopc_finish_key gid = Printf.sprintf "/tropic/2pc/f%010d" gid
-
-type twopc_msg =
-  | Prepare of { gid : int; coord : int; roots : Data.Path.t list }
-  | Prepared of {
-      gid : int;
-      shard : int;
-      ok : bool;
-      reason : string;
-      snaps : (Data.Path.t * Data.Sexp.t) list;
-    }
-  | Decide of { gid : int; commit : bool; log : Xlog.t }
-  | Finish of { gid : int; ok : bool }
-
-let twopc_to_sexp msg =
-  let open Data.Sexp in
-  match msg with
-  | Prepare { gid; coord; roots } ->
-    List
-      [ Atom "prepare"; of_int gid; of_int coord;
-        List (List.map Data.Path.to_sexp roots) ]
-  | Prepared { gid; shard; ok; reason; snaps } ->
-    List
-      [ Atom "prepared"; of_int gid; of_int shard;
-        Atom (if ok then "ok" else "no"); Atom reason;
-        List
-          (List.map
-             (fun (path, tree) -> List [ Data.Path.to_sexp path; tree ])
-             snaps) ]
-  | Decide { gid; commit; log } ->
-    List
-      [ Atom "decide"; of_int gid; Atom (if commit then "commit" else "abort");
-        Xlog.to_sexp log ]
-  | Finish { gid; ok } ->
-    List [ Atom "finish"; of_int gid; Atom (if ok then "ok" else "rollback") ]
-
-let paths_of_sexps sexps =
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* p = Data.Path.of_sexp s in
-      Ok (p :: acc))
-    (Ok []) sexps
-  |> Result.map List.rev
-
-let twopc_of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "prepare"; gid; coord; Data.Sexp.List roots ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* coord = Data.Sexp.to_int coord in
-    let* roots = paths_of_sexps roots in
-    Ok (Prepare { gid; coord; roots })
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "prepared"; gid; shard; Data.Sexp.Atom ok;
-        Data.Sexp.Atom reason; Data.Sexp.List snaps ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* shard = Data.Sexp.to_int shard in
-    let* snaps =
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match s with
-          | Data.Sexp.List [ path; tree ] ->
-            let* path = Data.Path.of_sexp path in
-            Ok ((path, tree) :: acc)
-          | other -> Error ("bad snap: " ^ Data.Sexp.to_string other))
-        (Ok []) snaps
-      |> Result.map List.rev
-    in
-    Ok (Prepared { gid; shard; ok = ok = "ok"; reason; snaps })
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "decide"; gid; Data.Sexp.Atom decision; log ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* log = Xlog.of_sexp log in
-    Ok (Decide { gid; commit = decision = "commit"; log })
-  | Data.Sexp.List [ Data.Sexp.Atom "finish"; gid; Data.Sexp.Atom ok ] ->
-    let* gid = Data.Sexp.to_int gid in
-    Ok (Finish { gid; ok = ok = "ok" })
-  | other -> Error ("Proto.twopc_of_sexp: " ^ Data.Sexp.to_string other)
-
-let twopc_to_string msg = Data.Sexp.to_string (twopc_to_sexp msg)
-
-let twopc_of_string s =
-  let* sexp = Data.Sexp.of_string s in
-  twopc_of_sexp sexp
-
-(* Decision-record payload: the outcome plus, on commit, the per-shard
-   log slices — so a participant that crashed between its vote and the
-   decision can still apply its share after recovery, even if the
-   coordinator has already finished and gone quiet. *)
-type twopc_decision = Commit of (int * Xlog.t) list | Abort
-
-let decision_to_string d =
-  let open Data.Sexp in
-  to_string
-    (match d with
-    | Abort -> List [ Atom "abort" ]
-    | Commit slices ->
-      List
-        [ Atom "commit";
-          List
-            (List.map
-               (fun (shard, log) -> List [ of_int shard; Xlog.to_sexp log ])
-               slices) ])
-
-let decision_of_string s =
-  let* sexp = Data.Sexp.of_string s in
-  match sexp with
-  | Data.Sexp.List [ Data.Sexp.Atom "abort" ] -> Ok Abort
-  | Data.Sexp.List [ Data.Sexp.Atom "commit"; Data.Sexp.List slices ] ->
-    let* slices =
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match s with
-          | Data.Sexp.List [ shard; log ] ->
-            let* shard = Data.Sexp.to_int shard in
-            let* log = Xlog.of_sexp log in
-            Ok ((shard, log) :: acc)
-          | other -> Error ("bad slice: " ^ Data.Sexp.to_string other))
-        (Ok []) slices
-      |> Result.map List.rev
-    in
-    Ok (Commit slices)
-  | other -> Error ("Proto.decision_of_string: " ^ Data.Sexp.to_string other)

@@ -70,47 +70,3 @@ val executing_key_ns : string -> int -> string
     leader crash {e resume} instead of re-running non-idempotent actions
     whose effects already landed on the device. *)
 val progress_key_ns : string -> int -> string
-
-(** {1 Cross-shard two-phase commit (presumed abort)}
-
-    2PC state lives on the {e global} (shard 0) ensemble: a durable
-    message queue per shard plus per-transaction decision and finish
-    records.  The decision record is written with an atomic create —
-    first writer wins, everyone else obeys what they read; a missing
-    record means abort. *)
-
-(** Durable 2PC mailbox of shard [sid]. *)
-val twopc_queue : int -> string
-
-(** Decision record of global transaction [gid] ([Commit]/[Abort]). *)
-val twopc_decision_key : int -> string
-
-(** Finish record of [gid]: whether the physical replay committed. *)
-val twopc_finish_key : int -> string
-
-type twopc_msg =
-  | Prepare of { gid : int; coord : int; roots : Data.Path.t list }
-      (** coordinator -> participant: W-lock [roots], snapshot them *)
-  | Prepared of {
-      gid : int;
-      shard : int;
-      ok : bool;
-      reason : string;  (** refusal reason when [ok = false] *)
-      snaps : (Data.Path.t * Data.Sexp.t) list;
-          (** locked subtree snapshots the coordinator simulates against *)
-    }
-  | Decide of { gid : int; commit : bool; log : Xlog.t }
-      (** coordinator -> participant; [log] is the participant's slice *)
-  | Finish of { gid : int; ok : bool }
-      (** physical outcome: [ok = false] rolls the slice back *)
-
-val twopc_to_string : twopc_msg -> string
-val twopc_of_string : string -> (twopc_msg, string) result
-
-(** Decision-record payload: on commit, the per-shard log slices ride
-    along so a participant recovering from a crash can apply its share
-    even after the coordinator finished and pruned everything else. *)
-type twopc_decision = Commit of (int * Xlog.t) list | Abort
-
-val decision_to_string : twopc_decision -> string
-val decision_of_string : string -> (twopc_decision, string) result

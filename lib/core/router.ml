@@ -24,9 +24,3 @@ let classify shard ~args =
 
 let is_cross shard ~args =
   match classify shard ~args with Single _ -> false | Cross _ -> true
-
-let pp fmt = function
-  | Single sid -> Format.fprintf fmt "single(%d)" sid
-  | Cross { coord; participants } ->
-    Format.fprintf fmt "cross(coord=%d, participants=[%s])" coord
-      (String.concat "," (List.map string_of_int participants))

@@ -21,4 +21,3 @@ val arg_paths : Data.Value.t list -> Data.Path.t list
 val classify : Shard.t -> args:Data.Value.t list -> route
 
 val is_cross : Shard.t -> args:Data.Value.t list -> bool
-val pp : Format.formatter -> route -> unit

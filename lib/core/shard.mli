@@ -17,9 +17,6 @@ type t = {
 (** The unsharded platform: one shard owning everything ([count = 1]). *)
 val singleton : roots:Data.Path.t list -> t
 
-(** Round-robin assignment of the (sorted, deduplicated) roots. *)
-val partition : shards:int -> Data.Path.t list -> (Data.Path.t * int) list
-
 (** [make ~sid ~shards roots] — shard [sid]'s view of the full partition. *)
 val make : sid:int -> shards:int -> Data.Path.t list -> t
 

@@ -37,8 +37,6 @@ let state_of_string s =
         | Some reason -> Ok (Failed reason)
         | None -> Error (Printf.sprintf "unknown txn state %S" s)))
 
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
 let overload_reason = "overload: admission queue full"
 
 let is_overload = function
@@ -92,10 +90,10 @@ let make ~id ~proc ~args ~submitted_at =
     ser_cache = None;
   }
 
-let pp fmt t =
-  Format.fprintf fmt "txn %d %s(%s) [%a]" t.id t.proc
-    (String.concat ", " (List.map Data.Value.to_string t.args))
-    pp_state t.state
+let write_paths t =
+  List.filter_map
+    (fun (path, mode) -> if mode = Mglock.W then Some path else None)
+    t.locks
 
 let record_key_ns ns id = Printf.sprintf "%s/txns/t%010d" ns id
 let record_key id = record_key_ns "/tropic" id

@@ -16,7 +16,6 @@ type state =
 
 val state_to_string : state -> string
 val state_of_string : string -> (state, string) result
-val pp_state : Format.formatter -> state -> unit
 
 (** Terminal states are [Committed], [Aborted] and [Failed]. *)
 val is_terminal : state -> bool
@@ -50,8 +49,10 @@ type t = {
   mutable ser_cache : ser_cache option;
 }
 
+(** The paths [t] holds W locks on: its write set. *)
+val write_paths : t -> Data.Path.t list
+
 val make : id:int -> proc:string -> args:Data.Value.t list -> submitted_at:float -> t
-val pp : Format.formatter -> t -> unit
 
 (** {1 Persistence} *)
 

@@ -40,9 +40,6 @@ type t
 
 val create : config -> t
 
-(** Deadline estimate (seconds) for one execution log. *)
-val estimate : config -> Xlog.t -> float
-
 (** One pass: reconcile the timer table against [started] (the in-flight
     transactions with their logs), then escalate every overdue entry via
     [signal].  No-op when the config is disabled. *)

@@ -9,18 +9,6 @@ type record = {
 
 type t = record list
 
-let pp_record fmt r =
-  Format.fprintf fmt "#%d %a %s(%s)" r.index Data.Path.pp r.path r.action
-    (String.concat ", " (List.map Data.Value.to_string r.args));
-  match r.undo with
-  | Some undo ->
-    Format.fprintf fmt " / undo %s(%s)" undo
-      (String.concat ", " (List.map Data.Value.to_string r.undo_args))
-  | None -> Format.fprintf fmt " / irreversible"
-
-let pp fmt log =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_record fmt log
-
 let record_to_sexp r =
   let open Data.Sexp in
   List
@@ -78,8 +66,5 @@ let of_sexp sexp =
    participant's share of a decided transaction is exactly the log records
    whose target path it owns, so slices are re-derivable from the full log
    by anyone who knows the partition. *)
-
-let paths log =
-  List.map (fun r -> r.path) log |> List.sort_uniq Data.Path.compare
 
 let slice log ~keep = List.filter (fun r -> keep r.path) log

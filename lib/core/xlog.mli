@@ -16,16 +16,8 @@ type record = {
 
 type t = record list (* in execution order *)
 
-val pp_record : Format.formatter -> record -> unit
-val pp : Format.formatter -> t -> unit
-
-val record_to_sexp : record -> Data.Sexp.t
-val record_of_sexp : Data.Sexp.t -> (record, string) result
 val to_sexp : t -> Data.Sexp.t
 val of_sexp : Data.Sexp.t -> (t, string) result
-
-(** Distinct target paths of the log, sorted. *)
-val paths : t -> Data.Path.t list
 
 (** Records whose target path satisfies [keep] — a shard's slice of a
     cross-shard transaction's log. *)

@@ -13,7 +13,6 @@ type change =
       (** attribute added or changed: old value ([None] = absent), new *)
   | Attr_removed of Path.t * string * Value.t
 
-val pp_change : Format.formatter -> change -> unit
 val change_to_string : change -> string
 
 (** Changes in a {e deterministic, dependency-safe} order; empty iff the
@@ -38,10 +37,6 @@ val change_to_string : change -> string
     {!patch}) reconstructs [new_tree] exactly, in one pass, in list
     order. *)
 val diff : old_tree:Tree.t -> new_tree:Tree.t -> change list
-
-(** Apply one change to a tree.  Errors surface the underlying tree edit
-    failure (e.g. [Missing] for an [Attr_set] on an absent node). *)
-val apply : Tree.t -> change -> (Tree.t, Tree.error) result
 
 (** [patch tree changes] folds {!apply} left-to-right, stopping at the
     first error.  [patch old_tree (diff ~old_tree ~new_tree)] is

@@ -21,7 +21,6 @@ type error =
   | No_parent of Path.t    (** insert target's parent does not exist *)
   | Root_immutable         (** attempt to remove or replace the root *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val empty : t

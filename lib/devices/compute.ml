@@ -120,7 +120,6 @@ let preload_vm host ~name ~image ~mem_mb ~state =
     Hashtbl.replace host.imported image ();
   Hashtbl.replace host.vms name { state; vm_mem_mb = mem_mb; image }
 let mem_mb host = host.host_mem_mb
-let hypervisor host = host.host_hypervisor
 
 let vm_names host =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) host.vms [])

@@ -30,7 +30,6 @@ val preload_vm :
 (** {1 Inspection} *)
 
 val mem_mb : t -> int
-val hypervisor : t -> string
 val vm_names : t -> string list
 
 (** [`Stopped], [`Running], or [None] if the VM does not exist. *)

@@ -14,8 +14,6 @@
 
 type severity = Transient | Permanent
 
-val severity_to_string : severity -> string
-
 (** Fate of one invocation: proceed, fail with a classified reason, or
     never return. *)
 type verdict = Pass | Fail of severity * string | Hang

@@ -95,5 +95,4 @@ let ports_of switch id =
     (fun vlan -> List.sort String.compare vlan.ports)
     (Hashtbl.find_opt switch.vlans id)
 
-let max_vlans switch = switch.limit
 let force_remove_vlan switch id = Hashtbl.remove switch.vlans id

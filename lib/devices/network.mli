@@ -18,7 +18,6 @@ val device : t -> Device.t
 (** {1 Inspection} *)
 
 val ports_of : t -> int -> string list option
-val max_vlans : t -> int
 
 (** {1 Out-of-band events} *)
 

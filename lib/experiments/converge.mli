@@ -12,12 +12,6 @@
 
 val default_seed : int
 
-(** The built-in phase-1 / phase-2 models (exposed for tests and for
-    writing derived goal files). *)
-val drained_goal : Plan.Model.t
-
-val restored_goal : Plan.Model.t
-
 type result = {
   phases : (string * Plan.Executor.report) list;  (** in execution order *)
   stats : Tropic.Controller.stats;  (** the shard's controller counters *)
@@ -27,9 +21,6 @@ type result = {
 
 (** Every phase reached [Converged]. *)
 val converged : result -> bool
-
-(** Sum a per-report counter over all phases. *)
-val total : (Plan.Executor.report -> int) -> result -> int
 
 (** [quick] swaps full physical replay for logical-only timing. *)
 val run :

@@ -48,9 +48,6 @@ val deployment_size : config -> Tcloud.Setup.size
 (** The logical-only platform spec of the §6.1 runs. *)
 val platform_spec : Tropic.Platform.spec
 
-(** Fig. 3 needs no simulation: the workload itself. *)
-val fig3_series : ?seed:int -> bucket:float -> unit -> Metrics.Series.t
-
 val print_fig3 : unit -> unit
 
 (** Run multipliers 1..n and print Fig. 4 / Fig. 5 style output. *)

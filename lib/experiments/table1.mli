@@ -1,7 +1,4 @@
 (** Table 1: the execution log generated for [spawnVM], with its undo
     actions — regenerated live from the DSL, not hard-coded. *)
 
-(** The records of a simulated spawn on a fresh small deployment. *)
-val spawn_log : unit -> Tropic.Xlog.t
-
 val print : unit -> unit

@@ -22,7 +22,6 @@
 
 type mode = R | W | IR | IW
 
-val pp_mode : Format.formatter -> mode -> unit
 val mode_to_string : mode -> string
 
 (** [compatible a b] — can locks of modes [a] and [b] be held on the same

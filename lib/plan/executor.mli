@@ -21,7 +21,6 @@ type outcome =
   | Skipped of string  (** a dependency did not commit this round *)
 
 val outcome_to_string : outcome -> string
-val is_committed : outcome -> bool
 
 type executed = {
   ex_step : Planner.step;
@@ -35,9 +34,6 @@ type config = {
   max_rounds : int;     (** re-plan attempts before reporting Blocked *)
   round_delay : float;  (** simulated seconds between rounds *)
 }
-
-(** parallelism 4, max_rounds 8, round_delay 1.0 *)
-val default_config : config
 
 type status = Converged | Blocked
 

@@ -31,20 +31,9 @@ type vlan_goal = {
 type switch_goal = { switch_index : int; vlans : vlan_goal list }
 type t = { hosts : host_goal list; switches : switch_goal list }
 
-(** [/vmRoot/hostNNNNN] of a host goal (Setup naming). *)
-val host_path : host_goal -> Data.Path.t
-
-(** [/netRoot/switchNNN] of a switch goal. *)
-val switch_path : switch_goal -> Data.Path.t
-
-(** Node name of vlan [id] in the tree: ["vlan%04d"]. *)
-val vlan_node_name : int -> string
-
 (** {1 Codec} *)
 
-val to_sexp : t -> Data.Sexp.t
 val to_string : t -> string
-val of_sexp : Data.Sexp.t -> (t, string) result
 
 (** Parse a goal file's contents.  Rejects duplicate host/switch indices
     and a VM listed on more than one host. *)

@@ -44,11 +44,7 @@ type t = {
 type context = { storage_hosts : int; template : string }
 
 val empty : t
-val pp_step : Format.formatter -> step -> unit
 val step_to_string : step -> string
-
-(** Free memory of a managed host in [tree] (capacity minus VM sum). *)
-val host_free : actual:Data.Tree.t -> int -> int
 
 (** [compile ctx model ~actual] — [Ok empty] when already converged.
     [ordered:false] drops every dependency edge and emits the steps in

@@ -15,7 +15,6 @@ val register_all : Tropic.Dsl.env -> unit
 
 val int_attr : Data.Tree.node -> string -> (int, string) result
 val str_attr : Data.Tree.node -> string -> (string, string) result
-val str_list_attr : Data.Tree.node -> string -> (string list, string) result
 
 (** Sum of [mem_mb] over all [vm] children of a host node. *)
 val vm_memory_sum : Data.Tree.node -> int

@@ -33,9 +33,6 @@ type t = {
   switches : (Data.Path.t * Devices.Network.t) array;
 }
 
-(** Environment only (no inventory): actions + procedures + constraints. *)
-val make_env : unit -> Tropic.Dsl.env
-
 (** {!Tropic.Controller.default_config} with TCloud's repair rules wired
     in — what a TCloud deployment should run its controllers with. *)
 val controller_config : Tropic.Controller.config

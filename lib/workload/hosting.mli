@@ -21,8 +21,6 @@ type weights = {
   w_destroy : float;
 }
 
-val default_weights : weights
-
 type config = {
   weights : weights;
   rate_per_second : float;     (** mean op arrival rate (Poisson) *)

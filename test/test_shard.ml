@@ -382,6 +382,69 @@ let test_single_shard_request_stays_local () =
       Alcotest.check int_c "no coordination started on owner" 0
         (Controller.stats leader).Controller.twopc_started)
 
+(* A KILL of a coordinator that already passed its commit point fails the
+   transaction there; the participants must follow the verdict (roll the
+   slice back, quarantine what the interrupted replay may have touched)
+   instead of holding their W locks forever waiting for a Finish. *)
+let test_kill_decided_coordinator_releases_participants () =
+  let sim = Des.Sim.create ~seed:7 () in
+  let inv =
+    Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) twoshard_size
+  in
+  let platform =
+    Platform.create (twoshard_spec ()) inv.Tcloud.Setup.env
+      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  in
+  let src, dst = (0, 1) in
+  let coord_sid = Platform.shard_of_path platform (host_path dst) in
+  let part_sid = Platform.shard_of_path platform (host_path src) in
+  let killed = ref None in
+  let quiesced =
+    Platform.run ~until:3000. platform (fun () ->
+        spawn_on platform ~vm:"web1" ~host:src;
+        let gid =
+          Platform.submit platform ~proc:"migrateVM"
+            ~args:(migrate_args ~src ~dst ~vm:"web1")
+        in
+        let started () =
+          match Platform.shard_leader platform coord_sid with
+          | None -> false
+          | Some c -> List.mem gid (Controller.started_txns c)
+        in
+        Alcotest.(check bool) "coordinator started the migrate" true
+          (await_cond ~gap:0.05 started);
+        Platform.signal platform gid Proto.Kill;
+        killed := Some (Platform.await platform gid))
+  in
+  (match !killed with
+   | Some (Txn.Failed reason) ->
+     Alcotest.(check bool) "failed by the kill" true
+       (Str_contains.contains reason "killed by operator")
+   | Some other ->
+     Alcotest.failf "expected failed, got %s" (Txn.state_to_string other)
+   | None -> Alcotest.fail "the migrate never ended");
+  Alcotest.(check bool) "run quiesces" true quiesced;
+  let part = Platform.await_shard_leader platform part_sid in
+  Alcotest.check int_c "participant holds no locks" 0 (Controller.lock_count part);
+  Alcotest.check int_c "participant has nothing in flight" 0
+    (Controller.inflight part);
+  let quarantined = Controller.quarantined part in
+  Array.iteri
+    (fun h (root, compute) ->
+      if Platform.shard_of_path platform root = part_sid then
+        let consistent =
+          match Data.Tree.subtree (Controller.tree part) root with
+          | Ok logical ->
+            Data.Tree.equal logical
+              (Devices.Device.export (Devices.Compute.device compute))
+          | Error _ -> false
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "host %d consistent or quarantined" h)
+          true
+          (consistent || List.exists (Data.Path.equal root) quarantined))
+    inv.Tcloud.Setup.computes
+
 (* Each shard's controller instances share one stats record, so after a
    kill-and-restart of every shard leader the successors' phase summary
    still holds the dead leaders' simulate samples. *)
@@ -437,5 +500,7 @@ let () =
             test_single_shard_request_stays_local;
           Alcotest.test_case "kill-restart keeps phase samples" `Quick
             test_kill_restart_keeps_phase_samples;
+          Alcotest.test_case "kill of a decided coordinator releases participants"
+            `Quick test_kill_decided_coordinator_releases_participants;
         ] );
     ]

@@ -611,10 +611,6 @@ let run_throughput_point ~group_commit ~sessions ~ops =
         };
       controller_config = Tcloud.Setup.controller_config;
       submit_clients = min sessions 16;
-      (* Overlap the controller's burst persists through a session pool so
-         they ride shared group-commit batches (both arms get the pool;
-         only the batcher turns the overlap into fewer fsync rounds). *)
-      persist_clients = 8;
       trace = None;
     }
   in

@@ -155,6 +155,20 @@ let delete c ?expect_version ~key () =
       (Printf.sprintf "Coord.Client.delete: bad result (%s)"
          (Format.asprintf "%a" Types.pp_op_result other))
 
+(* One atomic command however many ops: [Ok] with one result per op, or
+   the error of the op that aborted it (then none applied).  No ops, no
+   command. *)
+let multi c ops =
+  if ops = [] then Ok []
+  else
+    match submit c (fun ~session ~req -> Types.Multi { session; req; ops }) with
+    | Types.Multi_ok results -> Ok results
+    | Types.Op_failed e -> Error e
+    | other ->
+      failwith
+        (Printf.sprintf "Coord.Client.multi: bad result (%s)"
+           (Format.asprintf "%a" Types.pp_op_result other))
+
 (* ------------------------------------------------------------------ *)
 (* Membership changes *)
 

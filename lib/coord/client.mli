@@ -47,6 +47,14 @@ val write :
 val delete :
   t -> ?expect_version:int -> key:string -> unit -> (unit, Types.op_error) result
 
+(** ZooKeeper's [multi]: the ops commit as one replicated command, applied
+    in order, all or none.  [Ok] carries one result per op; [Error e] is
+    the error of the op that aborted the multi, and then none of them
+    applied.  An unconditional [Op_delete] of a missing key is a no-op; a
+    versioned one fails the multi.  An empty list sends nothing. *)
+val multi :
+  t -> Types.op list -> (Types.op_result list, Types.op_error) result
+
 (** {1 Membership changes} — replicated like any command.  [Error
     Config_pending] means another change is in flight; retry. *)
 

@@ -4,15 +4,19 @@ let poll_interval = 1.0
 (* ------------------------------------------------------------------ *)
 (* Queue *)
 
+let item_prefix queue = queue ^ "/item-"
+
 let enqueue client ~queue value =
-  match
-    Client.create client ~sequential:true ~key:(queue ^ "/item-") ~value ()
-  with
+  match Client.create client ~sequential:true ~key:(item_prefix queue) ~value () with
   | Ok key -> key
   | Error e ->
     failwith
       (Printf.sprintf "Recipes.enqueue: %s"
          (Format.asprintf "%a" Types.pp_op_error e))
+
+let enqueue_op ~queue value =
+  Types.Op_create
+    { key = item_prefix queue; value; ephemeral = false; sequential = true }
 
 let head_item client ~queue = Client.first_child client queue
 

@@ -73,6 +73,9 @@ type t = {
   mutable leader_hint : int option;
   mutable commit_index : int;
   mutable last_applied : int;
+  mutable applied_ops : int;
+      (* store ops in the applied entries past [log_base]; compaction
+         counts these, not entries *)
   mutable machine : Store.t;
   progress : (int, progress) Hashtbl.t;
   mutable votes : int list;
@@ -109,6 +112,10 @@ let quorum r = Types.quorum_of r.members
 let last_log_index r = r.log_base + Vec.length r.log - 1
 let entry_at r i = Vec.get r.log (i - r.log_base)
 let term_at r i = (entry_at r i).Types.term
+
+let entry r i =
+  if i > r.log_base && i <= last_log_index r then Some (entry_at r i).Types.cmd
+  else None
 
 let progress_snapshot r =
   Hashtbl.fold (fun peer p acc -> (peer, p.match_) :: acc) r.progress []
@@ -152,8 +159,8 @@ let note_config_append r index (cmd : Types.cmd) =
   | Types.Remove_replica { id; _ } ->
     r.members <- Types.remove_member r.members id;
     r.config_index <- index
-  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-  | Types.Noop ->
+  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+  | Types.Expire_session _ | Types.Noop ->
     ()
 
 (* Recompute from scratch: base configuration at [log_base], then every
@@ -176,8 +183,8 @@ let rescan_membership r =
     | Types.Remove_replica { id; _ } ->
       members := Types.remove_member !members id;
       cidx := i
-    | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-    | Types.Noop ->
+    | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+    | Types.Expire_session _ | Types.Noop ->
       ()
   done;
   r.members <- !members;
@@ -254,7 +261,7 @@ let fire_watches r changed_keys =
    so the snapshots agree). *)
 let maybe_compact r =
   let threshold = r.config.Types.snapshot_threshold in
-  if threshold > 0 && r.last_applied - r.log_base >= threshold then begin
+  if threshold > 0 && r.applied_ops >= threshold then begin
     let old_base = r.log_base in
     let data = Data.Sexp.to_string (Store.to_sexp r.machine) in
     let included_term = term_at r r.last_applied in
@@ -266,6 +273,7 @@ let maybe_compact r =
     done;
     r.log <- compacted;
     r.log_base <- r.last_applied;
+    r.applied_ops <- 0;
     (* The applied store carries the configuration as of the new base;
        keep the config identifier of an entry that got compacted away. *)
     r.snapshot_members <- Store.members r.machine;
@@ -279,6 +287,7 @@ let apply_committed r =
   while r.last_applied < r.commit_index do
     r.last_applied <- r.last_applied + 1;
     let entry = entry_at r r.last_applied in
+    r.applied_ops <- r.applied_ops + Types.cmd_ops entry.Types.cmd;
     let result, changed = Store.apply r.machine entry.Types.cmd in
     if r.role = Leader then begin
       (match Hashtbl.find_opt r.pending r.last_applied with
@@ -727,6 +736,7 @@ let handle_install_snapshot r src ~session ~term ~last_included_index
         r.log_base <- last_included_index;
         r.commit_index <- last_included_index;
         r.last_applied <- last_included_index;
+        r.applied_ops <- 0;
         r.snapshot <- Some (last_included_index, last_included_term, data);
         (* The snapshot carries the configuration as of its index; with
            the log reset, it is also the effective one.  A learner listed
@@ -840,8 +850,8 @@ let handle_config_change r src ~req_id cmd =
       replicate_all r;
       advance_commit r
     end
-  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Expire_session _
-  | Types.Noop ->
+  | Types.Create _ | Types.Write _ | Types.Delete _ | Types.Multi _
+  | Types.Expire_session _ | Types.Noop ->
     assert false
 
 let handle_client r src ~req_id ~session_timeout request =
@@ -961,6 +971,7 @@ let create ?(learner = false) ?stats ?gstats ~net ~id ~members ~config () =
     leader_hint = None;
     commit_index = 0;
     last_applied = 0;
+    applied_ops = 0;
     machine = Store.create ~members:base_members ();
     progress = Hashtbl.create 8;
     votes = [];
@@ -995,6 +1006,7 @@ let stop r =
 let reset_volatile r =
   r.role <- Follower;
   r.leader_hint <- None;
+  r.applied_ops <- 0;
   (* Stable state (term, vote, log, snapshot) survives; the applied store
      is rebuilt from the snapshot, then the retained log replays on top. *)
   (match r.snapshot with

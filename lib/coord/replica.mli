@@ -79,6 +79,10 @@ val last_log_index : t -> int
     replicated further than that peer's actual log. *)
 val progress_snapshot : t -> (int * int) list
 
+(** The command at absolute log index [i], if it is retained (past
+    {!log_base}, at most {!last_log_index}). *)
+val entry : t -> int -> Types.cmd option
+
 (** Retained (post-compaction) log entries. *)
 val log_length : t -> int
 

@@ -113,6 +113,36 @@ let do_delete t ~key ~expect_version =
     t.entries <- Smap.remove key t.entries;
     (Types.Deleted_ok, [ key ])
 
+(* All or none: the ops run in order against the live store, and the first
+   failure restores the entries and the sequence counter it started from
+   (both immutable or plain values, so the restore is O(1)) and reports no
+   changed key, so no watch fires for an aborted multi. *)
+let do_multi t ~session ops =
+  let entries = t.entries and seq_counter = t.seq_counter in
+  let rec go results changed = function
+    | [] -> (Types.Multi_ok (List.rev results), List.concat (List.rev changed))
+    | op :: rest ->
+      let result, keys =
+        match op with
+        | Types.Op_create { key; value; ephemeral; sequential } ->
+          do_create t ~session ~key ~value ~ephemeral ~sequential
+        | Types.Op_write { key; value; expect_version } ->
+          do_write t ~key ~value ~expect_version
+        | Types.Op_delete { key; expect_version = None }
+          when not (Smap.mem key t.entries) ->
+          (Types.Deleted_ok, [])
+        | Types.Op_delete { key; expect_version } ->
+          do_delete t ~key ~expect_version
+      in
+      (match result with
+       | Types.Op_failed e ->
+         t.entries <- entries;
+         t.seq_counter <- seq_counter;
+         (Types.Op_failed e, [])
+       | _ -> go (result :: results) (keys :: changed) rest)
+  in
+  go [] [] ops
+
 let do_expire t session =
   let doomed =
     Smap.fold
@@ -140,6 +170,8 @@ let apply t cmd =
     deduped session req (fun () -> do_write t ~key ~value ~expect_version)
   | Types.Delete { session; req; key; expect_version } ->
     deduped session req (fun () -> do_delete t ~key ~expect_version)
+  | Types.Multi { session; req; ops } ->
+    deduped session req (fun () -> do_multi t ~session ops)
   | Types.Expire_session session -> do_expire t session
   | Types.Noop -> (Types.Noop_ok, [])
   | Types.Add_replica { session; req; id } ->
@@ -154,7 +186,7 @@ let apply t cmd =
 (* ------------------------------------------------------------------ *)
 (* Snapshot codec *)
 
-let result_to_sexp =
+let rec result_to_sexp =
   let open Data.Sexp in
   function
   | Types.Created k -> List [ Atom "created"; Atom k ]
@@ -163,13 +195,14 @@ let result_to_sexp =
   | Types.Expired_ok -> List [ Atom "expired" ]
   | Types.Noop_ok -> List [ Atom "noop" ]
   | Types.Config_ok -> List [ Atom "config" ]
+  | Types.Multi_ok rs -> List (Atom "multi" :: List.map result_to_sexp rs)
   | Types.Op_failed Types.Key_missing -> List [ Atom "failed"; Atom "missing" ]
   | Types.Op_failed Types.Key_exists -> List [ Atom "failed"; Atom "exists" ]
   | Types.Op_failed Types.Bad_version -> List [ Atom "failed"; Atom "version" ]
   | Types.Op_failed Types.Config_pending -> List [ Atom "failed"; Atom "pending" ]
   | Types.Op_failed Types.Config_invalid -> List [ Atom "failed"; Atom "invalid" ]
 
-let result_of_sexp =
+let rec result_of_sexp =
   let open Data.Sexp in
   function
   | List [ Atom "created"; Atom k ] -> Ok (Types.Created k)
@@ -179,6 +212,13 @@ let result_of_sexp =
   | List [ Atom "expired" ] -> Ok Types.Expired_ok
   | List [ Atom "noop" ] -> Ok Types.Noop_ok
   | List [ Atom "config" ] -> Ok Types.Config_ok
+  | List (Atom "multi" :: rs) ->
+    List.fold_right
+      (fun r acc ->
+        Result.bind acc (fun acc ->
+            Result.map (fun r -> r :: acc) (result_of_sexp r)))
+      rs (Ok [])
+    |> Result.map (fun rs -> Types.Multi_ok rs)
   | List [ Atom "failed"; Atom "missing" ] -> Ok (Types.Op_failed Types.Key_missing)
   | List [ Atom "failed"; Atom "exists" ] -> Ok (Types.Op_failed Types.Key_exists)
   | List [ Atom "failed"; Atom "version" ] -> Ok (Types.Op_failed Types.Bad_version)

@@ -21,7 +21,9 @@ val members : t -> int list
 (** [apply t cmd] executes one committed command.  Returns its result and
     the list of keys whose state changed (used by the leader to fire
     watches).  Duplicate [(session, req)] pairs return the cached result
-    without re-executing. *)
+    without re-executing.  A [Multi] is all or none: when one of its ops
+    fails, the entries and the sequence counter are restored, the result is
+    that op's [Op_failed] and no key is reported changed. *)
 val apply : t -> Types.cmd -> Types.op_result * string list
 
 (** {1 Reads (not replicated)} *)

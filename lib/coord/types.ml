@@ -8,6 +8,15 @@
 (* ------------------------------------------------------------------ *)
 (* Replicated commands and their results *)
 
+(* One step of an atomic [Multi]: a data command without the session and
+   request ids, which the enclosing multi carries.  Inside a multi an
+   unconditional delete of a missing key is a no-op, while a versioned one
+   is a precondition: it fails, and aborts the whole multi. *)
+type op =
+  | Op_create of { key : string; value : string; ephemeral : bool; sequential : bool }
+  | Op_write of { key : string; value : string; expect_version : int option }
+  | Op_delete of { key : string; expect_version : int option }
+
 (* Every client-originated command carries its session id and a per-session
    request sequence number: the state machine deduplicates retries so a
    command is applied exactly once even if the client re-sends it across a
@@ -29,6 +38,9 @@ type cmd =
       expect_version : int option; (* CAS when [Some v]; upsert when [None] *)
     }
   | Delete of { session : int; req : int; key : string; expect_version : int option }
+  | Multi of { session : int; req : int; ops : op list }
+      (* ZooKeeper's [multi]: the ops apply in order, all or none; one log
+         entry however many ops it carries *)
   | Expire_session of int (* proposed by the leader; system command *)
   | Noop (* appended by a fresh leader to commit its term *)
   (* Single-server membership changes (Raft §4), replicated through the
@@ -52,6 +64,7 @@ type op_result =
   | Expired_ok
   | Noop_ok
   | Config_ok
+  | Multi_ok of op_result list (* one result per op, in order *)
   | Op_failed of op_error
 
 (* ------------------------------------------------------------------ *)
@@ -158,8 +171,9 @@ type config = {
   default_session_timeout : float; (* for sessions learned implicitly *)
   request_timeout : float;  (* client retry timeout *)
   batch_limit : int;        (* max log entries per Append_entries *)
-  snapshot_threshold : int; (* applied entries kept in the log before
-                               compacting into a snapshot; 0 disables *)
+  snapshot_threshold : int; (* applied ops (a multi counts each of its
+                               ops) kept in the log before compacting
+                               into a snapshot; 0 disables *)
   session_ids : bool;       (* reject append replies from a stale
                                replication session; ablation hook *)
   group_commit : bool;      (* batch client Submits into one append/fsync
@@ -271,6 +285,14 @@ let note_batch gs size =
   let b = group_hist_bucket size in
   gs.batch_hist.(b) <- gs.batch_hist.(b) + 1
 
+(* Store operations a command carries: what compaction counts, so a log of
+   multis compacts at the same data volume as one of single commands. *)
+let cmd_ops = function
+  | Multi { ops; _ } -> List.length ops
+  | Create _ | Write _ | Delete _ | Expire_session _ | Noop | Add_replica _
+  | Remove_replica _ ->
+    1
+
 let pp_op_error fmt e =
   Format.pp_print_string fmt
     (match e with
@@ -280,11 +302,17 @@ let pp_op_error fmt e =
      | Config_pending -> "config change pending"
      | Config_invalid -> "config change invalid")
 
-let pp_op_result fmt = function
+let rec pp_op_result fmt = function
   | Created k -> Format.fprintf fmt "created %s" k
   | Written v -> Format.fprintf fmt "written v%d" v
   | Deleted_ok -> Format.pp_print_string fmt "deleted"
   | Expired_ok -> Format.pp_print_string fmt "session expired"
   | Noop_ok -> Format.pp_print_string fmt "noop"
   | Config_ok -> Format.pp_print_string fmt "config ok"
+  | Multi_ok rs ->
+    Format.fprintf fmt "multi [%a]"
+      (Format.pp_print_list
+         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+         pp_op_result)
+      rs
   | Op_failed e -> Format.fprintf fmt "failed: %a" pp_op_error e

@@ -196,7 +196,7 @@ type t = {
   st : stats;
 }
 
-let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
+let create ?trace ?shard ?gclient ~name ~client ~env
     ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
   let shard =
     match shard with
@@ -255,7 +255,7 @@ let create ?trace ?shard ?gclient ?(persist_pool = []) ~name ~client ~env
     trace;
     wake_pending = false;
     wake_buf = Hashtbl.create 32;
-    persist = Persist.create ~sim ~name ~ns ~client ~pool:persist_pool;
+    persist = Persist.create ~name ~ns ~client;
     twopc =
       Twopc.create ?trace ~name ~gclient ~shard
         ~timeout:config.twopc_prepare_timeout
@@ -776,10 +776,9 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
           mark_started t txn ~locks;
           persist t txn;
           t.tree <- new_tree;
-          (* During a deferred drain the phyQ offer waits until the Started
-             record is flushed (record-before-offer).  A crash between
-             flush and offer leaves a Started record with no queue item —
-             recovery's re-offer covers exactly that window. *)
+          (* During a deferred drain the phyQ offer rides in the same
+             multi as the Started record, so neither is visible without
+             the other. *)
           Persist.offer t.persist txn.Txn.id;
           `Started
       end
@@ -798,11 +797,10 @@ let try_start t (txn : Txn.t) : Sched.attempt =
 let rec schedule t =
   t.wake_pending <- false;
   flush_wakes t;
-  (* The drain itself runs with persists deferred: every txn the pass
-     starts batches its Started record into one pooled flush, and the phyQ
-     offers follow only once those records are durable.  Participant
-     prepares opt out via [Persist.write_now] (the vote is the durability
-     promise). *)
+  (* The drain itself runs with persists deferred: the Started records of
+     every txn the pass starts and their phyQ offers commit as one multi.
+     Participant prepares opt out via [Persist.write_now] (the vote is the
+     durability promise). *)
   Persist.defer t.persist;
   Sched.drain t.sched ~attempt:(try_start t) ~on_spurious:(fun _ ->
       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1);
@@ -1263,19 +1261,17 @@ let run t () =
   if t.cfg.health.Health.enabled then
     spawn_duty t ~name:"health" ~interval:t.cfg.health.Health.poll_interval
       (regate_parked t);
-  t.procs <- List.rev_append (Persist.start_workers t.persist) t.procs;
   recover t;
   schedule t;
   (* Items already sitting in inputQ behind the one just processed are
      drained in the same pass (bounded burst) before the scheduler runs:
      a group-commit flush delivers many results back-to-back, and one
      batched wake pass over the whole burst replaces a scan per item.
-     Txn-record persists are deferred across the burst and flushed
-     through the session pool before the items are deleted, so the
-     process→persist→delete ordering a single-item pass guarantees still
-     holds at burst granularity (a crash mid-burst replays the items,
-     which processing dedups exactly as it did before). *)
-  let input_burst = Persist.input_burst t.persist in
+     Txn-record persists are deferred across the burst and commit in one
+     multi with the deletion of the items, so process→persist→delete
+     holds by atomicity (a crash before the multi replays the items,
+     which processing dedups). *)
+  let input_burst = 16 in
   while not t.stopped do
     if drain_twopc t || t.wake_pending then schedule t;
     match next_item t with
@@ -1284,7 +1280,7 @@ let run t () =
       Persist.defer t.persist;
       let need_schedule = ref (process_item t ~key ~payload) in
       let keys = ref [ key ] in
-      if input_burst > 1 && not t.stopped then begin
+      if not t.stopped then begin
         let queue = Proto.input_queue_ns t.ns in
         let backlog =
           List.filter (fun k -> k <> key) (Coord.Client.get_children t.client queue)
@@ -1303,11 +1299,10 @@ let run t () =
                 if process_item t ~key:k ~payload then need_schedule := true)
           (take (input_burst - 1) backlog)
       end;
-      Persist.release t.persist;
-      if not t.stopped then begin
-        Persist.delete_items t.persist (List.rev !keys);
-        if drain_twopc t || !need_schedule || t.wake_pending then schedule t
-      end
+      Persist.release t.persist ~deletes:(List.rev !keys);
+      if (not t.stopped)
+         && (drain_twopc t || !need_schedule || t.wake_pending)
+      then schedule t
   done
 
 let start t =
@@ -1319,6 +1314,5 @@ let crash t =
   t.leading <- false;
   List.iter Des.Proc.kill t.procs;
   t.procs <- [];
-  Persist.close t.persist;
   if t.gclient != t.client then Coord.Client.close t.gclient;
   Coord.Client.close t.client

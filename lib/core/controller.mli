@@ -117,11 +117,6 @@ type t
     and decision records (defaults to [client] — correct for shard 0 and
     for single-shard platforms).
 
-    [persist_pool] is a set of extra coordination sessions the controller
-    uses to overlap the txn-record writes of an input burst (they then
-    coalesce into shared replica-side group-commit batches); empty
-    (default) keeps every persist synchronous on [client].
-
     [stats] is the shard's counter record: every controller instance of
     one shard (leader, standbys and restarted ones) is given the same
     record, so counters and latency recorders survive fail-over. *)
@@ -129,7 +124,6 @@ val create :
   ?trace:Trace.t ->
   ?shard:Shard.t ->
   ?gclient:Coord.Client.t ->
-  ?persist_pool:Coord.Client.t list ->
   name:string ->
   client:Coord.Client.t ->
   env:Dsl.env ->

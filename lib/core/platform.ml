@@ -262,18 +262,9 @@ let connect_controller t sid cname =
            ~session_timeout:t.pspec.controller_session_timeout
            ~name:(cname ^ "-g") ())
   in
-  let persist_pool =
-    List.init
-      (max 0 t.pspec.persist_clients)
-      (fun i ->
-        Coord.Ensemble.connect t.ensembles.(sid)
-          ~session_timeout:t.pspec.controller_session_timeout
-          ~name:(Printf.sprintf "%s-p%d" cname i)
-          ())
-  in
   Controller.create ?trace:t.pspec.trace
     ~shard:(Shard.view t.pshard ~sid)
-    ?gclient ~persist_pool ~name:cname ~client ~env:t.penv
+    ?gclient ~name:cname ~client ~env:t.penv
     ~config:t.pspec.controller_config ~devices:t.pdevices
     ~device_roots:t.pdevice_roots ~sim:t.psim ~stats:t.stats.(sid) ()
 

@@ -27,11 +27,12 @@ type spec = {
   submit_clients : int;  (** client sessions the harness submits through *)
   client_slots : int;    (** coordination-service session slots *)
   persist_clients : int;
-      (** extra coordination sessions per controller used to overlap the
-          txn-record writes of an input burst so they coalesce into shared
-          group-commit batches; 0 (the default) keeps persists synchronous.
-          Each controller (re)start consumes [1 + persist_clients] client
-          slots. *)
+      (** ignored: opens no session.  A controller commits each state
+          transition as one atomic multi-op coordination command on its
+          own session, so it needs no persist-session pool; the field stays
+          until the benchmark workloads stop setting it.  Each controller
+          (re)start takes one client slot of its shard's ensemble, plus one
+          of shard 0's on the other shards (the 2PC session). *)
   worker_retry : Physical.retry_policy;
       (** per-action robustness policy every worker executes under *)
   trace : Trace.t option;

@@ -163,40 +163,53 @@ let execute_txn w txn_id =
          Some (outcome, exec)
        end)
 
-(* Take protocol: claim with an ephemeral executing-marker before deleting
-   the queue item, so a recovering controller never re-queues a transaction
-   some worker is already executing. *)
+(* Take protocol: one multi deletes the phyQ item and creates the
+   ephemeral executing marker, so a recovering controller never re-queues
+   a transaction some worker is executing.  The delete is versioned (an
+   item is version 1 until taken): a lost take race aborts the whole
+   multi, leaving nothing to withdraw.  A marker that already exists
+   belongs to another incarnation replaying the same transaction (a
+   re-offer raced it); aborting on it would leave the item at the queue
+   head for ever, so the take goes ahead with the item delete alone and no
+   claim of its own — the replay dedups through the resume cursor and the
+   record's state, as any concurrent replay does.  Returns whether the
+   item was taken, and whether the marker is ours. *)
+let take w ~key ~marker =
+  let take_item = Coord.Types.Op_delete { key; expect_version = Some 1 } in
+  let claim =
+    Coord.Types.Op_create
+      { key = marker; value = w.wname; ephemeral = true; sequential = false }
+  in
+  match Coord.Client.multi w.client [ take_item; claim ] with
+  | Ok _ -> Some true
+  | Error Coord.Types.Key_exists ->
+    (match Coord.Client.multi w.client [ take_item ] with
+     | Ok _ -> Some false
+     | Error _ -> None)
+  | Error _ -> None
+
 let take_and_run w (key, payload) =
-  (match int_of_string_opt payload with
-     | None -> ignore (Coord.Client.delete w.client ~key ())
-     | Some txn_id ->
-       let marker = Proto.executing_key_ns w.ns txn_id in
+  match int_of_string_opt payload with
+  | None -> ignore (Coord.Client.delete w.client ~key ())
+  | Some txn_id ->
+    let marker = Proto.executing_key_ns w.ns txn_id in
+    (match take w ~key ~marker with
+     | None -> () (* another worker won the take *)
+     | Some claimed ->
+       (* Finish in one multi: the result, the progress cursor's delete
+          and our marker's — a crash leaves either all of them or none. *)
+       let delete key = Coord.Types.Op_delete { key; expect_version = None } in
+       let report =
+         match execute_txn w txn_id with
+         | Some (outcome, exec) ->
+           [ Coord.Recipes.enqueue_op ~queue:(Proto.input_queue_ns w.ns)
+               (Proto.input_to_string (Proto.Result { txn_id; outcome; exec }));
+             delete (Proto.progress_key_ns w.ns txn_id) ]
+         | None -> []
+       in
        ignore
-         (Coord.Client.create w.client ~ephemeral:true ~key:marker ~value:w.wname ());
-       (match Coord.Client.delete w.client ~key () with
-        | Error _ ->
-          (* Another worker won the take; withdraw the claim if it is ours. *)
-          (match Coord.Client.get w.client marker with
-           | Some (owner, _) when String.equal owner w.wname ->
-             ignore (Coord.Client.delete w.client ~key:marker ())
-           | Some _ | None -> ())
-        | Ok () ->
-          (match execute_txn w txn_id with
-           | Some (outcome, exec) ->
-             ignore
-               (Coord.Recipes.enqueue w.client
-                  ~queue:(Proto.input_queue_ns w.ns)
-                  (Proto.input_to_string
-                     (Proto.Result { txn_id; outcome; exec })));
-             (* Result first, cursor second: a crash in between leaves a
-                stale cursor on a terminal transaction (harmless — it is
-                never replayed again), whereas the opposite order could
-                lose the cursor of a replay whose result never landed. *)
-             ignore
-               (Coord.Client.delete w.client
-                  ~key:(Proto.progress_key_ns w.ns txn_id) ())
-           | None -> ());
-          ignore (Coord.Client.delete w.client ~key:marker ())))
+         (Coord.Client.multi w.client
+            (report @ if claimed then [ delete marker ] else [])))
 
 let run w () =
   let queue = Proto.phy_queue_ns w.ns in

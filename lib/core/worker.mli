@@ -2,7 +2,10 @@
 
     Workers compete for transactions on phyQ, replay each execution log
     against the devices (checking for TERM/KILL signals between actions)
-    and report the outcome back to the controller through inputQ.
+    and report the outcome back to the controller through inputQ.  A take
+    is one atomic multi-op command (the phyQ item's delete and the
+    executing marker's create), and so is a finish (the result, the
+    progress cursor's delete and the marker's).
 
     In logical-only mode (paper §5) device calls are bypassed: the worker
     just models a small handling delay and reports success — the mode the

@@ -29,35 +29,54 @@ let needs_quoting s =
          | c -> Char.code c < 32 || Char.code c = 127)
        s
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let escaped_char = function
+  | '"' -> Some '"'
+  | '\\' -> Some '\\'
+  | '\n' -> Some 'n'
+  | '\t' -> Some 't'
+  | '\r' -> Some 'r'
+  | _ -> None
+
+(* Printed length, so [to_string] fills one exactly-sized buffer instead of
+   doubling a [Buffer] through megabytes of store snapshot. *)
+let rec printed_length = function
+  | Atom s when needs_quoting s ->
+    String.fold_left
+      (fun n c -> n + if escaped_char c = None then 1 else 2)
+      2 s
+  | Atom s -> String.length s
+  | List [] -> 2
+  | List xs ->
+    (* two parentheses and a space between neighbours: n + 1 separators *)
+    List.fold_left (fun n x -> n + 1 + printed_length x) 1 xs
 
 let to_string sexp =
-  let buf = Buffer.create 64 in
-  let rec go = function
-    | Atom s -> if needs_quoting s then escape buf s else Buffer.add_string buf s
-    | List xs ->
-      Buffer.add_char buf '(';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ' ';
-          go x)
-        xs;
-      Buffer.add_char buf ')'
+  let out = Bytes.create (printed_length sexp) in
+  let put pos c =
+    Bytes.unsafe_set out pos c;
+    pos + 1
   in
-  go sexp;
-  Buffer.contents buf
+  let rec go pos = function
+    | Atom s when needs_quoting s ->
+      put
+        (String.fold_left
+           (fun pos c ->
+             match escaped_char c with
+             | Some e -> put (put pos '\\') e
+             | None -> put pos c)
+           (put pos '"') s)
+        '"'
+    | Atom s ->
+      Bytes.blit_string s 0 out pos (String.length s);
+      pos + String.length s
+    | List [] -> put (put pos '(') ')'
+    | List (x :: xs) ->
+      put
+        (List.fold_left (fun pos x -> go (put pos ' ') x) (go (put pos '(') x) xs)
+        ')'
+  in
+  ignore (go 0 sexp);
+  Bytes.unsafe_to_string out
 
 let pp fmt sexp = Format.pp_print_string fmt (to_string sexp)
 

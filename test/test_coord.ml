@@ -103,6 +103,93 @@ let test_store_dedup () =
   check int_c "no second key created" 1 (Store.size s);
   check int_c "no changed keys on replay" 0 (List.length changed2)
 
+(* A multi whose last op fails leaves no trace: entries, the sequence
+   counter and the changed-key list are as if it never ran. *)
+let test_store_multi_all_or_none () =
+  let s = Store.create () in
+  ignore (Store.apply s (mk_create ~req:1 "/keep" "v"));
+  let failing =
+    Types.Multi
+      {
+        session = 1;
+        req = 2;
+        ops =
+          [ Types.Op_create
+              { key = "/q/item-"; value = "a"; ephemeral = false; sequential = true };
+            Types.Op_write { key = "/keep"; value = "w"; expect_version = None };
+            Types.Op_delete { key = "/gone"; expect_version = None };
+            Types.Op_delete { key = "/gone"; expect_version = Some 1 } ];
+      }
+  in
+  (match Store.apply s failing with
+   | Types.Op_failed Types.Key_missing, [] -> ()
+   | r, _ ->
+     Alcotest.failf "failing multi: %s"
+       (Format.asprintf "%a" Types.pp_op_result r));
+  check int_c "no entry added" 1 (Store.size s);
+  check (Alcotest.option (Alcotest.pair string_c int_c)) "write undone"
+    (Some ("v", 1)) (Store.get s "/keep");
+  let fresh = Store.create () in
+  let seq_key store =
+    match Store.apply store (mk_create ~req:3 ~sequential:true "/q/item-" "b") with
+    | Types.Created k, _ -> k
+    | _ -> Alcotest.fail "sequential create"
+  in
+  check string_c "sequence counter restored" (seq_key fresh) (seq_key s);
+  match
+    Store.apply s
+      (Types.Multi
+         {
+           session = 1;
+           req = 4;
+           ops =
+             [ Types.Op_delete { key = "/gone"; expect_version = None };
+               Types.Op_write { key = "/keep"; value = "w"; expect_version = Some 1 } ];
+         })
+  with
+  | Types.Multi_ok [ Types.Deleted_ok; Types.Written 2 ], [ "/keep" ] -> ()
+  | r, _ ->
+    Alcotest.failf "unconditional delete of a missing key is a no-op: %s"
+      (Format.asprintf "%a" Types.pp_op_result r)
+
+let multi_cmd ~req =
+  Types.Multi
+    {
+      session = 5;
+      req;
+      ops =
+        [ Types.Op_create
+            { key = "/q/item-"; value = "x"; ephemeral = false; sequential = true };
+          Types.Op_write { key = "/rec"; value = "r"; expect_version = None } ];
+    }
+
+let test_store_multi_dedup () =
+  let s = Store.create () in
+  let r1, changed1 = Store.apply s (multi_cmd ~req:7) in
+  let r2, changed2 = Store.apply s (multi_cmd ~req:7) in
+  (match r1 with
+   | Types.Multi_ok [ Types.Created _; Types.Written 1 ] -> ()
+   | r -> Alcotest.failf "multi: %s" (Format.asprintf "%a" Types.pp_op_result r));
+  check bool_c "retry answers the cached result" true (r1 = r2);
+  check int_c "first apply changed both keys" 2 (List.length changed1);
+  check int_c "retry changes nothing" 0 (List.length changed2);
+  check int_c "applied once" 2 (Store.size s)
+
+let test_store_multi_snapshot () =
+  let s = Store.create () in
+  let r1, _ = Store.apply s (multi_cmd ~req:3) in
+  match
+    Result.bind
+      (Data.Sexp.of_string (Data.Sexp.to_string (Store.to_sexp s)))
+      Store.of_sexp
+  with
+  | Error e -> Alcotest.fail e
+  | Ok restored ->
+    let r2, changed = Store.apply restored (multi_cmd ~req:3) in
+    check bool_c "cached Multi_ok survives the snapshot" true (r1 = r2);
+    check int_c "no re-apply after restore" 0 (List.length changed);
+    check int_c "same entries" (Store.size s) (Store.size restored)
+
 let test_store_parent () =
   check (Alcotest.option string_c) "parent" (Some "/a/b")
     (Store.parent "/a/b/c");
@@ -532,6 +619,85 @@ let test_chaos_single_crashes () =
     [ 101; 202; 303 ]
 
 
+(* Property: a multi is all or none across leader crashes.  A writer
+   submits multis of three keys, some ending in a precondition that fails;
+   a nemesis crashes the current leader and restarts it.  Afterwards every
+   multi has all of its keys or none, an acked success has all, an acked
+   failure none, and no sequential create applied twice. *)
+let multi_crash_prop =
+  QCheck.Test.make ~name:"multi is all-or-none across leader crashes"
+    ~count:60
+    QCheck.(pair (int_range 1 10_000) (list_of_size Gen.(int_range 10 30) bool))
+    (fun (seed, failing) ->
+      let ok = ref true in
+      Drive.ensemble ~seed (fun sim ens ->
+          let client = Ensemble.connect ens ~name:"multi-writer" () in
+          let outcomes = Hashtbl.create 16 in
+          let keys i = List.map (Printf.sprintf "/m/%03d/%s" i) [ "a"; "b" ] in
+          let inflight = ref false in
+          let writer =
+            Des.Proc.spawn ~name:"writer" sim (fun () ->
+                List.iteri
+                  (fun i fail ->
+                    let ops =
+                      List.map
+                        (fun key ->
+                          Types.Op_write { key; value = "v"; expect_version = None })
+                        (keys i)
+                      @ [ Types.Op_create
+                            { key = Printf.sprintf "/m/%03d/seq-" i; value = "s";
+                              ephemeral = false; sequential = true } ]
+                      @
+                      if fail then
+                        [ Types.Op_delete { key = "/absent"; expect_version = Some 1 } ]
+                      else []
+                    in
+                    inflight := true;
+                    Hashtbl.replace outcomes i (Client.multi client ops);
+                    inflight := false;
+                    Des.Proc.sleep 0.05)
+                  failing)
+          in
+          ignore
+            (Des.Proc.spawn ~name:"nemesis" sim (fun () ->
+                 (* Aim at the window that matters: a multi in flight, maybe
+                    replicated, maybe committed but not yet answered. *)
+                 let rng = Random.State.make [| seed |] in
+                 for _ = 1 to 4 do
+                   Des.Proc.sleep (0.2 +. Random.State.float rng 0.3);
+                   while not !inflight do Des.Proc.sleep 0.0005 done;
+                   Des.Proc.sleep (Random.State.float rng 0.005);
+                   match Ensemble.leader_id ens with
+                   | Some victim ->
+                     Ensemble.crash_replica ens victim;
+                     Des.Proc.sleep (0.5 +. Random.State.float rng 1.);
+                     Ensemble.restart_replica ens victim
+                   | None -> ()
+                 done));
+          (match Des.Proc.await writer with Ok () -> () | Error e -> raise e);
+          Des.Proc.sleep 5.;
+          List.iteri
+            (fun i fail ->
+              let present =
+                List.map (fun k -> Client.get client k <> None) (keys i)
+              in
+              let seqs =
+                List.length (Client.get_children client (Printf.sprintf "/m/%03d" i))
+                - List.length (List.filter Fun.id present)
+              in
+              let all = List.for_all Fun.id present
+              and none = not (List.exists Fun.id present) in
+              let consistent =
+                match Hashtbl.find_opt outcomes i with
+                | Some (Ok _) -> all && seqs = 1 && not fail
+                | Some (Error _) -> none && seqs = 0 && fail
+                | None -> (all && seqs = 1) || (none && seqs = 0)
+              in
+              if not consistent then ok := false)
+            failing;
+          Client.close client);
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Partitions: divergent logs must converge, acked writes must survive *)
 
@@ -817,6 +983,9 @@ let suite =
     ("store: ephemeral expiry", `Quick, test_store_ephemeral_expiry);
     ("store: request dedup", `Quick, test_store_dedup);
     ("store: parent", `Quick, test_store_parent);
+    ("store: multi is all or none", `Quick, test_store_multi_all_or_none);
+    ("store: multi retry answers the cached result", `Quick, test_store_multi_dedup);
+    ("store: multi result survives a snapshot", `Quick, test_store_multi_snapshot);
     ("ensemble: single leader elected", `Quick, test_single_leader_elected);
     ("client: kv roundtrip", `Quick, test_client_kv_roundtrip);
     ("ensemble: replicas converge", `Quick, test_replicas_converge);
@@ -833,6 +1002,7 @@ let suite =
     ("recipe: leader election", `Quick, test_election_recipe);
     QCheck_alcotest.to_alcotest store_model_prop;
     ("chaos: crashes lose no acked writes", `Slow, test_chaos_single_crashes);
+    QCheck_alcotest.to_alcotest multi_crash_prop;
     ("partition: minority leader steps down", `Quick, test_partitioned_leader_steps_down);
     ("partition: divergent log truncated", `Quick, test_divergent_log_truncated);
     ("compaction: log stays bounded", `Quick, test_compaction_bounds_log);

@@ -109,6 +109,80 @@ let sexp_roundtrip_prop =
       | Ok parsed -> Sexp.equal sexp parsed
       | Error _ -> false)
 
+(* The Buffer-based printer [Sexp.to_string] used before it learned to
+   size its output exactly; kept here as the oracle the exact printer must
+   match byte for byte. *)
+let buffer_to_string sexp =
+  let escape buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let needs_quoting s =
+    String.length s = 0
+    || String.exists
+         (fun c ->
+           match c with
+           | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' -> true
+           | c -> Char.code c < 32 || Char.code c = 127)
+         s
+  in
+  let buf = Buffer.create 64 in
+  let rec go = function
+    | Sexp.Atom s -> if needs_quoting s then escape buf s else Buffer.add_string buf s
+    | Sexp.List xs ->
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ' ';
+          go x)
+        xs;
+      Buffer.add_char buf ')'
+  in
+  go sexp;
+  Buffer.contents buf
+
+(* Atoms over every character class the printer treats specially. *)
+let tricky_sexp_gen =
+  let open QCheck.Gen in
+  let char_gen =
+    frequency
+      [ (4, char_range 'a' 'z');
+        (3, oneofl [ ' '; '\t'; '\n'; '\r'; '('; ')'; '"'; '\\'; ';' ]);
+        (1, map Char.chr (int_range 0 255)) ]
+  in
+  let atom_gen = map (fun s -> Sexp.Atom s) (string_size ~gen:char_gen (int_range 0 10)) in
+  sized (fun n ->
+      fix
+        (fun self n ->
+          if n <= 0 then atom_gen
+          else
+            frequency
+              [ (3, atom_gen);
+                (2, map (fun xs -> Sexp.List xs) (list_size (int_bound 5) (self (n / 2)))) ])
+        (min n 24))
+
+let sexp_exact_printer_prop =
+  QCheck.Test.make ~name:"sexp exact-size printer matches the buffer printer"
+    ~count:1000
+    (QCheck.make ~print:buffer_to_string tricky_sexp_gen)
+    (fun sexp ->
+      let printed = Sexp.to_string sexp in
+      String.equal printed (buffer_to_string sexp)
+      &&
+      match Sexp.of_string printed with
+      | Ok parsed -> Sexp.equal sexp parsed
+      | Error _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Value *)
 
@@ -617,6 +691,7 @@ let suite =
     ("sexp: line comments", `Quick, test_sexp_comments);
     ("sexp: assoc", `Quick, test_sexp_assoc);
     QCheck_alcotest.to_alcotest sexp_roundtrip_prop;
+    QCheck_alcotest.to_alcotest sexp_exact_printer_prop;
     QCheck_alcotest.to_alcotest sexp_fuzz_prop;
     QCheck_alcotest.to_alcotest value_roundtrip_prop;
     ("value: accessors", `Quick, test_value_accessors);

@@ -157,15 +157,30 @@ let test_hosting_mix_consistency () =
   let checked = assert_layers_consistent platform inv in
   check int_c "all devices checked" (List.length inv.Tcloud.Setup.devices) checked
 
+(* Where the device faults land follows the fault RNG's interleaving with
+   everything else, and with no repair sweeper a failed transaction
+   quarantines its host for the rest of the run, so one seed's commit
+   count is a lottery (anywhere from about 10 to 110 of the 150
+   operations).  Progress is therefore checked as a mean over a seed
+   range; consistency and aborts on every seed. *)
 let test_hosting_mix_chaos_consistency () =
-  let platform, inv, committed, aborted, _failed =
-    run_hosting_mix ~seed:33 ~fault_probability:0.04
+  let seeds = List.init 16 (fun i -> 20 + i) in
+  let committed =
+    List.fold_left
+      (fun total seed ->
+        let platform, inv, committed, aborted, _failed =
+          run_hosting_mix ~seed ~fault_probability:0.04
+        in
+        check bool_c (Printf.sprintf "seed %d: faults caused aborts" seed) true
+          (aborted > 0);
+        (* Unquarantined devices stay exactly consistent even under random
+           device faults: aborted transactions rolled back both layers. *)
+        ignore (assert_layers_consistent platform inv);
+        total + committed)
+      0 seeds
   in
-  check bool_c "faults caused aborts" true (aborted > 0);
-  check bool_c "still makes progress" true (committed > 50);
-  (* Unquarantined devices stay exactly consistent even under random
-     device faults: aborted transactions rolled back both layers. *)
-  ignore (assert_layers_consistent platform inv)
+  check bool_c "still makes progress (mean committed > 50)" true
+    (committed > 50 * List.length seeds)
 
 (* ------------------------------------------------------------------ *)
 (* Idempotent recovery under repeated controller crashes: no transaction

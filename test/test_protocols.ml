@@ -1,6 +1,6 @@
 (* The controller's protocol modules, each against a bare coordination
    ensemble (no platform): Twopc's decision record and codec, Persist's
-   deferred write path, and Recovery's replay. *)
+   deferred multi-op write path, and Recovery's replay. *)
 
 open Tropic
 
@@ -150,17 +150,9 @@ let test_ablated_record_stores_nothing () =
 
 let ns = Proto.default_ns
 
-let persist ?(pool = 2) ens =
+let persist ens =
   let client = Coord.Ensemble.connect ens ~name:"ctl" () in
-  let pool =
-    List.init pool (fun i ->
-        Coord.Ensemble.connect ens ~name:(Printf.sprintf "pool-%d" i) ())
-  in
-  let p =
-    Persist.create ~sim:(Coord.Ensemble.sim ens) ~name:"ctl" ~ns ~client ~pool
-  in
-  ignore (Persist.start_workers p);
-  p
+  Persist.create ~name:"ctl" ~ns ~client
 
 let record c id =
   Option.map
@@ -233,6 +225,123 @@ let test_offer_follows_record () =
       Alcotest.(check (list int)) "every offer seen" ids (List.sort compare !seen);
       Alcotest.(check (list int)) "no offer before its record" [] !violations)
 
+(* The leader's log holds one multi carrying both the Started record and
+   the phyQ item announcing it (and the consumed inputQ item's delete). *)
+let test_started_and_offer_share_an_entry () =
+  Drive.ensemble (fun _sim ens ->
+      let leader = Coord.Ensemble.replica ens (Coord.Ensemble.await_leader ens) in
+      let p = persist ens in
+      let t = txn 21 and item = Proto.input_queue_ns ns ^ "/item-0000000001" in
+      Persist.defer p;
+      t.Txn.state <- Txn.Started;
+      Persist.write p t;
+      Persist.offer p 21;
+      Persist.release p ~deletes:[ item ];
+      let record_key = Txn.record_key_ns ns 21 in
+      let phy_item = Proto.phy_queue_ns ns ^ "/item-" in
+      let carries (cmd : Coord.Types.cmd) =
+        match cmd with
+        | Coord.Types.Multi { ops; _ } ->
+          List.exists
+            (function
+              | Coord.Types.Op_write { key; _ } -> key = record_key
+              | _ -> false)
+            ops
+          && List.exists
+               (function
+                 | Coord.Types.Op_create { key; value; sequential = true; _ } ->
+                   key = phy_item && value = "21"
+                 | _ -> false)
+               ops
+          && List.mem (Coord.Types.Op_delete { key = item; expect_version = None }) ops
+        | _ -> false
+      in
+      let entries =
+        List.filter_map
+          (fun i -> Coord.Replica.entry leader i)
+          (List.init (Coord.Replica.last_log_index leader) (fun i -> i + 1))
+      in
+      Alcotest.(check int) "one entry carries record, offer and delete" 1
+        (List.length (List.filter carries entries));
+      Alcotest.(check bool_c) "no entry writes the record alone" false
+        (List.exists
+           (function
+             | Coord.Types.Write { key; _ } -> key = record_key
+             | _ -> false)
+           entries))
+
+(* ------------------------------------------------------------------ *)
+(* Worker take *)
+
+(* A Started txn offered to the phyQ, an optional executing marker planted
+   by another session, and one worker; returns once the phyQ drained and
+   a result landed, with the result count and the marker left behind. *)
+let run_take ~foreign_marker =
+  let results = ref 0 and marker_left = ref None in
+  Drive.ensemble (fun sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let c = Coord.Ensemble.connect ens ~name:"setup" () in
+      let other = Coord.Ensemble.connect ens ~name:"other-worker" () in
+      let p = persist ens in
+      let t = txn 31 in
+      t.Txn.state <- Txn.Started;
+      t.Txn.start_seq <- Some 1;
+      Persist.write_now p t;
+      let marker = Proto.executing_key_ns ns 31 in
+      if foreign_marker then
+        ignore
+          (Coord.Client.create other ~ephemeral:true ~key:marker
+             ~value:"worker-9" ());
+      Persist.offer p 31;
+      let w =
+        Worker.create ~ns ~name:"worker-0"
+          ~client:(Coord.Ensemble.connect ens ~name:"worker-0" ())
+          ~mode:(Worker.Logical_only 0.01) ~devices:(fun _ -> None) ~sim ()
+      in
+      Worker.start w;
+      let input = Proto.input_queue_ns ns and phy = Proto.phy_queue_ns ns in
+      let rec wait n =
+        if n = 0 then Alcotest.fail "the phyQ item never drained"
+        else if
+          Coord.Client.get_children c phy = []
+          && Coord.Client.get_children c input <> []
+        then ()
+        else begin
+          Des.Proc.sleep 0.1;
+          wait (n - 1)
+        end
+      in
+      wait 100;
+      Des.Proc.sleep 1.;
+      results :=
+        List.length
+          (List.filter
+             (fun key ->
+               match Coord.Client.get c key with
+               | Some (v, _) -> (
+                 match Proto.input_of_string v with
+                 | Ok (Proto.Result { txn_id = 31; _ }) -> true
+                 | _ -> false)
+               | None -> false)
+             (Coord.Client.get_children c input));
+      marker_left := Option.map fst (Coord.Client.get c marker);
+      Worker.crash w);
+  (!results, !marker_left)
+
+let test_take_claims_marker () =
+  let results, marker = run_take ~foreign_marker:false in
+  Alcotest.(check int) "exactly one result" 1 results;
+  Alcotest.(check (option string)) "own marker released at finish" None marker
+
+(* A marker already held by another worker must not wedge the item at the
+   queue head: the take goes ahead without a claim of its own, and leaves
+   the other worker's marker alone. *)
+let test_take_past_foreign_marker () =
+  let results, marker = run_take ~foreign_marker:true in
+  Alcotest.(check int) "exactly one result" 1 results;
+  Alcotest.(check (option string)) "foreign marker untouched" (Some "worker-9")
+    marker
+
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
@@ -267,10 +376,7 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
   let client = Coord.Ensemble.connect ens ~name:"leader" () in
   Alcotest.(check bool_c) "checkpoint written" true
     (Recovery.save_checkpoint client ~ns ~seq tree);
-  let persist =
-    Persist.create ~sim:(Coord.Ensemble.sim ens) ~name:"leader" ~ns ~client
-      ~pool:[]
-  in
+  let persist = Persist.create ~name:"leader" ~ns ~client in
   List.iter (Persist.write_now persist) records;
   let checkpoint_seq, tree = Recovery.load_checkpoint client ~ns in
   let records = Recovery.records ~name:"leader" client ~ns in
@@ -360,6 +466,15 @@ let () =
             `Quick test_deferred_record_written_once;
           Alcotest.test_case "no phyQ offer before its Started record" `Quick
             test_offer_follows_record;
+          Alcotest.test_case "Started record and phyQ item share a log entry"
+            `Quick test_started_and_offer_share_an_entry;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "take claims the marker, finish releases it"
+            `Quick test_take_claims_marker;
+          Alcotest.test_case "take goes past a foreign executing marker"
+            `Quick test_take_past_foreign_marker;
         ] );
       ( "recovery",
         [

@@ -205,36 +205,29 @@ let query c q =
 let get c key =
   match query c (Types.Get key) with
   | Types.Got entry -> entry
-  | Types.Children_are _ | Types.First_child_is _ | Types.First_child_value_is _
+  | Types.Children_are _ | Types.Children_values_are _
   | Types.Child_count _ | Types.Watch_set ->
     failwith "Coord.Client.get: bad query result"
 
 let get_children c prefix =
   match query c (Types.Children prefix) with
   | Types.Children_are keys -> keys
-  | Types.Got _ | Types.First_child_is _ | Types.First_child_value_is _
+  | Types.Got _ | Types.Children_values_are _
   | Types.Child_count _ | Types.Watch_set ->
     failwith "Coord.Client.get_children: bad query result"
 
-let first_child c prefix =
-  match query c (Types.First_child prefix) with
-  | Types.First_child_is k -> k
-  | Types.Got _ | Types.Children_are _ | Types.First_child_value_is _
+let children_values c prefix n =
+  match query c (Types.Children_values (prefix, n)) with
+  | Types.Children_values_are items -> items
+  | Types.Got _ | Types.Children_are _
   | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.first_child: bad query result"
-
-let first_child_value c prefix =
-  match query c (Types.First_child_value prefix) with
-  | Types.First_child_value_is r -> r
-  | Types.Got _ | Types.Children_are _ | Types.First_child_is _
-  | Types.Child_count _ | Types.Watch_set ->
-    failwith "Coord.Client.first_child_value: bad query result"
+    failwith "Coord.Client.children_values: bad query result"
 
 let count_children c prefix =
   match query c (Types.Count_children prefix) with
   | Types.Child_count n -> n
-  | Types.Got _ | Types.Children_are _ | Types.First_child_is _
-  | Types.First_child_value_is _ | Types.Watch_set ->
+  | Types.Got _ | Types.Children_are _
+  | Types.Children_values_are _ | Types.Watch_set ->
     failwith "Coord.Client.count_children: bad query result"
 
 let watch_key c key = ignore (query c (Types.Watch_key key))

@@ -28,6 +28,9 @@ val connect :
 val session_id : t -> int
 val name : t -> string
 
+(** The simulator the session runs on. *)
+val sim : t -> Des.Sim.t
+
 (** {1 Replicated updates} — block the calling process until the command
     commits; retried transparently across failures. *)
 
@@ -66,11 +69,9 @@ val remove_replica : t -> id:int -> (unit, Types.op_error) result
 val get : t -> string -> (string * int) option
 val get_children : t -> string -> string list
 
-(** Smallest direct child, without transferring the whole listing. *)
-val first_child : t -> string -> string option
-
-(** Smallest direct child together with its value, in one round trip. *)
-val first_child_value : t -> string -> (string * string) option
+(** The first [n] direct children in key order, each with its value, in
+    one round trip. *)
+val children_values : t -> string -> int -> (string * string) list
 
 val count_children : t -> string -> int
 

@@ -18,15 +18,10 @@ let enqueue_op ~queue value =
   Types.Op_create
     { key = item_prefix queue; value; ephemeral = false; sequential = true }
 
-let head_item client ~queue = Client.first_child client queue
-
 let peek client ~queue =
-  match head_item client ~queue with
-  | None -> None
-  | Some key ->
-    (match Client.get client key with
-     | Some (value, _) -> Some (key, value)
-     | None -> None)
+  match Client.children_values client queue 1 with
+  | item :: _ -> Some item
+  | [] -> None
 
 let queue_length client ~queue = Client.count_children client queue
 
@@ -43,8 +38,8 @@ let dequeue client ~queue ?timeout () =
     match deadline with None -> false | Some d -> Des.Proc.now () >= d
   in
   let rec loop () =
-    match Client.first_child_value client queue with
-    | Some (key, value) ->
+    match Client.children_values client queue 1 with
+    | (key, value) :: _ ->
       (match Client.delete client ~key () with
        | Ok () -> Some (key, value)
        | Error Types.Key_missing -> loop () (* lost the take race *)
@@ -52,12 +47,12 @@ let dequeue client ~queue ?timeout () =
          failwith
            (Printf.sprintf "Recipes.dequeue: %s"
               (Format.asprintf "%a" Types.pp_op_error e)))
-    | None ->
+    | [] ->
       if expired () then None
       else begin
         Client.watch_children client queue;
         (* Re-check: an item may have arrived before the watch was set. *)
-        if head_item client ~queue <> None then loop ()
+        if peek client ~queue <> None then loop ()
         else begin
           let wait = remaining () in
           if wait > 0. then ignore (Client.await_change client ~timeout:wait);

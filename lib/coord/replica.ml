@@ -777,16 +777,8 @@ let serve_query r src query =
   match query with
   | Types.Get key -> Types.Got (Store.get r.machine key)
   | Types.Children prefix -> Types.Children_are (Store.children r.machine prefix)
-  | Types.First_child prefix ->
-    Types.First_child_is (Store.first_child r.machine prefix)
-  | Types.First_child_value prefix ->
-    Types.First_child_value_is
-      (match Store.first_child r.machine prefix with
-       | None -> None
-       | Some key ->
-         (match Store.get r.machine key with
-          | Some (value, _) -> Some (key, value)
-          | None -> None))
+  | Types.Children_values (prefix, n) ->
+    Types.Children_values_are (Store.children_values r.machine prefix n)
   | Types.Count_children prefix ->
     Types.Child_count (Store.count_children r.machine prefix)
   | Types.Watch_key key ->

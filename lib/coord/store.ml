@@ -33,39 +33,30 @@ let get t key =
 let exists t key = Smap.mem key t.entries
 let size t = Smap.cardinal t.entries
 
-let children t prefix =
+(* The first [limit] direct children of [prefix] with their entries.  Smap
+   iterates in key order from the prefix, so the walk stops at the first key
+   past the prefix range, or once [limit] children are found. *)
+let direct_children t prefix limit =
   let prefix_slash = prefix ^ "/" in
   let plen = String.length prefix_slash in
-  let is_direct_child key =
-    String.length key > plen
-    && String.sub key 0 plen = prefix_slash
-    && not (String.contains_from key plen '/')
+  let rec collect seq n acc =
+    if n >= limit then List.rev acc
+    else
+      match Seq.uncons seq with
+      | Some ((key, e), rest)
+        when String.length key >= plen && String.sub key 0 plen = prefix_slash
+        ->
+        if String.length key > plen && not (String.contains_from key plen '/')
+        then collect rest (n + 1) ((key, e) :: acc)
+        else collect rest n acc
+      | Some _ | None -> List.rev acc
   in
-  (* Walk keys from the prefix upward; Smap iterates in order so we can stop
-     at the first key past the prefix range. *)
-  let rec collect seq acc =
-    match Seq.uncons seq with
-    | None -> List.rev acc
-    | Some ((key, _), rest) ->
-      if String.length key >= plen && String.sub key 0 plen = prefix_slash then
-        collect rest (if is_direct_child key then key :: acc else acc)
-      else if key > prefix_slash then List.rev acc
-      else collect rest acc
-  in
-  collect (Smap.to_seq_from prefix_slash t.entries) []
+  collect (Smap.to_seq_from prefix_slash t.entries) 0 []
 
-let first_child t prefix =
-  let prefix_slash = prefix ^ "/" in
-  let plen = String.length prefix_slash in
-  let rec scan seq =
-    match Seq.uncons seq with
-    | None -> None
-    | Some ((key, _), rest) ->
-      if String.length key >= plen && String.sub key 0 plen = prefix_slash then
-        if not (String.contains_from key plen '/') then Some key else scan rest
-      else None
-  in
-  scan (Smap.to_seq_from prefix_slash t.entries)
+let children t prefix = List.map fst (direct_children t prefix max_int)
+
+let children_values t prefix n =
+  List.map (fun (key, e) -> (key, e.value)) (direct_children t prefix n)
 
 let count_children t prefix = List.length (children t prefix)
 

@@ -34,8 +34,9 @@ val get : t -> string -> (string * int) option
     no further separator, returned as full keys in lexicographic order. *)
 val children : t -> string -> string list
 
-(* Smallest direct child of [prefix], if any — O(log n). *)
-val first_child : t -> string -> string option
+(** The first [n] direct children of [prefix] in key order, with their
+    values. *)
+val children_values : t -> string -> int -> (string * string) list
 
 (** Number of direct children of [prefix]. *)
 val count_children : t -> string -> int

@@ -73,8 +73,8 @@ type op_result =
 type query =
   | Get of string
   | Children of string            (* direct children of a key prefix *)
-  | First_child of string         (* smallest direct child, if any *)
-  | First_child_value of string   (* smallest child and its value *)
+  | Children_values of string * int
+      (* the first n direct children, in key order, with their values *)
   | Count_children of string
   | Watch_key of string           (* one-shot watch *)
   | Watch_children of string
@@ -86,8 +86,7 @@ type watch_event = { watched : string; kind : watch_kind }
 type query_result =
   | Got of (string * int) option  (* value, version *)
   | Children_are of string list
-  | First_child_is of string option
-  | First_child_value_is of (string * string) option
+  | Children_values_are of (string * string) list
   | Child_count of int
   | Watch_set
 

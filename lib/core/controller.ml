@@ -63,6 +63,7 @@ type stats = {
   mutable twopc_committed : int;
   mutable twopc_aborted : int;
   mutable twopc_prepares : int;
+  mutable take_conflicts : int;  (* worker takes that lost the race *)
   (* Per-phase latency recorders (sim seconds).  Fed from direct
      measurements — simulate and lock-wait controller-side, replay and
      undo from the worker's exec stats — so they work with no trace
@@ -111,6 +112,7 @@ let fresh_stats () =
     twopc_committed = 0;
     twopc_aborted = 0;
     twopc_prepares = 0;
+    take_conflicts = 0;
     simulate_lat = Metrics.Cdf.create ();
     lock_wait_lat = Metrics.Cdf.create ();
     replay_lat = Metrics.Cdf.create ();
@@ -147,7 +149,8 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.twopc_started <- into.twopc_started + src.twopc_started;
   into.twopc_committed <- into.twopc_committed + src.twopc_committed;
   into.twopc_aborted <- into.twopc_aborted + src.twopc_aborted;
-  into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares
+  into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares;
+  into.take_conflicts <- into.take_conflicts + src.take_conflicts
 
 
 type t = {
@@ -205,6 +208,7 @@ let create ?trace ?shard ?gclient ~name ~client ~env
   in
   let gclient = Option.value gclient ~default:client in
   let ns = Proto.ns_of_shard shard.Shard.sid in
+  let persist = Persist.create ~name ~ns ~client in
   let health = Health.create config.health in
   (* Breaker transitions feed the shard's counters, and the trace (system
      lane when no canary transaction is involved) when one is attached. *)
@@ -255,9 +259,13 @@ let create ?trace ?shard ?gclient ~name ~client ~env
     trace;
     wake_pending = false;
     wake_buf = Hashtbl.create 32;
-    persist = Persist.create ~name ~ns ~client;
+    persist;
     twopc =
-      Twopc.create ?trace ~name ~gclient ~shard
+      Twopc.create ?trace
+        ?barrier:
+          (if gclient == client then Some (fun () -> Persist.barrier persist)
+           else None)
+        ~name ~gclient ~shard
         ~timeout:config.twopc_prepare_timeout
         ~record:config.twopc_decision_record sim;
     leading = false;
@@ -417,7 +425,8 @@ let maybe_checkpoint t =
   | Some period when t.commits_since_checkpoint >= period && inflight t = 0 ->
     (* Deferred records must hit the store before the checkpoint prunes:
        a dirty record flushed after its key was pruned would resurrect a
-       terminal txn the checkpoint already folded in. *)
+       terminal txn the checkpoint already folded in.  The flush is also
+       the barrier the checkpoint write and the prune deletes need. *)
     Persist.flush t.persist;
     let seq = t.next_start_seq - 1 in
     if Recovery.save_checkpoint t.client ~ns:t.ns ~seq t.tree then begin
@@ -906,6 +915,7 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
       (* Clean up the signal marker, if one was ever written. *)
       if Hashtbl.mem t.signaled txn_id then begin
         Hashtbl.remove t.signaled txn_id;
+        Persist.barrier t.persist;
         ignore
           (Coord.Client.delete t.client ~key:(Proto.signal_key_ns t.ns txn_id)
              ())
@@ -941,6 +951,7 @@ let handle_signal t ~txn_id signal =
             (Printf.sprintf "signal %s before start" (Proto.signal_to_string signal)))
      | Txn.Started ->
        Hashtbl.replace t.signaled txn_id ();
+       Persist.barrier t.persist;
        ignore
          (Coord.Client.write t.client ~key:(Proto.signal_key_ns t.ns txn_id)
             ~value:(Proto.signal_to_string signal) ());
@@ -1111,20 +1122,31 @@ let process_item t ~key ~payload =
     handle_signal t ~txn_id signal;
     true
 
-(* Take the head of inputQ with process-then-delete semantics: if we crash
-   mid-processing the item is re-processed by the next leader, and every
-   handler above is idempotent. *)
-let next_item t =
+(* The items at the head of inputQ, at most [input_burst] of them, read in
+   one round trip with process-then-delete semantics: if we crash
+   mid-processing the items are re-processed by the next leader, and every
+   handler above is idempotent.  Items whose delete is queued or in flight
+   were processed already and are skipped.  Empty after waiting (up to a
+   second) for a change when nothing is there. *)
+let input_burst = 16
+
+let next_burst t =
   let queue = Proto.input_queue_ns t.ns in
-  match Coord.Client.first_child_value t.client queue with
-  | Some item -> Some item
-  | None ->
+  let read () =
+    Coord.Client.children_values t.client queue
+      (input_burst + Persist.deleting_count t.persist)
+    |> List.filter (fun (key, _) -> not (Persist.deleting t.persist key))
+    |> List.filteri (fun i _ -> i < input_burst)
+  in
+  match read () with
+  | _ :: _ as items -> items
+  | [] ->
     Coord.Client.watch_children t.client queue;
-    (match Coord.Client.first_child_value t.client queue with
-     | Some item -> Some item
-     | None ->
+    (match read () with
+     | _ :: _ as items -> items
+     | [] ->
        ignore (Coord.Client.await_change t.client ~timeout:1.0);
-       None)
+       [])
 
 (* A leader duty: every [interval], while this instance leads. *)
 let spawn_duty t ~name ~interval duty =
@@ -1139,6 +1161,7 @@ let spawn_duty t ~name ~interval duty =
 (* Controls go through inputQ like any item, so they serialize with
    transaction processing (and survive into the next leader's replay). *)
 let enqueue_control t control =
+  Persist.barrier t.persist;
   ignore
     (Coord.Recipes.enqueue t.client ~queue:(Proto.input_queue_ns t.ns)
        (Proto.input_to_string (Proto.Control control)))
@@ -1263,51 +1286,34 @@ let run t () =
       (regate_parked t);
   recover t;
   schedule t;
-  (* Items already sitting in inputQ behind the one just processed are
-     drained in the same pass (bounded burst) before the scheduler runs:
-     a group-commit flush delivers many results back-to-back, and one
-     batched wake pass over the whole burst replaces a scan per item.
-     Txn-record persists are deferred across the burst and commit in one
-     multi with the deletion of the items, so process→persist→delete
-     holds by atomicity (a crash before the multi replays the items,
-     which processing dedups). *)
-  let input_burst = 16 in
+  (* A whole burst is processed in one pass before the scheduler runs: a
+     group-commit flush delivers many results back-to-back, and one batched
+     wake pass over the burst replaces a scan per item.  Txn-record
+     persists are deferred across the burst and released in one window
+     with the deletion of the items, so process→persist→delete holds by
+     atomicity (a crash before the window is durable replays the items,
+     which processing dedups).  The release does not wait: the next pass
+     reads inputQ while the writer sends this one. *)
   while not t.stopped do
     if drain_twopc t || t.wake_pending then schedule t;
-    match next_item t with
-    | None -> ()
-    | Some (key, payload) ->
+    match next_burst t with
+    | [] -> ()
+    | items ->
       Persist.defer t.persist;
-      let need_schedule = ref (process_item t ~key ~payload) in
-      let keys = ref [ key ] in
-      if not t.stopped then begin
-        let queue = Proto.input_queue_ns t.ns in
-        let backlog =
-          List.filter (fun k -> k <> key) (Coord.Client.get_children t.client queue)
-        in
-        let rec take n = function
-          | x :: tl when n > 0 -> x :: take (n - 1) tl
-          | _ -> []
-        in
-        List.iter
-          (fun k ->
-            if not t.stopped then
-              match Coord.Client.get t.client k with
-              | None -> ()
-              | Some (payload, _) ->
-                keys := k :: !keys;
-                if process_item t ~key:k ~payload then need_schedule := true)
-          (take (input_burst - 1) backlog)
-      end;
-      Persist.release t.persist ~deletes:(List.rev !keys);
+      let need_schedule =
+        List.fold_left
+          (fun need (key, payload) -> process_item t ~key ~payload || need)
+          false items
+      in
+      Persist.release t.persist ~deletes:(List.map fst items);
       if (not t.stopped)
-         && (drain_twopc t || !need_schedule || t.wake_pending)
+         && (drain_twopc t || need_schedule || t.wake_pending)
       then schedule t
   done
 
 let start t =
   let p = Des.Proc.spawn ~name:t.cname t.sim (run t) in
-  t.procs <- [ p ]
+  t.procs <- [ p; Persist.start t.persist ]
 
 let crash t =
   t.stopped <- true;

@@ -91,6 +91,7 @@ type stats = {
   mutable twopc_committed : int;  (** decision records created as Commit *)
   mutable twopc_aborted : int;    (** cross-shard coordinations aborted *)
   mutable twopc_prepares : int;   (** participant votes cast (ok = true) *)
+  mutable take_conflicts : int;   (** worker phyQ takes that lost the race *)
   simulate_lat : Metrics.Cdf.t;
       (** per-attempt logical simulation + CPU-model time *)
   lock_wait_lat : Metrics.Cdf.t;

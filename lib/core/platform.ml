@@ -268,10 +268,17 @@ let connect_controller t sid cname =
     ~config:t.pspec.controller_config ~devices:t.pdevices
     ~device_roots:t.pdevice_roots ~sim:t.psim ~stats:t.stats.(sid) ()
 
-let connect_worker t sid wname =
+(* Slot [i] serves shard [i / workers] at rank [i mod workers]; a restart
+   reuses the slot, so it keeps the rank. *)
+let connect_worker t i wname =
+  let sid = i / t.pspec.workers in
   let client = Coord.Ensemble.connect t.ensembles.(sid) ~name:wname () in
+  let st = t.stats.(sid) in
   Worker.create ~retry:t.pspec.worker_retry ?trace:t.pspec.trace
-    ~ns:(Proto.ns_of_shard sid) ~name:wname ~client
+    ~ns:(Proto.ns_of_shard sid) ~rank:(i mod t.pspec.workers)
+    ~on_conflict:(fun () ->
+      st.Controller.take_conflicts <- st.Controller.take_conflicts + 1)
+    ~name:wname ~client
     ~mode:(worker_mode t.pspec.mode) ~devices:t.pdevices ~sim:t.psim ()
 
 let create pspec env ~initial_tree ~devices psim =
@@ -324,9 +331,7 @@ let create pspec env ~initial_tree ~devices psim =
   let work =
     Array.init
       (pspec.shards * pspec.workers)
-      (fun i ->
-        let sid = i / pspec.workers in
-        connect_worker t sid (Printf.sprintf "worker-%d" i))
+      (fun i -> connect_worker t i (Printf.sprintf "worker-%d" i))
   in
   let t = { t with control; work } in
   (* Watch-event dispatcher: wake every awaiter registered on the key a
@@ -517,8 +522,6 @@ let kill_worker t i = Worker.crash t.work.(i)
    a fresh instance (new session — the old ephemeral executing markers die
    with the crashed session) under the same name and slot. *)
 let restart_worker t i =
-  let wname = Worker.name t.work.(i) in
-  let sid = i / t.pspec.workers in
-  let w = connect_worker t sid wname in
+  let w = connect_worker t i (Worker.name t.work.(i)) in
   t.work.(i) <- w;
   Worker.start w

@@ -164,6 +164,7 @@ type part = {
 type t = {
   name : string;
   gclient : Coord.Client.t;
+  barrier : unit -> unit;  (* runs before every write on [gclient] *)
   shard : Shard.t;
   timeout : float;
   record : bool;
@@ -177,10 +178,12 @@ type t = {
   mutable recovered_terminal : Txn.t list;
 }
 
-let create ?trace ~name ~gclient ~shard ~timeout ~record sim =
+let create ?trace ?(barrier = ignore) ~name ~gclient ~shard ~timeout ~record
+    sim =
   {
     name;
     gclient;
+    barrier;
     shard;
     timeout;
     record;
@@ -199,6 +202,7 @@ let instant t ~txn name =
   Option.iter (fun tr -> Trace.instant tr ~txn ~cat:"2pc" ~name ()) t.trace
 
 let send t ~shard msg =
+  t.barrier ();
   ignore
     (Coord.Recipes.enqueue t.gclient ~queue:(queue shard) (msg_to_string msg))
 
@@ -235,19 +239,23 @@ let read_decision t gid =
 
 let propose t gid proposal =
   if not t.record then proposal
-  else
+  else begin
+    t.barrier ();
     match
       Coord.Client.create t.gclient ~key:(decision_key gid)
         ~value:(decision_to_string proposal) ()
     with
     | Ok _ -> proposal
     | Error _ -> Option.value (read_decision t gid) ~default:proposal
+  end
 
 let write_finish t gid verdict =
-  if t.record then
+  if t.record then begin
+    t.barrier ();
     ignore
       (Coord.Client.create t.gclient ~key:(finish_key gid)
          ~value:(verdict_to_string verdict) ())
+  end
 
 let read_finish t gid =
   Option.map
@@ -647,9 +655,9 @@ let drain t ~txns ~local =
     let progressed = ref (resolve_recovered t ~local) in
     let mailbox = queue (sid t) in
     let rec loop () =
-      match Coord.Client.first_child_value t.gclient mailbox with
-      | None -> ()
-      | Some (key, payload) ->
+      match Coord.Client.children_values t.gclient mailbox 1 with
+      | [] -> ()
+      | (key, payload) :: _ ->
         let moved =
           match msg_of_string payload with
           | Error reason ->
@@ -665,6 +673,7 @@ let drain t ~txns ~local =
             handle_finish t ~txns ~local ~gid ~verdict
         in
         if moved then progressed := true;
+        t.barrier ();
         ignore (Coord.Client.delete t.gclient ~key ());
         loop ()
     in

@@ -60,9 +60,12 @@ val decision_of_string : string -> (decision, string) result
 type t
 
 (** [record = false] is the ablation that never writes or reads the
-    decision record. *)
+    decision record.  [barrier] (default none) runs before every write on
+    [gclient]: the controller passes {!Persist.barrier} when [gclient] is
+    its own session. *)
 val create :
   ?trace:Trace.t ->
+  ?barrier:(unit -> unit) ->
   name:string ->
   gclient:Coord.Client.t ->
   shard:Shard.t ->

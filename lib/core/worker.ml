@@ -6,6 +6,7 @@ type mode = Full | Logical_only of float
 
 type t = {
   wname : string;
+  rank : int;
   client : Coord.Client.t;
   ns : string;
   mode : mode;
@@ -13,14 +14,16 @@ type t = {
   sim : Des.Sim.t;
   retry : Physical.retry_policy;
   trace : Trace.t option;
+  on_conflict : unit -> unit;
   mutable stopped : bool;
   mutable procs : Des.Proc.t list;
 }
 
-let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
-    ~client ~mode ~devices ~sim () =
+let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns)
+    ?(rank = 0) ?(on_conflict = ignore) ~name ~client ~mode ~devices ~sim () =
   {
     wname = name;
+    rank;
     client;
     ns;
     mode;
@@ -28,6 +31,7 @@ let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns) ~name
     sim;
     retry;
     trace;
+    on_conflict;
     stopped = false;
     procs = [];
   }
@@ -188,39 +192,54 @@ let take w ~key ~marker =
      | Error _ -> None)
   | Error _ -> None
 
-let take_and_run w (key, payload) =
-  match int_of_string_opt payload with
-  | None -> ignore (Coord.Client.delete w.client ~key ())
-  | Some txn_id ->
-    let marker = Proto.executing_key_ns w.ns txn_id in
-    (match take w ~key ~marker with
-     | None -> () (* another worker won the take *)
-     | Some claimed ->
-       (* Finish in one multi: the result, the progress cursor's delete
-          and our marker's — a crash leaves either all of them or none. *)
-       let delete key = Coord.Types.Op_delete { key; expect_version = None } in
-       let report =
-         match execute_txn w txn_id with
-         | Some (outcome, exec) ->
-           [ Coord.Recipes.enqueue_op ~queue:(Proto.input_queue_ns w.ns)
-               (Proto.input_to_string (Proto.Result { txn_id; outcome; exec }));
-             delete (Proto.progress_key_ns w.ns txn_id) ]
-         | None -> []
-       in
-       ignore
-         (Coord.Client.multi w.client
-            (report @ if claimed then [ delete marker ] else [])))
+(* Run the item just taken ([claimed]: the executing marker is ours) and
+   finish in one multi: the result, the progress cursor's delete and our
+   marker's — a crash leaves either all of them or none. *)
+let run_taken w txn_id ~marker ~claimed =
+  let delete key = Coord.Types.Op_delete { key; expect_version = None } in
+  let report =
+    match execute_txn w txn_id with
+    | Some (outcome, exec) ->
+      [ Coord.Recipes.enqueue_op ~queue:(Proto.input_queue_ns w.ns)
+          (Proto.input_to_string (Proto.Result { txn_id; outcome; exec }));
+        delete (Proto.progress_key_ns w.ns txn_id) ]
+    | None -> []
+  in
+  ignore
+    (Coord.Client.multi w.client
+       (report @ if claimed then [ delete marker ] else []))
+
+(* Herd-free take: worker [rank] tries the [rank]-th oldest item first and
+   then the older ones, moving to the next candidate on a lost race rather
+   than re-reading the head, so W workers spread over the W oldest items and
+   the oldest is always someone's last resort.  Returns once one item was
+   run (or junk dropped), or every candidate was lost. *)
+let rec take_first w = function
+  | [] -> ()
+  | (key, payload) :: older ->
+    (match int_of_string_opt payload with
+     | None -> ignore (Coord.Client.delete w.client ~key ())
+     | Some txn_id ->
+       let marker = Proto.executing_key_ns w.ns txn_id in
+       (match take w ~key ~marker with
+        | Some claimed -> run_taken w txn_id ~marker ~claimed
+        | None ->
+          w.on_conflict ();
+          take_first w older))
 
 let run w () =
   let queue = Proto.phy_queue_ns w.ns in
+  let candidates () =
+    List.rev (Coord.Client.children_values w.client queue (w.rank + 1))
+  in
   while not w.stopped do
-    match Coord.Client.first_child_value w.client queue with
-    | Some item -> take_and_run w item
-    | None ->
+    match candidates () with
+    | _ :: _ as items -> take_first w items
+    | [] ->
       Coord.Client.watch_children w.client queue;
-      (match Coord.Client.first_child_value w.client queue with
-       | Some item -> take_and_run w item
-       | None -> ignore (Coord.Client.await_change w.client ~timeout:1.0))
+      (match candidates () with
+       | _ :: _ as items -> take_first w items
+       | [] -> ignore (Coord.Client.await_change w.client ~timeout:1.0))
   done
 
 let start w =

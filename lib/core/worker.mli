@@ -7,6 +7,11 @@
     executing marker's create), and so is a finish (the result, the
     progress cursor's delete and the marker's).
 
+    Takes are herd-free: a worker of rank [r] reads the [r + 1] oldest
+    phyQ items in one round trip, tries the [r]-th first and then the
+    older ones, and on a lost race moves to the next candidate instead of
+    re-reading the head.
+
     In logical-only mode (paper §5) device calls are bypassed: the worker
     just models a small handling delay and reports success — the mode the
     performance evaluation (Figs. 4, 5) runs in. *)
@@ -23,11 +28,15 @@ type t
     [Full] mode) for every transaction this worker executes.  [ns] is the
     shard namespace whose queues this worker serves (default
     {!Proto.default_ns}); [client] must connect to that shard's
-    coordination ensemble. *)
+    coordination ensemble.  [rank] (default 0) is the worker's index in
+    its shard's pool, kept across restarts; [on_conflict] is called on
+    every take that lost the race. *)
 val create :
   ?retry:Physical.retry_policy ->
   ?trace:Trace.t ->
   ?ns:string ->
+  ?rank:int ->
+  ?on_conflict:(unit -> unit) ->
   name:string ->
   client:Coord.Client.t ->
   mode:mode ->

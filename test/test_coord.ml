@@ -80,6 +80,21 @@ let test_store_children_direct_only () =
   check (Alcotest.list string_c) "direct children" [ "/q/a"; "/q/b" ]
     (Store.children s "/q")
 
+let test_store_children_values () =
+  let s = Store.create () in
+  List.iteri
+    (fun i (key, value) ->
+      ignore (Store.apply s (mk_create ~req:(i + 1) key value)))
+    [ ("/q/c", "3"); ("/q/a", "1"); ("/q/a/nested", "x"); ("/q/b", "2");
+      ("/qq/d", "4") ];
+  let pairs = Alcotest.(list (pair string_c string_c)) in
+  check pairs "first two, in key order" [ ("/q/a", "1"); ("/q/b", "2") ]
+    (Store.children_values s "/q" 2);
+  check pairs "all when n exceeds them"
+    [ ("/q/a", "1"); ("/q/b", "2"); ("/q/c", "3") ]
+    (Store.children_values s "/q" 10);
+  check pairs "none for n = 0" [] (Store.children_values s "/q" 0)
+
 let test_store_ephemeral_expiry () =
   let s = Store.create () in
   ignore (Store.apply s (mk_create ~session:5 ~ephemeral:true "/e1" "x"));
@@ -279,6 +294,20 @@ let test_watch_children_fires () =
       check bool_c "child watch fired" true (Client.await_change c ~timeout:5.);
       Client.close c;
       Client.close w)
+
+(* The head items of a queue with their values, in one query. *)
+let test_client_children_values () =
+  Drive.ensemble (fun _sim ens ->
+      let c = Ensemble.connect ens ~name:"reader" () in
+      let keys =
+        List.map (fun v -> Recipes.enqueue c ~queue:"/jobs" v) [ "a"; "b"; "c" ]
+      in
+      check
+        Alcotest.(list (pair string_c string_c))
+        "two oldest items"
+        [ (List.nth keys 0, "a"); (List.nth keys 1, "b") ]
+        (Client.children_values c "/jobs" 2);
+      Client.close c)
 
 let test_ephemeral_expires_on_close () =
   Drive.ensemble (fun _sim ens ->
@@ -980,6 +1009,7 @@ let suite =
     ("store: versions and CAS", `Quick, test_store_versions);
     ("store: upsert", `Quick, test_store_upsert);
     ("store: direct children only", `Quick, test_store_children_direct_only);
+    ("store: first n children with values", `Quick, test_store_children_values);
     ("store: ephemeral expiry", `Quick, test_store_ephemeral_expiry);
     ("store: request dedup", `Quick, test_store_dedup);
     ("store: parent", `Quick, test_store_parent);
@@ -991,6 +1021,7 @@ let suite =
     ("ensemble: replicas converge", `Quick, test_replicas_converge);
     ("watch: key", `Quick, test_watch_key_fires);
     ("watch: children", `Quick, test_watch_children_fires);
+    ("client: children with values in one query", `Quick, test_client_children_values);
     ("session: ephemeral expires on close", `Quick, test_ephemeral_expires_on_close);
     ("session: graceful disconnect is immediate", `Quick, test_graceful_disconnect_immediate);
     ("failover: no committed writes lost", `Quick, test_leader_crash_no_committed_loss);

@@ -1,6 +1,7 @@
 (* The controller's protocol modules, each against a bare coordination
-   ensemble (no platform): Twopc's decision record and codec, Persist's
-   deferred multi-op write path, and Recovery's replay. *)
+   ensemble: Twopc's decision record and codec, Persist's deferred,
+   non-blocking multi-op write path, the worker's take, and Recovery's
+   replay — plus the platform-level guarantees the write path must keep. *)
 
 open Tropic
 
@@ -150,9 +151,12 @@ let test_ablated_record_stores_nothing () =
 
 let ns = Proto.default_ns
 
+(* A write path with its writer running, as a leading controller has. *)
 let persist ens =
   let client = Coord.Ensemble.connect ens ~name:"ctl" () in
-  Persist.create ~name:"ctl" ~ns ~client
+  let p = Persist.create ~name:"ctl" ~ns ~client in
+  ignore (Persist.start p);
+  p
 
 let record c id =
   Option.map
@@ -179,6 +183,8 @@ let test_deferred_record_written_once () =
         (record c 7 = None);
       Alcotest.(check int) "one pending write" 1 (Persist.unfinished p);
       Persist.release p;
+      Alcotest.(check int) "queued until acked" 1 (Persist.unfinished p);
+      Persist.barrier p;
       Alcotest.(check bool_c) "one write, latest state" true
         (record c 7 = Some (Txn.Started, 1));
       Alcotest.(check int) "nothing pending" 0 (Persist.unfinished p))
@@ -237,6 +243,7 @@ let test_started_and_offer_share_an_entry () =
       Persist.write p t;
       Persist.offer p 21;
       Persist.release p ~deletes:[ item ];
+      Persist.barrier p;
       let record_key = Txn.record_key_ns ns 21 in
       let phy_item = Proto.phy_queue_ns ns ^ "/item-" in
       let carries (cmd : Coord.Types.cmd) =
@@ -269,6 +276,71 @@ let test_started_and_offer_share_an_entry () =
              | Coord.Types.Write { key; _ } -> key = record_key
              | _ -> false)
            entries))
+
+(* Record keys of the txns each committed multi writes, in log order. *)
+let multi_records leader =
+  List.filter_map
+    (fun i ->
+      match Coord.Replica.entry leader i with
+      | Some (Coord.Types.Multi { ops; _ }) ->
+        (match
+           List.filter_map
+             (function
+               | Coord.Types.Op_write { key; _ } -> Some key
+               | Coord.Types.Op_create _ | Coord.Types.Op_delete _ -> None)
+             ops
+         with
+         | [] -> None
+         | keys -> Some keys)
+      | Some _ | None -> None)
+    (List.init (Coord.Replica.last_log_index leader) (fun i -> i + 1))
+
+(* While one multi is in flight, two more windows are released: they go
+   out together as the next command, each window's ops in release order
+   (not id order), and nothing counts as finished before its ack. *)
+let test_releases_merge_while_in_flight () =
+  Drive.ensemble (fun _sim ens ->
+      let leader = Coord.Ensemble.replica ens (Coord.Ensemble.await_leader ens) in
+      let p = persist ens in
+      let window id =
+        Persist.defer p;
+        let t = txn id in
+        t.Txn.state <- Txn.Accepted;
+        Persist.write p t;
+        Persist.release p
+      in
+      window 10;
+      Des.Proc.sleep 0.0001;
+      Alcotest.(check int) "first window in flight" 1 (Persist.unfinished p);
+      window 12;
+      window 11;
+      Alcotest.(check int) "in flight plus queued" 3 (Persist.unfinished p);
+      Persist.barrier p;
+      Alcotest.(check int) "all acked" 0 (Persist.unfinished p);
+      let key = Txn.record_key_ns ns in
+      Alcotest.(check (list (list string)))
+        "two commands, the later windows merged in release order"
+        [ [ key 10 ]; [ key 12; key 11 ] ]
+        (multi_records leader))
+
+(* A deleted key is reported as deleting from release until its ack. *)
+let test_deletes_tracked_until_acked () =
+  Drive.ensemble (fun _sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let p = persist ens in
+      let c = Coord.Ensemble.connect ens ~name:"setup" () in
+      let item =
+        Coord.Recipes.enqueue c ~queue:(Proto.input_queue_ns ns) "junk"
+      in
+      Persist.defer p;
+      Persist.release p ~deletes:[ item ];
+      Alcotest.(check bool_c) "deleting once released" true
+        (Persist.deleting p item);
+      Alcotest.(check int) "one delete pending" 1 (Persist.deleting_count p);
+      Persist.barrier p;
+      Alcotest.(check bool_c) "not deleting once acked" false
+        (Persist.deleting p item);
+      Alcotest.(check bool_c) "item gone" true (Coord.Client.get c item = None))
 
 (* ------------------------------------------------------------------ *)
 (* Worker take *)
@@ -342,6 +414,59 @@ let test_take_past_foreign_marker () =
   Alcotest.(check (option string)) "foreign marker untouched" (Some "worker-9")
     marker
 
+(* Four Started txns on the phyQ and four workers of ranks 0-3 started at
+   once: each takes a different item, so no take loses a race. *)
+let test_workers_take_distinct_items () =
+  let conflicts = ref 0 and results = ref [] in
+  Drive.ensemble (fun sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let c = Coord.Ensemble.connect ens ~name:"setup" () in
+      let p = persist ens in
+      let ids = [ 41; 42; 43; 44 ] in
+      Persist.defer p;
+      List.iter
+        (fun id ->
+          let t = txn id in
+          t.Txn.state <- Txn.Started;
+          t.Txn.start_seq <- Some id;
+          Persist.write p t;
+          Persist.offer p id)
+        ids;
+      Persist.release p;
+      Persist.barrier p;
+      let workers =
+        List.init 4 (fun rank ->
+            let name = Printf.sprintf "worker-%d" rank in
+            Worker.create ~ns ~rank
+              ~on_conflict:(fun () -> incr conflicts)
+              ~name ~client:(Coord.Ensemble.connect ens ~name ())
+              ~mode:(Worker.Logical_only 0.01) ~devices:(fun _ -> None) ~sim ())
+      in
+      List.iter Worker.start workers;
+      let input = Proto.input_queue_ns ns in
+      let rec wait n =
+        if n = 0 then Alcotest.fail "the results never arrived"
+        else if List.length (Coord.Client.get_children c input) < 4 then begin
+          Des.Proc.sleep 0.05;
+          wait (n - 1)
+        end
+      in
+      wait 100;
+      results :=
+        List.filter_map
+          (fun key ->
+            match Coord.Client.get c key with
+            | Some (v, _) -> (
+              match Proto.input_of_string v with
+              | Ok (Proto.Result { txn_id; _ }) -> Some txn_id
+              | _ -> None)
+            | None -> None)
+          (Coord.Client.get_children c input);
+      List.iter Worker.crash workers);
+  Alcotest.(check (list int)) "four distinct takes" [ 41; 42; 43; 44 ]
+    (List.sort compare !results);
+  Alcotest.(check int) "no lost race" 0 !conflicts
+
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
@@ -377,6 +502,7 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
   Alcotest.(check bool_c) "checkpoint written" true
     (Recovery.save_checkpoint client ~ns ~seq tree);
   let persist = Persist.create ~name:"leader" ~ns ~client in
+  ignore (Persist.start persist);
   List.iter (Persist.write_now persist) records;
   let checkpoint_seq, tree = Recovery.load_checkpoint client ~ns in
   let records = Recovery.records ~name:"leader" client ~ns in
@@ -447,6 +573,162 @@ let test_cross_coordinator_replays_own_slice () =
         (Data.Tree.equal (subtree moved 0) (subtree base 0)))
 
 (* ------------------------------------------------------------------ *)
+(* Platform runs on the non-blocking writer *)
+
+let host_args h =
+  let host = host h and vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
+  ( ("startVM", Tcloud.Procs.start_vm_args ~host ~vm),
+    ("stopVM", Tcloud.Procs.stop_vm_args ~host ~vm) )
+
+(* One shard of [hosts] compute hosts, one prepopulated (stopped) VM each. *)
+let platform ?(controllers = 1) ?(mode = Platform.Full) ~seed ~hosts () =
+  let sim = Des.Sim.create ~seed () in
+  let size =
+    { Tcloud.Setup.small with
+      Tcloud.Setup.compute_hosts = hosts;
+      prepopulated_vms_per_host = 1 }
+  in
+  let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) size in
+  let p =
+    Platform.create
+      { Platform.default_spec with
+        Platform.controllers;
+        workers = 4;
+        mode;
+        controller_config = Tcloud.Setup.controller_config;
+        controller_session_timeout = 1.0;
+        submit_clients = hosts }
+      inv.Tcloud.Setup.env ~initial_tree:inv.Tcloud.Setup.tree
+      ~devices:inv.Tcloud.Setup.devices sim
+  in
+  (sim, inv, p)
+
+let run_platform sim p body =
+  let quiesced = Platform.run p body in
+  (match Des.Sim.failures sim with
+   | [] -> ()
+   | (who, exn) :: _ ->
+     Alcotest.failf "process %s crashed: %s" who (Printexc.to_string exn));
+  quiesced
+
+(* The run is driven to quiescence without awaiting a single txn, so it
+   is quiescence alone that must wait for the writer: every record in the
+   store says Committed, and both queues are empty. *)
+let test_quiescence_waits_for_writes () =
+  let sim, _inv, p = platform ~mode:(Platform.Logical_only 0.002) ~seed:3 ~hosts:8 () in
+  let ids = ref [] in
+  Alcotest.(check bool_c) "quiesced" true
+    (run_platform sim p (fun () ->
+         ids :=
+           List.init 8 (fun h ->
+               let proc, args = fst (host_args h) in
+               Platform.submit p ~proc ~args)));
+  let store = Coord.Ensemble.leader_store (Platform.coord p) in
+  List.iter
+    (fun id ->
+      match Coord.Store.get store (Txn.record_key_ns ns id) with
+      | None -> Alcotest.failf "txn %d: no record" id
+      | Some (v, _) -> (
+        match Txn.of_string v with
+        | Ok t ->
+          Alcotest.(check bool_c)
+            (Printf.sprintf "txn %d durable as committed" id)
+            true (t.Txn.state = Txn.Committed)
+        | Error e -> Alcotest.fail e))
+    !ids;
+  List.iter
+    (fun queue ->
+      Alcotest.(check int) (queue ^ " empty") 0
+        (Coord.Store.count_children store queue))
+    [ Proto.input_queue_ns ns; Proto.phy_queue_ns ns ]
+
+(* A TERM for a Started txn is processed once: the controller re-reads
+   inputQ while the signal item's delete is still in flight, and must
+   skip the item rather than count (and act on) the signal again. *)
+let test_in_flight_delete_not_reprocessed () =
+  let sim, _inv, p = platform ~mode:(Platform.Logical_only 2.0) ~seed:5 ~hosts:1 () in
+  let state = ref None in
+  Alcotest.(check bool_c) "quiesced" true
+    (run_platform sim p (fun () ->
+         let proc, args = fst (host_args 0) in
+         let id = Platform.submit p ~proc ~args in
+         let rec started () =
+           if Platform.txn_state p id <> Some Txn.Started then begin
+             Des.Proc.sleep 0.01;
+             started ()
+           end
+         in
+         started ();
+         Platform.signal p id Proto.Term;
+         state := Some (Platform.await p id)));
+  Alcotest.(check bool_c) "committed (logical workers ignore TERM)" true
+    (!state = Some Txn.Committed);
+  Alcotest.(check int) "the signal was handled once" 1
+    (Platform.shard_stats p 0).Controller.terms
+
+(* Every device agrees with the leader's logical tree. *)
+let layers_equal inv p =
+  let tree = Platform.logical_tree p in
+  List.for_all
+    (fun device ->
+      match Data.Tree.subtree tree (Devices.Device.root device) with
+      | Ok logical -> Data.Tree.equal logical (Devices.Device.export device)
+      | Error _ -> false)
+    inv.Tcloud.Setup.devices
+
+(* 16 sessions each toggle their own VM (start, stop) six times; the
+   leading controller is killed [kill_at] seconds after it is elected and
+   the standby takes over.  Returns whether the run quiesced under the
+   standby with every txn committed, every VM stopped on the devices and
+   in the tree, and the layers equal. *)
+let toggle_run_survives_kill ~seed ~kill_at =
+  let hosts = 16 and rounds = 6 in
+  let sim, inv, p = platform ~controllers:2 ~seed ~hosts () in
+  let states = ref [] and killed = ref None in
+  ignore
+    (Des.Proc.spawn ~name:"assassin" sim (fun () ->
+         ignore (Platform.await_leader_controller p);
+         Des.Proc.sleep kill_at;
+         killed := Platform.leader_index p;
+         Option.iter (Platform.kill_controller p) !killed));
+  let quiesced =
+    run_platform sim p (fun () ->
+        let session h () =
+          let start, stop = host_args h in
+          for _ = 1 to rounds do
+            List.iter
+              (fun (proc, args) ->
+                let state = Platform.run_txn p ~proc ~args in
+                states := state :: !states)
+              [ start; stop ]
+          done
+        in
+        List.init hosts (fun h ->
+            Des.Proc.spawn ~name:(Printf.sprintf "session-%d" h) sim (session h))
+        |> List.iter (fun proc -> ignore (Des.Proc.await proc)))
+  in
+  let vm_stopped h =
+    let vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
+    Data.Tree.get_attr (Platform.logical_tree p)
+      (Data.Path.child (Tcloud.Setup.compute_path h) vm)
+      Devices.Schema.attr_state
+    = Some (Data.Value.Str Devices.Schema.state_stopped)
+  in
+  quiesced
+  && !killed <> None
+  && Platform.leader_index p <> !killed
+  && List.length !states = hosts * rounds * 2
+  && List.for_all (fun s -> s = Txn.Committed) !states
+  && List.for_all vm_stopped (List.init hosts Fun.id)
+  && layers_equal inv p
+
+let prop_leader_kill_anywhere =
+  QCheck.Test.make ~name:"a controller killed at any time: every txn once"
+    ~count:12
+    QCheck.(pair (int_range 1 1000) (float_range 0. 0.4))
+    (fun (seed, kill_at) -> toggle_run_survives_kill ~seed ~kill_at)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "protocols"
@@ -468,6 +750,10 @@ let () =
             test_offer_follows_record;
           Alcotest.test_case "Started record and phyQ item share a log entry"
             `Quick test_started_and_offer_share_an_entry;
+          Alcotest.test_case "releases during an in-flight multi merge"
+            `Quick test_releases_merge_while_in_flight;
+          Alcotest.test_case "deletes tracked until acked" `Quick
+            test_deletes_tracked_until_acked;
         ] );
       ( "worker",
         [
@@ -475,6 +761,8 @@ let () =
             `Quick test_take_claims_marker;
           Alcotest.test_case "take goes past a foreign executing marker"
             `Quick test_take_past_foreign_marker;
+          Alcotest.test_case "four workers take four distinct items" `Quick
+            test_workers_take_distinct_items;
         ] );
       ( "recovery",
         [
@@ -482,5 +770,13 @@ let () =
             `Quick test_replay_in_start_order;
           Alcotest.test_case "cross-shard coordinator replays its own slice"
             `Quick test_cross_coordinator_replays_own_slice;
+        ] );
+      ( "platform",
+        [
+          Alcotest.test_case "quiescence waits for queued writes" `Quick
+            test_quiescence_waits_for_writes;
+          Alcotest.test_case "an item being deleted is not processed twice"
+            `Quick test_in_flight_delete_not_reprocessed;
+          QCheck_alcotest.to_alcotest prop_leader_kill_anywhere;
         ] );
     ]

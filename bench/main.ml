@@ -197,12 +197,13 @@ let run_sched_policy ~wake ~txns:n ~subtrees =
   let deferred = ref [] in
   let wakeups = ref 0 and spurious = ref 0 in
   let attempt i =
-    match Mglock.try_acquire locks ~txn:i (sched_lock_set ~subtrees i) with
+    let set = sched_lock_set ~subtrees i in
+    match Mglock.try_acquire locks ~txn:i set with
     | Ok () ->
       Queue.add i running;
       true
     | Error c ->
-      if wake then Mglock.wait locks ~txn:i ~on:c.Mglock.path;
+      if wake then Mglock.wait locks ~txn:i ~on:c.Mglock.path set;
       false
   in
   for i = 1 to n do

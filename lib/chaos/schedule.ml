@@ -250,8 +250,8 @@ let hang_storm =
    the controller.  With health scoring + breakers the flapping subtree is
    fenced off at admission and the watermarks shed the excess, so the
    pending queue stays bounded; the no-breaker build lets the storm pile
-   up behind the flap-wedged FIFO head and the bounded-queue invariant
-   convicts it.  Appended last so preset indices stay stable. *)
+   up behind the flap-wedged transactions on the hot host and the
+   bounded-queue invariant convicts it.  Appended last so preset indices stay stable. *)
 let flap_storm =
   {
     name = "flap-storm";

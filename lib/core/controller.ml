@@ -3,7 +3,6 @@ let log_src = Logs.Src.create "tropic.controller" ~doc:"TROPIC controller"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
-  scheduling : [ `Fifo | `Aggressive ];
   cpu_per_txn : float;
   cpu_per_action : float;
   checkpoint_every : int option;
@@ -19,7 +18,6 @@ type config = {
 
 let default_config =
   {
-    scheduling = `Fifo;
     cpu_per_txn = 0.0027;
     cpu_per_action = 0.001;
     checkpoint_every = None;
@@ -163,6 +161,7 @@ type t = {
   cfg : config;
   devices : Physical.device_lookup;
   device_roots : Data.Path.t list;
+  repair_deadline : float option; (* per repair step, as for worker actions *)
   sim : Des.Sim.t;
   cpu : Des.Station.t;
   mutable tree : Data.Tree.t;
@@ -199,7 +198,7 @@ type t = {
   st : stats;
 }
 
-let create ?trace ?shard ?gclient ~name ~client ~env
+let create ?trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
   let shard =
     match shard with
@@ -236,11 +235,12 @@ let create ?trace ?shard ?gclient ~name ~client ~env
     cfg = config;
     devices;
     device_roots;
+    repair_deadline;
     sim;
     cpu = Des.Station.create ~name:(name ^ ".cpu") sim;
     tree = Data.Tree.empty;
     locks = Mglock.create ();
-    sched = Sched.create config.scheduling;
+    sched = Sched.create ();
     txns = Hashtbl.create 256;
     quarantine = Hashtbl.create 8;
     next_start_seq = 1;
@@ -513,7 +513,7 @@ let rec local t (work : Twopc.local) =
   | Twopc.Admit txn ->
     Hashtbl.replace t.txns txn.Txn.id txn;
     persist t txn;
-    ignore (Sched.submit t.sched txn)
+    Sched.submit t.sched txn
   | Twopc.Revote txn ->
     Twopc.revote t.twopc txn
       (Twopc.snapshots t.tree (Router.arg_paths txn.Txn.args))
@@ -562,7 +562,7 @@ and decide_cross t (txn : Txn.t) snaps =
          (finer-grained; includes the foreign paths in this table so local
          reconciliation serializes against the in-flight 2PC). *)
       wake_released t (Mglock.release_all t.locks ~txn:gid);
-      match Mglock.try_acquire t.locks ~txn:gid locks with
+      match Mglock.try_acquire ~reservations:false t.locks ~txn:gid locks with
       | Error conflict ->
         abort
           (Format.asprintf "lock conflict after prepare: %a" Mglock.pp_conflict
@@ -602,8 +602,9 @@ let note_reattempt t (txn : Txn.t) =
   | None -> ()
 
 (* Park a transaction on the lock-table node its acquisition conflicted
-   at; the holder's release is the wake-up call. *)
-let park_on_conflict t (txn : Txn.t) (conflict : Mglock.conflict) =
+   at; the holder's release is the wake-up call.  A refusal by the head's
+   reservation parks on the head's node and names the head as holder. *)
+let park_on_conflict t (txn : Txn.t) locks (conflict : Mglock.conflict) =
   txn.Txn.state <- Txn.Deferred;
   t.st.deferrals <- t.st.deferrals + 1;
   Hashtbl.replace t.wait_since txn.Txn.id (Des.Sim.now t.sim);
@@ -612,13 +613,15 @@ let park_on_conflict t (txn : Txn.t) (conflict : Mglock.conflict) =
       ignore
         (Trace.begin_span tr ~txn:txn.Txn.id ~cat:"lock" ~name:"lock-wait"
            ~attrs:
-             [ ("path", Data.Path.to_string conflict.Mglock.path);
-               ("wanted", Mglock.mode_to_string conflict.Mglock.wanted);
-               ("holder", string_of_int conflict.Mglock.holder);
-               ("held", Mglock.mode_to_string conflict.Mglock.held) ]
+             ([ ("path", Data.Path.to_string conflict.Mglock.path);
+                ("wanted", Mglock.mode_to_string conflict.Mglock.wanted);
+                ("holder", string_of_int conflict.Mglock.holder);
+                ("held", Mglock.mode_to_string conflict.Mglock.held) ]
+             @ if conflict.Mglock.reserved then [ ("reserved", "true") ]
+               else [])
            ()))
     t.trace;
-  Mglock.wait t.locks ~txn:txn.Txn.id ~on:conflict.Mglock.path
+  Mglock.wait t.locks ~txn:txn.Txn.id ~on:conflict.Mglock.path locks
 
 (* Participant shadow transaction: W-lock the requested roots, persist the
    vote, reply with snapshots of the locked subtrees.  Never offered to
@@ -641,7 +644,7 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
     let locks = List.map (fun p -> (p, Mglock.W)) roots in
     match Mglock.try_acquire t.locks ~txn:gid locks with
     | Error conflict ->
-      park_on_conflict t txn conflict;
+      park_on_conflict t txn locks conflict;
       `Conflict
     | Ok () ->
       let snaps = Twopc.snapshots t.tree roots in
@@ -678,7 +681,7 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
     let locks = List.map (fun p -> (p, Mglock.W)) own_roots in
     match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
     | Error conflict ->
-      park_on_conflict t txn conflict;
+      park_on_conflict t txn locks conflict;
       `Conflict
     | Ok () ->
       txn.Txn.locks <- locks;
@@ -766,7 +769,7 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
       else begin
         match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
         | Error conflict ->
-          park_on_conflict t txn conflict;
+          park_on_conflict t txn locks conflict;
           `Conflict
         | Ok () ->
           List.iter
@@ -822,10 +825,9 @@ let rec schedule t =
 (* Request items are processed in key order and their seq numbers increase
    monotonically, so anything at or below [max_request_seq] is a redelivery
    (a previous leader died after accepting but before deleting the item).
-   Returns true when the scheduler must run — per §3.1.1 only when the
-   transaction lands in an {e empty} todoQ; a non-empty todoQ means the head
-   is deferred on a lock conflict and will be retried when a transaction
-   completes, not on every arrival. *)
+   Returns true when the scheduler must run: an admitted arrival is
+   attempted at once, even behind parked transactions — the drain only
+   touches the ready queue, so parked ones are not re-simulated. *)
 let accept_request t ~txn_id ~proc ~args =
   if txn_id <= t.max_request_seq || Hashtbl.mem t.txns txn_id then false
   else begin
@@ -862,7 +864,8 @@ let accept_request t ~txn_id ~proc ~args =
         (fun tr -> Trace.instant tr ~txn:txn_id ~cat:"sched" ~name:"ready" ())
         t.trace;
       persist t txn;
-      Sched.submit t.sched txn
+      Sched.submit t.sched txn;
+      true
     end
   end
 
@@ -1032,12 +1035,18 @@ let handle_repair t path =
        let plan =
          Recon.plan_repair ~rules:t.cfg.repair_rules ~at:path ~logical ~physical
        in
+       (* Each step runs under the worker's per-action deadline: the main
+          loop must never hang on a device.  A timed-out step is a failed
+          step — the subtree stays quarantined for the next sweep. *)
        let all_ok =
          List.for_all
            (fun (step : Recon.step) ->
              match
-               Devices.Device.invoke device ~action:step.Recon.action
-                 ~args:step.Recon.args
+               Physical.invoke_deadline ~sim:(Some t.sim)
+                 ~deadline:t.repair_deadline ~counters:None
+                 ~action:step.Recon.action (fun () ->
+                   Devices.Device.invoke device ~action:step.Recon.action
+                     ~args:step.Recon.args)
              with
              | Ok () ->
                t.st.repairs <- t.st.repairs + 1;

@@ -2,8 +2,8 @@
 
     Each instance joins its shard's election; the winner accepts requests
     from inputQ (shedding past the {!Health.admission} watermarks),
-    schedules them (FIFO with defer-on-conflict, or the paper's
-    "aggressive" variant), simulates them against the logical tree under
+    schedules them ({!Sched}: every ready transaction is attempted, and
+    only the oldest parked one's locks are reserved), simulates them against the logical tree under
     constraint checks and multi-granularity locks, hands them to the
     physical layer via phyQ and finalizes them when results come back —
     rolling the logical layer back with undo actions on aborts.  It also
@@ -16,7 +16,6 @@
     what Figure 4 plots. *)
 
 type config = {
-  scheduling : [ `Fifo | `Aggressive ];
   cpu_per_txn : float;      (** base CPU seconds per simulated transaction *)
   cpu_per_action : float;   (** CPU seconds per simulated action *)
   checkpoint_every : int option;
@@ -118,6 +117,10 @@ type t
     and decision records (defaults to [client] — correct for shard 0 and
     for single-shard platforms).
 
+    [repair_deadline] bounds each reconciliation repair step in simulated
+    seconds (normally the workers' per-action deadline); without it a
+    repair step runs inline and a hung device stalls the main loop.
+
     [stats] is the shard's counter record: every controller instance of
     one shard (leader, standbys and restarted ones) is given the same
     record, so counters and latency recorders survive fail-over. *)
@@ -125,6 +128,7 @@ val create :
   ?trace:Trace.t ->
   ?shard:Shard.t ->
   ?gclient:Coord.Client.t ->
+  ?repair_deadline:float ->
   name:string ->
   client:Coord.Client.t ->
   env:Dsl.env ->

@@ -83,20 +83,18 @@ let invoke_record ~devices (record : Xlog.record) ~action ~args =
       }
   | Some device -> Devices.Device.invoke device ~action ~args
 
-(* Run one invocation under the policy's per-action deadline.  The
-   invocation runs in a child process so a hung device parks the child,
-   not the worker: on timeout the child is killed (unwinding the hang)
-   and the attempt is reported as a retryable timeout.  Requires [sim];
-   without it the invocation runs inline with no deadline. *)
-let invoke_deadline ~devices ~sim ~deadline ~counters (record : Xlog.record)
-    ~action ~args =
+(* Run one invocation under a per-action deadline.  The invocation runs
+   in a child process so a hung device parks the child, not the caller:
+   on timeout the child is killed (unwinding the hang) and the attempt is
+   reported as a retryable timeout.  Requires [sim]; without it the
+   invocation runs inline with no deadline. *)
+let invoke_deadline ~sim ~deadline ~counters ~action invoke =
   match sim, deadline with
   | Some sim, Some limit ->
     let reply = Des.Channel.create ~name:"phy-deadline" () in
     let child =
       Des.Proc.spawn ~name:(Printf.sprintf "phy-action:%s" action) sim
-        (fun () ->
-          Des.Channel.send reply (invoke_record ~devices record ~action ~args))
+        (fun () -> Des.Channel.send reply (invoke ()))
     in
     (match Des.Channel.recv_timeout reply ~timeout:limit with
      | Some result -> result
@@ -111,7 +109,7 @@ let invoke_deadline ~devices ~sim ~deadline ~counters (record : Xlog.record)
              Printf.sprintf "action %s exceeded %.1fs deadline" action limit;
            transient = true;
          })
-  | _ -> invoke_record ~devices record ~action ~args
+  | _ -> invoke ()
 
 (* Outcome of one logical action after retries: success, a definitive
    failure (permanent error or attempts exhausted), or an operator signal
@@ -159,8 +157,8 @@ let invoke_with_retry ~devices ~policy ~rng ~sim ~counters ~check_signal
     let result =
       protect_span opened (fun () ->
           match
-            invoke_deadline ~devices ~sim ~deadline:policy.deadline ~counters
-              record ~action ~args
+            invoke_deadline ~sim ~deadline:policy.deadline ~counters ~action
+              (fun () -> invoke_record ~devices record ~action ~args)
           with
           | Ok () ->
             trace_end opened ~attrs:[ ("outcome", "ok") ];

@@ -63,6 +63,19 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
+(** [invoke_deadline ~sim ~deadline ~counters ~action invoke] runs
+    [invoke] (one device invocation, of [action]) in a child process
+    bounded by [deadline] simulated seconds: on expiry the child is killed,
+    [counters.timeouts] is bumped and a transient timeout error is
+    returned.  Without both [sim] and [deadline] it runs [invoke] inline. *)
+val invoke_deadline :
+  sim:Des.Sim.t option ->
+  deadline:float option ->
+  counters:counters option ->
+  action:string ->
+  (unit -> (unit, Devices.Device.error) result) ->
+  (unit, Devices.Device.error) result
+
 (** [execute ~devices log] replays [log].  [policy] defaults to
     {!no_retry}; pass [~sim] (and normally [~rng] from the same sim) to
     enable deadlines and timed backoff — without it, retries are

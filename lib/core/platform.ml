@@ -264,7 +264,8 @@ let connect_controller t sid cname =
   in
   Controller.create ?trace:t.pspec.trace
     ~shard:(Shard.view t.pshard ~sid)
-    ?gclient ~name:cname ~client ~env:t.penv
+    ?gclient ?repair_deadline:t.pspec.worker_retry.Physical.deadline
+    ~name:cname ~client ~env:t.penv
     ~config:t.pspec.controller_config ~devices:t.pdevices
     ~device_roots:t.pdevice_roots ~sim:t.psim ~stats:t.stats.(sid) ()
 

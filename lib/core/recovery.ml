@@ -118,7 +118,7 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
         Hashtbl.replace txns txn.Txn.id txn;
         if Twopc.is_participant txn then
           Twopc.recover_participant twopc txn ~started:false;
-        ignore (Sched.submit sched txn)
+        Sched.submit sched txn
       | Txn.Started ->
         Hashtbl.replace txns txn.Txn.id txn;
         (match Mglock.try_acquire locks ~txn:txn.Txn.id txn.Txn.locks with

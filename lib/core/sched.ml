@@ -1,16 +1,13 @@
-type policy = [ `Fifo | `Aggressive ]
 type attempt = [ `Started | `Finished | `Conflict ]
 
 type t = {
-  policy : policy;
   ready : Txn.t Deque.t;
   blocked : (int, Txn.t) Hashtbl.t;
   just_woken : (int, unit) Hashtbl.t; (* woken but not yet re-attempted *)
 }
 
-let create policy =
+let create () =
   {
-    policy;
     ready = Deque.create ();
     blocked = Hashtbl.create 16;
     just_woken = Hashtbl.create 8;
@@ -18,50 +15,33 @@ let create policy =
 
 let blocked_length t = Hashtbl.length t.blocked
 let length t = Deque.length t.ready + blocked_length t
+let submit t txn = Deque.push_back t.ready txn
 
-let submit t txn =
-  let was_idle = length t = 0 in
-  Deque.push_back t.ready txn;
-  was_idle
-
+(* Every ready transaction gets one attempt; conflicting ones park
+   individually and the rest keep flowing past them.  Ordering between
+   conflicting transactions is the lock manager's job: the oldest parked
+   one reserves its wanted set, so nothing younger takes it. *)
 let drain t ~attempt ~on_spurious =
-  let run (txn : Txn.t) =
-    let woken = Hashtbl.mem t.just_woken txn.Txn.id in
-    Hashtbl.remove t.just_woken txn.Txn.id;
-    match attempt txn with
-    | (`Started | `Finished) as r -> r
-    | `Conflict ->
-      if woken then on_spurious txn;
-      Hashtbl.replace t.blocked txn.Txn.id txn;
-      `Conflict
+  let rec loop () =
+    match Deque.pop_front t.ready with
+    | None -> ()
+    | Some txn ->
+      let woken = Hashtbl.mem t.just_woken txn.Txn.id in
+      Hashtbl.remove t.just_woken txn.Txn.id;
+      (match attempt txn with
+       | `Started | `Finished -> ()
+       | `Conflict ->
+         if woken then on_spurious txn;
+         Hashtbl.replace t.blocked txn.Txn.id txn);
+      loop ()
   in
-  match t.policy with
-  | `Fifo ->
-    (* Strict FIFO: while the head is parked on a conflict nothing behind
-       it runs; the wake that re-readies the head restarts the drain. *)
-    let rec loop () =
-      if Hashtbl.length t.blocked = 0 then
-        match Deque.pop_front t.ready with
-        | None -> ()
-        | Some txn -> (match run txn with `Conflict -> () | _ -> loop ())
-    in
-    loop ()
-  | `Aggressive ->
-    (* Every ready transaction gets one attempt; conflicting ones park
-       individually and the rest keep flowing past them. *)
-    let rec loop () =
-      match Deque.pop_front t.ready with
-      | None -> ()
-      | Some txn ->
-        ignore (run txn);
-        loop ()
-    in
-    loop ()
+  loop ()
 
 let wake t ids =
   (* Woken transactions are older than anything still ready (they parked
      before it was submitted or drained), so they rejoin at the front, in
-     ascending id = submission order for deterministic fairness. *)
+     ascending id = submission order: the head is re-attempted before any
+     transaction its reservation refused. *)
   let woken =
     List.filter_map
       (fun id ->

@@ -8,19 +8,19 @@
     turning the per-completion retry cost from O(deferred × locks) rescans
     into O(woken) re-attempts.
 
-    Both of the paper's policies are preserved:
-    - [`Fifo]: strict submission order — while the queue head is blocked
-      nothing behind it runs, so at most one transaction is ever parked.
-    - [`Aggressive]: ready transactions flow past blocked ones; each
-      conflicting transaction parks individually.
+    One work-conserving policy replaces the paper's strict FIFO (and the
+    "aggressive" variant it sketches as future work): every ready
+    transaction is attempted, and a parked one blocks only transactions
+    whose locks conflict with it.  FIFO's guarantee for the head is kept
+    by the lock manager, not by stopping the queue: the oldest parked
+    transaction's wanted set is reserved ({!Mglock.try_acquire}), so
+    nothing younger can take what it waits for.
 
     Wake order is deterministic: woken transactions rejoin the {e front}
     of the ready queue in ascending txn id (= submission) order, so a
     long-deferred transaction is always retried before anything newer —
     the defer-don't-block no-deadlock argument and FIFO fairness carry
     over from the rescan implementation unchanged. *)
-
-type policy = [ `Fifo | `Aggressive ]
 
 (** Outcome of one admission attempt, reported by the controller callback:
     [`Started] (locks granted, handed to the physical layer), [`Finished]
@@ -31,16 +31,14 @@ type attempt = [ `Started | `Finished | `Conflict ]
 
 type t
 
-val create : policy -> t
+val create : unit -> t
 
-(** Enqueue a newly accepted transaction at the back of the ready queue.
-    Returns [true] when the scheduler was idle (no ready, no blocked) —
-    per §3.1.1, the only arrival that triggers an immediate drain. *)
-val submit : t -> Txn.t -> bool
+(** Enqueue a newly accepted transaction at the back of the ready queue. *)
+val submit : t -> Txn.t -> unit
 
-(** Run ready transactions through [attempt] until the queue is empty (or,
-    under [`Fifo], until the head blocks).  [on_spurious] is called for a
-    woken transaction whose re-attempt conflicts again. *)
+(** Run every ready transaction through [attempt] until the queue is
+    empty; blocked transactions are not re-attempted.  [on_spurious] is
+    called for a woken transaction whose re-attempt conflicts again. *)
 val drain :
   t -> attempt:(Txn.t -> attempt) -> on_spurious:(Txn.t -> unit) -> unit
 

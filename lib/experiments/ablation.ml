@@ -1,14 +1,5 @@
 module Schema = Devices.Schema
 
-type scheduling_result = {
-  fifo_makespan : float;
-  aggressive_makespan : float;
-  fifo_mean_latency : float;
-  aggressive_mean_latency : float;
-  fifo_stats : Tropic.Controller.stats;
-  aggressive_stats : Tropic.Controller.stats;
-}
-
 type safety_result = {
   with_constraints_overcommitted_hosts : int;
   with_constraints_device_ops : int;
@@ -23,7 +14,6 @@ type checkpoint_result = {
 }
 
 type result = {
-  scheduling : scheduling_result;
   safety : safety_result;
   checkpointing : checkpoint_result;
 }
@@ -35,80 +25,6 @@ let spawn_args ~vm ~h ~storage_hosts =
   Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img" ~mem_mb:1024
     ~storage:(storage (h mod storage_hosts))
     ~host:(host h)
-
-(* ------------------------------------------------------------------ *)
-(* 1. FIFO vs aggressive scheduling *)
-
-(* Four transactions contend on host 0 ahead of six independent ones: a
-   strict FIFO keeps deferring the head and blocks the independents. *)
-let scheduling_run ~seed policy =
-  let sim = Des.Sim.create ~seed () in
-  let size =
-    { Tcloud.Setup.small with Tcloud.Setup.compute_hosts = 8; storage_hosts = 8 }
-  in
-  let inv = Tcloud.Setup.build size in
-  let spec =
-    {
-      Tropic.Platform.default_spec with
-      Tropic.Platform.mode = Tropic.Platform.Logical_only 1.0;
-      workers = 8;
-      controller_config =
-        { Tropic.Controller.default_config with Tropic.Controller.scheduling = policy };
-    }
-  in
-  let platform =
-    Tropic.Platform.create spec inv.Tcloud.Setup.env
-      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
-  in
-  let latencies = Metrics.Cdf.create () in
-  let last_commit = ref 0. in
-  Common.run_scenario platform (fun () ->
-      (* Let elections settle so submission order is scheduling order. *)
-      ignore (Tropic.Platform.await_leader_controller platform);
-      Des.Proc.sleep 1.;
-      let t0 = Des.Proc.now () in
-      let submit_and_track vm h =
-        let args = spawn_args ~vm ~h ~storage_hosts:8 in
-        Des.Proc.spawn ~name:vm sim (fun () ->
-            let id = Tropic.Platform.submit platform ~proc:"spawnVM" ~args in
-            match Tropic.Platform.await platform id with
-            | Tropic.Txn.Committed ->
-              let t = Des.Proc.now () in
-              Metrics.Cdf.add latencies (t -. t0);
-              if t -. t0 > !last_commit then last_commit := t -. t0
-            | other ->
-              failwith
-                (Printf.sprintf "ablation txn not committed: %s"
-                   (Tropic.Txn.state_to_string other)))
-      in
-      (* Hot head: four spawns on host 0, queued ahead of six independent
-         spawns. *)
-      let hot =
-        List.init 4 (fun i -> submit_and_track (Printf.sprintf "hot%d" i) 0)
-      in
-      let ind =
-        List.init 6 (fun i -> submit_and_track (Printf.sprintf "ind%d" i) (i + 1))
-      in
-      List.iter (fun p -> ignore (Des.Proc.await p)) (hot @ ind));
-  ( !last_commit,
-    Metrics.Cdf.mean latencies,
-    Tropic.Platform.shard_stats platform 0 )
-
-let scheduling_ablation ~seed () =
-  let fifo_makespan, fifo_mean_latency, fifo_stats =
-    scheduling_run ~seed `Fifo
-  in
-  let aggressive_makespan, aggressive_mean_latency, aggressive_stats =
-    scheduling_run ~seed `Aggressive
-  in
-  {
-    fifo_makespan;
-    aggressive_makespan;
-    fifo_mean_latency;
-    aggressive_mean_latency;
-    fifo_stats;
-    aggressive_stats;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* 2. Logical-first safety vs device-only execution *)
@@ -240,27 +156,16 @@ let checkpoint_ablation ~seed () =
 
 let default_seed = 71
 
-(* The three sub-experiments historically ran on seeds 71/72/73; keep
-   that spacing relative to whatever base seed the caller picks. *)
+(* The sub-experiments historically ran on seeds 72/73 (71 was the
+   retired scheduling ablation); keep that spacing relative to whatever
+   base seed the caller picks. *)
 let run ?(seed = default_seed) () =
   {
-    scheduling = scheduling_ablation ~seed ();
     safety = safety_ablation ~seed:(seed + 1) ();
     checkpointing = checkpoint_ablation ~seed:(seed + 2) ();
   }
 
 let print r =
-  Common.section "Ablation 1: FIFO vs aggressive scheduling (hot head-of-line)";
-  Printf.printf
-    "FIFO:       makespan %.2f s, mean latency %.2f s  (%s | %s | %s)\nAggressive: makespan %.2f s, mean latency %.2f s  (%s | %s | %s)\n"
-    r.scheduling.fifo_makespan r.scheduling.fifo_mean_latency
-    (Common.sched_summary r.scheduling.fifo_stats)
-    (Common.robust_summary r.scheduling.fifo_stats)
-    (Tropic.Controller.phase_summary r.scheduling.fifo_stats)
-    r.scheduling.aggressive_makespan r.scheduling.aggressive_mean_latency
-    (Common.sched_summary r.scheduling.aggressive_stats)
-    (Common.robust_summary r.scheduling.aggressive_stats)
-    (Tropic.Controller.phase_summary r.scheduling.aggressive_stats);
   Common.section "Ablation 2: logical-first safety vs device-only execution";
   Printf.printf
     "with constraints:    %d overcommitted hosts, %d device ops\nwithout constraints: %d overcommitted hosts, %d device ops\n"

@@ -28,10 +28,17 @@ let join a b =
 
 let intention = function R | IR -> IR | W | IW -> IW
 
-type conflict = { path : Path.t; wanted : mode; holder : int; held : mode }
+type conflict = {
+  path : Path.t;
+  wanted : mode;
+  holder : int;
+  held : mode;
+  reserved : bool;
+}
 
 let pp_conflict fmt c =
-  Format.fprintf fmt "%a: txn %d holds %a, wanted %a" Path.pp c.path c.holder
+  Format.fprintf fmt "%a: txn %d %s %a, wanted %a" Path.pp c.path c.holder
+    (if c.reserved then "reserves" else "holds")
     pp_mode c.held pp_mode c.wanted
 
 module Imap = Map.Make (Int)
@@ -46,10 +53,15 @@ type entry = {
   mutable waiters : Iset.t; (* txns deferred on a conflict at this node *)
 }
 
+(* A waiter registration: the node the txn is parked on, and its full
+   requirement set (intention locks included) keyed by node uid — the
+   reservation it holds while it is the oldest waiter. *)
+type waiter = { on : Id.id; wants : mode Imap.t }
+
 type t = {
   entries : (int, entry) Hashtbl.t; (* Id.uid -> entry *)
   by_txn : (int, Id.id list) Hashtbl.t; (* txn -> nodes it locks *)
-  waiting : (int, Id.id) Hashtbl.t; (* waiter txn -> node it waits on *)
+  mutable waiting : waiter Imap.t; (* waiter txn -> registration *)
   mutable attempts : int; (* cumulative try_acquire calls *)
 }
 
@@ -57,7 +69,7 @@ let create () =
   {
     entries = Hashtbl.create 64;
     by_txn = Hashtbl.create 64;
-    waiting = Hashtbl.create 16;
+    waiting = Imap.empty;
     attempts = 0;
   }
 
@@ -94,39 +106,78 @@ let requirements locks =
   Hashtbl.fold (fun _ nm acc -> nm :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Path.compare (Id.path a) (Id.path b))
 
-let find_conflict t ~txn wanted =
-  List.fold_left
-    (fun found (node, mode) ->
-      match found with
-      | Some _ -> found
-      | None ->
-        (match find_entry t node with
-         | None -> None
-         | Some e ->
-           (* An upgrade must be checked at the strength it will actually be
-              stored at: the join of what the txn already holds with what it
-              now wants (e.g. held R + wanted IW stores W). *)
-           let effective =
-             match Imap.find_opt txn e.eholders with
-             | None -> mode
-             | Some own -> join own mode
-           in
-           Imap.fold
-             (fun holder held found ->
-               match found with
-               | Some _ -> found
-               | None ->
-                 if holder <> txn && not (compatible held effective) then
-                   Some
-                     { path = Id.path node; wanted = effective; holder; held }
-                 else None)
-             e.eholders None))
-    None wanted
+(* An upgrade must be checked at the strength it will actually be stored
+   at: the join of what the txn already holds with what it now wants (e.g.
+   held R + wanted IW stores W). *)
+let effective e ~txn mode =
+  match Imap.find_opt txn e.eholders with
+  | None -> mode
+  | Some own -> join own mode
 
-let try_acquire t ~txn locks =
+let find_conflict t ~txn wanted =
+  List.find_map
+    (fun (node, mode) ->
+      match find_entry t node with
+      | None -> None
+      | Some e ->
+        let effective = effective e ~txn mode in
+        Imap.fold
+          (fun holder held found ->
+            match found with
+            | Some _ -> found
+            | None ->
+              if holder <> txn && not (compatible held effective) then
+                Some
+                  {
+                    path = Id.path node;
+                    wanted = effective;
+                    holder;
+                    held;
+                    reserved = false;
+                  }
+              else None)
+          e.eholders None)
+    wanted
+
+(* The oldest registered waiter reserves its wanted set against every
+   younger requester.  The refusal points at the node that waiter is
+   parked on: a holder there conflicts with the waiter, so its release
+   wakes the waiter and the refused txn together. *)
+let find_reserved t ~txn wanted =
+  match Imap.min_binding_opt t.waiting with
+  | Some (head, w) when head < txn ->
+    List.find_map
+      (fun (node, mode) ->
+        match Imap.find_opt (Id.uid node) w.wants with
+        | None -> None
+        | Some reserved ->
+          let effective =
+            match find_entry t node with
+            | None -> mode
+            | Some e -> effective e ~txn mode
+          in
+          if compatible reserved effective then None
+          else
+            Some
+              {
+                path = Id.path w.on;
+                wanted = effective;
+                holder = head;
+                held = reserved;
+                reserved = true;
+              })
+      wanted
+  | Some _ | None -> None
+
+let try_acquire ?(reservations = true) t ~txn locks =
   t.attempts <- t.attempts + 1;
   let wanted = requirements locks in
-  match find_conflict t ~txn wanted with
+  let conflict =
+    match find_conflict t ~txn wanted with
+    | Some _ as c -> c
+    | None -> if reservations then find_reserved t ~txn wanted else None
+  in
+  match conflict with
   | Some conflict -> Error conflict
   | None ->
     let newly_locked = ref [] in
@@ -148,22 +199,27 @@ let try_acquire t ~txn locks =
     Ok ()
 
 let cancel_wait t ~txn =
-  match Hashtbl.find_opt t.waiting txn with
+  match Imap.find_opt txn t.waiting with
   | None -> ()
-  | Some node ->
-    Hashtbl.remove t.waiting txn;
-    (match find_entry t node with
+  | Some w ->
+    t.waiting <- Imap.remove txn t.waiting;
+    (match find_entry t w.on with
      | None -> ()
      | Some e ->
        e.waiters <- Iset.remove txn e.waiters;
        drop_entry_if_empty t e)
 
-let wait t ~txn ~on =
+let wait t ~txn ~on locks =
   cancel_wait t ~txn;
   let node = Id.intern on in
   let e = find_or_create_entry t node in
   e.waiters <- Iset.add txn e.waiters;
-  Hashtbl.replace t.waiting txn node
+  let wants =
+    List.fold_left
+      (fun acc (n, mode) -> Imap.add (Id.uid n) mode acc)
+      Imap.empty (requirements locks)
+  in
+  t.waiting <- Imap.add txn { on = node; wants } t.waiting
 
 let release_all t ~txn =
   match Hashtbl.find_opt t.by_txn txn with
@@ -183,7 +239,7 @@ let release_all t ~txn =
              grantable waiter is ever left sleeping. *)
           if not (Iset.is_empty e.waiters) then begin
             woken := Iset.union !woken e.waiters;
-            Iset.iter (fun w -> Hashtbl.remove t.waiting w) e.waiters;
+            Iset.iter (fun w -> t.waiting <- Imap.remove w t.waiting) e.waiters;
             e.waiters <- Iset.empty
           end;
           drop_entry_if_empty t e)
@@ -191,9 +247,9 @@ let release_all t ~txn =
     Iset.elements !woken
 
 let waiting_on t ~txn =
-  Option.map (fun node -> Id.path node) (Hashtbl.find_opt t.waiting txn)
+  Option.map (fun w -> Id.path w.on) (Imap.find_opt txn t.waiting)
 
-let waiter_count t = Hashtbl.length t.waiting
+let waiter_count t = Imap.cardinal t.waiting
 
 let holders t path =
   match find_entry t (Id.intern path) with

@@ -18,7 +18,16 @@
     that may now be grantable.  Wakeups over-approximate (a woken waiter can
     still conflict with a remaining holder and re-park), but never
     under-approximate: a waiter's node always has at least one conflicting
-    holder, and every holder eventually releases. *)
+    holder, and every holder eventually releases.
+
+    {b Head reservation.}  A registration also records the waiter's wanted
+    lock set.  The oldest registered waiter (lowest id) reserves that set:
+    {!try_acquire} refuses any younger transaction whose request conflicts
+    with it, even when no holder does, so a parked head is never overtaken
+    on the locks it is waiting for while unrelated work keeps flowing.
+    The reservation is part of the registration — it ends exactly when
+    the registration does ({!release_all}'s wake, {!cancel_wait}, or a
+    re-{!wait}) — so it can never outlive the waiter. *)
 
 type mode = R | W | IR | IW
 
@@ -40,10 +49,16 @@ val intention : mode -> mode
 type t
 
 type conflict = {
-  path : Data.Path.t;      (** object on which the conflict arose *)
+  path : Data.Path.t;
+      (** object on which the conflict arose — the node to {!wait} on.  For
+          a reservation conflict it is the node the reserving waiter is
+          parked on, so the refused transaction is woken with it. *)
   wanted : mode;
-  holder : int;            (** transaction currently in the way *)
-  held : mode;
+  holder : int;
+      (** transaction currently in the way: a holder, or the reserving
+          waiter *)
+  held : mode;  (** the holder's mode, or the waiter's wanted mode *)
+  reserved : bool;  (** refused by the head's reservation, not a holder *)
 }
 
 val pp_conflict : Format.formatter -> conflict -> unit
@@ -54,18 +69,28 @@ val create : unit -> t
     intention locks on every ancestor, including the root) to [txn], or
     returns the first conflict — in deterministic path order — without
     changing any state.  Locks already held by [txn] are upgraded via
-    {!join}. *)
+    {!join}.  Holder conflicts are reported before a reservation conflict,
+    which applies only when the oldest registered waiter's id is lower than
+    [txn] (internal lock owners use negative ids, so they are never
+    refused by one).  [~reservations:false] skips the reservation check —
+    for a transaction that is already admitted and only swaps its lock set.
+    *)
 val try_acquire :
+  ?reservations:bool ->
   t -> txn:int -> (Data.Path.t * mode) list -> (unit, conflict) result
 
-(** [wait t ~txn ~on] parks [txn] on the node its conflict arose at (the
-    [path] field of the refused {!conflict}).  A transaction waits on at
-    most one node; a second call re-parks it.  Precondition: some other
-    transaction currently holds a conflicting lock on [on] — parking on an
-    unheld node would never be woken. *)
-val wait : t -> txn:int -> on:Data.Path.t -> unit
+(** [wait t ~txn ~on locks] parks [txn] on the node its conflict arose at
+    (the [path] field of the refused {!conflict}) and records [locks] — the
+    request that was refused — as its wanted set.  A transaction waits on
+    at most one node; a second call re-parks it.  Precondition: some other
+    transaction currently holds a lock on [on] conflicting with [txn] or
+    with the waiter reserving against it — parking on an unheld node would
+    never be woken. *)
+val wait :
+  t -> txn:int -> on:Data.Path.t -> (Data.Path.t * mode) list -> unit
 
-(** Drop [txn]'s waiter registration, if any (signal/abort paths). *)
+(** Drop [txn]'s waiter registration and its reservation, if any
+    (signal/abort paths). *)
 val cancel_wait : t -> txn:int -> unit
 
 (** Release everything held by [txn]; returns the ids of transactions that

@@ -231,9 +231,9 @@ let test_release_wakes_waiters () =
   let t = Mglock.create () in
   acquire_ok t ~txn:1 [ p "/a/b", Mglock.W ];
   let c2 = acquire_conflict t ~txn:2 [ p "/a/b", Mglock.W ] in
-  Mglock.wait t ~txn:2 ~on:c2.Mglock.path;
+  Mglock.wait t ~txn:2 ~on:c2.Mglock.path [ p "/a/b", Mglock.W ];
   let c3 = acquire_conflict t ~txn:3 [ p "/a", Mglock.W ] in
-  Mglock.wait t ~txn:3 ~on:c3.Mglock.path;
+  Mglock.wait t ~txn:3 ~on:c3.Mglock.path [ p "/a", Mglock.W ];
   check int_c "two parked" 2 (Mglock.waiter_count t);
   check bool_c "txn2 parked on its conflict node" true
     (Mglock.waiting_on t ~txn:2 = Some c2.Mglock.path);
@@ -249,7 +249,7 @@ let test_release_wakes_only_held_nodes () =
   acquire_ok t ~txn:1 [ p "/a", Mglock.W ];
   acquire_ok t ~txn:2 [ p "/e", Mglock.W ];
   let c3 = acquire_conflict t ~txn:3 [ p "/e", Mglock.W ] in
-  Mglock.wait t ~txn:3 ~on:c3.Mglock.path;
+  Mglock.wait t ~txn:3 ~on:c3.Mglock.path [ p "/e", Mglock.W ];
   (* txn 1 never held /e: its release must not wake txn 3. *)
   check (Alcotest.list int_c) "unrelated release wakes nobody" []
     (Mglock.release_all t ~txn:1);
@@ -262,14 +262,14 @@ let test_spurious_wakeup_reparks () =
   acquire_ok t ~txn:1 [ p "/a", Mglock.R ];
   acquire_ok t ~txn:2 [ p "/a", Mglock.R ];
   let c3 = acquire_conflict t ~txn:3 [ p "/a", Mglock.W ] in
-  Mglock.wait t ~txn:3 ~on:c3.Mglock.path;
+  Mglock.wait t ~txn:3 ~on:c3.Mglock.path [ p "/a", Mglock.W ];
   (* First reader leaves: txn 3 is woken but still conflicts with the
      second reader — the spurious case; it re-parks and the second release
      wakes it again. *)
   check (Alcotest.list int_c) "woken by first reader" [ 3 ]
     (Mglock.release_all t ~txn:1);
   let c3' = acquire_conflict t ~txn:3 [ p "/a", Mglock.W ] in
-  Mglock.wait t ~txn:3 ~on:c3'.Mglock.path;
+  Mglock.wait t ~txn:3 ~on:c3'.Mglock.path [ p "/a", Mglock.W ];
   check (Alcotest.list int_c) "woken by second reader" [ 3 ]
     (Mglock.release_all t ~txn:2);
   acquire_ok t ~txn:3 [ p "/a", Mglock.W ]
@@ -278,7 +278,7 @@ let test_cancel_wait () =
   let t = Mglock.create () in
   acquire_ok t ~txn:1 [ p "/a", Mglock.W ];
   let c2 = acquire_conflict t ~txn:2 [ p "/a", Mglock.W ] in
-  Mglock.wait t ~txn:2 ~on:c2.Mglock.path;
+  Mglock.wait t ~txn:2 ~on:c2.Mglock.path [ p "/a", Mglock.W ];
   Mglock.cancel_wait t ~txn:2;
   check int_c "no waiters left" 0 (Mglock.waiter_count t);
   check (Alcotest.list int_c) "cancelled waiter not woken" []
@@ -291,6 +291,49 @@ let test_holders () =
   match Mglock.holders t (p "/a") with
   | [ (1, Mglock.R); (2, Mglock.R) ] -> ()
   | _ -> Alcotest.fail "holders mismatch"
+
+(* ------------------------------------------------------------------ *)
+(* Head reservation: the oldest waiter's wanted set *)
+
+let test_head_reservation () =
+  let t = Mglock.create () in
+  acquire_ok t ~txn:1 [ p "/a", Mglock.W ];
+  (* txn 2 wants /a and /e; it parks on /a, reserving /e as well. *)
+  let want2 = [ p "/a", Mglock.W; p "/e", Mglock.W ] in
+  let c2 = acquire_conflict t ~txn:2 want2 in
+  Mglock.wait t ~txn:2 ~on:c2.Mglock.path want2;
+  (* A younger request for /e conflicts with no holder, only with the
+     head's reservation: it is refused, names the head, and points at the
+     head's node so one release wakes both. *)
+  let c3 = acquire_conflict t ~txn:3 [ p "/e", Mglock.R ] in
+  check bool_c "reserved" true c3.Mglock.reserved;
+  check int_c "head named as holder" 2 c3.Mglock.holder;
+  check bool_c "parks on the head's node" true
+    (Data.Path.equal c3.Mglock.path (p "/a"));
+  Mglock.wait t ~txn:3 ~on:c3.Mglock.path [ p "/e", Mglock.R ];
+  (* Unrelated work still flows, and an internal (negative) owner is never
+     younger than the head. *)
+  acquire_ok t ~txn:4 [ p "/x", Mglock.W ];
+  acquire_ok t ~txn:(-1) [ p "/e/f", Mglock.R ];
+  ignore (Mglock.release_all t ~txn:(-1));
+  check (Alcotest.list int_c) "head and its dependant woken together" [ 2; 3 ]
+    (Mglock.release_all t ~txn:1);
+  acquire_ok t ~txn:2 want2
+
+let test_reservation_ends_with_registration () =
+  let t = Mglock.create () in
+  acquire_ok t ~txn:1 [ p "/a", Mglock.W ];
+  let want2 = [ p "/a", Mglock.W; p "/e", Mglock.W ] in
+  let c2 = acquire_conflict t ~txn:2 want2 in
+  Mglock.wait t ~txn:2 ~on:c2.Mglock.path want2;
+  let _ = acquire_conflict t ~txn:3 [ p "/e", Mglock.W ] in
+  (* An already-admitted txn swapping its lock set skips the check. *)
+  acquire_ok t ~txn:5 [];
+  (match Mglock.try_acquire ~reservations:false t ~txn:5 [ p "/e", Mglock.W ] with
+   | Ok () -> ignore (Mglock.release_all t ~txn:5)
+   | Error _ -> Alcotest.fail "swap refused by a reservation");
+  Mglock.cancel_wait t ~txn:2;
+  acquire_ok t ~txn:3 [ p "/e", Mglock.W ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: whatever sequence of acquires/releases happens, all granted
@@ -432,6 +475,149 @@ let refused_acquire_unchanged_prop =
             true)
         ops)
 
+
+(* ------------------------------------------------------------------ *)
+(* Property: the scheduler over the lock manager, no platform.  Random
+   lock sets on a small tree arrive one by one, interleaved with releases
+   of started txns and cancellations of parked ones.  Checked:
+   (a) a granted txn never conflicts with the oldest registered waiter
+       (the head) when that waiter is older than it;
+   (b) once every holder has released, every txn that was not cancelled
+       has been granted — no wakeup is lost;
+   (c) a txn that conflicts with neither a holder nor the head is granted
+       while the head stays parked. *)
+
+type sched_op = Arrive of (string * Mglock.mode) list | Finish of int | Cancel of int
+
+let sched_op_gen =
+  let open QCheck.Gen in
+  let path_gen = oneofl [ "/a"; "/a/b"; "/a/c"; "/d"; "/d/e"; "/f" ] in
+  let lock_gen = pair path_gen (oneofl [ Mglock.R; Mglock.W ]) in
+  frequency
+    [
+      (5, map (fun l -> Arrive l) (list_size (int_range 1 3) lock_gen));
+      (3, map (fun k -> Finish k) (int_bound 7));
+      (1, map (fun k -> Cancel k) (int_bound 7));
+    ]
+
+let sched_ops_arbitrary =
+  let lock_str (s, m) = s ^ ":" ^ Mglock.mode_to_string m in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Arrive l -> "arrive [" ^ String.concat "," (List.map lock_str l) ^ "]"
+             | Finish k -> Printf.sprintf "finish #%d" k
+             | Cancel k -> Printf.sprintf "cancel #%d" k)
+           ops))
+    QCheck.Gen.(list_size (int_range 5 60) sched_op_gen)
+
+(* The full requirement of a request, as the reference for conflicts:
+   every node with its mode joined, ancestors with intention modes. *)
+let requirement locks =
+  List.fold_left
+    (fun acc (path, mode) ->
+      let add acc path mode =
+        let key = Data.Path.to_string path in
+        match List.assoc_opt key acc with
+        | None -> (key, mode) :: acc
+        | Some m -> (key, Mglock.join m mode) :: List.remove_assoc key acc
+      in
+      List.fold_left
+        (fun acc anc -> add acc anc (Mglock.intention mode))
+        (add acc path mode) (Data.Path.ancestors path))
+    [] locks
+
+let requirements_conflict a b =
+  List.exists
+    (fun (key, ma) ->
+      match List.assoc_opt key b with
+      | Some mb -> not (Mglock.compatible ma mb)
+      | None -> false)
+    a
+
+let sched_prop =
+  QCheck.Test.make ~name:"scheduler: head reserved, work conserved, no lost wakeup"
+    ~count:500 sched_ops_arbitrary (fun ops ->
+      let locks = Mglock.create () in
+      let sched = Tropic.Sched.create () in
+      let wanted = Hashtbl.create 16 in (* id -> request *)
+      let running = ref [] (* started, oldest first *) in
+      let parked = ref [] and cancelled = ref [] and granted = ref [] in
+      let next_id = ref 0 in
+      let req id = requirement (Hashtbl.find wanted id) in
+      let attempt (txn : Tropic.Txn.t) =
+        let id = txn.Tropic.Txn.id in
+        parked := List.filter (( <> ) id) !parked;
+        let holder_conflict =
+          List.exists (fun h -> requirements_conflict (req id) (req h)) !running
+        in
+        let head =
+          List.filter
+            (fun w -> Mglock.waiting_on locks ~txn:w <> None)
+            (List.init !next_id (fun i -> i + 1))
+          |> List.fold_left min max_int
+        in
+        let head_conflict =
+          head < id && requirements_conflict (req id) (req head)
+        in
+        let request = Hashtbl.find wanted id in
+        match Mglock.try_acquire locks ~txn:id request with
+        | Ok () ->
+          if head_conflict then
+            QCheck.Test.fail_reportf "(a) txn %d granted against head %d" id head;
+          running := !running @ [ id ];
+          granted := id :: !granted;
+          `Started
+        | Error c ->
+          if not (holder_conflict || head_conflict) then
+            QCheck.Test.fail_reportf "(c) txn %d refused with no conflict (head %d)"
+              id head;
+          Mglock.wait locks ~txn:id ~on:c.Mglock.path request;
+          parked := id :: !parked;
+          `Conflict
+      in
+      let drain () = Tropic.Sched.drain sched ~attempt ~on_spurious:ignore in
+      let finish id =
+        running := List.filter (( <> ) id) !running;
+        ignore (Tropic.Sched.wake sched (Mglock.release_all locks ~txn:id));
+        drain ()
+      in
+      let nth l k = List.nth l (k mod List.length l) in
+      List.iter
+        (function
+          | Arrive request ->
+            incr next_id;
+            Hashtbl.replace wanted !next_id
+              (List.map (fun (s, m) -> (p s, m)) request);
+            Tropic.Sched.submit sched
+              (Tropic.Txn.make ~id:!next_id ~proc:"p" ~args:[] ~submitted_at:0.);
+            drain ()
+          | Finish k -> if !running <> [] then finish (nth !running k)
+          | Cancel k ->
+            if !parked <> [] then begin
+              let id = nth (List.sort compare !parked) k in
+              parked := List.filter (( <> ) id) !parked;
+              cancelled := id :: !cancelled;
+              (match Tropic.Sched.remove sched id with
+               | `Blocked -> Mglock.cancel_wait locks ~txn:id
+               | `Ready | `Absent -> ())
+            end)
+        ops;
+      while !running <> [] do
+        finish (List.hd !running)
+      done;
+      let lost =
+        List.filter
+          (fun id -> not (List.mem id !granted || List.mem id !cancelled))
+          (List.init !next_id (fun i -> i + 1))
+      in
+      if lost <> [] then
+        QCheck.Test.fail_reportf "(b) never granted: %s"
+          (String.concat "," (List.map string_of_int lost));
+      Tropic.Sched.length sched = 0 && Mglock.waiter_count locks = 0)
+
 let suite =
   [
     ("compatibility matrix", `Quick, test_compat_matrix);
@@ -455,10 +641,13 @@ let suite =
     ("spurious wakeup re-parks", `Quick, test_spurious_wakeup_reparks);
     ("cancel wait", `Quick, test_cancel_wait);
     ("holders", `Quick, test_holders);
+    ("head reservation", `Quick, test_head_reservation);
+    ("reservation ends with registration", `Quick, test_reservation_ends_with_registration);
     QCheck_alcotest.to_alcotest lock_safety_prop;
     QCheck_alcotest.to_alcotest intention_coverage_prop;
     QCheck_alcotest.to_alcotest release_clears_prop;
     QCheck_alcotest.to_alcotest refused_acquire_unchanged_prop;
+    QCheck_alcotest.to_alcotest sched_prop;
   ]
 
 let () = Alcotest.run "mglock" [ ("mglock", suite) ]

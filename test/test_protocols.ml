@@ -512,7 +512,7 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
   ( tree,
     Recovery.rebuild ~name:"leader" client ~ns ~shard ~checkpoint_seq
       ~txns:(Hashtbl.create 8) ~locks:(Mglock.create ())
-      ~sched:(Sched.create `Fifo)
+      ~sched:(Sched.create ())
       ~twopc:
         (Twopc.create ~name:"leader" ~gclient:client ~shard ~timeout:10.
            ~record:true (Coord.Ensemble.sim ens))

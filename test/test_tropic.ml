@@ -642,6 +642,35 @@ let test_e2e_repair_after_power_cycle () =
         (Some `Running)
         (Devices.Compute.vm_state compute0 "p1"))
 
+let test_e2e_hung_repair_step_times_out () =
+  (* A repair step runs on the leader's main loop.  When it hits a hung
+     device it must time out under the workers' per-action deadline, or
+     the leader never reads inputQ again and unrelated work stalls. *)
+  let spec = { quick_spec with Platform.worker_retry = Physical.default_retry } in
+  with_platform ~spec (fun platform inv ->
+      expect_committed "spawn"
+        (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "h1"));
+      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+      Devices.Compute.power_cycle compute0;
+      Devices.Fault.hang_next
+        (Devices.Device.faults (Devices.Compute.device compute0))
+        ~action:"startVM";
+      Platform.repair platform (Data.Path.v host0);
+      Des.Proc.sleep 1.;
+      expect_committed "spawn on another host"
+        (Platform.run_txn platform ~proc:"spawnVM"
+           ~args:
+             (Tcloud.Procs.spawn_vm_args ~vm:"h2" ~template:"base.img"
+                ~mem_mb:1024 ~storage:storage0 ~host:host1));
+      check (Alcotest.option vm_state_c) "timed-out step left the drift"
+        (Some `Stopped)
+        (Devices.Compute.vm_state compute0 "h1");
+      (* The hang was one-shot: the next repair heals the host. *)
+      Platform.repair platform (Data.Path.v host0);
+      Des.Proc.sleep 10.;
+      check (Alcotest.option vm_state_c) "repaired on retry" (Some `Running)
+        (Devices.Compute.vm_state compute0 "h1"))
+
 let test_e2e_reload_adopts_oob_change () =
   with_platform (fun platform inv ->
       expect_committed "spawn"
@@ -745,24 +774,16 @@ let test_e2e_term_on_queued_txn () =
        | other -> Alcotest.failf "expected abort, got %s" (Txn.state_to_string other));
       expect_committed "first unaffected" (Platform.await platform a))
 
+(* Scheduling platforms: logical-only mode with a fixed 2 s execution
+   time, so commit order is purely a scheduling artifact. *)
+let sched_spec = { quick_spec with Platform.mode = Platform.Logical_only 2.0 }
+
 let test_e2e_aggressive_scheduling () =
-  let spec =
-    {
-      quick_spec with
-      Platform.mode = Platform.Logical_only 2.0;
-      controller_config =
-        {
-          Tcloud.Setup.controller_config with
-          Controller.scheduling = `Aggressive;
-        };
-    }
-  in
-  with_platform ~spec (fun platform _inv ->
+  with_platform ~spec:sched_spec (fun platform _inv ->
       ignore (Platform.await_leader_controller platform);
       Des.Proc.sleep 1.;
-      (* Conflicting pair first, independent txn behind them: with the
-         aggressive policy the independent one must NOT wait for the
-         deferred head. *)
+      (* Conflicting pair first, independent txn behind them: the
+         independent one must NOT wait for the deferred head. *)
       let a = Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "h1") in
       let b = Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "h2") in
       let c =
@@ -780,19 +801,6 @@ let test_e2e_aggressive_scheduling () =
       let conflicting_done = Des.Proc.now () -. t0 in
       check bool_c "independent did not wait for the deferred head" true
         (independent_done < conflicting_done))
-
-(* Scheduling-policy platforms: logical-only mode with a fixed 2 s
-   execution time, so commit order is purely a scheduling artifact. *)
-let sched_spec policy =
-  {
-    quick_spec with
-    Platform.mode = Platform.Logical_only 2.0;
-    controller_config =
-      {
-        Tcloud.Setup.controller_config with
-        Controller.scheduling = policy;
-      };
-  }
 
 (* Small VMs so the host's memory never aborts anything: every txn in
    these tests conflicts on host0's lock, nothing else. *)
@@ -812,12 +820,12 @@ let submit_timed platform commit_times awaiting vm =
   id
 
 let test_e2e_aggressive_no_starvation () =
-  (* Regression: under sustained aggressive scheduling on a hot subtree,
+  (* Regression: under sustained work-conserving scheduling on a hot subtree,
      a long-deferred transaction must not starve.  The victim parks
      behind a holder; rivals keep arriving while it waits.  Wake-on-
      release re-queues woken waiters at the FRONT in ascending txn-id
      order, so the victim beats every rival that arrived after it. *)
-  with_platform ~spec:(sched_spec `Aggressive) ~seed:23 (fun platform _inv ->
+  with_platform ~spec:sched_spec ~seed:23 (fun platform _inv ->
       ignore (Platform.await_leader_controller platform);
       Des.Proc.sleep 1.;
       let commit_times = Hashtbl.create 16 in
@@ -855,9 +863,10 @@ let test_e2e_aggressive_no_starvation () =
         (deferrals <= n * n))
 
 let test_e2e_fifo_preserves_submission_order () =
-  (* Conflicting transactions under FIFO commit in submission order:
-     wake-on-release must not let a later arrival overtake the head. *)
-  with_platform ~spec:(sched_spec `Fifo) ~seed:29 (fun platform _inv ->
+  (* Conflicting transactions commit in submission order: neither
+     wake-on-release nor the arrival drain may let a later arrival
+     overtake the parked head. *)
+  with_platform ~spec:sched_spec ~seed:29 (fun platform _inv ->
       ignore (Platform.await_leader_controller platform);
       Des.Proc.sleep 1.;
       let commit_times = Hashtbl.create 16 in
@@ -1636,6 +1645,41 @@ let test_trace_lock_wait_names_holder () =
        | None -> Alcotest.fail "lock-wait span still open");
       expect_valid_trace tracer)
 
+let test_trace_reserved_wait_names_head () =
+  with_traced_platform (fun platform _inv tracer ->
+      let host2 = "/vmRoot/host00002" and storage1 = "/storageRoot/storage00001" in
+      let spawn_on ~host ~storage vm =
+        Tcloud.Procs.spawn_vm_args ~vm ~template:"base.img" ~mem_mb:512
+          ~storage ~host
+      in
+      expect_committed "setup spawn"
+        (Platform.run_txn platform ~proc:"spawnVM"
+           ~args:(spawn_on ~host:host2 ~storage:storage1 "m"));
+      (* [a] holds host0; [b] (host2 -> host0) parks behind it, reserving
+         host2 too; [c] on host2 conflicts with no holder, only with the
+         parked head's reservation, so it waits for [b] rather than
+         overtaking it. *)
+      let a = Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "ra") in
+      let b =
+        Platform.submit platform ~proc:"migrateVM"
+          ~args:(Tcloud.Procs.migrate_vm_args ~src:host2 ~dst:host0 ~vm:"m")
+      in
+      let c =
+        Platform.submit platform ~proc:"spawnVM"
+          ~args:(spawn_on ~host:host2 ~storage:storage1 "rc")
+      in
+      List.iter
+        (fun id -> expect_committed (string_of_int id) (Platform.await platform id))
+        [ a; b; c ];
+      let wait = span_named (txn_spans tracer c) "lock-wait" in
+      check (Alcotest.option string_c) "head named as holder"
+        (Some (string_of_int b)) (Trace.attr wait "holder");
+      check (Alcotest.option string_c) "marked reserved" (Some "true")
+        (Trace.attr wait "reserved");
+      check (Alcotest.option string_c) "holder waits are unmarked" None
+        (Trace.attr (span_named (txn_spans tracer b) "lock-wait") "reserved");
+      expect_valid_trace tracer)
+
 let suite =
   [
     ("xlog: codec roundtrip", `Quick, test_xlog_roundtrip);
@@ -1664,6 +1708,7 @@ let suite =
     ("e2e: KILL quarantines; reload recovers", `Quick, test_e2e_kill_signal_quarantines_then_repair);
     ("e2e: repair after power cycle", `Quick, test_e2e_repair_after_power_cycle);
     ("e2e: periodic repair detects drift", `Quick, test_e2e_periodic_repair_detects_drift);
+    ("e2e: hung repair step times out", `Quick, test_e2e_hung_repair_step_times_out);
     ("e2e: reload adopts out-of-band change", `Quick, test_e2e_reload_adopts_oob_change);
     ("e2e: destroy roundtrip", `Quick, test_e2e_destroy_roundtrip);
     ("e2e: network procedures", `Quick, test_e2e_network_procedures);
@@ -1690,6 +1735,7 @@ let suite =
     ("trace: commit lifecycle span order", `Quick, test_trace_commit_lifecycle);
     ("trace: fault replay undo reversed", `Quick, test_trace_fault_replay_undo_reversed);
     ("trace: lock-wait names blocking holder", `Quick, test_trace_lock_wait_names_holder);
+    ("trace: reserved lock-wait names the head", `Quick, test_trace_reserved_wait_names_head);
   ]
 
 let () = Alcotest.run "tropic" [ ("tropic", suite) ]

@@ -1,168 +1,13 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus Bechamel micro-benchmarks of the engine operations that
-   back the §6.2/§6.3 measurements.
+(* The CI-gated benchmarks: each writes one committed BENCH_*.json that a
+   full run must reproduce byte for byte.  The paper's tables and figures
+   are regenerated by bin/tropic_exp.exe.
 
    Usage:
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
+     dune exec bench/main.exe                 # all four
      dune exec bench/main.exe -- sched        # contention bench -> BENCH_sched.json
      dune exec bench/main.exe -- overload     # shed-vs-queue -> BENCH_overload.json
      dune exec bench/main.exe -- shard        # shard scaling -> BENCH_shard.json
-     dune exec bench/main.exe -- throughput   # saturation + group commit -> BENCH_throughput.json
-     dune exec bench/main.exe -- table1|fig3|fig4|fig5|safety|robustness|
-                                 ha|hosting|scale|ablation
-   TROPIC_BENCH_QUICK=1 shrinks the long runs. *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
-
-let host0 = Data.Path.to_string (Tcloud.Setup.compute_path 0)
-let host2 = Data.Path.to_string (Tcloud.Setup.compute_path 2)
-let storage0 = Data.Path.to_string (Tcloud.Setup.storage_path 0)
-
-let micro_tests () =
-  let size =
-    { Tcloud.Setup.small with Tcloud.Setup.prepopulated_vms_per_host = 2 }
-  in
-  let inv = Tcloud.Setup.build size in
-  let env = inv.Tcloud.Setup.env in
-  let tree = inv.Tcloud.Setup.tree in
-  let bare_env =
-    let env = Tropic.Dsl.create_env () in
-    Tcloud.Actions.register_all env;
-    Tcloud.Procs.register_all env;
-    env
-  in
-  let spawn_args =
-    Tcloud.Procs.spawn_vm_args ~vm:"bench" ~template:"base.img" ~mem_mb:1024
-      ~storage:storage0 ~host:host0
-  in
-  let migrate_args =
-    Tcloud.Procs.migrate_vm_args ~src:host0 ~dst:host2
-      ~vm:(Tcloud.Setup.prepop_vm_name ~host:0 ~index:0)
-  in
-  let simulate env args proc () =
-    match Tropic.Logical.simulate env ~tree ~proc ~args with
-    | Ok _ -> ()
-    | Error reason -> failwith reason
-  in
-  let spawn_result =
-    match Tropic.Logical.simulate env ~tree ~proc:"spawnVM" ~args:spawn_args with
-    | Ok r -> r
-    | Error reason -> failwith reason
-  in
-  let migrate_result =
-    match
-      Tropic.Logical.simulate env ~tree ~proc:"migrateVM" ~args:migrate_args
-    with
-    | Ok r -> r
-    | Error reason -> failwith reason
-  in
-  let rollback (r : Tropic.Logical.success) () =
-    match
-      Tropic.Logical.rollback env ~tree:r.Tropic.Logical.new_tree
-        ~log:r.Tropic.Logical.log
-    with
-    | Ok _ -> ()
-    | Error (_, reason) -> failwith reason
-  in
-  let registry = Tropic.Dsl.constraints_of env in
-  let host_path = Tcloud.Setup.compute_path 0 in
-  let locks = Mglock.create () in
-  let lock_set = spawn_result.Tropic.Logical.locks in
-  let txn_record =
-    let txn =
-      Tropic.Txn.make ~id:1 ~proc:"spawnVM" ~args:spawn_args ~submitted_at:0.
-    in
-    txn.Tropic.Txn.log <- spawn_result.Tropic.Logical.log;
-    txn.Tropic.Txn.locks <- lock_set;
-    Tropic.Txn.to_string txn
-  in
-  let coord_store = Coord.Store.create () in
-  let counter = ref 0 in
-  [
-    (* Table 1 / §6.1: the logical work of one spawn transaction. *)
-    Test.make ~name:"simulate-spawnVM (5 actions)"
-      (Staged.stage (simulate env spawn_args "spawnVM"));
-    Test.make ~name:"simulate-migrateVM"
-      (Staged.stage (simulate env migrate_args "migrateVM"));
-    (* §6.2: constraint checking. *)
-    Test.make ~name:"simulate-spawnVM-no-constraints"
-      (Staged.stage (simulate bare_env spawn_args "spawnVM"));
-    Test.make ~name:"constraint-check-path"
-      (Staged.stage (fun () ->
-           ignore (Tropic.Constraints.check_path registry tree host_path)));
-    (* §6.3: rollback. *)
-    Test.make ~name:"rollback-spawnVM" (Staged.stage (rollback spawn_result));
-    Test.make ~name:"rollback-migrateVM" (Staged.stage (rollback migrate_result));
-    (* §3.1.3: concurrency control. *)
-    Test.make ~name:"mglock-acquire-release"
-      (Staged.stage (fun () ->
-           (match Mglock.try_acquire locks ~txn:1 lock_set with
-            | Ok () -> ()
-            | Error _ -> failwith "unexpected lock conflict");
-           ignore (Mglock.release_all locks ~txn:1)));
-    (* §2.3: transaction-record persistence codec. *)
-    Test.make ~name:"txn-record-encode+decode"
-      (Staged.stage (fun () ->
-           match Tropic.Txn.of_string txn_record with
-           | Ok _ -> ()
-           | Error reason -> failwith reason));
-    (* Coordination state machine. *)
-    Test.make ~name:"coord-store-apply-create"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore
-             (Coord.Store.apply coord_store
-                (Coord.Types.Create
-                   {
-                     session = 1;
-                     req = !counter;
-                     key = "/bench/item-";
-                     value = "x";
-                     ephemeral = false;
-                     sequential = true;
-                   }))));
-  ]
-
-let run_micro () =
-  Experiments.Common.section
-    "Micro-benchmarks (Bechamel): engine operations backing §6.2/§6.3";
-  let tests = Test.make_grouped ~name:"tropic" (micro_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ t ] -> t
-          | Some _ | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Printf.printf "%-45s %15s\n" "operation" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let time =
-        if ns < 1_000. then Printf.sprintf "%.0f ns" ns
-        else if ns < 1_000_000. then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.2f ms" (ns /. 1e6)
-      in
-      Printf.printf "%-45s %15s\n" name time)
-    rows;
-  print_newline ()
+     dune exec bench/main.exe -- throughput   # saturation + group commit -> BENCH_throughput.json *)
 
 (* ------------------------------------------------------------------ *)
 (* Contention micro-benchmark: rescan vs wake-on-release (BENCH_sched.json)
@@ -172,8 +17,8 @@ let run_micro () =
    subtree serialize (the R and the object's ancestor IW join to W on the
    root).  Arrivals are one burst; completions happen in start order.  The
    "rescan" policy re-attempts every deferred transaction on every
-   completion — the scheduler this PR replaces — while the "wake" policy
-   re-attempts only the waiters [Mglock.release_all] reports.  The metric
+   completion — the scheduler wake-on-release replaced — while the "wake"
+   policy re-attempts only the waiters [Mglock.release_all] reports.  The metric
    is [Mglock.acquire_attempts] per committed transaction. *)
 
 type sched_point = {
@@ -715,80 +560,17 @@ let run_throughput_bench () =
      saturated: %b)\n\n%!"
     out top_on.tp_sessions top_on.tp_rate top_off.tp_rate ratio plateau
 
-(* ------------------------------------------------------------------ *)
-(* Experiment harness entries *)
-
-let quick () = Experiments.Common.quick_mode ()
-
-let perf_cfg () =
-  if quick () then Experiments.Perf.quick_config
-  else Experiments.Perf.default_config
-
-let run_fig45 () =
-  Experiments.Perf.print_fig4_fig5 ~multipliers:[ 1; 2; 3; 4; 5 ] (perf_cfg ())
-
-let run_safety () =
-  Experiments.Safety.print
-    (Experiments.Safety.run ~iterations:(if quick () then 2_000 else 20_000) ())
-
-let run_robustness () =
-  Experiments.Robustness.print
-    (Experiments.Robustness.run
-       ~iterations:(if quick () then 2_000 else 20_000)
-       ~injections:(if quick () then 8 else 20)
-       ())
-
-let run_ha () = Experiments.Ha.print (Experiments.Ha.run ())
-
-let run_hosting () =
-  Experiments.Hosting_run.print
-    (Experiments.Hosting_run.run
-       ~duration:(if quick () then 120. else 300.)
-       ())
-
-let run_scale () =
-  Experiments.Scale.print
-    (Experiments.Scale.run
-       ~host_counts:(if quick () then [ 500; 2_000 ] else [ 500; 2_000; 8_000 ])
-       ())
-
-let run_ablation () = Experiments.Ablation.print (Experiments.Ablation.run ())
-
-let run_all () =
-  Experiments.Table1.print ();
-  run_micro ();
-  run_sched_bench ();
-  run_overload_bench ();
-  run_shard_bench ();
-  run_throughput_bench ();
-  Experiments.Perf.print_fig3 ();
-  run_fig45 ();
-  run_safety ();
-  run_robustness ();
-  run_ha ();
-  run_hosting ();
-  run_scale ();
-  run_ablation ()
-
 let () =
   match Array.to_list Sys.argv with
-  | [ _ ] | [ _; "all" ] -> run_all ()
-  | [ _; "micro" ] -> run_micro ()
+  | [ _ ] ->
+    run_sched_bench ();
+    run_overload_bench ();
+    run_shard_bench ();
+    run_throughput_bench ()
   | [ _; "sched" ] -> run_sched_bench ()
   | [ _; "overload" ] -> run_overload_bench ()
   | [ _; "shard" ] -> run_shard_bench ()
   | [ _; "throughput" ] -> run_throughput_bench ()
-  | [ _; "table1" ] -> Experiments.Table1.print ()
-  | [ _; "fig3" ] -> Experiments.Perf.print_fig3 ()
-  | [ _; ("fig4" | "fig5") ] -> run_fig45 ()
-  | [ _; "safety" ] -> run_safety ()
-  | [ _; "robustness" ] -> run_robustness ()
-  | [ _; "ha" ] -> run_ha ()
-  | [ _; "hosting" ] -> run_hosting ()
-  | [ _; "scale" ] -> run_scale ()
-  | [ _; "ablation" ] -> run_ablation ()
   | _ ->
-    prerr_endline
-      "usage: main.exe \
-       [all|micro|sched|overload|shard|throughput|table1|fig3|fig4|fig5|safety|robustness|ha|hosting|scale|ablation]";
+    prerr_endline "usage: main.exe [sched|overload|shard|throughput]";
     exit 2

@@ -36,11 +36,6 @@ let effective_seed ~default seed =
   Printf.printf "[effective seed %d]\n%!" s;
   s
 
-let perf_config quick =
-  if quick || Experiments.Common.quick_mode () then
-    Experiments.Perf.quick_config
-  else Experiments.Perf.default_config
-
 (* ------------------------------------------------------------------ *)
 (* Subcommands *)
 
@@ -60,7 +55,10 @@ let multipliers_arg =
   Arg.(value & opt (list int) [ 1; 2; 3; 4; 5 ] & info [ "multipliers"; "m" ] ~doc)
 
 let fig45_run ?seed quick multipliers =
-  let cfg = perf_config quick in
+  let cfg =
+    if quick then Experiments.Perf.quick_config
+    else Experiments.Perf.default_config
+  in
   let cfg =
     { cfg with Experiments.Perf.seed = effective_seed ~default:cfg.Experiments.Perf.seed seed }
   in
@@ -82,10 +80,7 @@ let fig5_cmd =
     Term.(const run $ quick_flag $ multipliers_arg $ seed_arg)
 
 let safety_cmd =
-  let run quick =
-    let iterations = if quick then 2_000 else 20_000 in
-    Experiments.Safety.print (Experiments.Safety.run ~iterations ())
-  in
+  let run quick = Experiments.Safety.print (Experiments.Safety.run ~quick ()) in
   Cmd.v
     (Cmd.info "safety"
        ~doc:
@@ -95,11 +90,8 @@ let safety_cmd =
 
 let robustness_cmd =
   let run quick seed =
-    let iterations = if quick then 2_000 else 20_000 in
-    let injections = if quick then 8 else 20 in
     let seed = effective_seed ~default:Experiments.Robustness.default_seed seed in
-    Experiments.Robustness.print
-      (Experiments.Robustness.run ~seed ~iterations ~injections ())
+    Experiments.Robustness.print (Experiments.Robustness.run ~seed ~quick ())
   in
   Cmd.v
     (Cmd.info "robustness"
@@ -144,10 +136,9 @@ let finish_trace trace_file tracer =
 
 let hosting_cmd =
   let run quick seed trace_file =
-    let duration = if quick then 120. else 300. in
     let seed = effective_seed ~default:Experiments.Hosting_run.default_seed seed in
     let result =
-      Experiments.Hosting_run.run ~seed ~duration
+      Experiments.Hosting_run.run ~seed ~quick
         ~record_trace:(trace_file <> None) ()
     in
     Experiments.Hosting_run.print result;
@@ -160,9 +151,8 @@ let hosting_cmd =
 
 let scale_cmd =
   let run quick seed =
-    let host_counts = if quick then [ 500; 2_000 ] else [ 500; 2_000; 8_000 ] in
     let seed = effective_seed ~default:Experiments.Scale.default_seed seed in
-    Experiments.Scale.print (Experiments.Scale.run ~seed ~host_counts ())
+    Experiments.Scale.print (Experiments.Scale.run ~seed ~quick ())
   in
   Cmd.v
     (Cmd.info "scale"
@@ -229,6 +219,9 @@ let converge_cmd =
 let chaos_schedule_names () =
   String.concat ", "
     (List.map (fun s -> s.Chaos.Schedule.name) Chaos.Schedule.presets)
+
+(* A replay prints at most this many span-dump lines. *)
+let span_cap = 400
 
 let print_chaos_result ~with_trace r =
   if with_trace then
@@ -299,17 +292,12 @@ let print_chaos_result ~with_trace r =
     Printf.printf "  %s\n"
       (Tropic.Controller.phase_summary (List.hd r.Chaos.Runner.stats));
     let dump = r.Chaos.Runner.span_dump in
-    let cap =
-      match Sys.getenv_opt "TROPIC_SPAN_CAP" with
-      | Some s -> (try int_of_string s with _ -> 400)
-      | None -> 400
-    in
-    let shown = List.filteri (fun i _ -> i < cap) dump in
+    let shown = List.filteri (fun i _ -> i < span_cap) dump in
     if shown <> [] then begin
       Printf.printf "  span dump (%d spans/events):\n" (List.length dump);
       List.iter (fun line -> Printf.printf "    %s\n" line) shown;
-      if List.length dump > cap then
-        Printf.printf "    ... %d more\n" (List.length dump - cap)
+      if List.length dump > span_cap then
+        Printf.printf "    ... %d more\n" (List.length dump - span_cap)
     end
   end;
   List.iter
@@ -327,8 +315,7 @@ let chaos_run quick seeds first_seed schedule_name build_name replay_seed
     | Error message -> prerr_endline message; exit 2
   in
   let base_config =
-    if quick || Experiments.Common.quick_mode () then Chaos.Runner.quick_config
-    else Chaos.Runner.default_config
+    if quick then Chaos.Runner.quick_config else Chaos.Runner.default_config
   in
   let config = { base_config with Chaos.Runner.build } in
   let schedules =
@@ -444,20 +431,11 @@ let all_cmd =
     Experiments.Table1.print ();
     Experiments.Perf.print_fig3 ();
     fig45_run quick [ 1; 2; 3; 4; 5 ];
-    Experiments.Safety.print
-      (Experiments.Safety.run ~iterations:(if quick then 2_000 else 20_000) ());
-    Experiments.Robustness.print
-      (Experiments.Robustness.run
-         ~iterations:(if quick then 2_000 else 20_000)
-         ~injections:(if quick then 8 else 20)
-         ());
+    Experiments.Safety.print (Experiments.Safety.run ~quick ());
+    Experiments.Robustness.print (Experiments.Robustness.run ~quick ());
     Experiments.Ha.print (Experiments.Ha.run ());
-    Experiments.Hosting_run.print
-      (Experiments.Hosting_run.run ~duration:(if quick then 120. else 300.) ());
-    Experiments.Scale.print
-      (Experiments.Scale.run
-         ~host_counts:(if quick then [ 500; 2_000 ] else [ 500; 2_000; 8_000 ])
-         ());
+    Experiments.Hosting_run.print (Experiments.Hosting_run.run ~quick ());
+    Experiments.Scale.print (Experiments.Scale.run ~quick ());
     Experiments.Ablation.print (Experiments.Ablation.run ())
   in
   Cmd.v

@@ -3,8 +3,6 @@ let log_src = Logs.Src.create "tropic.controller" ~doc:"TROPIC controller"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
-  cpu_per_txn : float;
-  cpu_per_action : float;
   checkpoint_every : int option;
   repair_rules : Recon.rule list;
   constraint_guard_locks : bool;
@@ -18,8 +16,6 @@ type config = {
 
 let default_config =
   {
-    cpu_per_txn = 0.0027;
-    cpu_per_action = 0.001;
     checkpoint_every = None;
     repair_rules = [];
     constraint_guard_locks = true;
@@ -39,8 +35,6 @@ type stats = {
   mutable failed : int;
   mutable deferrals : int;
   mutable violations : int;
-  mutable repairs : int;
-  mutable reloads : int;
   mutable wakeups : int;
   mutable spurious_wakeups : int;
   mutable retries_saved : int;
@@ -88,8 +82,6 @@ let fresh_stats () =
     failed = 0;
     deferrals = 0;
     violations = 0;
-    repairs = 0;
-    reloads = 0;
     wakeups = 0;
     spurious_wakeups = 0;
     retries_saved = 0;
@@ -126,8 +118,6 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.failed <- into.failed + src.failed;
   into.deferrals <- into.deferrals + src.deferrals;
   into.violations <- into.violations + src.violations;
-  into.repairs <- into.repairs + src.repairs;
-  into.reloads <- into.reloads + src.reloads;
   into.wakeups <- into.wakeups + src.wakeups;
   into.spurious_wakeups <- into.spurious_wakeups + src.spurious_wakeups;
   into.retries_saved <- into.retries_saved + src.retries_saved;
@@ -492,7 +482,11 @@ let mark_started t (txn : Txn.t) ~locks =
   txn.Txn.start_seq <- Some t.next_start_seq;
   t.next_start_seq <- t.next_start_seq + 1
 
-(* Logical simulation under the CPU cost model: base + per-action. *)
+(* Logical simulation under the CPU cost model: base + per-action, in CPU
+   seconds (calibration in EXPERIMENTS.md). *)
+let cpu_per_txn = 0.0027
+let cpu_per_action = 0.001
+
 let simulate t (txn : Txn.t) ~tree =
   let result =
     Logical.simulate ~guard_locks:t.cfg.constraint_guard_locks t.env ~tree
@@ -502,7 +496,7 @@ let simulate t (txn : Txn.t) ~tree =
     match result with Ok s -> s.Logical.actions | Error _ -> 0
   in
   Des.Station.request t.cpu
-    ~service:(t.cfg.cpu_per_txn +. (t.cfg.cpu_per_action *. float_of_int actions));
+    ~service:(cpu_per_txn +. (cpu_per_action *. float_of_int actions));
   result
 
 (* ------------------------------------------------------------------ *)
@@ -1013,8 +1007,7 @@ let handle_reload t path =
                       Constraints.pp_violation violation)
               | [] ->
                 t.tree <- candidate;
-                unquarantine_subtree t path;
-                t.st.reloads <- t.st.reloads + 1)))
+                unquarantine_subtree t path)))
 
 let handle_repair t path =
   if not (Shard.owns t.shard path) then
@@ -1048,9 +1041,7 @@ let handle_repair t path =
                    Devices.Device.invoke device ~action:step.Recon.action
                      ~args:step.Recon.args)
              with
-             | Ok () ->
-               t.st.repairs <- t.st.repairs + 1;
-               true
+             | Ok () -> true
              | Error err ->
                Log.err (fun m ->
                    m "%s: repair step %a failed: %s" t.cname Recon.pp_step step

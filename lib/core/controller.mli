@@ -16,8 +16,6 @@
     what Figure 4 plots. *)
 
 type config = {
-  cpu_per_txn : float;      (** base CPU seconds per simulated transaction *)
-  cpu_per_action : float;   (** CPU seconds per simulated action *)
   checkpoint_every : int option;
       (** quiescent checkpoint period, in commits; [None] disables *)
   repair_rules : Recon.rule list;
@@ -57,8 +55,6 @@ type stats = {
   mutable failed : int;
   mutable deferrals : int;       (** lock-conflict deferments *)
   mutable violations : int;      (** constraint-violation aborts *)
-  mutable repairs : int;         (** repair steps executed *)
-  mutable reloads : int;
   mutable wakeups : int;
       (** blocked txns re-readied because a released lock unparked them *)
   mutable spurious_wakeups : int;

@@ -15,11 +15,6 @@ let time_it f =
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 
-let quick_mode () =
-  match Sys.getenv_opt "TROPIC_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let robust_summary (st : Tropic.Controller.stats) =
   Printf.sprintf
     "robust: retries %d (%d transient, %d timeouts), signals %d TERM / %d \

@@ -12,10 +12,6 @@ val time_it : (unit -> 'a) -> 'a * float
 (** Print a section header to stdout. *)
 val section : string -> unit
 
-(** TROPIC_BENCH_QUICK=1 shrinks the big experiments (documented per
-    experiment). *)
-val quick_mode : unit -> bool
-
 (** One-line human summary of a shard's scheduler counters: deferrals
     per committed txn + wakeup counters. *)
 val sched_summary : Tropic.Controller.stats -> string

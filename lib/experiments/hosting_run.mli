@@ -13,7 +13,6 @@ type op_stats = {
 
 type result = {
   duration : float;
-  rate : float;
   ops : op_stats list;
   deferrals : int;
   violations : int;
@@ -30,13 +29,8 @@ type result = {
 (** Simulation seed used when [?seed] is not given. *)
 val default_seed : int
 
-(** [record_trace] (default false) attaches a span recorder to every
-    controller and worker; the result then carries the trace. *)
-val run :
-  ?seed:int ->
-  ?rate:float ->
-  ?duration:float ->
-  ?record_trace:bool ->
-  unit ->
-  result
+(** Runs the workload at 1 op/s for 300 s, or 120 s with [quick] (default
+    false).  [record_trace] (default false) attaches a span recorder to
+    every controller and worker; the result then carries the trace. *)
+val run : ?seed:int -> ?quick:bool -> ?record_trace:bool -> unit -> result
 val print : result -> unit

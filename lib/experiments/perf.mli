@@ -19,7 +19,7 @@ type config = {
 
 val default_config : config
 
-(** Shrunk variant for TROPIC_BENCH_QUICK: 600 s around the peak, 2 000
+(** Shrunk variant for [--quick]: 600 s around the peak, 2 000
     hosts. *)
 val quick_config : config
 

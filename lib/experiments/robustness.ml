@@ -128,7 +128,8 @@ let e2e_run ~seed injections =
 
 let default_seed = 63
 
-let run ?(seed = default_seed) ?(iterations = 20_000) ?(injections = 20) () =
+let run ?(seed = default_seed) ?(quick = false) () =
+  let iterations, injections = if quick then (2_000, 8) else (20_000, 20) in
   { micro = micro_run iterations; e2e = e2e_run ~seed injections }
 
 let print r =

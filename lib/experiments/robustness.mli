@@ -26,5 +26,7 @@ type result = { micro : micro; e2e : e2e }
     the micro-benchmark is deterministic). *)
 val default_seed : int
 
-val run : ?seed:int -> ?iterations:int -> ?injections:int -> unit -> result
+(** [quick] (default false) times 2 000 rollbacks per mean instead of
+    20 000 and injects 8 faults instead of 20. *)
+val run : ?seed:int -> ?quick:bool -> unit -> result
 val print : result -> unit

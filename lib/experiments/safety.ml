@@ -4,6 +4,7 @@ type result = {
   without_constraints_us : float;
   overhead_us : float;
   migrate_block_us : float;
+  migrate_rejected : bool;
 }
 
 (* An environment identical to TCloud's but with no constraints registered:
@@ -33,7 +34,8 @@ let mean_simulate_us env tree calls iterations =
   in
   seconds /. float_of_int iterations *. 1e6
 
-let run ?(iterations = 20_000) () =
+let run ?(quick = false) () =
+  let iterations = if quick then 2_000 else 20_000 in
   let inv = Tcloud.Setup.build deployment in
   let tree = inv.Tcloud.Setup.tree in
   let bare_env = env_without_constraints () in
@@ -81,12 +83,20 @@ let run ?(iterations = 20_000) () =
     mean_simulate_us inv.Tcloud.Setup.env tree blocked_migrations
       (iterations / 4)
   in
+  let migrate_rejected =
+    Array.for_all
+      (fun (proc, args) ->
+        Result.is_error
+          (Tropic.Logical.simulate inv.Tcloud.Setup.env ~tree ~proc ~args))
+      blocked_migrations
+  in
   {
     iterations;
     with_constraints_us;
     without_constraints_us;
     overhead_us = with_constraints_us -. without_constraints_us;
     migrate_block_us;
+    migrate_rejected;
   }
 
 let print r =

@@ -14,7 +14,11 @@ type result = {
   migrate_block_us : float;
       (** mean cost of a migrateVM simulation that the hypervisor rule
           rejects *)
+  migrate_rejected : bool;
+      (** every timed cross-hypervisor migration failed simulation *)
 }
 
-val run : ?iterations:int -> unit -> result
+(** [quick] (default false) times 2 000 simulations per mean instead of
+    20 000. *)
+val run : ?quick:bool -> unit -> result
 val print : result -> unit

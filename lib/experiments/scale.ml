@@ -19,9 +19,13 @@ type result = {
   projected_resources_32gb : float;
 }
 
-(* Constant offered load against deployments of increasing size: the
-   throughput and latency should not depend on the resource count. *)
-let throughput_point ~seed ~rate ~duration hosts =
+(* Constant offered load, [rate] spawns/s for [duration] s, against
+   deployments of increasing size: the throughput and latency should not
+   depend on the resource count. *)
+let rate = 10.
+let duration = 120.
+
+let throughput_point ~seed hosts =
   let cfg =
     {
       Perf.default_config with
@@ -116,11 +120,9 @@ let memory_point hosts =
 
 let default_seed = 5
 
-let run ?(seed = default_seed) ?(host_counts = [ 500; 2_000; 8_000 ])
-    ?(rate = 10.) ?(duration = 120.) () =
-  let throughput =
-    List.map (throughput_point ~seed ~rate ~duration) host_counts
-  in
+let run ?(seed = default_seed) ?(quick = false) () =
+  let host_counts = if quick then [ 500; 2_000 ] else [ 500; 2_000; 8_000 ] in
+  let throughput = List.map (throughput_point ~seed) host_counts in
   let memory = List.map memory_point [ 250; 1_000; 4_000 ] in
   let per_resource =
     match List.rev memory with

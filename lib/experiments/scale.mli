@@ -34,7 +34,7 @@ type result = {
     on [hosts + seed] so different sizes stay decorrelated. *)
 val default_seed : int
 
-val run :
-  ?seed:int -> ?host_counts:int list -> ?rate:float -> ?duration:float ->
-  unit -> result
+(** Offers 10 spawn txn/s for 120 s to 500, 2 000 and 8 000 hosts; [quick]
+    (default false) drops the 8 000-host point. *)
+val run : ?seed:int -> ?quick:bool -> unit -> result
 val print : result -> unit

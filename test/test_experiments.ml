@@ -51,6 +51,36 @@ let test_ha_run_invariants () =
     (Float.is_finite r.Experiments.Ha.first_commit_after)
 
 (* ------------------------------------------------------------------ *)
+(* §6.2/§6.3 real-cost experiments at their --quick size *)
+
+let positive_us name us =
+  if not (Float.is_finite us && us > 0.) then
+    Alcotest.failf "%s: %f us is not a positive time" name us
+
+let test_safety_quick () =
+  let r = Experiments.Safety.run ~quick:true () in
+  positive_us "simulate with constraints"
+    r.Experiments.Safety.with_constraints_us;
+  positive_us "simulate without constraints"
+    r.Experiments.Safety.without_constraints_us;
+  check bool_c "illegal migration rejected" true
+    r.Experiments.Safety.migrate_rejected
+
+let test_robustness_quick () =
+  let r = Experiments.Robustness.run ~quick:true () in
+  let e = r.Experiments.Robustness.e2e in
+  check bool_c "faults injected" true (e.Experiments.Robustness.injected > 0);
+  check int_c "every injected fault aborts cleanly"
+    e.Experiments.Robustness.injected e.Experiments.Robustness.aborted;
+  check int_c "every control spawn commits" e.Experiments.Robustness.injected
+    e.Experiments.Robustness.committed;
+  check int_c "no VM left behind" 0 e.Experiments.Robustness.residue;
+  positive_us "spawn rollback"
+    r.Experiments.Robustness.micro.Experiments.Robustness.spawn_rollback_us;
+  positive_us "migrate rollback"
+    r.Experiments.Robustness.micro.Experiments.Robustness.migrate_rollback_us
+
+(* ------------------------------------------------------------------ *)
 (* Whole-system consistency under the hosting mix *)
 
 let hosting_ops ~seed ~count =
@@ -451,6 +481,8 @@ let suite =
   [
     ("perf: miniature run invariants", `Slow, test_perf_run_invariants);
     ("ha: miniature failover invariants", `Slow, test_ha_run_invariants);
+    ("safety: quick run measures and rejects", `Quick, test_safety_quick);
+    ("robustness: quick run aborts cleanly", `Quick, test_robustness_quick);
     ("hosting mix: layers consistent", `Slow, test_hosting_mix_consistency);
     ("hosting mix: consistent under chaos", `Slow, test_hosting_mix_chaos_consistency);
     ( "recovery: repeated controller crashes, exactly-once",

@@ -231,6 +231,26 @@ let check_trace ~at tracer =
     (Trace.Check.validate tracer)
 
 (* ------------------------------------------------------------------ *)
+(* Session order *)
+
+(* Every replica applies the whole committed log (from its snapshot on),
+   so a gap counted by one live replica is one in the log itself; take the
+   worst replica per shard. *)
+let session_order_gaps platform =
+  List.fold_left ( + ) 0
+    (List.init (Tropic.Platform.shard_count platform) (fun sid ->
+         let ens = Tropic.Platform.coord_ensemble platform sid in
+         List.fold_left
+           (fun worst i ->
+             if Coord.Ensemble.replica_up ens i then
+               max worst
+                 (Coord.Store.order_gaps
+                    (Coord.Replica.store (Coord.Ensemble.replica ens i)))
+             else worst)
+           0
+           (Coord.Ensemble.replica_ids ens)))
+
+(* ------------------------------------------------------------------ *)
 (* Quiescence check *)
 
 type vm_fate = { vm : string; host : int; present : bool; running : bool }
@@ -304,6 +324,17 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
     expected;
   (* 3. Capacity: final physical placement respects host memory. *)
   List.iter (violation "no-overcommit") (overcommit_violations computes);
+  (* Session order: no data command was applied past a hole in its
+     session's request sequence, i.e. pipelined commands never overtook
+     or lost an earlier one of their session. *)
+  (match session_order_gaps platform with
+   | 0 -> ()
+   | gaps ->
+     violation "session-order"
+       (Printf.sprintf
+          "%d data commands applied past a gap in their session's request \
+           order"
+          gaps));
   (* 4/5/6 need a leading controller — on every shard.  Each device
      subtree is judged against its owning shard's leader (the copies a
      shard keeps of foreign subtrees are cosmetic and go stale), and the

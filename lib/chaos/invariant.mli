@@ -29,6 +29,11 @@
       devices exactly once — the right VM on the right host in the right
       state, no duplicates, no resurrections, no ghosts.
     - [no-overcommit]: final-state capacity check, same as above.
+    - [session-order]: no coordination replica applied a data command
+      whose request number skips past its session's last one — each
+      session's pipelined commands reached the log in send order, none
+      lost ahead of a later one ({!Coord.Store.order_gaps}, the most any
+      live replica of a shard counted, summed over shards).
     - [convergence]: no subtree is still quarantined and every device's
       exported state equals its {e owning} shard leader's logical
       subtree.

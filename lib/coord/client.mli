@@ -6,6 +6,30 @@
     changes — retries are safe because the state machine deduplicates on
     [(session, req)].
 
+    {b Ordered admission.}  A session pipelines its replicated commands,
+    as a ZooKeeper session does, and the leader applies them in request
+    order.  The leader answers a command it has put into its log order
+    (the group-commit batch) with an [Admitted] receipt, and the result
+    once it commits.  The client sends a command only once every earlier
+    unanswered one holds a receipt from the node it is sending to, so the
+    leader's log holds the session's commands in send order although the
+    network reorders messages.  A timeout or [Not_leader] on any of them
+    resends every unanswered command, oldest first, again one receipt at a
+    time; so does any other move of the session's leader hint (a query or
+    ping that meets a new leader), since a receipt vouches only for the
+    log of the node that sent it.
+    (A command answered at enqueue under the [unsafe_ack] ablation gets
+    its result instead of a receipt.)  The order assumes a command
+    reaches a leader within one election timeout of its predecessor's
+    receipt, which holds for [Des.Net]'s latencies.
+
+    {b Results cache.}  The store keeps only each session's {e last}
+    result, so a retried command that some later command of the session
+    has overtaken in applying is answered with that later command's
+    result.  The blocking calls below hold every later command back until
+    their own result is in, so their results are exact; {!multi_async}
+    results are good for logging only.
+
     Watch events arrive asynchronously; they are surfaced both on
     {!events} and through {!await_change}, which recipes use as a wake-up
     hint before re-checking state (one-shot watches may be lost on a
@@ -32,7 +56,8 @@ val name : t -> string
 val sim : t -> Des.Sim.t
 
 (** {1 Replicated updates} — block the calling process until the command
-    commits; retried transparently across failures. *)
+    commits; retried transparently across failures.  Later commands of
+    the session leave only once the result is in. *)
 
 val create :
   t ->
@@ -57,6 +82,23 @@ val delete :
     versioned one fails the multi.  An empty list sends nothing. *)
 val multi :
   t -> Types.op list -> (Types.op_result list, Types.op_error) result
+
+(** [multi_async c ops ~on_done] queues the same command without waiting:
+    it leaves in request order behind the session's earlier commands,
+    and later ones may follow it as soon as its receipt is in.
+    [on_done] runs outside any process (it must not block) with the
+    command's result, which may be a later command's cached one (see
+    above), so use it for logging only; it never runs if the session
+    closes first.  Event-driven: no process per request. *)
+val multi_async :
+  t -> Types.op list -> on_done:(Types.op_result -> unit) -> unit
+
+(** {!multi_async} with the ops built when the command first leaves —
+    once every earlier command of the session holds its receipt — so a
+    caller can keep adding to a command that is still queued.  [ops ()]
+    must not be empty. *)
+val multi_async_lazy :
+  t -> (unit -> Types.op list) -> on_done:(Types.op_result -> unit) -> unit
 
 (** {1 Membership changes} — replicated like any command.  [Error
     Config_pending] means another change is in flight; retry. *)
@@ -92,7 +134,8 @@ val await_change : t -> timeout:float -> bool
 
 (** Stop all client activity without telling anyone.  The session stops
     pinging, so its ephemerals expire only after the session timeout —
-    exactly what a crashed controller looks like. *)
+    exactly what a crashed controller looks like.  Unanswered commands are
+    dropped; their blocked callers raise [Des.Proc.Killed]. *)
 val close : t -> unit
 
 (** Graceful shutdown: announce the departure so the leader expires the

@@ -403,13 +403,16 @@ let flush_batch r trigger =
   | _ ->
     let items = List.rev r.batch in
     let size = r.batch_len in
+    let epoch = r.term in
     r.batch <- [];
     r.batch_len <- 0;
     (* One amortized persistence charge for the whole batch — the group
        commit.  This blocks (possibly behind earlier station jobs), so
-       re-check leadership afterwards. *)
+       re-check leadership afterwards: a leadership lost and regained
+       meanwhile must bounce the batch too, or a later batch could land
+       in the new term while this one's clients resend theirs behind it. *)
     Des.Station.request r.station ~service:r.config.Types.op_service_time;
-    if r.role <> Leader then
+    if r.role <> Leader || r.term <> epoch then
       List.iter
         (fun item ->
           if not item.b_acked then
@@ -868,8 +871,9 @@ let handle_client r src ~req_id ~session_timeout request =
       else handle_config_change r src ~req_id cmd
     | Types.Submit cmd when r.config.Types.group_commit ->
       (* Group commit: enqueue for free; the batch pays one amortized
-         station round when it flushes on size or timeout.  The ack is
-         released by [apply_committed] once the batch reaches quorum. *)
+         station round when it flushes on size or timeout.  The receipt
+         goes out at once, the ack is released by [apply_committed] once
+         the batch reaches quorum. *)
       let acked =
         r.config.Types.unsafe_ack
         && begin
@@ -885,8 +889,10 @@ let handle_client r src ~req_id ~session_timeout request =
           true
         end
       in
-      if not acked then
+      if not acked then begin
         r.gstats.Types.acks_deferred <- r.gstats.Types.acks_deferred + 1;
+        send_resp r src ~req_id Types.Admitted
+      end;
       let was_empty = r.batch = [] in
       r.batch <-
         { b_client = src; b_req = req_id; b_cmd = cmd; b_acked = acked }
@@ -900,7 +906,10 @@ let handle_client r src ~req_id ~session_timeout request =
     | Types.Submit cmd ->
       (* Ungrouped baseline: the modeled per-op I/O cost blocks the main
          loop, so client commands serialize here one fsync at a time —
-         the paper's throughput ceiling, kept as an ablation. *)
+         the paper's throughput ceiling, kept as an ablation.  Nothing
+         else is handled until the append, so the command's place in the
+         log is fixed now: the receipt goes out before the fsync. *)
+      send_resp r src ~req_id Types.Admitted;
       Des.Station.request r.station ~service:r.config.Types.op_service_time;
       if r.role <> Leader then send_resp r src ~req_id (not_leader r)
       else begin

@@ -7,6 +7,9 @@ type t = {
   mutable entries : entry Smap.t;
   mutable seq_counter : int;
   mutable dedup : (int * Types.op_result) Imap.t; (* session -> last req, result *)
+  mutable order_gaps : int;
+      (* data commands applied past a hole in their session's request
+         sequence; local to this instance, not in the snapshot *)
   mutable members : int list;
       (* ensemble configuration as of the *applied* prefix; every
          instance must boot from the same list or replay diverges *)
@@ -17,10 +20,12 @@ let create ?(members = []) () =
     entries = Smap.empty;
     seq_counter = 0;
     dedup = Imap.empty;
+    order_gaps = 0;
     members = List.sort compare members;
   }
 
 let members t = t.members
+let order_gaps t = t.order_gaps
 
 let parent key =
   match String.rindex_opt key '/' with
@@ -145,10 +150,17 @@ let do_expire t session =
   (Types.Expired_ok, List.rev doomed)
 
 let apply t cmd =
-  let deduped session req run =
+  let deduped ?(data = true) session req run =
     match Imap.find_opt session t.dedup with
     | Some (last_req, cached) when req <= last_req -> (cached, [])
-    | Some _ | None ->
+    | last ->
+      (* A config command the leader answered without a log entry (already
+         a member, another change pending) consumes a request number too,
+         so only data commands are held to the dense sequence. *)
+      (match last with
+       | Some (last_req, _) when data && req > last_req + 1 ->
+         t.order_gaps <- t.order_gaps + 1
+       | Some _ | None -> ());
       let result, changed = run () in
       t.dedup <- Imap.add session (req, result) t.dedup;
       (result, changed)
@@ -166,11 +178,11 @@ let apply t cmd =
   | Types.Expire_session session -> do_expire t session
   | Types.Noop -> (Types.Noop_ok, [])
   | Types.Add_replica { session; req; id } ->
-    deduped session req (fun () ->
+    deduped ~data:false session req (fun () ->
         t.members <- Types.add_member t.members id;
         (Types.Config_ok, []))
   | Types.Remove_replica { session; req; id } ->
-    deduped session req (fun () ->
+    deduped ~data:false session req (fun () ->
         t.members <- Types.remove_member t.members id;
         (Types.Config_ok, []))
 
@@ -288,5 +300,5 @@ let of_sexp sexp =
           | other -> Error ("bad dedup entry: " ^ Data.Sexp.to_string other))
         (Ok Imap.empty) dedup
     in
-    Ok { entries; seq_counter; dedup; members }
+    Ok { entries; seq_counter; dedup; order_gaps = 0; members }
   | other -> Error ("Store.of_sexp: " ^ Data.Sexp.to_string other)

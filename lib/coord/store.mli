@@ -26,6 +26,13 @@ val members : t -> int list
     that op's [Op_failed] and no key is reported changed. *)
 val apply : t -> Types.cmd -> Types.op_result * string list
 
+(** Data commands (create, write, delete, multi) applied with a request
+    number past [last + 1] for their session: a command of the session
+    overtook or lost an earlier one.  Clients keep each session's commands
+    in send order, so this stays 0.  Counted by this instance since it was
+    created or restored; not part of the snapshot. *)
+val order_gaps : t -> int
+
 (** {1 Reads (not replicated)} *)
 
 val get : t -> string -> (string * int) option

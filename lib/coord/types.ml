@@ -139,6 +139,12 @@ type request =
 
 type response =
   | Pong
+  | Admitted
+      (* receipt: the leader has put this Submit into its log order (the
+         group-commit batch, or the log itself when ungrouped); the
+         [Result] follows once it commits.  A session sends its next
+         command only after the previous one's receipt or result, so the
+         leader admits each session's commands in send order *)
   | Result of op_result
   | Query_result of query_result
   | Not_leader of { hint : int option; members : int list }

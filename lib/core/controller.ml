@@ -803,12 +803,21 @@ let try_start t (txn : Txn.t) : Sched.attempt =
 let rec schedule t =
   t.wake_pending <- false;
   flush_wakes t;
-  (* The drain itself runs with persists deferred: the Started records of
-     every txn the pass starts and their phyQ offers commit as one multi.
-     Participant prepares opt out via [Persist.write_now] (the vote is the
-     durability promise). *)
+  (* The drain runs with persists deferred, and each txn it starts
+     releases its own window (its Started record and phyQ offer, plus any
+     records deferred before it) right after its simulate: the multi is in
+     flight while the next txn simulates.  Participant prepares opt out via
+     [Persist.write_now] (the vote is the durability promise). *)
   Persist.defer t.persist;
-  Sched.drain t.sched ~attempt:(try_start t) ~on_spurious:(fun _ ->
+  let attempt txn =
+    let outcome = try_start t txn in
+    if outcome = `Started then begin
+      Persist.release t.persist;
+      Persist.defer t.persist
+    end;
+    outcome
+  in
+  Sched.drain t.sched ~attempt ~on_spurious:(fun _ ->
       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1);
   Persist.release t.persist;
   if Hashtbl.length t.wake_buf > 0 then schedule t
@@ -1293,7 +1302,7 @@ let run t () =
      with the deletion of the items, so process→persist→delete holds by
      atomicity (a crash before the window is durable replays the items,
      which processing dedups).  The release does not wait: the next pass
-     reads inputQ while the writer sends this one. *)
+     reads inputQ while this window is in flight. *)
   while not t.stopped do
     if drain_twopc t || t.wake_pending then schedule t;
     match next_burst t with
@@ -1313,7 +1322,7 @@ let run t () =
 
 let start t =
   let p = Des.Proc.spawn ~name:t.cname t.sim (run t) in
-  t.procs <- [ p; Persist.start t.persist ]
+  t.procs <- [ p ]
 
 let crash t =
   t.stopped <- true;

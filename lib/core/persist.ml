@@ -9,11 +9,15 @@ type t = {
   dirty : (int, Txn.t) Hashtbl.t;  (* latest deferred state per txn *)
   mutable deferred : bool;
   mutable offers : int list;  (* buffered phyQ offers, newest first *)
-  mutable queue : Coord.Types.op list;  (* released, not yet sent; newest first *)
-  mutable queued : int;  (* ops ever queued *)
-  mutable acked : int;  (* ops ever acked: a prefix of the queued ones *)
-  deleting : (string, unit) Hashtbl.t;  (* deletes queued or in flight *)
-  mutable kick : unit Des.Proc.resumer option;  (* the idle writer *)
+  inflight : (Coord.Types.op list ref * bool ref) Queue.t;
+      (* sent multis in send order, each with whether it is answered;
+         the answered head is popped *)
+  mutable queued : Coord.Types.op list ref option;
+      (* the last sent multi while the session still holds it back behind
+         an earlier one's receipt; a window released meanwhile joins it *)
+  mutable sent : int;  (* ops ever sent *)
+  mutable acked : int;  (* ops of the answered prefix of the sent multis *)
+  deleting : (string, unit) Hashtbl.t;  (* deletes in flight *)
   mutable waiters : (int * unit Des.Proc.resumer) list;
       (* barrier callers, each with the [acked] count it waits for *)
 }
@@ -26,11 +30,11 @@ let create ~name ~ns ~client =
     dirty = Hashtbl.create 32;
     deferred = false;
     offers = [];
-    queue = [];
-    queued = 0;
+    inflight = Queue.create ();
+    queued = None;
+    sent = 0;
     acked = 0;
     deleting = Hashtbl.create 32;
-    kick = None;
     waiters = [];
   }
 
@@ -47,62 +51,66 @@ let offer_op t txn_id =
 
 let delete_op key = Coord.Types.Op_delete { key; expect_version = None }
 
-let enqueue t ops =
-  if ops <> [] then begin
-    t.queue <- List.rev_append ops t.queue;
-    t.queued <- t.queued + List.length ops;
-    Option.iter
-      (fun resume ->
-        t.kick <- None;
-        resume (Ok ()))
-      t.kick
-  end
-
 let barrier t =
-  let target = t.queued in
+  let target = t.sent in
   if t.acked < target then
     Des.Proc.suspend (fun _ resume ->
         t.waiters <- (target, resume) :: t.waiters;
         fun () -> t.waiters <- List.filter (fun (_, r) -> r != resume) t.waiters)
 
-(* One multi for everything queued; blocks until it is applied.
-   Unconditional writes, sequential creates and unconditional deletes
-   cannot fail, so an error here is a bug worth a log line, not a retry. *)
+(* Answers arrive in any order; [acked] advances over the answered prefix
+   only, so a barrier never passes a multi that is still in flight. *)
+let rec settle t =
+  match Queue.peek_opt t.inflight with
+  | Some (ops, answered) when !answered ->
+    let ops = !ops in
+    ignore (Queue.pop t.inflight);
+    t.acked <- t.acked + List.length ops;
+    List.iter
+      (function
+        | Coord.Types.Op_delete { key; _ } -> Hashtbl.remove t.deleting key
+        | Coord.Types.Op_create _ | Coord.Types.Op_write _ -> ())
+      ops;
+    settle t
+  | Some _ | None ->
+    let ready, waiting = List.partition (fun (n, _) -> n <= t.acked) t.waiters in
+    t.waiters <- waiting;
+    List.iter (fun (_, resume) -> resume (Ok ())) (List.rev ready)
+
+(* Send [ops] at once; the session keeps them behind every multi sent
+   before.  While the previous multi has not left yet they join it (one
+   command, all or none, still a prefix of the windows), so a backlog
+   costs one command per receipt, not one per window.  Unconditional
+   writes, sequential creates and unconditional deletes cannot fail, so a
+   failure answer is a bug (or a later command's cached answer, see
+   [Coord.Client]) worth a log line, not a retry. *)
 let send t ops =
-  (match Coord.Client.multi t.client ops with
-   | Ok _ -> ()
-   | Error e ->
-     Log.err (fun m ->
-         m "%s: persisting %d ops failed: %s" t.name (List.length ops)
-           (Format.asprintf "%a" Coord.Types.pp_op_error e)));
-  t.acked <- t.acked + List.length ops;
-  List.iter
-    (function
-      | Coord.Types.Op_delete { key; _ } -> Hashtbl.remove t.deleting key
-      | Coord.Types.Op_create _ | Coord.Types.Op_write _ -> ())
-    ops;
-  let ready, waiting = List.partition (fun (n, _) -> n <= t.acked) t.waiters in
-  t.waiters <- waiting;
-  List.iter (fun (_, resume) -> resume (Ok ())) (List.rev ready)
-
-let writer t () =
-  while true do
-    match t.queue with
-    | [] ->
-      Des.Proc.suspend (fun _ resume ->
-          t.kick <- Some resume;
-          fun () -> t.kick <- None)
-    | newest_first ->
-      t.queue <- [];
-      send t (List.rev newest_first)
-  done
-
-let start t =
-  Des.Proc.spawn ~name:(t.name ^ ".writer") (Coord.Client.sim t.client)
-    (writer t)
+  if ops <> [] then begin
+    t.sent <- t.sent + List.length ops;
+    match t.queued with
+    | Some queued -> queued := !queued @ ops
+    | None ->
+      let multi = ref ops and answered = ref false in
+      Queue.push (multi, answered) t.inflight;
+      t.queued <- Some multi;
+      Coord.Client.multi_async_lazy t.client
+        (fun () ->
+          t.queued <- None;
+          !multi)
+        ~on_done:(fun result ->
+          (match result with
+           | Coord.Types.Op_failed e ->
+             Log.err (fun m ->
+                 m "%s: persisting %d ops failed: %s" t.name
+                   (List.length !multi)
+                   (Format.asprintf "%a" Coord.Types.pp_op_error e))
+           | _ -> ());
+          answered := true;
+          settle t)
+  end
 
 let write_now t txn =
-  enqueue t [ record_op t txn ];
+  send t [ record_op t txn ];
   barrier t
 
 let write t (txn : Txn.t) =
@@ -111,7 +119,7 @@ let write t (txn : Txn.t) =
 
 let offer t txn_id =
   if t.deferred then t.offers <- txn_id :: t.offers
-  else enqueue t [ offer_op t txn_id ]
+  else send t [ offer_op t txn_id ]
 
 let defer t = t.deferred <- true
 
@@ -128,14 +136,14 @@ let pending_ops t =
   List.map (record_op t) txns @ List.map (offer_op t) offers
 
 let flush t =
-  enqueue t (pending_ops t);
+  send t (pending_ops t);
   barrier t
 
 let release ?(deletes = []) t =
   t.deferred <- false;
   List.iter (fun key -> Hashtbl.replace t.deleting key ()) deletes;
-  enqueue t (pending_ops t @ List.map delete_op deletes)
+  send t (pending_ops t @ List.map delete_op deletes)
 
 let deleting t key = Hashtbl.mem t.deleting key
 let deleting_count t = Hashtbl.length t.deleting
-let unfinished t = t.queued - t.acked + Hashtbl.length t.dirty
+let unfinished t = t.sent - t.acked + Hashtbl.length t.dirty

@@ -194,7 +194,9 @@ let take w ~key ~marker =
 
 (* Run the item just taken ([claimed]: the executing marker is ours) and
    finish in one multi: the result, the progress cursor's delete and our
-   marker's — a crash leaves either all of them or none. *)
+   marker's — a crash leaves either all of them or none.  The finish is
+   pipelined: the worker reads its next candidates while it is in flight,
+   and the session's ordered admission keeps the next take behind it. *)
 let run_taken w txn_id ~marker ~claimed =
   let delete key = Coord.Types.Op_delete { key; expect_version = None } in
   let report =
@@ -205,9 +207,9 @@ let run_taken w txn_id ~marker ~claimed =
         delete (Proto.progress_key_ns w.ns txn_id) ]
     | None -> []
   in
-  ignore
-    (Coord.Client.multi w.client
-       (report @ if claimed then [ delete marker ] else []))
+  Coord.Client.multi_async w.client
+    (report @ if claimed then [ delete marker ] else [])
+    ~on_done:ignore
 
 (* Herd-free take: worker [rank] tries the [rank]-th oldest item first and
    then the older ones, moving to the next candidate on a lost race rather

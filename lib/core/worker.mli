@@ -5,7 +5,9 @@
     and report the outcome back to the controller through inputQ.  A take
     is one atomic multi-op command (the phyQ item's delete and the
     executing marker's create), and so is a finish (the result, the
-    progress cursor's delete and the marker's).
+    progress cursor's delete and the marker's).  The finish is pipelined:
+    the worker looks for its next item while the finish is in flight, and
+    the session keeps the next take behind it in the leader's log.
 
     Takes are herd-free: a worker of rank [r] reads the [r + 1] oldest
     phyQ items in one round trip, tries the [r]-th first and then the

@@ -1,7 +1,7 @@
 type event = {
   time : float;
   seq : int;
-  fn : unit -> unit;
+  mutable fn : unit -> unit;
   mutable cancelled : bool;
 }
 
@@ -41,7 +41,11 @@ let at sim time fn =
   ev
 
 let after sim delay fn = at sim (sim.clock +. Float.max 0. delay) fn
-let cancel ev = ev.cancelled <- true
+(* A cancelled event stays in the heap until its time comes; dropping its
+   closure now lets whatever it captured be collected meanwhile. *)
+let cancel ev =
+  ev.cancelled <- true;
+  ev.fn <- ignore
 
 (* Drop cancelled events from the head of the queue so they neither fire
    nor advance the clock. *)

@@ -27,7 +27,9 @@ val at : t -> float -> (unit -> unit) -> event
     A negative delay is clamped to 0. *)
 val after : t -> float -> (unit -> unit) -> event
 
-(** [cancel sim ev] prevents [ev] from firing; no-op if already fired. *)
+(** [cancel ev] prevents [ev] from firing and drops its closure at once,
+    so what it captured can be collected before its time comes; no-op if
+    already fired. *)
 val cancel : event -> unit
 
 (** [run ?until ?stop sim] executes events in order until the queue is

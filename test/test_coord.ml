@@ -728,6 +728,177 @@ let multi_crash_prop =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Ordered admission: a session's pipelined commands reach the log in
+   send order *)
+
+(* The values a session's multis write, in the order the committed log
+   first applies them (a retry's later duplicate is deduped, not applied). *)
+let applied_values leader ~session =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun i ->
+      match Replica.entry leader i with
+      | Some (Types.Multi { session = s; req; ops = [ Types.Op_write { value; _ } ] })
+        when s = session && not (Hashtbl.mem seen req) ->
+        Hashtbl.replace seen req ();
+        Some (int_of_string value)
+      | Some _ | None -> None)
+    (List.init (Replica.last_log_index leader) (fun i -> i + 1))
+
+(* [n] multi_async writes of their own index to one key, all queued at once
+   on one session under the default [Des.Net] latency (which reorders
+   messages); with [kill_after], the coordination leader is crashed once
+   that many are answered.  Checks each is answered exactly once, the log
+   applies them in index order, no replica counted a session-order gap,
+   and the key ends at the last index. *)
+let check_pipelined_stream ?kill_after n =
+  Drive.ensemble (fun _sim ens ->
+      let first_leader = Ensemble.await_leader ens in
+      let c = Ensemble.connect ens ~name:"pipeline" () in
+      let answers = Array.make n 0 in
+      for i = 0 to n - 1 do
+        Client.multi_async c
+          [ Types.Op_write
+              { key = "/pipe"; value = string_of_int i; expect_version = None } ]
+          ~on_done:(fun _ -> answers.(i) <- answers.(i) + 1)
+      done;
+      let answered () = Array.fold_left (fun k a -> k + min a 1) 0 answers in
+      Option.iter
+        (fun k ->
+          while answered () < k do Des.Proc.sleep 0.0005 done;
+          check bool_c "killed mid-stream" true (answered () < n);
+          Ensemble.crash_replica ens first_leader)
+        kill_after;
+      let rec settle tries =
+        if answered () < n && tries > 0 then begin
+          Des.Proc.sleep 0.1;
+          settle (tries - 1)
+        end
+      in
+      settle 200;
+      check (Alcotest.array int_c) "each answered exactly once"
+        (Array.make n 1) answers;
+      let leader = Ensemble.await_leader ens in
+      if kill_after <> None then
+        check bool_c "a new leader took over" true (leader <> first_leader);
+      check (Alcotest.list int_c) "applied in send order" (List.init n Fun.id)
+        (applied_values (Ensemble.replica ens leader)
+           ~session:(Client.session_id c));
+      List.iter
+        (fun i ->
+          if Ensemble.replica_up ens i then
+            check int_c
+              (Printf.sprintf "replica %d counts no session-order gap" i)
+              0 (Store.order_gaps (Replica.store (Ensemble.replica ens i))))
+        (Ensemble.replica_ids ens);
+      check (Alcotest.option string_c) "last write wins"
+        (Some (string_of_int (n - 1)))
+        (Option.map fst (Client.get c "/pipe"));
+      Client.close c)
+
+let test_pipelined_stream_in_order () = check_pipelined_stream 50
+
+let test_pipelined_stream_leader_killed () =
+  check_pipelined_stream ~kill_after:20 50
+
+(* Receipts name one leader's log only.  Ten writes are admitted by a
+   leader cut off from its followers, so they never commit; a new leader
+   takes over, and the old one steps down once the partition heals and
+   drops them.  A query on the same session then finds the new leader
+   before any write times out (the request timeout is long) or a ping
+   does; the write
+   queued after it must not overtake the ten, which have to be resent to
+   the new leader first. *)
+let test_pipelined_follows_query_hint () =
+  let config = { Types.default_config with Types.request_timeout = 10. } in
+  Drive.ensemble ~config (fun _sim ens ->
+      (* pings far apart: the query below is the first to meet the new
+         leader *)
+      let c = Ensemble.connect ens ~session_timeout:60. ~name:"pipeline" () in
+      ignore (ok_create "warm" (Client.create c ~key:"/pipe" ~value:"-1" ()));
+      let old_leader = Ensemble.await_leader ens in
+      Des.Net.partition (Ensemble.net ens) [ old_leader ]
+        (List.filter (( <> ) old_leader) (Ensemble.replica_ids ens));
+      let n = 11 in
+      let answers = Array.make n 0 in
+      let write i =
+        Client.multi_async c
+          [ Types.Op_write
+              { key = "/pipe"; value = string_of_int i; expect_version = None } ]
+          ~on_done:(fun _ -> answers.(i) <- answers.(i) + 1)
+      in
+      for i = 0 to n - 2 do write i done;
+      Des.Proc.sleep 2.;
+      Des.Net.heal (Ensemble.net ens);
+      Des.Proc.sleep 0.5;
+      check bool_c "old leader stepped down" false
+        (Replica.is_leader (Ensemble.replica ens old_leader));
+      check int_c "the cut-off writes are unanswered" 0
+        (Array.fold_left ( + ) 0 answers);
+      ignore (Client.get c "/pipe");
+      write (n - 1);
+      Des.Proc.sleep 1.;
+      check (Alcotest.array int_c) "each answered exactly once"
+        (Array.make n 1) answers;
+      let leader = Ensemble.await_leader ens in
+      check bool_c "a new leader took over" true (leader <> old_leader);
+      check (Alcotest.list int_c) "applied in send order" (List.init n Fun.id)
+        (List.filter (( <= ) 0)
+           (applied_values (Ensemble.replica ens leader)
+              ~session:(Client.session_id c)));
+      check int_c "no session-order gap" 0
+        (Store.order_gaps (Replica.store (Ensemble.replica ens leader)));
+      check (Alcotest.option string_c) "last write wins"
+        (Some (string_of_int (n - 1)))
+        (Option.map fst (Client.get c "/pipe"));
+      Client.close c)
+
+(* A controller's write path releases one window a millisecond or so
+   apart; the coordination leader is killed at a random moment, and the
+   controller's session closes (a controller crash) at another.  Whatever
+   ended up durable must be a prefix of the released windows. *)
+let persist_leader_kill_prop =
+  QCheck.Test.make ~name:"persist windows: durable prefix across leader kill"
+    ~count:20
+    QCheck.(triple (int_range 1 1000) (float_range 0. 0.03) (float_range 0. 1.5))
+    (fun (seed, kill_at, stop_after) ->
+      let windows = 30 and ns = Tropic.Proto.default_ns in
+      let durable = ref [] in
+      Drive.ensemble ~seed (fun sim ens ->
+          let leader = Ensemble.await_leader ens in
+          let client = Ensemble.connect ens ~name:"ctl" () in
+          let p = Tropic.Persist.create ~name:"ctl" ~ns ~client in
+          let t0 = Des.Sim.now sim in
+          ignore
+            (Des.Proc.spawn ~name:"nemesis" sim (fun () ->
+                 Des.Proc.sleep kill_at;
+                 Ensemble.crash_replica ens leader;
+                 Des.Proc.sleep stop_after;
+                 Client.close client));
+          let rng = Random.State.make [| seed |] in
+          for id = 0 to windows - 1 do
+            if not (Client.closed client) then begin
+              Tropic.Persist.defer p;
+              let txn = Tropic.Txn.make ~id ~proc:"p" ~args:[] ~submitted_at:0. in
+              txn.Tropic.Txn.state <- Tropic.Txn.Accepted;
+              Tropic.Persist.write p txn;
+              Tropic.Persist.offer p id;
+              Tropic.Persist.release p;
+              Des.Proc.sleep (0.0005 +. Random.State.float rng 0.0015)
+            end
+          done;
+          Des.Proc.sleep (Float.max 0. (t0 +. kill_at +. stop_after -. Des.Sim.now sim));
+          Des.Proc.sleep 3.;
+          let reader = Ensemble.connect ens ~name:"reader" () in
+          durable :=
+            List.filter
+              (fun id ->
+                Client.get reader (Tropic.Txn.record_key_ns ns id) <> None)
+              (List.init windows Fun.id);
+          Client.close reader);
+      !durable = List.init (List.length !durable) Fun.id)
+
+(* ------------------------------------------------------------------ *)
 (* Partitions: divergent logs must converge, acked writes must survive *)
 
 let test_partitioned_leader_steps_down () =
@@ -1034,6 +1205,14 @@ let suite =
     QCheck_alcotest.to_alcotest store_model_prop;
     ("chaos: crashes lose no acked writes", `Slow, test_chaos_single_crashes);
     QCheck_alcotest.to_alcotest multi_crash_prop;
+    ("pipeline: a stream applies in send order", `Quick, test_pipelined_stream_in_order);
+    ( "pipeline: leader killed mid-stream",
+      `Quick,
+      test_pipelined_stream_leader_killed );
+    ( "pipeline: a query's leader hint takes the stream along",
+      `Quick,
+      test_pipelined_follows_query_hint );
+    QCheck_alcotest.to_alcotest persist_leader_kill_prop;
     ("partition: minority leader steps down", `Quick, test_partitioned_leader_steps_down);
     ("partition: divergent log truncated", `Quick, test_divergent_log_truncated);
     ("compaction: log stays bounded", `Quick, test_compaction_bounds_log);

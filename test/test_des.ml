@@ -64,6 +64,29 @@ let test_sim_cancel () =
   ignore (Des.Sim.run sim);
   check bool_c "cancelled event did not fire" false !fired
 
+(* A cancelled event waits in the heap until its time, but without its
+   closure: what the closure captured is collectable at once, and the event
+   still neither fires nor advances the clock. *)
+let test_sim_cancel_drops_closure () =
+  let sim = Des.Sim.create () in
+  let fired = ref false in
+  let captured = Weak.create 1 in
+  let schedule () =
+    let payload = Bytes.make 64 'x' in
+    Weak.set captured 0 (Some payload);
+    Des.Sim.after sim 5.0 (fun () ->
+        fired := true;
+        ignore (Bytes.length payload))
+  in
+  let ev = (Sys.opaque_identity schedule) () in
+  ignore (Des.Sim.after sim 1.0 (fun () -> ()));
+  Des.Sim.cancel ev;
+  Gc.full_major ();
+  check bool_c "closure collected" false (Weak.check captured 0);
+  ignore (Des.Sim.run sim);
+  check bool_c "cancelled event did not fire" false !fired;
+  check float_c "clock stops at the live event" 1.0 (Des.Sim.now sim)
+
 let test_sim_past_raises () =
   let sim = Des.Sim.create () in
   ignore (Des.Sim.after sim 2.0 (fun () -> ()));
@@ -563,6 +586,7 @@ let suite =
     QCheck_alcotest.to_alcotest heap_sort_prop;
     ("sim: same-time FIFO", `Quick, test_sim_fifo_same_time);
     ("sim: cancel", `Quick, test_sim_cancel);
+    ("sim: cancel drops the closure", `Quick, test_sim_cancel_drops_closure);
     ("sim: scheduling in the past", `Quick, test_sim_past_raises);
     ("sim: run until", `Quick, test_sim_run_until);
     ("sim: run stop predicate", `Quick, test_sim_run_stop);

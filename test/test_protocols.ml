@@ -151,12 +151,10 @@ let test_ablated_record_stores_nothing () =
 
 let ns = Proto.default_ns
 
-(* A write path with its writer running, as a leading controller has. *)
+(* A write path on a session of its own, as a leading controller has. *)
 let persist ens =
   let client = Coord.Ensemble.connect ens ~name:"ctl" () in
-  let p = Persist.create ~name:"ctl" ~ns ~client in
-  ignore (Persist.start p);
-  p
+  Persist.create ~name:"ctl" ~ns ~client
 
 let record c id =
   Option.map
@@ -295,9 +293,10 @@ let multi_records leader =
       | Some _ | None -> None)
     (List.init (Coord.Replica.last_log_index leader) (fun i -> i + 1))
 
-(* While one multi is in flight, two more windows are released: they go
-   out together as the next command, each window's ops in release order
-   (not id order), and nothing counts as finished before its ack. *)
+(* While one multi waits for its receipt, two more windows are released:
+   they go out together as the next command once the receipt is in, each
+   window's ops in release order (not id order), and nothing counts as
+   finished before its ack. *)
 let test_releases_merge_while_in_flight () =
   Drive.ensemble (fun _sim ens ->
       let leader = Coord.Ensemble.replica ens (Coord.Ensemble.await_leader ens) in
@@ -502,7 +501,6 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
   Alcotest.(check bool_c) "checkpoint written" true
     (Recovery.save_checkpoint client ~ns ~seq tree);
   let persist = Persist.create ~name:"leader" ~ns ~client in
-  ignore (Persist.start persist);
   List.iter (Persist.write_now persist) records;
   let checkpoint_seq, tree = Recovery.load_checkpoint client ~ns in
   let records = Recovery.records ~name:"leader" client ~ns in

@@ -90,13 +90,7 @@ let () =
          in
          let leader = Tropic.Platform.await_leader_controller platform in
          printf "  leader is %s; killing it now.\n" (Tropic.Controller.name leader);
-         let index =
-           let found = ref 0 in
-           Array.iteri
-             (fun i c -> if c == leader then found := i)
-             (Tropic.Platform.controllers platform);
-           !found
-         in
+         let index = Option.get (Tropic.Platform.leader_index platform) in
          let t0 = Des.Proc.now () in
          Tropic.Platform.kill_controller platform index;
          let new_leader =

@@ -367,17 +367,11 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
                    (Data.Path.to_string root) where
                    (Data.Tree.error_to_string e))
             | Ok logical ->
-              let physical = Devices.Device.export device in
-              if not (Data.Tree.equal logical physical) then begin
-                if Sys.getenv_opt "TROPIC_DIVERGE_DUMP" <> None then
-                  Printf.eprintf
-                    "=== diverge %s ===\n-- logical --\n%s\n-- physical --\n%s\n"
-                    (Data.Path.to_string root) (Data.Tree.to_string logical)
-                    (Data.Tree.to_string physical);
+              if not (Data.Tree.equal logical (Devices.Device.export device))
+              then
                 violation "convergence"
                   (Printf.sprintf "layers diverge at %s%s"
-                     (Data.Path.to_string root) where)
-              end)
+                     (Data.Path.to_string root) where))
         devices;
       (* Drained: the same backlog {!Tropic.Platform.quiescent} reads. *)
       Option.iter

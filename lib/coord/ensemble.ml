@@ -1,5 +1,3 @@
-type event = { ev_name : string; ev_attrs : (string * string) list }
-
 type t = {
   esim : Des.Sim.t;
   enet : Types.msg Des.Net.t;
@@ -15,26 +13,27 @@ type t = {
   spare_base : int;
   spares : int;
   mutable control : Client.t option; (* lazy session for config changes *)
-  on_event : (event -> unit) option;
+  trace : Trace.t;
 }
 
 (* Datacenter LAN: sub-millisecond round trips, like the paper's testbed. *)
 let lan_latency ~src:_ ~dst:_ ~rng = Des.Dist.uniform rng ~lo:0.0001 ~hi:0.0003
 
-let emit e ev_name ev_attrs =
-  match e.on_event with
-  | Some f -> f { ev_name; ev_attrs }
-  | None -> ()
+(* Membership instants live on the system lane (txn 0). *)
+let emit e name replica =
+  Trace.instant e.trace ~txn:0 ~cat:"membership" ~name
+    ~attrs:[ ("replica", string_of_int replica) ]
+    ()
 
 let create ?(replicas = 3) ?(clients = 64) ?(spares = 4)
-    ?(config = Types.default_config) ?on_event sim =
+    ?(config = Types.default_config)
+    ?(stats = Types.fresh_membership_stats ())
+    ?(gstats = Types.fresh_group_stats ()) ?(trace = Trace.off) sim =
   (* Spare node ids live *above* the client range, so client session ids
      are independent of how many spares exist (trace stability). *)
   let nodes = replicas + clients + spares in
   let enet = Des.Net.create ~latency:lan_latency sim ~nodes in
   let boot_members = List.init replicas Fun.id in
-  let stats = Types.fresh_membership_stats () in
-  let gstats = Types.fresh_group_stats () in
   let slots = Hashtbl.create 8 in
   let up = Hashtbl.create 8 in
   List.iter
@@ -62,7 +61,7 @@ let create ?(replicas = 3) ?(clients = 64) ?(spares = 4)
     spare_base = replicas + clients;
     spares;
     control = None;
-    on_event;
+    trace;
   }
 
 let sim e = e.esim
@@ -184,14 +183,14 @@ let add_replica e ?id () =
   Hashtbl.replace e.slots id r;
   Hashtbl.replace e.up id true;
   Replica.start r;
-  emit e "coord.join" [ ("replica", string_of_int id) ];
+  emit e "coord.join" id;
   settle_config e "add_replica" (fun c -> Client.add_replica c ~id);
-  emit e "coord.joined" [ ("replica", string_of_int id) ];
+  emit e "coord.joined" id;
   id
 
 (* The removed instance is left *running*: a decommissioned server does
    not learn of its removal synchronously, and its in-flight traffic is
    exactly what the replication session ids must fence off. *)
 let remove_replica e id =
-  emit e "coord.leave" [ ("replica", string_of_int id) ];
+  emit e "coord.leave" id;
   settle_config e "remove_replica" (fun c -> Client.remove_replica c ~id)

@@ -9,20 +9,21 @@
 
 type t
 
-(** Membership lifecycle notification (joins, leaves, catch-ups); consumed
-    by the platform layer to emit trace events without a dependency from
-    here to the tracer. *)
-type event = { ev_name : string; ev_attrs : (string * string) list }
-
-(** [create ?replicas ?clients ?spares ?config ?on_event sim] — [replicas]
-    defaults to 3, [clients] (client id slots) to 64, [spares] (node ids
-    for runtime-added replicas) to 4. *)
+(** [create ?replicas ?clients ?spares ?config ?stats ?gstats ?trace sim]
+    — [replicas] defaults to 3, [clients] (client id slots) to 64,
+    [spares] (node ids for runtime-added replicas) to 4.  Every replica
+    instance writes [stats] and [gstats] (default: fresh records), so
+    several ensembles can share one pair.  [trace] (default {!Trace.off})
+    records the [coord.join] / [coord.joined] / [coord.leave] membership
+    instants. *)
 val create :
   ?replicas:int ->
   ?clients:int ->
   ?spares:int ->
   ?config:Types.config ->
-  ?on_event:(event -> unit) ->
+  ?stats:Types.membership_stats ->
+  ?gstats:Types.group_stats ->
+  ?trace:Trace.t ->
   Des.Sim.t ->
   t
 
@@ -30,10 +31,12 @@ val sim : t -> Des.Sim.t
 val net : t -> Types.msg Des.Net.t
 
 (** Counters shared by every replica instance this ensemble ever created
-    (instances come and go across {!add_replica}/{!remove_replica}). *)
+    (instances come and go across {!add_replica}/{!remove_replica}):
+    [create]'s [stats]. *)
 val membership_stats : t -> Types.membership_stats
 
-(** Group-commit counters, shared across instances the same way. *)
+(** Group-commit counters, shared across instances the same way:
+    [create]'s [gstats]. *)
 val group_stats : t -> Types.group_stats
 
 (** Node ids currently hosting a replica instance, sorted. *)

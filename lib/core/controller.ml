@@ -174,7 +174,7 @@ type t = {
          roots they were gated on *)
   started_at : (int, float) Hashtbl.t; (* Started time, for latency scores *)
   wait_since : (int, float) Hashtbl.t; (* lock-park time, for phase stats *)
-  trace : Trace.t option;
+  trace : Trace.t;
   mutable wake_pending : bool; (* health monitor woke parked txns *)
   wake_buf : (int, unit) Hashtbl.t;
       (* txn ids released since the last scheduler pass; delivered to the
@@ -188,7 +188,7 @@ type t = {
   st : stats;
 }
 
-let create ?trace ?shard ?gclient ?repair_deadline ~name ~client ~env
+let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
   let shard =
     match shard with
@@ -207,14 +207,11 @@ let create ?trace ?shard ?gclient ?repair_deadline ~name ~client ~env
        | "breaker-probe" -> stats.breaker_probes <- stats.breaker_probes + 1
        | "breaker-close" -> stats.breaker_closes <- stats.breaker_closes + 1
        | _ -> ());
-      Option.iter
-        (fun tr ->
-          Trace.instant tr
-            ~txn:(Option.value ev.Health.txn ~default:0)
-            ~cat:"health" ~name:ev.Health.kind
-            ~attrs:[ ("root", ev.Health.root) ]
-            ())
-        trace);
+      Trace.instant trace
+        ~txn:(Option.value ev.Health.txn ~default:0)
+        ~cat:"health" ~name:ev.Health.kind
+        ~attrs:[ ("root", ev.Health.root) ]
+        ());
   {
     cname = name;
     client;
@@ -251,7 +248,7 @@ let create ?trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     wake_buf = Hashtbl.create 32;
     persist;
     twopc =
-      Twopc.create ?trace
+      Twopc.create ~trace
         ?barrier:
           (if gclient == client then Some (fun () -> Persist.barrier persist)
            else None)
@@ -308,21 +305,18 @@ let finish t (txn : Txn.t) state =
   (* Finalization force-closes whatever the transaction still has open
      (root span, a replay cut short by a kill, a park span), so traces
      are balanced at quiescence no matter how the txn ended. *)
-  Option.iter
-    (fun tr ->
-      let state_label, reason =
-        match state with
-        | Txn.Committed -> ("committed", "")
-        | Txn.Aborted r -> ("aborted", r)
-        | Txn.Failed r -> ("failed", r)
-        | other -> (Txn.state_to_string other, "")
-      in
-      let attrs =
-        ("state", state_label)
-        :: (if reason = "" then [] else [ ("reason", reason) ])
-      in
-      Trace.close_all tr ~txn:txn.Txn.id ~attrs ())
-    t.trace;
+  let state_label, reason =
+    match state with
+    | Txn.Committed -> ("committed", "")
+    | Txn.Aborted r -> ("aborted", r)
+    | Txn.Failed r -> ("failed", r)
+    | other -> (Txn.state_to_string other, "")
+  in
+  let attrs =
+    ("state", state_label)
+    :: (if reason = "" then [] else [ ("reason", reason) ])
+  in
+  Trace.close_all t.trace ~txn:txn.Txn.id ~attrs ();
   persist t txn;
   t.prune_candidates <- Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
 
@@ -584,11 +578,8 @@ let drain_twopc t = Twopc.drain t.twopc ~txns:t.txns ~local:(local t)
 (* A re-attempt closes the park span left open when the txn last blocked,
    and credits the wait to the lock-wait phase recorder. *)
 let note_reattempt t (txn : Txn.t) =
-  Option.iter
-    (fun tr ->
-      ignore (Trace.end_named tr ~txn:txn.Txn.id ~name:"lock-wait" ());
-      ignore (Trace.end_named tr ~txn:txn.Txn.id ~name:"breaker-park" ()))
-    t.trace;
+  ignore (Trace.end_named t.trace ~txn:txn.Txn.id ~name:"lock-wait" ());
+  ignore (Trace.end_named t.trace ~txn:txn.Txn.id ~name:"breaker-park" ());
   match Hashtbl.find_opt t.wait_since txn.Txn.id with
   | Some since ->
     Hashtbl.remove t.wait_since txn.Txn.id;
@@ -602,19 +593,15 @@ let park_on_conflict t (txn : Txn.t) locks (conflict : Mglock.conflict) =
   txn.Txn.state <- Txn.Deferred;
   t.st.deferrals <- t.st.deferrals + 1;
   Hashtbl.replace t.wait_since txn.Txn.id (Des.Sim.now t.sim);
-  Option.iter
-    (fun tr ->
-      ignore
-        (Trace.begin_span tr ~txn:txn.Txn.id ~cat:"lock" ~name:"lock-wait"
-           ~attrs:
-             ([ ("path", Data.Path.to_string conflict.Mglock.path);
-                ("wanted", Mglock.mode_to_string conflict.Mglock.wanted);
-                ("holder", string_of_int conflict.Mglock.holder);
-                ("held", Mglock.mode_to_string conflict.Mglock.held) ]
-             @ if conflict.Mglock.reserved then [ ("reserved", "true") ]
-               else [])
-           ()))
-    t.trace;
+  ignore
+    (Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"lock" ~name:"lock-wait"
+       ~attrs:
+         ([ ("path", Data.Path.to_string conflict.Mglock.path);
+            ("wanted", Mglock.mode_to_string conflict.Mglock.wanted);
+            ("holder", string_of_int conflict.Mglock.holder);
+            ("held", Mglock.mode_to_string conflict.Mglock.held) ]
+         @ if conflict.Mglock.reserved then [ ("reserved", "true") ] else [])
+       ());
   Mglock.wait t.locks ~txn:txn.Txn.id ~on:conflict.Mglock.path locks
 
 (* Participant shadow transaction: W-lock the requested roots, persist the
@@ -690,25 +677,19 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
   note_reattempt t txn;
   let sim_t0 = Des.Sim.now t.sim in
   let sim_span =
-    Option.map
-      (fun tr ->
-        Trace.begin_span tr ~txn:txn.Txn.id ~cat:"controller" ~name:"simulate"
-          ())
-      t.trace
+    Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"controller" ~name:"simulate"
+      ()
   in
   let end_simulate ~outcome ~actions =
     Metrics.Cdf.add t.st.simulate_lat (Des.Sim.now t.sim -. sim_t0);
-    match (t.trace, sim_span) with
-    | Some tr, Some sid ->
-      Trace.end_span tr
-        ~attrs:
-          (("outcome", outcome)
-          ::
-          (match actions with
-           | None -> []
-           | Some n -> [ ("actions", string_of_int n) ]))
-        sid
-    | _ -> ()
+    Trace.end_span t.trace
+      ~attrs:
+        (("outcome", outcome)
+        ::
+        (match actions with
+         | None -> []
+         | Some n -> [ ("actions", string_of_int n) ]))
+      sim_span
   in
   match simulate t txn ~tree:t.tree with
   | Error reason ->
@@ -719,11 +700,8 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
   | Ok { Logical.new_tree; log; locks; actions } ->
     end_simulate ~outcome:"ok" ~actions:(Some actions);
     if List.exists (fun (path, _) -> is_quarantined t path) locks then begin
-      Option.iter
-        (fun tr ->
-          Trace.instant tr ~txn:txn.Txn.id ~cat:"controller"
-            ~name:"quarantine-abort" ())
-        t.trace;
+      Trace.instant t.trace ~txn:txn.Txn.id ~cat:"controller"
+        ~name:"quarantine-abort" ();
       terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
       `Finished
     end
@@ -744,20 +722,17 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
         txn.Txn.state <- Txn.Deferred;
         t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
         Hashtbl.replace t.breaker_parked txn.Txn.id (List.map fst gates);
-        Option.iter
-          (fun tr ->
-            let roots =
-              List.filter_map
-                (fun (root, g) ->
-                  if g = `Defer then Some (Data.Path.to_string root) else None)
-                gates
-            in
-            ignore
-              (Trace.begin_span tr ~txn:txn.Txn.id ~cat:"health"
-                 ~name:"breaker-park"
-                 ~attrs:[ ("roots", String.concat "," roots) ]
-                 ()))
-          t.trace;
+        let roots =
+          List.filter_map
+            (fun (root, g) ->
+              if g = `Defer then Some (Data.Path.to_string root) else None)
+            gates
+        in
+        ignore
+          (Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"health"
+             ~name:"breaker-park"
+             ~attrs:[ ("roots", String.concat "," roots) ]
+             ());
         `Conflict
       end
       else begin
@@ -772,12 +747,9 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
                 Health.begin_probe t.health ~now ~root ~txn:txn.Txn.id)
             gates;
           Hashtbl.replace t.started_at txn.Txn.id now;
-          Option.iter
-            (fun tr ->
-              Trace.instant tr ~txn:txn.Txn.id ~cat:"sched" ~name:"started"
-                ~attrs:[ ("start_seq", string_of_int t.next_start_seq) ]
-                ())
-            t.trace;
+          Trace.instant t.trace ~txn:txn.Txn.id ~cat:"sched" ~name:"started"
+            ~attrs:[ ("start_seq", string_of_int t.next_start_seq) ]
+            ();
           txn.Txn.log <- log;
           mark_started t txn ~locks;
           persist t txn;
@@ -842,30 +814,22 @@ let accept_request t ~txn_id ~proc ~args =
     t.st.accepted <- t.st.accepted + 1;
     (* Root span for the whole transaction lifecycle; children auto-parent
        onto it, and [finish] closes it with the terminal state. *)
-    Option.iter
-      (fun tr ->
-        ignore (Trace.begin_span tr ~txn:txn_id ~cat:"txn" ~name:proc ()))
-      t.trace;
+    ignore (Trace.begin_span t.trace ~txn:txn_id ~cat:"txn" ~name:proc ());
     (* Admission control: past the high watermark, new arrivals get a fast
        overload abort — no locks, no hardware — so admission latency stays
        bounded under storms. *)
     let pending = Sched.length t.sched in
     if Health.shed t.shedder ~pending then begin
-      Option.iter
-        (fun tr ->
-          Trace.instant tr ~txn:txn_id ~cat:"admission" ~name:"shed"
-            ~attrs:[ ("pending", string_of_int pending) ]
-            ())
-        t.trace;
+      Trace.instant t.trace ~txn:txn_id ~cat:"admission" ~name:"shed"
+        ~attrs:[ ("pending", string_of_int pending) ]
+        ();
       terminate t txn (Txn.Aborted Txn.overload_reason);
       t.st.sheds <- t.st.sheds + 1;
       false
     end
     else begin
       txn.Txn.state <- Txn.Accepted;
-      Option.iter
-        (fun tr -> Trace.instant tr ~txn:txn_id ~cat:"sched" ~name:"ready" ())
-        t.trace;
+      Trace.instant t.trace ~txn:txn_id ~cat:"sched" ~name:"ready" ();
       persist t txn;
       Sched.submit t.sched txn;
       true
@@ -1044,8 +1008,9 @@ let handle_repair t path =
          List.for_all
            (fun (step : Recon.step) ->
              match
-               Physical.invoke_deadline ~sim:(Some t.sim)
-                 ~deadline:t.repair_deadline ~counters:None
+               Physical.invoke_deadline ~sim:t.sim
+                 ~deadline:t.repair_deadline
+                 ~counters:(Physical.fresh_counters ())
                  ~action:step.Recon.action (fun () ->
                    Devices.Device.invoke device ~action:step.Recon.action
                      ~args:step.Recon.args)
@@ -1218,13 +1183,9 @@ let watch t () =
     (match signal with
      | Proto.Term -> t.st.auto_terms <- t.st.auto_terms + 1
      | Proto.Kill -> t.st.auto_kills <- t.st.auto_kills + 1);
-    Option.iter
-      (fun tr ->
-        Trace.instant tr ~txn:txn_id ~cat:"watchdog"
-          ~name:
-            (match signal with Proto.Term -> "term" | Proto.Kill -> "kill")
-          ())
-      t.trace;
+    Trace.instant t.trace ~txn:txn_id ~cat:"watchdog"
+      ~name:(match signal with Proto.Term -> "term" | Proto.Kill -> "kill")
+      ();
     Log.info (fun m ->
         m "%s: watchdog %s txn %d" t.cname (Proto.signal_to_string signal)
           txn_id);

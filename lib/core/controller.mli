@@ -102,9 +102,9 @@ val phase_summary : stats -> string
 
 type t
 
-(** [trace], when given, records a span tree per transaction (admission,
-    scheduling, lock waits, simulation, watchdog/health escalations); pass
-    the same recorder to the workers for replay/undo spans.
+(** [trace] records a span tree per transaction (admission, scheduling,
+    lock waits, simulation, watchdog/health escalations); pass the same
+    recorder to the workers for replay/undo spans, or {!Trace.off}.
 
     [shard] scopes this controller to one shard of the resource tree
     (default {!Shard.singleton}: the whole tree, pre-sharding layout);
@@ -121,7 +121,7 @@ type t
     one shard (leader, standbys and restarted ones) is given the same
     record, so counters and latency recorders survive fail-over. *)
 val create :
-  ?trace:Trace.t ->
+  trace:Trace.t ->
   ?shard:Shard.t ->
   ?gclient:Coord.Client.t ->
   ?repair_deadline:float ->

@@ -45,12 +45,11 @@ let backoff_nominal policy n =
   Float.min policy.backoff_cap
     (policy.backoff_base *. (policy.backoff_factor ** float_of_int (n - 1)))
 
-let backoff_delay policy ?rng n =
+let backoff_delay policy ~rng n =
   let nominal = backoff_nominal policy n in
-  match rng with
-  | Some rng when policy.jitter > 0. ->
+  if policy.jitter > 0. then
     nominal *. (1. +. Des.Dist.uniform rng ~lo:(-.policy.jitter) ~hi:policy.jitter)
-  | _ -> nominal
+  else nominal
 
 let lookup_of_list devices =
   let table = Hashtbl.create (max 16 (List.length devices)) in
@@ -86,11 +85,11 @@ let invoke_record ~devices (record : Xlog.record) ~action ~args =
 (* Run one invocation under a per-action deadline.  The invocation runs
    in a child process so a hung device parks the child, not the caller:
    on timeout the child is killed (unwinding the hang) and the attempt is
-   reported as a retryable timeout.  Requires [sim]; without it the
-   invocation runs inline with no deadline. *)
+   reported as a retryable timeout.  With no deadline it runs inline. *)
 let invoke_deadline ~sim ~deadline ~counters ~action invoke =
-  match sim, deadline with
-  | Some sim, Some limit ->
+  match deadline with
+  | None -> invoke ()
+  | Some limit ->
     let reply = Des.Channel.create ~name:"phy-deadline" () in
     let child =
       Des.Proc.spawn ~name:(Printf.sprintf "phy-action:%s" action) sim
@@ -100,16 +99,13 @@ let invoke_deadline ~sim ~deadline ~counters ~action invoke =
      | Some result -> result
      | None ->
        Des.Proc.kill child;
-       (match counters with
-        | Some c -> c.timeouts <- c.timeouts + 1
-        | None -> ());
+       counters.timeouts <- counters.timeouts + 1;
        Error
          {
            Devices.Device.reason =
              Printf.sprintf "action %s exceeded %.1fs deadline" action limit;
            transient = true;
          })
-  | _ -> invoke ()
 
 (* Outcome of one logical action after retries: success, a definitive
    failure (permanent error or attempts exhausted), or an operator signal
@@ -119,80 +115,82 @@ type attempt_outcome =
   | A_error of string
   | A_signal of [ `Term | `Kill ]
 
-(* Spans around attempts and backoffs.  [tracer] is the recorder plus the
-   owning transaction id and the worker's lane; spans auto-parent onto
+(* One replay's context: the devices and policy, the clock its deadlines
+   and backoffs run on, the counters it bumps, and the tracer with the
+   owning transaction id and the worker's lane.  Spans auto-parent onto
    the innermost open span of that transaction in the same lane (the
    worker's replay or undo span). *)
-let trace_span tracer ~cat ~name ~attrs =
-  Option.map
-    (fun (tr, txn, lane) ->
-      (tr, Trace.begin_span tr ~txn ~lane ~cat ~name ~attrs ()))
-    tracer
+type ctx = {
+  devices : device_lookup;
+  policy : retry_policy;
+  sim : Des.Sim.t;
+  counters : counters;
+  trace : Trace.t;
+  txn : int;
+  lane : int;
+}
 
-let trace_end opened ~attrs =
-  Option.iter (fun (tr, sid) -> Trace.end_span tr ~attrs sid) opened
+let begin_span ctx ~cat ~name ~attrs =
+  Trace.begin_span ctx.trace ~txn:ctx.txn ~lane:ctx.lane ~cat ~name ~attrs ()
 
 (* A worker kill unwinds straight out of a hung device invocation, so any
    span open across an invocation must be closed on the way out or it
    outlives its parent (the replay span, closed by the worker's own
-   unwind handler).  The thunk is expected to close [opened] itself on
+   unwind handler).  The thunk is expected to close [sid] itself on
    every normal path; [end_span] is idempotent, so that close wins and
    the finalizer's [outcome=interrupted] only lands on an unwind. *)
-let protect_span opened f =
+let protect_span ctx sid f =
   Fun.protect
-    ~finally:(fun () -> trace_end opened ~attrs:[ ("outcome", "interrupted") ])
+    ~finally:(fun () ->
+      Trace.end_span ctx.trace ~attrs:[ ("outcome", "interrupted") ] sid)
     f
 
-let invoke_with_retry ~devices ~policy ~rng ~sim ~counters ~check_signal
-    ~tracer (record : Xlog.record) ~action ~args =
-  let count f = match counters with Some c -> f c | None -> () in
+let invoke_with_retry ctx ~check_signal (record : Xlog.record) ~action ~args =
+  let c = ctx.counters in
   let rec attempt n =
-    let opened =
-      trace_span tracer ~cat:"physical"
+    let sid =
+      begin_span ctx ~cat:"physical"
         ~name:("action:" ^ action)
         ~attrs:
           [ ("index", string_of_int record.Xlog.index);
             ("attempt", string_of_int n) ]
     in
     let result =
-      protect_span opened (fun () ->
+      protect_span ctx sid (fun () ->
           match
-            invoke_deadline ~sim ~deadline:policy.deadline ~counters ~action
-              (fun () -> invoke_record ~devices record ~action ~args)
+            invoke_deadline ~sim:ctx.sim ~deadline:ctx.policy.deadline
+              ~counters:c ~action (fun () ->
+                invoke_record ~devices:ctx.devices record ~action ~args)
           with
           | Ok () ->
-            trace_end opened ~attrs:[ ("outcome", "ok") ];
+            Trace.end_span ctx.trace ~attrs:[ ("outcome", "ok") ] sid;
             Ok ()
           | Error err ->
-            trace_end opened
+            Trace.end_span ctx.trace
               ~attrs:
                 [ ("outcome", "error"); ("reason", err.Devices.Device.reason);
                   ("transient", string_of_bool err.Devices.Device.transient)
-                ];
+                ]
+              sid;
             Error err)
     in
     match result with
     | Ok () -> A_ok
     | Error err ->
       if err.Devices.Device.transient then
-        count (fun c -> c.transient_failures <- c.transient_failures + 1);
-      if err.Devices.Device.transient && n < policy.max_attempts then begin
-        count (fun c -> c.retries <- c.retries + 1);
-        (* Backing off takes simulated time only when we have a clock to
-           sleep on; instant-timing unit tests retry immediately. *)
-        (match sim with
-         | Some _ ->
-           let delay = backoff_delay policy ?rng n in
-           let backoff =
-             trace_span tracer ~cat:"physical" ~name:"backoff"
-               ~attrs:
-                 [ ("attempt", string_of_int n);
-                   ("delay", Printf.sprintf "%.3f" delay) ]
-           in
-           protect_span backoff (fun () ->
-               Des.Proc.sleep delay;
-               trace_end backoff ~attrs:[])
-         | None -> ());
+        c.transient_failures <- c.transient_failures + 1;
+      if err.Devices.Device.transient && n < ctx.policy.max_attempts then begin
+        c.retries <- c.retries + 1;
+        let delay = backoff_delay ctx.policy ~rng:(Des.Sim.rng ctx.sim) n in
+        let backoff =
+          begin_span ctx ~cat:"physical" ~name:"backoff"
+            ~attrs:
+              [ ("attempt", string_of_int n);
+                ("delay", Printf.sprintf "%.3f" delay) ]
+        in
+        protect_span ctx backoff (fun () ->
+            Des.Proc.sleep delay;
+            Trace.end_span ctx.trace backoff);
         match check_signal () with
         | `Go -> attempt (n + 1)
         | (`Term | `Kill) as s -> A_signal s
@@ -210,35 +208,35 @@ let invoke_with_retry ~devices ~policy ~rng ~sim ~counters ~check_signal
    index of the first record whose undo failed, if any.  Undos ignore
    operator signals (they already serve a Term) but keep the retry policy
    and deadline, so a transient blip or hang during rollback does not
-   convert a clean abort into a Failed transaction. *)
-let undo_executed ~devices ?(policy = no_retry) ?rng ?sim ?counters ?tracer
-    ?on_progress executed =
-  let progress i = match on_progress with Some f -> f i | None -> () in
+   convert a clean abort into a Failed transaction.  Each undo gets one
+   span; its attempts are not traced. *)
+let undo_executed ctx ~progress executed =
+  let untraced = { ctx with trace = Trace.off } in
   let rec go = function
     | [] -> Ok ()
     | (record : Xlog.record) :: rest ->
       (match record.Xlog.undo with
        | None -> Error (record.Xlog.index, "irreversible action")
        | Some undo_action ->
-         let opened =
-           trace_span tracer ~cat:"undo"
+         let sid =
+           begin_span ctx ~cat:"undo"
              ~name:("undo:" ^ undo_action)
              ~attrs:[ ("index", string_of_int record.Xlog.index) ]
          in
          (match
-            protect_span opened (fun () ->
+            protect_span ctx sid (fun () ->
                 match
-                  invoke_with_retry ~devices ~policy ~rng ~sim ~counters
-                    ~tracer:None
+                  invoke_with_retry untraced
                     ~check_signal:(fun () -> `Go)
                     record ~action:undo_action ~args:record.Xlog.undo_args
                 with
                 | A_ok ->
-                  trace_end opened ~attrs:[ ("outcome", "ok") ];
+                  Trace.end_span ctx.trace ~attrs:[ ("outcome", "ok") ] sid;
                   Ok ()
                 | A_error reason ->
-                  trace_end opened
-                    ~attrs:[ ("outcome", "error"); ("reason", reason) ];
+                  Trace.end_span ctx.trace
+                    ~attrs:[ ("outcome", "error"); ("reason", reason) ]
+                    sid;
                   Error reason
                 | A_signal _ -> assert false)
           with
@@ -252,10 +250,10 @@ let undo_executed ~devices ?(policy = no_retry) ?rng ?sim ?counters ?tracer
   in
   go executed
 
-let execute ~devices ?(check_signal = fun () -> `Go) ?(policy = no_retry) ?rng
-    ?sim ?counters ?tracer ?(skip = 0) ?on_progress
-    ?(confirm_undo = fun () -> true) log =
-  let progress i = match on_progress with Some f -> f i | None -> () in
+let execute ~devices ~sim ~counters ~tracer:(trace, txn, lane)
+    ?(check_signal = fun () -> `Go) ?(policy = no_retry) ?(skip = 0)
+    ?(on_progress = ignore) ?(confirm_undo = fun () -> true) log =
+  let ctx = { devices; policy; sim; counters; trace; txn; lane } in
   (* [executed] accumulates completed records, newest first. *)
   let rec run executed = function
     | [] -> Proto.Phy_committed
@@ -265,12 +263,11 @@ let execute ~devices ?(check_signal = fun () -> `Go) ?(policy = no_retry) ?rng
        | `Term -> roll_back executed "terminated by operator"
        | `Go ->
          (match
-            invoke_with_retry ~devices ~policy ~rng ~sim ~counters ~tracer
-              ~check_signal record ~action:record.Xlog.action
-              ~args:record.Xlog.args
+            invoke_with_retry ctx ~check_signal record
+              ~action:record.Xlog.action ~args:record.Xlog.args
           with
           | A_ok ->
-            progress record.Xlog.index;
+            on_progress record.Xlog.index;
             run (record :: executed) rest
           | A_signal `Kill -> Proto.Phy_failed "killed by operator"
           | A_signal `Term -> roll_back executed "terminated by operator"
@@ -290,31 +287,26 @@ let execute ~devices ?(check_signal = fun () -> `Go) ?(policy = no_retry) ?rng
       Proto.Phy_aborted
         (reason ^ "; rollback skipped: transaction already terminal")
     else
-    let t0 = Option.map Des.Sim.now sim in
-    let opened =
-      trace_span tracer ~cat:"undo" ~name:"undo"
+    let t0 = Des.Sim.now sim in
+    let sid =
+      begin_span ctx ~cat:"undo" ~name:"undo"
         ~attrs:
           [ ("actions", string_of_int (List.length executed));
             ("cause", reason) ]
     in
-    protect_span opened (fun () ->
-        let result =
-          undo_executed ~devices ~policy ?rng ?sim ?counters ?tracer
-            ?on_progress executed
-        in
-        (match (t0, sim, counters) with
-         | Some t0, Some sim, Some c ->
-           c.undo_s <- c.undo_s +. (Des.Sim.now sim -. t0)
-         | _ -> ());
+    protect_span ctx sid (fun () ->
+        let result = undo_executed ctx ~progress:on_progress executed in
+        counters.undo_s <- counters.undo_s +. (Des.Sim.now sim -. t0);
         match result with
         | Ok () ->
-          trace_end opened ~attrs:[ ("outcome", "ok") ];
+          Trace.end_span trace ~attrs:[ ("outcome", "ok") ] sid;
           Proto.Phy_aborted reason
         | Error (index, undo_reason) ->
-          trace_end opened
+          Trace.end_span trace
             ~attrs:
               [ ("outcome", "failed"); ("undo_index", string_of_int index);
-                ("reason", undo_reason) ];
+                ("reason", undo_reason) ]
+            sid;
           Proto.Phy_failed
             (Printf.sprintf "%s; undo #%d failed: %s" reason index undo_reason))
   in

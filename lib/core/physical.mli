@@ -26,9 +26,9 @@ type signal_check = unit -> [ `Go | `Term | `Kill ]
     [max_attempts] times; attempt [n+1] happens after a backoff of
     [min backoff_cap (backoff_base * backoff_factor^(n-1))] scaled by a
     uniform jitter in [1 ± jitter].  Each attempt is bounded by
-    [deadline] simulated seconds (requires executing inside a DES
-    process with [~sim]); expiry kills the invocation and counts as a
-    transient timeout. *)
+    [deadline] simulated seconds (the replay must run inside a DES
+    process); expiry kills the invocation and counts as a transient
+    timeout. *)
 type retry_policy = {
   max_attempts : int;
   backoff_base : float;
@@ -49,11 +49,10 @@ val default_retry : retry_policy
 val backoff_nominal : retry_policy -> int -> float
 
 (** Jittered backoff before retry [n]; deterministic given [rng]. *)
-val backoff_delay : retry_policy -> ?rng:Random.State.t -> int -> float
+val backoff_delay : retry_policy -> rng:Random.State.t -> int -> float
 
 (** Robustness counters, accumulated across one or more [execute] calls.
-    [undo_s] accumulates sim seconds spent rolling back (0 without
-    [~sim]). *)
+    [undo_s] accumulates sim seconds spent rolling back. *)
 type counters = {
   mutable retries : int;
   mutable transient_failures : int;
@@ -67,22 +66,21 @@ val fresh_counters : unit -> counters
     [invoke] (one device invocation, of [action]) in a child process
     bounded by [deadline] simulated seconds: on expiry the child is killed,
     [counters.timeouts] is bumped and a transient timeout error is
-    returned.  Without both [sim] and [deadline] it runs [invoke] inline. *)
+    returned.  With no [deadline] it runs [invoke] inline. *)
 val invoke_deadline :
-  sim:Des.Sim.t option ->
+  sim:Des.Sim.t ->
   deadline:float option ->
-  counters:counters option ->
+  counters:counters ->
   action:string ->
   (unit -> (unit, Devices.Device.error) result) ->
   (unit, Devices.Device.error) result
 
-(** [execute ~devices log] replays [log].  [policy] defaults to
-    {!no_retry}; pass [~sim] (and normally [~rng] from the same sim) to
-    enable deadlines and timed backoff — without it, retries are
-    immediate and deadlines are ignored.  [counters], when given, is
-    incremented in place.  [tracer], when given, records per-attempt
-    action spans, backoff spans and undo chains under the given
-    transaction id.
+(** [execute ~devices ~sim ~counters ~tracer:(trace, txn, lane) log]
+    replays [log].  [policy] defaults to {!no_retry}.  Deadlines and
+    backoffs run on [sim]'s clock, and backoff jitter is drawn from
+    [sim]'s rng.  [counters] is incremented in place.  [trace] records
+    per-attempt action spans, backoff spans and undo chains under
+    transaction [txn] in [lane] (nothing, if it is {!Trace.off}).
 
     [skip] (default 0) treats the first [skip] records as already
     executed by a previous incarnation of this replay: they are not
@@ -102,12 +100,11 @@ val invoke_deadline :
     winning incarnation already committed. *)
 val execute :
   devices:device_lookup ->
+  sim:Des.Sim.t ->
+  counters:counters ->
+  tracer:Trace.t * int * int ->
   ?check_signal:signal_check ->
   ?policy:retry_policy ->
-  ?rng:Random.State.t ->
-  ?sim:Des.Sim.t ->
-  ?counters:counters ->
-  ?tracer:Trace.t * int * int ->
   ?skip:int ->
   ?on_progress:(int -> unit) ->
   ?confirm_undo:(unit -> bool) ->

@@ -16,7 +16,8 @@ type spec = {
          txn-record writes of an input burst (0 = synchronous persists) *)
   worker_retry : Physical.retry_policy;
   trace : Trace.t option;
-      (* span recorder shared by every controller and worker *)
+      (* span recorder shared by every controller, worker and coordination
+         ensemble *)
 }
 
 let default_spec =
@@ -47,7 +48,11 @@ type t = {
   pdevices : Physical.device_lookup;
   pdevice_roots : Data.Path.t list;
   pshard : Shard.t;  (* base assignment, viewed from shard 0 *)
+  ptrace : Trace.t;  (* [pspec.trace], or {!Trace.off} *)
   ensembles : Coord.Ensemble.t array;  (* one per shard; slot 0 is global *)
+  membership : Coord.Types.membership_stats;
+  group : Coord.Types.group_stats;
+      (* one record each, written by every shard's ensemble *)
   control : Controller.t array;
   work : Worker.t array;
   submitters : Coord.Client.t array array;  (* per shard *)
@@ -67,50 +72,8 @@ let workers t = t.work
 let coord t = t.ensembles.(0)
 let coord_ensemble t sid = t.ensembles.(sid)
 
-(* Membership counters summed across shards (each ensemble's instances
-   share one stats record; here we merge the per-shard records). *)
-let membership_stats t =
-  let total = Coord.Types.fresh_membership_stats () in
-  Array.iter
-    (fun e ->
-      let s = Coord.Ensemble.membership_stats e in
-      total.Coord.Types.joins <- total.Coord.Types.joins + s.Coord.Types.joins;
-      total.Coord.Types.leaves <- total.Coord.Types.leaves + s.Coord.Types.leaves;
-      total.Coord.Types.catchups <-
-        total.Coord.Types.catchups + s.Coord.Types.catchups;
-      total.Coord.Types.stale_sessions_rejected <-
-        total.Coord.Types.stale_sessions_rejected
-        + s.Coord.Types.stale_sessions_rejected)
-    t.ensembles;
-  total
-
-(* Group-commit counters, merged the same way (the batch-size histogram
-   sums bucket-wise; max_batch takes the max). *)
-let group_commit_stats t =
-  let total = Coord.Types.fresh_group_stats () in
-  Array.iter
-    (fun e ->
-      let s = Coord.Ensemble.group_stats e in
-      total.Coord.Types.flushes <- total.Coord.Types.flushes + s.Coord.Types.flushes;
-      total.Coord.Types.flush_full <-
-        total.Coord.Types.flush_full + s.Coord.Types.flush_full;
-      total.Coord.Types.flush_timeout <-
-        total.Coord.Types.flush_timeout + s.Coord.Types.flush_timeout;
-      total.Coord.Types.batched_cmds <-
-        total.Coord.Types.batched_cmds + s.Coord.Types.batched_cmds;
-      total.Coord.Types.acks_deferred <-
-        total.Coord.Types.acks_deferred + s.Coord.Types.acks_deferred;
-      total.Coord.Types.unsafe_acks <-
-        total.Coord.Types.unsafe_acks + s.Coord.Types.unsafe_acks;
-      if s.Coord.Types.max_batch > total.Coord.Types.max_batch then
-        total.Coord.Types.max_batch <- s.Coord.Types.max_batch;
-      Array.iteri
-        (fun i n ->
-          total.Coord.Types.batch_hist.(i) <-
-            total.Coord.Types.batch_hist.(i) + n)
-        s.Coord.Types.batch_hist)
-    t.ensembles;
-  total
+let membership_stats t = t.membership
+let group_commit_stats t = t.group
 
 let shard_count t = t.pspec.shards
 
@@ -262,7 +225,7 @@ let connect_controller t sid cname =
            ~session_timeout:t.pspec.controller_session_timeout
            ~name:(cname ^ "-g") ())
   in
-  Controller.create ?trace:t.pspec.trace
+  Controller.create ~trace:t.ptrace
     ~shard:(Shard.view t.pshard ~sid)
     ?gclient ?repair_deadline:t.pspec.worker_retry.Physical.deadline
     ~name:cname ~client ~env:t.penv
@@ -275,7 +238,7 @@ let connect_worker t i wname =
   let sid = i / t.pspec.workers in
   let client = Coord.Ensemble.connect t.ensembles.(sid) ~name:wname () in
   let st = t.stats.(sid) in
-  Worker.create ~retry:t.pspec.worker_retry ?trace:t.pspec.trace
+  Worker.create ~retry:t.pspec.worker_retry ~trace:t.ptrace
     ~ns:(Proto.ns_of_shard sid) ~rank:(i mod t.pspec.workers)
     ~on_conflict:(fun () ->
       st.Controller.take_conflicts <- st.Controller.take_conflicts + 1)
@@ -284,17 +247,14 @@ let connect_worker t i wname =
 
 let create pspec env ~initial_tree ~devices psim =
   let pspec = { pspec with shards = max 1 pspec.shards } in
-  let on_event =
-    Option.map
-      (fun tracer { Coord.Ensemble.ev_name; ev_attrs } ->
-        Trace.instant tracer ~txn:0 ~cat:"membership" ~name:ev_name
-          ~attrs:ev_attrs ())
-      pspec.trace
-  in
+  let trace = Option.value pspec.trace ~default:Trace.off in
+  let membership = Coord.Types.fresh_membership_stats () in
+  let group = Coord.Types.fresh_group_stats () in
   let ensembles =
     Array.init pspec.shards (fun _ ->
         Coord.Ensemble.create ~replicas:pspec.coord_replicas
-          ~clients:pspec.client_slots ~config:pspec.coord_config ?on_event psim)
+          ~clients:pspec.client_slots ~config:pspec.coord_config
+          ~stats:membership ~gstats:group ~trace psim)
   in
   let device_lookup = Physical.lookup_of_list devices in
   let device_roots = List.map Devices.Device.root devices in
@@ -313,7 +273,10 @@ let create pspec env ~initial_tree ~devices psim =
       pdevices = device_lookup;
       pdevice_roots = device_roots;
       pshard;
+      ptrace = trace;
       ensembles;
+      membership;
+      group;
       control = [||];
       work = [||];
       submitters;

@@ -36,8 +36,9 @@ type spec = {
   worker_retry : Physical.retry_policy;
       (** per-action robustness policy every worker executes under *)
   trace : Trace.t option;
-      (** span recorder shared by every controller and worker (including
-          supervisor restarts); [None] disables tracing *)
+      (** span recorder shared by every controller, worker (including
+          supervisor restarts) and coordination ensemble; [None] disables
+          tracing ({!create} maps it to {!Trace.off}) *)
 }
 
 val default_spec : spec
@@ -189,12 +190,12 @@ val coord : t -> Coord.Ensemble.t
 val coord_ensemble : t -> int -> Coord.Ensemble.t
 
 (** Membership counters (joins, leaves, catch-ups, stale replication
-    sessions rejected) summed across all shards' ensembles. *)
+    sessions rejected): one record, written by every shard's ensemble. *)
 val membership_stats : t -> Coord.Types.membership_stats
 
 (** Group-commit counters (flushes by trigger, batched commands, deferred
-    and unsafe acks, batch-size histogram) summed across all shards'
-    ensembles. *)
+    and unsafe acks, batch-size histogram): one record, written by every
+    shard's ensemble. *)
 val group_commit_stats : t -> Coord.Types.group_stats
 
 (** Sum of controller-CPU busy time (all controllers; only the leader

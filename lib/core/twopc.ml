@@ -168,7 +168,7 @@ type t = {
   shard : Shard.t;
   timeout : float;
   record : bool;
-  trace : Trace.t option;
+  trace : Trace.t;
   sim : Des.Sim.t;
   pending : (int, pending) Hashtbl.t;
   parts : (int, part) Hashtbl.t;
@@ -178,8 +178,8 @@ type t = {
   mutable recovered_terminal : Txn.t list;
 }
 
-let create ?trace ?(barrier = ignore) ~name ~gclient ~shard ~timeout ~record
-    sim =
+let create ?(trace = Trace.off) ?(barrier = ignore) ~name ~gclient ~shard
+    ~timeout ~record sim =
   {
     name;
     gclient;
@@ -199,7 +199,7 @@ let sid t = t.shard.Shard.sid
 let deadline t = Des.Sim.now t.sim +. t.timeout
 
 let instant t ~txn name =
-  Option.iter (fun tr -> Trace.instant tr ~txn ~cat:"2pc" ~name ()) t.trace
+  Trace.instant t.trace ~txn ~cat:"2pc" ~name ()
 
 let send t ~shard msg =
   t.barrier ();

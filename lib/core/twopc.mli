@@ -62,7 +62,8 @@ type t
 (** [record = false] is the ablation that never writes or reads the
     decision record.  [barrier] (default none) runs before every write on
     [gclient]: the controller passes {!Persist.barrier} when [gclient] is
-    its own session. *)
+    its own session.  [trace] (default {!Trace.off}) records the
+    protocol's [2pc] instants. *)
 val create :
   ?trace:Trace.t ->
   ?barrier:(unit -> unit) ->

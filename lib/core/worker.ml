@@ -13,14 +13,15 @@ type t = {
   devices : Physical.device_lookup;
   sim : Des.Sim.t;
   retry : Physical.retry_policy;
-  trace : Trace.t option;
+  trace : Trace.t;
   on_conflict : unit -> unit;
   mutable stopped : bool;
   mutable procs : Des.Proc.t list;
 }
 
-let create ?(retry = Physical.no_retry) ?trace ?(ns = Proto.default_ns)
-    ?(rank = 0) ?(on_conflict = ignore) ~name ~client ~mode ~devices ~sim () =
+let create ?(retry = Physical.no_retry) ?(trace = Trace.off)
+    ?(ns = Proto.default_ns) ?(rank = 0) ?(on_conflict = ignore) ~name ~client
+    ~mode ~devices ~sim () =
   {
     wname = name;
     rank;
@@ -101,34 +102,25 @@ let execute_txn w txn_id =
          (* Each execution gets a fresh tracer lane: after a fail-over
             the same transaction can be replayed by two workers at once,
             and lanes keep their span trees from interleaving. *)
+         let lane = Trace.fresh_lane w.trace in
          let span =
-           Option.map
-             (fun tr ->
-               let lane = Trace.fresh_lane tr in
-               ( lane,
-                 Trace.begin_span tr ~txn:txn_id ~lane ~cat:"physical"
-                   ~name:"replay"
-                   ~attrs:
-                     ([ ("worker", w.wname);
-                        ("actions", string_of_int (List.length txn.Txn.log));
-                        ( "mode",
-                          match w.mode with
-                          | Full -> "full"
-                          | Logical_only _ -> "logical" ) ]
-                     @
-                     if skip > 0 then [ ("resume", string_of_int skip) ]
-                     else [])
-                   () ))
-             w.trace
+           Trace.begin_span w.trace ~txn:txn_id ~lane ~cat:"physical"
+             ~name:"replay"
+             ~attrs:
+               ([ ("worker", w.wname);
+                  ("actions", string_of_int (List.length txn.Txn.log));
+                  ( "mode",
+                    match w.mode with
+                    | Full -> "full"
+                    | Logical_only _ -> "logical" ) ]
+               @ if skip > 0 then [ ("resume", string_of_int skip) ] else [])
+             ()
          in
          (* Default outcome covers a kill mid-replay: the span is closed
             on the unwind (Fun.protect) with outcome "interrupted". *)
          let outcome_label = ref "interrupted" in
          let close_span () =
-           match (w.trace, span) with
-           | Some tr, Some (_, sid) ->
-             Trace.end_span tr ~attrs:[ ("outcome", !outcome_label) ] sid
-           | _ -> ()
+           Trace.end_span w.trace ~attrs:[ ("outcome", !outcome_label) ] span
          in
          let outcome =
            Fun.protect ~finally:close_span (fun () ->
@@ -138,14 +130,9 @@ let execute_txn w txn_id =
                    if delay > 0. then Des.Proc.sleep delay;
                    Proto.Phy_committed
                  | Full ->
-                   Physical.execute ~devices:w.devices
-                     ~check_signal:(check_signal w txn_id)
-                     ~policy:w.retry ~rng:(Des.Sim.rng w.sim) ~sim:w.sim
-                     ~counters
-                     ?tracer:
-                       (match (w.trace, span) with
-                       | Some tr, Some (lane, _) -> Some (tr, txn_id, lane)
-                       | _ -> None)
+                   Physical.execute ~devices:w.devices ~sim:w.sim ~counters
+                     ~tracer:(w.trace, txn_id, lane)
+                     ~check_signal:(check_signal w txn_id) ~policy:w.retry
                      ~skip ~on_progress ~confirm_undo txn.Txn.log
                in
                (outcome_label :=

@@ -25,9 +25,10 @@ type mode =
 type t
 
 (** [retry] (default {!Physical.no_retry}) is the per-action robustness
-    policy applied to every log replayed by this worker.  [trace], when
-    given, records a replay span (plus per-action/backoff/undo spans in
-    [Full] mode) for every transaction this worker executes.  [ns] is the
+    policy applied to every log replayed by this worker.  [trace]
+    (default {!Trace.off}) records a replay span (plus
+    per-action/backoff/undo spans in [Full] mode) for every transaction
+    this worker executes.  [ns] is the
     shard namespace whose queues this worker serves (default
     {!Proto.default_ns}); [client] must connect to that shard's
     coordination ensemble.  [rank] (default 0) is the worker's index in

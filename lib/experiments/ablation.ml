@@ -123,14 +123,8 @@ let recovery_run ~seed ~checkpoint_every ~txns =
              ~args:
                (spawn_args ~vm:(Printf.sprintf "ck%04d" k) ~h ~storage_hosts:16))
       done;
-      let leader = Tropic.Platform.await_leader_controller platform in
-      let index =
-        let found = ref (-1) in
-        Array.iteri
-          (fun i c -> if c == leader then found := i)
-          (Tropic.Platform.controllers platform);
-        !found
-      in
+      ignore (Tropic.Platform.await_leader_controller platform);
+      let index = Option.get (Tropic.Platform.leader_index platform) in
       let t_kill = Des.Proc.now () in
       Tropic.Platform.kill_controller platform index;
       (* Probe: the first transaction to commit marks recovery done. *)

@@ -7,6 +7,24 @@ let run_scenario platform body =
        (Printf.sprintf "process %s crashed: %s" who (Printexc.to_string exn)));
   if not quiesced then failwith "experiment did not quiesce before the horizon"
 
+(* End-of-run cross-layer check: every device either matches its logical
+   subtree or is quarantined awaiting reconciliation. *)
+let layers_consistent platform (inv : Tcloud.Setup.t) =
+  match Tropic.Platform.leader_controller platform with
+  | None -> false
+  | Some leader ->
+    let quarantined = Tropic.Controller.quarantined leader in
+    let tree = Tropic.Controller.tree leader in
+    List.for_all
+      (fun device ->
+        let root = Devices.Device.root device in
+        List.exists (fun q -> Data.Path.is_prefix q root) quarantined
+        ||
+        match Data.Tree.subtree tree root with
+        | Error _ -> false
+        | Ok logical -> Data.Tree.equal logical (Devices.Device.export device))
+      inv.Tcloud.Setup.devices
+
 let time_it f =
   let t0 = Sys.time () in
   let result = f () in

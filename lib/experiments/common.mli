@@ -5,6 +5,11 @@
     @raise Failure if a process crashed or the run never quiesced. *)
 val run_scenario : Tropic.Platform.t -> (unit -> unit) -> unit
 
+(** End-of-run cross-layer check on shard 0's leader: every device of
+    [inv] either matches its logical subtree or is quarantined awaiting
+    reconciliation.  [false] when no controller leads. *)
+val layers_consistent : Tropic.Platform.t -> Tcloud.Setup.t -> bool
+
 (** Wall-clock seconds spent evaluating [f] (monotonic-ish, via
     [Sys.time]'s processor time — the experiments are CPU-bound). *)
 val time_it : (unit -> 'a) -> 'a * float

@@ -50,13 +50,7 @@ let run ?(seed = default_seed) ?(session_timeout = 10.) ?(rate = 2.)
   let killer () =
     Des.Proc.sleep kill_at;
     let leader = Tropic.Platform.await_leader_controller platform in
-    let index =
-      let found = ref (-1) in
-      Array.iteri
-        (fun i c -> if c == leader then found := i)
-        (Tropic.Platform.controllers platform);
-      !found
-    in
+    let index = Option.get (Tropic.Platform.leader_index platform) in
     kill_time := Des.Proc.now ();
     Tropic.Platform.kill_controller platform index;
     let rec wait_new () =

@@ -19,23 +19,6 @@ type result = {
 
 let op_names = [ "spawnVM"; "startVM"; "stopVM"; "migrateVM"; "destroyVM" ]
 
-let layers_consistent platform inv =
-  match Tropic.Platform.leader_controller platform with
-  | None -> false
-  | Some leader ->
-    let quarantined = Tropic.Controller.quarantined leader in
-    let tree = Tropic.Controller.tree leader in
-    List.for_all
-      (fun device ->
-        let root = Devices.Device.root device in
-        List.exists (fun q -> Data.Path.is_prefix q root) quarantined
-        ||
-        match Data.Tree.subtree tree root with
-        | Error _ -> false
-        | Ok logical ->
-          Data.Tree.equal logical (Devices.Device.export device))
-      inv.Tcloud.Setup.devices
-
 let default_seed = 97
 
 (* Offered load, op/s. *)
@@ -132,7 +115,7 @@ let run ?(seed = default_seed) ?(quick = false) ?(record_trace = false) () =
         stats;
     deferrals = controller_stats.Tropic.Controller.deferrals;
     violations = controller_stats.Tropic.Controller.violations;
-    layers_consistent = layers_consistent platform inv;
+    layers_consistent = Common.layers_consistent platform inv;
     stats = Tropic.Platform.shard_stats platform 0;
     membership = Common.membership_summary platform;
     trace = tracer;

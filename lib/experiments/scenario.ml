@@ -317,13 +317,7 @@ let run_script ?(record_trace = false) ?(base_dir = ".") script =
         emit "armed fault: next %s on host%d fails" action host
       | Kill_leader ->
         let leader = Tropic.Platform.await_leader_controller platform in
-        let index =
-          let found = ref 0 in
-          Array.iteri
-            (fun i c -> if c == leader then found := i)
-            (Tropic.Platform.controllers platform);
-          !found
-        in
+        let index = Option.get (Tropic.Platform.leader_index platform) in
         Tropic.Platform.kill_controller platform index;
         emit "killed %s" (Tropic.Controller.name leader)
       | Repair host ->
@@ -459,25 +453,6 @@ let run_script ?(record_trace = false) ?(base_dir = ".") script =
     Common.run_scenario platform (fun () ->
         List.iter interpret commands;
         flush_pending ());
-    (* End-of-run cross-layer check: every device either matches its
-       logical subtree or is quarantined awaiting reconciliation. *)
-    let layers_consistent =
-      match Tropic.Platform.leader_controller platform with
-      | None -> false
-      | Some leader ->
-        let quarantined = Tropic.Controller.quarantined leader in
-        let tree = Tropic.Controller.tree leader in
-        List.for_all
-          (fun device ->
-            let root = Devices.Device.root device in
-            List.exists (fun q -> Data.Path.is_prefix q root) quarantined
-            ||
-            match Data.Tree.subtree tree root with
-            | Error _ -> false
-            | Ok logical ->
-              Data.Tree.equal logical (Devices.Device.export device))
-          inv.Tcloud.Setup.devices
-    in
     Ok
       {
         lines = List.rev !lines;
@@ -485,7 +460,7 @@ let run_script ?(record_trace = false) ?(base_dir = ".") script =
         transactions = !transactions;
         unexpected_outcomes = !unexpected_outcomes;
         blocked_convergences = !blocked_convergences;
-        layers_consistent;
+        layers_consistent = Common.layers_consistent platform inv;
         trace = tracer;
       }
 

@@ -24,7 +24,7 @@ type event = {
 
 type item = S of span | E of event
 
-type t = {
+type recorder = {
   sim : Des.Sim.t;
   mutable next_id : int;
   mutable items : item list; (* newest first *)
@@ -33,21 +33,28 @@ type t = {
       (* txn -> open (lane, sid), innermost first *)
 }
 
+(* [None] is the disabled recorder: every emitter calls straight through,
+   and only this module decides whether anything is kept. *)
+type t = recorder option
+
+let off = None
+
 let create ~sim () =
-  {
-    sim;
-    next_id = 1;
-    items = [];
-    by_id = Hashtbl.create 256;
-    open_stacks = Hashtbl.create 64;
-  }
+  Some
+    {
+      sim;
+      next_id = 1;
+      items = [];
+      by_id = Hashtbl.create 256;
+      open_stacks = Hashtbl.create 64;
+    }
 
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let fresh_lane = fresh_id
+let fresh_lane = function None -> 0 | Some t -> fresh_id t
 
 let stack t txn = Option.value (Hashtbl.find_opt t.open_stacks txn) ~default:[]
 
@@ -57,94 +64,92 @@ let stack t txn = Option.value (Hashtbl.find_opt t.open_stacks txn) ~default:[]
    transaction (duplicate dispatch after a controller fail-over) from
    parenting onto each other's open spans. *)
 let begin_span t ~txn ?(lane = 0) ~cat ~name ?(attrs = []) () =
-  let sid = fresh_id t in
-  let st = stack t txn in
-  let parent =
-    match List.find_opt (fun (l, _) -> l = lane) st with
-    | Some (_, p) -> Some p
-    | None ->
-      if lane = 0 then None
-      else Option.map snd (List.find_opt (fun (l, _) -> l = 0) st)
-  in
-  let span =
-    {
-      sid;
-      txn;
-      cat;
-      name;
-      parent;
-      start_ts = Des.Sim.now t.sim;
-      end_ts = None;
-      attrs;
-    }
-  in
-  Hashtbl.replace t.by_id sid span;
-  Hashtbl.replace t.open_stacks txn ((lane, sid) :: st);
-  t.items <- S span :: t.items;
-  sid
+  match t with
+  | None -> 0
+  | Some t ->
+    let sid = fresh_id t in
+    let st = stack t txn in
+    let parent =
+      match List.find_opt (fun (l, _) -> l = lane) st with
+      | Some (_, p) -> Some p
+      | None ->
+        if lane = 0 then None
+        else Option.map snd (List.find_opt (fun (l, _) -> l = 0) st)
+    in
+    let span =
+      {
+        sid;
+        txn;
+        cat;
+        name;
+        parent;
+        start_ts = Des.Sim.now t.sim;
+        end_ts = None;
+        attrs;
+      }
+    in
+    Hashtbl.replace t.by_id sid span;
+    Hashtbl.replace t.open_stacks txn ((lane, sid) :: st);
+    t.items <- S span :: t.items;
+    sid
 
 let pop_sid t txn sid =
   Hashtbl.replace t.open_stacks txn
     (List.filter (fun (_, s) -> s <> sid) (stack t txn))
 
-let end_span t ?(attrs = []) sid =
-  match Hashtbl.find_opt t.by_id sid with
-  | None -> ()
-  | Some span ->
-    (match span.end_ts with
-     | Some _ -> () (* first close wins *)
-     | None ->
-       span.end_ts <- Some (Des.Sim.now t.sim);
-       span.attrs <- span.attrs @ attrs;
-       pop_sid t span.txn sid)
+(* First close wins. *)
+let close t attrs span =
+  if span.end_ts = None then begin
+    span.end_ts <- Some (Des.Sim.now t.sim);
+    span.attrs <- span.attrs @ attrs;
+    pop_sid t span.txn span.sid
+  end
 
-let end_named t ~txn ~name ?attrs () =
-  let rec find = function
-    | [] -> None
-    | (_, sid) :: rest ->
-      (match Hashtbl.find_opt t.by_id sid with
-       | Some span when span.name = name -> Some span
-       | _ -> find rest)
-  in
-  match find (stack t txn) with
+let end_span t ?(attrs = []) sid =
+  match t with
+  | None -> ()
+  | Some t -> Option.iter (close t attrs) (Hashtbl.find_opt t.by_id sid)
+
+let end_named t ~txn ~name ?(attrs = []) () =
+  match t with
   | None -> None
-  | Some span ->
-    end_span t ?attrs span.sid;
-    (match span.end_ts with
-     | Some e -> Some (e -. span.start_ts)
-     | None -> None)
+  | Some t ->
+    let named (_, sid) =
+      match Hashtbl.find_opt t.by_id sid with
+      | Some span when span.name = name -> Some span
+      | _ -> None
+    in
+    Option.bind (List.find_map named (stack t txn)) (fun span ->
+        close t attrs span;
+        Option.map (fun e -> e -. span.start_ts) span.end_ts)
 
 let close_all t ~txn ?(attrs = []) () =
-  let now = Des.Sim.now t.sim in
-  List.iter
-    (fun (_, sid) ->
-      match Hashtbl.find_opt t.by_id sid with
-      | None -> ()
-      | Some span ->
-        (match span.end_ts with
-         | Some _ -> ()
-         | None ->
-           span.end_ts <- Some now;
-           if span.cat = "txn" then span.attrs <- span.attrs @ attrs
-           else span.attrs <- span.attrs @ [ ("closed_by", "finalize") ]))
-    (stack t txn);
-  Hashtbl.remove t.open_stacks txn
+  match t with
+  | None -> ()
+  | Some t ->
+    let now = Des.Sim.now t.sim in
+    List.iter
+      (fun (_, sid) ->
+        match Hashtbl.find_opt t.by_id sid with
+        | Some ({ end_ts = None; _ } as span) ->
+          span.end_ts <- Some now;
+          if span.cat = "txn" then span.attrs <- span.attrs @ attrs
+          else span.attrs <- span.attrs @ [ ("closed_by", "finalize") ]
+        | Some _ | None -> ())
+      (stack t txn);
+    Hashtbl.remove t.open_stacks txn
 
 let instant t ~txn ~cat ~name ?(attrs = []) () =
-  let eid = fresh_id t in
-  let event =
-    {
-      eid;
-      etxn = txn;
-      ecat = cat;
-      ename = name;
-      ts = Des.Sim.now t.sim;
-      eattrs = attrs;
-    }
-  in
-  t.items <- E event :: t.items
+  match t with
+  | None -> ()
+  | Some t ->
+    let eid = fresh_id t in
+    t.items <-
+      E { eid; etxn = txn; ecat = cat; ename = name; ts = Des.Sim.now t.sim;
+          eattrs = attrs }
+      :: t.items
 
-let items t = List.rev t.items
+let items = function None -> [] | Some t -> List.rev t.items
 
 let spans t =
   List.filter_map (function S s -> Some s | E _ -> None) (items t)

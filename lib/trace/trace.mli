@@ -14,7 +14,11 @@
     innermost open span of the same transaction at the time they begin, so
     emitters never thread parent ids around.  [close_all] force-closes
     whatever is still open for a transaction when the controller finalizes
-    it, guaranteeing balance even when a worker was killed mid-replay. *)
+    it, guaranteeing balance even when a worker was killed mid-replay.
+
+    Tracing is off by value, not by type: every emitter holds a plain
+    [t] and calls straight through, and {!off} is the recorder that keeps
+    nothing. *)
 
 type t
 
@@ -39,6 +43,11 @@ type event = {
 }
 
 val create : sim:Des.Sim.t -> unit -> t
+
+val off : t
+(** The disabled recorder: it records nothing.  [begin_span] and
+    [fresh_lane] return an id the other calls ignore, [end_named] returns
+    [None], and [spans], [events] and [Check.validate] are empty. *)
 
 val begin_span :
   t ->

@@ -75,6 +75,25 @@ let test_end_named_and_close_all () =
   check (Alcotest.option string_c) "straggler marked" (Some "finalize")
     (Trace.attr replay "closed_by")
 
+(* The disabled recorder takes every call and keeps nothing. *)
+let test_off_records_nothing () =
+  let tr = Trace.off in
+  let lane = Trace.fresh_lane tr in
+  let root = Trace.begin_span tr ~txn:5 ~cat:"txn" ~name:"spawnVM" () in
+  let _wait =
+    Trace.begin_span tr ~txn:5 ~lane ~cat:"lock" ~name:"lock-wait" ()
+  in
+  Trace.instant tr ~txn:5 ~cat:"sched" ~name:"ready" ();
+  check bool_c "end_named finds nothing" true
+    (Trace.end_named tr ~txn:5 ~name:"lock-wait" () = None);
+  Trace.end_span tr ~attrs:[ ("state", "committed") ] root;
+  Trace.close_all tr ~txn:5 ~attrs:[ ("state", "committed") ] ();
+  check int_c "no spans" 0 (List.length (Trace.spans tr));
+  check int_c "no events" 0 (List.length (Trace.events tr));
+  check int_c "span_count" 0 (Trace.span_count tr);
+  check int_c "validate is empty" 0 (List.length (Trace.Check.validate tr));
+  check int_c "empty dump" 0 (List.length (Trace.to_normalized_lines tr))
+
 (* ------------------------------------------------------------------ *)
 (* The validator must catch broken traces *)
 
@@ -367,6 +386,23 @@ let test_golden_trace () =
       (String.length actual) (String.length expected) dump
   end
 
+(* Tracing never touches the simulation: the golden script runs the same
+   with the recorder on and off. *)
+let test_tracing_does_not_perturb () =
+  let run record_trace =
+    match Experiments.Scenario.run_script ~record_trace golden_script with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "scenario parse error: %s" e
+  in
+  let traced = run true and untraced = run false in
+  check (Alcotest.list string_c) "same transcript"
+    traced.Experiments.Scenario.lines untraced.Experiments.Scenario.lines;
+  check int_c "same transactions" traced.Experiments.Scenario.transactions
+    untraced.Experiments.Scenario.transactions;
+  check bool_c "same layers_consistent"
+    traced.Experiments.Scenario.layers_consistent
+    untraced.Experiments.Scenario.layers_consistent
+
 (* ------------------------------------------------------------------ *)
 (* Metrics.Cdf: empty recorders answer n/a, not a placeholder 0 *)
 
@@ -388,12 +424,14 @@ let suite =
   [
     ("recorder: auto-parenting and balance", `Quick, test_autoparenting_and_balance);
     ("recorder: end_named and close_all", `Quick, test_end_named_and_close_all);
+    ("recorder: off records nothing", `Quick, test_off_records_nothing);
     ("check: unbalanced span flagged", `Quick, test_check_flags_unbalanced);
     ("check: undo under committed txn flagged", `Quick, test_check_flags_undo_under_commit);
     ("check: incomplete replay coverage flagged", `Quick, test_check_flags_missing_coverage);
     ("check: undo order enforced", `Quick, test_check_flags_undo_order);
     QCheck_alcotest.to_alcotest trace_lifecycle_prop;
     ("golden: normalized trace is byte-stable", `Quick, test_golden_trace);
+    ("golden: tracing does not perturb the run", `Quick, test_tracing_does_not_perturb);
     ("cdf: empty quantiles answer n/a", `Quick, test_cdf_empty_is_na);
   ]
 

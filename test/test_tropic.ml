@@ -344,6 +344,11 @@ let rollback_inverse_prop =
 (* ------------------------------------------------------------------ *)
 (* Physical layer (devices driven directly, no platform) *)
 
+(* A replay outside any platform: a fresh clock and counters, no trace. *)
+let execute_direct ~devices log =
+  Physical.execute ~devices ~sim:(Des.Sim.create ())
+    ~counters:(Physical.fresh_counters ()) ~tracer:(Trace.off, 0, 0) log
+
 let test_physical_execute_commit_and_rollback () =
   let inv = small_inventory () in
   let env = inv.Tcloud.Setup.env in
@@ -362,7 +367,7 @@ let test_physical_execute_commit_and_rollback () =
   Devices.Fault.fail_next
     (Devices.Device.faults (Devices.Compute.device compute0))
     ~action:Schema.act_start_vm;
-  (match Physical.execute ~devices log with
+  (match execute_direct ~devices log with
    | Proto.Phy_aborted reason ->
      check bool_c "reports startVM" true
        (Str_contains.contains reason "startVM")
@@ -372,7 +377,7 @@ let test_physical_execute_commit_and_rollback () =
   check bool_c "no image left" false
     (List.mem "vm1.img" (Devices.Storage.image_names storage0_dev));
   (* Second run without faults commits. *)
-  (match Physical.execute ~devices log with
+  (match execute_direct ~devices log with
    | Proto.Phy_committed -> ()
    | Proto.Phy_aborted r | Proto.Phy_failed r -> Alcotest.fail r);
   check (Alcotest.option Alcotest.pass) "vm running" (Some `Running)
@@ -395,7 +400,7 @@ let test_physical_undo_failure_is_failed () =
   Devices.Fault.fail_next faults ~action:Schema.act_start_vm;
   (* The undo of createVM is removeVM: make it fail too. *)
   Devices.Fault.fail_next faults ~action:Schema.act_remove_vm;
-  match Physical.execute ~devices log with
+  match execute_direct ~devices log with
   | Proto.Phy_failed reason ->
     check bool_c "mentions undo" true (Str_contains.contains reason "undo")
   | Proto.Phy_committed | Proto.Phy_aborted _ ->
@@ -413,7 +418,7 @@ let test_plan_repair_after_power_cycle () =
     | Ok { Logical.log; new_tree; _ } -> (log, new_tree)
     | Error reason -> Alcotest.fail reason
   in
-  (match Physical.execute ~devices log with
+  (match execute_direct ~devices log with
    | Proto.Phy_committed -> ()
    | _ -> Alcotest.fail "spawn failed");
   let host_path, compute0 = inv.Tcloud.Setup.computes.(0) in

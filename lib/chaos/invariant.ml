@@ -19,6 +19,7 @@ type tracker = {
   stuck_reported : (int, unit) Hashtbl.t;
   queue_budget : int option;
   mutable queue_reported : bool;
+  waiters_reported : (int, unit) Hashtbl.t;  (* shards already reported *)
 }
 
 let record tracker invariant detail =
@@ -164,6 +165,28 @@ let poll_bounded_queue tracker platform =
       done
     end
 
+(* A lock-parked transaction is woken only through its waiter
+   registration: one parked without a registration is a lost wakeup, and a
+   registration with no parked transaction reserves locks for nothing.
+   Breaker and 2PC parks have no registration, so only lock-cause entries
+   with no wake pending count.  Reported once per shard. *)
+let poll_parked_waiters tracker platform =
+  for sid = 0 to Tropic.Platform.shard_count platform - 1 do
+    match Tropic.Platform.shard_leader platform sid with
+    | None -> ()
+    | Some leader ->
+      let parked = Tropic.Controller.lock_parked leader in
+      let waiters = Tropic.Controller.waiter_count leader in
+      if parked <> waiters && not (Hashtbl.mem tracker.waiters_reported sid)
+      then begin
+        Hashtbl.replace tracker.waiters_reported sid ();
+        record tracker "parked-waiters"
+          (Printf.sprintf
+             "shard %d: %d lock-parked transactions, %d waiter registrations"
+             sid parked waiters)
+      end
+  done
+
 let overcommit_violations ?(once = None) computes =
   let found = ref [] in
   Array.iteri
@@ -197,6 +220,7 @@ let start ?(period = 0.25) ?stall_budget ?queue_budget ~platform ~computes () =
       stuck_reported = Hashtbl.create 8;
       queue_budget;
       queue_reported = false;
+      waiters_reported = Hashtbl.create 4;
     }
   in
   ignore
@@ -207,6 +231,7 @@ let start ?(period = 0.25) ?stall_budget ?queue_budget ~platform ~computes () =
            poll_progress_integrity tracker platform;
            poll_stuck_locks tracker platform;
            poll_bounded_queue tracker platform;
+           poll_parked_waiters tracker platform;
            List.iter
              (record tracker "no-overcommit")
              (overcommit_violations ~once:(Some tracker.overcommitted) computes)

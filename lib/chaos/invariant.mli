@@ -20,6 +20,10 @@
       control's watermarks exist precisely to bound this; the no-breaker
       ablation under a request storm makes it fire.  Reported once per
       run.
+    - [parked-waiters]: on every shard leader, the transactions parked on
+      a lock conflict (no wake pending) equal the lock manager's waiter
+      registrations — a parked one without a registration is a lost
+      wakeup.  Reported once per shard.
 
     At quiescence:
     - [transaction-terminal]: every submitted transaction reached

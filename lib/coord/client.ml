@@ -21,7 +21,6 @@ type call = {
 
 type t = {
   session : int;
-  cname : string;
   net : Types.msg Des.Net.t;
   mutable known : int list;
       (* last known membership, sorted; refreshed from Not_leader replies
@@ -41,7 +40,6 @@ type t = {
 }
 
 let session_id c = c.session
-let name c = c.cname
 let events c = c.event_channel
 let closed c = c.is_closed
 let sim c = Des.Net.sim c.net
@@ -387,7 +385,6 @@ let connect ~net ~id ~members ~config ?session_timeout ~name () =
   let c =
     {
       session = id;
-      cname = name;
       net;
       known;
       config;
@@ -398,7 +395,7 @@ let connect ~net ~id ~members ~config ?session_timeout ~name () =
       pending = Hashtbl.create 8;
       calls = [];
       backing_off = false;
-      event_channel = Des.Channel.create ~name:(name ^ ".events") ();
+      event_channel = Des.Channel.create ();
       procs = [];
       is_closed = false;
     }

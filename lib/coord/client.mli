@@ -50,10 +50,6 @@ val connect :
   t
 
 val session_id : t -> int
-val name : t -> string
-
-(** The simulator the session runs on. *)
-val sim : t -> Des.Sim.t
 
 (** {1 Replicated updates} — block the calling process until the command
     commits; retried transparently across failures.  Later commands of

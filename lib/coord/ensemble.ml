@@ -117,7 +117,7 @@ let await_leader e =
     match leader_id e with
     | Some leader -> leader
     | None ->
-      Des.Proc.sleep (e.econfig.Types.election_timeout /. 4.);
+      Des.Proc.sleep (Types.election_timeout /. 4.);
       wait ()
   in
   wait ()
@@ -149,7 +149,7 @@ let rec settle_config e what op =
   match op (control_client e) with
   | Ok () -> ()
   | Error Types.Config_pending ->
-    Des.Proc.sleep (e.econfig.Types.heartbeat_interval *. 2.);
+    Des.Proc.sleep (Types.heartbeat_interval *. 2.);
     settle_config e what op
   | Error err ->
     failwith (Format.asprintf "Ensemble.%s: %a" what Types.pp_op_error err)

@@ -129,7 +129,7 @@ let current_session r =
   { Types.s_term = r.term; s_leader = r.rid; s_mlog = r.config_index }
 
 let reset_election_deadline r =
-  let base = r.config.Types.election_timeout in
+  let base = Types.election_timeout in
   let jitter = Des.Dist.uniform (Des.Sim.rng (sim r)) ~lo:0. ~hi:base in
   r.election_deadline <- now r +. base +. jitter
 
@@ -327,7 +327,7 @@ let advance_commit r =
 
 let entries_from r start =
   let last = last_log_index r in
-  let stop = min last (start + r.config.Types.batch_limit - 1) in
+  let stop = min last (start + Types.batch_limit - 1) in
   let rec collect i acc =
     if i < start then acc else collect (i - 1) (entry_at r i :: acc)
   in
@@ -484,14 +484,14 @@ let spawn_leader_duties r =
       (fun () ->
         while still_leading () do
           replicate_all r;
-          Des.Proc.sleep r.config.Types.heartbeat_interval
+          Des.Proc.sleep Types.heartbeat_interval
         done)
   in
   let reaper =
     Des.Proc.spawn ~name:(Printf.sprintf "replica-%d-sessions" r.rid) (sim r)
       (fun () ->
         while still_leading () do
-          Des.Proc.sleep r.config.Types.session_check_interval;
+          Des.Proc.sleep Types.session_check_interval;
           if still_leading () then expire_dead_sessions r
         done)
   in
@@ -506,7 +506,7 @@ let spawn_leader_duties r =
         while still_leading () do
           (match
              Des.Channel.recv_timeout r.batch_signal
-               ~timeout:r.config.Types.session_check_interval
+               ~timeout:Types.session_check_interval
            with
            | None -> ()
            | Some () ->
@@ -532,7 +532,7 @@ let become_leader r =
   r.batch <- [];
   r.batch_len <- 0;
   r.batch_signal <-
-    Des.Channel.create ~name:(Printf.sprintf "replica-%d-batch" r.rid) ();
+    Des.Channel.create ();
   (* Fresh progress for the effective configuration; any learner being
      caught up by the previous leader is dropped (its client retries). *)
   Hashtbl.reset r.progress;
@@ -986,7 +986,7 @@ let create ?(learner = false) ?stats ?gstats ~net ~id ~members ~config () =
     batch_len = 0;
     batch_deadline = 0.;
     batch_signal =
-      Des.Channel.create ~name:(Printf.sprintf "replica-%d-batch" id) ();
+      Des.Channel.create ();
     stop_requested = false;
     procs = [];
   }
@@ -1049,4 +1049,4 @@ let reset_volatile r =
   r.batch <- [];
   r.batch_len <- 0;
   r.batch_signal <-
-    Des.Channel.create ~name:(Printf.sprintf "replica-%d-batch" r.rid) ()
+    Des.Channel.create ()

@@ -167,15 +167,17 @@ type msg =
 (* ------------------------------------------------------------------ *)
 (* Ensemble configuration *)
 
+(* Protocol constants no deployment varies. *)
+let heartbeat_interval = 0.05
+let election_timeout = 0.4 (* base; each election waits 1–2 × this *)
+let session_check_interval = 1.0
+let batch_limit = 64 (* max log entries per Append_entries *)
+
 type config = {
-  heartbeat_interval : float;
-  election_timeout : float; (* base; each election waits 1–2 × this *)
   tick : float;             (* replica loop granularity *)
   op_service_time : float;  (* leader service time per replicated op *)
-  session_check_interval : float;
   default_session_timeout : float; (* for sessions learned implicitly *)
   request_timeout : float;  (* client retry timeout *)
-  batch_limit : int;        (* max log entries per Append_entries *)
   snapshot_threshold : int; (* applied ops (a multi counts each of its
                                ops) kept in the log before compacting
                                into a snapshot; 0 disables *)
@@ -193,14 +195,10 @@ type config = {
 
 let default_config =
   {
-    heartbeat_interval = 0.05;
-    election_timeout = 0.4;
     tick = 0.02;
     op_service_time = 0.0008;
-    session_check_interval = 1.0;
     default_session_timeout = 10.0;
     request_timeout = 1.0;
-    batch_limit = 64;
     snapshot_threshold = 50_000;
     session_ids = true;
     group_commit = true;

@@ -23,9 +23,6 @@ let register reg c =
   let existing = Option.value (Hashtbl.find_opt reg.by_kind c.kind) ~default:[] in
   Hashtbl.replace reg.by_kind c.kind (existing @ [ c ])
 
-let all reg =
-  Hashtbl.fold (fun _ cs acc -> cs @ acc) reg.by_kind []
-
 let constrained_kind reg kind = Hashtbl.mem reg.by_kind kind
 
 (* Ancestor-or-self paths, outermost (root) first. *)

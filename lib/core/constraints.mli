@@ -32,7 +32,6 @@ type registry
 
 val create : unit -> registry
 val register : registry -> t -> unit
-val all : registry -> t list
 
 (** Does any constraint attach to this kind? *)
 val constrained_kind : registry -> string -> bool

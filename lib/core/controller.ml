@@ -37,8 +37,6 @@ type stats = {
   mutable violations : int;
   mutable wakeups : int;
   mutable spurious_wakeups : int;
-  mutable retries_saved : int;
-  mutable wake_passes : int;
   mutable terms : int;
   mutable kills : int;
   mutable auto_terms : int;
@@ -84,8 +82,6 @@ let fresh_stats () =
     violations = 0;
     wakeups = 0;
     spurious_wakeups = 0;
-    retries_saved = 0;
-    wake_passes = 0;
     terms = 0;
     kills = 0;
     auto_terms = 0;
@@ -120,8 +116,6 @@ let absorb_stats ~(into : stats) (src : stats) =
   into.violations <- into.violations + src.violations;
   into.wakeups <- into.wakeups + src.wakeups;
   into.spurious_wakeups <- into.spurious_wakeups + src.spurious_wakeups;
-  into.retries_saved <- into.retries_saved + src.retries_saved;
-  into.wake_passes <- into.wake_passes + src.wake_passes;
   into.terms <- into.terms + src.terms;
   into.kills <- into.kills + src.kills;
   into.auto_terms <- into.auto_terms + src.auto_terms;
@@ -169,17 +163,8 @@ type t = {
   watchdog : Watchdog.t;
   health : Health.t;
   shedder : Health.shedder;
-  breaker_parked : (int, Data.Path.t list) Hashtbl.t;
-      (* txns deferred at admission by a tripped breaker, with the device
-         roots they were gated on *)
   started_at : (int, float) Hashtbl.t; (* Started time, for latency scores *)
-  wait_since : (int, float) Hashtbl.t; (* lock-park time, for phase stats *)
   trace : Trace.t;
-  mutable wake_pending : bool; (* health monitor woke parked txns *)
-  wake_buf : (int, unit) Hashtbl.t;
-      (* txn ids released since the last scheduler pass; delivered to the
-         scheduler in ONE deduplicated [Sched.wake] per pass instead of
-         one ready-deque scan per lock release *)
   persist : Persist.t;
   twopc : Twopc.t;
   mutable leading : bool;
@@ -240,12 +225,8 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     watchdog = Watchdog.create config.watchdog;
     health;
     shedder = Health.shedder config.admission;
-    breaker_parked = Hashtbl.create 8;
     started_at = Hashtbl.create 32;
-    wait_since = Hashtbl.create 32;
     trace;
-    wake_pending = false;
-    wake_buf = Hashtbl.create 32;
     persist;
     twopc =
       Twopc.create ~trace
@@ -264,12 +245,18 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
 let name t = t.cname
 let is_leader t = t.leading
 let tree t = t.tree
-let shard t = t.shard
 let stats t = t.st
 let todo_length t = Sched.length t.sched
 let blocked_length t = Sched.blocked_length t.sched
 let lock_count t = Mglock.lock_count t.locks
 let waiter_count t = Mglock.waiter_count t.locks
+
+let lock_parked t =
+  List.length
+    (List.filter
+       (function _, Sched.Lock _ -> true | _ -> false)
+       (Sched.parked t.sched))
+
 let cpu_busy_time t = Des.Station.busy_time t.cpu
 
 let inflight t =
@@ -301,7 +288,6 @@ let persist t txn = Persist.write t.persist txn
 let finish t (txn : Txn.t) state =
   txn.Txn.state <- state;
   txn.Txn.finished_at <- Some (Des.Sim.now t.sim);
-  Hashtbl.remove t.wait_since txn.Txn.id;
   (* Finalization force-closes whatever the transaction still has open
      (root span, a replay cut short by a kill, a park span), so traces
      are balanced at quiescence no matter how the txn ended. *)
@@ -353,36 +339,10 @@ let is_quarantined t path =
 
 (* A completion releases locks and wakes exactly the transactions parked
    on a released node; everything else stays blocked untouched — this is
-   the O(woken) replacement for the old full-todo rescan.  [retries_saved]
-   counts the blocked transactions a rescan would have re-attempted here
-   for nothing.
-
-   Released ids are *buffered*, not delivered: a burst of completions (a
-   group-commit flush acking many persists at once) used to fire one
-   [Sched.wake] — one ready-deque membership scan — per release.  Now each
-   release merges its waiters into [wake_buf] and the scheduler pass
-   drains the buffer with a single deduplicated wake ([flush_wakes]), so
-   wakeup accounting counts distinct woken transactions no matter how
-   many overlapping releases reported them. *)
-let wake_released t woken =
-  if woken <> [] then begin
-    List.iter (fun id -> Hashtbl.replace t.wake_buf id ()) woken;
-    t.wake_pending <- true
-  end
-
-let flush_wakes t =
-  if Hashtbl.length t.wake_buf > 0 then begin
-    let ids = Hashtbl.fold (fun id () acc -> id :: acc) t.wake_buf [] in
-    Hashtbl.reset t.wake_buf;
-    let blocked_before = Sched.blocked_length t.sched in
-    let moved = Sched.wake t.sched ids in
-    t.st.wake_passes <- t.st.wake_passes + 1;
-    t.st.wakeups <- t.st.wakeups + moved;
-    t.st.retries_saved <- t.st.retries_saved + (blocked_before - moved)
-  end
-
-let release_locks t (txn : Txn.t) =
-  wake_released t (Mglock.release_all t.locks ~txn:txn.Txn.id)
+   the O(woken) replacement for the old full-todo rescan.  The scheduler
+   buffers the wakes until its next pass. *)
+let release_locks t txn =
+  Sched.wake t.sched (Mglock.release_all t.locks ~txn)
 
 (* Drop a not-yet-started transaction from the scheduler, and from the
    lock manager's waiter index if it was parked. *)
@@ -455,7 +415,7 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
   in
   if quarantine then List.iter (quarantine_path t) (Txn.write_paths txn);
   finish t txn state;
-  release_locks t txn;
+  release_locks t txn.Txn.id;
   (if count then
      match state with
      | Txn.Committed ->
@@ -549,7 +509,7 @@ and decide_cross t (txn : Txn.t) snaps =
       (* Swap the prepare-time root locks for the simulated lock set
          (finer-grained; includes the foreign paths in this table so local
          reconciliation serializes against the in-flight 2PC). *)
-      wake_released t (Mglock.release_all t.locks ~txn:gid);
+      release_locks t gid;
       match Mglock.try_acquire ~reservations:false t.locks ~txn:gid locks with
       | Error conflict ->
         abort
@@ -575,16 +535,21 @@ let drain_twopc t = Twopc.drain t.twopc ~txns:t.txns ~local:(local t)
 (* ------------------------------------------------------------------ *)
 (* Scheduling (paper §3.1.1) *)
 
-(* A re-attempt closes the park span left open when the txn last blocked,
-   and credits the wait to the lock-wait phase recorder. *)
-let note_reattempt t (txn : Txn.t) =
-  ignore (Trace.end_named t.trace ~txn:txn.Txn.id ~name:"lock-wait" ());
-  ignore (Trace.end_named t.trace ~txn:txn.Txn.id ~name:"breaker-park" ());
-  match Hashtbl.find_opt t.wait_since txn.Txn.id with
-  | Some since ->
-    Hashtbl.remove t.wait_since txn.Txn.id;
+(* A re-attempt closes the park span its cause opened; a lock park's wait
+   goes to the lock-wait phase recorder.  A first attempt can follow a
+   park under a crashed leader, whose cause died with it: whichever park
+   span that leader left open ends here. *)
+let note_reattempt t (txn : Txn.t) ~woken =
+  let close name = ignore (Trace.end_named t.trace ~txn:txn.Txn.id ~name ()) in
+  match (woken : Sched.cause option) with
+  | Some (Sched.Lock since) ->
+    close "lock-wait";
     Metrics.Cdf.add t.st.lock_wait_lat (Des.Sim.now t.sim -. since)
-  | None -> ()
+  | Some (Sched.Breaker _) -> close "breaker-park"
+  | Some Sched.Votes -> ()
+  | None ->
+    close "lock-wait";
+    close "breaker-park"
 
 (* Park a transaction on the lock-table node its acquisition conflicted
    at; the holder's release is the wake-up call.  A refusal by the head's
@@ -592,7 +557,6 @@ let note_reattempt t (txn : Txn.t) =
 let park_on_conflict t (txn : Txn.t) locks (conflict : Mglock.conflict) =
   txn.Txn.state <- Txn.Deferred;
   t.st.deferrals <- t.st.deferrals + 1;
-  Hashtbl.replace t.wait_since txn.Txn.id (Des.Sim.now t.sim);
   ignore
     (Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"lock" ~name:"lock-wait"
        ~attrs:
@@ -602,13 +566,13 @@ let park_on_conflict t (txn : Txn.t) locks (conflict : Mglock.conflict) =
             ("held", Mglock.mode_to_string conflict.Mglock.held) ]
          @ if conflict.Mglock.reserved then [ ("reserved", "true") ] else [])
        ());
-  Mglock.wait t.locks ~txn:txn.Txn.id ~on:conflict.Mglock.path locks
+  Mglock.wait t.locks ~txn:txn.Txn.id ~on:conflict.Mglock.path locks;
+  `Parked (Sched.Lock (Des.Sim.now t.sim))
 
 (* Participant shadow transaction: W-lock the requested roots, persist the
    vote, reply with snapshots of the locked subtrees.  Never offered to
    the physical layer. *)
 let try_start_participant t (txn : Txn.t) : Sched.attempt =
-  note_reattempt t txn;
   let gid = txn.Txn.id in
   let roots = Router.arg_paths txn.Txn.args in
   let vote_no reason =
@@ -624,9 +588,7 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
   else begin
     let locks = List.map (fun p -> (p, Mglock.W)) roots in
     match Mglock.try_acquire t.locks ~txn:gid locks with
-    | Error conflict ->
-      park_on_conflict t txn locks conflict;
-      `Conflict
+    | Error conflict -> park_on_conflict t txn locks conflict
     | Ok () ->
       let snaps = Twopc.snapshots t.tree roots in
       if List.length snaps <> List.length roots then
@@ -647,7 +609,6 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
    owned roots, then fan the prepare out and park until the votes are in
    (the 2PC drain, not a lock release, finishes this transaction). *)
 let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
-  note_reattempt t txn;
   let own_roots =
     Router.arg_paths txn.Txn.args
     |> List.filter (Shard.owns t.shard)
@@ -661,20 +622,17 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
   else begin
     let locks = List.map (fun p -> (p, Mglock.W)) own_roots in
     match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
-    | Error conflict ->
-      park_on_conflict t txn locks conflict;
-      `Conflict
+    | Error conflict -> park_on_conflict t txn locks conflict
     | Ok () ->
       txn.Txn.locks <- locks;
       Twopc.prepare t.twopc txn ~participants;
       t.st.twopc_started <- t.st.twopc_started + 1;
-      (* Parked in the scheduler's blocked table with no lock waiter: the
-         incoming votes (or the prepare timeout) resolve it. *)
-      `Conflict
+      (* Parked with no lock waiter: the incoming votes (or the prepare
+         timeout) resolve it. *)
+      `Parked Sched.Votes
   end
 
 let try_start_single t (txn : Txn.t) : Sched.attempt =
-  note_reattempt t txn;
   let sim_t0 = Des.Sim.now t.sim in
   let sim_span =
     Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"controller" ~name:"simulate"
@@ -708,10 +666,9 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
     else begin
       (* Circuit breakers gate admission to the device subtrees the write
          set touches — before lock acquisition or hardware contact.  A
-         tripped subtree parks the transaction in the scheduler's blocked
-         table (no Mglock waiter: the health monitor, not a lock release,
-         wakes it once the breaker ages out). *)
-      Hashtbl.remove t.breaker_parked txn.Txn.id;
+         tripped subtree parks the transaction (no Mglock waiter: the
+         health monitor, not a lock release, wakes it once the breaker
+         ages out). *)
       let now = Des.Sim.now t.sim in
       let gates =
         List.map
@@ -721,7 +678,6 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
       if List.exists (fun (_, g) -> g = `Defer) gates then begin
         txn.Txn.state <- Txn.Deferred;
         t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
-        Hashtbl.replace t.breaker_parked txn.Txn.id (List.map fst gates);
         let roots =
           List.filter_map
             (fun (root, g) ->
@@ -733,13 +689,11 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
              ~name:"breaker-park"
              ~attrs:[ ("roots", String.concat "," roots) ]
              ());
-        `Conflict
+        `Parked (Sched.Breaker (List.map fst gates))
       end
       else begin
         match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
-        | Error conflict ->
-          park_on_conflict t txn locks conflict;
-          `Conflict
+        | Error conflict -> park_on_conflict t txn locks conflict
         | Ok () ->
           List.iter
             (fun (root, g) ->
@@ -762,37 +716,44 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
       end
     end
 
-let try_start t (txn : Txn.t) : Sched.attempt =
+let try_start t (txn : Txn.t) ~woken : Sched.attempt =
+  note_reattempt t txn ~woken;
   if Twopc.is_participant txn then try_start_participant t txn
   else
     match Twopc.participants_of t.twopc txn with
     | [] -> try_start_single t txn
     | participants -> try_start_cross t txn ~participants
 
-(* One scheduler pass: deliver the buffered wakes in a single [Sched.wake],
-   then drain.  Draining can release more waiters (participant vote-no,
-   cross-shard decisions), so loop until the buffer stays empty. *)
+(* One scheduler pass: the drain delivers the buffered wakes, then
+   attempts every ready transaction.  Draining can release more waiters
+   (participant vote-no, cross-shard decisions), so loop until no wake is
+   pending. *)
 let rec schedule t =
-  t.wake_pending <- false;
-  flush_wakes t;
   (* The drain runs with persists deferred, and each txn it starts
      releases its own window (its Started record and phyQ offer, plus any
      records deferred before it) right after its simulate: the multi is in
      flight while the next txn simulates.  Participant prepares opt out via
      [Persist.write_now] (the vote is the durability promise). *)
   Persist.defer t.persist;
-  let attempt txn =
-    let outcome = try_start t txn in
-    if outcome = `Started then begin
-      Persist.release t.persist;
-      Persist.defer t.persist
-    end;
+  let attempt txn ~woken =
+    let outcome = try_start t txn ~woken in
+    (match outcome with
+     | `Started ->
+       Persist.release t.persist;
+       Persist.defer t.persist
+     | `Parked _ when woken <> None ->
+       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1
+     | `Parked _ | `Finished -> ());
     outcome
   in
-  Sched.drain t.sched ~attempt ~on_spurious:(fun _ ->
-      t.st.spurious_wakeups <- t.st.spurious_wakeups + 1);
+  (* Only a lock release's wake counts: a breaker re-gate is not one. *)
+  let on_wake = function
+    | Sched.Lock _ -> t.st.wakeups <- t.st.wakeups + 1
+    | Sched.Breaker _ | Sched.Votes -> ()
+  in
+  Sched.drain t.sched ~on_wake ~attempt;
   Persist.release t.persist;
-  if Hashtbl.length t.wake_buf > 0 then schedule t
+  if Sched.has_wakes t.sched then schedule t
 
 (* ------------------------------------------------------------------ *)
 (* Input processing *)
@@ -915,7 +876,6 @@ let handle_signal t ~txn_id signal =
      | Txn.Accepted | Txn.Deferred ->
        (* Not yet started: nothing to roll back. *)
        unschedule t txn_id;
-       Hashtbl.remove t.breaker_parked txn_id;
        terminate t txn
          (Txn.Aborted
             (Printf.sprintf "signal %s before start" (Proto.signal_to_string signal)))
@@ -961,8 +921,7 @@ let handle_reload t path =
            m "%s: reload of %a deferred (locked)" t.cname Data.Path.pp path)
      | Ok () ->
        Fun.protect
-         ~finally:(fun () ->
-           wake_released t (Mglock.release_all t.locks ~txn:owner))
+         ~finally:(fun () -> release_locks t owner)
          (fun () ->
            let physical = Devices.Device.export device in
            match Data.Tree.replace_subtree t.tree path physical with
@@ -1204,34 +1163,28 @@ let watch t () =
   in
   Watchdog.scan t.watchdog ~now:(Des.Sim.now t.sim) ~started ~signal
 
-(* Breaker-parked transactions sit in the scheduler's blocked table with no
-   lock waiter entry, so no release ever wakes them; this monitor re-gates
-   them and moves the admissible ones back to the ready queue (gate is also
-   what ages Tripped breakers into Half_open).  The main loop notices
-   [wake_pending] on its next iteration and drains. *)
+(* Breaker-parked transactions have no lock waiter entry, so no release
+   ever wakes them; this monitor re-gates them and wakes the admissible
+   ones (gate is also what ages Tripped breakers into Half_open).  The
+   main loop notices the pending wake on its next iteration and drains. *)
 let regate_parked t () =
-  if Hashtbl.length t.breaker_parked > 0 then begin
-    let now = Des.Sim.now t.sim in
-    let eligible =
-      Hashtbl.fold
-        (fun id roots acc ->
-          if
-            List.for_all
-              (fun root -> Health.gate t.health ~now ~root <> `Defer)
-              roots
-          then id :: acc
-          else acc)
-        t.breaker_parked []
-      |> List.sort compare
-    in
-    if eligible <> [] then begin
-      List.iter (Hashtbl.remove t.breaker_parked) eligible;
-      ignore (Sched.wake t.sched eligible);
-      t.wake_pending <- true;
-      Log.info (fun m ->
-          m "%s: breaker released %d parked txn(s)" t.cname
-            (List.length eligible))
-    end
+  let now = Des.Sim.now t.sim in
+  let eligible =
+    List.filter_map
+      (function
+        | id, Sched.Breaker roots
+          when List.for_all
+                 (fun root -> Health.gate t.health ~now ~root <> `Defer)
+                 roots ->
+          Some id
+        | _ -> None)
+      (Sched.parked t.sched)
+  in
+  if eligible <> [] then begin
+    Sched.wake t.sched eligible;
+    Log.info (fun m ->
+        m "%s: breaker released %d parked txn(s)" t.cname
+          (List.length eligible))
   end
 
 let run t () =
@@ -1265,7 +1218,7 @@ let run t () =
      which processing dedups).  The release does not wait: the next pass
      reads inputQ while this window is in flight. *)
   while not t.stopped do
-    if drain_twopc t || t.wake_pending then schedule t;
+    if drain_twopc t || Sched.has_wakes t.sched then schedule t;
     match next_burst t with
     | [] -> ()
     | items ->
@@ -1277,7 +1230,7 @@ let run t () =
       in
       Persist.release t.persist ~deletes:(List.map fst items);
       if (not t.stopped)
-         && (drain_twopc t || need_schedule || t.wake_pending)
+         && (drain_twopc t || need_schedule || Sched.has_wakes t.sched)
       then schedule t
   done
 

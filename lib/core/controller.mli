@@ -59,12 +59,6 @@ type stats = {
       (** blocked txns re-readied because a released lock unparked them *)
   mutable spurious_wakeups : int;
       (** wakeups whose re-attempt conflicted again (re-parked) *)
-  mutable retries_saved : int;
-      (** blocked txns a per-completion rescan would have re-attempted but
-          wake-on-release left sleeping *)
-  mutable wake_passes : int;
-      (** batched [Sched.wake] deliveries: one deduplicated pass per
-          scheduler round, however many releases fed it *)
   mutable terms : int;     (** TERM signals handled (operator + watchdog) *)
   mutable kills : int;     (** KILL signals handled (operator + watchdog) *)
   mutable auto_terms : int;  (** TERMs issued by the watchdog *)
@@ -146,9 +140,6 @@ val crash : t -> unit
 val name : t -> string
 val is_leader : t -> bool
 
-(** The shard this controller serves. *)
-val shard : t -> Shard.t
-
 (** Current logical tree (meaningful on the leader). *)
 val tree : t -> Data.Tree.t
 
@@ -185,9 +176,14 @@ val started_txns : t -> int list
 (** Number of (path, txn) entries in the lock table — 0 at quiescence. *)
 val lock_count : t -> int
 
-(** Parked waiter registrations in the lock manager — tracks
-    {!blocked_length}; 0 at quiescence. *)
+(** Parked waiter registrations in the lock manager — 0 at quiescence. *)
 val waiter_count : t -> int
+
+(** Transactions parked on a lock conflict with no wake pending.  Equal to
+    {!waiter_count} at every instant: each has exactly one registration,
+    which the release that wakes it removes.  Breaker and 2PC parks have
+    none, so {!blocked_length} can exceed both. *)
+val lock_parked : t -> int
 
 (** Quarantined (inconsistent) subtree roots. *)
 val quarantined : t -> Data.Path.t list

@@ -90,7 +90,7 @@ let invoke_deadline ~sim ~deadline ~counters ~action invoke =
   match deadline with
   | None -> invoke ()
   | Some limit ->
-    let reply = Des.Channel.create ~name:"phy-deadline" () in
+    let reply = Des.Channel.create () in
     let child =
       Des.Proc.spawn ~name:(Printf.sprintf "phy-action:%s" action) sim
         (fun () -> Des.Channel.send reply (invoke ()))

@@ -412,7 +412,7 @@ let await t txn_id =
   let ns = ns_of_txn t txn_id in
   let client = pick_submitter t sid in
   let key = Txn.record_key_ns ns txn_id in
-  let wakeup = Des.Channel.create ~name:"await" () in
+  let wakeup = Des.Channel.create () in
   register_awaiter t key wakeup;
   Fun.protect
     ~finally:(fun () -> unregister_awaiter t key wakeup)

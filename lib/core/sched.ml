@@ -1,68 +1,74 @@
-type attempt = [ `Started | `Finished | `Conflict ]
+type cause = Lock of float | Breaker of Data.Path.t list | Votes
+type attempt = [ `Started | `Finished | `Parked of cause ]
 
 type t = {
-  ready : Txn.t Deque.t;
-  blocked : (int, Txn.t) Hashtbl.t;
-  just_woken : (int, unit) Hashtbl.t; (* woken but not yet re-attempted *)
+  ready : (Txn.t * cause option) Deque.t; (* with the cause it woke from *)
+  blocked : (int, Txn.t * cause) Hashtbl.t;
+  woken : (int, unit) Hashtbl.t; (* blocked ids the next drain delivers *)
 }
 
 let create () =
   {
     ready = Deque.create ();
     blocked = Hashtbl.create 16;
-    just_woken = Hashtbl.create 8;
+    woken = Hashtbl.create 32;
   }
 
 let blocked_length t = Hashtbl.length t.blocked
 let length t = Deque.length t.ready + blocked_length t
-let submit t txn = Deque.push_back t.ready txn
+let submit t txn = Deque.push_back t.ready (txn, None)
+let has_wakes t = Hashtbl.length t.woken > 0
+
+let wake t ids =
+  List.iter
+    (fun id -> if Hashtbl.mem t.blocked id then Hashtbl.replace t.woken id ())
+    ids
+
+(* Woken transactions are older than anything still ready (they parked
+   before it was submitted or drained), so they rejoin at the front, in
+   ascending id = submission order: the head is re-attempted before any
+   transaction its reservation refused. *)
+let deliver t ~on_wake =
+  let ids = Hashtbl.fold (fun id () acc -> id :: acc) t.woken [] in
+  Hashtbl.reset t.woken;
+  List.iter
+    (fun id ->
+      let txn, cause = Hashtbl.find t.blocked id in
+      Hashtbl.remove t.blocked id;
+      on_wake cause;
+      Deque.push_front t.ready (txn, Some cause))
+    (List.sort (fun a b -> compare b a) ids)
 
 (* Every ready transaction gets one attempt; conflicting ones park
    individually and the rest keep flowing past them.  Ordering between
    conflicting transactions is the lock manager's job: the oldest parked
    one reserves its wanted set, so nothing younger takes it. *)
-let drain t ~attempt ~on_spurious =
+let drain t ~on_wake ~attempt =
+  deliver t ~on_wake;
   let rec loop () =
     match Deque.pop_front t.ready with
     | None -> ()
-    | Some txn ->
-      let woken = Hashtbl.mem t.just_woken txn.Txn.id in
-      Hashtbl.remove t.just_woken txn.Txn.id;
-      (match attempt txn with
+    | Some (txn, woken) ->
+      (match attempt txn ~woken with
        | `Started | `Finished -> ()
-       | `Conflict ->
-         if woken then on_spurious txn;
-         Hashtbl.replace t.blocked txn.Txn.id txn);
+       | `Parked cause -> Hashtbl.replace t.blocked txn.Txn.id (txn, cause));
       loop ()
   in
   loop ()
 
-let wake t ids =
-  (* Woken transactions are older than anything still ready (they parked
-     before it was submitted or drained), so they rejoin at the front, in
-     ascending id = submission order: the head is re-attempted before any
-     transaction its reservation refused. *)
-  let woken =
-    List.filter_map
-      (fun id ->
-        match Hashtbl.find_opt t.blocked id with
-        | None -> None (* already removed (signal) or never parked *)
-        | Some txn ->
-          Hashtbl.remove t.blocked id;
-          Hashtbl.replace t.just_woken id ();
-          Some txn)
-      (List.sort_uniq compare ids)
-  in
-  List.iter (Deque.push_front t.ready) (List.rev woken);
-  List.length woken
+let parked t =
+  Hashtbl.fold
+    (fun id (_, cause) acc ->
+      if Hashtbl.mem t.woken id then acc else (id, cause) :: acc)
+    t.blocked []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let remove t id =
-  match Hashtbl.find_opt t.blocked id with
-  | Some _ ->
+  Hashtbl.remove t.woken id;
+  if Hashtbl.mem t.blocked id then begin
     Hashtbl.remove t.blocked id;
-    Hashtbl.remove t.just_woken id;
     `Blocked
-  | None ->
-    Hashtbl.remove t.just_woken id;
-    if Deque.remove t.ready (fun (q : Txn.t) -> q.Txn.id = id) > 0 then `Ready
-    else `Absent
+  end
+  else if Deque.remove t.ready (fun ((q : Txn.t), _) -> q.Txn.id = id) > 0
+  then `Ready
+  else `Absent

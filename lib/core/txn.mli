@@ -31,7 +31,7 @@ val is_overload : state -> bool
 (** Cached sexp renderings of the immutable-ish record parts (args, log,
     locks), so persisting every state transition doesn't re-serialize the
     whole execution log each time; invalidated by rebinding [log] or
-    [locks] (identity-keyed).  Managed by {!to_sexp} — leave it [None]. *)
+    [locks] (identity-keyed).  Managed by {!to_string} — leave it [None]. *)
 type ser_cache
 
 type t = {
@@ -56,8 +56,6 @@ val make : id:int -> proc:string -> args:Data.Value.t list -> submitted_at:float
 
 (** {1 Persistence} *)
 
-val to_sexp : t -> Data.Sexp.t
-val of_sexp : Data.Sexp.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

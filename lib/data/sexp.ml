@@ -78,7 +78,6 @@ let to_string sexp =
   ignore (go 0 sexp);
   Bytes.unsafe_to_string out
 
-let pp fmt sexp = Format.pp_print_string fmt (to_string sexp)
 
 exception Parse_error of string
 

@@ -5,7 +5,6 @@
 type t = Atom of string | List of t list
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Deterministic single-line rendering; atoms are quoted when needed. *)
 val to_string : t -> string

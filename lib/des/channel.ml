@@ -1,15 +1,12 @@
 type 'a waiter = { mutable live : bool; deliver : 'a -> unit }
 
 type 'a t = {
-  chan_name : string;
   items : 'a Queue.t;
   waiters : 'a waiter Queue.t;
 }
 
-let create ?(name = "chan") () =
-  { chan_name = name; items = Queue.create (); waiters = Queue.create () }
+let create () = { items = Queue.create (); waiters = Queue.create () }
 
-let name ch = ch.chan_name
 let length ch = Queue.length ch.items
 
 let rec pop_live_waiter ch =

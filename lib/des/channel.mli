@@ -8,8 +8,7 @@
 
 type 'a t
 
-val create : ?name:string -> unit -> 'a t
-val name : 'a t -> string
+val create : unit -> 'a t
 
 (** Enqueue an item (or hand it to the oldest waiting receiver). *)
 val send : 'a t -> 'a -> unit

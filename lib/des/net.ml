@@ -27,8 +27,7 @@ let create ?(latency = default_latency) ?(drop_rate = 0.) sim ~nodes =
     drop_rate;
     up = Array.make nodes true;
     inboxes =
-      Array.init nodes (fun i ->
-          Channel.create ~name:(Printf.sprintf "inbox-%d" i) ());
+      Array.init nodes (fun _ -> Channel.create ());
     cuts = Pair_set.empty;
     extra_delay = Array.make nodes 0.;
     n_delivered = 0;

@@ -1,7 +1,6 @@
 type job = { service : float; notify : unit Proc.resumer option }
 
 type t = {
-  station_name : string;
   jobs : job Channel.t;
   mutable busy : float;
   mutable in_system : int;
@@ -21,8 +20,7 @@ let serve st () =
 let create ?(name = "station") sim =
   let st =
     {
-      station_name = name;
-      jobs = Channel.create ~name:(name ^ ".jobs") ();
+      jobs = Channel.create ();
       busy = 0.;
       in_system = 0;
       served = 0;
@@ -31,7 +29,6 @@ let create ?(name = "station") sim =
   ignore (Proc.spawn ~name:(name ^ ".server") sim (serve st));
   st
 
-let name st = st.station_name
 
 let check_service service =
   if service < 0. then invalid_arg "Station: negative service time"

@@ -9,7 +9,6 @@
 type t
 
 val create : ?name:string -> Sim.t -> t
-val name : t -> string
 
 (** [request st ~service] blocks the calling process until a job with the
     given service time (seconds) has been fully served, FIFO behind earlier

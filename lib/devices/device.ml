@@ -40,7 +40,6 @@ let make ~root ~kind ~timing ~latency ~rng ~dispatch ~export_state =
 let root d = d.droot
 let kind d = d.dkind
 let faults d = d.fault_injector
-let online d = d.is_online
 let set_online d up = d.is_online <- up
 let ops d = d.op_count
 let failures d = d.failure_count

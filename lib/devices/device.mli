@@ -50,8 +50,6 @@ val export : t -> Data.Tree.node
 val faults : t -> Fault.t
 
 (** Power state: an offline device fails every invocation. *)
-val online : t -> bool
-
 val set_online : t -> bool -> unit
 
 (** Invocations attempted / failed (any cause). *)

@@ -118,4 +118,3 @@ let is_exported host name =
   | Some img -> img.exported
   | None -> false
 
-let capacity_mb host = host.capacity

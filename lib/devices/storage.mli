@@ -29,4 +29,3 @@ val image_names : t -> string list
 val is_template : t -> string -> bool
 val is_exported : t -> string -> bool
 val used_mb : t -> int
-val capacity_mb : t -> int

@@ -65,7 +65,7 @@ let sched_summary (st : Tropic.Controller.stats) =
     else float_of_int st.deferrals /. float_of_int st.committed
   in
   Printf.sprintf
-    "sched: deferrals/commit %.3f (%d/%d), wakeups %d (%d spurious), retries \
-     saved %d, take conflicts %d"
+    "sched: deferrals/commit %.3f (%d/%d), wakeups %d (%d spurious), take \
+     conflicts %d"
     per_commit st.deferrals st.committed st.wakeups st.spurious_wakeups
-    st.retries_saved st.take_conflicts
+    st.take_conflicts

@@ -43,7 +43,6 @@ type t = {
     images map to storage hosts and which template spawns clone. *)
 type context = { storage_hosts : int; template : string }
 
-val empty : t
 val step_to_string : step -> string
 
 (** [compile ctx model ~actual] — [Ok empty] when already converged.

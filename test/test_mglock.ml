@@ -547,7 +547,7 @@ let sched_prop =
       let parked = ref [] and cancelled = ref [] and granted = ref [] in
       let next_id = ref 0 in
       let req id = requirement (Hashtbl.find wanted id) in
-      let attempt (txn : Tropic.Txn.t) =
+      let attempt (txn : Tropic.Txn.t) ~woken:_ =
         let id = txn.Tropic.Txn.id in
         parked := List.filter (( <> ) id) !parked;
         let holder_conflict =
@@ -576,12 +576,12 @@ let sched_prop =
               id head;
           Mglock.wait locks ~txn:id ~on:c.Mglock.path request;
           parked := id :: !parked;
-          `Conflict
+          `Parked (Tropic.Sched.Lock 0.)
       in
-      let drain () = Tropic.Sched.drain sched ~attempt ~on_spurious:ignore in
+      let drain () = Tropic.Sched.drain sched ~on_wake:ignore ~attempt in
       let finish id =
         running := List.filter (( <> ) id) !running;
-        ignore (Tropic.Sched.wake sched (Mglock.release_all locks ~txn:id));
+        Tropic.Sched.wake sched (Mglock.release_all locks ~txn:id);
         drain ()
       in
       let nth l k = List.nth l (k mod List.length l) in
@@ -618,6 +618,151 @@ let sched_prop =
           (String.concat "," (List.map string_of_int lost));
       Tropic.Sched.length sched = 0 && Mglock.waiter_count locks = 0)
 
+(* Property: [Sched] against a list model.  Random submit, wake, remove
+   and drain steps; each attempt in a drain starts, finishes or parks
+   (under each cause) as a random script says.  Checked after every step:
+   the drain attempts the woken blocked entries first, ascending by id and
+   handed the cause they parked under, then the ready ones in FIFO order;
+   [length] = ready + blocked, and [parked] lists the blocked entries with
+   no wake pending.  At the end every entry is woken and finished: each
+   submitted txn left the scheduler exactly once — none lost, none
+   duplicated. *)
+
+type sched_step =
+  | Submit
+  | Wake of int list
+  | Remove of int
+  | Drain of int list (* outcome script, cycled: start/finish/park x3 *)
+
+let sched_steps_arbitrary =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (4, return Submit);
+        (3, map (fun l -> Wake l) (list_size (int_range 1 4) (int_range 0 16)));
+        (1, map (fun k -> Remove k) (int_range 0 16));
+        (3, map (fun l -> Drain l) (list_size (int_range 1 6) (int_bound 4)));
+      ]
+  in
+  QCheck.make
+    ~print:(fun steps ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      String.concat "; "
+        (List.map
+           (function
+             | Submit -> "submit"
+             | Wake l -> "wake [" ^ ints l ^ "]"
+             | Remove k -> Printf.sprintf "remove %d" k
+             | Drain l -> "drain [" ^ ints l ^ "]")
+           steps))
+    (list_size (int_range 1 40) step)
+
+let sched_model_prop =
+  QCheck.Test.make ~name:"scheduler: agrees with a list model" ~count:500
+    sched_steps_arbitrary (fun steps ->
+      let module S = Tropic.Sched in
+      let sched = S.create () in
+      (* the model: ready FIFO, blocked entries, ids with a wake pending *)
+      let ready = ref [] and blocked = ref [] and wakes = ref [] in
+      let left = Hashtbl.create 16 (* id -> times it left the scheduler *) in
+      let leave id =
+        let n = Option.value ~default:0 (Hashtbl.find_opt left id) in
+        Hashtbl.replace left id (n + 1)
+      in
+      let ids l = String.concat "," (List.map (fun (id, _) -> string_of_int id) l) in
+      let next_id = ref 0 and attempts = ref 0 in
+      let drain script =
+        let delivered =
+          List.filter (fun (id, _) -> List.mem id !wakes) !blocked
+          |> List.sort compare
+        in
+        blocked := List.filter (fun (id, _) -> not (List.mem id !wakes)) !blocked;
+        wakes := [];
+        let expected = List.map (fun (id, c) -> (id, Some c)) delivered @ !ready in
+        ready := [];
+        let seen = ref [] and reported = ref [] and k = ref 0 in
+        let attempt (txn : Tropic.Txn.t) ~woken =
+          let id = txn.Tropic.Txn.id in
+          seen := (id, woken) :: !seen;
+          let code = List.nth script (!k mod List.length script) in
+          incr k;
+          incr attempts;
+          let park cause =
+            blocked := !blocked @ [ (id, cause) ];
+            `Parked cause
+          in
+          match code with
+          | 0 -> leave id; `Started
+          | 1 -> leave id; `Finished
+          | 2 -> park (S.Lock (float_of_int !attempts))
+          | 3 -> park (S.Breaker [ p (Printf.sprintf "/h%d" !attempts) ])
+          | _ -> park S.Votes
+        in
+        S.drain sched ~attempt ~on_wake:(fun c -> reported := c :: !reported);
+        (* each delivered entry is reported once, with the cause it parked
+           under (the calls come in descending id; the list reverses them) *)
+        if !reported <> List.map snd delivered then
+          QCheck.Test.fail_reportf "on_wake reported other causes than delivered";
+        if List.rev !seen <> expected then
+          QCheck.Test.fail_reportf "drain attempted [%s], model expects [%s]"
+            (ids (List.rev !seen)) (ids expected)
+      in
+      let check what =
+        let parked =
+          List.filter (fun (id, _) -> not (List.mem id !wakes)) !blocked
+        in
+        if S.length sched <> List.length !ready + List.length !blocked then
+          QCheck.Test.fail_reportf "%s: length %d, model %d + %d" what
+            (S.length sched) (List.length !ready) (List.length !blocked);
+        if S.blocked_length sched <> List.length !blocked then
+          QCheck.Test.fail_reportf "%s: blocked_length %d, model %d" what
+            (S.blocked_length sched) (List.length !blocked);
+        if S.parked sched <> List.sort compare parked then
+          QCheck.Test.fail_reportf "%s: parked [%s], model [%s]" what
+            (ids (S.parked sched)) (ids (List.sort compare parked));
+        if S.has_wakes sched <> (!wakes <> []) then
+          QCheck.Test.fail_reportf "%s: has_wakes differs from the model" what
+      in
+      List.iter
+        (fun step ->
+          (match step with
+           | Submit ->
+             incr next_id;
+             S.submit sched
+               (Tropic.Txn.make ~id:!next_id ~proc:"p" ~args:[] ~submitted_at:0.);
+             ready := !ready @ [ (!next_id, None) ]
+           | Wake woken ->
+             S.wake sched woken;
+             List.iter
+               (fun id ->
+                 if List.mem_assoc id !blocked && not (List.mem id !wakes) then
+                   wakes := id :: !wakes)
+               woken
+           | Remove id ->
+             let want =
+               if List.mem_assoc id !blocked then `Blocked
+               else if List.mem_assoc id !ready then `Ready
+               else `Absent
+             in
+             if S.remove sched id <> want then
+               QCheck.Test.fail_reportf "remove %d disagrees with the model" id;
+             if want <> `Absent then leave id;
+             blocked := List.remove_assoc id !blocked;
+             ready := List.remove_assoc id !ready;
+             wakes := List.filter (( <> ) id) !wakes
+           | Drain script -> drain script);
+          check "step")
+        steps;
+      S.wake sched (List.map fst !blocked);
+      wakes := List.map fst !blocked;
+      drain [ 1 ];
+      check "final drain";
+      List.for_all
+        (fun id -> Hashtbl.find_opt left id = Some 1)
+        (List.init !next_id (fun i -> i + 1))
+      && S.length sched = 0)
+
 let suite =
   [
     ("compatibility matrix", `Quick, test_compat_matrix);
@@ -648,6 +793,7 @@ let suite =
     QCheck_alcotest.to_alcotest release_clears_prop;
     QCheck_alcotest.to_alcotest refused_acquire_unchanged_prop;
     QCheck_alcotest.to_alcotest sched_prop;
+    QCheck_alcotest.to_alcotest sched_model_prop;
   ]
 
 let () = Alcotest.run "mglock" [ ("mglock", suite) ]

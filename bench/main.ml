@@ -142,9 +142,10 @@ let run_sched_bench () =
    regime admission control exists for.  Requests arrive every
    [arrival_gap] and take [service] to process, FIFO.  The "queue"
    policy admits everything, so sojourn time grows linearly for as long
-   as the storm lasts; the "shed" policy fast-aborts arrivals once the
-   queue hits the high watermark and resumes below the low one, trading
-   a bounded p99 for explicit `Overload aborts.  The metric is the
+   as the storm lasts; the "shed" policy is the controller's own
+   admission shedder, which fast-aborts arrivals once the queue hits the
+   high watermark and resumes once it drains to the low one, trading a
+   bounded p99 for explicit `Overload aborts.  The metric is the
    latency tail of the requests actually served. *)
 
 type overload_point = {
@@ -157,43 +158,29 @@ type overload_point = {
   ov_max : float;
 }
 
-let run_overload_policy ~shed ~requests ~arrival_gap ~service ~high ~low =
+let run_overload_policy ~mode ~admission ~requests ~arrival_gap ~service =
   let cdf = Metrics.Cdf.create () in
   let pending = Queue.create () in (* completion times of admitted, FIFO *)
+  let shedder = Tropic.Health.shedder admission in
   let sheds = ref 0 in
-  let shedding = ref false in
   let last_done = ref 0. in
   for i = 0 to requests - 1 do
     let arrival = float_of_int i *. arrival_gap in
     while (not (Queue.is_empty pending)) && Queue.peek pending <= arrival do
       ignore (Queue.pop pending)
     done;
-    let depth = Queue.length pending in
-    let admit =
-      if not shed then true
-      else if !shedding then
-        if depth <= low then begin
-          shedding := false;
-          true
-        end
-        else false
-      else if depth >= high then begin
-        shedding := true;
-        false
-      end
-      else true
-    in
-    if admit then begin
+    if Tropic.Health.shed shedder ~pending:(Queue.length pending) then
+      incr sheds
+    else begin
       let start = Float.max arrival !last_done in
       let finish = start +. service in
       last_done := finish;
       Queue.add finish pending;
       Metrics.Cdf.add cdf (finish -. arrival)
     end
-    else incr sheds
   done;
   {
-    ov_mode = (if shed then "shed" else "queue");
+    ov_mode = mode;
     ov_served = Metrics.Cdf.count cdf;
     ov_shed = !sheds;
     ov_p50 = Metrics.Cdf.quantile cdf 0.5;
@@ -213,10 +200,13 @@ let run_overload_bench () =
        "Overload: shed vs queue (%d requests, arrivals %.1fx service rate)"
        requests (service /. arrival_gap));
   let queue_pt =
-    run_overload_policy ~shed:false ~requests ~arrival_gap ~service ~high ~low
+    run_overload_policy ~mode:"queue" ~admission:Tropic.Health.no_admission
+      ~requests ~arrival_gap ~service
   in
   let shed_pt =
-    run_overload_policy ~shed:true ~requests ~arrival_gap ~service ~high ~low
+    run_overload_policy ~mode:"shed"
+      ~admission:{ Tropic.Health.queue_high = Some high; queue_low = low }
+      ~requests ~arrival_gap ~service
   in
   Printf.printf "%8s %8s %8s %10s %10s %10s %10s\n" "mode" "served" "shed"
     "p50" "p90" "p99" "max";

@@ -385,18 +385,19 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
         (fun device ->
           let root = Devices.Device.root device in
           if Tropic.Platform.shard_of_path platform root = sid then
-            match Data.Tree.subtree tree root with
-            | Error e ->
+            match
+              Tropic.Recon.drift ~rules:Tcloud.Rules.repair_rules tree device
+            with
+            | Tropic.Recon.Same -> ()
+            | Tropic.Recon.Missing e ->
               violation "convergence"
                 (Printf.sprintf "%s missing from logical tree%s: %s"
                    (Data.Path.to_string root) where
                    (Data.Tree.error_to_string e))
-            | Ok logical ->
-              if not (Data.Tree.equal logical (Devices.Device.export device))
-              then
-                violation "convergence"
-                  (Printf.sprintf "layers diverge at %s%s"
-                     (Data.Path.to_string root) where))
+            | Tropic.Recon.Differs _ ->
+              violation "convergence"
+                (Printf.sprintf "layers diverge at %s%s"
+                   (Data.Path.to_string root) where))
         devices;
       (* Drained: the same backlog {!Tropic.Platform.quiescent} reads. *)
       Option.iter

@@ -284,7 +284,6 @@ let run_one ?(trace = false) config ~schedule ~seed =
         workers = 4;
         shards = schedule.Schedule.shards;
         mode = Tropic.Platform.Full;
-        coord_replicas = 3;
         (* No_session_ids drops the replication-session check on append
            replies: a response from a node removed and re-added within
            one term then corrupts the fresh incarnation's progress entry
@@ -364,24 +363,16 @@ let run_one ?(trace = false) config ~schedule ~seed =
     let reloaded = ref 0 in
     List.iter
       (fun device ->
-        let root = Devices.Device.root device in
-        let physical = Devices.Device.export device in
-        match Data.Tree.subtree tree root with
-        | Error _ -> ()
-        | Ok logical ->
-          if not (Data.Tree.equal logical physical) then begin
-            let plan =
-              Tropic.Recon.plan_repair ~rules:Tcloud.Rules.repair_rules
-                ~at:root ~logical ~physical
-            in
-            if plan.Tropic.Recon.unrepaired <> [] then begin
-              incr reloaded;
-              tr
-                (Printf.sprintf "operator reload of %s"
-                   (Data.Path.to_string root));
-              Tropic.Platform.reload platform root
-            end
-          end)
+        match
+          Tropic.Recon.drift ~rules:Tcloud.Rules.repair_rules tree device
+        with
+        | Tropic.Recon.Differs { unrepaired = _ :: _; _ } ->
+          let root = Devices.Device.root device in
+          incr reloaded;
+          tr (Printf.sprintf "operator reload of %s" (Data.Path.to_string root));
+          Tropic.Platform.reload platform root
+        | Tropic.Recon.Same | Tropic.Recon.Missing _ | Tropic.Recon.Differs _ ->
+          ())
       inventory.Tcloud.Setup.devices;
     !reloaded
   in

@@ -25,12 +25,12 @@ let emit e name replica =
     ~attrs:[ ("replica", string_of_int replica) ]
     ()
 
-let create ?(replicas = 3) ?(clients = 64) ?(spares = 4)
-    ?(config = Types.default_config)
+let create ?(clients = 64) ?(config = Types.default_config)
     ?(stats = Types.fresh_membership_stats ())
     ?(gstats = Types.fresh_group_stats ()) ?(trace = Trace.off) sim =
   (* Spare node ids live *above* the client range, so client session ids
      are independent of how many spares exist (trace stability). *)
+  let replicas = Types.boot_replicas and spares = Types.spare_slots in
   let nodes = replicas + clients + spares in
   let enet = Des.Net.create ~latency:lan_latency sim ~nodes in
   let boot_members = List.init replicas Fun.id in

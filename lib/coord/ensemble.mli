@@ -1,25 +1,25 @@
 (** Assembles a coordination-service ensemble on a simulated network and
     hands out client sessions.
 
-    Network node ids [0 .. replicas-1] are the boot replicas; client
-    sessions take ids from [replicas] up to [replicas + clients - 1];
-    [spares] node ids above the client range are reserved for replicas
-    added at runtime ({!add_replica}).  Membership is dynamic: the live
+    Network node ids [0 .. replicas-1] are the boot replicas
+    ([replicas] = {!Types.boot_replicas}); client sessions take ids from
+    [replicas] up to [replicas + clients - 1]; {!Types.spare_slots} node
+    ids above the client range are reserved for replicas added at runtime
+    ({!add_replica}).  Membership is dynamic: the live
     set of replica node ids is {!replica_ids}, not a contiguous range. *)
 
 type t
 
-(** [create ?replicas ?clients ?spares ?config ?stats ?gstats ?trace sim]
-    — [replicas] defaults to 3, [clients] (client id slots) to 64,
-    [spares] (node ids for runtime-added replicas) to 4.  Every replica
+(** [create ?clients ?config ?stats ?gstats ?trace sim] — an ensemble of
+    {!Types.boot_replicas} replicas with [clients] client id slots
+    (default 64) and {!Types.spare_slots} node ids for runtime-added
+    replicas.  Every replica
     instance writes [stats] and [gstats] (default: fresh records), so
     several ensembles can share one pair.  [trace] (default {!Trace.off})
     records the [coord.join] / [coord.joined] / [coord.leave] membership
     instants. *)
 val create :
-  ?replicas:int ->
   ?clients:int ->
-  ?spares:int ->
   ?config:Types.config ->
   ?stats:Types.membership_stats ->
   ?gstats:Types.group_stats ->

@@ -112,15 +112,3 @@ let leader_payload client ~election =
     (match Client.get client head with
      | Some (payload, _) -> Some payload
      | None -> None)
-
-(* Ownership leases are elections by another name: the ephemeral
-   sequential member node doubles as the lease (it dies with the session,
-   so fail-over needs no separate expiry machinery), and holding the
-   lease means sorting first.  Shard controllers race for their shard's
-   lease exactly as the unsharded controller group raced for the single
-   election. *)
-
-let acquire_lease client ~lease ~payload =
-  join_election client ~election:lease ~payload
-
-let await_lease client ~lease ~member = await_leadership client ~election:lease ~member

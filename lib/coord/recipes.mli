@@ -42,16 +42,3 @@ val await_leadership : Client.t -> election:string -> member:string -> unit
 
 (** Current leader's payload, if any member exists. *)
 val leader_payload : Client.t -> election:string -> string option
-
-(** {1 Ownership leases}
-
-    A lease is an election whose winner owns a resource (a shard of the
-    resource tree): the ephemeral sequential member node {e is} the lease
-    — it expires with the holder's session, so fail-over reuses the
-    election machinery unchanged. *)
-
-(** Race for [lease]; returns this contender's member key. *)
-val acquire_lease : Client.t -> lease:string -> payload:string -> string
-
-(** Block until [member] holds [lease]. *)
-val await_lease : Client.t -> lease:string -> member:string -> unit

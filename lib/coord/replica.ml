@@ -929,7 +929,7 @@ let main_loop r () =
     (match
        Des.Channel.recv_timeout
          (Des.Net.inbox r.net r.rid)
-         ~timeout:r.config.Types.tick
+         ~timeout:Types.tick
      with
      | Some (src, Types.Peer pm) -> handle_peer r src pm
      | Some (src, Types.Client_req { req_id; session_timeout; request }) ->

@@ -172,9 +172,11 @@ let heartbeat_interval = 0.05
 let election_timeout = 0.4 (* base; each election waits 1–2 × this *)
 let session_check_interval = 1.0
 let batch_limit = 64 (* max log entries per Append_entries *)
+let tick = 0.02 (* replica loop granularity *)
+let boot_replicas = 3 (* an ensemble's replicas at creation *)
+let spare_slots = 4 (* node ids reserved for replicas added at runtime *)
 
 type config = {
-  tick : float;             (* replica loop granularity *)
   op_service_time : float;  (* leader service time per replicated op *)
   default_session_timeout : float; (* for sessions learned implicitly *)
   request_timeout : float;  (* client retry timeout *)
@@ -195,7 +197,6 @@ type config = {
 
 let default_config =
   {
-    tick = 0.02;
     op_service_time = 0.0008;
     default_session_timeout = 10.0;
     request_timeout = 1.0;

@@ -152,7 +152,7 @@ type t = {
   locks : Mglock.t;
   sched : Sched.t;
   txns : (int, Txn.t) Hashtbl.t;
-  quarantine : (string, unit) Hashtbl.t;
+  quarantine : Recon.Quarantine.t;
   mutable next_start_seq : int;
   mutable next_internal_txn : int; (* negative lock owners for reload *)
   mutable checkpoint_seq : int;
@@ -214,7 +214,7 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     locks = Mglock.create ();
     sched = Sched.create ();
     txns = Hashtbl.create 256;
-    quarantine = Hashtbl.create 8;
+    quarantine = Recon.Quarantine.create shard;
     next_start_seq = 1;
     next_internal_txn = -1;
     checkpoint_seq = 0;
@@ -276,12 +276,7 @@ let started_txns t =
     t.txns []
   |> List.sort compare
 
-let quarantined t =
-  Hashtbl.fold
-    (fun key () acc ->
-      match Data.Path.of_string key with Ok p -> p :: acc | Error _ -> acc)
-    t.quarantine []
-  |> List.sort Data.Path.compare
+let quarantined t = Recon.Quarantine.to_list t.quarantine
 
 let persist t txn = Persist.write t.persist txn
 
@@ -305,34 +300,6 @@ let finish t (txn : Txn.t) state =
   Trace.close_all t.trace ~txn:txn.Txn.id ~attrs ();
   persist t txn;
   t.prune_candidates <- Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
-
-(* ------------------------------------------------------------------ *)
-(* Quarantine *)
-
-(* Reconciliation is the owner's job: a coordinator never quarantines a
-   foreign shard's subtree — its copy of foreign state is stale by design,
-   and the owning shard (which saw the same failure as a participant)
-   quarantines and heals its own slice. *)
-let quarantine_path t path =
-  if Shard.owns t.shard path then
-    Hashtbl.replace t.quarantine (Data.Path.to_string path) ()
-
-let unquarantine_subtree t path =
-  let doomed =
-    Hashtbl.fold
-      (fun key () acc ->
-        match Data.Path.of_string key with
-        | Ok p when Data.Path.is_prefix path p -> key :: acc
-        | Ok _ | Error _ -> acc)
-      t.quarantine []
-  in
-  List.iter (Hashtbl.remove t.quarantine) doomed
-
-let is_quarantined t path =
-  Hashtbl.length t.quarantine > 0
-  && List.exists
-       (fun p -> Hashtbl.mem t.quarantine (Data.Path.to_string p))
-       (path :: Data.Path.ancestors path)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction finalization *)
@@ -373,7 +340,7 @@ let maybe_checkpoint t =
        the barrier the checkpoint write and the prune deletes need. *)
     Persist.flush t.persist;
     let seq = t.next_start_seq - 1 in
-    if Recovery.save_checkpoint t.client ~ns:t.ns ~seq t.tree then begin
+    if Recovery.save_checkpoint ~seq t.tree t.client ~ns:t.ns then begin
       t.checkpoint_seq <- seq;
       t.commits_since_checkpoint <- 0;
       List.iter
@@ -393,7 +360,7 @@ let rollback_logical t (txn : Txn.t) =
     t.tree <- tree';
     Ok ()
   | Error (index, reason) ->
-    List.iter (quarantine_path t) (Txn.write_paths txn);
+    Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
     Error (Printf.sprintf "logical undo #%d failed: %s" index reason)
 
 (* The one terminal transition: roll the logical layer back ([undo]; an
@@ -413,7 +380,7 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
       | Error undo_reason -> Txn.Failed (reason ^ "; " ^ undo_reason))
     | _ -> state
   in
-  if quarantine then List.iter (quarantine_path t) (Txn.write_paths txn);
+  if quarantine then Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
   finish t txn state;
   release_locks t txn.Txn.id;
   (if count then
@@ -502,7 +469,8 @@ and decide_cross t (txn : Txn.t) snaps =
     then abort "write set escaped the prepared shards"
     else if
       List.exists
-        (fun (path, _) -> Shard.owns t.shard path && is_quarantined t path)
+        (fun (path, _) ->
+          Shard.owns t.shard path && Recon.Quarantine.covers t.quarantine path)
         locks
     then abort "resource quarantined pending reconciliation"
     else begin
@@ -583,7 +551,7 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
   if Twopc.coordinator t.twopc gid = None then
     (* The coordinator gave up on us (Decide abort arrived while queued). *)
     vote_no "2pc aborted before prepare"
-  else if List.exists (is_quarantined t) roots then
+  else if List.exists (Recon.Quarantine.covers t.quarantine) roots then
     vote_no "resource quarantined pending reconciliation"
   else begin
     let locks = List.map (fun p -> (p, Mglock.W)) roots in
@@ -614,7 +582,7 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
     |> List.filter (Shard.owns t.shard)
     |> List.sort_uniq Data.Path.compare
   in
-  if List.exists (is_quarantined t) own_roots then begin
+  if List.exists (Recon.Quarantine.covers t.quarantine) own_roots then begin
     terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
     t.st.twopc_aborted <- t.st.twopc_aborted + 1;
     `Finished
@@ -657,7 +625,8 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
     `Finished
   | Ok { Logical.new_tree; log; locks; actions } ->
     end_simulate ~outcome:"ok" ~actions:(Some actions);
-    if List.exists (fun (path, _) -> is_quarantined t path) locks then begin
+    if List.exists (fun (p, _) -> Recon.Quarantine.covers t.quarantine p) locks
+    then begin
       Trace.instant t.trace ~txn:txn.Txn.id ~cat:"controller"
         ~name:"quarantine-abort" ();
       terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
@@ -910,36 +879,31 @@ let internal_lock_owner t =
   t.next_internal_txn <- t.next_internal_txn - 1;
   owner
 
+(* Both controls act on the device subtree holding [path]. *)
 let handle_reload t path =
   match t.devices path with
   | None -> Log.err (fun m -> m "%s: reload: no device at %a" t.cname Data.Path.pp path)
   | Some device ->
+    let root = Devices.Device.root device in
     let owner = internal_lock_owner t in
-    (match Mglock.try_acquire t.locks ~txn:owner [ (path, Mglock.W) ] with
+    (match Mglock.try_acquire t.locks ~txn:owner [ (root, Mglock.W) ] with
      | Error _ ->
        Log.info (fun m ->
-           m "%s: reload of %a deferred (locked)" t.cname Data.Path.pp path)
+           m "%s: reload of %a deferred (locked)" t.cname Data.Path.pp root)
      | Ok () ->
-       Fun.protect
-         ~finally:(fun () -> release_locks t owner)
-         (fun () ->
-           let physical = Devices.Device.export device in
-           match Data.Tree.replace_subtree t.tree path physical with
-           | Error e ->
-             Log.err (fun m ->
-                 m "%s: reload of %a failed: %s" t.cname Data.Path.pp path
-                   (Data.Tree.error_to_string e))
-           | Ok candidate ->
-             (match
-                Constraints.check_path (Dsl.constraints_of t.env) candidate path
-              with
-              | violation :: _ ->
-                Log.info (fun m ->
-                    m "%s: reload of %a aborted: %a" t.cname Data.Path.pp path
-                      Constraints.pp_violation violation)
-              | [] ->
-                t.tree <- candidate;
-                unquarantine_subtree t path)))
+       (match Recon.adopt (Dsl.constraints_of t.env) t.tree device with
+        | Ok tree ->
+          t.tree <- tree;
+          Recon.Quarantine.clear t.quarantine root
+        | Error (`Missing e) ->
+          Log.err (fun m ->
+              m "%s: reload of %a failed: %s" t.cname Data.Path.pp root
+                (Data.Tree.error_to_string e))
+        | Error (`Violates violation) ->
+          Log.info (fun m ->
+              m "%s: reload of %a aborted: %a" t.cname Data.Path.pp root
+                Constraints.pp_violation violation));
+       release_locks t owner)
 
 let handle_repair t path =
   if not (Shard.owns t.shard path) then
@@ -948,48 +912,35 @@ let handle_repair t path =
           Data.Path.pp path)
   else
     match t.devices path with
-  | None -> Log.err (fun m -> m "%s: repair: no device at %a" t.cname Data.Path.pp path)
-  | Some device ->
-    (match Data.Tree.subtree t.tree path with
-     | Error e ->
-       Log.err (fun m ->
-           m "%s: repair of %a: %s" t.cname Data.Path.pp path
-             (Data.Tree.error_to_string e))
-     | Ok logical ->
-       let physical = Devices.Device.export device in
-       let plan =
-         Recon.plan_repair ~rules:t.cfg.repair_rules ~at:path ~logical ~physical
-       in
-       (* Each step runs under the worker's per-action deadline: the main
-          loop must never hang on a device.  A timed-out step is a failed
-          step — the subtree stays quarantined for the next sweep. *)
-       let all_ok =
-         List.for_all
-           (fun (step : Recon.step) ->
-             match
-               Physical.invoke_deadline ~sim:t.sim
-                 ~deadline:t.repair_deadline
-                 ~counters:(Physical.fresh_counters ())
-                 ~action:step.Recon.action (fun () ->
-                   Devices.Device.invoke device ~action:step.Recon.action
-                     ~args:step.Recon.args)
-             with
-             | Ok () -> true
-             | Error err ->
-               Log.err (fun m ->
-                   m "%s: repair step %a failed: %s" t.cname Recon.pp_step step
-                     (Devices.Device.error_to_string err));
-               false)
-           plan.Recon.steps
-       in
-       if all_ok && plan.Recon.unrepaired = [] then
-         unquarantine_subtree t path
-       else
-         Log.info (fun m ->
-             m "%s: repair of %a incomplete (%d unrepaired diffs)" t.cname
-               Data.Path.pp path
-               (List.length plan.Recon.unrepaired)))
-
+    | None -> Log.err (fun m -> m "%s: repair: no device at %a" t.cname Data.Path.pp path)
+    | Some device ->
+      let root = Devices.Device.root device in
+      (match Recon.drift ~rules:t.cfg.repair_rules t.tree device with
+       | Recon.Missing e ->
+         Log.err (fun m ->
+             m "%s: repair of %a: %s" t.cname Data.Path.pp root
+               (Data.Tree.error_to_string e))
+       | Recon.Same -> Recon.Quarantine.clear t.quarantine root
+       | Recon.Differs plan ->
+         (* Steps run under the workers' per-action deadline, so the main
+            loop never hangs on a device; a failed step leaves the subtree
+            quarantined for the next sweep. *)
+         (match
+            Recon.execute ~sim:t.sim ~deadline:t.repair_deadline device plan
+          with
+          | Ok () when plan.Recon.unrepaired = [] ->
+            Recon.Quarantine.clear t.quarantine root
+          | result ->
+            Result.iter_error
+              (fun (step, err) ->
+                Log.err (fun m ->
+                    m "%s: repair step %a failed: %s" t.cname Recon.pp_step
+                      step (Devices.Device.error_to_string err)))
+              result;
+            Log.info (fun m ->
+                m "%s: repair of %a incomplete (%d unrepaired diffs)" t.cname
+                  Data.Path.pp root
+                  (List.length plan.Recon.unrepaired))))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (idempotent; §2.3) *)
@@ -1012,7 +963,7 @@ let recover t =
   in
   t.next_start_seq <- r.Recovery.next_start_seq;
   t.max_request_seq <- r.Recovery.max_request_seq;
-  List.iter (quarantine_path t) r.Recovery.quarantine;
+  Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
   t.prune_candidates <- r.Recovery.prune;
   List.iter (fun id -> Hashtbl.replace t.signaled id ()) r.Recovery.signaled;
   Log.info (fun m ->
@@ -1109,10 +1060,9 @@ let sweep_repairs t () =
     match t.devices root with
     | None -> false
     | Some device ->
-      (match Data.Tree.subtree t.tree root with
-       | Error _ -> false
-       | Ok logical ->
-         not (Data.Tree.equal logical (Devices.Device.export device)))
+      (match Recon.drift ~rules:t.cfg.repair_rules t.tree device with
+       | Recon.Differs _ -> true
+       | Recon.Same | Recon.Missing _ -> false)
   in
   let quarantined_roots =
     List.filter_map (fun path -> t.devices path) (quarantined t)
@@ -1191,11 +1141,11 @@ let run t () =
   (* Shard ownership is a lease: the ephemeral sequential member node in
      the shard's election recipe.  Holding the lease IS being the shard's
      leader — exactly the pre-sharding election, one per namespace. *)
-  let lease = Proto.election_path_ns t.ns in
+  let election = Proto.election_path_ns t.ns in
   let member =
-    Coord.Recipes.acquire_lease t.client ~lease ~payload:t.cname
+    Coord.Recipes.join_election t.client ~election ~payload:t.cname
   in
-  Coord.Recipes.await_lease t.client ~lease ~member;
+  Coord.Recipes.await_leadership t.client ~election ~member;
   t.leading <- true;
   Log.info (fun m -> m "%s: elected leader" t.cname);
   Option.iter

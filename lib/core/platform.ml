@@ -1,11 +1,10 @@
-type mode = Full | Logical_only of float
+type mode = Worker.mode = Full | Logical_only of float
 
 type spec = {
   controllers : int;
   workers : int;
   shards : int;
   mode : mode;
-  coord_replicas : int;
   coord_config : Coord.Types.config;
   controller_config : Controller.config;
   controller_session_timeout : float;
@@ -26,7 +25,6 @@ let default_spec =
     workers = 1;
     shards = 1;
     mode = Full;
-    coord_replicas = 3;
     coord_config = Coord.Types.default_config;
     controller_config = Controller.default_config;
     controller_session_timeout = 10.0;
@@ -208,10 +206,6 @@ let run ?until t body = Des.Proc.run ?until ~idle:(fun () -> quiescent t) t.psim
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let worker_mode = function
-  | Full -> Worker.Full
-  | Logical_only delay -> Worker.Logical_only delay
-
 let connect_controller t sid cname =
   let client =
     Coord.Ensemble.connect t.ensembles.(sid)
@@ -243,7 +237,7 @@ let connect_worker t i wname =
     ~on_conflict:(fun () ->
       st.Controller.take_conflicts <- st.Controller.take_conflicts + 1)
     ~name:wname ~client
-    ~mode:(worker_mode t.pspec.mode) ~devices:t.pdevices ~sim:t.psim ()
+    ~mode:t.pspec.mode ~devices:t.pdevices ~sim:t.psim ()
 
 let create pspec env ~initial_tree ~devices psim =
   let pspec = { pspec with shards = max 1 pspec.shards } in
@@ -252,8 +246,7 @@ let create pspec env ~initial_tree ~devices psim =
   let group = Coord.Types.fresh_group_stats () in
   let ensembles =
     Array.init pspec.shards (fun _ ->
-        Coord.Ensemble.create ~replicas:pspec.coord_replicas
-          ~clients:pspec.client_slots ~config:pspec.coord_config
+        Coord.Ensemble.create ~clients:pspec.client_slots ~config:pspec.coord_config
           ~stats:membership ~gstats:group ~trace psim)
   in
   let device_lookup = Physical.lookup_of_list devices in
@@ -327,23 +320,10 @@ let create pspec env ~initial_tree ~devices psim =
      owned roots are served, see [composite_tree].) *)
   ignore
     (Des.Proc.spawn ~name:"bootstrap" psim (fun () ->
-         let snapshot =
-           Data.Sexp.List
-             [ Data.Sexp.of_int 0; Data.Tree.to_sexp initial_tree ]
-         in
-         let value = Data.Sexp.to_string snapshot in
+         let save = Recovery.save_checkpoint ~seq:0 initial_tree in
          for sid = 0 to pspec.shards - 1 do
-           match
-             Coord.Client.write
-               t.submitters.(sid).(0)
-               ~key:(Proto.checkpoint_key_ns (Proto.ns_of_shard sid))
-               ~value ()
-           with
-           | Ok _ -> ()
-           | Error e ->
-             failwith
-               (Printf.sprintf "bootstrap of shard %d failed: %s" sid
-                  (Format.asprintf "%a" Coord.Types.pp_op_error e))
+           if not (save t.submitters.(sid).(0) ~ns:(Proto.ns_of_shard sid))
+           then failwith (Printf.sprintf "bootstrap of shard %d failed" sid)
          done));
   Array.iter Controller.start control;
   Array.iter Worker.start work;

@@ -6,7 +6,7 @@
     requests, await their outcome, send operator controls, and inject
     controller failures. *)
 
-type mode =
+type mode = Worker.mode =
   | Full                   (** workers drive the simulated devices *)
   | Logical_only of float  (** paper §5; per-txn worker stand-in delay *)
 
@@ -19,7 +19,6 @@ type spec = {
           are assigned round-robin.  1 (the default) is the pre-sharding
           platform, laid out bit-identically *)
   mode : mode;
-  coord_replicas : int;
   coord_config : Coord.Types.config;
   controller_config : Controller.config;
   controller_session_timeout : float;

@@ -67,3 +67,56 @@ let plan_repair ~rules ~at ~logical ~physical =
       ([], []) changes
   in
   { steps = List.rev steps; unrepaired = List.rev unrepaired }
+
+type drift =
+  | Same
+  | Missing of Data.Tree.error
+  | Differs of plan
+
+let drift ~rules tree device =
+  let at = Devices.Device.root device in
+  match Data.Tree.subtree tree at with
+  | Error e -> Missing e
+  | Ok logical ->
+    let physical = Devices.Device.export device in
+    if Data.Tree.equal logical physical then Same
+    else Differs (plan_repair ~rules ~at ~logical ~physical)
+
+let execute ~sim ~deadline device plan =
+  let counters = Physical.fresh_counters () in
+  let run step () =
+    Physical.invoke_deadline ~sim ~deadline ~counters ~action:step.action
+      (fun () -> Devices.Device.invoke device ~action:step.action ~args:step.args)
+    |> Result.map_error (fun err -> (step, err))
+  in
+  List.fold_left (fun so_far step -> Result.bind so_far (run step)) (Ok ())
+    plan.steps
+
+let adopt constraints tree device =
+  let root = Devices.Device.root device in
+  match Data.Tree.replace_subtree tree root (Devices.Device.export device) with
+  | Error e -> Error (`Missing e)
+  | Ok candidate ->
+    (match Constraints.check_path constraints candidate root with
+     | violation :: _ -> Error (`Violates violation)
+     | [] -> Ok candidate)
+
+module Quarantine = struct
+  module Paths = Set.Make (Data.Path)
+
+  type t = { shard : Shard.t; mutable paths : Paths.t }
+
+  let create shard = { shard; paths = Paths.empty }
+
+  let add q paths =
+    List.iter (fun p -> if Shard.owns q.shard p then q.paths <- Paths.add p q.paths) paths
+
+  let clear q root =
+    q.paths <- Paths.filter (fun p -> not (Data.Path.is_prefix root p)) q.paths
+
+  let covers q path =
+    (not (Paths.is_empty q.paths))
+    && List.exists (fun p -> Paths.mem p q.paths) (path :: Data.Path.ancestors path)
+
+  let to_list q = Paths.elements q.paths
+end

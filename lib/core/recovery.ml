@@ -19,11 +19,14 @@ let load_checkpoint client ~ns =
   in
   wait ()
 
-let save_checkpoint client ~ns ~seq tree =
-  let snapshot = Data.Sexp.List [ Data.Sexp.of_int seq; Data.Tree.to_sexp tree ] in
-  Result.is_ok
-    (Coord.Client.write client ~key:(Proto.checkpoint_key_ns ns)
-       ~value:(Data.Sexp.to_string snapshot) ())
+let save_checkpoint ~seq tree =
+  let value =
+    Data.Sexp.to_string
+      (Data.Sexp.List [ Data.Sexp.of_int seq; Data.Tree.to_sexp tree ])
+  in
+  fun client ~ns ->
+    Result.is_ok
+      (Coord.Client.write client ~key:(Proto.checkpoint_key_ns ns) ~value ())
 
 let apply_log ~name ~what env tree (txn : Txn.t) log =
   List.fold_left

@@ -7,8 +7,12 @@
 (** The last checkpoint: [(seq, tree)].  Waits for the bootstrap one. *)
 val load_checkpoint : Coord.Client.t -> ns:string -> int * Data.Tree.t
 
-(** Write a checkpoint of [tree] as of [seq]; false if the write failed. *)
-val save_checkpoint : Coord.Client.t -> ns:string -> seq:int -> Data.Tree.t -> bool
+(** [save_checkpoint ~seq tree client ~ns] writes a checkpoint of [tree]
+    as of [seq]; false if the write failed.  [tree] is serialized once
+    [~seq] and [tree] are applied, so a partial application can write the
+    same checkpoint to several shards. *)
+val save_checkpoint :
+  seq:int -> Data.Tree.t -> Coord.Client.t -> ns:string -> bool
 
 (** Every readable transaction record of the shard, in key order. *)
 val records : name:string -> Coord.Client.t -> ns:string -> Txn.t list

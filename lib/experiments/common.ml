@@ -20,9 +20,9 @@ let layers_consistent platform (inv : Tcloud.Setup.t) =
         let root = Devices.Device.root device in
         List.exists (fun q -> Data.Path.is_prefix q root) quarantined
         ||
-        match Data.Tree.subtree tree root with
-        | Error _ -> false
-        | Ok logical -> Data.Tree.equal logical (Devices.Device.export device))
+        match Tropic.Recon.drift ~rules:Tcloud.Rules.repair_rules tree device with
+        | Tropic.Recon.Same -> true
+        | Tropic.Recon.Missing _ | Tropic.Recon.Differs _ -> false)
       inv.Tcloud.Setup.devices
 
 let time_it f =

@@ -1,9 +1,9 @@
 (* [scenario] against a fresh coordination ensemble.  There is no platform
    to drain, so the run stops as soon as [scenario] returns (replicas and
    pingers would run forever); a crashed process fails the test. *)
-let ensemble ?(replicas = 3) ?(seed = 7) ?config scenario =
+let ensemble ?(seed = 7) ?config scenario =
   let sim = Des.Sim.create ~seed () in
-  let ens = Coord.Ensemble.create ~replicas ?config sim in
+  let ens = Coord.Ensemble.create ?config sim in
   let returned = Des.Proc.run sim (fun () -> scenario sim ens) in
   (match Des.Sim.failures sim with
    | [] -> ()

@@ -499,7 +499,7 @@ let subtree tree h =
 let recover ens ~shard ~checkpoint:(seq, tree) env records =
   let client = Coord.Ensemble.connect ens ~name:"leader" () in
   Alcotest.(check bool_c) "checkpoint written" true
-    (Recovery.save_checkpoint client ~ns ~seq tree);
+    (Recovery.save_checkpoint ~seq tree client ~ns);
   let persist = Persist.create ~name:"leader" ~ns ~client in
   List.iter (Persist.write_now persist) records;
   let checkpoint_seq, tree = Recovery.load_checkpoint client ~ns in

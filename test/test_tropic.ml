@@ -421,16 +421,15 @@ let test_plan_repair_after_power_cycle () =
   (match execute_direct ~devices log with
    | Proto.Phy_committed -> ()
    | _ -> Alcotest.fail "spawn failed");
-  let host_path, compute0 = inv.Tcloud.Setup.computes.(0) in
+  let _, compute0 = inv.Tcloud.Setup.computes.(0) in
   Devices.Compute.power_cycle compute0;
-  let logical =
-    match Data.Tree.subtree logical_tree host_path with
-    | Ok node -> node
-    | Error e -> Alcotest.fail (Data.Tree.error_to_string e)
-  in
   let plan =
-    Recon.plan_repair ~rules:Tcloud.Rules.repair_rules ~at:host_path ~logical
-      ~physical:(Devices.Device.export (Devices.Compute.device compute0))
+    match
+      Recon.drift ~rules:Tcloud.Rules.repair_rules logical_tree
+        (Devices.Compute.device compute0)
+    with
+    | Recon.Differs plan -> plan
+    | Recon.Same | Recon.Missing _ -> Alcotest.fail "expected drift"
   in
   (match plan.Recon.steps with
    | [ { Recon.action; args = [ Data.Value.Str "vm1" ]; _ } ] ->
@@ -450,6 +449,98 @@ let test_plan_repair_after_power_cycle () =
     plan.Recon.steps;
   check (Alcotest.option vm_state_c) "running again" (Some `Running)
     (Devices.Compute.vm_state compute0 "vm1")
+
+(* A hand-built host holding one running VM, and a logical tree that
+   mirrors it exactly. *)
+let recon_fixture () =
+  let ok = function
+    | Ok tree -> tree
+    | Error e -> Alcotest.fail (Data.Tree.error_to_string e)
+  in
+  let root = Data.Path.v "/vmRoot/h0" in
+  let host = Devices.Compute.create ~root ~mem_mb:4096 ~hypervisor:"xen" () in
+  Devices.Compute.preload_vm host ~name:"vm1" ~image:"vm1.img" ~mem_mb:512
+    ~state:`Running;
+  let device = Devices.Compute.device host in
+  let tree =
+    ok
+      (Data.Tree.insert Data.Tree.empty (Data.Path.v "/vmRoot")
+         ~kind:Schema.vm_root_kind ())
+  in
+  let tree = ok (Data.Tree.insert tree root ~kind:Schema.vm_host_kind ()) in
+  let tree =
+    ok (Data.Tree.replace_subtree tree root (Devices.Device.export device))
+  in
+  (host, device, tree)
+
+let drift device tree =
+  Recon.drift ~rules:Tcloud.Rules.repair_rules tree device
+
+let expect_unrepairable what = function
+  | Recon.Differs { Recon.steps = []; unrepaired = _ :: _ } -> ()
+  | Recon.Differs _ | Recon.Same | Recon.Missing _ ->
+    Alcotest.failf "%s: expected an unrepairable drift" what
+
+let test_recon_drift_verdicts () =
+  let host, device, tree = recon_fixture () in
+  (match drift device tree with
+   | Recon.Same -> ()
+   | Recon.Missing _ | Recon.Differs _ -> Alcotest.fail "mirror: expected Same");
+  (match drift device Data.Tree.empty with
+   | Recon.Missing (Data.Tree.Missing _) -> ()
+   | _ -> Alcotest.fail "empty tree: expected a missing subtree");
+  (* A stopped VM the tree says runs: one startVM on the host. *)
+  Devices.Compute.force_set_vm_state host "vm1" `Stopped;
+  (match drift device tree with
+   | Recon.Differs
+       {
+         Recon.steps = [ { Recon.at; action; args = [ Data.Value.Str "vm1" ] } ];
+         unrepaired = [];
+       } ->
+     check string_c "repair action" Schema.act_start_vm action;
+     check string_c "on the host" "/vmRoot/h0" (Data.Path.to_string at)
+   | _ -> Alcotest.fail "stopped VM: expected one startVM step");
+  (* Nodes that vanished or appeared have no repair rule. *)
+  let host, device, tree = recon_fixture () in
+  Devices.Compute.force_remove_vm host "vm1";
+  expect_unrepairable "removed VM" (drift device tree);
+  (* Reload's adopt step takes the device's state as the subtree. *)
+  (match Recon.adopt (Constraints.create ()) tree device with
+   | Ok adopted when drift device adopted = Recon.Same -> ()
+   | Ok _ | Error _ -> Alcotest.fail "adopt: expected the device's state");
+  let host, device, tree = recon_fixture () in
+  Devices.Compute.preload_vm host ~name:"vm2" ~image:"vm2.img" ~mem_mb:512
+    ~state:`Stopped;
+  expect_unrepairable "added VM" (drift device tree)
+
+let test_recon_quarantine () =
+  let path = Data.Path.v in
+  let roots = List.map path [ "/vmRoot/h0"; "/vmRoot/h1"; "/vmRoot/h2" ] in
+  (* Round-robin over two shards: shard 0 owns h0 and h2, shard 1 h1. *)
+  let q = Recon.Quarantine.create (Shard.make ~sid:0 ~shards:2 roots) in
+  let listing () = List.map Data.Path.to_string (Recon.Quarantine.to_list q) in
+  check bool_c "empty covers nothing" false
+    (Recon.Quarantine.covers q (path "/vmRoot/h0"));
+  Recon.Quarantine.add q [ path "/vmRoot/h1/vm1" ];
+  check (Alcotest.list string_c) "foreign path ignored" [] (listing ());
+  Recon.Quarantine.add q
+    [ path "/vmRoot/h2"; path "/vmRoot/h0/vm2"; path "/vmRoot/h0/vm1" ];
+  check (Alcotest.list string_c) "sorted"
+    [ "/vmRoot/h0/vm1"; "/vmRoot/h0/vm2"; "/vmRoot/h2" ]
+    (listing ());
+  check bool_c "descendant covered" true
+    (Recon.Quarantine.covers q (path "/vmRoot/h2/vm7"));
+  check bool_c "ancestor not covered" false
+    (Recon.Quarantine.covers q (path "/vmRoot/h0"));
+  Recon.Quarantine.clear q (path "/vmRoot/h0/vm1");
+  check (Alcotest.list string_c) "clear keeps the sibling VM"
+    [ "/vmRoot/h0/vm2"; "/vmRoot/h2" ]
+    (listing ());
+  Recon.Quarantine.clear q (path "/vmRoot/h0");
+  check (Alcotest.list string_c) "clear keeps the sibling host"
+    [ "/vmRoot/h2" ] (listing ());
+  check bool_c "sibling still covered" true
+    (Recon.Quarantine.covers q (path "/vmRoot/h2"))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end platform tests *)
@@ -1704,6 +1795,8 @@ let suite =
     ("physical: commit and rollback", `Quick, test_physical_execute_commit_and_rollback);
     ("physical: undo failure", `Quick, test_physical_undo_failure_is_failed);
     ("recon: repair plan after power cycle", `Quick, test_plan_repair_after_power_cycle);
+    ("recon: drift verdicts", `Quick, test_recon_drift_verdicts);
+    ("recon: quarantine set", `Quick, test_recon_quarantine);
     ("e2e: spawn commits, layers consistent", `Quick, test_e2e_spawn_commits);
     ("e2e: violation aborts before devices", `Quick, test_e2e_violation_aborts_before_devices);
     ("e2e: physical failure rolls back", `Quick, test_e2e_physical_failure_rolls_back_both_layers);

@@ -409,8 +409,8 @@ let run_shard_bench () =
    rate plus the driver-observed commit-latency p50/p99.  Run once with
    group commit (per-txn persists coalesced into one grouped append per
    quorum round) and once with the [group_commit:false] ablation, whose
-   per-command station charge is the pre-batching baseline the headline
-   ratio is measured against. *)
+   one-command batches pay a station charge per command: the pre-batching
+   baseline the headline ratio is measured against. *)
 
 type tp_point = {
   tp_sessions : int;

@@ -98,8 +98,8 @@ let crash_shard_leader t shard down_for =
   end
 
 (* Members of the current effective configuration that are up.  Node ids
-   are no longer a contiguous range: replicas added at runtime live in the
-   spare id region, and removed-but-running instances are not members. *)
+   are no longer a contiguous range: replicas added at runtime take the
+   next free node id, and removed-but-running instances are not members. *)
 let live_members ens =
   List.filter (Coord.Ensemble.replica_up ens) (Coord.Ensemble.members ens)
 

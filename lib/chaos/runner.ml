@@ -242,10 +242,7 @@ let run_one ?(trace = false) config ~schedule ~seed =
     | No_constraints ->
       (* Same actions and procedures, no logical-layer constraints: the
          ablation the harness must be able to convict. *)
-      let env = Tropic.Dsl.create_env () in
-      Tcloud.Actions.register_all env;
-      Tcloud.Procs.register_all env;
-      env
+      Tcloud.Setup.env_without_constraints ()
     | Stock | No_guard_locks | No_watchdog | No_breaker | No_plan_deps
     | No_2pc | No_session_ids | Unsafe_ack ->
       inventory.Tcloud.Setup.env
@@ -311,8 +308,6 @@ let run_one ?(trace = false) config ~schedule ~seed =
         (* Generous enough that a healed 8 s partition does not expire
            live controller sessions behind their backs. *)
         controller_session_timeout = 5.0;
-        (* Room for the workload chains plus a 90-txn request storm. *)
-        client_slots = 256;
         worker_retry =
           (if robust then Tropic.Physical.default_retry
            else Tropic.Physical.no_retry);

@@ -323,30 +323,20 @@ let query c q =
 let get c key =
   match query c (Types.Get key) with
   | Types.Got entry -> entry
-  | Types.Children_are _ | Types.Children_values_are _
-  | Types.Child_count _ | Types.Watch_set ->
+  | Types.Children_are _ | Types.Children_values_are _ | Types.Watch_set ->
     failwith "Coord.Client.get: bad query result"
 
 let get_children c prefix =
   match query c (Types.Children prefix) with
   | Types.Children_are keys -> keys
-  | Types.Got _ | Types.Children_values_are _
-  | Types.Child_count _ | Types.Watch_set ->
+  | Types.Got _ | Types.Children_values_are _ | Types.Watch_set ->
     failwith "Coord.Client.get_children: bad query result"
 
 let children_values c prefix n =
   match query c (Types.Children_values (prefix, n)) with
   | Types.Children_values_are items -> items
-  | Types.Got _ | Types.Children_are _
-  | Types.Child_count _ | Types.Watch_set ->
+  | Types.Got _ | Types.Children_are _ | Types.Watch_set ->
     failwith "Coord.Client.children_values: bad query result"
-
-let count_children c prefix =
-  match query c (Types.Count_children prefix) with
-  | Types.Child_count n -> n
-  | Types.Got _ | Types.Children_are _
-  | Types.Children_values_are _ | Types.Watch_set ->
-    failwith "Coord.Client.count_children: bad query result"
 
 let watch_key c key = ignore (query c (Types.Watch_key key))
 let watch_children c prefix = ignore (query c (Types.Watch_children prefix))
@@ -420,12 +410,4 @@ let close c =
         disarm c call;
         call.finish (Error Des.Proc.Killed))
       calls
-  end
-
-let disconnect c =
-  if not c.is_closed then begin
-    (match rpc c Types.Goodbye with
-     | Types.Pong -> ()
-     | _ -> ());
-    close c
   end

@@ -111,8 +111,6 @@ val get_children : t -> string -> string list
     one round trip. *)
 val children_values : t -> string -> int -> (string * string) list
 
-val count_children : t -> string -> int
-
 (** Arm a one-shot watch. *)
 val watch_key : t -> string -> unit
 
@@ -133,9 +131,5 @@ val await_change : t -> timeout:float -> bool
     exactly what a crashed controller looks like.  Unanswered commands are
     dropped; their blocked callers raise [Des.Proc.Killed]. *)
 val close : t -> unit
-
-(** Graceful shutdown: announce the departure so the leader expires the
-    session's ephemerals immediately, then {!close}. *)
-val disconnect : t -> unit
 
 val closed : t -> bool

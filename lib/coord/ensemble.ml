@@ -7,11 +7,6 @@ type t = {
   stats : Types.membership_stats;
   gstats : Types.group_stats;
   boot_members : int list;
-  mutable next_client : int;
-  client_base : int;
-  client_slots : int;
-  spare_base : int;
-  spares : int;
   mutable control : Client.t option; (* lazy session for config changes *)
   trace : Trace.t;
 }
@@ -25,14 +20,11 @@ let emit e name replica =
     ~attrs:[ ("replica", string_of_int replica) ]
     ()
 
-let create ?(clients = 64) ?(config = Types.default_config)
+let create ?(config = Types.default_config)
     ?(stats = Types.fresh_membership_stats ())
     ?(gstats = Types.fresh_group_stats ()) ?(trace = Trace.off) sim =
-  (* Spare node ids live *above* the client range, so client session ids
-     are independent of how many spares exist (trace stability). *)
-  let replicas = Types.boot_replicas and spares = Types.spare_slots in
-  let nodes = replicas + clients + spares in
-  let enet = Des.Net.create ~latency:lan_latency sim ~nodes in
+  let replicas = Types.boot_replicas in
+  let enet = Des.Net.create ~latency:lan_latency sim ~nodes:replicas in
   let boot_members = List.init replicas Fun.id in
   let slots = Hashtbl.create 8 in
   let up = Hashtbl.create 8 in
@@ -55,11 +47,6 @@ let create ?(clients = 64) ?(config = Types.default_config)
     stats;
     gstats;
     boot_members;
-    next_client = replicas;
-    client_base = replicas;
-    client_slots = clients;
-    spare_base = replicas + clients;
-    spares;
     control = None;
     trace;
   }
@@ -79,10 +66,7 @@ let replica e i =
 let replica_up e i = Hashtbl.find_opt e.up i = Some true
 
 let connect e ?session_timeout ~name () =
-  if e.next_client >= e.client_base + e.client_slots then
-    failwith "Ensemble.connect: out of client id slots";
-  let id = e.next_client in
-  e.next_client <- e.next_client + 1;
+  let id = Des.Net.add_node e.enet in
   Client.connect ~net:e.enet ~id ~members:(replica_ids e) ~config:e.econfig
     ?session_timeout ~name ()
 
@@ -155,18 +139,7 @@ let rec settle_config e what op =
     failwith (Format.asprintf "Ensemble.%s: %a" what Types.pp_op_error err)
 
 let add_replica e ?id () =
-  let id =
-    match id with
-    | Some id -> id
-    | None ->
-      let rec find i =
-        if i >= e.spare_base + e.spares then
-          failwith "Ensemble.add_replica: out of spare node ids"
-        else if Hashtbl.mem e.slots i then find (i + 1)
-        else i
-      in
-      find e.spare_base
-  in
+  let id = match id with Some id -> id | None -> Des.Net.add_node e.enet in
   (* A fresh instance: if the node id was used before (re-adding a removed
      replica), its old incarnation dies and the node's inbox is flushed.
      The new instance boots as a learner with an empty log — it must be

@@ -2,24 +2,20 @@
     hands out client sessions.
 
     Network node ids [0 .. replicas-1] are the boot replicas
-    ([replicas] = {!Types.boot_replicas}); client sessions take ids from
-    [replicas] up to [replicas + clients - 1]; {!Types.spare_slots} node
-    ids above the client range are reserved for replicas added at runtime
-    ({!add_replica}).  Membership is dynamic: the live
-    set of replica node ids is {!replica_ids}, not a contiguous range. *)
+    ([replicas] = {!Types.boot_replicas}).  Every later node — a client
+    session ({!connect}) or a replica added at a fresh id
+    ({!add_replica}) — takes the next id, in creation order, with no
+    budget.  Membership is dynamic: the live set of replica node ids is
+    {!replica_ids}, not a contiguous range. *)
 
 type t
 
-(** [create ?clients ?config ?stats ?gstats ?trace sim] — an ensemble of
-    {!Types.boot_replicas} replicas with [clients] client id slots
-    (default 64) and {!Types.spare_slots} node ids for runtime-added
-    replicas.  Every replica
-    instance writes [stats] and [gstats] (default: fresh records), so
-    several ensembles can share one pair.  [trace] (default {!Trace.off})
-    records the [coord.join] / [coord.joined] / [coord.leave] membership
-    instants. *)
+(** [create ?config ?stats ?gstats ?trace sim] — an ensemble of
+    {!Types.boot_replicas} replicas.  Every replica instance writes
+    [stats] and [gstats] (default: fresh records), so several ensembles
+    can share one pair.  [trace] (default {!Trace.off}) records the
+    [coord.join] / [coord.joined] / [coord.leave] membership instants. *)
 val create :
-  ?clients:int ->
   ?config:Types.config ->
   ?stats:Types.membership_stats ->
   ?gstats:Types.group_stats ->
@@ -45,7 +41,7 @@ val replica_ids : t -> int list
 (** The instance at node [i]. @raise Failure if no replica lives there. *)
 val replica : t -> int -> Replica.t
 
-(** Open a client session. *)
+(** Open a client session at the next node id. *)
 val connect : t -> ?session_timeout:float -> name:string -> unit -> Client.t
 
 (** Crash a replica: its processes die and its network port goes down.
@@ -75,7 +71,7 @@ val members : t -> int list
     commits, retrying through [Config_pending] windows. *)
 
 (** [add_replica e ?id ()] boots a fresh learner instance at [id] (default:
-    a free spare slot) and asks the leader to add it; the leader catches
+    the next node id) and asks the leader to add it; the leader catches
     the learner up via log replay or snapshot before the configuration
     changes.  If [id] hosted a replica before, that old instance is killed
     and replaced — the re-add case.  Returns the node id. *)

@@ -782,8 +782,6 @@ let serve_query r src query =
   | Types.Children prefix -> Types.Children_are (Store.children r.machine prefix)
   | Types.Children_values (prefix, n) ->
     Types.Children_values_are (Store.children_values r.machine prefix n)
-  | Types.Count_children prefix ->
-    Types.Child_count (Store.count_children r.machine prefix)
   | Types.Watch_key key ->
     add_watch r.key_watches key src;
     Types.Watch_set
@@ -855,25 +853,20 @@ let handle_client r src ~req_id ~session_timeout request =
     touch_session ~timeout:session_timeout r src;
     match request with
     | Types.Ping -> send_resp r src ~req_id Types.Pong
-    | Types.Goodbye ->
-      (* ZooKeeper's closeSession: drop the session's ephemerals without
-         waiting for the failure detector. *)
-      Hashtbl.remove r.sessions src;
-      ignore (append_local r (Types.Expire_session src));
-      replicate_all r;
-      advance_commit r;
-      send_resp r src ~req_id Types.Pong
     | Types.Query query ->
       send_resp r src ~req_id (Types.Query_result (serve_query r src query))
     | Types.Submit ((Types.Add_replica _ | Types.Remove_replica _) as cmd) ->
       Des.Station.request r.station ~service:r.config.Types.op_service_time;
       if r.role <> Leader then send_resp r src ~req_id (not_leader r)
       else handle_config_change r src ~req_id cmd
-    | Types.Submit cmd when r.config.Types.group_commit ->
+    | Types.Submit cmd ->
       (* Group commit: enqueue for free; the batch pays one amortized
          station round when it flushes on size or timeout.  The receipt
          goes out at once, the ack is released by [apply_committed] once
-         the batch reaches quorum. *)
+         the batch reaches quorum.  With [group_commit] off every batch
+         holds one command, so commands serialize through the station one
+         fsync at a time: the paper's throughput ceiling, kept as the
+         baseline. *)
       let acked =
         r.config.Types.unsafe_ack
         && begin
@@ -898,25 +891,13 @@ let handle_client r src ~req_id ~session_timeout request =
         { b_client = src; b_req = req_id; b_cmd = cmd; b_acked = acked }
         :: r.batch;
       r.batch_len <- r.batch_len + 1;
-      if was_empty then begin
+      let limit =
+        if r.config.Types.group_commit then r.config.Types.group_size else 1
+      in
+      if r.batch_len >= limit then flush_batch r `Full
+      else if was_empty then begin
         r.batch_deadline <- now r +. r.config.Types.group_timeout;
         Des.Channel.send r.batch_signal ()
-      end;
-      if r.batch_len >= r.config.Types.group_size then flush_batch r `Full
-    | Types.Submit cmd ->
-      (* Ungrouped baseline: the modeled per-op I/O cost blocks the main
-         loop, so client commands serialize here one fsync at a time —
-         the paper's throughput ceiling, kept as an ablation.  Nothing
-         else is handled until the append, so the command's place in the
-         log is fixed now: the receipt goes out before the fsync. *)
-      send_resp r src ~req_id Types.Admitted;
-      Des.Station.request r.station ~service:r.config.Types.op_service_time;
-      if r.role <> Leader then send_resp r src ~req_id (not_leader r)
-      else begin
-        let index = append_local r cmd in
-        Hashtbl.replace r.pending index (src, req_id);
-        replicate_all r;
-        advance_commit r
       end
   end
 

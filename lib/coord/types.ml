@@ -75,7 +75,6 @@ type query =
   | Children of string            (* direct children of a key prefix *)
   | Children_values of string * int
       (* the first n direct children, in key order, with their values *)
-  | Count_children of string
   | Watch_key of string           (* one-shot watch *)
   | Watch_children of string
 
@@ -87,7 +86,6 @@ type query_result =
   | Got of (string * int) option  (* value, version *)
   | Children_are of string list
   | Children_values_are of (string * string) list
-  | Child_count of int
   | Watch_set
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +131,6 @@ type peer_msg =
 
 type request =
   | Ping
-  | Goodbye (* graceful close: expire this session's ephemerals now *)
   | Submit of cmd
   | Query of query
 
@@ -141,10 +138,10 @@ type response =
   | Pong
   | Admitted
       (* receipt: the leader has put this Submit into its log order (the
-         group-commit batch, or the log itself when ungrouped); the
-         [Result] follows once it commits.  A session sends its next
-         command only after the previous one's receipt or result, so the
-         leader admits each session's commands in send order *)
+         group-commit batch); the [Result] follows once it commits.  A
+         session sends its next command only after the previous one's
+         receipt or result, so the leader admits each session's commands
+         in send order *)
   | Result of op_result
   | Query_result of query_result
   | Not_leader of { hint : int option; members : int list }
@@ -174,7 +171,6 @@ let session_check_interval = 1.0
 let batch_limit = 64 (* max log entries per Append_entries *)
 let tick = 0.02 (* replica loop granularity *)
 let boot_replicas = 3 (* an ensemble's replicas at creation *)
-let spare_slots = 4 (* node ids reserved for replicas added at runtime *)
 
 type config = {
   op_service_time : float;  (* leader service time per replicated op *)
@@ -186,8 +182,8 @@ type config = {
   session_ids : bool;       (* reject append replies from a stale
                                replication session; ablation hook *)
   group_commit : bool;      (* batch client Submits into one append/fsync
-                               round instead of charging each op alone;
-                               ablation hook for the throughput baseline *)
+                               round; off, every batch holds one command
+                               (the throughput baseline) *)
   group_size : int;         (* flush the batch once it holds this many *)
   group_timeout : float;    (* ... or this long after its first command;
                                must stay well below [request_timeout] *)

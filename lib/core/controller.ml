@@ -155,7 +155,6 @@ type t = {
   quarantine : Recon.Quarantine.t;
   mutable next_start_seq : int;
   mutable next_internal_txn : int; (* negative lock owners for reload *)
-  mutable checkpoint_seq : int;
   mutable commits_since_checkpoint : int;
   mutable prune_candidates : string list; (* terminal record keys *)
   signaled : (int, unit) Hashtbl.t; (* txns with a pending signal key *)
@@ -217,7 +216,6 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     quarantine = Recon.Quarantine.create shard;
     next_start_seq = 1;
     next_internal_txn = -1;
-    checkpoint_seq = 0;
     commits_since_checkpoint = 0;
     prune_candidates = [];
     signaled = Hashtbl.create 8;
@@ -341,7 +339,6 @@ let maybe_checkpoint t =
     Persist.flush t.persist;
     let seq = t.next_start_seq - 1 in
     if Recovery.save_checkpoint ~seq t.tree t.client ~ns:t.ns then begin
-      t.checkpoint_seq <- seq;
       t.commits_since_checkpoint <- 0;
       List.iter
         (fun key -> ignore (Coord.Client.delete t.client ~key ()))
@@ -950,7 +947,6 @@ let recover t =
      replayed records — because clients read a leader's tree while it
      recovers. *)
   let checkpoint_seq, tree = Recovery.load_checkpoint t.client ~ns:t.ns in
-  t.checkpoint_seq <- checkpoint_seq;
   t.tree <- tree;
   let records = Recovery.records ~name:t.cname t.client ~ns:t.ns in
   t.tree <-

@@ -9,10 +9,7 @@ type spec = {
   controller_config : Controller.config;
   controller_session_timeout : float;
   submit_clients : int;
-  client_slots : int;
-  persist_clients : int;
-      (* extra coordination sessions per controller, used to overlap the
-         txn-record writes of an input burst (0 = synchronous persists) *)
+  persist_clients : int; (* ignored; kept for the benchmark workloads *)
   worker_retry : Physical.retry_policy;
   trace : Trace.t option;
       (* span recorder shared by every controller, worker and coordination
@@ -29,7 +26,6 @@ let default_spec =
     controller_config = Controller.default_config;
     controller_session_timeout = 10.0;
     submit_clients = 4;
-    client_slots = 64;
     persist_clients = 0;
     worker_retry = Physical.no_retry;
     trace = None;
@@ -246,7 +242,7 @@ let create pspec env ~initial_tree ~devices psim =
   let group = Coord.Types.fresh_group_stats () in
   let ensembles =
     Array.init pspec.shards (fun _ ->
-        Coord.Ensemble.create ~clients:pspec.client_slots ~config:pspec.coord_config
+        Coord.Ensemble.create ~config:pspec.coord_config
           ~stats:membership ~gstats:group ~trace psim)
   in
   let device_lookup = Physical.lookup_of_list devices in

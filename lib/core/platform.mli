@@ -24,14 +24,11 @@ type spec = {
   controller_session_timeout : float;
       (** failure-detection time for controller fail-over (§6.4) *)
   submit_clients : int;  (** client sessions the harness submits through *)
-  client_slots : int;    (** coordination-service session slots *)
   persist_clients : int;
       (** ignored: opens no session.  A controller commits each state
           transition as one atomic multi-op coordination command on its
           own session, so it needs no persist-session pool; the field stays
-          until the benchmark workloads stop setting it.  Each controller
-          (re)start takes one client slot of its shard's ensemble, plus one
-          of shard 0's on the other shards (the 2PC session). *)
+          until the benchmark workloads stop setting it. *)
   worker_retry : Physical.retry_policy;
       (** per-action robustness policy every worker executes under *)
   trace : Trace.t option;
@@ -167,7 +164,7 @@ val kill_controller : t -> int -> unit
 
 (** Restart slot [i] after {!kill_controller}: a fresh controller instance
     (new coordination session) under the same name, which re-joins the
-    election and recovers.  Each restart consumes one client slot. *)
+    election and recovers. *)
 val restart_controller : t -> int -> unit
 
 (** Crash worker [i] (process death + session loss: its ephemeral
@@ -175,8 +172,7 @@ val restart_controller : t -> int -> unit
 val kill_worker : t -> int -> unit
 
 (** Restart slot [i] after {!kill_worker}: a fresh worker instance (new
-    coordination session) under the same name.  Each restart consumes one
-    client slot. *)
+    coordination session) under the same name. *)
 val restart_worker : t -> int -> unit
 
 (** Flat index of shard 0's leading controller, if any. *)

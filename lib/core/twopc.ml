@@ -599,9 +599,9 @@ let recover_coordinator t txn ~offer = t.recovered <- (txn, offer) :: t.recovere
 let recover_terminal t txn = t.recovered_terminal <- txn :: t.recovered_terminal
 
 (* Cross-shard transactions a new leader inherited: terminal coordinators
-   re-broadcast their verdict (the participants may never have heard it);
-   in-flight ones resolve against the decision record — missing means
-   presumed abort. *)
+   send their verdict to every participant again (they may never have
+   heard it); in-flight ones resolve against the decision record — missing
+   means presumed abort. *)
 let resolve_recovered t ~local =
   let inflight = t.recovered in
   t.recovered <- [];

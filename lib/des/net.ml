@@ -4,79 +4,78 @@ module Pair_set = Set.Make (struct
   let compare = compare
 end)
 
+type 'm port =
+  { mutable up : bool; mutable extra_delay : float; inbox : (int * 'm) Channel.t }
+
 type 'm t = {
   net_sim : Sim.t;
-  nodes : int;
+  mutable nodes : int;
+  mutable ports : 'm port array; (* [nodes] live, grown by doubling *)
   latency : src:int -> dst:int -> rng:Random.State.t -> float;
   drop_rate : float;
-  up : bool array;
-  inboxes : (int * 'm) Channel.t array;
   mutable cuts : Pair_set.t;
-  extra_delay : float array;
   mutable n_delivered : int;
   mutable n_dropped : int;
 }
 
 let default_latency ~src:_ ~dst:_ ~rng = Dist.uniform rng ~lo:0.0005 ~hi:0.0015
+let fresh_port _ = { up = true; extra_delay = 0.; inbox = Channel.create () }
 
 let create ?(latency = default_latency) ?(drop_rate = 0.) sim ~nodes =
   {
     net_sim = sim;
     nodes;
+    ports = Array.init nodes fresh_port;
     latency;
     drop_rate;
-    up = Array.make nodes true;
-    inboxes =
-      Array.init nodes (fun _ -> Channel.create ());
     cuts = Pair_set.empty;
-    extra_delay = Array.make nodes 0.;
     n_delivered = 0;
     n_dropped = 0;
   }
 
 let sim net = net.net_sim
 let node_count net = net.nodes
-let inbox net i = net.inboxes.(i)
+
+let add_node net =
+  let id = net.nodes in
+  if id = Array.length net.ports then
+    net.ports <-
+      Array.init (max 1 (2 * id)) (fun i -> if i < id then net.ports.(i) else fresh_port i);
+  net.nodes <- id + 1;
+  id
+
+(* Slots past [nodes] are spare capacity, not nodes. *)
+let port net i =
+  if i < net.nodes then net.ports.(i) else invalid_arg "Des.Net: no such node"
+let inbox net i = (port net i).inbox
 let ordered a b = if a <= b then (a, b) else (b, a)
-let cut net a b = Pair_set.mem (ordered a b) net.cuts
 
 let send net ~src ~dst msg =
+  let from = port net src and into = port net dst in
   let deliverable =
-    net.up.(src) && net.up.(dst)
-    && (not (cut net src dst))
+    from.up && into.up
+    && (not (Pair_set.mem (ordered src dst) net.cuts))
     && not (Dist.flip (Sim.rng net.net_sim) ~p:net.drop_rate)
   in
   if not deliverable then net.n_dropped <- net.n_dropped + 1
   else begin
-    let delay =
-      net.latency ~src ~dst ~rng:(Sim.rng net.net_sim)
-      +. net.extra_delay.(src)
-    in
+    let delay = net.latency ~src ~dst ~rng:(Sim.rng net.net_sim) +. from.extra_delay in
     ignore
       (Sim.after net.net_sim delay (fun () ->
-           if net.up.(dst) then begin
+           if into.up then begin
              net.n_delivered <- net.n_delivered + 1;
-             Channel.send net.inboxes.(dst) (src, msg)
+             Channel.send into.inbox (src, msg)
            end
            else net.n_dropped <- net.n_dropped + 1))
   end
 
-let broadcast net ~src msg =
-  for dst = 0 to net.nodes - 1 do
-    if dst <> src then send net ~src ~dst msg
-  done
-
 let crash net i =
-  net.up.(i) <- false;
+  let p = port net i in
+  p.up <- false;
   (* A rebooted node loses its volatile inbox. *)
-  let rec drain () =
-    match Channel.try_recv net.inboxes.(i) with
-    | Some _ -> drain ()
-    | None -> ()
-  in
-  drain ()
+  while Option.is_some (Channel.try_recv p.inbox) do () done
 
-let restart net i = net.up.(i) <- true
+let restart net i = (port net i).up <- true
 
 let partition net group_a group_b =
   List.iter
@@ -88,7 +87,7 @@ let partition net group_a group_b =
 
 let heal net = net.cuts <- Pair_set.empty
 let set_node_delay net i extra =
-  net.extra_delay.(i) <- (if extra > 0. then extra else 0.)
+  (port net i).extra_delay <- (if extra > 0. then extra else 0.)
 
 let delivered net = net.n_delivered
 let dropped net = net.n_dropped

@@ -1,6 +1,6 @@
 (** Simulated message-passing network with fault injection.
 
-    Nodes are integers [0 .. nodes-1]; each has an inbox channel carrying
+    Nodes are integers [0 .. node_count-1]; each has an inbox channel carrying
     [(src, message)] pairs.  Delivery is unicast, unordered across distinct
     latencies, and unreliable under injected faults:
 
@@ -21,11 +21,11 @@ val create :
 val sim : 'm t -> Sim.t
 val node_count : 'm t -> int
 
+(** Add a node, up with an empty inbox; returns its id (the old {!node_count}). *)
+val add_node : 'm t -> int
+
 (** [send net ~src ~dst msg] attempts delivery of [msg] to [dst]'s inbox. *)
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
-
-(** [broadcast net ~src msg] sends to every node except [src]. *)
-val broadcast : 'm t -> src:int -> 'm -> unit
 
 val inbox : 'm t -> int -> (int * 'm) Channel.t
 

@@ -50,12 +50,7 @@ let safety_run ~seed ~with_constraints =
   let inv = Tcloud.Setup.build size in
   let env =
     if with_constraints then inv.Tcloud.Setup.env
-    else begin
-      let env = Tropic.Dsl.create_env () in
-      Tcloud.Actions.register_all env;
-      Tcloud.Procs.register_all env;
-      env
-    end
+    else Tcloud.Setup.env_without_constraints ()
   in
   let platform =
     Tropic.Platform.create

@@ -60,7 +60,6 @@ let platform_spec =
     controller_config = Tcloud.Setup.controller_config;
     workers = 8;
     submit_clients = 16;
-    client_slots = 64;
   }
 
 let run cfg =

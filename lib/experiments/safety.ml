@@ -7,14 +7,6 @@ type result = {
   migrate_rejected : bool;
 }
 
-(* An environment identical to TCloud's but with no constraints registered:
-   the ablation baseline. *)
-let env_without_constraints () =
-  let env = Tropic.Dsl.create_env () in
-  Tcloud.Actions.register_all env;
-  Tcloud.Procs.register_all env;
-  env
-
 let deployment =
   {
     Tcloud.Setup.small with
@@ -38,7 +30,7 @@ let run ?(quick = false) () =
   let iterations = if quick then 2_000 else 20_000 in
   let inv = Tcloud.Setup.build deployment in
   let tree = inv.Tcloud.Setup.tree in
-  let bare_env = env_without_constraints () in
+  let bare_env = Tcloud.Setup.env_without_constraints () in
   (* The hosting mix as simulation inputs, against the prepopulated tree. *)
   let host i = Data.Path.to_string (Tcloud.Setup.compute_path i) in
   let storage i = Data.Path.to_string (Tcloud.Setup.storage_path i) in

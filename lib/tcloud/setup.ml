@@ -56,10 +56,14 @@ let controller_config =
     Tropic.Controller.repair_rules = Rules.repair_rules;
   }
 
-let make_env () =
+let env_without_constraints () =
   let env = Tropic.Dsl.create_env () in
   Actions.register_all env;
   Procs.register_all env;
+  env
+
+let make_env () =
+  let env = env_without_constraints () in
   Rules.register_constraints env;
   env
 

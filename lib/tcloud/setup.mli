@@ -33,6 +33,11 @@ type t = {
   switches : (Data.Path.t * Devices.Network.t) array;
 }
 
+(** TCloud's actions and stored procedures with no constraint registered:
+    the baseline of every constraint ablation.  {!build}'s [env] is this
+    plus {!Rules.register_constraints}. *)
+val env_without_constraints : unit -> Tropic.Dsl.env
+
 (** {!Tropic.Controller.default_config} with TCloud's repair rules wired
     in — what a TCloud deployment should run its controllers with. *)
 val controller_config : Tropic.Controller.config

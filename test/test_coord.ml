@@ -325,6 +325,22 @@ let test_ephemeral_expires_on_close () =
         (Option.is_some (Client.get observer "/presence/me"));
       Client.close observer)
 
+(* Sessions take node ids 3, 4, ... in connect order, with no budget. *)
+let test_sessions_without_budget () =
+  Drive.ensemble (fun _sim ens ->
+      let n = 100 in
+      let sessions =
+        List.init n (fun i -> Ensemble.connect ens ~name:(Printf.sprintf "s%d" i) ())
+      in
+      check (Alcotest.list int_c) "ids in connect order"
+        (List.init n (fun i -> Types.boot_replicas + i))
+        (List.map Client.session_id sessions);
+      let last = List.nth sessions (n - 1) in
+      ignore (ok_create "last session writes" (Client.create last ~key:"/s" ~value:"100" ()));
+      check (Alcotest.option string_c) "write visible" (Some "100")
+        (Option.map fst (Client.get (List.hd sessions) "/s"));
+      List.iter Client.close sessions)
+
 let test_leader_crash_no_committed_loss () =
   Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"client" () in
@@ -397,70 +413,21 @@ let test_majority_loss_blocks_then_recovers () =
 let test_queue_fifo () =
   Drive.ensemble (fun _sim ens ->
       let c = Ensemble.connect ens ~name:"queue" () in
-      List.iter
-        (fun v -> ignore (Recipes.enqueue c ~queue:"/q/test" v))
-        [ "a"; "b"; "c" ];
-      check int_c "length" 3 (Recipes.queue_length c ~queue:"/q/test");
-      (match Recipes.peek c ~queue:"/q/test" with
-       | Some (_, "a") -> ()
-       | _ -> Alcotest.fail "peek");
-      let vals =
-        List.init 3 (fun _ ->
-            match Recipes.dequeue c ~queue:"/q/test" () with
-            | Some (_, v) -> v
-            | None -> Alcotest.fail "dequeue")
+      let keys =
+        List.map (fun v -> Recipes.enqueue c ~queue:"/q/test" v) [ "a"; "b"; "c" ]
       in
-      check (Alcotest.list string_c) "fifo" [ "a"; "b"; "c" ] vals;
-      check int_c "empty" 0 (Recipes.queue_length c ~queue:"/q/test");
+      (* Consumers read the queue head-first and take an item by deleting
+         it, as the controller and workers do with inputQ and phyQ. *)
+      let items = Client.children_values c "/q/test" 3 in
+      check (Alcotest.list string_c) "keys in enqueue order" keys
+        (List.map fst items);
+      check (Alcotest.list string_c) "fifo" [ "a"; "b"; "c" ]
+        (List.map snd items);
+      check (Alcotest.list string_c) "first n only" [ "a" ]
+        (List.map snd (Client.children_values c "/q/test" 1));
+      List.iter (fun (key, _) -> ok_create "take" (Client.delete c ~key ())) items;
+      check int_c "empty" 0 (List.length (Client.children_values c "/q/test" 3));
       Client.close c)
-
-let test_queue_blocking_dequeue () =
-  Drive.ensemble (fun _sim ens ->
-      let consumer = Ensemble.connect ens ~name:"consumer" () in
-      let producer = Ensemble.connect ens ~name:"producer" () in
-      ignore
-        (Des.Proc.spawn ~name:"producer-proc" (Ensemble.sim ens) (fun () ->
-             Des.Proc.sleep 2.;
-             ignore (Recipes.enqueue producer ~queue:"/q/blk" "late")));
-      let t0 = Des.Proc.now () in
-      (match Recipes.dequeue consumer ~queue:"/q/blk" () with
-       | Some (_, "late") -> ()
-       | _ -> Alcotest.fail "blocking dequeue");
-      check bool_c "waited for item" true (Des.Proc.now () -. t0 >= 1.5);
-      check bool_c "dequeue timeout" true
-        (Recipes.dequeue consumer ~queue:"/q/blk" ~timeout:1. () = None);
-      Client.close consumer;
-      Client.close producer)
-
-let test_queue_concurrent_consumers () =
-  Drive.ensemble (fun _sim ens ->
-      let producer = Ensemble.connect ens ~name:"producer" () in
-      let total = 12 in
-      for i = 1 to total do
-        ignore (Recipes.enqueue producer ~queue:"/q/mc" (Printf.sprintf "job%d" i))
-      done;
-      let taken = ref [] in
-      let consumers =
-        List.init 3 (fun k ->
-            let c = Ensemble.connect ens ~name:(Printf.sprintf "cons%d" k) () in
-            Des.Proc.spawn
-              ~name:(Printf.sprintf "cons%d" k)
-              (Ensemble.sim ens)
-              (fun () ->
-                let rec go () =
-                  match Recipes.dequeue c ~queue:"/q/mc" ~timeout:3. () with
-                  | Some (_, v) ->
-                    taken := v :: !taken;
-                    go ()
-                  | None -> Client.close c
-                in
-                go ()))
-      in
-      List.iter (fun p -> ignore (Des.Proc.await p)) consumers;
-      check int_c "each job taken exactly once" total
-        (List.length (List.sort_uniq compare !taken));
-      check int_c "no duplicates" total (List.length !taken);
-      Client.close producer)
 
 let test_election_recipe () =
   Drive.ensemble (fun _sim ens ->
@@ -468,10 +435,11 @@ let test_election_recipe () =
       let b = Ensemble.connect ens ~session_timeout:3. ~name:"ctrl-b" () in
       let ma = Recipes.join_election a ~election:"/elect" ~payload:"A" in
       let mb = Recipes.join_election b ~election:"/elect" ~payload:"B" in
-      check bool_c "a is leader" true (Recipes.is_leader a ~election:"/elect" ~member:ma);
-      check bool_c "b is not leader" false (Recipes.is_leader b ~election:"/elect" ~member:mb);
-      check (Alcotest.option string_c) "payload" (Some "A")
-        (Recipes.leader_payload b ~election:"/elect");
+      (* The first member leads at once. *)
+      let t0 = Des.Proc.now () in
+      Recipes.await_leadership a ~election:"/elect" ~member:ma;
+      check bool_c "a leads without waiting" true (Des.Proc.now () -. t0 < 0.5);
+      check bool_c "members sort in join order" true (ma < mb);
       (* A dies; B should take over once the session expires. *)
       let t0 = Des.Proc.now () in
       Client.close a;
@@ -989,25 +957,6 @@ let test_divergent_log_truncated () =
         [ 0; 1; 2 ];
       Client.close c)
 
-let test_graceful_disconnect_immediate () =
-  Drive.ensemble (fun _sim ens ->
-      let c = Ensemble.connect ens ~session_timeout:30. ~name:"polite" () in
-      let observer = Ensemble.connect ens ~name:"observer" () in
-      ignore
-        (ok_create "create"
-           (Client.create c ~ephemeral:true ~key:"/presence/polite" ~value:"hi" ()));
-      check bool_c "present" true
-        (Option.is_some (Client.get observer "/presence/polite"));
-      let t0 = Des.Proc.now () in
-      Client.disconnect c;
-      (* Immediately gone — no 30 s session timeout. *)
-      Des.Proc.sleep 0.5;
-      check bool_c "ephemeral cleaned immediately" false
-        (Option.is_some (Client.get observer "/presence/polite"));
-      check bool_c "well before the session timeout" true
-        (Des.Proc.now () -. t0 < 2.);
-      Client.close observer)
-
 (* ------------------------------------------------------------------ *)
 (* Log compaction and snapshot installation *)
 
@@ -1194,13 +1143,11 @@ let suite =
     ("watch: children", `Quick, test_watch_children_fires);
     ("client: children with values in one query", `Quick, test_client_children_values);
     ("session: ephemeral expires on close", `Quick, test_ephemeral_expires_on_close);
-    ("session: graceful disconnect is immediate", `Quick, test_graceful_disconnect_immediate);
+    ("session: ids in connect order, no budget", `Quick, test_sessions_without_budget);
     ("failover: no committed writes lost", `Quick, test_leader_crash_no_committed_loss);
     ("failover: crashed replica rejoins", `Quick, test_crashed_replica_rejoins);
     ("failover: majority loss blocks, recovers", `Quick, test_majority_loss_blocks_then_recovers);
     ("recipe: queue fifo", `Quick, test_queue_fifo);
-    ("recipe: queue blocking dequeue", `Quick, test_queue_blocking_dequeue);
-    ("recipe: queue concurrent consumers", `Quick, test_queue_concurrent_consumers);
     ("recipe: leader election", `Quick, test_election_recipe);
     QCheck_alcotest.to_alcotest store_model_prop;
     ("chaos: crashes lose no acked writes", `Slow, test_chaos_single_crashes);

@@ -526,14 +526,28 @@ let test_station_post_fire_and_forget () =
   check int_c "completed" 2 (Des.Station.completed st);
   check int_c "drained" 0 (Des.Station.queue_length st)
 
-let test_net_broadcast () =
+let test_net_add_node () =
   let sim = Des.Sim.create () in
-  let net = Des.Net.create ~latency:(constant_latency 0.01) sim ~nodes:4 in
-  Des.Net.broadcast net ~src:1 "hi";
+  let net = Des.Net.create ~latency:(constant_latency 0.01) sim ~nodes:1 in
+  let added = List.init 9 (fun _ -> Des.Net.add_node net) in
+  check (Alcotest.list int_c) "ids in creation order"
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] added;
+  check int_c "node count" 10 (Des.Net.node_count net);
+  (* Ports survive the growth: a crash before it still holds after. *)
+  Des.Net.crash net 0;
+  ignore (Des.Net.add_node net);
+  Des.Net.send net ~src:9 ~dst:0 "to the crashed node";
+  List.iter (fun dst -> Des.Net.send net ~src:0 ~dst "from it") [ 1; 10 ];
+  Des.Net.send net ~src:1 ~dst:10 "newest";
   ignore (Des.Sim.run sim);
-  check int_c "three deliveries" 3 (Des.Net.delivered net);
-  check int_c "sender got nothing" 0
-    (Des.Channel.length (Des.Net.inbox net 1))
+  check int_c "one delivery" 1 (Des.Net.delivered net);
+  check int_c "three dropped" 3 (Des.Net.dropped net);
+  check int_c "the newest node got it" 1
+    (Des.Channel.length (Des.Net.inbox net 10));
+  (* Spare capacity past the last node is not a node. *)
+  match Des.Net.send net ~src:0 ~dst:11 "nobody" with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_proc_identity () =
   let sim = Des.Sim.create () in
@@ -617,7 +631,7 @@ let suite =
     ("dist: determinism", `Quick, test_dist_determinism);
     ("dist: errors", `Quick, test_dist_errors);
     ("station: post fire-and-forget", `Quick, test_station_post_fire_and_forget);
-    ("net: broadcast", `Quick, test_net_broadcast);
+    ("net: nodes added at runtime", `Quick, test_net_add_node);
     ("proc: identity", `Quick, test_proc_identity);
     ("proc: kill idempotent", `Quick, test_proc_kill_is_idempotent);
     ("channel: try_recv", `Quick, test_channel_try_recv);

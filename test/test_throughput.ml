@@ -163,6 +163,32 @@ let test_flush_on_timeout () =
         true
         (dt >= 0.25 && dt < 1.0))
 
+(* The group-commit-off baseline runs every command through the same
+   batcher, one command per flush, so concurrent writers never share an
+   fsync. *)
+let test_group_commit_off_one_command_batches () =
+  let config = { (cfg ()) with Types.group_commit = false } in
+  Drive.ensemble ~config (fun sim ens ->
+      ignore (Ensemble.await_leader ens);
+      let remaining = ref 4 in
+      for i = 1 to 4 do
+        let c = Ensemble.connect ens ~name:(Printf.sprintf "w%d" i) () in
+        ignore
+          (Des.Proc.spawn ~name:(Printf.sprintf "writer%d" i) sim (fun () ->
+               for j = 1 to 5 do
+                 ok_write "write"
+                   (Client.write c ~key:(Printf.sprintf "/k%d-%d" i j) ~value:"v" ())
+               done;
+               decr remaining))
+      done;
+      while !remaining > 0 do
+        Des.Proc.sleep 0.05
+      done;
+      let g = Ensemble.group_stats ens in
+      check bool_c "every command rode the batcher" true (g.Types.batched_cmds >= 20);
+      check int_c "one flush per command" g.Types.batched_cmds g.Types.flushes;
+      check int_c "largest batch" 1 g.Types.max_batch)
+
 (* ------------------------------------------------------------------ *)
 (* Batcher properties (qcheck): random client/batch geometries *)
 
@@ -214,12 +240,14 @@ let prop_storm_exactly_once_fifo =
             Des.Proc.sleep 0.1
           done;
           let consumer = Ensemble.connect ens ~name:"consumer" () in
+          (* Take items oldest first, as the controller takes inputQ. *)
           let rec drain () =
-            match Recipes.dequeue consumer ~queue:"/q" ~timeout:1.0 () with
-            | Some (_, p) ->
+            match Client.children_values consumer "/q" 1 with
+            | (key, p) :: _ ->
+              ok_write "take" (Client.delete consumer ~key ());
               drained := p :: !drained;
               drain ()
-            | None -> ()
+            | [] -> ()
           in
           drain ();
           gstats := Some (Ensemble.group_stats ens));
@@ -326,6 +354,9 @@ let () =
             test_unsafe_ack_acks_early_and_loses );
           ("batch flushes when it reaches group_size", `Quick, test_flush_on_size);
           ("lone command flushes at the timeout", `Quick, test_flush_on_timeout);
+          ( "group commit off: one command per flush",
+            `Quick,
+            test_group_commit_off_one_command_batches );
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_storm_exactly_once_fifo ] );

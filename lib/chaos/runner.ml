@@ -292,13 +292,14 @@ let run_one ?(trace = false) config ~schedule ~seed =
             (* Unsafe_ack releases client acks at enqueue instead of
                after batch quorum: a coordination leader crash inside the
                batch window then loses acked submissions — the ablation
-               the commit-storm schedule must convict.  For that schedule
-               only, the batch window is stretched to the storm's
-               submission gap so a leader crash during the storm reliably
-               lands while acked commands are still short of quorum;
-               stock group commit defers those acks and stays clean
-               regardless.  Other schedules keep the default window —
-               their convictions are tuned to sub-ms ack latency. *)
+               the commit-storm schedule must convict.  That schedule is
+               the only one with a hold: each batch waits 50 ms, the
+               storm's submission gap, so a leader crash during the storm
+               reliably lands while acked commands are still short of
+               quorum; stock group commit defers those acks and stays
+               clean regardless.  Every other schedule runs the default,
+               which seals a batch as soon as the leader's station is
+               free. *)
             unsafe_ack = config.build = Unsafe_ack;
             group_timeout =
               (if schedule.Schedule.name = "commit-storm" then 0.05

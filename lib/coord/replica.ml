@@ -85,14 +85,12 @@ type t = {
   key_watches : (string, (int, unit) Hashtbl.t) Hashtbl.t;
   child_watches : (string, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable station : Des.Station.t;
-  (* Group-commit batcher (leader-only).  Commands are consed on in arrival
-     order and reversed at flush, so log order preserves submit order. *)
-  mutable batch : batch_item list;
-  mutable batch_len : int;
+  (* Group-commit batcher (leader-only).  Commands queue in arrival order,
+     so log order preserves submit order. *)
+  batch : batch_item Queue.t;
   mutable batch_deadline : float;
   mutable batch_signal : unit Des.Channel.t;
-      (* one token per empty->nonempty transition; wakes the timeout
-         flusher *)
+      (* one token per empty->nonempty transition; wakes the flusher *)
   mutable stop_requested : bool;
   mutable procs : Des.Proc.t list;
 }
@@ -373,51 +371,47 @@ let append_local r cmd =
   last_log_index r
 
 (* ------------------------------------------------------------------ *)
-(* Group commit (paper's throughput ceiling): the per-op persistence cost
-   used to be charged once per Submit, serializing client commands through
-   the station one fsync at a time.  The batcher coalesces them: commands
-   enqueue for free, and a flush — triggered by size or timeout — pays one
-   station round for the whole batch, appends every command, and starts
-   one replication round.  Acks stay quorum-gated: [apply_committed]
-   releases them when the batch's entries commit. *)
+(* Group commit (paper's throughput ceiling): charged once per Submit, the
+   per-op persistence cost would serialize client commands through the
+   station one fsync at a time.  The batcher coalesces them: commands
+   enqueue for free, and a flush pays one station round for up to
+   [Types.batch_limit] of them, appends every one, and starts one
+   replication round.  Acks stay quorum-gated: [apply_committed] releases
+   them when the batch's entries commit. *)
 
 (* Bounce the parked batch back to its clients (leadership lost before the
    flush): they retry against the new leader, and the store's per-session
    dedup keeps every command exactly-once.  Already-acked (unsafe-ack)
    items get no second answer. *)
-let bounce_batch r =
-  if r.batch <> [] then begin
-    let items = r.batch in
-    r.batch <- [];
-    r.batch_len <- 0;
-    List.iter
-      (fun item ->
-        if not item.b_acked then
-          send_resp r item.b_client ~req_id:item.b_req (not_leader r))
-      items
-  end
+let bounce r item =
+  if not item.b_acked then
+    send_resp r item.b_client ~req_id:item.b_req (not_leader r)
 
-let flush_batch r trigger =
-  match r.batch with
+let bounce_batch r =
+  Queue.iter (bounce r) r.batch;
+  Queue.clear r.batch
+
+(* Seal the oldest [Types.batch_limit] parked commands (one
+   [Append_entries] carries them all) and flush them. *)
+let flush_batch r =
+  let rec seal n acc =
+    if n = 0 then List.rev acc
+    else
+      match Queue.take_opt r.batch with
+      | None -> List.rev acc
+      | Some item -> seal (n - 1) (item :: acc)
+  in
+  match seal Types.batch_limit [] with
   | [] -> ()
-  | _ ->
-    let items = List.rev r.batch in
-    let size = r.batch_len in
+  | items ->
     let epoch = r.term in
-    r.batch <- [];
-    r.batch_len <- 0;
     (* One amortized persistence charge for the whole batch — the group
        commit.  This blocks (possibly behind earlier station jobs), so
        re-check leadership afterwards: a leadership lost and regained
        meanwhile must bounce the batch too, or a later batch could land
        in the new term while this one's clients resend theirs behind it. *)
     Des.Station.request r.station ~service:r.config.Types.op_service_time;
-    if r.role <> Leader || r.term <> epoch then
-      List.iter
-        (fun item ->
-          if not item.b_acked then
-            send_resp r item.b_client ~req_id:item.b_req (not_leader r))
-        items
+    if r.role <> Leader || r.term <> epoch then List.iter (bounce r) items
     else begin
       List.iter
         (fun item ->
@@ -425,11 +419,7 @@ let flush_batch r trigger =
           if not item.b_acked then
             Hashtbl.replace r.pending index (item.b_client, item.b_req))
         items;
-      Types.note_batch r.gstats size;
-      (match trigger with
-       | `Full -> r.gstats.Types.flush_full <- r.gstats.Types.flush_full + 1
-       | `Timeout ->
-         r.gstats.Types.flush_timeout <- r.gstats.Types.flush_timeout + 1);
+      Types.note_batch r.gstats (List.length items);
       replicate_all r;
       advance_commit r
     end
@@ -495,11 +485,13 @@ let spawn_leader_duties r =
           if still_leading () then expire_dead_sessions r
         done)
   in
-  (* Timeout side of the group-commit batcher: each empty->nonempty batch
-     transition sends one token; the flusher sleeps out the batch's
-     deadline and flushes whatever is still parked.  A batch that hit
-     [group_size] first was already flushed inline — the leftover token
-     finds an empty batch and the wakeup no-ops. *)
+  (* The group-commit batcher's one sealing point.  Each empty->nonempty
+     batch transition sends one token; the flusher then seals and flushes
+     until the batch is empty, so whatever parks while it holds the
+     station rides the next flush, as ZooKeeper's leader syncs what queued
+     during the previous fsync.  A [group_timeout] above 0 holds each
+     batch that long after its first command.  A token sent while the
+     flusher was busy may find the batch already empty; it then no-ops. *)
   let flusher =
     Des.Proc.spawn ~name:(Printf.sprintf "replica-%d-group" r.rid) (sim r)
       (fun () ->
@@ -510,14 +502,16 @@ let spawn_leader_duties r =
            with
            | None -> ()
            | Some () ->
-             (* Sleep out the deadline of whatever batch is open when the
-                sleep ends — the one this token announced may have been
-                size-flushed and replaced meanwhile. *)
-             while still_leading () && r.batch <> [] && r.batch_deadline > now r
-             do
-               Des.Proc.sleep (r.batch_deadline -. now r)
-             done;
-             if still_leading () then flush_batch r `Timeout)
+             while still_leading () && not (Queue.is_empty r.batch) do
+               while
+                 still_leading ()
+                 && (not (Queue.is_empty r.batch))
+                 && r.batch_deadline > now r
+               do
+                 Des.Proc.sleep (r.batch_deadline -. now r)
+               done;
+               if still_leading () then flush_batch r
+             done)
         done)
   in
   r.procs <- pump :: reaper :: flusher :: r.procs
@@ -529,10 +523,8 @@ let become_leader r =
   (* Fresh batcher state for this leadership: any parked batch was bounced
      on step-down, and a fresh signal channel keeps a lingering flusher
      from an earlier epoch from eating this epoch's wakeup tokens. *)
-  r.batch <- [];
-  r.batch_len <- 0;
-  r.batch_signal <-
-    Des.Channel.create ();
+  Queue.clear r.batch;
+  r.batch_signal <- Des.Channel.create ();
   (* Fresh progress for the effective configuration; any learner being
      caught up by the previous leader is dropped (its client retries). *)
   Hashtbl.reset r.progress;
@@ -860,11 +852,11 @@ let handle_client r src ~req_id ~session_timeout request =
       if r.role <> Leader then send_resp r src ~req_id (not_leader r)
       else handle_config_change r src ~req_id cmd
     | Types.Submit cmd ->
-      (* Group commit: enqueue for free; the batch pays one amortized
-         station round when it flushes on size or timeout.  The receipt
-         goes out at once, the ack is released by [apply_committed] once
-         the batch reaches quorum.  With [group_commit] off every batch
-         holds one command, so commands serialize through the station one
+      (* Group commit: enqueue for free; the flusher pays one amortized
+         station round per batch.  The receipt goes out at once, the ack
+         is released by [apply_committed] once the batch reaches quorum.
+         With [group_commit] off the main loop flushes each command inline
+         as it arrives, so commands serialize through the station one
          fsync at a time: the paper's throughput ceiling, kept as the
          baseline. *)
       let acked =
@@ -886,15 +878,11 @@ let handle_client r src ~req_id ~session_timeout request =
         r.gstats.Types.acks_deferred <- r.gstats.Types.acks_deferred + 1;
         send_resp r src ~req_id Types.Admitted
       end;
-      let was_empty = r.batch = [] in
-      r.batch <-
+      let was_empty = Queue.is_empty r.batch in
+      Queue.push
         { b_client = src; b_req = req_id; b_cmd = cmd; b_acked = acked }
-        :: r.batch;
-      r.batch_len <- r.batch_len + 1;
-      let limit =
-        if r.config.Types.group_commit then r.config.Types.group_size else 1
-      in
-      if r.batch_len >= limit then flush_batch r `Full
+        r.batch;
+      if not r.config.Types.group_commit then flush_batch r
       else if was_empty then begin
         r.batch_deadline <- now r +. r.config.Types.group_timeout;
         Des.Channel.send r.batch_signal ()
@@ -963,11 +951,9 @@ let create ?(learner = false) ?stats ?gstats ~net ~id ~members ~config () =
     key_watches = Hashtbl.create 64;
     child_watches = Hashtbl.create 64;
     station = Des.Station.create ~name:(Printf.sprintf "replica-%d-io" id) (Des.Net.sim net);
-    batch = [];
-    batch_len = 0;
+    batch = Queue.create ();
     batch_deadline = 0.;
-    batch_signal =
-      Des.Channel.create ();
+    batch_signal = Des.Channel.create ();
     stop_requested = false;
     procs = [];
   }
@@ -1027,7 +1013,5 @@ let reset_volatile r =
      it (their clients never saw an ack and retry). *)
   r.station <-
     Des.Station.create ~name:(Printf.sprintf "replica-%d-io" r.rid) (sim r);
-  r.batch <- [];
-  r.batch_len <- 0;
-  r.batch_signal <-
-    Des.Channel.create ()
+  Queue.clear r.batch;
+  r.batch_signal <- Des.Channel.create ()

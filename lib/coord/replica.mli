@@ -8,8 +8,9 @@
     a FIFO service station — the modeled ZooKeeper I/O cost that bounds
     transaction throughput in the paper's evaluation.  With
     [config.group_commit] on (the default), client commands coalesce into
-    a batch that pays one amortized station round per flush (size- or
-    timeout-triggered) and rides one replication round; acks are released
+    a batch that pays one amortized station round per flush and rides one
+    replication round: the leader seals whatever parked while the station
+    was busy, up to [Types.batch_limit] commands; acks are released
     only when the batch reaches quorum, unless the [unsafe_ack] durability
     ablation answers at enqueue.
 

@@ -168,7 +168,7 @@ type msg =
 let heartbeat_interval = 0.05
 let election_timeout = 0.4 (* base; each election waits 1–2 × this *)
 let session_check_interval = 1.0
-let batch_limit = 64 (* max log entries per Append_entries *)
+let batch_limit = 64 (* max log entries per Append_entries and per batch *)
 let tick = 0.02 (* replica loop granularity *)
 let boot_replicas = 3 (* an ensemble's replicas at creation *)
 
@@ -184,9 +184,11 @@ type config = {
   group_commit : bool;      (* batch client Submits into one append/fsync
                                round; off, every batch holds one command
                                (the throughput baseline) *)
-  group_size : int;         (* flush the batch once it holds this many *)
-  group_timeout : float;    (* ... or this long after its first command;
-                               must stay well below [request_timeout] *)
+  group_timeout : float;    (* hold each batch this long after its first
+                               command before sealing it; at 0 the leader
+                               seals as soon as its station is free and
+                               never waits on a timer.  Must stay well
+                               below [request_timeout] *)
   unsafe_ack : bool;        (* DURABILITY ABLATION: ack a Submit on
                                enqueue, before the batch reaches quorum *)
 }
@@ -199,8 +201,7 @@ let default_config =
     snapshot_threshold = 50_000;
     session_ids = true;
     group_commit = true;
-    group_size = 16;
-    group_timeout = 0.002;
+    group_timeout = 0.;
     unsafe_ack = false;
   }
 
@@ -248,8 +249,6 @@ let fresh_membership_stats () =
 
 type group_stats = {
   mutable flushes : int;          (* batches appended *)
-  mutable flush_full : int;       (* ... because the batch hit group_size *)
-  mutable flush_timeout : int;    (* ... because group_timeout elapsed *)
   mutable batched_cmds : int;     (* client commands that rode a batch *)
   mutable acks_deferred : int;    (* commands enqueued without an
                                      immediate ack (released at quorum) *)
@@ -265,8 +264,6 @@ let group_hist_buckets = 8 (* 1, 2-3, 4-7, ..., 128+ *)
 let fresh_group_stats () =
   {
     flushes = 0;
-    flush_full = 0;
-    flush_timeout = 0;
     batched_cmds = 0;
     acks_deferred = 0;
     unsafe_acks = 0;

@@ -374,15 +374,19 @@ let test_scenario_unexpected_outcomes () =
       outcome.Experiments.Scenario.layers_consistent
 
 (* Admission control in a script: a fire-and-forget storm fills the
-   pending queue, so the next awaited spawn is shed with the overload
-   abort.  Regression for the tcloud_sim exit status: a shed transaction
-   is the platform protecting itself, so it never counts as an
-   unexpected outcome — blessed or not. *)
+   pending queue, so the next awaited spawns are shed with the overload
+   abort.  The storm's spawns serialize on host0's lock, so at most one
+   runs and at least [high - 1 = 2] stay parked until its replay ends,
+   seconds later; with the low watermark at 1, shedding cannot reopen
+   before then, however fast the coordination service admits the storm.
+   Regression for the tcloud_sim exit status: a shed transaction is the
+   platform protecting itself, so it never counts as an unexpected
+   outcome — blessed or not. *)
 let test_scenario_overload_shedding () =
   let script =
     String.concat "\n"
       [
-        "hosts 2"; "mode full"; "seed 7"; "admission 3 2";
+        "hosts 2"; "mode full"; "seed 7"; "admission 3 1";
         "storm 10 0";
         "spawn extra 0";  (* unblessed: shed must not be unexpected *)
         "spawn probe 0"; "expect overload";

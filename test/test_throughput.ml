@@ -1,8 +1,8 @@
 (* Tests for the commit hot path behind the saturation-throughput bench:
    the coordination-service group-commit batcher (quorum-gated acks,
-   size/timeout flush triggers, exactly-once across leader crashes, the
-   unsafe-ack durability ablation) and the controller's deduplicated
-   wake-on-release passes. *)
+   sealing when the station frees, the explicit hold, exactly-once across
+   leader crashes, the unsafe-ack durability ablation) and the
+   controller's deduplicated wake-on-release passes. *)
 
 open Coord
 
@@ -10,10 +10,9 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 
-let cfg ?(group_size = Types.default_config.Types.group_size)
-    ?(group_timeout = Types.default_config.Types.group_timeout)
+let cfg ?(group_timeout = Types.default_config.Types.group_timeout)
     ?(unsafe_ack = false) () =
-  { Types.default_config with Types.group_size; group_timeout; unsafe_ack }
+  { Types.default_config with Types.group_timeout; unsafe_ack }
 
 let crash_leader ens =
   match Ensemble.leader_id ens with
@@ -56,7 +55,7 @@ let test_ack_implies_quorum_durable () =
    batch: the client must not have been acked, and the retry against the
    new leader must land the item exactly once (session dedup). *)
 let test_crash_before_flush_no_ack_exactly_once () =
-  let config = cfg ~group_size:100 ~group_timeout:0.5 () in
+  let config = cfg ~group_timeout:0.5 () in
   Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"submitter" () in
@@ -91,7 +90,7 @@ let test_crash_before_flush_no_ack_exactly_once () =
    batch could have flushed, and a leader crash inside the window loses
    the acked write. *)
 let test_unsafe_ack_acks_early_and_loses () =
-  let config = cfg ~group_size:100 ~group_timeout:0.5 ~unsafe_ack:true () in
+  let config = cfg ~group_timeout:0.5 ~unsafe_ack:true () in
   Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"submitter" () in
@@ -113,42 +112,17 @@ let test_unsafe_ack_acks_early_and_loses () =
         (Client.get r "/risky" = None))
 
 (* ------------------------------------------------------------------ *)
-(* Flush triggers: size or timeout, whichever first *)
+(* Sealing: at the default hold of 0 a batch is sealed as soon as the
+   station is free, and carries everything that parked while it was busy *)
 
-let test_flush_on_size () =
-  let config = cfg ~group_size:4 ~group_timeout:0.5 () in
-  Drive.ensemble ~config (fun sim ens ->
-      ignore (Ensemble.await_leader ens);
-      let clients =
-        List.init 4 (fun i ->
-            Ensemble.connect ens ~name:(Printf.sprintf "w%d" i) ())
-      in
-      let first_ack = ref infinity in
-      let remaining = ref 4 in
-      let t0 = Des.Sim.now sim in
-      List.iteri
-        (fun i c ->
-          ignore
-            (Des.Proc.spawn ~name:(Printf.sprintf "writer%d" i) sim (fun () ->
-                 ok_write
-                   (Printf.sprintf "write %d" i)
-                   (Client.write c
-                      ~key:(Printf.sprintf "/k%d" i)
-                      ~value:"v" ());
-                 first_ack := Float.min !first_ack (Des.Sim.now sim);
-                 decr remaining)))
-        clients;
-      while !remaining > 0 do
-        Des.Proc.sleep 0.05
-      done;
-      let g = Ensemble.group_stats ens in
-      check bool_c "a batch flushed full" true (g.Types.flush_full >= 1);
-      (* A size-triggered flush answers before the timeout could have. *)
-      check bool_c "first ack beat the batch deadline" true
-        (!first_ack < t0 +. 0.45))
+(* Worst one-way delay of the ensemble's LAN (0.1–0.3 ms per hop). *)
+let max_hop = 0.0003
 
-let test_flush_on_timeout () =
-  let config = cfg ~group_size:100 ~group_timeout:0.25 () in
+(* An idle leader seals a lone command at once: the write is acked after
+   one station round plus the client and replication round trips, with no
+   hold on top. *)
+let test_idle_leader_acks_at_once () =
+  let config = cfg () in
   Drive.ensemble ~config (fun sim ens ->
       ignore (Ensemble.await_leader ens);
       let c = Ensemble.connect ens ~name:"w" () in
@@ -156,8 +130,57 @@ let test_flush_on_timeout () =
       let t0 = Des.Sim.now sim in
       ok_write "solo write" (Client.write c ~key:"/solo" ~value:"v" ());
       let dt = Des.Sim.now sim -. t0 in
+      let bound = config.Types.op_service_time +. (4. *. max_hop) in
+      check bool_c
+        (Printf.sprintf "lone command acked in %.4fs (bound %.4fs)" dt bound)
+        true (dt <= bound))
+
+(* Writers that submit while the station serves a slow fsync all park,
+   and the flusher seals them together as soon as the station frees. *)
+let test_parked_writers_ride_next_flush () =
+  let writers = 24 in
+  let config = { (cfg ()) with Types.op_service_time = 0.05 } in
+  Drive.ensemble ~config (fun sim ens ->
+      ignore (Ensemble.await_leader ens);
+      let first = Ensemble.connect ens ~name:"first" () in
+      let clients =
+        List.init writers (fun i ->
+            Ensemble.connect ens ~name:(Printf.sprintf "w%d" i) ())
+      in
+      Des.Proc.sleep 1.0;
+      let remaining = ref (writers + 1) in
+      let write c key =
+        ignore
+          (Des.Proc.spawn ~name:("writer" ^ key) sim (fun () ->
+               ok_write key (Client.write c ~key ~value:"v" ());
+               decr remaining))
+      in
+      (* The first write takes the station for 50 ms ... *)
+      write first "/first";
+      Des.Proc.sleep 0.01;
+      (* ... and every later one parks behind it. *)
+      List.iteri (fun i c -> write c (Printf.sprintf "/k%d" i)) clients;
+      let deadline = Des.Sim.now sim +. 10. in
+      while !remaining > 0 && Des.Sim.now sim < deadline do
+        Des.Proc.sleep 0.05
+      done;
+      check int_c "every write acked" 0 !remaining;
       let g = Ensemble.group_stats ens in
-      check bool_c "a batch flushed on timeout" true (g.Types.flush_timeout >= 1);
+      check bool_c
+        (Printf.sprintf "largest batch %d holds all %d parked writers"
+           g.Types.max_batch writers)
+        true
+        (g.Types.max_batch >= writers))
+
+let test_flush_on_timeout () =
+  let config = cfg ~group_timeout:0.25 () in
+  Drive.ensemble ~config (fun sim ens ->
+      ignore (Ensemble.await_leader ens);
+      let c = Ensemble.connect ens ~name:"w" () in
+      Des.Proc.sleep 1.0;
+      let t0 = Des.Sim.now sim in
+      ok_write "solo write" (Client.write c ~key:"/solo" ~value:"v" ());
+      let dt = Des.Sim.now sim -. t0 in
       check bool_c
         (Printf.sprintf "lone command waited out the window (%.3fs)" dt)
         true
@@ -195,13 +218,11 @@ let test_group_commit_off_one_command_batches () =
 let arb_storm =
   let gen =
     QCheck.Gen.(
-      quad (int_range 1 4) (int_range 1 6) (int_range 1 8)
-        (oneofl [ 0.002; 0.05; 0.25 ]))
+      triple (int_range 1 4) (int_range 1 6) (oneofl [ 0.; 0.002; 0.05; 0.25 ]))
   in
   QCheck.make
-    ~print:(fun (c, n, gs, gt) ->
-      Printf.sprintf "clients=%d items=%d group_size=%d group_timeout=%.3f" c n
-        gs gt)
+    ~print:(fun (c, n, gt) ->
+      Printf.sprintf "clients=%d items=%d group_timeout=%.3f" c n gt)
     gen
 
 let prop_storm_exactly_once_fifo =
@@ -210,8 +231,8 @@ let prop_storm_exactly_once_fifo =
       "batched submissions are exactly-once, per-client FIFO, and flush \
        accounting balances"
     ~count:12 arb_storm
-    (fun (nclients, nitems, group_size, group_timeout) ->
-      let config = cfg ~group_size ~group_timeout () in
+    (fun (nclients, nitems, group_timeout) ->
+      let config = cfg ~group_timeout () in
       let total = nclients * nitems in
       let payload i j = Printf.sprintf "c%d-%d" i j in
       let submitted =
@@ -222,7 +243,7 @@ let prop_storm_exactly_once_fifo =
       let drained = ref [] in
       let gstats = ref None in
       Drive.ensemble ~config
-        ~seed:(17 + nclients + (13 * nitems) + group_size)
+        ~seed:(17 + nclients + (13 * nitems))
         (fun sim ens ->
           ignore (Ensemble.await_leader ens);
           let remaining = ref nclients in
@@ -269,15 +290,14 @@ let prop_storm_exactly_once_fifo =
              in
              mine = List.init nitems (fun j -> payload i (j + 1)))
            (List.init nclients (fun i -> i + 1))
-      (* Flush accounting: every flush was triggered by exactly one of
-         size or timeout, no batch exceeded the size bound, and every
-         enqueue rode some batch. *)
+      (* Flush accounting: no batch exceeded one append's worth of
+         entries, the histogram counts every flush, and every enqueue rode
+         some batch. *)
       &&
       match !gstats with
       | None -> false
       | Some g ->
-        g.Types.flushes = g.Types.flush_full + g.Types.flush_timeout
-        && g.Types.max_batch <= group_size
+        g.Types.max_batch <= Types.batch_limit
         && Array.fold_left ( + ) 0 g.Types.batch_hist = g.Types.flushes
         && g.Types.batched_cmds >= total)
 
@@ -352,7 +372,12 @@ let () =
           ( "unsafe-ack ablation acks early and loses the write",
             `Quick,
             test_unsafe_ack_acks_early_and_loses );
-          ("batch flushes when it reaches group_size", `Quick, test_flush_on_size);
+          ( "idle leader acks a lone command at once",
+            `Quick,
+            test_idle_leader_acks_at_once );
+          ( "writers parked during an fsync ride the next flush",
+            `Quick,
+            test_parked_writers_ride_next_flush );
           ("lone command flushes at the timeout", `Quick, test_flush_on_timeout);
           ( "group commit off: one command per flush",
             `Quick,

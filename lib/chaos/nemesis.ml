@@ -2,6 +2,7 @@ type env = {
   platform : Tropic.Platform.t;
   computes : (Data.Path.t * Devices.Compute.t) array;
   devices : Devices.Device.t list;
+  targets : Data.Path.t list;
   live_txns : unit -> int list;
   trace : string -> unit;
 }
@@ -197,18 +198,38 @@ let kind_of_action action =
   else if List.mem action switch then Devices.Schema.switch_kind
   else Devices.Schema.vm_host_kind
 
+(* Quarantined subtrees of every shard that has a leader. *)
+let quarantined platform =
+  List.init (Tropic.Platform.shard_count platform) (Tropic.Platform.shard_leader platform)
+  |> List.concat_map (function
+       | Some leader -> Tropic.Controller.quarantined leader
+       | None -> [])
+
 (* Arm the hang on one random device of the matching kind (arming every
    device would multiply each schedule step into one hang per device —
    and at a ~30 s deadline rescue each, a storm of them outlasts any
-   reasonable quiescence horizon). *)
+   reasonable quiescence horizon).  Only a device a later transaction can
+   reach is eligible: one the workload targets, with no quarantined
+   subtree in or above it (transactions there abort before any device
+   action).  A hang armed anywhere else is never hit. *)
 let hang_next_device_action t action =
+  let quarantined = quarantined t.nenv.platform in
+  let reachable root =
+    List.exists (Data.Path.equal root) t.nenv.targets
+    && not
+         (List.exists
+            (fun q -> Data.Path.is_prefix root q || Data.Path.is_prefix q root)
+            quarantined)
+  in
   let eligible =
     List.filter
-      (fun d -> Devices.Device.kind d = kind_of_action action)
+      (fun d ->
+        Devices.Device.kind d = kind_of_action action
+        && reachable (Devices.Device.root d))
       t.nenv.devices
   in
   match pick t eligible with
-  | None -> skip t (Printf.sprintf "no device runs %s" action)
+  | None -> skip t (Printf.sprintf "no reachable device runs %s" action)
   | Some device ->
     inject t
       (Printf.sprintf "arm one-shot %s hang on %s" action

@@ -13,6 +13,9 @@ type env = {
   platform : Tropic.Platform.t;
   computes : (Data.Path.t * Devices.Compute.t) array;
   devices : Devices.Device.t list;  (** fault-burst targets (all kinds) *)
+  targets : Data.Path.t list;
+      (** device roots the workload's transactions touch: the only ones a
+          hang is armed on *)
   live_txns : unit -> int list;  (** non-terminal submitted transactions *)
   trace : string -> unit;  (** one line per injected (or skipped) event *)
 }

@@ -206,6 +206,17 @@ let converge_expected_fates goal =
         h.Plan.Model.vms)
     goal.Plan.Model.hosts
 
+(* Device roots each workload's transactions touch: a chain's host and
+   its storage host.  The other workloads may touch any device. *)
+let workload_roots config devices = function
+  | Schedule.Chains ->
+    List.init config.txns (fun k ->
+        let _, host, _, _, _ = chain_plan config k in
+        [ Tcloud.Setup.compute_path host;
+          Tcloud.Setup.storage_path (host mod storage_hosts) ])
+    |> List.concat
+  | Schedule.Migrate | Schedule.Converge -> List.map Devices.Device.root devices
+
 (* ------------------------------------------------------------------ *)
 
 let run_one ?(trace = false) config ~schedule ~seed =
@@ -528,6 +539,9 @@ let run_one ?(trace = false) config ~schedule ~seed =
         Nemesis.platform;
         computes = inventory.Tcloud.Setup.computes;
         devices = inventory.Tcloud.Setup.devices;
+        targets =
+          workload_roots config inventory.Tcloud.Setup.devices
+            schedule.Schedule.workload;
         live_txns;
         trace = tr;
       }

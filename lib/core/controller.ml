@@ -151,12 +151,13 @@ type t = {
   mutable tree : Data.Tree.t;
   locks : Mglock.t;
   sched : Sched.t;
-  txns : (int, Txn.t) Hashtbl.t;
+  txns : (int, Txn.t) Hashtbl.t; (* live (non-terminal) transactions *)
   quarantine : Recon.Quarantine.t;
   mutable next_start_seq : int;
   mutable next_internal_txn : int; (* negative lock owners for reload *)
   mutable commits_since_checkpoint : int;
-  mutable prune_candidates : string list; (* terminal record keys *)
+  mutable prune_candidates : string list;
+      (* terminal record keys, collected only when checkpointing *)
   signaled : (int, unit) Hashtbl.t; (* txns with a pending signal key *)
   mutable max_request_seq : int; (* highest request item seq processed *)
   watchdog : Watchdog.t;
@@ -262,25 +263,31 @@ let inflight t =
     (fun _ (txn : Txn.t) n -> if txn.Txn.state = Txn.Started then n + 1 else n)
     t.txns 0
 
-let unfinished t =
-  Hashtbl.fold
-    (fun _ (txn : Txn.t) n -> if Txn.is_terminal txn.Txn.state then n else n + 1)
-    t.txns (Persist.unfinished t.persist)
+let unfinished t = Hashtbl.length t.txns + Persist.unfinished t.persist
+
+let held t =
+  Hashtbl.fold (fun id (txn : Txn.t) acc -> (id, txn.Txn.state) :: acc) t.txns []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let started_txns t =
-  Hashtbl.fold
-    (fun id (txn : Txn.t) acc ->
-      if txn.Txn.state = Txn.Started then id :: acc else acc)
-    t.txns []
-  |> List.sort compare
+  List.filter_map
+    (fun (id, state) -> if state = Txn.Started then Some id else None)
+    (held t)
 
 let quarantined t = Recon.Quarantine.to_list t.quarantine
 
 let persist t txn = Persist.write t.persist txn
 
+(* A terminal transaction leaves the table as its state is set, before
+   the record write, which can block on a barrier: no reader ever sees a
+   terminal entry.  Persist holds the record until its window is sent;
+   after that only a 2PC shadow leaves a trace, its tombstone in Twopc.
+   This is the table Recovery.rebuild gives a new leader. *)
 let finish t (txn : Txn.t) state =
   txn.Txn.state <- state;
   txn.Txn.finished_at <- Some (Des.Sim.now t.sim);
+  Hashtbl.remove t.txns txn.Txn.id;
+  Twopc.retire t.twopc txn;
   (* Finalization force-closes whatever the transaction still has open
      (root span, a replay cut short by a kill, a park span), so traces
      are balanced at quiescence no matter how the txn ended. *)
@@ -297,7 +304,8 @@ let finish t (txn : Txn.t) state =
   in
   Trace.close_all t.trace ~txn:txn.Txn.id ~attrs ();
   persist t txn;
-  t.prune_candidates <- Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
+  if t.cfg.checkpoint_every <> None then
+    t.prune_candidates <- Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
 
 (* ------------------------------------------------------------------ *)
 (* Transaction finalization *)
@@ -726,12 +734,13 @@ let rec schedule t =
 
 (* Request items are processed in key order and their seq numbers increase
    monotonically, so anything at or below [max_request_seq] is a redelivery
-   (a previous leader died after accepting but before deleting the item).
+   (a previous leader died after accepting but before deleting the item):
+   the watermark alone fences it, finished transactions included.
    Returns true when the scheduler must run: an admitted arrival is
    attempted at once, even behind parked transactions — the drain only
    touches the ready queue, so parked ones are not re-simulated. *)
 let accept_request t ~txn_id ~proc ~args =
-  if txn_id <= t.max_request_seq || Hashtbl.mem t.txns txn_id then false
+  if txn_id <= t.max_request_seq then false
   else begin
     t.max_request_seq <- txn_id;
     let txn =
@@ -960,7 +969,7 @@ let recover t =
   t.next_start_seq <- r.Recovery.next_start_seq;
   t.max_request_seq <- r.Recovery.max_request_seq;
   Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
-  t.prune_candidates <- r.Recovery.prune;
+  if t.cfg.checkpoint_every <> None then t.prune_candidates <- r.Recovery.prune;
   List.iter (fun id -> Hashtbl.replace t.signaled id ()) r.Recovery.signaled;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
@@ -1098,7 +1107,8 @@ let watch t () =
   in
   (* Prepared 2PC shadow transactions are excluded: they legitimately hold
      locks until the coordinator's decision, and the presumed-abort timeout
-     — not a KILL — is what unsticks them. *)
+     — not a KILL — is what unsticks them.  Sorted by id, so the signal
+     order of one scan does not follow the table's bucket layout. *)
   let started =
     Hashtbl.fold
       (fun id (txn : Txn.t) acc ->
@@ -1106,6 +1116,7 @@ let watch t () =
           (id, txn.Txn.log) :: acc
         else acc)
       t.txns []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   Watchdog.scan t.watchdog ~now:(Des.Sim.now t.sim) ~started ~signal
 

@@ -170,6 +170,11 @@ val inflight : t -> int
     plus record writes not yet durable — 0 at quiescence. *)
 val unfinished : t -> int
 
+(** Every transaction this instance holds, ascending by id, with its
+    state.  Only live ones: a transaction leaves as it turns terminal, so
+    the leader holds what {!Recovery.rebuild} gives a new leader. *)
+val held : t -> (int * Txn.state) list
+
 (** Ids of the in-flight (Started) transactions, ascending. *)
 val started_txns : t -> int list
 

@@ -104,6 +104,7 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
   let quarantine = ref [] and prune = ref [] in
   let terminal (txn : Txn.t) =
     if Twopc.is_cross shard txn then Twopc.recover_terminal twopc txn;
+    Twopc.retire twopc txn;
     prune := Txn.record_key_ns ns txn.Txn.id :: !prune
   in
   List.iter

@@ -46,7 +46,10 @@ type t = {
 
 (** Rebuild [txns], [locks], [sched] and the 2PC tables from [records],
     offering to the phyQ every single-shard Started transaction that is
-    neither queued, executing nor reported. *)
+    neither queued, executing nor reported.  [txns] gets the live
+    (Accepted, Deferred, Started) records only, and each terminal shadow
+    record leaves its {!Twopc.retire} tombstone: the state a leader that
+    never failed over holds. *)
 val rebuild :
   name:string ->
   Coord.Client.t ->

@@ -176,6 +176,9 @@ type t = {
       (* Started coordinator records left by recovery (flag: needs a phyQ
          offer), resolved against the decision record on the next drain *)
   mutable recovered_terminal : Txn.t list;
+  tombstones : (int, Txn.state) Hashtbl.t;
+      (* terminal state of every shadow that left the controller's table,
+         the answer to a redelivered Prepare *)
 }
 
 let create ?(trace = Trace.off) ?(barrier = ignore) ~name ~gclient ~shard
@@ -193,6 +196,7 @@ let create ?(trace = Trace.off) ?(barrier = ignore) ~name ~gclient ~shard
     parts = Hashtbl.create 8;
     recovered = [];
     recovered_terminal = [];
+    tombstones = Hashtbl.create 8;
   }
 
 let sid t = t.shard.Shard.sid
@@ -480,21 +484,21 @@ let end_with_verdict t ~local txn (part : part) verdict =
 
 (* Participant receives a Prepare.  First delivery spawns the shadow
    transaction; redeliveries (process-then-delete, coordinator retry after
-   fail-over) re-vote from current state. *)
+   fail-over) re-vote from current state, or from the tombstone of a
+   shadow that already ended. *)
 let handle_prepare t ~txns ~local ~gid ~coord ~roots =
-  match Hashtbl.find_opt txns gid with
-  | Some (txn : Txn.t) ->
+  match (Hashtbl.find_opt txns gid, Hashtbl.find_opt t.tombstones gid) with
+  | Some (txn : Txn.t), _ ->
     (match Hashtbl.find_opt t.parts gid with
      | Some part when txn.Txn.state = Txn.Started && not part.is_applied ->
        local (Revote txn)
-     | Some _ -> ()
-     | None ->
-       (match txn.Txn.state with
-        | Txn.Aborted reason -> send_vote t ~coord ~gid (Error reason)
-        | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Started
-        | Txn.Committed | Txn.Failed _ -> ()));
+     | Some _ | None -> ());
     false
-  | None ->
+  | None, Some (Txn.Aborted reason) ->
+    send_vote t ~coord ~gid (Error reason);
+    false
+  | None, Some _ -> false
+  | None, None ->
     let args =
       List.map (fun p -> Data.Value.Str (Data.Path.to_string p)) roots
     in
@@ -507,6 +511,9 @@ let handle_prepare t ~txns ~local ~gid ~coord ~roots =
       { coord; is_applied = false; deadline = deadline t };
     local (Admit txn);
     true
+
+let retire t (txn : Txn.t) =
+  if is_participant txn then Hashtbl.replace t.tombstones txn.Txn.id txn.Txn.state
 
 (* Participant receives the decision. *)
 let handle_decide t ~txns ~local ~gid ~commit ~log =

@@ -166,11 +166,19 @@ val revote : t -> Txn.t -> snap list -> unit
 (** The slice of [gid] was applied; the Finish deadline starts. *)
 val applied : t -> int -> unit
 
+(** A terminal transaction leaves the controller's table (or, read back
+    by recovery, never enters it).  A shadow leaves a tombstone with its
+    terminal state, so a redelivered Prepare gets its No vote again
+    instead of admitting a second shadow; other transactions leave
+    nothing. *)
+val retire : t -> Txn.t -> unit
+
 (** {1 Driving} *)
 
 (** Drain this shard's mailbox (process-then-delete), resolve what
-    recovery left in doubt, and run the deadline scan.  True when the
-    scheduler should run afterwards. *)
+    recovery left in doubt, and run the deadline scan.  [txns] is the
+    controller's table of live transactions.  True when the scheduler
+    should run afterwards. *)
 val drain :
   t -> txns:(int, Txn.t) Hashtbl.t -> local:(local -> unit) -> bool
 

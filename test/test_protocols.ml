@@ -146,6 +146,55 @@ let test_ablated_record_stores_nothing () =
       Alcotest.(check (list string)) "no 2pc keys" []
         (Coord.Client.get_children c "/tropic/2pc"))
 
+(* Twopc's mailbox of shard [sid]. *)
+let mailbox sid = Printf.sprintf "/tropic/2pc/q%03d" sid
+
+(* A Prepare redelivered after its shadow voted No and left the
+   controller's table gets No again, from the shadow's tombstone, and no
+   second shadow is admitted. *)
+let test_redelivered_prepare_votes_no_again () =
+  Drive.ensemble (fun sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let part = twopc sim ens 1 in
+      let c = Coord.Ensemble.connect ens ~name:"observer" () in
+      let deliver () =
+        ignore
+          (Coord.Recipes.enqueue c ~queue:(mailbox 1)
+             (Twopc.msg_to_string
+                (Twopc.Prepare
+                   { gid = 42; coord = 0; roots = [ Data.Path.v "/b" ] })))
+      in
+      let txns = Hashtbl.create 8 and admitted = ref [] in
+      let local = function
+        | Twopc.Admit txn ->
+          admitted := txn :: !admitted;
+          Hashtbl.replace txns txn.Txn.id txn
+        | Twopc.Revote _ | Twopc.Apply _ | Twopc.Decide_votes _ | Twopc.Offer _
+        | Twopc.End _ ->
+          ()
+      in
+      deliver ();
+      ignore (Twopc.drain part ~txns ~local);
+      (match !admitted with
+       | [ shadow ] ->
+         (* Ended as the controller ends a refusing shadow: terminal and
+            out of the table first, then the vote. *)
+         shadow.Txn.state <- Txn.Aborted "root missing";
+         Hashtbl.remove txns 42;
+         Twopc.retire part shadow;
+         Twopc.vote part 42 (Error "root missing")
+       | _ -> Alcotest.fail "the first delivery admits one shadow");
+      deliver ();
+      ignore (Twopc.drain part ~txns ~local);
+      Alcotest.(check int) "no second shadow" 1 (List.length !admitted);
+      let no =
+        Twopc.Prepared
+          { gid = 42; shard = 1; ok = false; reason = "root missing"; snaps = [] }
+      in
+      Alcotest.(check (list string)) "No, then No again"
+        [ Twopc.msg_to_string no; Twopc.msg_to_string no ]
+        (List.map snd (Coord.Client.children_values c (mailbox 0) 8)))
+
 (* ------------------------------------------------------------------ *)
 (* Persist *)
 
@@ -739,6 +788,8 @@ let () =
             test_racing_proposals_agree;
           Alcotest.test_case "ablated record: every proposal wins" `Quick
             test_ablated_record_stores_nothing;
+          Alcotest.test_case "redelivered Prepare of an ended shadow: No again"
+            `Quick test_redelivered_prepare_votes_no_again;
         ] );
       ( "persist",
         [

@@ -1051,6 +1051,89 @@ let test_e2e_failover_keeps_shard_stats () =
       check bool_c "every commit simulated" true
         (Metrics.Cdf.count st.Controller.simulate_lat >= 6))
 
+(* The leader forgets finished transactions: after hundreds of commits it
+   holds only the live ones, and exactly the table a standby recovering
+   from the coordination service at that instant rebuilds.  A hung stop
+   stays Started and a start of the same VM parks behind it, so the two
+   tables are compared while both are non-empty. *)
+let test_e2e_leader_holds_only_live_txns () =
+  let spec =
+    {
+      quick_spec with
+      Platform.worker_retry =
+        { Physical.default_retry with Physical.deadline = Some 10. };
+    }
+  in
+  with_platform ~spec (fun platform inv ->
+      let toggle proc =
+        let args =
+          if proc = "stopVM" then Tcloud.Procs.stop_vm_args ~host:host0 ~vm:"tg"
+          else Tcloud.Procs.start_vm_args ~host:host0 ~vm:"tg"
+        in
+        Platform.submit platform ~proc ~args
+      in
+      expect_committed "spawn"
+        (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "tg"));
+      for _ = 1 to 250 do
+        List.iter
+          (fun proc -> expect_committed proc (Platform.await platform (toggle proc)))
+          [ "stopVM"; "startVM" ]
+      done;
+      let leader = Platform.await_leader_controller platform in
+      check bool_c "500 commits on one leader" true
+        ((Controller.stats leader).Controller.committed >= 501);
+      check (Alcotest.list int_c) "no finished txn held" []
+        (List.map fst (Controller.held leader));
+      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+      Devices.Fault.hang_next
+        (Devices.Device.faults (Devices.Compute.device compute0))
+        ~action:Schema.act_stop_vm;
+      let stop = toggle "stopVM" in
+      let start = toggle "startVM" in
+      Des.Proc.sleep 2.;
+      let live = Controller.held leader in
+      check (Alcotest.list int_c) "only the live txns held" [ stop; start ]
+        (List.map fst live);
+      check int_c "every held txn unfinished, every write acked"
+        (List.length live) (Controller.unfinished leader);
+      (* A standby recovering now: the same ids, the same one Started. *)
+      let client =
+        Coord.Ensemble.connect (Platform.coord platform) ~name:"standby" ()
+      in
+      let ns = Proto.ns_of_shard 0 in
+      let persist = Persist.create ~name:"standby" ~ns ~client in
+      Persist.defer persist;
+      let checkpoint_seq, _ = Recovery.load_checkpoint client ~ns in
+      let recovered = Hashtbl.create 8 and shard = Shard.singleton ~roots:[] in
+      ignore
+        (Recovery.rebuild ~name:"standby" client ~ns ~shard ~checkpoint_seq
+           ~txns:recovered ~locks:(Mglock.create ()) ~sched:(Sched.create ())
+           ~twopc:
+             (Twopc.create ~name:"standby" ~gclient:client ~shard ~timeout:60.
+                (Platform.sim platform) ~record:true)
+           ~persist
+           (Recovery.records ~name:"standby" client ~ns));
+      Coord.Client.close client;
+      let started states =
+        List.filter_map
+          (fun (id, state) -> if state = Txn.Started then Some id else None)
+          states
+      in
+      let recovered =
+        Hashtbl.fold (fun id (txn : Txn.t) acc -> (id, txn.Txn.state) :: acc)
+          recovered []
+        |> List.sort compare
+      in
+      check (Alcotest.list int_c) "recovered ids" (List.map fst live)
+        (List.map fst recovered);
+      check (Alcotest.list int_c) "recovered Started" [ stop ]
+        (started recovered);
+      check (Alcotest.list int_c) "leader Started" [ stop ] (started live);
+      expect_committed "hung stop, rescued" (Platform.await platform stop);
+      expect_committed "parked start" (Platform.await platform start);
+      check (Alcotest.list int_c) "nothing held at the end" []
+        (List.map fst (Controller.held leader)))
+
 let test_e2e_reload_refuses_violating_state () =
   with_platform (fun platform inv ->
       let _, compute0 = inv.Tcloud.Setup.computes.(0) in
@@ -1816,6 +1899,7 @@ let suite =
     ("e2e: FIFO preserves submission order", `Quick, test_e2e_fifo_preserves_submission_order);
     ("e2e: controller failover loses nothing", `Quick, test_e2e_controller_failover_no_loss);
     ("e2e: failover keeps the shard's stats", `Quick, test_e2e_failover_keeps_shard_stats);
+    ("e2e: leader holds only live txns, as recovery does", `Quick, test_e2e_leader_holds_only_live_txns);
     ("e2e: failover preserves quarantine", `Quick, test_e2e_failover_preserves_quarantine);
     ("e2e: converge under failover", `Quick, test_e2e_converge_under_failover);
     ("e2e: reload refuses violating state", `Quick, test_e2e_reload_refuses_violating_state);

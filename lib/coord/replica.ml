@@ -52,9 +52,9 @@ type t = {
       (* element 0 is a sentinel standing for absolute index [log_base];
          absolute index i lives at [i - log_base] *)
   mutable log_base : int;
-  mutable snapshot : (int * int * string) option;
-      (* (last_included_index, last_included_term, serialized store);
-         stable storage, like term/vote/log *)
+  mutable snapshot : (int * int * Types.image) option;
+      (* (last_included_index, last_included_term, store image); stable
+         storage, like term/vote/log *)
   (* Effective membership: the latest configuration entry present in the
      log (committed or not — effective on append, Raft §4), on top of the
      configuration the snapshot/boot base carries. *)
@@ -261,9 +261,9 @@ let maybe_compact r =
   let threshold = r.config.Types.snapshot_threshold in
   if threshold > 0 && r.applied_ops >= threshold then begin
     let old_base = r.log_base in
-    let data = Data.Sexp.to_string (Store.to_sexp r.machine) in
+    let image = Store.freeze r.machine in
     let included_term = term_at r r.last_applied in
-    r.snapshot <- Some (r.last_applied, included_term, data);
+    r.snapshot <- Some (r.last_applied, included_term, image);
     let compacted = Vec.create () in
     Vec.push compacted { Types.term = included_term; cmd = Types.Noop };
     for i = r.last_applied + 1 to last_log_index r do
@@ -277,6 +277,7 @@ let maybe_compact r =
     r.snapshot_members <- Store.members r.machine;
     if r.config_index > old_base && r.config_index <= r.log_base then
       r.config_base <- r.config_index;
+    r.stats.Types.compactions <- r.stats.Types.compactions + 1;
     Log.info (fun m ->
         m "replica %d: compacted log up to index %d" r.rid r.last_applied)
   end
@@ -720,31 +721,28 @@ let handle_install_snapshot r src ~session ~term ~last_included_index
       (* Stale snapshot: we already have this prefix applied. *)
       reply ~success:true ~match_index:r.last_applied
     else begin
-      match Result.bind (Data.Sexp.of_string data) Store.of_sexp with
-      | Error reason ->
-        Log.err (fun m -> m "replica %d: corrupt snapshot: %s" r.rid reason)
-      | Ok machine ->
-        r.machine <- machine;
-        let fresh = Vec.create () in
-        Vec.push fresh { Types.term = last_included_term; cmd = Types.Noop };
-        r.log <- fresh;
-        r.log_base <- last_included_index;
-        r.commit_index <- last_included_index;
-        r.last_applied <- last_included_index;
-        r.applied_ops <- 0;
-        r.snapshot <- Some (last_included_index, last_included_term, data);
-        (* The snapshot carries the configuration as of its index; with
-           the log reset, it is also the effective one.  A learner listed
-           in it has its membership confirmed. *)
-        r.snapshot_members <- Store.members machine;
-        r.config_base <- last_included_index;
-        r.members <- r.snapshot_members;
-        r.config_index <- r.config_base;
-        if Types.member r.snapshot_members r.rid then r.voting <- true;
-        Log.info (fun m ->
-            m "replica %d: installed snapshot at index %d" r.rid
-              last_included_index);
-        reply ~success:true ~match_index:last_included_index
+      r.machine <- Store.thaw data;
+      let fresh = Vec.create () in
+      Vec.push fresh { Types.term = last_included_term; cmd = Types.Noop };
+      r.log <- fresh;
+      r.log_base <- last_included_index;
+      r.commit_index <- last_included_index;
+      r.last_applied <- last_included_index;
+      r.applied_ops <- 0;
+      r.snapshot <- Some (last_included_index, last_included_term, data);
+      (* The snapshot carries the configuration as of its index; with the
+         log reset, it is also the effective one.  A learner listed in it
+         has its membership confirmed. *)
+      r.snapshot_members <- Store.members r.machine;
+      r.config_base <- last_included_index;
+      r.members <- r.snapshot_members;
+      r.config_index <- r.config_base;
+      if Types.member r.snapshot_members r.rid then r.voting <- true;
+      r.stats.Types.snapshot_installs <- r.stats.Types.snapshot_installs + 1;
+      Log.info (fun m ->
+          m "replica %d: installed snapshot at index %d" r.rid
+            last_included_index);
+      reply ~success:true ~match_index:last_included_index
     end
   end
 
@@ -978,21 +976,12 @@ let reset_volatile r =
   (* Stable state (term, vote, log, snapshot) survives; the applied store
      is rebuilt from the snapshot, then the retained log replays on top. *)
   (match r.snapshot with
-   | Some (index, _, data) ->
-     (match Result.bind (Data.Sexp.of_string data) Store.of_sexp with
-      | Ok machine ->
-        r.machine <- machine;
-        r.commit_index <- index;
-        r.last_applied <- index;
-        r.snapshot_members <- Store.members machine;
-        r.config_base <- index
-      | Error reason ->
-        Log.err (fun m -> m "replica %d: corrupt snapshot on restart: %s" r.rid reason);
-        r.machine <- Store.create ~members:r.base_members ();
-        r.commit_index <- r.log_base;
-        r.last_applied <- r.log_base;
-        r.snapshot_members <- r.base_members;
-        r.config_base <- 0)
+   | Some (index, _, image) ->
+     r.machine <- Store.thaw image;
+     r.commit_index <- index;
+     r.last_applied <- index;
+     r.snapshot_members <- Store.members r.machine;
+     r.config_base <- index
    | None ->
      r.machine <- Store.create ~members:r.base_members ();
      r.commit_index <- 0;

@@ -1,8 +1,10 @@
-module Smap = Map.Make (String)
-module Imap = Map.Make (Int)
+module Smap = Types.Smap
+module Imap = Types.Imap
 
-type entry = { value : string; version : int; owner : int option }
+type entry = Types.entry = { value : string; version : int; owner : int option }
 
+(* The fields of a [Types.image], each replaced (never mutated in place)
+   by an apply, plus this instance's own gap counter. *)
 type t = {
   mutable entries : entry Smap.t;
   mutable seq_counter : int;
@@ -187,118 +189,21 @@ let apply t cmd =
         (Types.Config_ok, []))
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot codec *)
+(* Snapshots (log compaction) *)
 
-let rec result_to_sexp =
-  let open Data.Sexp in
-  function
-  | Types.Created k -> List [ Atom "created"; Atom k ]
-  | Types.Written v -> List [ Atom "written"; of_int v ]
-  | Types.Deleted_ok -> List [ Atom "deleted" ]
-  | Types.Expired_ok -> List [ Atom "expired" ]
-  | Types.Noop_ok -> List [ Atom "noop" ]
-  | Types.Config_ok -> List [ Atom "config" ]
-  | Types.Multi_ok rs -> List (Atom "multi" :: List.map result_to_sexp rs)
-  | Types.Op_failed Types.Key_missing -> List [ Atom "failed"; Atom "missing" ]
-  | Types.Op_failed Types.Key_exists -> List [ Atom "failed"; Atom "exists" ]
-  | Types.Op_failed Types.Bad_version -> List [ Atom "failed"; Atom "version" ]
-  | Types.Op_failed Types.Config_pending -> List [ Atom "failed"; Atom "pending" ]
-  | Types.Op_failed Types.Config_invalid -> List [ Atom "failed"; Atom "invalid" ]
+let freeze t =
+  {
+    Types.entries = t.entries;
+    seq_counter = t.seq_counter;
+    dedup = t.dedup;
+    members = t.members;
+  }
 
-let rec result_of_sexp =
-  let open Data.Sexp in
-  function
-  | List [ Atom "created"; Atom k ] -> Ok (Types.Created k)
-  | List [ Atom "written"; v ] ->
-    Result.map (fun v -> Types.Written v) (to_int v)
-  | List [ Atom "deleted" ] -> Ok Types.Deleted_ok
-  | List [ Atom "expired" ] -> Ok Types.Expired_ok
-  | List [ Atom "noop" ] -> Ok Types.Noop_ok
-  | List [ Atom "config" ] -> Ok Types.Config_ok
-  | List (Atom "multi" :: rs) ->
-    List.fold_right
-      (fun r acc ->
-        Result.bind acc (fun acc ->
-            Result.map (fun r -> r :: acc) (result_of_sexp r)))
-      rs (Ok [])
-    |> Result.map (fun rs -> Types.Multi_ok rs)
-  | List [ Atom "failed"; Atom "missing" ] -> Ok (Types.Op_failed Types.Key_missing)
-  | List [ Atom "failed"; Atom "exists" ] -> Ok (Types.Op_failed Types.Key_exists)
-  | List [ Atom "failed"; Atom "version" ] -> Ok (Types.Op_failed Types.Bad_version)
-  | List [ Atom "failed"; Atom "pending" ] ->
-    Ok (Types.Op_failed Types.Config_pending)
-  | List [ Atom "failed"; Atom "invalid" ] ->
-    Ok (Types.Op_failed Types.Config_invalid)
-  | other -> Error ("Store.result_of_sexp: " ^ to_string other)
-
-let to_sexp t =
-  let open Data.Sexp in
-  List
-    [
-      of_int t.seq_counter;
-      List (List.map of_int t.members);
-      List
-        (Smap.fold
-           (fun key e acc ->
-             List
-               [
-                 Atom key; Atom e.value; of_int e.version;
-                 (match e.owner with Some s -> of_int s | None -> Atom "none");
-               ]
-             :: acc)
-           t.entries []);
-      List
-        (Imap.fold
-           (fun session (req, result) acc ->
-             List [ of_int session; of_int req; result_to_sexp result ] :: acc)
-           t.dedup []);
-    ]
-
-let ( let* ) r f = Result.bind r f
-
-let of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List
-      [ seq; Data.Sexp.List members; Data.Sexp.List entries;
-        Data.Sexp.List dedup ] ->
-    let* seq_counter = Data.Sexp.to_int seq in
-    let* members =
-      List.fold_left
-        (fun acc m ->
-          let* acc = acc in
-          let* m = Data.Sexp.to_int m in
-          Ok (m :: acc))
-        (Ok []) members
-    in
-    let members = List.sort compare members in
-    let* entries =
-      List.fold_left
-        (fun acc entry ->
-          let* acc = acc in
-          match entry with
-          | Data.Sexp.List [ Data.Sexp.Atom key; Data.Sexp.Atom value; version; owner ] ->
-            let* version = Data.Sexp.to_int version in
-            let* owner =
-              match owner with
-              | Data.Sexp.Atom "none" -> Ok None
-              | o -> Result.map (fun s -> Some s) (Data.Sexp.to_int o)
-            in
-            Ok (Smap.add key { value; version; owner } acc)
-          | other -> Error ("bad store entry: " ^ Data.Sexp.to_string other))
-        (Ok Smap.empty) entries
-    in
-    let* dedup =
-      List.fold_left
-        (fun acc entry ->
-          let* acc = acc in
-          match entry with
-          | Data.Sexp.List [ session; req; result ] ->
-            let* session = Data.Sexp.to_int session in
-            let* req = Data.Sexp.to_int req in
-            let* result = result_of_sexp result in
-            Ok (Imap.add session (req, result) acc)
-          | other -> Error ("bad dedup entry: " ^ Data.Sexp.to_string other))
-        (Ok Imap.empty) dedup
-    in
-    Ok { entries; seq_counter; dedup; order_gaps = 0; members }
-  | other -> Error ("Store.of_sexp: " ^ Data.Sexp.to_string other)
+let thaw (image : Types.image) =
+  {
+    entries = image.entries;
+    seq_counter = image.seq_counter;
+    dedup = image.dedup;
+    order_gaps = 0;
+    members = image.members;
+  }

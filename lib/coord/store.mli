@@ -60,12 +60,17 @@ val ephemeral_owners : t -> int list
     child-watch on which should fire when [key] changes. *)
 val parent : string -> string option
 
-(** {1 Snapshot codec (log compaction)}
+(** {1 Snapshots (log compaction)}
 
     [apply] is deterministic, so every replica's store is identical at a
-    given applied index; a serialized store therefore serves as a Raft-style
-    snapshot: it captures entries, the sequential-name counter and the
-    request-deduplication table. *)
+    given applied index, and the store's state at that index serves as a
+    Raft-style snapshot: the entries, the sequential-name counter, the
+    request-deduplication table and the configuration. *)
 
-val to_sexp : t -> Data.Sexp.t
-val of_sexp : Data.Sexp.t -> (t, string) result
+(** The current state as an immutable image, in O(1): it shares the
+    store's persistent maps, and no later {!apply} to [t] changes it. *)
+val freeze : t -> Types.image
+
+(** A fresh store holding [image]'s state, in O(1); its {!order_gaps}
+    starts at 0.  Applies to it never reach [image]. *)
+val thaw : Types.image -> t

@@ -68,6 +68,26 @@ type op_result =
   | Op_failed of op_error
 
 (* ------------------------------------------------------------------ *)
+(* The replicated state machine's state *)
+
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+type entry = { value : string; version : int; owner : int option }
+
+(* A store's replicated state at one applied index.  Every component is a
+   persistent value, so taking an image copies nothing and no later apply
+   to the store it came from can reach it: the image is an exact snapshot,
+   and it stands for the bytes a deployment would keep on stable storage
+   and ship in an InstallSnapshot. *)
+type image = {
+  entries : entry Smap.t;
+  seq_counter : int;
+  dedup : (int * op_result) Imap.t; (* session -> last req, result *)
+  members : int list; (* configuration as of this index, sorted *)
+}
+
+(* ------------------------------------------------------------------ *)
 (* Client-visible queries (served at the leader, not replicated) *)
 
 type query =
@@ -126,7 +146,7 @@ type peer_msg =
       term : int;
       last_included_index : int;
       last_included_term : int;
-      data : string; (* serialized Store at last_included_index *)
+      data : image; (* the store at last_included_index *)
     }
 
 type request =
@@ -237,10 +257,20 @@ type membership_stats = {
       (* learners that reached their catch-up target and were promoted *)
   mutable stale_sessions_rejected : int;
       (* append replies dropped because their session id was stale *)
+  mutable compactions : int; (* log prefixes folded into a snapshot *)
+  mutable snapshot_installs : int;
+      (* snapshots a lagging replica adopted from its leader *)
 }
 
 let fresh_membership_stats () =
-  { joins = 0; leaves = 0; catchups = 0; stale_sessions_rejected = 0 }
+  {
+    joins = 0;
+    leaves = 0;
+    catchups = 0;
+    stale_sessions_rejected = 0;
+    compactions = 0;
+    snapshot_installs = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit counters, shared by every replica instance of an ensemble

@@ -276,6 +276,9 @@ let started_txns t =
 
 let quarantined t = Recon.Quarantine.to_list t.quarantine
 
+let signaled t =
+  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) t.signaled [])
+
 let persist t txn = Persist.write t.persist txn
 
 (* A terminal transaction leaves the table as its state is set, before
@@ -368,15 +371,29 @@ let rollback_logical t (txn : Txn.t) =
     Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
     Error (Printf.sprintf "logical undo #%d failed: %s" index reason)
 
+(* A signaled transaction's marker goes once the transaction is terminal
+   and no worker still has to read it.  The barrier makes the terminal
+   record durable first, so no leader ever finds the transaction Started
+   with its marker gone. *)
+let clear_signal t txn_id =
+  if Hashtbl.mem t.signaled txn_id then begin
+    Hashtbl.remove t.signaled txn_id;
+    Persist.barrier t.persist;
+    ignore
+      (Coord.Client.delete t.client ~key:(Proto.signal_key_ns t.ns txn_id) ())
+  end
+
 (* The one terminal transition: roll the logical layer back ([undo]; an
    undo that cannot apply fails the transaction), quarantine the write set
    when the layers diverge, persist the terminal state, release the locks
    and count the outcome ([count = false] for participant shadows, which
    the coordinator shard accounts for).  A decided cross-shard coordinator
    then hands its verdict to the participants — after its terminal record
-   is durable, since they take the finish marker as license to forget. *)
+   is durable, since they take the finish marker as license to forget.
+   Last, a signal marker goes, unless the transaction's worker is still
+   running ([worker_running], a KILL) and must read it to stop. *)
 let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
-    (txn : Txn.t) state =
+    ?(worker_running = false) (txn : Txn.t) state =
   let state =
     match (undo, state) with
     | true, (Txn.Aborted reason | Txn.Failed reason) -> (
@@ -400,7 +417,8 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
   if Twopc.decided t.twopc txn.Txn.id then begin
     Persist.flush t.persist;
     Twopc.finish t.twopc txn.Txn.id state
-  end
+  end;
+  if not worker_running then clear_signal t txn.Txn.id
 
 let mark_started t (txn : Txn.t) ~locks =
   txn.Txn.state <- Txn.Started;
@@ -774,7 +792,10 @@ let accept_request t ~txn_id ~proc ~args =
 
 let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
   match Hashtbl.find_opt t.txns txn_id with
-  | None -> () (* unknown or already finalized by a previous leader *)
+  | None ->
+    (* Unknown, or already terminal: a killed transaction's worker has
+       now stopped, so its marker is done. *)
+    clear_signal t txn_id
   | Some txn ->
     if txn.Txn.state = Txn.Started then begin
       (* Accumulate the worker's robustness counters only on the first
@@ -817,15 +838,7 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
        | Proto.Phy_committed -> terminate t txn Txn.Committed
        | Proto.Phy_aborted reason -> terminate t ~undo:true txn (Txn.Aborted reason)
        | Proto.Phy_failed reason ->
-         terminate t ~undo:true ~quarantine:true txn (Txn.Failed reason));
-      (* Clean up the signal marker, if one was ever written. *)
-      if Hashtbl.mem t.signaled txn_id then begin
-        Hashtbl.remove t.signaled txn_id;
-        Persist.barrier t.persist;
-        ignore
-          (Coord.Client.delete t.client ~key:(Proto.signal_key_ns t.ns txn_id)
-             ())
-      end
+         terminate t ~undo:true ~quarantine:true txn (Txn.Failed reason))
     end
 
 (* ------------------------------------------------------------------ *)
@@ -870,8 +883,10 @@ let handle_signal t ~txn_id signal =
              is left as-is.  Recorded as Failed so the cross-layer
              inconsistency (and its quarantine) survives a controller
              fail-over until reconciliation; a decided cross-shard
-             coordinator passes the verdict on to its participants. *)
-          terminate t ~undo:true ~quarantine:true txn
+             coordinator passes the verdict on to its participants.  The
+             worker stops at its next step only by reading the marker, so
+             the marker stays until the worker's result comes in. *)
+          terminate t ~undo:true ~quarantine:true ~worker_running:true txn
             (Txn.Failed "killed by operator");
           Health.forget_probe t.health ~txn:txn_id;
           Hashtbl.remove t.started_at txn_id)

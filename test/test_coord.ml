@@ -190,20 +190,65 @@ let test_store_multi_dedup () =
   check int_c "retry changes nothing" 0 (List.length changed2);
   check int_c "applied once" 2 (Store.size s)
 
-let test_store_multi_snapshot () =
-  let s = Store.create () in
-  let r1, _ = Store.apply s (multi_cmd ~req:3) in
-  match
-    Result.bind
-      (Data.Sexp.of_string (Data.Sexp.to_string (Store.to_sexp s)))
-      Store.of_sexp
-  with
-  | Error e -> Alcotest.fail e
-  | Ok restored ->
-    let r2, changed = Store.apply restored (multi_cmd ~req:3) in
-    check bool_c "cached Multi_ok survives the snapshot" true (r1 = r2);
-    check int_c "no re-apply after restore" 0 (List.length changed);
-    check int_c "same entries" (Store.size s) (Store.size restored)
+(* A frozen image answers exactly as the store did when it was taken,
+   whatever the store applies afterwards. *)
+let test_store_image_isolated () =
+  let setup () =
+    let s = Store.create ~members:[ 0; 1; 2 ] () in
+    List.iter
+      (fun cmd -> ignore (Store.apply s cmd))
+      [ mk_create ~req:1 "/a" "a1";
+        mk_create ~req:2 "/d" "d1";
+        mk_create ~session:2 ~req:1 ~ephemeral:true "/e" "e1";
+        multi_cmd ~req:3 ];
+    s
+  in
+  let reference = setup () in
+  let s = setup () in
+  let image = Store.freeze s in
+  List.iter
+    (fun cmd -> ignore (Store.apply s cmd))
+    [ mk_create ~session:1 ~req:4 "/b" "b1";
+      Types.Write
+        { session = 1; req = 5; key = "/a"; value = "a2"; expect_version = None };
+      Types.Delete { session = 1; req = 6; key = "/d"; expect_version = None };
+      Types.Multi
+        {
+          session = 1;
+          req = 7;
+          ops =
+            [ Types.Op_create
+                { key = "/q/item-"; value = "y"; ephemeral = false;
+                  sequential = true };
+              Types.Op_write { key = "/a"; value = "x"; expect_version = Some 9 } ];
+        };
+      Types.Expire_session 2 ];
+  check bool_c "the live store moved on" true
+    (Store.get s "/a" = Some ("a2", 2) && not (Store.exists s "/e"));
+  let thawed = Store.thaw image in
+  List.iter
+    (fun key ->
+      check
+        (Alcotest.option (Alcotest.pair string_c int_c))
+        ("value and version of " ^ key)
+        (Store.get reference key) (Store.get thawed key))
+    [ "/a"; "/b"; "/d"; "/e"; "/rec" ];
+  check (Alcotest.list string_c) "same keys under /q"
+    (Store.children reference "/q") (Store.children thawed "/q");
+  check int_c "same size" (Store.size reference) (Store.size thawed);
+  check (Alcotest.list int_c) "same ephemeral owners"
+    (Store.ephemeral_owners reference) (Store.ephemeral_owners thawed);
+  check (Alcotest.list int_c) "same members" (Store.members reference)
+    (Store.members thawed);
+  let next s =
+    Store.apply s (mk_create ~session:3 ~req:1 ~sequential:true "/q/item-" "z")
+  in
+  check bool_c "same next sequential name" true (next reference = next thawed);
+  let retried, changed = Store.apply thawed (multi_cmd ~req:3) in
+  check bool_c "the cached Multi_ok answers the retry" true
+    (retried = fst (Store.apply reference (multi_cmd ~req:3)));
+  check int_c "a retry changes nothing" 0 (List.length changed);
+  check int_c "no order gap on a thawed store" 0 (Store.order_gaps thawed)
 
 let test_store_parent () =
   check (Alcotest.option string_c) "parent" (Some "/a/b")
@@ -1086,41 +1131,138 @@ let test_rejoin_after_compaction_repeated_crashes () =
       Des.Proc.sleep 2.;
       Client.close c)
 
-let store_snapshot_roundtrip_prop =
-  QCheck.Test.make ~name:"store snapshot codec roundtrip" ~count:100
-    store_ops_arbitrary (fun ops ->
-      let store = Store.create () in
-      let req = ref 0 in
-      List.iter
-        (fun op ->
-          incr req;
-          ignore
-            (match op with
-             | S_create (key, value, sequential) ->
-               Store.apply store
-                 (Types.Create
-                    { session = 1; req = !req; key; value;
-                      ephemeral = false; sequential })
-             | S_write (key, value, expect_version) ->
-               Store.apply store
-                 (Types.Write { session = 1; req = !req; key; value; expect_version })
-             | S_delete (key, expect_version) ->
-               Store.apply store
-                 (Types.Delete { session = 1; req = !req; key; expect_version })))
-        ops;
-      match Result.bind (Data.Sexp.of_string (Data.Sexp.to_string (Store.to_sexp store))) Store.of_sexp with
-      | Error _ -> false
-      | Ok restored ->
-        Store.size restored = Store.size store
-        (* Replays after the snapshot behave identically: dedup survives. *)
-        && Store.apply restored
-             (Types.Create
-                { session = 1; req = !req; key = "/any"; value = "v";
-                  ephemeral = false; sequential = false })
-           = Store.apply store
-               (Types.Create
-                  { session = 1; req = !req; key = "/any"; value = "v";
-                    ephemeral = false; sequential = false }))
+(* Snapshot plus log tail: for every split point k, thawing the image
+   frozen after k commands and applying the rest must leave the same
+   store as applying them all.  The commands cover sequential and
+   ephemeral creates, versioned and blind writes and deletes, multis that
+   can fail, session expiries and retries of a session's last request. *)
+type tail_op =
+  | T_create of int * string * bool * bool (* session, key, ephemeral, sequential *)
+  | T_write of int * string * int option
+  | T_delete of int * string * int option
+  | T_multi of int * (string * int option) list
+      (* session; a create of each key, or a versioned write when a
+         version is given *)
+  | T_expire of int
+  | T_retry of int (* re-send the session's last command *)
+
+let tail_op_gen =
+  let open QCheck.Gen in
+  let session = int_range 1 3 in
+  let key = oneofl [ "/s/a"; "/s/b"; "/s/c"; "/s/item-" ] in
+  let version = oneof [ return None; map Option.some (int_range 1 3) ] in
+  frequency
+    [
+      (3, map4 (fun s k e q -> T_create (s, k, e, q)) session key bool bool);
+      (3, map3 (fun s k v -> T_write (s, k, v)) session key version);
+      (2, map3 (fun s k v -> T_delete (s, k, v)) session key version);
+      ( 2,
+        map2
+          (fun s ops -> T_multi (s, ops))
+          session
+          (list_size (int_range 1 3) (pair key version)) );
+      (1, map (fun s -> T_expire s) session);
+      (1, map (fun s -> T_retry s) session);
+    ]
+
+let print_tail_op = function
+  | T_create (s, k, e, q) -> Printf.sprintf "s%d create %s eph=%b seq=%b" s k e q
+  | T_write (s, k, v) ->
+    Printf.sprintf "s%d write %s v=%s" s k
+      (Option.fold ~none:"-" ~some:string_of_int v)
+  | T_delete (s, k, v) ->
+    Printf.sprintf "s%d delete %s v=%s" s k
+      (Option.fold ~none:"-" ~some:string_of_int v)
+  | T_multi (s, ops) ->
+    Printf.sprintf "s%d multi [%s]" s
+      (String.concat "; "
+         (List.map
+            (fun (k, v) ->
+              k ^ Option.fold ~none:"" ~some:(Printf.sprintf " v=%d") v)
+            ops))
+  | T_expire s -> Printf.sprintf "expire s%d" s
+  | T_retry s -> Printf.sprintf "s%d retry" s
+
+(* Number the commands per session, as a client would. *)
+let tail_cmds ops =
+  let reqs = Hashtbl.create 4 and last = Hashtbl.create 4 in
+  let next session =
+    let req = 1 + Option.value ~default:0 (Hashtbl.find_opt reqs session) in
+    Hashtbl.replace reqs session req;
+    req
+  in
+  let remember session cmd =
+    Hashtbl.replace last session cmd;
+    Some cmd
+  in
+  List.filter_map
+    (function
+      | T_create (session, key, ephemeral, sequential) ->
+        remember session
+          (Types.Create
+             { session; req = next session; key; value = "v"; ephemeral;
+               sequential })
+      | T_write (session, key, expect_version) ->
+        remember session
+          (Types.Write
+             { session; req = next session; key; value = "w"; expect_version })
+      | T_delete (session, key, expect_version) ->
+        remember session
+          (Types.Delete { session; req = next session; key; expect_version })
+      | T_multi (session, ops) ->
+        let ops =
+          List.map
+            (function
+              | key, None ->
+                Types.Op_create
+                  { key; value = "m"; ephemeral = false; sequential = false }
+              | key, Some v ->
+                Types.Op_write { key; value = "m"; expect_version = Some v })
+            ops
+        in
+        remember session (Types.Multi { session; req = next session; ops })
+      | T_expire session -> Some (Types.Expire_session session)
+      | T_retry session -> Hashtbl.find_opt last session)
+    ops
+
+(* Everything a client can observe: each key's value, version and owner,
+   the sequence counter and the dedup table's cached answers. *)
+let store_dump s =
+  let image = Store.freeze s in
+  ( Types.Smap.bindings image.Types.entries,
+    image.Types.seq_counter,
+    Types.Imap.bindings image.Types.dedup,
+    Store.members s )
+
+let snapshot_tail_prop =
+  QCheck.Test.make ~name:"store snapshot plus log tail equals full replay"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_tail_op ops))
+       QCheck.Gen.(list_size (int_bound 30) tail_op_gen))
+    (fun ops ->
+      let cmds = Array.of_list (tail_cmds ops) in
+      let n = Array.length cmds in
+      let full = Store.create ~members:[ 0; 1; 2 ] () in
+      let images = Array.make (n + 1) (Store.freeze full) in
+      let results =
+        Array.mapi
+          (fun k cmd ->
+            let r = Store.apply full cmd in
+            images.(k + 1) <- Store.freeze full;
+            r)
+          cmds
+      in
+      let expected = store_dump full in
+      List.for_all
+        (fun k ->
+          let s = Store.thaw images.(k) in
+          let tail_ok = ref true in
+          for i = k to n - 1 do
+            if Store.apply s cmds.(i) <> results.(i) then tail_ok := false
+          done;
+          !tail_ok && store_dump s = expected)
+        (List.init (n + 1) Fun.id))
 
 let suite =
   [
@@ -1135,7 +1277,7 @@ let suite =
     ("store: parent", `Quick, test_store_parent);
     ("store: multi is all or none", `Quick, test_store_multi_all_or_none);
     ("store: multi retry answers the cached result", `Quick, test_store_multi_dedup);
-    ("store: multi result survives a snapshot", `Quick, test_store_multi_snapshot);
+    ("store: a frozen image is isolated from later applies", `Quick, test_store_image_isolated);
     ("ensemble: single leader elected", `Quick, test_single_leader_elected);
     ("client: kv roundtrip", `Quick, test_client_kv_roundtrip);
     ("ensemble: replicas converge", `Quick, test_replicas_converge);
@@ -1168,7 +1310,7 @@ let suite =
     ( "compaction: rejoin after repeated crashes mid-install",
       `Quick,
       test_rejoin_after_compaction_repeated_crashes );
-    QCheck_alcotest.to_alcotest store_snapshot_roundtrip_prop;
+    QCheck_alcotest.to_alcotest snapshot_tail_prop;
   ]
 
 let () = Alcotest.run "coord" [ ("coord", suite) ]

@@ -722,7 +722,15 @@ let test_e2e_kill_signal_quarantines_then_repair () =
       Des.Proc.sleep 5.;
       ignore inv;
       expect_committed "post-KILL spawn"
-        (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "k2")))
+        (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "k2"));
+      (* The killed worker has reported, so the marker is gone from the
+         store and from the leader's table. *)
+      check (Alcotest.list string_c) "no signal marker left" []
+        (Coord.Store.children
+           (Coord.Ensemble.leader_store (Platform.coord platform))
+           (Proto.signals_prefix_ns Proto.default_ns));
+      check (Alcotest.list int_c) "leader tracks no signal" []
+        (Controller.signaled (Platform.await_leader_controller platform)))
 
 let test_e2e_repair_after_power_cycle () =
   with_platform (fun platform inv ->

@@ -251,14 +251,13 @@ let print_chaos_result ~with_trace r =
   if
     m.Coord.Types.joins > 0 || m.Coord.Types.leaves > 0
     || m.Coord.Types.stale_sessions_rejected > 0
-    || m.Coord.Types.compactions > 0
+    || m.Coord.Types.snapshot_installs > 0
   then
     Printf.printf
       "       membership: %d joins / %d leaves / %d catchups, %d stale \
-       sessions rejected, %d compactions / %d snapshot installs\n"
+       sessions rejected, %d snapshot installs\n"
       m.Coord.Types.joins m.Coord.Types.leaves m.Coord.Types.catchups
-      m.Coord.Types.stale_sessions_rejected m.Coord.Types.compactions
-      m.Coord.Types.snapshot_installs;
+      m.Coord.Types.stale_sessions_rejected m.Coord.Types.snapshot_installs;
   let g = r.Chaos.Runner.group in
   if g.Coord.Types.flushes > 0 then
     Printf.printf

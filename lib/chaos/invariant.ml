@@ -258,9 +258,10 @@ let check_trace ~at tracer =
 (* ------------------------------------------------------------------ *)
 (* Session order *)
 
-(* Every replica applies the whole committed log (from its snapshot on),
-   so a gap counted by one live replica is one in the log itself; take the
-   worst replica per shard. *)
+(* A replica's count covers the whole committed log it has applied, its
+   snapshot's share included (the image carries the count), so a gap
+   counted by one live replica is one in the log itself; take the worst
+   replica per shard. *)
 let session_order_gaps platform =
   List.fold_left ( + ) 0
     (List.init (Tropic.Platform.shard_count platform) (fun sid ->

@@ -425,15 +425,25 @@ let member_churn t delay gap =
             latency and will land after the remove/re-add. *)
          Des.Proc.sleep 0.15;
          Coord.Ensemble.remove_replica ens victim;
-         (* Clear the latency after [gap] from a side process: add_replica
-            below blocks until the learner catches up, which needs the
-            link back at LAN speed. *)
+         (* Cut the leader off from the victim while those replies land.
+            The leader folds every commit into its snapshot, so it would
+            answer the first of them with an install that catches the
+            fresh instance up past every stale match index at once; cut
+            off, the fresh instance is still empty when they land. *)
+         Des.Net.partition net [ victim ] [ leader ];
+         (* From a side process, heal the cut a further [delay] after the
+            last reply has landed, so what they did stays in view, and
+            clear the latency after [gap]: add_replica below blocks until
+            the learner catches up, which needs the link back at LAN
+            speed. *)
          ignore
            (Des.Proc.spawn
               ~name:(Printf.sprintf "nemesis-churn-clear-%d" victim)
               (Tropic.Platform.sim t.nenv.platform)
               (fun () ->
-                Des.Proc.sleep gap;
+                Des.Proc.sleep (2. *. delay);
+                Des.Net.heal net;
+                Des.Proc.sleep (Float.max 0. (gap -. (2. *. delay)));
                 Des.Net.set_node_delay net victim 0.));
          ignore (Coord.Ensemble.add_replica ens ~id:victim ());
          t.churning <- false;

@@ -315,13 +315,6 @@ let run_one ?(trace = false) config ~schedule ~seed =
             group_timeout =
               (if schedule.Schedule.name = "commit-storm" then 0.05
                else Coord.Types.default_config.Coord.Types.group_timeout);
-            (* Member-churn compacts every 100 ops, so each run takes
-               snapshots, restarts a crashed replica from one, and
-               catches every re-added (wiped) replica up by snapshot
-               install.  At the default no preset ever compacts. *)
-            snapshot_threshold =
-              (if schedule.Schedule.name = "member-churn" then 100
-               else Coord.Types.default_config.Coord.Types.snapshot_threshold);
           };
         controller_config;
         (* Generous enough that a healed 8 s partition does not expire

@@ -72,8 +72,8 @@ val members : t -> int list
 
 (** [add_replica e ?id ()] boots a fresh learner instance at [id] (default:
     the next node id) and asks the leader to add it; the leader catches
-    the learner up via log replay or snapshot before the configuration
-    changes.  If [id] hosted a replica before, that old instance is killed
+    the learner up, by snapshot install and then the entries it has not
+    applied, before the configuration changes.  If [id] hosted a replica before, that old instance is killed
     and replaced — the re-add case.  Returns the node id. *)
 val add_replica : t -> ?id:int -> unit -> int
 

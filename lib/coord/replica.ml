@@ -40,7 +40,6 @@ type batch_item = {
 type t = {
   rid : int;
   net : Types.msg Des.Net.t;
-  base_members : int list; (* canonical boot configuration *)
   boot_voting : bool;      (* false iff created as a learner *)
   stats : Types.membership_stats;
   gstats : Types.group_stats;
@@ -49,11 +48,12 @@ type t = {
   mutable term : int;
   mutable voted_for : int option;
   mutable log : Types.log_entry Vec.t;
-      (* element 0 is a sentinel standing for absolute index [log_base];
-         absolute index i lives at [i - log_base] *)
+      (* the entries past [log_base], which this replica has not applied;
+         element 0 is a sentinel carrying the term of absolute index
+         [log_base], and absolute index i lives at [i - log_base] *)
   mutable log_base : int;
-  mutable snapshot : (int * int * Types.image) option;
-      (* (last_included_index, last_included_term, store image); stable
+  mutable snapshot : Types.image;
+      (* the store as of [log_base] (the boot image at index 0); stable
          storage, like term/vote/log *)
   (* Effective membership: the latest configuration entry present in the
      log (committed or not — effective on append, Raft §4), on top of the
@@ -62,8 +62,8 @@ type t = {
   mutable config_index : int;
       (* log index the effective configuration took effect at; part of
          the replication session id *)
-  mutable snapshot_members : int list; (* configuration as of [log_base] *)
-  mutable config_base : int;           (* identifier for that base config *)
+  mutable config_base : int;
+      (* identifier for the snapshot's configuration *)
   mutable voting : bool;
       (* a learner may not campaign until it has seen evidence of its own
          membership (its Add entry, or a snapshot listing it) — otherwise
@@ -73,9 +73,6 @@ type t = {
   mutable leader_hint : int option;
   mutable commit_index : int;
   mutable last_applied : int;
-  mutable applied_ops : int;
-      (* store ops in the applied entries past [log_base]; compaction
-         counts these, not entries *)
   mutable machine : Store.t;
   progress : (int, progress) Hashtbl.t;
   mutable votes : int list;
@@ -99,9 +96,7 @@ let sim r = Des.Net.sim r.net
 let now r = Des.Sim.now (sim r)
 let is_leader r = r.role = Leader
 let term r = r.term
-let log_length r = Vec.length r.log - 1
 let log_base r = r.log_base
-let has_snapshot r = Option.is_some r.snapshot
 let store r = r.machine
 let station_busy_time r = Des.Station.busy_time r.station
 let members r = r.members
@@ -110,10 +105,6 @@ let quorum r = Types.quorum_of r.members
 let last_log_index r = r.log_base + Vec.length r.log - 1
 let entry_at r i = Vec.get r.log (i - r.log_base)
 let term_at r i = (entry_at r i).Types.term
-
-let entry r i =
-  if i > r.log_base && i <= last_log_index r then Some (entry_at r i).Types.cmd
-  else None
 
 let progress_snapshot r =
   Hashtbl.fold (fun peer p acc -> (peer, p.match_) :: acc) r.progress []
@@ -165,12 +156,12 @@ let note_config_append r index (cmd : Types.cmd) =
    configuration entry in the retained log.  Needed after a conflicting
    suffix was truncated below [config_index] and on restart. *)
 let rescan_membership r =
-  let members = ref r.snapshot_members in
+  let members = ref r.snapshot.Types.members in
   let cidx = ref r.config_base in
   let voting =
     ref
       (r.boot_voting
-      || (r.config_base > 0 && Types.member r.snapshot_members r.rid))
+      || (r.config_base > 0 && Types.member r.snapshot.Types.members r.rid))
   in
   for i = r.log_base + 1 to last_log_index r do
     match (entry_at r i).Types.cmd with
@@ -254,39 +245,36 @@ let fire_watches r changed_keys =
 (* ------------------------------------------------------------------ *)
 (* Commit and apply *)
 
-(* Fold the applied log prefix into a snapshot once it grows past the
-   threshold; every replica compacts independently (apply is deterministic,
-   so the snapshots agree). *)
-let maybe_compact r =
-  let threshold = r.config.Types.snapshot_threshold in
-  if threshold > 0 && r.applied_ops >= threshold then begin
-    let old_base = r.log_base in
-    let image = Store.freeze r.machine in
-    let included_term = term_at r r.last_applied in
-    r.snapshot <- Some (r.last_applied, included_term, image);
-    let compacted = Vec.create () in
-    Vec.push compacted { Types.term = included_term; cmd = Types.Noop };
-    for i = r.last_applied + 1 to last_log_index r do
-      Vec.push compacted (entry_at r i)
-    done;
-    r.log <- compacted;
-    r.log_base <- r.last_applied;
-    r.applied_ops <- 0;
+(* Restart the log at absolute index [base], whose entry had [term],
+   keeping the entries past it. *)
+let rebase_log r ~base ~term =
+  let log = Vec.create () in
+  Vec.push log { Types.term; cmd = Types.Noop };
+  for i = base + 1 to last_log_index r do
+    Vec.push log (entry_at r i)
+  done;
+  r.log <- log;
+  r.log_base <- base
+
+(* Fold the applied prefix into the snapshot after every apply round, so
+   the log holds only what this replica has not applied.  Every replica
+   compacts on its own (apply is deterministic, so the images agree); a
+   follower whose gap falls below the leader's base catches up by
+   Install_snapshot. *)
+let compact r =
+  if r.last_applied > r.log_base then begin
     (* The applied store carries the configuration as of the new base;
        keep the config identifier of an entry that got compacted away. *)
-    r.snapshot_members <- Store.members r.machine;
-    if r.config_index > old_base && r.config_index <= r.log_base then
+    if r.config_index > r.log_base && r.config_index <= r.last_applied then
       r.config_base <- r.config_index;
-    r.stats.Types.compactions <- r.stats.Types.compactions + 1;
-    Log.info (fun m ->
-        m "replica %d: compacted log up to index %d" r.rid r.last_applied)
+    rebase_log r ~base:r.last_applied ~term:(term_at r r.last_applied);
+    r.snapshot <- Store.freeze r.machine
   end
 
 let apply_committed r =
   while r.last_applied < r.commit_index do
     r.last_applied <- r.last_applied + 1;
     let entry = entry_at r r.last_applied in
-    r.applied_ops <- r.applied_ops + Types.cmd_ops entry.Types.cmd;
     let result, changed = Store.apply r.machine entry.Types.cmd in
     if r.role = Leader then begin
       (match Hashtbl.find_opt r.pending r.last_applied with
@@ -297,7 +285,7 @@ let apply_committed r =
       fire_watches r changed
     end
   done;
-  maybe_compact r
+  compact r
 
 let advance_commit r =
   let n = last_log_index r in
@@ -342,16 +330,10 @@ let send_append r peer =
   if next <= r.log_base then
     (* The entries this follower needs were compacted away: ship the
        snapshot instead (Raft's InstallSnapshot). *)
-    match r.snapshot with
-    | Some (last_included_index, last_included_term, data) ->
-      send_peer r peer
-        (Types.Install_snapshot
-           { session; term = r.term; last_included_index; last_included_term;
-             data })
-    | None ->
-      Log.err (fun m ->
-          m "replica %d: next_index %d below log base %d with no snapshot"
-            r.rid next r.log_base)
+    send_peer r peer
+      (Types.Install_snapshot
+         { session; term = r.term; last_included_index = r.log_base;
+           last_included_term = term_at r r.log_base; data = r.snapshot })
   else
     let prev = next - 1 in
     send_peer r peer
@@ -722,22 +704,22 @@ let handle_install_snapshot r src ~session ~term ~last_included_index
       reply ~success:true ~match_index:r.last_applied
     else begin
       r.machine <- Store.thaw data;
-      let fresh = Vec.create () in
-      Vec.push fresh { Types.term = last_included_term; cmd = Types.Noop };
-      r.log <- fresh;
-      r.log_base <- last_included_index;
+      (* Entries past the snapshot stay if the log agrees with it at its
+         index (Raft §7): this replica may have acknowledged them toward a
+         commit.  Otherwise the whole log goes. *)
+      if
+        last_included_index > last_log_index r
+        || term_at r last_included_index <> last_included_term
+      then Vec.truncate r.log 1;
+      rebase_log r ~base:last_included_index ~term:last_included_term;
       r.commit_index <- last_included_index;
       r.last_applied <- last_included_index;
-      r.applied_ops <- 0;
-      r.snapshot <- Some (last_included_index, last_included_term, data);
-      (* The snapshot carries the configuration as of its index; with the
-         log reset, it is also the effective one.  A learner listed in it
-         has its membership confirmed. *)
-      r.snapshot_members <- Store.members r.machine;
+      r.snapshot <- data;
+      (* The snapshot carries the configuration as of its index, and the
+         entries kept apply on top; a learner listed in it has its
+         membership confirmed. *)
       r.config_base <- last_included_index;
-      r.members <- r.snapshot_members;
-      r.config_index <- r.config_base;
-      if Types.member r.snapshot_members r.rid then r.voting <- true;
+      rescan_membership r;
       r.stats.Types.snapshot_installs <- r.stats.Types.snapshot_installs + 1;
       Log.info (fun m ->
           m "replica %d: installed snapshot at index %d" r.rid
@@ -908,13 +890,12 @@ let main_loop r () =
   done
 
 let create ?(learner = false) ?stats ?gstats ~net ~id ~members ~config () =
-  let base_members = List.sort compare members in
+  let machine = Store.create ~members () in
   let log = Vec.create () in
   Vec.push log { Types.term = 0; cmd = Types.Noop };
   {
     rid = id;
     net;
-    base_members;
     boot_voting = not learner;
     stats =
       (match stats with
@@ -929,18 +910,16 @@ let create ?(learner = false) ?stats ?gstats ~net ~id ~members ~config () =
     voted_for = None;
     log;
     log_base = 0;
-    snapshot = None;
-    members = base_members;
+    snapshot = Store.freeze machine;
+    members = Store.members machine;
     config_index = 0;
-    snapshot_members = base_members;
     config_base = 0;
     voting = not learner;
     role = Follower;
     leader_hint = None;
     commit_index = 0;
     last_applied = 0;
-    applied_ops = 0;
-    machine = Store.create ~members:base_members ();
+    machine;
     progress = Hashtbl.create 8;
     votes = [];
     election_deadline = 0.;
@@ -972,22 +951,13 @@ let stop r =
 let reset_volatile r =
   r.role <- Follower;
   r.leader_hint <- None;
-  r.applied_ops <- 0;
   (* Stable state (term, vote, log, snapshot) survives; the applied store
-     is rebuilt from the snapshot, then the retained log replays on top. *)
-  (match r.snapshot with
-   | Some (index, _, image) ->
-     r.machine <- Store.thaw image;
-     r.commit_index <- index;
-     r.last_applied <- index;
-     r.snapshot_members <- Store.members r.machine;
-     r.config_base <- index
-   | None ->
-     r.machine <- Store.create ~members:r.base_members ();
-     r.commit_index <- 0;
-     r.last_applied <- 0;
-     r.snapshot_members <- r.base_members;
-     r.config_base <- 0);
+     is rebuilt from the snapshot, and the log above it is replayed once
+     the leader says what is committed. *)
+  r.machine <- Store.thaw r.snapshot;
+  r.commit_index <- r.log_base;
+  r.last_applied <- r.log_base;
+  r.config_base <- r.log_base;
   (* Effective membership follows the surviving log and snapshot. *)
   r.voting <- r.boot_voting;
   rescan_membership r;

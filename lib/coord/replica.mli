@@ -23,9 +23,15 @@
     are dropped, so a node removed and re-added within one term cannot
     corrupt the fresh incarnation's progress tracking.
 
+    Every replica folds each apply round into its snapshot, the store's
+    immutable image ({!Store.freeze}), so its log holds only the entries
+    it has not applied; a follower whose gap the leader has already
+    folded away catches up by [Install_snapshot].
+
     Lifecycle is driven by {!Ensemble}: [create] then [start]; a crash is
     [stop] (plus {!Des.Net.crash}); a restart is [reset_volatile] then
-    [start] again — term, vote and log survive, mimicking stable storage. *)
+    [start] again — term, vote, log and snapshot survive, mimicking stable
+    storage. *)
 
 type t
 
@@ -55,8 +61,9 @@ val start : t -> unit
 (** Kill all processes; state is left in place (simulates stable storage). *)
 val stop : t -> unit
 
-(** Drop volatile state (role, commit index, applied store, sessions,
-    watches); keep term, vote and log. Call between [stop] and [start]. *)
+(** Drop volatile state (role, commit index, sessions, watches) and
+    rebuild the applied store from the snapshot; keep term, vote, log and
+    snapshot. Call between [stop] and [start]. *)
 val reset_volatile : t -> unit
 
 (** {1 Introspection (tests and harnesses)} *)
@@ -80,17 +87,11 @@ val last_log_index : t -> int
     replicated further than that peer's actual log. *)
 val progress_snapshot : t -> (int * int) list
 
-(** The command at absolute log index [i], if it is retained (past
-    {!log_base}, at most {!last_log_index}). *)
-val entry : t -> int -> Types.cmd option
-
-(** Retained (post-compaction) log entries. *)
-val log_length : t -> int
-
-(** Absolute index the retained log starts after (0 = never compacted). *)
+(** Absolute index the log starts after: the replica's last applied
+    index, which its snapshot covers.  The replica folds every apply
+    round into the snapshot, so its log holds only the entries it has
+    not applied, and at quiescence {!last_log_index} equals [log_base]. *)
 val log_base : t -> int
-
-val has_snapshot : t -> bool
 
 (** The replica's applied state machine — read-only use only. *)
 val store : t -> Store.t

@@ -4,14 +4,14 @@ module Imap = Types.Imap
 type entry = Types.entry = { value : string; version : int; owner : int option }
 
 (* The fields of a [Types.image], each replaced (never mutated in place)
-   by an apply, plus this instance's own gap counter. *)
+   by an apply. *)
 type t = {
   mutable entries : entry Smap.t;
   mutable seq_counter : int;
   mutable dedup : (int * Types.op_result) Imap.t; (* session -> last req, result *)
   mutable order_gaps : int;
       (* data commands applied past a hole in their session's request
-         sequence; local to this instance, not in the snapshot *)
+         sequence *)
   mutable members : int list;
       (* ensemble configuration as of the *applied* prefix; every
          instance must boot from the same list or replay diverges *)
@@ -196,6 +196,7 @@ let freeze t =
     Types.entries = t.entries;
     seq_counter = t.seq_counter;
     dedup = t.dedup;
+    order_gaps = t.order_gaps;
     members = t.members;
   }
 
@@ -204,6 +205,6 @@ let thaw (image : Types.image) =
     entries = image.entries;
     seq_counter = image.seq_counter;
     dedup = image.dedup;
-    order_gaps = 0;
+    order_gaps = image.order_gaps;
     members = image.members;
   }

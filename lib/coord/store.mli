@@ -29,8 +29,8 @@ val apply : t -> Types.cmd -> Types.op_result * string list
 (** Data commands (create, write, delete, multi) applied with a request
     number past [last + 1] for their session: a command of the session
     overtook or lost an earlier one.  Clients keep each session's commands
-    in send order, so this stays 0.  Counted by this instance since it was
-    created or restored; not part of the snapshot. *)
+    in send order, so this stays 0.  Part of the replicated state: the
+    image carries it, so a restored store keeps the count. *)
 val order_gaps : t -> int
 
 (** {1 Reads (not replicated)} *)
@@ -65,12 +65,13 @@ val parent : string -> string option
     [apply] is deterministic, so every replica's store is identical at a
     given applied index, and the store's state at that index serves as a
     Raft-style snapshot: the entries, the sequential-name counter, the
-    request-deduplication table and the configuration. *)
+    request-deduplication table, the session-order gap count and the
+    configuration. *)
 
 (** The current state as an immutable image, in O(1): it shares the
     store's persistent maps, and no later {!apply} to [t] changes it. *)
 val freeze : t -> Types.image
 
-(** A fresh store holding [image]'s state, in O(1); its {!order_gaps}
-    starts at 0.  Applies to it never reach [image]. *)
+(** A fresh store holding [image]'s state, in O(1).  Applies to it never
+    reach [image]. *)
 val thaw : Types.image -> t

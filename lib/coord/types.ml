@@ -79,11 +79,15 @@ type entry = { value : string; version : int; owner : int option }
    persistent value, so taking an image copies nothing and no later apply
    to the store it came from can reach it: the image is an exact snapshot,
    and it stands for the bytes a deployment would keep on stable storage
-   and ship in an InstallSnapshot. *)
+   and ship in an InstallSnapshot.  A replica folds every apply round
+   into its image, so the image is the whole applied history. *)
 type image = {
   entries : entry Smap.t;
   seq_counter : int;
   dedup : (int * op_result) Imap.t; (* session -> last req, result *)
+  order_gaps : int;
+      (* data commands applied past a hole in their session's request
+         sequence; apply is deterministic, so every replica agrees *)
   members : int list; (* configuration as of this index, sorted *)
 }
 
@@ -196,9 +200,6 @@ type config = {
   op_service_time : float;  (* leader service time per replicated op *)
   default_session_timeout : float; (* for sessions learned implicitly *)
   request_timeout : float;  (* client retry timeout *)
-  snapshot_threshold : int; (* applied ops (a multi counts each of its
-                               ops) kept in the log before compacting
-                               into a snapshot; 0 disables *)
   session_ids : bool;       (* reject append replies from a stale
                                replication session; ablation hook *)
   group_commit : bool;      (* batch client Submits into one append/fsync
@@ -218,7 +219,6 @@ let default_config =
     op_service_time = 0.0008;
     default_session_timeout = 10.0;
     request_timeout = 1.0;
-    snapshot_threshold = 50_000;
     session_ids = true;
     group_commit = true;
     group_timeout = 0.;
@@ -257,7 +257,6 @@ type membership_stats = {
       (* learners that reached their catch-up target and were promoted *)
   mutable stale_sessions_rejected : int;
       (* append replies dropped because their session id was stale *)
-  mutable compactions : int; (* log prefixes folded into a snapshot *)
   mutable snapshot_installs : int;
       (* snapshots a lagging replica adopted from its leader *)
 }
@@ -268,7 +267,6 @@ let fresh_membership_stats () =
     leaves = 0;
     catchups = 0;
     stale_sessions_rejected = 0;
-    compactions = 0;
     snapshot_installs = 0;
   }
 
@@ -311,14 +309,6 @@ let note_batch gs size =
   if size > gs.max_batch then gs.max_batch <- size;
   let b = group_hist_bucket size in
   gs.batch_hist.(b) <- gs.batch_hist.(b) + 1
-
-(* Store operations a command carries: what compaction counts, so a log of
-   multis compacts at the same data volume as one of single commands. *)
-let cmd_ops = function
-  | Multi { ops; _ } -> List.length ops
-  | Create _ | Write _ | Delete _ | Expire_session _ | Noop | Add_replica _
-  | Remove_replica _ ->
-    1
 
 let pp_op_error fmt e =
   Format.pp_print_string fmt

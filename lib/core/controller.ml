@@ -383,6 +383,33 @@ let clear_signal t txn_id =
       (Coord.Client.delete t.client ~key:(Proto.signal_key_ns t.ns txn_id) ())
   end
 
+(* A terminal transaction's marker stays while a worker may still run it:
+   one holds its executing marker, or its phyQ item waits to be taken.  A
+   worker that dies drops its ephemeral marker with its session, and one
+   that takes the item later finds the record terminal and runs nothing;
+   neither reports, so this process polls until neither holds.  The item
+   is read first, so a take between the two reads shows as a marker. *)
+let reap_signal t txn_id =
+  let payload = string_of_int txn_id in
+  let queued () =
+    List.exists
+      (fun (_, v) -> v = payload)
+      (Coord.Client.children_values t.client (Proto.phy_queue_ns t.ns) max_int)
+  in
+  let executing () =
+    Option.is_some
+      (Coord.Client.get t.client (Proto.executing_key_ns t.ns txn_id))
+  in
+  let reap () =
+    while Hashtbl.mem t.signaled txn_id && (queued () || executing ()) do
+      Des.Proc.sleep 1.0
+    done;
+    clear_signal t txn_id
+  in
+  t.procs <-
+    Des.Proc.spawn ~name:(Printf.sprintf "%s.reap-%d" t.cname txn_id) t.sim reap
+    :: t.procs
+
 (* The one terminal transition: roll the logical layer back ([undo]; an
    undo that cannot apply fails the transaction), quarantine the write set
    when the layers diverge, persist the terminal state, release the locks
@@ -390,8 +417,9 @@ let clear_signal t txn_id =
    the coordinator shard accounts for).  A decided cross-shard coordinator
    then hands its verdict to the participants — after its terminal record
    is durable, since they take the finish marker as license to forget.
-   Last, a signal marker goes, unless the transaction's worker is still
-   running ([worker_running], a KILL) and must read it to stop. *)
+   Last, a signal marker goes; if the transaction's worker may still be
+   running ([worker_running], a KILL) and must read it to stop, only once
+   no worker can run the transaction. *)
 let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
     ?(worker_running = false) (txn : Txn.t) state =
   let state =
@@ -418,7 +446,7 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
     Persist.flush t.persist;
     Twopc.finish t.twopc txn.Txn.id state
   end;
-  if not worker_running then clear_signal t txn.Txn.id
+  (if worker_running then reap_signal else clear_signal) t txn.Txn.id
 
 let mark_started t (txn : Txn.t) ~locks =
   txn.Txn.state <- Txn.Started;
@@ -792,10 +820,7 @@ let accept_request t ~txn_id ~proc ~args =
 
 let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
   match Hashtbl.find_opt t.txns txn_id with
-  | None ->
-    (* Unknown, or already terminal: a killed transaction's worker has
-       now stopped, so its marker is done. *)
-    clear_signal t txn_id
+  | None -> () (* unknown, or already terminal *)
   | Some txn ->
     if txn.Txn.state = Txn.Started then begin
       (* Accumulate the worker's robustness counters only on the first
@@ -885,7 +910,7 @@ let handle_signal t ~txn_id signal =
              fail-over until reconciliation; a decided cross-shard
              coordinator passes the verdict on to its participants.  The
              worker stops at its next step only by reading the marker, so
-             the marker stays until the worker's result comes in. *)
+             the marker stays until no worker can run the transaction. *)
           terminate t ~undo:true ~quarantine:true ~worker_running:true txn
             (Txn.Failed "killed by operator");
           Health.forget_probe t.health ~txn:txn_id;
@@ -985,7 +1010,11 @@ let recover t =
   t.max_request_seq <- r.Recovery.max_request_seq;
   Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
   if t.cfg.checkpoint_every <> None then t.prune_candidates <- r.Recovery.prune;
-  List.iter (fun id -> Hashtbl.replace t.signaled id ()) r.Recovery.signaled;
+  List.iter
+    (fun id ->
+      Hashtbl.replace t.signaled id ();
+      if not (Hashtbl.mem t.txns id) then reap_signal t id)
+    r.Recovery.signaled;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
         t.cname (List.length records) (Sched.length t.sched) (inflight t)

@@ -248,7 +248,16 @@ let test_store_image_isolated () =
   check bool_c "the cached Multi_ok answers the retry" true
     (retried = fst (Store.apply reference (multi_cmd ~req:3)));
   check int_c "a retry changes nothing" 0 (List.length changed);
-  check int_c "no order gap on a thawed store" 0 (Store.order_gaps thawed)
+  check int_c "thaw keeps the image's gap count" (Store.order_gaps reference)
+    (Store.order_gaps thawed);
+  (* A session's req 3 applied after its req 1 is a gap; a store restored
+     from an image taken after it still counts it. *)
+  let gapped = Store.create () in
+  ignore (Store.apply gapped (mk_create ~req:1 "/g1" "x"));
+  ignore (Store.apply gapped (mk_create ~req:3 "/g3" "x"));
+  check int_c "one gap applied" 1 (Store.order_gaps gapped);
+  check int_c "thaw keeps a non-zero gap count" 1
+    (Store.order_gaps (Store.thaw (Store.freeze gapped)))
 
 let test_store_parent () =
   check (Alcotest.option string_c) "parent" (Some "/a/b")
@@ -744,36 +753,33 @@ let multi_crash_prop =
 (* Ordered admission: a session's pipelined commands reach the log in
    send order *)
 
-(* The values a session's multis write, in the order the committed log
-   first applies them (a retry's later duplicate is deduped, not applied). *)
-let applied_values leader ~session =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun i ->
-      match Replica.entry leader i with
-      | Some (Types.Multi { session = s; req; ops = [ Types.Op_write { value; _ } ] })
-        when s = session && not (Hashtbl.mem seen req) ->
-        Hashtbl.replace seen req ();
-        Some (int_of_string value)
-      | Some _ | None -> None)
-    (List.init (Replica.last_log_index leader) (fun i -> i + 1))
+(* Write [i] of a stream sets "/pipe" to [i], expecting the version
+   [version] (an upsert when [None]).  Expecting the version the previous
+   write leaves makes it apply only right after that write, so a stream
+   whose writes all succeed was applied in send order.  Counts each
+   answer in [answers] and each failure in [failed]. *)
+let pipe_write c ~answers ~failed i version =
+  Client.multi_async c
+    [ Types.Op_write
+        { key = "/pipe"; value = string_of_int i; expect_version = version } ]
+    ~on_done:(fun result ->
+      answers.(i) <- answers.(i) + 1;
+      match result with Types.Op_failed _ -> incr failed | _ -> ())
 
 (* [n] multi_async writes of their own index to one key, all queued at once
    on one session under the default [Des.Net] latency (which reorders
    messages); with [kill_after], the coordination leader is crashed once
-   that many are answered.  Checks each is answered exactly once, the log
-   applies them in index order, no replica counted a session-order gap,
-   and the key ends at the last index. *)
+   that many are answered.  Checks each is answered exactly once, every
+   write applied (each expects the version its predecessor leaves, so
+   they applied in index order), no replica counted a session-order gap,
+   and the key ends at the last index, version [n]. *)
 let check_pipelined_stream ?kill_after n =
   Drive.ensemble (fun _sim ens ->
       let first_leader = Ensemble.await_leader ens in
       let c = Ensemble.connect ens ~name:"pipeline" () in
-      let answers = Array.make n 0 in
+      let answers = Array.make n 0 and failed = ref 0 in
       for i = 0 to n - 1 do
-        Client.multi_async c
-          [ Types.Op_write
-              { key = "/pipe"; value = string_of_int i; expect_version = None } ]
-          ~on_done:(fun _ -> answers.(i) <- answers.(i) + 1)
+        pipe_write c ~answers ~failed i (if i = 0 then None else Some i)
       done;
       let answered () = Array.fold_left (fun k a -> k + min a 1) 0 answers in
       Option.iter
@@ -794,9 +800,7 @@ let check_pipelined_stream ?kill_after n =
       let leader = Ensemble.await_leader ens in
       if kill_after <> None then
         check bool_c "a new leader took over" true (leader <> first_leader);
-      check (Alcotest.list int_c) "applied in send order" (List.init n Fun.id)
-        (applied_values (Ensemble.replica ens leader)
-           ~session:(Client.session_id c));
+      check int_c "applied in send order: no write failed" 0 !failed;
       List.iter
         (fun i ->
           if Ensemble.replica_up ens i then
@@ -804,9 +808,10 @@ let check_pipelined_stream ?kill_after n =
               (Printf.sprintf "replica %d counts no session-order gap" i)
               0 (Store.order_gaps (Replica.store (Ensemble.replica ens i))))
         (Ensemble.replica_ids ens);
-      check (Alcotest.option string_c) "last write wins"
-        (Some (string_of_int (n - 1)))
-        (Option.map fst (Client.get c "/pipe"));
+      check
+        (Alcotest.option (Alcotest.pair string_c int_c))
+        "last write wins, once per write" (Some (string_of_int (n - 1), n))
+        (Client.get c "/pipe");
       Client.close c)
 
 let test_pipelined_stream_in_order () = check_pipelined_stream 50
@@ -833,13 +838,9 @@ let test_pipelined_follows_query_hint () =
       Des.Net.partition (Ensemble.net ens) [ old_leader ]
         (List.filter (( <> ) old_leader) (Ensemble.replica_ids ens));
       let n = 11 in
-      let answers = Array.make n 0 in
-      let write i =
-        Client.multi_async c
-          [ Types.Op_write
-              { key = "/pipe"; value = string_of_int i; expect_version = None } ]
-          ~on_done:(fun _ -> answers.(i) <- answers.(i) + 1)
-      in
+      let answers = Array.make n 0 and failed = ref 0 in
+      (* "/pipe" is at version 1, so write [i] expects [i + 1]. *)
+      let write i = pipe_write c ~answers ~failed i (Some (i + 1)) in
       for i = 0 to n - 2 do write i done;
       Des.Proc.sleep 2.;
       Des.Net.heal (Ensemble.net ens);
@@ -855,15 +856,13 @@ let test_pipelined_follows_query_hint () =
         (Array.make n 1) answers;
       let leader = Ensemble.await_leader ens in
       check bool_c "a new leader took over" true (leader <> old_leader);
-      check (Alcotest.list int_c) "applied in send order" (List.init n Fun.id)
-        (List.filter (( <= ) 0)
-           (applied_values (Ensemble.replica ens leader)
-              ~session:(Client.session_id c)));
+      check int_c "applied in send order: no write failed" 0 !failed;
       check int_c "no session-order gap" 0
         (Store.order_gaps (Replica.store (Ensemble.replica ens leader)));
-      check (Alcotest.option string_c) "last write wins"
-        (Some (string_of_int (n - 1)))
-        (Option.map fst (Client.get c "/pipe"));
+      check
+        (Alcotest.option (Alcotest.pair string_c int_c))
+        "last write wins, once per write" (Some (string_of_int (n - 1), n + 1))
+        (Client.get c "/pipe");
       Client.close c)
 
 (* A controller's write path releases one window a millisecond or so
@@ -1003,13 +1002,25 @@ let test_divergent_log_truncated () =
       Client.close c)
 
 (* ------------------------------------------------------------------ *)
-(* Log compaction and snapshot installation *)
-
-let compaction_config =
-  { Types.default_config with Types.snapshot_threshold = 25 }
+(* Log compaction and snapshot installation: every replica folds each
+   apply round into its snapshot, so its log holds only the entries it
+   has not applied *)
 
 let with_compacting_ensemble scenario =
-  Drive.ensemble ~seed:9 ~config:compaction_config (fun _ ens -> scenario ens)
+  Drive.ensemble ~seed:9 (fun _ ens -> scenario ens)
+
+(* At quiescence every replica has applied its whole log, so nothing is
+   left past its base. *)
+let check_logs_folded ens =
+  List.iter
+    (fun i ->
+      let r = Ensemble.replica ens i in
+      check int_c
+        (Printf.sprintf "replica %d keeps nothing past its base" i)
+        (Replica.log_base r) (Replica.last_log_index r))
+    (Ensemble.replica_ids ens)
+
+let installs ens = (Ensemble.membership_stats ens).Types.snapshot_installs
 
 let write_n ?(from = 1) client n =
   for i = from to from + n - 1 do
@@ -1018,22 +1029,27 @@ let write_n ?(from = 1) client n =
          (Client.create client ~key:(Printf.sprintf "/cp/k%04d" i) ~value:"v" ()))
   done
 
+(* A blocking write returns once the leader has applied it, and the
+   leader compacts in the same step: after every write the leader's log
+   is empty past its base.  Followers learn each commit a heartbeat
+   later; at quiescence theirs are empty too. *)
 let test_compaction_bounds_log () =
   with_compacting_ensemble (fun ens ->
       let c = Ensemble.connect ens ~name:"compact-writer" () in
-      write_n c 120;
+      for i = 1 to 120 do
+        write_n ~from:i c 1;
+        let leader = Ensemble.replica ens (Ensemble.await_leader ens) in
+        if Replica.last_log_index leader <> Replica.log_base leader then
+          Alcotest.failf "after write %d the leader keeps %d applied entries" i
+            (Replica.last_log_index leader - Replica.log_base leader)
+      done;
       Des.Proc.sleep 2.;
+      check_logs_folded ens;
       List.iter
         (fun i ->
           let r = Ensemble.replica ens i in
-          check bool_c
-            (Printf.sprintf "replica %d log bounded" i)
-            true
-            (Replica.log_length r <= 60);
-          check bool_c (Printf.sprintf "replica %d snapshotted" i) true
-            (Replica.has_snapshot r);
           check bool_c (Printf.sprintf "replica %d base advanced" i) true
-            (Replica.log_base r > 0);
+            (Replica.log_base r >= 120);
           check int_c
             (Printf.sprintf "replica %d has all keys" i)
             120
@@ -1054,16 +1070,19 @@ let test_snapshot_install_catches_up_follower () =
       Des.Proc.sleep 1.;
       check bool_c "gap compacted on leader" true
         (Replica.log_base (Ensemble.replica ens leader) > 10);
+      let before = installs ens in
       Ensemble.restart_replica ens victim;
       Des.Proc.sleep 5.;
       let r = Ensemble.replica ens victim in
       check int_c "victim caught up via snapshot" 110
         (List.length (Store.children (Replica.store r) "/cp"));
-      check bool_c "victim adopted a snapshot" true (Replica.has_snapshot r);
+      check bool_c "victim adopted a snapshot" true (installs ens > before);
       (* And the cluster keeps serving. *)
       write_n ~from:111 c 5;
       check int_c "post-recovery writes" 115
         (List.length (Client.get_children c "/cp"));
+      Des.Proc.sleep 1.;
+      check_logs_folded ens;
       Client.close c)
 
 let test_restart_from_snapshot () =
@@ -1071,18 +1090,22 @@ let test_restart_from_snapshot () =
       let c = Ensemble.connect ens ~name:"writer" () in
       write_n c 80;
       Des.Proc.sleep 1.;
-      (* Restart a follower in place: it must rebuild from its own snapshot
-         plus the retained log tail, not from index zero. *)
+      (* Restart a follower in place: it must rebuild from its own snapshot,
+         not from index zero; that snapshot already holds every write. *)
       let leader = Ensemble.await_leader ens in
       let victim = (leader + 2) mod 3 in
-      check bool_c "victim snapshotted before crash" true
-        (Replica.has_snapshot (Ensemble.replica ens victim));
+      let keys () =
+        List.length
+          (Store.children (Replica.store (Ensemble.replica ens victim)) "/cp")
+      in
+      check bool_c "victim's snapshot covers the writes" true
+        (Replica.log_base (Ensemble.replica ens victim) >= 80);
       Ensemble.crash_replica ens victim;
       Ensemble.restart_replica ens victim;
+      check int_c "state rebuilt from the snapshot alone" 80 (keys ());
       Des.Proc.sleep 3.;
-      check int_c "state rebuilt" 80
-        (List.length
-           (Store.children (Replica.store (Ensemble.replica ens victim)) "/cp"));
+      check int_c "state rebuilt" 80 (keys ());
+      check_logs_folded ens;
       Client.close c)
 
 (* The openraft rejoin-bug family: a lagging follower whose gap was
@@ -1103,6 +1126,7 @@ let test_rejoin_after_compaction_repeated_crashes () =
         (Replica.log_base (Ensemble.replica ens leader) > 10);
       (* First rejoin attempt dies almost immediately — before the
          snapshot install completes. *)
+      let before = installs ens in
       Ensemble.restart_replica ens victim;
       Des.Proc.sleep 0.05;
       Ensemble.crash_replica ens victim;
@@ -1115,7 +1139,7 @@ let test_rejoin_after_compaction_repeated_crashes () =
       let r = Ensemble.replica ens victim in
       check int_c "victim converged after repeated crashes" 130
         (List.length (Store.children (Replica.store r) "/cp"));
-      check bool_c "victim adopted a snapshot" true (Replica.has_snapshot r);
+      check bool_c "victim adopted a snapshot" true (installs ens > before);
       check bool_c "victim's log base advanced" true (Replica.log_base r > 10);
       (* The rejoined follower really participates: with the other
          follower down, it is needed for quorum. *)
@@ -1129,7 +1153,47 @@ let test_rejoin_after_compaction_repeated_crashes () =
         (List.length (Client.get_children c "/cp"));
       Ensemble.restart_replica ens other;
       Des.Proc.sleep 2.;
+      check_logs_folded ens;
       Client.close c)
+
+(* Raft §7: a follower that already holds entries past an incoming
+   snapshot, agreeing with it at the snapshot's index, keeps them, since
+   it may have acknowledged them toward a commit.  A hand-driven leader
+   at node 1 appends entries 1–3 to the replica at node 0, then installs
+   a snapshot at index 1. *)
+let test_install_keeps_agreeing_suffix () =
+  let sim = Des.Sim.create ~seed:3 () in
+  let net = Des.Net.create sim ~nodes:2 in
+  let r =
+    Replica.create ~net ~id:0 ~members:[ 0; 1 ] ~config:Types.default_config ()
+  in
+  let session = { Types.s_term = 1; s_leader = 1; s_mlog = 0 } in
+  let send pm = Des.Net.send net ~src:1 ~dst:0 (Types.Peer pm) in
+  let cmd i = mk_create ~req:i (Printf.sprintf "/k%d" i) "v" in
+  let appended = ref 0 and installed = ref (0, 0) in
+  ignore
+    (Des.Proc.run ~until:0.2 sim (fun () ->
+         Replica.start r;
+         send
+           (Types.Append_entries
+              { session; term = 1; prev_log_index = 0; prev_log_term = 0;
+                entries =
+                  List.map (fun i -> { Types.term = 1; cmd = cmd i }) [ 1; 2; 3 ];
+                leader_commit = 0 });
+         Des.Proc.sleep 0.01;
+         appended := Replica.last_log_index r;
+         let store = Store.create ~members:[ 0; 1 ] () in
+         ignore (Store.apply store (cmd 1));
+         send
+           (Types.Install_snapshot
+              { session; term = 1; last_included_index = 1;
+                last_included_term = 1; data = Store.freeze store });
+         Des.Proc.sleep 0.01;
+         installed := (Replica.log_base r, Replica.last_log_index r);
+         Replica.stop r));
+  check int_c "appended" 3 !appended;
+  check (Alcotest.pair int_c int_c) "based at the snapshot, entries 2 and 3 kept"
+    (1, 3) !installed
 
 (* Snapshot plus log tail: for every split point k, thawing the image
    frozen after k commands and applying the rest must leave the same
@@ -1226,13 +1290,15 @@ let tail_cmds ops =
     ops
 
 (* Everything a client can observe: each key's value, version and owner,
-   the sequence counter and the dedup table's cached answers. *)
+   the sequence counter and the dedup table's cached answers; plus the
+   session-order gap count the chaos invariant reads. *)
 let store_dump s =
   let image = Store.freeze s in
   ( Types.Smap.bindings image.Types.entries,
     image.Types.seq_counter,
     Types.Imap.bindings image.Types.dedup,
-    Store.members s )
+    Store.members s,
+    Store.order_gaps s )
 
 let snapshot_tail_prop =
   QCheck.Test.make ~name:"store snapshot plus log tail equals full replay"
@@ -1310,6 +1376,9 @@ let suite =
     ( "compaction: rejoin after repeated crashes mid-install",
       `Quick,
       test_rejoin_after_compaction_repeated_crashes );
+    ( "compaction: an install keeps the agreeing entries past it",
+      `Quick,
+      test_install_keeps_agreeing_suffix );
     QCheck_alcotest.to_alcotest snapshot_tail_prop;
   ]
 

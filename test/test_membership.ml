@@ -216,7 +216,12 @@ let prop_removal_shrinks_quorum =
 
 (* Drive the exact nemesis sequence by hand: egress latency on a follower,
    remove it, re-add a fresh instance at the same id while the old
-   incarnation's high-match append replies are still in flight.  Returns
+   incarnation's high-match append replies are still in flight.  The
+   leader cannot reach the victim for 2 s after the removal, so the
+   fresh instance is still empty when those replies land: a leader that
+   folds every commit into its snapshot would otherwise answer the first
+   stale reply with an install that catches the fresh instance up past
+   every stale match index at once.  Returns
    [(lied, stale_rejected)]: whether the leader's progress entry for the
    victim ever ran ahead of the victim's actual log, and how many stale
    session echoes the leader dropped. *)
@@ -269,6 +274,11 @@ let rejoin_window ~session_ids =
       Des.Net.set_node_delay net victim 1.0;
       Des.Proc.sleep 0.15;
       Ensemble.remove_replica ens victim;
+      Des.Net.partition net [ victim ] [ leader ];
+      ignore
+        (Des.Proc.spawn ~name:"heal" sim (fun () ->
+             Des.Proc.sleep 2.;
+             Des.Net.heal net));
       ignore
         (Des.Proc.spawn ~name:"clear-delay" sim (fun () ->
              Des.Proc.sleep 4.;

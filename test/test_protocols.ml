@@ -278,98 +278,79 @@ let test_offer_follows_record () =
       Alcotest.(check (list int)) "every offer seen" ids (List.sort compare !seen);
       Alcotest.(check (list int)) "no offer before its record" [] !violations)
 
-(* The leader's log holds one multi carrying both the Started record and
-   the phyQ item announcing it (and the consumed inputQ item's delete). *)
+(* The Started record, the phyQ item announcing it and the consumed
+   inputQ item's delete travel as one command: the ensemble batches
+   exactly one command for them, and the store shows all three effects,
+   the record written once. *)
 let test_started_and_offer_share_an_entry () =
   Drive.ensemble (fun _sim ens ->
-      let leader = Coord.Ensemble.replica ens (Coord.Ensemble.await_leader ens) in
+      ignore (Coord.Ensemble.await_leader ens);
+      let c = Coord.Ensemble.connect ens ~name:"setup" () in
+      let item =
+        Coord.Recipes.enqueue c ~queue:(Proto.input_queue_ns ns) "junk"
+      in
       let p = persist ens in
-      let t = txn 21 and item = Proto.input_queue_ns ns ^ "/item-0000000001" in
+      let gs = Coord.Ensemble.group_stats ens in
+      let cmds_before = gs.Coord.Types.batched_cmds in
+      let t = txn 21 in
       Persist.defer p;
       t.Txn.state <- Txn.Started;
       Persist.write p t;
       Persist.offer p 21;
       Persist.release p ~deletes:[ item ];
       Persist.barrier p;
-      let record_key = Txn.record_key_ns ns 21 in
-      let phy_item = Proto.phy_queue_ns ns ^ "/item-" in
-      let carries (cmd : Coord.Types.cmd) =
-        match cmd with
-        | Coord.Types.Multi { ops; _ } ->
-          List.exists
-            (function
-              | Coord.Types.Op_write { key; _ } -> key = record_key
-              | _ -> false)
-            ops
-          && List.exists
-               (function
-                 | Coord.Types.Op_create { key; value; sequential = true; _ } ->
-                   key = phy_item && value = "21"
-                 | _ -> false)
-               ops
-          && List.mem (Coord.Types.Op_delete { key = item; expect_version = None }) ops
-        | _ -> false
-      in
-      let entries =
-        List.filter_map
-          (fun i -> Coord.Replica.entry leader i)
-          (List.init (Coord.Replica.last_log_index leader) (fun i -> i + 1))
-      in
-      Alcotest.(check int) "one entry carries record, offer and delete" 1
-        (List.length (List.filter carries entries));
-      Alcotest.(check bool_c) "no entry writes the record alone" false
-        (List.exists
-           (function
-             | Coord.Types.Write { key; _ } -> key = record_key
-             | _ -> false)
-           entries))
-
-(* Record keys of the txns each committed multi writes, in log order. *)
-let multi_records leader =
-  List.filter_map
-    (fun i ->
-      match Coord.Replica.entry leader i with
-      | Some (Coord.Types.Multi { ops; _ }) ->
-        (match
-           List.filter_map
-             (function
-               | Coord.Types.Op_write { key; _ } -> Some key
-               | Coord.Types.Op_create _ | Coord.Types.Op_delete _ -> None)
-             ops
-         with
-         | [] -> None
-         | keys -> Some keys)
-      | Some _ | None -> None)
-    (List.init (Coord.Replica.last_log_index leader) (fun i -> i + 1))
+      Alcotest.(check int) "one command carries record, offer and delete" 1
+        (gs.Coord.Types.batched_cmds - cmds_before);
+      Alcotest.(check bool_c) "the record, written once" true
+        (record c 21 = Some (Txn.Started, 1));
+      Alcotest.(check (list string)) "the offer" [ "21" ]
+        (List.map snd
+           (Coord.Client.children_values c (Proto.phy_queue_ns ns) 10));
+      Alcotest.(check bool_c) "the consumed item deleted" true
+        (Coord.Client.get c item = None))
 
 (* While one multi waits for its receipt, two more windows are released:
    they go out together as the next command once the receipt is in, each
    window's ops in release order (not id order), and nothing counts as
-   finished before its ack. *)
+   finished before its ack.  Each window offers its txn, so the phyQ's
+   sequence numbers show the order the offers applied in. *)
 let test_releases_merge_while_in_flight () =
   Drive.ensemble (fun _sim ens ->
-      let leader = Coord.Ensemble.replica ens (Coord.Ensemble.await_leader ens) in
+      ignore (Coord.Ensemble.await_leader ens);
+      let c = Coord.Ensemble.connect ens ~name:"reader" () in
       let p = persist ens in
+      let gs = Coord.Ensemble.group_stats ens in
+      let cmds_before = gs.Coord.Types.batched_cmds in
       let window id =
         Persist.defer p;
         let t = txn id in
-        t.Txn.state <- Txn.Accepted;
+        t.Txn.state <- Txn.Started;
         Persist.write p t;
+        Persist.offer p id;
         Persist.release p
       in
       window 10;
       Des.Proc.sleep 0.0001;
-      Alcotest.(check int) "first window in flight" 1 (Persist.unfinished p);
+      Alcotest.(check int) "first window (record and offer) in flight" 2
+        (Persist.unfinished p);
       window 12;
       window 11;
-      Alcotest.(check int) "in flight plus queued" 3 (Persist.unfinished p);
+      Alcotest.(check int) "in flight plus queued" 6 (Persist.unfinished p);
       Persist.barrier p;
       Alcotest.(check int) "all acked" 0 (Persist.unfinished p);
-      let key = Txn.record_key_ns ns in
-      Alcotest.(check (list (list string)))
-        "two commands, the later windows merged in release order"
-        [ [ key 10 ]; [ key 12; key 11 ] ]
-        (multi_records leader))
+      Alcotest.(check int) "two commands, the later windows merged" 2
+        (gs.Coord.Types.batched_cmds - cmds_before);
+      Alcotest.(check (list string)) "offers applied in release order"
+        [ "10"; "12"; "11" ]
+        (List.map snd
+           (Coord.Client.children_values c (Proto.phy_queue_ns ns) 10));
+      List.iter
+        (fun id ->
+          Alcotest.(check bool_c)
+            (Printf.sprintf "record %d written once" id)
+            true
+            (record c id = Some (Txn.Started, 1)))
+        [ 10; 11; 12 ])
 
 (* A deleted key is reported as deleting from release until its ack. *)
 let test_deletes_tracked_until_acked () =

@@ -698,6 +698,15 @@ let test_e2e_deferred_conflict_then_commit () =
       check bool_c "lock conflicts caused deferrals" true
         ((Controller.stats leader).Controller.deferrals > 0))
 
+(* No signal marker is left in the store or in the leader's table. *)
+let check_no_signal platform =
+  check (Alcotest.list string_c) "no signal marker left" []
+    (Coord.Store.children
+       (Coord.Ensemble.leader_store (Platform.coord platform))
+       (Proto.signals_prefix_ns Proto.default_ns));
+  check (Alcotest.list int_c) "leader tracks no signal" []
+    (Controller.signaled (Platform.await_leader_controller platform))
+
 let test_e2e_kill_signal_quarantines_then_repair () =
   with_platform (fun platform inv ->
       let txn_id =
@@ -725,12 +734,52 @@ let test_e2e_kill_signal_quarantines_then_repair () =
         (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "k2"));
       (* The killed worker has reported, so the marker is gone from the
          store and from the leader's table. *)
-      check (Alcotest.list string_c) "no signal marker left" []
-        (Coord.Store.children
-           (Coord.Ensemble.leader_store (Platform.coord platform))
-           (Proto.signals_prefix_ns Proto.default_ns));
-      check (Alcotest.list int_c) "leader tracks no signal" []
-        (Controller.signaled (Platform.await_leader_controller platform)))
+      check_no_signal platform)
+
+let kill_to_failure platform txn_id =
+  Platform.signal platform txn_id Proto.Kill;
+  match Platform.await platform txn_id with
+  | Txn.Failed _ -> ()
+  | other -> Alcotest.failf "expected failed, got %s" (Txn.state_to_string other)
+
+let phy_items platform =
+  List.length
+    (Coord.Store.children
+       (Coord.Ensemble.leader_store (Platform.coord platform))
+       (Proto.phy_queue_ns Proto.default_ns))
+
+(* The killed txn's worker dies mid-action: it never reports, and its
+   executing marker leaves with its session. *)
+let test_e2e_kill_dead_worker_leaves_no_signal () =
+  with_platform (fun platform _inv ->
+      let txn_id =
+        Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "k1")
+      in
+      (* cloneImage takes 4 s: the worker is mid-action when it dies. *)
+      Des.Proc.sleep 6.;
+      Platform.kill_worker platform 0;
+      Platform.kill_worker platform 1;
+      kill_to_failure platform txn_id;
+      Des.Proc.sleep 30.;
+      check_no_signal platform)
+
+(* The KILL lands while the txn's phyQ item waits: the worker that takes
+   it later finds the record Failed and reports nothing. *)
+let test_e2e_kill_queued_txn_leaves_no_signal () =
+  with_platform (fun platform _inv ->
+      Platform.kill_worker platform 0;
+      Platform.kill_worker platform 1;
+      let txn_id =
+        Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "k1")
+      in
+      Des.Proc.sleep 2.;
+      check int_c "the item waits in the phyQ" 1 (phy_items platform);
+      kill_to_failure platform txn_id;
+      Platform.restart_worker platform 0;
+      Platform.restart_worker platform 1;
+      Des.Proc.sleep 30.;
+      check int_c "a worker took the item" 0 (phy_items platform);
+      check_no_signal platform)
 
 let test_e2e_repair_after_power_cycle () =
   with_platform (fun platform inv ->
@@ -1895,6 +1944,12 @@ let suite =
     ("e2e: concurrent spawns respect memory", `Quick, test_e2e_concurrent_spawns_memory_safety);
     ("e2e: conflicting spawns defer then commit", `Quick, test_e2e_deferred_conflict_then_commit);
     ("e2e: KILL quarantines; reload recovers", `Quick, test_e2e_kill_signal_quarantines_then_repair);
+    ( "e2e: KILL of a txn whose worker died leaves no signal",
+      `Quick,
+      test_e2e_kill_dead_worker_leaves_no_signal );
+    ( "e2e: KILL of a queued txn leaves no signal",
+      `Quick,
+      test_e2e_kill_queued_txn_leaves_no_signal );
     ("e2e: repair after power cycle", `Quick, test_e2e_repair_after_power_cycle);
     ("e2e: periodic repair detects drift", `Quick, test_e2e_periodic_repair_detects_drift);
     ("e2e: hung repair step times out", `Quick, test_e2e_hung_repair_step_times_out);

@@ -230,8 +230,8 @@ let print_chaos_result ~with_trace r =
   Printf.printf
     "seed %4d  %-19s %3d committed / %2d aborted / %2d failed, %2d faults, \
      quiesced at %.0fs, sched: %d deferrals, %d wakeups (%d spurious), \
-     robust: %d retries (%d transient, %d timeouts), watchdog %d TERM / %d \
-     KILL, shed %d, breaker %d trips / %d probes / %d closes\n"
+     robust: %d retries (%d transient, %d timeouts), %s, shed %d, breaker \
+     %d trips / %d probes / %d closes\n"
     r.Chaos.Runner.seed r.Chaos.Runner.schedule r.Chaos.Runner.committed
     r.Chaos.Runner.aborted r.Chaos.Runner.failed r.Chaos.Runner.injected
     r.Chaos.Runner.duration
@@ -241,8 +241,7 @@ let print_chaos_result ~with_trace r =
     (total (fun s -> s.Tropic.Controller.exec_retries))
     (total (fun s -> s.Tropic.Controller.transient_failures))
     (total (fun s -> s.Tropic.Controller.timeouts))
-    (total (fun s -> s.Tropic.Controller.auto_terms))
-    (total (fun s -> s.Tropic.Controller.auto_kills))
+    (Experiments.Common.signals_summary r.Chaos.Runner.stats)
     (total (fun s -> s.Tropic.Controller.sheds))
     (total (fun s -> s.Tropic.Controller.breaker_trips))
     (total (fun s -> s.Tropic.Controller.breaker_probes))
@@ -277,12 +276,13 @@ let print_chaos_result ~with_trace r =
       (fun sid s ->
         Printf.printf
           "       shard %d: %d committed / %d aborted / %d failed, shed %d, \
-           %d wakeups, watchdog %d TERM / %d KILL, 2pc %d started / %d \
-           committed / %d aborted / %d prepares, %s\n"
+           %d wakeups, %s, 2pc %d started / %d committed / %d aborted / %d \
+           prepares, %s\n"
           sid s.Tropic.Controller.committed s.Tropic.Controller.aborted
           s.Tropic.Controller.failed s.Tropic.Controller.sheds
-          s.Tropic.Controller.wakeups s.Tropic.Controller.auto_terms
-          s.Tropic.Controller.auto_kills s.Tropic.Controller.twopc_started
+          s.Tropic.Controller.wakeups
+          (Experiments.Common.signals_summary [ s ])
+          s.Tropic.Controller.twopc_started
           s.Tropic.Controller.twopc_committed
           s.Tropic.Controller.twopc_aborted
           s.Tropic.Controller.twopc_prepares

@@ -415,6 +415,18 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
           drained b.waiters "lock table still indexes %d waiters%s";
           drained b.input_items "inputQ still holds %d items%s";
           drained b.phy_items "phyQ still holds %d items%s")
-        (Tropic.Platform.shard_backlog platform sid)
+        (Tropic.Platform.shard_backlog platform sid);
+      (* Live state only: no replay cursor or executing marker may
+         outlive its transaction, or nothing ever deletes it. *)
+      let ens = Tropic.Platform.coord_ensemble platform sid in
+      let ns = Tropic.Proto.ns_of_shard sid in
+      if Coord.Ensemble.leader_id ens <> None then
+        List.iter
+          (fun prefix ->
+            List.iter
+              (fun key ->
+                violation "orphan-keys" (key ^ " left in the store" ^ where))
+              (Coord.Store.children (Coord.Ensemble.leader_store ens) prefix))
+          Tropic.Proto.[ progress_prefix_ns ns; executing_prefix_ns ns ]
   done;
   List.rev !found

@@ -42,7 +42,9 @@
       exported state equals its {e owning} shard leader's logical
       subtree.
     - [quiescence-drained]: every shard leader's todo queue, in-flight
-      set and lock table are empty. *)
+      set and lock table are empty.
+    - [orphan-keys]: no shard's coordination store holds a progress
+      cursor or an executing marker, which only a running replay owns. *)
 
 type violation = { invariant : string; at : float; detail : string }
 

@@ -25,6 +25,7 @@ type progress = {
   mutable next : int;
   mutable match_ : int;
   mutable pending_join : join option;
+  mutable install_until : float;  (* an install is in flight till then *)
 }
 
 (* One client command parked in the group-commit batch.  [b_acked] marks
@@ -320,22 +321,29 @@ let entries_from r start =
   in
   if start > last then [] else collect stop []
 
+let installing r p = now r < p.install_until
+
 let send_append r peer =
   let session = current_session r in
+  let progress = Hashtbl.find_opt r.progress peer in
   let next =
-    match Hashtbl.find_opt r.progress peer with
+    match progress with
     | Some p -> max p.next 1
     | None -> max 1 (last_log_index r + 1)
   in
-  if next <= r.log_base then
+  match progress with
+  | Some p when next <= r.log_base && not (installing r p) ->
     (* The entries this follower needs were compacted away: ship the
-       snapshot instead (Raft's InstallSnapshot). *)
+       snapshot instead (Raft's InstallSnapshot), one at a time until the
+       follower answers or a request timeout passes. *)
+    p.install_until <- now r +. r.config.Types.request_timeout;
     send_peer r peer
       (Types.Install_snapshot
          { session; term = r.term; last_included_index = r.log_base;
            last_included_term = term_at r r.log_base; data = r.snapshot })
-  else
-    let prev = next - 1 in
+  | Some _ | None ->
+    (* While an install is in flight this is the follower's heartbeat. *)
+    let prev = max next (r.log_base + 1) - 1 in
     send_peer r peer
       (Types.Append_entries
          {
@@ -343,7 +351,7 @@ let send_append r peer =
            term = r.term;
            prev_log_index = prev;
            prev_log_term = term_at r prev;
-           entries = entries_from r next;
+           entries = entries_from r (prev + 1);
            leader_commit = r.commit_index;
          })
 
@@ -514,7 +522,8 @@ let become_leader r =
   List.iter
     (fun peer ->
       Hashtbl.replace r.progress peer
-        { next = last_log_index r + 1; match_ = 0; pending_join = None })
+        { next = last_log_index r + 1; match_ = 0; pending_join = None;
+          install_until = neg_infinity })
     (voting_peers r);
   (* Commit the new term immediately (Raft's no-op trick), so earlier-term
      entries become committable. *)
@@ -678,6 +687,7 @@ let handle_append_reply r src ~session ~term ~success ~match_index =
       | None -> () (* not a replication target (removed meanwhile) *)
       | Some p ->
         if success then begin
+          p.install_until <- neg_infinity;
           p.match_ <- max p.match_ match_index;
           p.next <- p.match_ + 1;
           maybe_promote r p;
@@ -685,7 +695,8 @@ let handle_append_reply r src ~session ~term ~success ~match_index =
         end
         else begin
           p.next <- max 1 (match_index + 1);
-          send_append r src
+          (* With an install in flight, its answer is what to wait for. *)
+          if not (installing r p) then send_append r src
         end
   end
 
@@ -781,7 +792,8 @@ let handle_config_change r src ~req_id cmd =
         | Some p -> p
         | None ->
           let p =
-            { next = last_log_index r + 1; match_ = 0; pending_join = None }
+            { next = last_log_index r + 1; match_ = 0; pending_join = None;
+              install_until = neg_infinity }
           in
           Hashtbl.replace r.progress id p;
           p

@@ -158,7 +158,6 @@ type t = {
   mutable commits_since_checkpoint : int;
   mutable prune_candidates : string list;
       (* terminal record keys, collected only when checkpointing *)
-  signaled : (int, unit) Hashtbl.t; (* txns with a pending signal key *)
   mutable max_request_seq : int; (* highest request item seq processed *)
   watchdog : Watchdog.t;
   health : Health.t;
@@ -219,7 +218,6 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     next_internal_txn = -1;
     commits_since_checkpoint = 0;
     prune_candidates = [];
-    signaled = Hashtbl.create 8;
     max_request_seq = 0;
     watchdog = Watchdog.create config.watchdog;
     health;
@@ -275,9 +273,6 @@ let started_txns t =
     (held t)
 
 let quarantined t = Recon.Quarantine.to_list t.quarantine
-
-let signaled t =
-  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) t.signaled [])
 
 let persist t txn = Persist.write t.persist txn
 
@@ -371,57 +366,15 @@ let rollback_logical t (txn : Txn.t) =
     Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
     Error (Printf.sprintf "logical undo #%d failed: %s" index reason)
 
-(* A signaled transaction's marker goes once the transaction is terminal
-   and no worker still has to read it.  The barrier makes the terminal
-   record durable first, so no leader ever finds the transaction Started
-   with its marker gone. *)
-let clear_signal t txn_id =
-  if Hashtbl.mem t.signaled txn_id then begin
-    Hashtbl.remove t.signaled txn_id;
-    Persist.barrier t.persist;
-    ignore
-      (Coord.Client.delete t.client ~key:(Proto.signal_key_ns t.ns txn_id) ())
-  end
-
-(* A terminal transaction's marker stays while a worker may still run it:
-   one holds its executing marker, or its phyQ item waits to be taken.  A
-   worker that dies drops its ephemeral marker with its session, and one
-   that takes the item later finds the record terminal and runs nothing;
-   neither reports, so this process polls until neither holds.  The item
-   is read first, so a take between the two reads shows as a marker. *)
-let reap_signal t txn_id =
-  let payload = string_of_int txn_id in
-  let queued () =
-    List.exists
-      (fun (_, v) -> v = payload)
-      (Coord.Client.children_values t.client (Proto.phy_queue_ns t.ns) max_int)
-  in
-  let executing () =
-    Option.is_some
-      (Coord.Client.get t.client (Proto.executing_key_ns t.ns txn_id))
-  in
-  let reap () =
-    while Hashtbl.mem t.signaled txn_id && (queued () || executing ()) do
-      Des.Proc.sleep 1.0
-    done;
-    clear_signal t txn_id
-  in
-  t.procs <-
-    Des.Proc.spawn ~name:(Printf.sprintf "%s.reap-%d" t.cname txn_id) t.sim reap
-    :: t.procs
-
 (* The one terminal transition: roll the logical layer back ([undo]; an
    undo that cannot apply fails the transaction), quarantine the write set
    when the layers diverge, persist the terminal state, release the locks
    and count the outcome ([count = false] for participant shadows, which
    the coordinator shard accounts for).  A decided cross-shard coordinator
    then hands its verdict to the participants — after its terminal record
-   is durable, since they take the finish marker as license to forget.
-   Last, a signal marker goes; if the transaction's worker may still be
-   running ([worker_running], a KILL) and must read it to stop, only once
-   no worker can run the transaction. *)
+   is durable, since they take the finish marker as license to forget. *)
 let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
-    ?(worker_running = false) (txn : Txn.t) state =
+    (txn : Txn.t) state =
   let state =
     match (undo, state) with
     | true, (Txn.Aborted reason | Txn.Failed reason) -> (
@@ -445,8 +398,7 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
   if Twopc.decided t.twopc txn.Txn.id then begin
     Persist.flush t.persist;
     Twopc.finish t.twopc txn.Txn.id state
-  end;
-  (if worker_running then reap_signal else clear_signal) t txn.Txn.id
+  end
 
 let mark_started t (txn : Txn.t) ~locks =
   txn.Txn.state <- Txn.Started;
@@ -847,7 +799,7 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
         | None -> 0.
       in
       Hashtbl.remove t.started_at txn_id;
-      if Hashtbl.mem t.signaled txn_id then
+      if txn.Txn.termed then
         Health.forget_probe t.health ~txn:txn_id
       else
         List.iter
@@ -893,26 +845,26 @@ let handle_signal t ~txn_id signal =
          (Txn.Aborted
             (Printf.sprintf "signal %s before start" (Proto.signal_to_string signal)))
      | Txn.Started ->
-       Hashtbl.replace t.signaled txn_id ();
-       Persist.barrier t.persist;
-       ignore
-         (Coord.Client.write t.client ~key:(Proto.signal_key_ns t.ns txn_id)
-            ~value:(Proto.signal_to_string signal) ());
+       (* The signal is written into the record, in this burst's window
+          with the control item's delete: both land or neither does, and
+          a worker reads the record before each action. *)
        (match signal with
         | Proto.Term ->
           (* Graceful: the worker stops, undoes, and reports an abort; the
              normal result path rolls back the logical layer. *)
-          ()
+          txn.Txn.termed <- true;
+          persist t txn
         | Proto.Kill ->
           (* Immediate: abort in the logical layer only; the physical side
              is left as-is.  Recorded as Failed so the cross-layer
              inconsistency (and its quarantine) survives a controller
              fail-over until reconciliation; a decided cross-shard
              coordinator passes the verdict on to its participants.  The
-             worker stops at its next step only by reading the marker, so
-             the marker stays until no worker can run the transaction. *)
-          terminate t ~undo:true ~quarantine:true ~worker_running:true txn
+             terminal record stops the worker at its next step; a worker
+             that died mid-replay leaves its progress cursor to the window. *)
+          terminate t ~undo:true ~quarantine:true txn
             (Txn.Failed "killed by operator");
+          Persist.delete t.persist (Proto.progress_key_ns t.ns txn_id);
           Health.forget_probe t.health ~txn:txn_id;
           Hashtbl.remove t.started_at txn_id)
      | Txn.Initialized | Txn.Committed | Txn.Aborted _ | Txn.Failed _ -> ())
@@ -1010,11 +962,6 @@ let recover t =
   t.max_request_seq <- r.Recovery.max_request_seq;
   Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
   if t.cfg.checkpoint_every <> None then t.prune_candidates <- r.Recovery.prune;
-  List.iter
-    (fun id ->
-      Hashtbl.replace t.signaled id ();
-      if not (Hashtbl.mem t.txns id) then reap_signal t id)
-    r.Recovery.signaled;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
         t.cname (List.length records) (Sched.length t.sched) (inflight t)
@@ -1229,7 +1176,8 @@ let run t () =
           (fun need (key, payload) -> process_item t ~key ~payload || need)
           false items
       in
-      Persist.release t.persist ~deletes:(List.map fst items);
+      List.iter (fun (key, _) -> Persist.delete t.persist key) items;
+      Persist.release t.persist;
       if (not t.stopped)
          && (drain_twopc t || need_schedule || Sched.has_wakes t.sched)
       then schedule t

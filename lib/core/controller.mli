@@ -193,9 +193,5 @@ val lock_parked : t -> int
 (** Quarantined (inconsistent) subtree roots. *)
 val quarantined : t -> Data.Path.t list
 
-(** Transactions whose signal marker is still in the store, sorted: TERMed
-    ones until they end, KILLed ones until their worker reports. *)
-val signaled : t -> int list
-
 (** Cumulative CPU busy time (Fig. 4's y-axis numerator). *)
 val cpu_busy_time : t -> float

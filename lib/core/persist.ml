@@ -9,6 +9,7 @@ type t = {
   dirty : (int, Txn.t) Hashtbl.t;  (* latest deferred state per txn *)
   mutable deferred : bool;
   mutable offers : int list;  (* buffered phyQ offers, newest first *)
+  mutable deletes : string list;  (* buffered deletes, newest first *)
   inflight : (Coord.Types.op list ref * bool ref) Queue.t;
       (* sent multis in send order, each with whether it is answered;
          the answered head is popped *)
@@ -30,6 +31,7 @@ let create ~name ~ns ~client =
     dirty = Hashtbl.create 32;
     deferred = false;
     offers = [];
+    deletes = [];
     inflight = Queue.create ();
     queued = None;
     sent = 0;
@@ -121,6 +123,11 @@ let offer t txn_id =
   if t.deferred then t.offers <- txn_id :: t.offers
   else send t [ offer_op t txn_id ]
 
+let delete t key =
+  Hashtbl.replace t.deleting key ();
+  if t.deferred then t.deletes <- key :: t.deletes
+  else send t [ delete_op key ]
+
 let defer t = t.deferred <- true
 
 (* Records sorted by txn id, so the multi does not depend on hash order;
@@ -130,19 +137,21 @@ let pending_ops t =
     Hashtbl.fold (fun _ txn acc -> txn :: acc) t.dirty []
     |> List.sort (fun (a : Txn.t) b -> compare a.Txn.id b.Txn.id)
   in
-  let offers = List.rev t.offers in
+  let offers = List.rev t.offers and deletes = List.rev t.deletes in
   Hashtbl.reset t.dirty;
   t.offers <- [];
-  List.map (record_op t) txns @ List.map (offer_op t) offers
+  t.deletes <- [];
+  List.map (record_op t) txns
+  @ List.map (offer_op t) offers
+  @ List.map delete_op deletes
 
 let flush t =
   send t (pending_ops t);
   barrier t
 
-let release ?(deletes = []) t =
+let release t =
   t.deferred <- false;
-  List.iter (fun key -> Hashtbl.replace t.deleting key ()) deletes;
-  send t (pending_ops t @ List.map delete_op deletes)
+  send t (pending_ops t)
 
 let deleting t key = Hashtbl.mem t.deleting key
 let deleting_count t = Hashtbl.length t.deleting

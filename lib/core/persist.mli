@@ -2,13 +2,13 @@
     transition is written to the coordination service as its record.
 
     Within a deferral window ({!defer} … {!release}) record writes are
-    deferred (the latest state per transaction wins) and phyQ offers
-    buffered.  {!release} turns the window into ONE list of ops — the
-    records, the offers and the deletion of the inputQ items the window
-    consumed — and sends it as one multi without blocking.  Atomicity, not
-    write ordering, is what keeps a phyQ item from being visible before the
-    Started record it announces, and an input item from vanishing before
-    the record its processing produced.
+    deferred (the latest state per transaction wins), and phyQ offers and
+    deletes buffered.  {!release} turns the window into ONE list of ops —
+    the records, the offers and the deletes (the inputQ items the window
+    consumed among them) — and sends it as one multi without blocking.
+    Atomicity, not write ordering, is what keeps a phyQ item from being
+    visible before the Started record it announces, and an input item
+    from vanishing before the record its processing produced.
 
     {b Pipelined.}  Every released window goes out at once with
     {!Coord.Client.multi_async_lazy}, so several multis can be in flight;
@@ -20,8 +20,8 @@
     acked count advances over the answered prefix only.
 
     {b Barrier rule.}  Any coord write the controller makes outside this
-    module (signal markers, controls, checkpoints and prunes, 2PC writes
-    on the same session) must first call {!barrier}, so that it lands
+    module (controls, checkpoints and prunes, 2PC writes on the same
+    session) must first call {!barrier}, so that it lands
     after every window released before it is durable — the order a
     synchronous writer gave. *)
 
@@ -41,18 +41,20 @@ val write_now : t -> Txn.t -> unit
     otherwise. *)
 val offer : t -> int -> unit
 
-(** Start deferring record writes and phyQ offers. *)
+(** Delete [key]: buffered while deferring (a missing key is skipped),
+    sent otherwise.  {!deleting} holds from here until it is durable. *)
+val delete : t -> string -> unit
+
+(** Start deferring record writes, phyQ offers and deletes. *)
 val defer : t -> unit
 
-(** Send the deferred records and buffered offers (deferral stays on) and
+(** Send the deferred records, offers and deletes (deferral stays on) and
     wait until they and everything queued before them are durable. *)
 val flush : t -> unit
 
 (** Stop deferring and send, as one window, the deferred records (sorted
-    by txn id), the buffered offers and the deletion of [deletes] (inputQ
-    items the window consumed; a missing one is skipped).  Does not
-    block. *)
-val release : ?deletes:string list -> t -> unit
+    by txn id), then the buffered offers and deletes.  Does not block. *)
+val release : t -> unit
 
 (** Wait until every op sent so far is durable. *)
 val barrier : t -> unit

@@ -252,7 +252,7 @@ let undo_executed ctx ~progress executed =
 
 let execute ~devices ~sim ~counters ~tracer:(trace, txn, lane)
     ?(check_signal = fun () -> `Go) ?(policy = no_retry) ?(skip = 0)
-    ?(on_progress = ignore) ?(confirm_undo = fun () -> true) log =
+    ?(on_progress = ignore) log =
   let ctx = { devices; policy; sim; counters; trace; txn; lane } in
   (* [executed] accumulates completed records, newest first. *)
   let rec run executed = function
@@ -281,9 +281,10 @@ let execute ~devices ~sim ~counters ~tracer:(trace, txn, lane)
        losing duplicate typically aborts on the winner's already-applied
        state — and with a resume prefix its undo stack holds actions it
        never ran, so unwinding would corrupt the winner's committed
-       effects.  [confirm_undo] re-reads the authoritative record; once
-       the transaction is terminal the rollback is abandoned. *)
-    if executed <> [] && not (confirm_undo ()) then
+       effects.  [check_signal] re-reads the authoritative record; once
+       the transaction is terminal it answers [`Kill] and the rollback is
+       abandoned. *)
+    if executed <> [] && check_signal () = `Kill then
       Proto.Phy_aborted
         (reason ^ "; rollback skipped: transaction already terminal")
     else

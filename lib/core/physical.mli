@@ -92,12 +92,11 @@ val invoke_deadline :
     being 1-based); persisting that cursor is what makes a crashed
     replay resumable.
 
-    [confirm_undo] (default: always true) is consulted once before a
-    rollback with a non-empty executed prefix.  Returning [false]
-    abandons the rollback and reports the abort with the physical state
-    left as-is: the hook lets a worker that lost a duplicate-replay race
-    re-read the authoritative record and refuse to unwind effects the
-    winning incarnation already committed. *)
+    [check_signal] is consulted once more before a rollback with a
+    non-empty executed prefix.  [`Kill] abandons the rollback and reports
+    the abort with the physical state left as-is: a worker that lost a
+    duplicate-replay race re-reads the authoritative record and refuses
+    to unwind effects the winning incarnation already committed. *)
 val execute :
   devices:device_lookup ->
   sim:Des.Sim.t ->
@@ -107,7 +106,6 @@ val execute :
   ?policy:retry_policy ->
   ?skip:int ->
   ?on_progress:(int -> unit) ->
-  ?confirm_undo:(unit -> bool) ->
   Xlog.t ->
   Proto.outcome
 

@@ -142,11 +142,12 @@ let input_queue_ns ns = ns ^ "/inputQ"
 let phy_queue_ns ns = ns ^ "/phyQ"
 let checkpoint_key_ns ns = ns ^ "/checkpoint"
 let txns_prefix_ns ns = ns ^ "/txns"
-let signals_prefix_ns ns = ns ^ "/signals"
-let signal_key_ns ns txn_id = Printf.sprintf "%s/signals/s%010d" ns txn_id
+let executing_prefix_ns ns = ns ^ "/executing"
 
 let executing_key_ns ns txn_id =
   Printf.sprintf "%s/executing/e%010d" ns txn_id
+
+let progress_prefix_ns ns = ns ^ "/progress"
 
 (* Highest log index whose physical action completed (and has not been
    undone): a replaying worker resumes after it instead of re-running

@@ -61,8 +61,7 @@ val input_queue_ns : string -> string
 val phy_queue_ns : string -> string
 val checkpoint_key_ns : string -> string
 val txns_prefix_ns : string -> string
-val signals_prefix_ns : string -> string
-val signal_key_ns : string -> int -> string
+val executing_prefix_ns : string -> string
 val executing_key_ns : string -> int -> string
 
 (** Durable replay cursor: highest log index whose physical action has
@@ -70,3 +69,5 @@ val executing_key_ns : string -> int -> string
     leader crash {e resume} instead of re-running non-idempotent actions
     whose effects already landed on the device. *)
 val progress_key_ns : string -> int -> string
+
+val progress_prefix_ns : string -> string

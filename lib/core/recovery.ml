@@ -80,7 +80,6 @@ type t = {
   max_request_seq : int;
   quarantine : Data.Path.t list;
   prune : string list;
-  signaled : int list;
 }
 
 (* Values of the items under [prefix], parsed by [f]. *)
@@ -172,15 +171,9 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
         else acc)
       0 records
   in
-  let signaled =
-    List.filter_map
-      (fun key -> Result.to_option (Proto.seq_of_item_key key))
-      (Coord.Client.get_children client (Proto.signals_prefix_ns ns))
-  in
   {
     next_start_seq = !max_seq + 1;
     max_request_seq;
     quarantine = !quarantine;
     prune = !prune;
-    signaled;
   }

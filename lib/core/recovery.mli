@@ -2,7 +2,8 @@
     last quiescent checkpoint, replays the Started and Committed records
     beyond it in [start_seq] order, then rebuilds its lock table,
     scheduler and 2PC tables from the records, re-offering what the
-    phyQ, result and signal scans show was lost. *)
+    phyQ and result scans show was lost.  Signals need no scan: a KILL is
+    the terminal record, a TERM the record's [termed] flag. *)
 
 (** The last checkpoint: [(seq, tree)].  Waits for the bootstrap one. *)
 val load_checkpoint : Coord.Client.t -> ns:string -> int * Data.Tree.t
@@ -41,7 +42,6 @@ type t = {
   max_request_seq : int;  (** highest of this shard's own request ids *)
   quarantine : Data.Path.t list;  (** write sets of Failed records *)
   prune : string list;  (** terminal record keys, newest first *)
-  signaled : int list;  (** txns with a pending signal key *)
 }
 
 (** Rebuild [txns], [locks], [sched] and the 2PC tables from [records],

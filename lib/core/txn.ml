@@ -71,6 +71,7 @@ type t = {
   mutable log : Xlog.t;
   mutable locks : (Data.Path.t * Mglock.mode) list;
   mutable start_seq : int option;
+  mutable termed : bool;
   mutable submitted_at : float;
   mutable finished_at : float option;
   mutable ser_cache : ser_cache option;
@@ -85,6 +86,7 @@ let make ~id ~proc ~args ~submitted_at =
     log = [];
     locks = [];
     start_seq = None;
+    termed = false;
     submitted_at;
     finished_at = None;
     ser_cache = None;
@@ -140,8 +142,12 @@ let cached_parts t =
 let to_sexp t =
   let args_sexp, log_sexp, locks_sexp = cached_parts t in
   let open Data.Sexp in
+  (* Only a TERMed record carries the flag: others encode as before. *)
+  let termed =
+    if t.termed then [ List [ Atom "termed"; Atom "true" ] ] else []
+  in
   List
-    [
+    ([
       List [ Atom "id"; of_int t.id ];
       List [ Atom "proc"; Atom t.proc ];
       List [ Atom "args"; args_sexp ];
@@ -155,6 +161,7 @@ let to_sexp t =
           (match t.start_seq with Some n -> of_int n | None -> Atom "none");
         ];
     ]
+    @ termed)
 
 let ( let* ) r f = Result.bind r f
 
@@ -204,6 +211,7 @@ let of_sexp sexp =
       Ok (Some n)
     | Error _ -> Ok None
   in
+  let termed = Data.Sexp.assoc "termed" fields = Ok (Data.Sexp.Atom "true") in
   Ok
     {
       id;
@@ -213,6 +221,7 @@ let of_sexp sexp =
       log;
       locks;
       start_seq;
+      termed;
       submitted_at;
       finished_at = None;
       ser_cache = None;

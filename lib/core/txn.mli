@@ -44,6 +44,8 @@ type t = {
   mutable start_seq : int option;
       (** order in which the controller started transactions; recovery
           replays Started/Committed logs in this order *)
+  mutable termed : bool;
+      (** TERMed while Started: its worker stops and undoes (§4) *)
   mutable submitted_at : float;
   mutable finished_at : float option;
   mutable ser_cache : ser_cache option;

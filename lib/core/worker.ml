@@ -39,11 +39,19 @@ let create ?(retry = Physical.no_retry) ?(trace = Trace.off)
 
 let name w = w.wname
 
+(* A signal is part of the record (paper §4): a KILL is the terminal
+   record itself (or its absence, once pruned), a TERM the flag on a
+   Started one.  A record another incarnation of this replay already drove
+   to a terminal state reads as a KILL too, so the replay neither goes on
+   nor unwinds its effects. *)
 let check_signal w txn_id () =
-  match Coord.Client.get w.client (Proto.signal_key_ns w.ns txn_id) with
-  | Some ("TERM", _) -> `Term
-  | Some ("KILL", _) -> `Kill
-  | Some _ | None -> `Go
+  match Coord.Client.get w.client (Txn.record_key_ns w.ns txn_id) with
+  | None -> `Kill
+  | Some (value, _) ->
+    (match Txn.of_string value with
+     | Ok { Txn.state = Txn.Started; termed = true; _ } -> `Term
+     | Ok { Txn.state = Txn.Started; _ } | Error _ -> `Go
+     | Ok _ -> `Kill)
 
 let execute_txn w txn_id =
   match Coord.Client.get w.client (Txn.record_key_ns w.ns txn_id) with
@@ -87,18 +95,6 @@ let execute_txn w txn_id =
                (Coord.Client.write w.client ~key:pkey
                   ~value:(string_of_int i) ())
          in
-         (* Undo only while the record still says Started: if another
-            incarnation of this replay already drove the transaction to a
-            terminal state, unwinding our (partly inherited) prefix would
-            corrupt its committed effects. *)
-         let confirm_undo () =
-           match Coord.Client.get w.client (Txn.record_key_ns w.ns txn_id) with
-           | None -> false
-           | Some (value, _) ->
-             (match Txn.of_string value with
-              | Error _ -> false
-              | Ok now -> now.Txn.state = Txn.Started)
-         in
          (* Each execution gets a fresh tracer lane: after a fail-over
             the same transaction can be replayed by two workers at once,
             and lanes keep their span trees from interleaving. *)
@@ -133,7 +129,7 @@ let execute_txn w txn_id =
                    Physical.execute ~devices:w.devices ~sim:w.sim ~counters
                      ~tracer:(w.trace, txn_id, lane)
                      ~check_signal:(check_signal w txn_id) ~policy:w.retry
-                     ~skip ~on_progress ~confirm_undo txn.Txn.log
+                     ~skip ~on_progress txn.Txn.log
                in
                (outcome_label :=
                   match o with

@@ -33,14 +33,21 @@ let time_it f =
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 
+let signals_summary (stats : Tropic.Controller.stats list) =
+  let total f = List.fold_left (fun n st -> n + f st) 0 stats in
+  Printf.sprintf "signals %d TERM / %d KILL (watchdog %d/%d)"
+    (total (fun st -> st.Tropic.Controller.terms))
+    (total (fun st -> st.Tropic.Controller.kills))
+    (total (fun st -> st.Tropic.Controller.auto_terms))
+    (total (fun st -> st.Tropic.Controller.auto_kills))
+
 let robust_summary (st : Tropic.Controller.stats) =
   Printf.sprintf
-    "robust: retries %d (%d transient, %d timeouts), signals %d TERM / %d \
-     KILL (watchdog %d/%d), shed %d, breaker %d trips / %d probes / %d \
-     closes (%d deferred)"
-    st.exec_retries st.transient_failures st.timeouts st.terms st.kills
-    st.auto_terms st.auto_kills st.sheds st.breaker_trips st.breaker_probes
-    st.breaker_closes st.breaker_deferrals
+    "robust: retries %d (%d transient, %d timeouts), %s, shed %d, breaker \
+     %d trips / %d probes / %d closes (%d deferred)"
+    st.exec_retries st.transient_failures st.timeouts (signals_summary [ st ])
+    st.sheds st.breaker_trips st.breaker_probes st.breaker_closes
+    st.breaker_deferrals
 
 let membership_summary platform =
   let m = Tropic.Platform.membership_stats platform in

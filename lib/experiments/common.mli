@@ -21,6 +21,9 @@ val section : string -> unit
     per committed txn + wakeup counters. *)
 val sched_summary : Tropic.Controller.stats -> string
 
+(** ["signals T TERM / K KILL (watchdog a/b)"], summed over [stats]. *)
+val signals_summary : Tropic.Controller.stats list -> string
+
 (** One-line human summary of a shard's retry/timeout/signal, shed and
     breaker counters. *)
 val robust_summary : Tropic.Controller.stats -> string

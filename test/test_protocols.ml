@@ -297,7 +297,8 @@ let test_started_and_offer_share_an_entry () =
       t.Txn.state <- Txn.Started;
       Persist.write p t;
       Persist.offer p 21;
-      Persist.release p ~deletes:[ item ];
+      Persist.delete p item;
+      Persist.release p;
       Persist.barrier p;
       Alcotest.(check int) "one command carries record, offer and delete" 1
         (gs.Coord.Types.batched_cmds - cmds_before);
@@ -352,7 +353,7 @@ let test_releases_merge_while_in_flight () =
             (record c id = Some (Txn.Started, 1)))
         [ 10; 11; 12 ])
 
-(* A deleted key is reported as deleting from release until its ack. *)
+(* A deleted key is reported as deleting from its delete until its ack. *)
 let test_deletes_tracked_until_acked () =
   Drive.ensemble (fun _sim ens ->
       ignore (Coord.Ensemble.await_leader ens);
@@ -362,7 +363,8 @@ let test_deletes_tracked_until_acked () =
         Coord.Recipes.enqueue c ~queue:(Proto.input_queue_ns ns) "junk"
       in
       Persist.defer p;
-      Persist.release p ~deletes:[ item ];
+      Persist.delete p item;
+      Persist.release p;
       Alcotest.(check bool_c) "deleting once released" true
         (Persist.deleting p item);
       Alcotest.(check int) "one delete pending" 1 (Persist.deleting_count p);

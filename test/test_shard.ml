@@ -321,13 +321,16 @@ let test_presumed_abort_on_lost_coordinator () =
           ~args:(migrate_args ~src ~dst ~vm:"web3")
       in
       (* Let the participant cast its vote, then take the whole
-         coordinator replica group down before any decision lands. *)
+         coordinator replica group down before any decision lands.  The
+         decision follows the vote within about 0.1 s, so the vote is
+         polled every millisecond. *)
       let voted () =
         match Platform.shard_leader platform part_sid with
         | None -> false
         | Some c -> (Controller.stats c).Controller.twopc_prepares >= 1
       in
-      Alcotest.(check bool) "participant voted" true (await_cond voted);
+      Alcotest.(check bool) "participant voted" true
+        (await_cond ~tries:40_000 ~gap:0.001 voted);
       let n = (Platform.spec platform).Platform.controllers in
       let slots = List.init n (fun k -> (coord_sid * n) + k) in
       List.iter (Platform.kill_controller platform) slots;

@@ -71,6 +71,27 @@ let test_txn_roundtrip () =
     check bool_c "locks" true (txn'.Txn.locks = txn.Txn.locks);
     check bool_c "start_seq" true (txn'.Txn.start_seq = Some 7)
 
+(* TERM is a flag on the record: it survives the codec, and a record
+   nobody TERMed encodes without it. *)
+let test_txn_termed_roundtrip () =
+  let txn =
+    Txn.make ~id:7 ~proc:"spawnVM" ~args:[ v_str "vm1" ] ~submitted_at:1.
+  in
+  txn.Txn.state <- Txn.Started;
+  txn.Txn.log <- sample_log;
+  let unset = Txn.to_string txn in
+  check bool_c "no flag in the encoding" false
+    (Str_contains.contains unset "termed");
+  (match Txn.of_string unset with
+   | Ok txn' -> check bool_c "unset decodes unset" false txn'.Txn.termed
+   | Error reason -> Alcotest.fail reason);
+  txn.Txn.termed <- true;
+  match Txn.of_string (Txn.to_string txn) with
+  | Ok txn' ->
+    check bool_c "set decodes set" true txn'.Txn.termed;
+    check bool_c "state kept" true (txn'.Txn.state = Txn.Started)
+  | Error reason -> Alcotest.fail reason
+
 let txn_state_strings_prop =
   QCheck.Test.make ~name:"txn state string roundtrip" ~count:100
     QCheck.(
@@ -698,14 +719,18 @@ let test_e2e_deferred_conflict_then_commit () =
       check bool_c "lock conflicts caused deferrals" true
         ((Controller.stats leader).Controller.deferrals > 0))
 
-(* No signal marker is left in the store or in the leader's table. *)
-let check_no_signal platform =
-  check (Alcotest.list string_c) "no signal marker left" []
-    (Coord.Store.children
-       (Coord.Ensemble.leader_store (Platform.coord platform))
-       (Proto.signals_prefix_ns Proto.default_ns));
-  check (Alcotest.list int_c) "leader tracks no signal" []
-    (Controller.signaled (Platform.await_leader_controller platform))
+(* A signal leaves no key of its own: once a KILLed transaction's worker
+   is gone, the store holds no progress cursor, executing marker or phyQ
+   item for it. *)
+let check_no_leftovers platform =
+  let store = Coord.Ensemble.leader_store (Platform.coord platform) in
+  List.iter
+    (fun prefix ->
+      check (Alcotest.list string_c) (prefix ^ " empty") []
+        (Coord.Store.children store prefix))
+    [ Proto.progress_prefix_ns Proto.default_ns;
+      Proto.executing_prefix_ns Proto.default_ns;
+      Proto.phy_queue_ns Proto.default_ns ]
 
 let test_e2e_kill_signal_quarantines_then_repair () =
   with_platform (fun platform inv ->
@@ -732,9 +757,9 @@ let test_e2e_kill_signal_quarantines_then_repair () =
       ignore inv;
       expect_committed "post-KILL spawn"
         (Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "k2"));
-      (* The killed worker has reported, so the marker is gone from the
-         store and from the leader's table. *)
-      check_no_signal platform)
+      (* The killed worker read the Failed record, stopped and finished:
+         its cursor and marker went with its report. *)
+      check_no_leftovers platform)
 
 let kill_to_failure platform txn_id =
   Platform.signal platform txn_id Proto.Kill;
@@ -749,7 +774,8 @@ let phy_items platform =
        (Proto.phy_queue_ns Proto.default_ns))
 
 (* The killed txn's worker dies mid-action: it never reports, and its
-   executing marker leaves with its session. *)
+   executing marker leaves with its session.  Its progress cursor goes
+   with the KILL's terminal record. *)
 let test_e2e_kill_dead_worker_leaves_no_signal () =
   with_platform (fun platform _inv ->
       let txn_id =
@@ -761,7 +787,7 @@ let test_e2e_kill_dead_worker_leaves_no_signal () =
       Platform.kill_worker platform 1;
       kill_to_failure platform txn_id;
       Des.Proc.sleep 30.;
-      check_no_signal platform)
+      check_no_leftovers platform)
 
 (* The KILL lands while the txn's phyQ item waits: the worker that takes
    it later finds the record Failed and reports nothing. *)
@@ -779,7 +805,98 @@ let test_e2e_kill_queued_txn_leaves_no_signal () =
       Platform.restart_worker platform 1;
       Des.Proc.sleep 30.;
       check int_c "a worker took the item" 0 (phy_items platform);
-      check_no_signal platform)
+      check_no_leftovers platform)
+
+let leader_slot platform =
+  match Platform.leader_index platform with
+  | Some i -> i
+  | None -> Alcotest.fail "no leader"
+
+let stored_record platform txn_id =
+  match
+    Coord.Store.get
+      (Coord.Ensemble.leader_store (Platform.coord platform))
+      (Txn.record_key_ns Proto.default_ns txn_id)
+  with
+  | Some (value, _) -> Result.to_option (Txn.of_string value)
+  | None -> None
+
+(* The TERM flag is in the record, so a TERM survives the leader that
+   handled it: the worker stops at its next action, undoes, and the next
+   leader applies the abort. *)
+let test_e2e_term_survives_failover () =
+  with_platform (fun platform inv ->
+      let txn_id =
+        Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "tf")
+      in
+      (* cloneImage takes 4 s: the worker is inside it. *)
+      Des.Proc.sleep 2.;
+      Platform.signal platform txn_id Proto.Term;
+      let rec await_flag () =
+        match stored_record platform txn_id with
+        | Some { Txn.termed = true; state = Txn.Started; _ } -> ()
+        | Some _ | None ->
+          Des.Proc.sleep 0.05;
+          await_flag ()
+      in
+      await_flag ();
+      Platform.kill_controller platform (leader_slot platform);
+      (match Platform.await platform txn_id with
+       | Txn.Aborted reason ->
+         check bool_c "aborted by the TERM" true
+           (Str_contains.contains reason "terminated by operator")
+       | other ->
+         Alcotest.failf "expected abort, got %s" (Txn.state_to_string other));
+      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+      let _, storage = inv.Tcloud.Setup.storages.(0) in
+      check (Alcotest.list string_c) "no VM" []
+        (Devices.Compute.vm_names compute0);
+      check (Alcotest.list string_c) "clone undone" []
+        (List.filter
+           (fun image -> not (Devices.Storage.is_template storage image))
+           (Devices.Storage.image_names storage));
+      check bool_c "logical clean" false
+        (Data.Tree.mem (Platform.logical_tree platform)
+           (Data.Path.v (host0 ^ "/tf"))))
+
+(* The leader consumes a KILL, and dies with the coordination leader
+   before the window holding the Failed record and the control item's
+   delete is durable.  Neither landed, so the next leader reads the KILL
+   again and applies it. *)
+let test_e2e_kill_window_lost_reapplied () =
+  with_platform (fun platform _inv ->
+      let txn_id =
+        Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "kw")
+      in
+      Des.Proc.sleep 6.;
+      let st = Platform.shard_stats platform 0 in
+      let kills = st.Controller.kills in
+      Platform.signal platform txn_id Proto.Kill;
+      (* The window leaves as the KILL is handled; the coordination
+         leader drops it on arrival once crashed. *)
+      while st.Controller.kills = kills do
+        Des.Proc.sleep 0.0001
+      done;
+      Platform.kill_controller platform (leader_slot platform);
+      let ensemble = Platform.coord platform in
+      let coord_leader = Coord.Ensemble.await_leader ensemble in
+      Coord.Ensemble.crash_replica ensemble coord_leader;
+      ignore (Coord.Ensemble.await_leader ensemble);
+      (match stored_record platform txn_id with
+       | Some { Txn.state = Txn.Started; _ } -> ()
+       | Some txn ->
+         Alcotest.failf "window landed: %s" (Txn.state_to_string txn.Txn.state)
+       | None -> Alcotest.fail "record missing");
+      Coord.Ensemble.restart_replica ensemble coord_leader;
+      (match Platform.await platform txn_id with
+       | Txn.Failed reason ->
+         check bool_c "killed" true
+           (Str_contains.contains reason "killed by operator")
+       | other ->
+         Alcotest.failf "expected failed, got %s" (Txn.state_to_string other));
+      check bool_c "handled again" true (st.Controller.kills >= kills + 2);
+      Des.Proc.sleep 30.;
+      check_no_leftovers platform)
 
 let test_e2e_repair_after_power_cycle () =
   with_platform (fun platform inv ->
@@ -1956,7 +2073,14 @@ let suite =
     ("e2e: reload adopts out-of-band change", `Quick, test_e2e_reload_adopts_oob_change);
     ("e2e: destroy roundtrip", `Quick, test_e2e_destroy_roundtrip);
     ("e2e: network procedures", `Quick, test_e2e_network_procedures);
+    ("txn: TERM flag roundtrip", `Quick, test_txn_termed_roundtrip);
     ("e2e: TERM on queued txn", `Quick, test_e2e_term_on_queued_txn);
+    ( "e2e: TERM survives a leader fail-over",
+      `Quick,
+      test_e2e_term_survives_failover );
+    ( "e2e: KILL whose window was lost is applied again",
+      `Quick,
+      test_e2e_kill_window_lost_reapplied );
     ("e2e: aggressive scheduling", `Quick, test_e2e_aggressive_scheduling);
     ("e2e: aggressive hot subtree does not starve", `Quick, test_e2e_aggressive_no_starvation);
     ("e2e: FIFO preserves submission order", `Quick, test_e2e_fifo_preserves_submission_order);

@@ -156,7 +156,7 @@ let scale_cmd =
   in
   Cmd.v
     (Cmd.info "scale"
-       ~doc:"Section 6.1: throughput and memory vs resource count")
+       ~doc:"Section 6.1: throughput and memory vs resource count, live heap vs load")
     Term.(const run $ quick_flag $ seed_arg)
 
 let ablation_cmd =

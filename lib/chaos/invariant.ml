@@ -416,17 +416,52 @@ let check_quiescence ~platform ~computes ~devices ~txns ~expected ~skip_vm =
           drained b.input_items "inputQ still holds %d items%s";
           drained b.phy_items "phyQ still holds %d items%s")
         (Tropic.Platform.shard_backlog platform sid);
-      (* Live state only: no replay cursor or executing marker may
-         outlive its transaction, or nothing ever deletes it. *)
+      (* Live state only.  No replay cursor or executing marker may
+         outlive its transaction, or nothing ever deletes it
+         (orphan-keys).  After the final checkpoint the store holds
+         nothing else but election and ephemeral keys, the checkpoint,
+         queue items, and the records of live and of cross-shard
+         transactions, which stay (store-bounded).  The global 2PC
+         mailboxes and decision records sit in shard 0's store too. *)
       let ens = Tropic.Platform.coord_ensemble platform sid in
       let ns = Tropic.Proto.ns_of_shard sid in
+      let live = List.map fst (Tropic.Controller.held leader) in
+      let under prefix key = String.starts_with ~prefix:(prefix ^ "/") key in
+      let kept key =
+        match Coord.Store.get (Coord.Ensemble.leader_store ens) key with
+        | None -> false
+        | Some (value, _) ->
+          (match Tropic.Txn.of_string value with
+           | Error _ -> false
+           | Ok txn ->
+             List.mem txn.Tropic.Txn.id live
+             || Tropic.Twopc.is_participant txn
+             || List.length
+                  (List.sort_uniq compare
+                     (List.map
+                        (Tropic.Platform.shard_of_path platform)
+                        (Tropic.Router.arg_paths txn.Tropic.Txn.args)))
+                > 1)
+      in
       if Coord.Ensemble.leader_id ens <> None then
         List.iter
-          (fun prefix ->
-            List.iter
-              (fun key ->
-                violation "orphan-keys" (key ^ " left in the store" ^ where))
-              (Coord.Store.children (Coord.Ensemble.leader_store ens) prefix))
-          Tropic.Proto.[ progress_prefix_ns ns; executing_prefix_ns ns ]
+          (fun (key, ephemeral) ->
+            let left name = violation name (key ^ " left in the store" ^ where) in
+            if
+              List.exists
+                (fun prefix -> under prefix key)
+                Tropic.Proto.[ progress_prefix_ns ns; executing_prefix_ns ns ]
+            then left "orphan-keys"
+            else if
+              ephemeral
+              || List.exists
+                   (fun prefix -> under prefix key)
+                   Tropic.Proto.
+                     [ election_path_ns ns; checkpoint_prefix_ns ns;
+                       input_queue_ns ns; phy_queue_ns ns; "/tropic/2pc" ]
+              || (under (Tropic.Proto.txns_prefix_ns ns) key && kept key)
+            then ()
+            else left "store-bounded")
+          (Coord.Store.keys (Coord.Ensemble.leader_store ens))
   done;
   List.rev !found

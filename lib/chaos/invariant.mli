@@ -44,7 +44,12 @@
     - [quiescence-drained]: every shard leader's todo queue, in-flight
       set and lock table are empty.
     - [orphan-keys]: no shard's coordination store holds a progress
-      cursor or an executing marker, which only a running replay owns. *)
+      cursor or an executing marker, which only a running replay owns.
+    - [store-bounded]: after the final checkpoint, each shard's store
+      holds only election and ephemeral keys, the checkpoint, queue
+      items, and the records of live and of cross-shard transactions
+      (and, in shard 0's store, the 2PC mailboxes and decision
+      records). *)
 
 type violation = { invariant : string; at : float; detail : string }
 

@@ -617,7 +617,15 @@ let run_one ?(trace = false) config ~schedule ~seed =
           match Tropic.Platform.txn_state platform id with
           | Some state -> Hashtbl.replace storm_states id state
           | None -> ())
-        (Nemesis.storm_txns nemesis))
+        (Nemesis.storm_txns nemesis);
+      (* A final checkpoint on every shard folds in what is left, so the
+         store-bounded check sees only live state.  An idle leader takes
+         it within a second. *)
+      for sid = 0 to Tropic.Platform.shard_count platform - 1 do
+        Option.iter Tropic.Controller.request_checkpoint
+          (Tropic.Platform.shard_leader platform sid)
+      done;
+      Des.Proc.sleep 2.0)
   in
   Invariant.stop tracker;
   (* Lifecycle invariants over the recorded span tree — only meaningful

@@ -40,6 +40,10 @@ let get t key =
 let exists t key = Smap.mem key t.entries
 let size t = Smap.cardinal t.entries
 
+let keys t =
+  Smap.fold (fun key e acc -> (key, Option.is_some e.owner) :: acc) t.entries []
+  |> List.rev
+
 (* The first [limit] direct children of [prefix] with their entries.  Smap
    iterates in key order from the prefix, so the walk stops at the first key
    past the prefix range, or once [limit] children are found. *)

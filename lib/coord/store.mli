@@ -53,6 +53,9 @@ val exists : t -> string -> bool
 (** Number of keys present. *)
 val size : t -> int
 
+(** Every key in order, with whether it is ephemeral. *)
+val keys : t -> (string * bool) list
+
 (** Sessions currently owning at least one ephemeral key. *)
 val ephemeral_owners : t -> int list
 

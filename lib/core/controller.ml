@@ -3,7 +3,6 @@ let log_src = Logs.Src.create "tropic.controller" ~doc:"TROPIC controller"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
-  checkpoint_every : int option;
   repair_rules : Recon.rule list;
   constraint_guard_locks : bool;
   repair_interval : float option;
@@ -16,7 +15,6 @@ type config = {
 
 let default_config =
   {
-    checkpoint_every = None;
     repair_rules = [];
     constraint_guard_locks = true;
     repair_interval = None;
@@ -155,9 +153,12 @@ type t = {
   quarantine : Recon.Quarantine.t;
   mutable next_start_seq : int;
   mutable next_internal_txn : int; (* negative lock owners for reload *)
-  mutable commits_since_checkpoint : int;
-  mutable prune_candidates : string list;
-      (* terminal record keys, collected only when checkpointing *)
+  mutable checkpointed : Data.Tree.t; (* the tree of the last checkpoint *)
+  mutable folded : (int * Txn.state) list;
+      (* terminal records the next checkpoint prunes, newest first *)
+  mutable checkpoint_due : bool;
+  is_root : Data.Path.t -> bool;
+  on_prune : (int * Txn.state) list -> unit;
   mutable max_request_seq : int; (* highest request item seq processed *)
   watchdog : Watchdog.t;
   health : Health.t;
@@ -172,8 +173,9 @@ type t = {
   st : stats;
 }
 
-let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
-    ~(config : config) ~devices ~device_roots ~sim ~(stats : stats) () =
+let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
+    ~client ~env ~(config : config) ~devices ~device_roots ~sim ~(stats : stats)
+    () =
   let shard =
     match shard with
     | Some s -> s
@@ -183,6 +185,8 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
   let ns = Proto.ns_of_shard shard.Shard.sid in
   let persist = Persist.create ~name ~ns ~client in
   let health = Health.create config.health in
+  let roots = Hashtbl.create (List.length device_roots) in
+  List.iter (fun root -> Hashtbl.replace roots root ()) device_roots;
   (* Breaker transitions feed the shard's counters, and the trace (system
      lane when no canary transaction is involved) when one is attached. *)
   Health.set_listener health (fun ev ->
@@ -216,8 +220,11 @@ let create ~trace ?shard ?gclient ?repair_deadline ~name ~client ~env
     quarantine = Recon.Quarantine.create shard;
     next_start_seq = 1;
     next_internal_txn = -1;
-    commits_since_checkpoint = 0;
-    prune_candidates = [];
+    checkpointed = Data.Tree.empty;
+    folded = [];
+    checkpoint_due = false;
+    is_root = Hashtbl.mem roots;
+    on_prune;
     max_request_seq = 0;
     watchdog = Watchdog.create config.watchdog;
     health;
@@ -273,14 +280,24 @@ let started_txns t =
     (held t)
 
 let quarantined t = Recon.Quarantine.to_list t.quarantine
+let max_request_seq t = t.max_request_seq
 
 let persist t txn = Persist.write t.persist txn
+
+(* A cross-shard record stays in the store: a participant's record is
+   what rebuilds its Twopc tombstone on a new leader, and a coordinator's
+   is what makes a new leader resend its verdict. *)
+let prunable t txn = not (Twopc.is_participant txn || Twopc.is_cross t.shard txn)
+
+let fold t (txn : Txn.t) =
+  if prunable t txn then t.folded <- (txn.Txn.id, txn.Txn.state) :: t.folded
 
 (* A terminal transaction leaves the table as its state is set, before
    the record write, which can block on a barrier: no reader ever sees a
    terminal entry.  Persist holds the record until its window is sent;
-   after that only a 2PC shadow leaves a trace, its tombstone in Twopc.
-   This is the table Recovery.rebuild gives a new leader. *)
+   the next checkpoint prunes it.  After that only a 2PC shadow leaves a
+   trace, its tombstone in Twopc.  This is the table Recovery.rebuild
+   gives a new leader. *)
 let finish t (txn : Txn.t) state =
   txn.Txn.state <- state;
   txn.Txn.finished_at <- Some (Des.Sim.now t.sim);
@@ -302,8 +319,7 @@ let finish t (txn : Txn.t) state =
   in
   Trace.close_all t.trace ~txn:txn.Txn.id ~attrs ();
   persist t txn;
-  if t.cfg.checkpoint_every <> None then
-    t.prune_candidates <- Txn.record_key_ns t.ns txn.Txn.id :: t.prune_candidates
+  fold t txn
 
 (* ------------------------------------------------------------------ *)
 (* Transaction finalization *)
@@ -332,27 +348,40 @@ let write_roots t locks =
     locks
   |> List.sort_uniq Data.Path.compare
 
-(* Quiescent checkpoint: when nothing is physically in flight, the logical
-   tree contains exactly the committed state, so it can serve as the replay
-   base and all terminal records can be pruned. *)
-let maybe_checkpoint t =
-  match t.cfg.checkpoint_every with
-  | Some period when t.commits_since_checkpoint >= period && inflight t = 0 ->
-    (* Deferred records must hit the store before the checkpoint prunes:
-       a dirty record flushed after its key was pruned would resurrect a
-       terminal txn the checkpoint already folded in.  The flush is also
-       the barrier the checkpoint write and the prune deletes need. *)
-    Persist.flush t.persist;
-    let seq = t.next_start_seq - 1 in
-    if Recovery.save_checkpoint ~seq t.tree t.client ~ns:t.ns then begin
-      t.commits_since_checkpoint <- 0;
-      List.iter
-        (fun key -> ignore (Coord.Client.delete t.client ~key ()))
-        t.prune_candidates;
-      t.prune_candidates <- [];
-      Log.info (fun m -> m "%s: checkpoint at start_seq %d" t.cname seq)
-    end
-  | Some _ | None -> ()
+(* A checkpoint, taken between bursts so the tree and the table agree: the
+   tree includes the effects of every txn started so far that has not
+   rolled back.  Its writes and the deletes of the records it folds in go
+   out as one window behind every record write, so a record leaves the
+   store only with a checkpoint that has its final effect.  Their
+   outcomes go to [on_prune] first, so a reader finds one or the other. *)
+let checkpoint t =
+  let c =
+    {
+      Recovery.seq = t.next_start_seq - 1;
+      tree = t.tree;
+      max_request_seq = t.max_request_seq;
+      quarantine = Recon.Quarantine.to_list t.quarantine;
+      started = started_txns t;
+    }
+  in
+  let folded = List.rev t.folded in
+  t.on_prune folded;
+  Persist.append t.persist
+    (Recovery.checkpoint_ops ~ns:t.ns ~roots:t.device_roots ~is_root:t.is_root
+       ~prev:t.checkpointed c
+    @ List.map
+        (fun (id, _) ->
+          Coord.Types.Op_delete
+            { key = Txn.record_key_ns t.ns id; expect_version = None })
+        folded);
+  t.checkpointed <- t.tree;
+  t.folded <- [];
+  t.checkpoint_due <- false;
+  Log.info (fun m ->
+      m "%s: checkpoint at start_seq %d, %d records pruned" t.cname c.Recovery.seq
+        (List.length folded))
+
+let request_checkpoint t = t.checkpoint_due <- true
 
 (* Roll the logical layer back via the undo actions in the execution log.
    If some logical undo cannot apply, the affected subtrees are quarantined
@@ -388,10 +417,7 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
   release_locks t txn.Txn.id;
   (if count then
      match state with
-     | Txn.Committed ->
-       t.st.committed <- t.st.committed + 1;
-       t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-       maybe_checkpoint t
+     | Txn.Committed -> t.st.committed <- t.st.committed + 1
      | Txn.Aborted _ -> t.st.aborted <- t.st.aborted + 1
      | Txn.Failed _ -> t.st.failed <- t.st.failed + 1
      | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Started -> ());
@@ -437,10 +463,14 @@ let rec local t (work : Twopc.local) =
       (Twopc.snapshots t.tree (Router.arg_paths txn.Txn.args))
   | Twopc.Apply (txn, log) ->
     (* The coordinator's worker replays the full log physically, so the
-       slice never reaches this shard's phyQ. *)
+       slice never reaches this shard's phyQ.  The slice enters the tree
+       now, so the shadow takes a fresh start_seq: a checkpoint taken
+       since its vote does not include it. *)
     t.tree <-
       Recovery.apply_log ~name:t.cname ~what:"2pc apply" t.env t.tree txn log;
     txn.Txn.log <- log;
+    txn.Txn.start_seq <- Some t.next_start_seq;
+    t.next_start_seq <- t.next_start_seq + 1;
     persist t txn;
     Twopc.applied t.twopc txn.Txn.id
   | Twopc.Decide_votes (txn, snaps) -> decide_cross t txn snaps
@@ -825,12 +855,17 @@ let handle_signal t ~txn_id signal =
   match Hashtbl.find_opt t.txns txn_id with
   | None -> ()
   | Some txn ->
-    (match txn.Txn.state with
-     | Txn.Accepted | Txn.Deferred | Txn.Started ->
-       (match signal with
-        | Proto.Term -> t.st.terms <- t.st.terms + 1
-        | Proto.Kill -> t.st.kills <- t.st.kills + 1)
-     | Txn.Initialized | Txn.Committed | Txn.Aborted _ | Txn.Failed _ -> ());
+    (* Counted once its window is durable: a new leader that applies the
+       item again after a lost window is the only one to count it.  A KILL
+       ends the txn, so it counts once; a TERM counts when it sets the
+       flag. *)
+    (match (txn.Txn.state, signal) with
+     | (Txn.Accepted | Txn.Deferred | Txn.Started), Proto.Kill ->
+       Persist.on_durable t.persist (fun () -> t.st.kills <- t.st.kills + 1)
+     | (Txn.Accepted | Txn.Deferred | Txn.Started), Proto.Term
+       when not txn.Txn.termed ->
+       Persist.on_durable t.persist (fun () -> t.st.terms <- t.st.terms + 1)
+     | _, (Proto.Term | Proto.Kill) -> ());
     (match txn.Txn.state with
      | Txn.Accepted | Txn.Deferred when Twopc.preparing t.twopc txn_id ->
        (* Cross-shard coordinator still gathering votes: a decided abort
@@ -947,21 +982,23 @@ let recover t =
   (* The tree is published as it is restored — checkpoint first, then the
      replayed records — because clients read a leader's tree while it
      recovers. *)
-  let checkpoint_seq, tree = Recovery.load_checkpoint t.client ~ns:t.ns in
-  t.tree <- tree;
+  let checkpoint = Recovery.load_checkpoint t.client ~ns:t.ns in
+  t.tree <- checkpoint.Recovery.tree;
+  t.checkpointed <- checkpoint.Recovery.tree;
   let records = Recovery.records ~name:t.cname t.client ~ns:t.ns in
   t.tree <-
-    Recovery.replay ~name:t.cname t.env t.tree ~checkpoint_seq ~shard:t.shard
-      records;
+    Recovery.replay ~name:t.cname t.env checkpoint ~shard:t.shard records;
   let r =
-    Recovery.rebuild ~name:t.cname t.client ~ns:t.ns ~shard:t.shard
-      ~checkpoint_seq ~txns:t.txns ~locks:t.locks ~sched:t.sched
-      ~twopc:t.twopc ~persist:t.persist records
+    Recovery.rebuild ~name:t.cname t.client ~ns:t.ns ~shard:t.shard ~checkpoint
+      ~txns:t.txns ~locks:t.locks ~sched:t.sched ~twopc:t.twopc
+      ~persist:t.persist records
   in
   t.next_start_seq <- r.Recovery.next_start_seq;
   t.max_request_seq <- r.Recovery.max_request_seq;
   Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
-  if t.cfg.checkpoint_every <> None then t.prune_candidates <- r.Recovery.prune;
+  List.iter
+    (fun (txn : Txn.t) -> if Txn.is_terminal txn.Txn.state then fold t txn)
+    records;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
         t.cname (List.length records) (Sched.length t.sched) (inflight t)
@@ -1167,6 +1204,10 @@ let run t () =
      reads inputQ while this window is in flight. *)
   while not t.stopped do
     if drain_twopc t || Sched.has_wakes t.sched then schedule t;
+    if
+      t.checkpoint_due
+      || List.compare_length_with t.folded Proto.checkpoint_period >= 0
+    then checkpoint t;
     match next_burst t with
     | [] -> ()
     | items ->

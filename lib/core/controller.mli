@@ -16,8 +16,6 @@
     what Figure 4 plots. *)
 
 type config = {
-  checkpoint_every : int option;
-      (** quiescent checkpoint period, in commits; [None] disables *)
   repair_rules : Recon.rule list;
   constraint_guard_locks : bool;
       (** the §3.1.3 R-lock-on-constrained-ancestor rule (ablation knob) *)
@@ -113,12 +111,17 @@ type t
 
     [stats] is the shard's counter record: every controller instance of
     one shard (leader, standbys and restarted ones) is given the same
-    record, so counters and latency recorders survive fail-over. *)
+    record, so counters and latency recorders survive fail-over.
+
+    The leader checkpoints after every {!Proto.checkpoint_period}
+    terminal records, and prunes them in the same window; [on_prune]
+    gets their ids and final states just before. *)
 val create :
   trace:Trace.t ->
   ?shard:Shard.t ->
   ?gclient:Coord.Client.t ->
   ?repair_deadline:float ->
+  on_prune:((int * Txn.state) list -> unit) ->
   name:string ->
   client:Coord.Client.t ->
   env:Dsl.env ->
@@ -132,6 +135,10 @@ val create :
 
 (** Spawn the controller process (election, recovery, main loop). *)
 val start : t -> unit
+
+(** Have the leader checkpoint at its next pass of the main loop (within
+    a second when idle), whatever the number of records to fold. *)
+val request_checkpoint : t -> unit
 
 (** Kill the controller process and close its coordination session — from
     the rest of the system's point of view, a crash. *)
@@ -192,6 +199,9 @@ val lock_parked : t -> int
 
 (** Quarantined (inconsistent) subtree roots. *)
 val quarantined : t -> Data.Path.t list
+
+(** The redelivery watermark: the highest request id processed. *)
+val max_request_seq : t -> int
 
 (** Cumulative CPU busy time (Fig. 4's y-axis numerator). *)
 val cpu_busy_time : t -> float

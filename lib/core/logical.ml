@@ -5,6 +5,8 @@ type success = {
   actions : int;
 }
 
+module Pmap = Map.Make (Data.Path)
+
 let infer_locks env ~guard_locks ~tree ~reads ~writes =
   let write_locks = List.map (fun path -> (path, Mglock.W)) writes in
   let read_locks = List.map (fun path -> (path, Mglock.R)) reads in
@@ -23,7 +25,17 @@ let infer_locks env ~guard_locks ~tree ~reads ~writes =
           | None -> None)
         writes
   in
-  write_locks @ read_locks @ guards
+  (* One entry per path at the joined mode, in path order: a path that
+     several actions touch is listed once, as Mglock.requirements would
+     join it anyway. *)
+  List.fold_left
+    (fun acc (path, mode) ->
+      Pmap.update path
+        (function None -> Some mode | Some m -> Some (Mglock.join m mode))
+        acc)
+    Pmap.empty
+    (write_locks @ read_locks @ guards)
+  |> Pmap.bindings
 
 let simulate ?(guard_locks = true) env ~tree ~proc ~args =
   let ctx = Dsl.fresh_ctx env tree in

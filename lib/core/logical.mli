@@ -11,6 +11,8 @@ type success = {
   new_tree : Data.Tree.t;
   log : Xlog.t;
   locks : (Data.Path.t * Mglock.mode) list;
+      (** one entry per path, at the {!Mglock.join} of its modes, in path
+          order *)
   actions : int;  (** number of actions simulated (CPU-model input) *)
 }
 

@@ -2,6 +2,15 @@ let log_src = Logs.Src.create "tropic.persist" ~doc:"TROPIC record writes"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* One multi sent on the session; a window released while it is still
+   held back joins it. *)
+type multi = {
+  mutable ops : Coord.Types.op list;
+  mutable answered : bool;
+  mutable ok : bool;
+  mutable notes : (unit -> unit) list;  (* run once it is durable, newest first *)
+}
+
 type t = {
   name : string;
   ns : string;
@@ -10,12 +19,12 @@ type t = {
   mutable deferred : bool;
   mutable offers : int list;  (* buffered phyQ offers, newest first *)
   mutable deletes : string list;  (* buffered deletes, newest first *)
-  inflight : (Coord.Types.op list ref * bool ref) Queue.t;
-      (* sent multis in send order, each with whether it is answered;
-         the answered head is popped *)
-  mutable queued : Coord.Types.op list ref option;
+  mutable notes : (unit -> unit) list;  (* for the next window, newest first *)
+  inflight : multi Queue.t;
+      (* sent multis in send order; the answered head is popped *)
+  mutable queued : multi option;
       (* the last sent multi while the session still holds it back behind
-         an earlier one's receipt; a window released meanwhile joins it *)
+         an earlier one's receipt *)
   mutable sent : int;  (* ops ever sent *)
   mutable acked : int;  (* ops of the answered prefix of the sent multis *)
   deleting : (string, unit) Hashtbl.t;  (* deletes in flight *)
@@ -32,6 +41,7 @@ let create ~name ~ns ~client =
     deferred = false;
     offers = [];
     deletes = [];
+    notes = [];
     inflight = Queue.create ();
     queued = None;
     sent = 0;
@@ -64,15 +74,15 @@ let barrier t =
    only, so a barrier never passes a multi that is still in flight. *)
 let rec settle t =
   match Queue.peek_opt t.inflight with
-  | Some (ops, answered) when !answered ->
-    let ops = !ops in
+  | Some multi when multi.answered ->
     ignore (Queue.pop t.inflight);
-    t.acked <- t.acked + List.length ops;
+    t.acked <- t.acked + List.length multi.ops;
     List.iter
       (function
         | Coord.Types.Op_delete { key; _ } -> Hashtbl.remove t.deleting key
         | Coord.Types.Op_create _ | Coord.Types.Op_write _ -> ())
-      ops;
+      multi.ops;
+    if multi.ok then List.iter (fun note -> note ()) (List.rev multi.notes);
     settle t
   | Some _ | None ->
     let ready, waiting = List.partition (fun (n, _) -> n <= t.acked) t.waiters in
@@ -86,28 +96,30 @@ let rec settle t =
    writes, sequential creates and unconditional deletes cannot fail, so a
    failure answer is a bug (or a later command's cached answer, see
    [Coord.Client]) worth a log line, not a retry. *)
-let send t ops =
+let send ?(notes = []) t ops =
   if ops <> [] then begin
     t.sent <- t.sent + List.length ops;
     match t.queued with
-    | Some queued -> queued := !queued @ ops
+    | Some queued ->
+      queued.ops <- queued.ops @ ops;
+      queued.notes <- notes @ queued.notes
     | None ->
-      let multi = ref ops and answered = ref false in
-      Queue.push (multi, answered) t.inflight;
+      let multi = { ops; answered = false; ok = false; notes } in
+      Queue.push multi t.inflight;
       t.queued <- Some multi;
       Coord.Client.multi_async_lazy t.client
         (fun () ->
           t.queued <- None;
-          !multi)
+          multi.ops)
         ~on_done:(fun result ->
           (match result with
            | Coord.Types.Op_failed e ->
              Log.err (fun m ->
                  m "%s: persisting %d ops failed: %s" t.name
-                   (List.length !multi)
+                   (List.length multi.ops)
                    (Format.asprintf "%a" Coord.Types.pp_op_error e))
-           | _ -> ());
-          answered := true;
+           | _ -> multi.ok <- true);
+          multi.answered <- true;
           settle t)
   end
 
@@ -128,6 +140,7 @@ let delete t key =
   if t.deferred then t.deletes <- key :: t.deletes
   else send t [ delete_op key ]
 
+let on_durable t note = t.notes <- note :: t.notes
 let defer t = t.deferred <- true
 
 (* Records sorted by txn id, so the multi does not depend on hash order;
@@ -145,13 +158,25 @@ let pending_ops t =
   @ List.map (offer_op t) offers
   @ List.map delete_op deletes
 
+(* The deferred window, then [extra], as one send; the window's notes go
+   with it (they wait for the next one when there is nothing to send). *)
+let send_window t extra =
+  match pending_ops t @ extra with
+  | [] -> ()
+  | ops ->
+    let notes = t.notes in
+    t.notes <- [];
+    send ~notes t ops
+
 let flush t =
-  send t (pending_ops t);
+  send_window t [];
   barrier t
 
 let release t =
   t.deferred <- false;
-  send t (pending_ops t)
+  send_window t []
+
+let append t ops = send_window t ops
 
 let deleting t key = Hashtbl.mem t.deleting key
 let deleting_count t = Hashtbl.length t.deleting

@@ -20,10 +20,10 @@
     acked count advances over the answered prefix only.
 
     {b Barrier rule.}  Any coord write the controller makes outside this
-    module (controls, checkpoints and prunes, 2PC writes on the same
-    session) must first call {!barrier}, so that it lands
-    after every window released before it is durable — the order a
-    synchronous writer gave. *)
+    module (controls, 2PC writes on the same session) must first call
+    {!barrier}, so that it lands after every window released before it is
+    durable — the order a synchronous writer gave.  A checkpoint needs no
+    barrier: it goes out through {!append}, behind every window. *)
 
 type t
 
@@ -45,6 +45,10 @@ val offer : t -> int -> unit
     sent otherwise.  {!deleting} holds from here until it is durable. *)
 val delete : t -> string -> unit
 
+(** Run [note] once the next window ({!release}, {!flush} or {!append})
+    is durable; a window whose multi fails never runs it. *)
+val on_durable : t -> (unit -> unit) -> unit
+
 (** Start deferring record writes, phyQ offers and deletes. *)
 val defer : t -> unit
 
@@ -55,6 +59,10 @@ val flush : t -> unit
 (** Stop deferring and send, as one window, the deferred records (sorted
     by txn id), then the buffered offers and deletes.  Does not block. *)
 val release : t -> unit
+
+(** Send the deferred records, offers and deletes, then [ops], as one
+    window behind every multi sent before.  Does not block. *)
+val append : t -> Coord.Types.op list -> unit
 
 (** Wait until every op sent so far is durable. *)
 val barrier : t -> unit

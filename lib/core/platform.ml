@@ -57,6 +57,18 @@ type t = {
   (* await support: key -> wakeup channels, fed by per-client dispatchers.
      Namespaced keys are globally unique, so one table serves all shards. *)
   awaiters : (string, unit Des.Channel.t list ref) Hashtbl.t;
+  pruned : pruned;
+}
+
+(* Final states of the records checkpoints pruned, what [await] and
+   [txn_state] answer once a record is gone: a bit for the usual commit,
+   an entry for the rest.  Every txn id is kept, so this grows with the
+   aborts and failures of the run; their states are interned, since a
+   reason repeats across txns. *)
+and pruned = {
+  mutable committed : Bytes.t;  (* one bit per txn id *)
+  others : (int, Txn.state) Hashtbl.t;
+  states : (Txn.state, Txn.state) Hashtbl.t;
 }
 
 let sim t = t.psim
@@ -202,6 +214,37 @@ let run ?until t body = Des.Proc.run ?until ~idle:(fun () -> quiescent t) t.psim
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+let committed_bit p id =
+  id / 8 < Bytes.length p.committed
+  && Char.code (Bytes.get p.committed (id / 8)) land (1 lsl (id mod 8)) <> 0
+
+let note_pruned p (id, state) =
+  let byte = id / 8 and bit = 1 lsl (id mod 8) in
+  let len = Bytes.length p.committed in
+  if byte >= len then begin
+    let grown = Bytes.make (max (byte + 1) (2 * len)) '\000' in
+    Bytes.blit p.committed 0 grown 0 len;
+    p.committed <- grown
+  end;
+  let old = Char.code (Bytes.get p.committed byte) in
+  match state with
+  | Txn.Committed ->
+    Bytes.set p.committed byte (Char.chr (old lor bit));
+    Hashtbl.remove p.others id
+  | state ->
+    let state =
+      match Hashtbl.find_opt p.states state with
+      | Some shared -> shared
+      | None ->
+        Hashtbl.add p.states state state;
+        state
+    in
+    Bytes.set p.committed byte (Char.chr (old land lnot bit));
+    Hashtbl.replace p.others id state
+
+let pruned_outcome p id =
+  if committed_bit p id then Some Txn.Committed else Hashtbl.find_opt p.others id
+
 let connect_controller t sid cname =
   let client =
     Coord.Ensemble.connect t.ensembles.(sid)
@@ -218,6 +261,7 @@ let connect_controller t sid cname =
   Controller.create ~trace:t.ptrace
     ~shard:(Shard.view t.pshard ~sid)
     ?gclient ?repair_deadline:t.pspec.worker_retry.Physical.deadline
+    ~on_prune:(List.iter (note_pruned t.pruned))
     ~name:cname ~client ~env:t.penv
     ~config:t.pspec.controller_config ~devices:t.pdevices
     ~device_roots:t.pdevice_roots ~sim:t.psim ~stats:t.stats.(sid) ()
@@ -272,6 +316,12 @@ let create pspec env ~initial_tree ~devices psim =
       stats = Array.init pspec.shards (fun _ -> Controller.fresh_stats ());
       next_submitter = 0;
       awaiters = Hashtbl.create 256;
+      pruned =
+        {
+          committed = Bytes.empty;
+          others = Hashtbl.create 16;
+          states = Hashtbl.create 16;
+        };
     }
   in
   let control =
@@ -353,9 +403,11 @@ let submit t ~proc ~args =
   | Ok seq -> (seq * t.pspec.shards) + sid
   | Error reason -> failwith ("Platform.submit: " ^ reason)
 
-let txn_state_via client ~ns txn_id =
+(* The record's state; a pruned record's is noted before the delete is
+   sent, so the one or the other is always there. *)
+let txn_state_via t client ~ns txn_id =
   match Coord.Client.get client (Txn.record_key_ns ns txn_id) with
-  | None -> None
+  | None -> pruned_outcome t.pruned txn_id
   | Some (value, _) ->
     (match Txn.of_string value with
      | Ok txn -> Some txn.Txn.state
@@ -363,7 +415,7 @@ let txn_state_via client ~ns txn_id =
 
 let txn_state t txn_id =
   let sid = shard_of_txn t txn_id in
-  txn_state_via (pick_submitter t sid) ~ns:(ns_of_txn t txn_id) txn_id
+  txn_state_via t (pick_submitter t sid) ~ns:(ns_of_txn t txn_id) txn_id
 
 let register_awaiter t key channel =
   let channels =
@@ -394,13 +446,13 @@ let await t txn_id =
     ~finally:(fun () -> unregister_awaiter t key wakeup)
     (fun () ->
       let rec wait () =
-        match txn_state_via client ~ns txn_id with
+        match txn_state_via t client ~ns txn_id with
         | Some state when Txn.is_terminal state -> state
         | Some _ | None ->
           Coord.Client.watch_key client key;
           (* Re-check: the transition may have happened before the watch was
              armed; fall back to a poll in case the event is lost. *)
-          (match txn_state_via client ~ns txn_id with
+          (match txn_state_via t client ~ns txn_id with
            | Some state when Txn.is_terminal state -> state
            | Some _ | None ->
              ignore (Des.Channel.recv_timeout wakeup ~timeout:1.0);

@@ -106,7 +106,8 @@ val run_txn : t -> proc:string -> args:Data.Value.t list -> Txn.state
 val submit_batch :
   t -> (string * Data.Value.t list) list -> (int * Txn.state) list
 
-(** Current state from the persisted record, if any. *)
+(** Current state from the persisted record, if any; once a checkpoint
+    pruned the record, its final state. *)
 val txn_state : t -> int -> Txn.state option
 
 (** Operator controls, routed through inputQ like any request. *)

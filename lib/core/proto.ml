@@ -140,7 +140,24 @@ let ns_of_shard sid = if sid = 0 then "/tropic" else Printf.sprintf "/tropic/s%d
 let election_path_ns ns = ns ^ "/election"
 let input_queue_ns ns = ns ^ "/inputQ"
 let phy_queue_ns ns = ns ^ "/phyQ"
-let checkpoint_key_ns ns = ns ^ "/checkpoint"
+(* One prefix, so a new leader reads the whole checkpoint in one round
+   trip: "base" and "meta" sort before every overlay, whose key is the
+   root's path with '|' for '/' (no segment holds a '|', so no two roots
+   share a key). *)
+let checkpoint_prefix_ns ns = ns ^ "/checkpoint"
+let checkpoint_key_ns ns = checkpoint_prefix_ns ns ^ "/base"
+let checkpoint_meta_key_ns ns = checkpoint_prefix_ns ns ^ "/meta"
+
+let overlay_key_ns ns root =
+  checkpoint_prefix_ns ns ^ "/"
+  ^ String.map (function '/' -> '|' | c -> c) (Data.Path.to_string root)
+
+(* Terminal records between two checkpoints.  Each checkpoint rewrites
+   the device roots changed since the last one, so a larger period writes
+   a hot root less often per txn; a smaller one keeps fewer folded records
+   in the store.  64 keeps the folded records under ~64 KB. *)
+let checkpoint_period = 64
+
 let txns_prefix_ns ns = ns ^ "/txns"
 let executing_prefix_ns ns = ns ^ "/executing"
 

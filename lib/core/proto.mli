@@ -59,7 +59,26 @@ val default_ns : string
 val election_path_ns : string -> string
 val input_queue_ns : string -> string
 val phy_queue_ns : string -> string
+
+(** Every key of the checkpoint is a child of this prefix. *)
+val checkpoint_prefix_ns : string -> string
+
+(** The base checkpoint: the full tree the bootstrap writes, as
+    [(seq tree)]. *)
 val checkpoint_key_ns : string -> string
+
+(** The checkpoint's meta value: its [seq], [max_request_seq], quarantine
+    set and the Started txns whose effects its tree includes. *)
+val checkpoint_meta_key_ns : string -> string
+
+(** One value per device root changed since the base: the root's subtree,
+    an overlay on the base. *)
+val overlay_key_ns : string -> Data.Path.t -> string
+
+(** A leader checkpoints after every [checkpoint_period] terminal records
+    (see DESIGN.md). *)
+val checkpoint_period : int
+
 val txns_prefix_ns : string -> string
 val executing_prefix_ns : string -> string
 val executing_key_ns : string -> int -> string

@@ -2,31 +2,168 @@ let log_src = Logs.Src.create "tropic.recovery" ~doc:"TROPIC fail-over recovery"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type checkpoint = {
+  seq : int;
+  tree : Data.Tree.t;
+  max_request_seq : int;
+  quarantine : Data.Path.t list;
+  started : int list;
+}
+
+let ( let* ) r f = Result.bind r f
+
+let map_result f sexps =
+  List.fold_right
+    (fun s acc ->
+      let* acc = acc in
+      let* x = f s in
+      Ok (x :: acc))
+    sexps (Ok [])
+
+let corrupt what = function
+  | Ok v -> v
+  | Error reason -> failwith (Printf.sprintf "corrupt checkpoint %s: %s" what reason)
+
+let base_of_string value =
+  let* sexp = Data.Sexp.of_string value in
+  match sexp with
+  | Data.Sexp.List [ seq; tree ] ->
+    let* seq = Data.Sexp.to_int seq in
+    let* tree = Data.Tree.of_sexp tree in
+    Ok (seq, tree)
+  | _ -> Error "not (seq tree)"
+
+let base_to_string ~seq tree =
+  Data.Sexp.to_string (Data.Sexp.List [ Data.Sexp.of_int seq; Data.Tree.to_sexp tree ])
+
+let apply_overlay tree value =
+  let* sexp = Data.Sexp.of_string value in
+  match sexp with
+  | Data.Sexp.List [ path; node ] ->
+    let* path = Data.Path.of_sexp path in
+    let* node = Data.Tree.node_of_sexp node in
+    Result.map_error Data.Tree.error_to_string
+      (Data.Tree.replace_subtree tree path node)
+  | _ -> Error "not (path node)"
+
+let meta_to_string c =
+  let open Data.Sexp in
+  to_string
+    (List
+       [ List [ Atom "seq"; of_int c.seq ];
+         List [ Atom "max_request_seq"; of_int c.max_request_seq ];
+         List [ Atom "quarantine"; List (List.map Data.Path.to_sexp c.quarantine) ];
+         List [ Atom "started"; List (List.map of_int c.started) ] ])
+
+(* The meta value over [tree]. *)
+let with_meta tree value =
+  let* sexp = Data.Sexp.of_string value in
+  let* fields = Data.Sexp.to_list sexp in
+  let field name f = Result.bind (Data.Sexp.assoc name fields) f in
+  let* seq = field "seq" Data.Sexp.to_int in
+  let* max_request_seq = field "max_request_seq" Data.Sexp.to_int in
+  let list f sexp = Result.bind (Data.Sexp.to_list sexp) (map_result f) in
+  let* quarantine = field "quarantine" (list Data.Path.of_sexp) in
+  let* started = field "started" (list Data.Sexp.to_int) in
+  Ok { seq; tree; max_request_seq; quarantine; started }
+
 let load_checkpoint client ~ns =
-  let rec wait () =
-    match Coord.Client.get client (Proto.checkpoint_key_ns ns) with
-    | Some (value, _) ->
-      (match Data.Sexp.of_string value with
-       | Ok (Data.Sexp.List [ seq; tree ]) ->
-         (match Data.Sexp.to_int seq, Data.Tree.of_sexp tree with
-          | Ok seq, Ok tree -> (seq, tree)
-          | _, _ -> failwith "corrupt checkpoint")
-       | Ok _ | Error _ -> failwith "corrupt checkpoint")
-    | None ->
-      (* The platform bootstrap has not written the initial checkpoint yet. *)
+  let base_key = Proto.checkpoint_key_ns ns
+  and meta_key = Proto.checkpoint_meta_key_ns ns in
+  let rec read () =
+    match
+      Coord.Client.children_values client (Proto.checkpoint_prefix_ns ns) max_int
+    with
+    | (key, value) :: rest when String.equal key base_key -> (value, rest)
+    | _ ->
+      (* The platform bootstrap has not written the base yet. *)
       Des.Proc.sleep 0.2;
-      wait ()
+      read ()
   in
-  wait ()
+  let base, rest = read () in
+  let seq, tree = corrupt "base" (base_of_string base) in
+  let meta, overlays =
+    match rest with
+    | (key, value) :: overlays when String.equal key meta_key ->
+      (Some value, overlays)
+    | overlays -> (None, overlays)
+  in
+  let tree =
+    List.fold_left
+      (fun tree (key, value) -> corrupt key (apply_overlay tree value))
+      tree overlays
+  in
+  match meta with
+  | Some value -> corrupt "meta" (with_meta tree value)
+  | None -> { seq; tree; max_request_seq = 0; quarantine = []; started = [] }
 
 let save_checkpoint ~seq tree =
-  let value =
-    Data.Sexp.to_string
-      (Data.Sexp.List [ Data.Sexp.of_int seq; Data.Tree.to_sexp tree ])
-  in
+  let value = base_to_string ~seq tree in
   fun client ~ns ->
     Result.is_ok
       (Coord.Client.write client ~key:(Proto.checkpoint_key_ns ns) ~value ())
+
+exception Outside
+
+(* The device roots whose subtree in [tree] is not physically the one in
+   [prev], with that subtree; [None] when a node outside every device
+   root changed.  The walk descends only into nodes that differ, so its
+   cost follows the changed spine and the fan-out of the nodes on it. *)
+let changed_roots ~is_root prev tree =
+  let rec walk path (a : Data.Tree.node) (b : Data.Tree.node) acc =
+    if a == b then acc
+    else if is_root path then (path, b) :: acc
+    else if
+      (not (String.equal a.Data.Tree.kind b.Data.Tree.kind))
+      || not
+           (a.Data.Tree.attrs == b.Data.Tree.attrs
+           || Data.Tree.Smap.equal Data.Value.equal a.Data.Tree.attrs
+                b.Data.Tree.attrs)
+    then raise Outside
+    else begin
+      let matched = ref 0 in
+      let acc =
+        Data.Tree.Smap.fold
+          (fun name child acc ->
+            match Data.Tree.Smap.find_opt name a.Data.Tree.children with
+            | None -> raise Outside
+            | Some old ->
+              incr matched;
+              walk (Data.Path.child path name) old child acc)
+          b.Data.Tree.children acc
+      in
+      if !matched <> Data.Tree.Smap.cardinal a.Data.Tree.children then
+        raise Outside;
+      acc
+    end
+  in
+  match walk Data.Path.root prev tree [] with
+  | roots -> Some (List.rev roots)
+  | exception Outside -> None
+
+let write key value = Coord.Types.Op_write { key; value; expect_version = None }
+
+let checkpoint_ops ~ns ~roots ~is_root ~prev c =
+  let meta = write (Proto.checkpoint_meta_key_ns ns) (meta_to_string c) in
+  match changed_roots ~is_root prev c.tree with
+  | Some changed ->
+    List.map
+      (fun (root, node) ->
+        write (Proto.overlay_key_ns ns root)
+          (Data.Sexp.to_string
+             (Data.Sexp.List [ Data.Path.to_sexp root; Data.Tree.node_to_sexp node ])))
+      changed
+    @ [ meta ]
+  | None ->
+    (* Something outside the device roots changed: a new base, and no
+       overlay over it. *)
+    (write (Proto.checkpoint_key_ns ns) (base_to_string ~seq:c.seq c.tree)
+     :: List.map
+          (fun root ->
+            Coord.Types.Op_delete
+              { key = Proto.overlay_key_ns ns root; expect_version = None })
+          roots)
+    @ [ meta ]
 
 let apply_log ~name ~what env tree (txn : Txn.t) log =
   List.fold_left
@@ -52,17 +189,44 @@ let records ~name client ~ns =
            None))
     (Coord.Client.get_children client (Proto.txns_prefix_ns ns))
 
-let replay ~name env tree ~checkpoint_seq ~shard records =
+let replay ~name env (c : checkpoint) ~shard records =
+  let beyond (txn : Txn.t) =
+    match txn.Txn.start_seq with Some seq -> seq > c.seq | None -> false
+  in
+  (* Started when the checkpoint was taken, and rolled back since: its
+     effects are in the checkpoint's tree, so undo them, newest first, as
+     the leader did (an undo that cannot apply left that tree as it was). *)
+  let undone =
+    List.filter
+      (fun (txn : Txn.t) ->
+        (match txn.Txn.state with
+         | Txn.Aborted _ | Txn.Failed _ -> true
+         | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Started
+         | Txn.Committed -> false)
+        && (not (beyond txn))
+        && List.mem txn.Txn.id c.started)
+      records
+    |> List.sort (fun (a : Txn.t) b -> compare b.Txn.start_seq a.Txn.start_seq)
+  in
+  let tree =
+    List.fold_left
+      (fun tree (txn : Txn.t) ->
+        match Logical.rollback env ~tree ~log:txn.Txn.log with
+        | Ok tree -> tree
+        | Error (index, reason) ->
+          Log.err (fun m ->
+              m "%s: recovery undo #%d for txn %d failed: %s" name index
+                txn.Txn.id reason);
+          tree)
+      c.tree undone
+  in
   List.filter
     (fun (txn : Txn.t) ->
       (match txn.Txn.state with
        | Txn.Started | Txn.Committed -> true
        | Txn.Initialized | Txn.Accepted | Txn.Deferred | Txn.Aborted _
        | Txn.Failed _ -> false)
-      &&
-      match txn.Txn.start_seq with
-      | Some seq -> seq > checkpoint_seq
-      | None -> false)
+      && beyond txn)
     records
   |> List.sort (fun (a : Txn.t) b -> compare a.Txn.start_seq b.Txn.start_seq)
   |> List.fold_left
@@ -79,7 +243,6 @@ type t = {
   next_start_seq : int;
   max_request_seq : int;
   quarantine : Data.Path.t list;
-  prune : string list;
 }
 
 (* Values of the items under [prefix], parsed by [f]. *)
@@ -88,8 +251,8 @@ let scan client prefix f =
     (fun key -> Option.bind (Coord.Client.get client key) (fun (v, _) -> f v))
     (Coord.Client.get_children client prefix)
 
-let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
-    ~persist records =
+let rebuild ~name client ~ns ~shard ~(checkpoint : checkpoint) ~txns ~locks
+    ~sched ~twopc ~persist records =
   (* Which Started txns still need a phyQ offer: not queued, not being
      executed, and not already reported. *)
   let phy_ids = scan client (Proto.phy_queue_ns ns) int_of_string_opt in
@@ -99,12 +262,11 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
         | Ok (Proto.Result { txn_id; _ }) -> Some txn_id
         | Ok (Proto.Request _ | Proto.Control _) | Error _ -> None)
   in
-  let max_seq = ref checkpoint_seq in
-  let quarantine = ref [] and prune = ref [] in
+  let max_seq = ref checkpoint.seq in
+  let quarantine = ref checkpoint.quarantine in
   let terminal (txn : Txn.t) =
     if Twopc.is_cross shard txn then Twopc.recover_terminal twopc txn;
-    Twopc.retire twopc txn;
-    prune := Txn.record_key_ns ns txn.Txn.id :: !prune
+    Twopc.retire twopc txn
   in
   List.iter
     (fun (txn : Txn.t) ->
@@ -151,7 +313,8 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
            write set; a new leader must not serve those resources until
            reconciliation.  Conservative: if the previous leader already
            reconciled but had not yet checkpointed the record away, the
-           subtree needs another reload. *)
+           subtree needs another reload.  Failed records a checkpoint
+           folded in left their paths in its quarantine set. *)
         quarantine := Txn.write_paths txn @ !quarantine;
         terminal txn
       | Txn.Committed | Txn.Aborted _ -> terminal txn
@@ -169,11 +332,10 @@ let rebuild ~name client ~ns ~shard ~checkpoint_seq ~txns ~locks ~sched ~twopc
         if txn.Txn.id mod shard.Shard.count = shard.Shard.sid && txn.Txn.id > acc
         then txn.Txn.id
         else acc)
-      0 records
+      checkpoint.max_request_seq records
   in
   {
     next_start_seq = !max_seq + 1;
     max_request_seq;
     quarantine = !quarantine;
-    prune = !prune;
   }

@@ -56,7 +56,8 @@ let check_signal w txn_id () =
 let execute_txn w txn_id =
   match Coord.Client.get w.client (Txn.record_key_ns w.ns txn_id) with
   | None ->
-    Log.err (fun m -> m "%s: no record for txn %d" w.wname txn_id);
+    (* A stale item of a txn that ended and was checkpointed away. *)
+    Log.info (fun m -> m "%s: no record for txn %d" w.wname txn_id);
     None
   | Some (value, _) ->
     (match Txn.of_string value with

@@ -9,8 +9,7 @@ type safety_result = {
 
 type checkpoint_result = {
   txns_before_crash : int;
-  recovery_with_checkpoint : float;
-  recovery_without_checkpoint : float;
+  recovery_s : float;
 }
 
 type result = {
@@ -79,9 +78,9 @@ let safety_ablation ~seed () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 3. Checkpointed vs full-replay recovery *)
+(* 3. Recovery after a run: checkpoints fold the history in *)
 
-let recovery_run ~seed ~checkpoint_every ~txns =
+let recovery_run ~seed ~txns =
   let sim = Des.Sim.create ~seed () in
   let size =
     {
@@ -98,11 +97,6 @@ let recovery_run ~seed ~checkpoint_every ~txns =
       Tropic.Platform.mode = Tropic.Platform.Logical_only 0.002;
       workers = 4;
       controller_session_timeout = 2.0;
-      controller_config =
-        {
-          Tropic.Controller.default_config with
-          Tropic.Controller.checkpoint_every;
-        };
     }
   in
   let platform =
@@ -136,12 +130,7 @@ let recovery_run ~seed ~checkpoint_every ~txns =
 
 let checkpoint_ablation ~seed () =
   let txns = 400 in
-  {
-    txns_before_crash = txns;
-    recovery_with_checkpoint =
-      recovery_run ~seed ~checkpoint_every:(Some 50) ~txns;
-    recovery_without_checkpoint = recovery_run ~seed ~checkpoint_every:None ~txns;
-  }
+  { txns_before_crash = txns; recovery_s = recovery_run ~seed ~txns }
 
 let default_seed = 71
 
@@ -162,9 +151,6 @@ let print r =
     r.safety.with_constraints_device_ops
     r.safety.without_constraints_overcommitted_hosts
     r.safety.without_constraints_device_ops;
-  Common.section "Ablation 3: checkpointed vs full-replay recovery";
-  Printf.printf
-    "%d txns before crash: recovery %.2f s with checkpoints, %.2f s with full replay\n%!"
-    r.checkpointing.txns_before_crash
-    r.checkpointing.recovery_with_checkpoint
-    r.checkpointing.recovery_without_checkpoint
+  Common.section "Ablation 3: recovery after a checkpointed run";
+  Printf.printf "%d txns before crash: recovery %.2f s\n%!"
+    r.checkpointing.txns_before_crash r.checkpointing.recovery_s

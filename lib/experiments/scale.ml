@@ -13,10 +13,25 @@ type memory_point = {
   bytes_per_resource : float;
 }
 
+type history_point = {
+  txns : int;
+  aborted : int;
+  history_live_bytes : int;
+  samples_bytes : int;
+}
+
+type history = {
+  points : history_point list;
+  slope_bytes_per_1k_txns : float;
+  state_slope_bytes_per_1k_txns : float;
+}
+
 type result = {
   throughput : throughput_point list;
   memory : memory_point list;
   projected_resources_32gb : float;
+  toggles : history;
+  with_aborts : history;
 }
 
 (* Constant offered load, [rate] spawns/s for [duration] s, against
@@ -118,6 +133,107 @@ let memory_point hosts =
     bytes_per_resource = float_of_int live /. float_of_int resources;
   }
 
+(* §6.1 on a running platform: 16 closed-loop sessions toggle their own
+   VM on a fixed 16-host inventory, so no transaction creates a resource,
+   and the live heap is read after each count of terminal transactions.
+   With [aborts], each toggle pair is followed by a spawn that violates
+   its host's memory, so a third of the transactions abort.  Memory set by
+   resources, not by load, is a flat line once the latency samples the
+   shard keeps for its percentiles (one per simulate and per replay) are
+   set apart. *)
+let history_memory ~seed ~aborts counts =
+  let sessions = 16 in
+  let size =
+    {
+      Tcloud.Setup.small with
+      Tcloud.Setup.compute_hosts = sessions;
+      prepopulated_vms_per_host = 1;
+    }
+  in
+  let spec =
+    {
+      Tropic.Platform.default_spec with
+      Tropic.Platform.controllers = 1;
+      workers = 4;
+      mode = Tropic.Platform.Logical_only 0.002;
+      coord_config =
+        {
+          Coord.Types.default_config with
+          Coord.Types.group_commit = true;
+          op_service_time = 0.005;
+          group_timeout = 0.001;
+        };
+      controller_config = Tcloud.Setup.controller_config;
+      submit_clients = sessions;
+    }
+  in
+  let sim = Des.Sim.create ~seed () in
+  let inv = Tcloud.Setup.build ~timing:`Instant ~rng:(Des.Sim.rng sim) size in
+  let platform =
+    Tropic.Platform.create spec inv.Tcloud.Setup.env
+      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  in
+  let terminal = ref 0 and aborted = ref 0 and points = ref [] in
+  Common.run_scenario platform (fun () ->
+      List.iter
+        (fun target ->
+          let session h =
+            Des.Proc.spawn sim (fun () ->
+                let host =
+                  Data.Path.to_string (Tcloud.Setup.compute_path h)
+                and storage =
+                  Data.Path.to_string
+                    (Tcloud.Setup.storage_path (h mod size.Tcloud.Setup.storage_hosts))
+                and vm = Tcloud.Setup.prepop_vm_name ~host:h ~index:0 in
+                let run proc args =
+                  (match Tropic.Platform.run_txn platform ~proc ~args with
+                   | Tropic.Txn.Aborted _ -> incr aborted
+                   | _ -> ());
+                  incr terminal
+                in
+                while !terminal < target do
+                  run "startVM" (Tcloud.Procs.start_vm_args ~host ~vm);
+                  run "stopVM" (Tcloud.Procs.stop_vm_args ~host ~vm);
+                  if aborts then
+                    run "spawnVM"
+                      (Tcloud.Procs.spawn_vm_args ~vm:"oversized"
+                         ~template:"base.img"
+                         ~mem_mb:(size.Tcloud.Setup.host_mem_mb + 1)
+                         ~storage ~host)
+                done)
+          in
+          List.iter
+            (fun p -> ignore (Des.Proc.await p))
+            (List.init sessions session);
+          let live = live_bytes () in
+          let samples =
+            Obj.reachable_words
+              (Obj.repr (Tropic.Platform.shard_stats platform 0))
+            * (Sys.word_size / 8)
+          in
+          points :=
+            {
+              txns = !terminal;
+              aborted = !aborted;
+              history_live_bytes = live;
+              samples_bytes = samples;
+            }
+            :: !points)
+        counts);
+  let points = List.rev !points in
+  let per_1k f =
+    match (points, List.rev points) with
+    | first :: _, last :: _ when last.txns > first.txns ->
+      float_of_int (f last - f first) *. 1000. /. float_of_int (last.txns - first.txns)
+    | _ -> Float.nan
+  in
+  {
+    points;
+    slope_bytes_per_1k_txns = per_1k (fun p -> p.history_live_bytes);
+    state_slope_bytes_per_1k_txns =
+      per_1k (fun p -> p.history_live_bytes - p.samples_bytes);
+  }
+
 let default_seed = 5
 
 let run ?(seed = default_seed) ?(quick = false) () =
@@ -129,10 +245,15 @@ let run ?(seed = default_seed) ?(quick = false) () =
     | largest :: _ -> largest.bytes_per_resource
     | [] -> Float.nan
   in
+  let counts = if quick then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ] in
+  let toggles = history_memory ~seed ~aborts:false counts in
+  let with_aborts = history_memory ~seed ~aborts:true counts in
   {
     throughput;
     memory;
     projected_resources_32gb = 32. *. 1024. ** 3. /. per_resource;
+    toggles;
+    with_aborts;
   }
 
 let print r =
@@ -152,5 +273,20 @@ let print r =
         m.resources m.live_bytes m.bytes_per_resource)
     r.memory;
   Printf.printf
-    "projected capacity of a 32 GB controller: %.1f M resources (paper: ~2 M VMs)\n%!"
-    (r.projected_resources_32gb /. 1e6)
+    "projected capacity of a 32 GB controller: %.1f M resources (paper: ~2 M VMs)\n"
+    (r.projected_resources_32gb /. 1e6);
+  let history label h =
+    List.iter
+      (fun p ->
+        Printf.printf
+          "running, 16 hosts, %s, after %6d txns (%5d aborted): live=%9d bytes, latency samples=%8d bytes\n"
+          label p.txns p.aborted p.history_live_bytes p.samples_bytes)
+      h.points;
+    Printf.printf
+      "live-heap slope at fixed resources, %s: %.1f KB per 1k txns, %.1f KB without the latency samples\n%!"
+      label
+      (h.slope_bytes_per_1k_txns /. 1024.)
+      (h.state_slope_bytes_per_1k_txns /. 1024.)
+  in
+  history "toggles" r.toggles;
+  history "a third aborted" r.with_aborts

@@ -24,10 +24,32 @@ type memory_point = {
   bytes_per_resource : float;
 }
 
+(** Live heap of a running platform at a fixed resource count. *)
+type history_point = {
+  txns : int;  (** terminal so far *)
+  aborted : int;  (** of which aborted *)
+  history_live_bytes : int;  (** live heap after a full major GC *)
+  samples_bytes : int;
+      (** of which the shard's stats record, whose latency recorders keep
+          every sample *)
+}
+
+type history = {
+  points : history_point list;
+      (** after 1k, 4k and 16k terminal txns on 16 hosts (16k dropped when
+          quick) *)
+  slope_bytes_per_1k_txns : float;  (** first to last point *)
+  state_slope_bytes_per_1k_txns : float;  (** the same, less the samples *)
+}
+
 type result = {
   throughput : throughput_point list;
   memory : memory_point list;
   projected_resources_32gb : float;
+  toggles : history;  (** sessions toggle their own VM: every txn commits *)
+  with_aborts : history;
+      (** each toggle pair followed by a spawn that violates its host's
+          memory: a third of the txns abort *)
 }
 
 (** Base seed used when [?seed] is not given; each throughput point runs
@@ -35,6 +57,7 @@ type result = {
 val default_seed : int
 
 (** Offers 10 spawn txn/s for 120 s to 500, 2 000 and 8 000 hosts; [quick]
-    (default false) drops the 8 000-host point. *)
+    (default false) drops the 8 000-host point and the 16k-txn history
+    points. *)
 val run : ?seed:int -> ?quick:bool -> unit -> result
 val print : result -> unit

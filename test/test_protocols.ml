@@ -534,13 +534,11 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
     (Recovery.save_checkpoint ~seq tree client ~ns);
   let persist = Persist.create ~name:"leader" ~ns ~client in
   List.iter (Persist.write_now persist) records;
-  let checkpoint_seq, tree = Recovery.load_checkpoint client ~ns in
+  let checkpoint = Recovery.load_checkpoint client ~ns in
   let records = Recovery.records ~name:"leader" client ~ns in
-  let tree =
-    Recovery.replay ~name:"leader" env tree ~checkpoint_seq ~shard records
-  in
+  let tree = Recovery.replay ~name:"leader" env checkpoint ~shard records in
   ( tree,
-    Recovery.rebuild ~name:"leader" client ~ns ~shard ~checkpoint_seq
+    Recovery.rebuild ~name:"leader" client ~ns ~shard ~checkpoint
       ~txns:(Hashtbl.create 8) ~locks:(Mglock.create ())
       ~sched:(Sched.create ())
       ~twopc:
@@ -601,6 +599,53 @@ let test_cross_coordinator_replays_own_slice () =
         (Data.Tree.equal (subtree tree 0) (subtree base 0));
       Alcotest.(check bool_c) "the migrate did change the foreign host" false
         (Data.Tree.equal (subtree moved 0) (subtree base 0)))
+
+(* A checkpoint writes the changed device roots as overlays over the
+   base, and a change outside every device root as a new base; either
+   loads back as the tree and meta it was taken from. *)
+let test_checkpoint_layout () =
+  Drive.ensemble (fun sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) Tcloud.Setup.small in
+      let env = inv.Tcloud.Setup.env and tree0 = inv.Tcloud.Setup.tree in
+      let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
+      let is_root p = List.exists (Data.Path.equal p) roots in
+      let client = Coord.Ensemble.connect ens ~name:"leader" () in
+      Alcotest.(check bool_c) "base written" true
+        (Recovery.save_checkpoint ~seq:0 tree0 client ~ns);
+      let take ~prev c =
+        let ops = Recovery.checkpoint_ops ~ns ~roots ~is_root ~prev c in
+        if Result.is_error (Coord.Client.multi client ops) then
+          Alcotest.fail "checkpoint refused";
+        let loaded = Recovery.load_checkpoint client ~ns in
+        Alcotest.(check bool_c) "tree loads back" true
+          (Data.Tree.equal c.Recovery.tree loaded.Recovery.tree);
+        Alcotest.(check (list int)) "meta loads back"
+          [ c.Recovery.seq; c.Recovery.max_request_seq ]
+          [ loaded.Recovery.seq; loaded.Recovery.max_request_seq ];
+        Alcotest.(check (list int)) "started" c.Recovery.started
+          loaded.Recovery.started;
+        Alcotest.(check (list string)) "quarantine"
+          (List.map Data.Path.to_string c.Recovery.quarantine)
+          (List.map Data.Path.to_string loaded.Recovery.quarantine);
+        List.length ops
+      in
+      let tree1, _ = spawn env tree0 ~vm:"c1" ~h:1 in
+      let c1 =
+        { Recovery.seq = 1; tree = tree1; max_request_seq = 4;
+          quarantine = [ Tcloud.Setup.compute_path 2 ]; started = [ 4 ] }
+      in
+      Alcotest.(check int) "host 1 and storage 0, then the meta" 3
+        (take ~prev:tree0 c1);
+      let tree2 =
+        match Data.Tree.set_attr tree1 (Data.Path.v "/vmRoot") "note" (Data.Value.Str "x") with
+        | Ok tree -> tree
+        | Error e -> Alcotest.fail (Data.Tree.error_to_string e)
+      in
+      ignore (take ~prev:tree1 { c1 with Recovery.seq = 2; tree = tree2 });
+      Alcotest.(check (list string)) "a new base, no overlay"
+        [ Proto.checkpoint_key_ns ns; Proto.checkpoint_meta_key_ns ns ]
+        (Coord.Client.get_children client (Proto.checkpoint_prefix_ns ns)))
 
 (* ------------------------------------------------------------------ *)
 (* Platform runs on the non-blocking writer *)
@@ -802,6 +847,8 @@ let () =
             `Quick test_replay_in_start_order;
           Alcotest.test_case "cross-shard coordinator replays its own slice"
             `Quick test_cross_coordinator_replays_own_slice;
+          Alcotest.test_case "checkpoint: changed roots as overlays, else a new base"
+            `Quick test_checkpoint_layout;
         ] );
       ( "platform",
         [

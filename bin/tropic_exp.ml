@@ -286,12 +286,12 @@ let print_chaos_result ~with_trace r =
           s.Tropic.Controller.twopc_committed
           s.Tropic.Controller.twopc_aborted
           s.Tropic.Controller.twopc_prepares
-          (Tropic.Controller.phase_summary s))
+          (Experiments.Common.phase_summary s))
       r.Chaos.Runner.stats
   end;
   if with_trace then begin
     Printf.printf "  %s\n"
-      (Tropic.Controller.phase_summary (List.hd r.Chaos.Runner.stats));
+      (Experiments.Common.phase_summary (List.hd r.Chaos.Runner.stats));
     let dump = r.Chaos.Runner.span_dump in
     let shown = List.filteri (fun i _ -> i < span_cap) dump in
     if shown <> [] then begin

@@ -62,14 +62,6 @@ type stats = {
   undo_lat : Metrics.Cdf.t;
 }
 
-(* "p50/p99" per phase, or n/a for phases no transaction crossed. *)
-let phase_summary st =
-  let pair cdf = Metrics.Cdf.quantile_pair cdf ~p:0.99 in
-  Printf.sprintf
-    "phases[p50/p99 s]: simulate %s, lock-wait %s, replay %s, undo %s"
-    (pair st.simulate_lat) (pair st.lock_wait_lat) (pair st.replay_lat)
-    (pair st.undo_lat)
-
 let fresh_stats () =
   {
     accepted = 0;
@@ -142,28 +134,19 @@ type t = {
   env : Dsl.env;
   cfg : config;
   devices : Physical.device_lookup;
-  device_roots : Data.Path.t list;
-  repair_deadline : float option; (* per repair step, as for worker actions *)
   sim : Des.Sim.t;
   cpu : Des.Station.t;
   mutable tree : Data.Tree.t;
   locks : Mglock.t;
   sched : Sched.t;
   txns : (int, Txn.t) Hashtbl.t; (* live (non-terminal) transactions *)
-  quarantine : Recon.Quarantine.t;
+  recon : Recon.t;
+  ledger : Recovery.ledger;
   mutable next_start_seq : int;
-  mutable next_internal_txn : int; (* negative lock owners for reload *)
-  mutable checkpointed : Data.Tree.t; (* the tree of the last checkpoint *)
-  mutable folded : (int * Txn.state) list;
-      (* terminal records the next checkpoint prunes, newest first *)
-  mutable checkpoint_due : bool;
-  is_root : Data.Path.t -> bool;
-  on_prune : (int * Txn.state) list -> unit;
   mutable max_request_seq : int; (* highest request item seq processed *)
   watchdog : Watchdog.t;
   health : Health.t;
   shedder : Health.shedder;
-  started_at : (int, float) Hashtbl.t; (* Started time, for latency scores *)
   trace : Trace.t;
   persist : Persist.t;
   twopc : Twopc.t;
@@ -185,8 +168,10 @@ let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
   let ns = Proto.ns_of_shard shard.Shard.sid in
   let persist = Persist.create ~name ~ns ~client in
   let health = Health.create config.health in
-  let roots = Hashtbl.create (List.length device_roots) in
-  List.iter (fun root -> Hashtbl.replace roots root ()) device_roots;
+  let recon =
+    Recon.create ~name ~shard ~sim ~rules:config.repair_rules
+      ~deadline:repair_deadline ~constraints:(Dsl.constraints_of env) ~devices
+  in
   (* Breaker transitions feed the shard's counters, and the trace (system
      lane when no canary transaction is involved) when one is attached. *)
   Health.set_listener health (fun ev ->
@@ -209,27 +194,19 @@ let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
     env;
     cfg = config;
     devices;
-    device_roots;
-    repair_deadline;
     sim;
     cpu = Des.Station.create ~name:(name ^ ".cpu") sim;
     tree = Data.Tree.empty;
     locks = Mglock.create ();
     sched = Sched.create ();
     txns = Hashtbl.create 256;
-    quarantine = Recon.Quarantine.create shard;
+    recon;
+    ledger = Recovery.ledger ~name ~ns ~shard ~persist ~on_prune;
     next_start_seq = 1;
-    next_internal_txn = -1;
-    checkpointed = Data.Tree.empty;
-    folded = [];
-    checkpoint_due = false;
-    is_root = Hashtbl.mem roots;
-    on_prune;
     max_request_seq = 0;
     watchdog = Watchdog.create config.watchdog;
     health;
     shedder = Health.shedder config.admission;
-    started_at = Hashtbl.create 32;
     trace;
     persist;
     twopc =
@@ -279,18 +256,11 @@ let started_txns t =
     (fun (id, state) -> if state = Txn.Started then Some id else None)
     (held t)
 
-let quarantined t = Recon.Quarantine.to_list t.quarantine
+let quarantined t = Recon.Quarantine.to_list (Recon.quarantine t.recon)
+let in_quarantine t path = Recon.Quarantine.covers (Recon.quarantine t.recon) path
 let max_request_seq t = t.max_request_seq
 
 let persist t txn = Persist.write t.persist txn
-
-(* A cross-shard record stays in the store: a participant's record is
-   what rebuilds its Twopc tombstone on a new leader, and a coordinator's
-   is what makes a new leader resend its verdict. *)
-let prunable t txn = not (Twopc.is_participant txn || Twopc.is_cross t.shard txn)
-
-let fold t (txn : Txn.t) =
-  if prunable t txn then t.folded <- (txn.Txn.id, txn.Txn.state) :: t.folded
 
 (* A terminal transaction leaves the table as its state is set, before
    the record write, which can block on a barrier: no reader ever sees a
@@ -319,7 +289,7 @@ let finish t (txn : Txn.t) state =
   in
   Trace.close_all t.trace ~txn:txn.Txn.id ~attrs ();
   persist t txn;
-  fold t txn
+  Recovery.fold t.ledger txn
 
 (* ------------------------------------------------------------------ *)
 (* Transaction finalization *)
@@ -348,40 +318,7 @@ let write_roots t locks =
     locks
   |> List.sort_uniq Data.Path.compare
 
-(* A checkpoint, taken between bursts so the tree and the table agree: the
-   tree includes the effects of every txn started so far that has not
-   rolled back.  Its writes and the deletes of the records it folds in go
-   out as one window behind every record write, so a record leaves the
-   store only with a checkpoint that has its final effect.  Their
-   outcomes go to [on_prune] first, so a reader finds one or the other. *)
-let checkpoint t =
-  let c =
-    {
-      Recovery.seq = t.next_start_seq - 1;
-      tree = t.tree;
-      max_request_seq = t.max_request_seq;
-      quarantine = Recon.Quarantine.to_list t.quarantine;
-      started = started_txns t;
-    }
-  in
-  let folded = List.rev t.folded in
-  t.on_prune folded;
-  Persist.append t.persist
-    (Recovery.checkpoint_ops ~ns:t.ns ~roots:t.device_roots ~is_root:t.is_root
-       ~prev:t.checkpointed c
-    @ List.map
-        (fun (id, _) ->
-          Coord.Types.Op_delete
-            { key = Txn.record_key_ns t.ns id; expect_version = None })
-        folded);
-  t.checkpointed <- t.tree;
-  t.folded <- [];
-  t.checkpoint_due <- false;
-  Log.info (fun m ->
-      m "%s: checkpoint at start_seq %d, %d records pruned" t.cname c.Recovery.seq
-        (List.length folded))
-
-let request_checkpoint t = t.checkpoint_due <- true
+let request_checkpoint t = Recovery.request_checkpoint t.ledger
 
 (* Roll the logical layer back via the undo actions in the execution log.
    If some logical undo cannot apply, the affected subtrees are quarantined
@@ -392,7 +329,7 @@ let rollback_logical t (txn : Txn.t) =
     t.tree <- tree';
     Ok ()
   | Error (index, reason) ->
-    Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
+    Recon.Quarantine.add (Recon.quarantine t.recon) (Txn.write_paths txn);
     Error (Printf.sprintf "logical undo #%d failed: %s" index reason)
 
 (* The one terminal transition: roll the logical layer back ([undo]; an
@@ -412,7 +349,8 @@ let terminate t ?(undo = false) ?(quarantine = false) ?(count = true)
       | Error undo_reason -> Txn.Failed (reason ^ "; " ^ undo_reason))
     | _ -> state
   in
-  if quarantine then Recon.Quarantine.add t.quarantine (Txn.write_paths txn);
+  if quarantine then
+    Recon.Quarantine.add (Recon.quarantine t.recon) (Txn.write_paths txn);
   finish t txn state;
   release_locks t txn.Txn.id;
   (if count then
@@ -503,7 +441,7 @@ and decide_cross t (txn : Txn.t) snaps =
     else if
       List.exists
         (fun (path, _) ->
-          Shard.owns t.shard path && Recon.Quarantine.covers t.quarantine path)
+          Shard.owns t.shard path && in_quarantine t path)
         locks
     then abort "resource quarantined pending reconciliation"
     else begin
@@ -526,7 +464,7 @@ and decide_cross t (txn : Txn.t) snaps =
            t.tree <- new_tree;
            t.st.twopc_committed <- t.st.twopc_committed + 1;
            unschedule t gid;
-           Hashtbl.replace t.started_at gid (Des.Sim.now t.sim);
+           Health.start t.health ~now:(Des.Sim.now t.sim) ~txn:gid ~probes:[];
            Persist.offer t.persist gid;
            Twopc.announce t.twopc gid slices)
     end
@@ -584,7 +522,7 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
   if Twopc.coordinator t.twopc gid = None then
     (* The coordinator gave up on us (Decide abort arrived while queued). *)
     vote_no "2pc aborted before prepare"
-  else if List.exists (Recon.Quarantine.covers t.quarantine) roots then
+  else if List.exists (in_quarantine t) roots then
     vote_no "resource quarantined pending reconciliation"
   else begin
     let locks = List.map (fun p -> (p, Mglock.W)) roots in
@@ -615,7 +553,7 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
     |> List.filter (Shard.owns t.shard)
     |> List.sort_uniq Data.Path.compare
   in
-  if List.exists (Recon.Quarantine.covers t.quarantine) own_roots then begin
+  if List.exists (in_quarantine t) own_roots then begin
     terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
     t.st.twopc_aborted <- t.st.twopc_aborted + 1;
     `Finished
@@ -658,7 +596,7 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
     `Finished
   | Ok { Logical.new_tree; log; locks; actions } ->
     end_simulate ~outcome:"ok" ~actions:(Some actions);
-    if List.exists (fun (p, _) -> Recon.Quarantine.covers t.quarantine p) locks
+    if List.exists (fun (p, _) -> in_quarantine t p) locks
     then begin
       Trace.instant t.trace ~txn:txn.Txn.id ~cat:"controller"
         ~name:"quarantine-abort" ();
@@ -672,37 +610,23 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
          health monitor, not a lock release, wakes it once the breaker
          ages out). *)
       let now = Des.Sim.now t.sim in
-      let gates =
-        List.map
-          (fun root -> (root, Health.gate t.health ~now ~root))
-          (write_roots t locks)
-      in
-      if List.exists (fun (_, g) -> g = `Defer) gates then begin
+      let roots = write_roots t locks in
+      match Health.admit t.health ~now roots with
+      | `Defer tripped ->
         txn.Txn.state <- Txn.Deferred;
         t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
-        let roots =
-          List.filter_map
-            (fun (root, g) ->
-              if g = `Defer then Some (Data.Path.to_string root) else None)
-            gates
-        in
         ignore
           (Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"health"
              ~name:"breaker-park"
-             ~attrs:[ ("roots", String.concat "," roots) ]
+             ~attrs:
+               [ ("roots", String.concat "," (List.map Data.Path.to_string tripped)) ]
              ());
-        `Parked (Sched.Breaker (List.map fst gates))
-      end
-      else begin
+        `Parked (Sched.Breaker roots)
+      | `Admit probes -> (
         match Mglock.try_acquire t.locks ~txn:txn.Txn.id locks with
         | Error conflict -> park_on_conflict t txn locks conflict
         | Ok () ->
-          List.iter
-            (fun (root, g) ->
-              if g = `Probe then
-                Health.begin_probe t.health ~now ~root ~txn:txn.Txn.id)
-            gates;
-          Hashtbl.replace t.started_at txn.Txn.id now;
+          Health.start t.health ~now ~txn:txn.Txn.id ~probes;
           Trace.instant t.trace ~txn:txn.Txn.id ~cat:"sched" ~name:"started"
             ~attrs:[ ("start_seq", string_of_int t.next_start_seq) ]
             ();
@@ -714,8 +638,7 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
              multi as the Started record, so neither is visible without
              the other. *)
           Persist.offer t.persist txn.Txn.id;
-          `Started
-      end
+          `Started)
     end
 
 let try_start t (txn : Txn.t) ~woken : Sched.attempt =
@@ -822,22 +745,11 @@ let handle_result t ~txn_id ~outcome ~(exec : Proto.exec_stats) =
          Operator-signaled transactions are excluded — their abort says
          nothing about device health — but must still release a canary
          claim they may hold. *)
-      let now = Des.Sim.now t.sim in
-      let latency =
-        match Hashtbl.find_opt t.started_at txn_id with
-        | Some s -> now -. s
-        | None -> 0.
-      in
-      Hashtbl.remove t.started_at txn_id;
-      if txn.Txn.termed then
-        Health.forget_probe t.health ~txn:txn_id
+      if txn.Txn.termed then Health.forget t.health ~txn:txn_id
       else
-        List.iter
-          (fun root ->
-            Health.observe t.health ~now ~root ~txn:txn_id
-              ~ok:(outcome = Proto.Phy_committed)
-              ~retries:exec.Proto.retries ~timeouts:exec.Proto.timeouts
-              ~latency)
+        Health.report t.health ~now:(Des.Sim.now t.sim) ~txn:txn_id
+          ~ok:(outcome = Proto.Phy_committed) ~retries:exec.Proto.retries
+          ~timeouts:exec.Proto.timeouts
           (write_roots t txn.Txn.locks);
       (* A failed undo leaves the physical layer inconsistent with the
          logical one under the write set: quarantine until reconciliation. *)
@@ -900,80 +812,8 @@ let handle_signal t ~txn_id signal =
           terminate t ~undo:true ~quarantine:true txn
             (Txn.Failed "killed by operator");
           Persist.delete t.persist (Proto.progress_key_ns t.ns txn_id);
-          Health.forget_probe t.health ~txn:txn_id;
-          Hashtbl.remove t.started_at txn_id)
+          Health.forget t.health ~txn:txn_id)
      | Txn.Initialized | Txn.Committed | Txn.Aborted _ | Txn.Failed _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Reconciliation (§4) *)
-
-let internal_lock_owner t =
-  let owner = t.next_internal_txn in
-  t.next_internal_txn <- t.next_internal_txn - 1;
-  owner
-
-(* Both controls act on the device subtree holding [path]. *)
-let handle_reload t path =
-  match t.devices path with
-  | None -> Log.err (fun m -> m "%s: reload: no device at %a" t.cname Data.Path.pp path)
-  | Some device ->
-    let root = Devices.Device.root device in
-    let owner = internal_lock_owner t in
-    (match Mglock.try_acquire t.locks ~txn:owner [ (root, Mglock.W) ] with
-     | Error _ ->
-       Log.info (fun m ->
-           m "%s: reload of %a deferred (locked)" t.cname Data.Path.pp root)
-     | Ok () ->
-       (match Recon.adopt (Dsl.constraints_of t.env) t.tree device with
-        | Ok tree ->
-          t.tree <- tree;
-          Recon.Quarantine.clear t.quarantine root
-        | Error (`Missing e) ->
-          Log.err (fun m ->
-              m "%s: reload of %a failed: %s" t.cname Data.Path.pp root
-                (Data.Tree.error_to_string e))
-        | Error (`Violates violation) ->
-          Log.info (fun m ->
-              m "%s: reload of %a aborted: %a" t.cname Data.Path.pp root
-                Constraints.pp_violation violation));
-       release_locks t owner)
-
-let handle_repair t path =
-  if not (Shard.owns t.shard path) then
-    Log.err (fun m ->
-        m "%s: repair of %a refused: foreign shard's subtree" t.cname
-          Data.Path.pp path)
-  else
-    match t.devices path with
-    | None -> Log.err (fun m -> m "%s: repair: no device at %a" t.cname Data.Path.pp path)
-    | Some device ->
-      let root = Devices.Device.root device in
-      (match Recon.drift ~rules:t.cfg.repair_rules t.tree device with
-       | Recon.Missing e ->
-         Log.err (fun m ->
-             m "%s: repair of %a: %s" t.cname Data.Path.pp root
-               (Data.Tree.error_to_string e))
-       | Recon.Same -> Recon.Quarantine.clear t.quarantine root
-       | Recon.Differs plan ->
-         (* Steps run under the workers' per-action deadline, so the main
-            loop never hangs on a device; a failed step leaves the subtree
-            quarantined for the next sweep. *)
-         (match
-            Recon.execute ~sim:t.sim ~deadline:t.repair_deadline device plan
-          with
-          | Ok () when plan.Recon.unrepaired = [] ->
-            Recon.Quarantine.clear t.quarantine root
-          | result ->
-            Result.iter_error
-              (fun (step, err) ->
-                Log.err (fun m ->
-                    m "%s: repair step %a failed: %s" t.cname Recon.pp_step
-                      step (Devices.Device.error_to_string err)))
-              result;
-            Log.info (fun m ->
-                m "%s: repair of %a incomplete (%d unrepaired diffs)" t.cname
-                  Data.Path.pp root
-                  (List.length plan.Recon.unrepaired))))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (idempotent; §2.3) *)
@@ -984,21 +824,16 @@ let recover t =
      recovers. *)
   let checkpoint = Recovery.load_checkpoint t.client ~ns:t.ns in
   t.tree <- checkpoint.Recovery.tree;
-  t.checkpointed <- checkpoint.Recovery.tree;
   let records = Recovery.records ~name:t.cname t.client ~ns:t.ns in
   t.tree <-
     Recovery.replay ~name:t.cname t.env checkpoint ~shard:t.shard records;
   let r =
-    Recovery.rebuild ~name:t.cname t.client ~ns:t.ns ~shard:t.shard ~checkpoint
-      ~txns:t.txns ~locks:t.locks ~sched:t.sched ~twopc:t.twopc
-      ~persist:t.persist records
+    Recovery.rebuild t.ledger t.client ~checkpoint ~txns:t.txns ~locks:t.locks
+      ~sched:t.sched ~twopc:t.twopc records
   in
   t.next_start_seq <- r.Recovery.next_start_seq;
   t.max_request_seq <- r.Recovery.max_request_seq;
-  Recon.Quarantine.add t.quarantine r.Recovery.quarantine;
-  List.iter
-    (fun (txn : Txn.t) -> if Txn.is_terminal txn.Txn.state then fold t txn)
-    records;
+  Recon.Quarantine.add (Recon.quarantine t.recon) r.Recovery.quarantine;
   Log.info (fun m ->
       m "%s: recovered: %d records, todo=%d, inflight=%d, tree=%d nodes"
         t.cname (List.length records) (Sched.length t.sched) (inflight t)
@@ -1030,10 +865,10 @@ let process_item t ~key ~payload =
     handle_result t ~txn_id ~outcome ~exec;
     true
   | Ok (Proto.Control (Proto.Reload path)) ->
-    handle_reload t path;
+    t.tree <- Recon.reload t.recon ~locks:t.locks ~sched:t.sched t.tree path;
     true
   | Ok (Proto.Control (Proto.Repair path)) ->
-    handle_repair t path;
+    Recon.repair t.recon t.tree path;
     true
   | Ok (Proto.Control (Proto.Signal (txn_id, signal))) ->
     handle_signal t ~txn_id signal;
@@ -1083,41 +918,6 @@ let enqueue_control t control =
     (Coord.Recipes.enqueue t.client ~queue:(Proto.input_queue_ns t.ns)
        (Proto.input_to_string (Proto.Control control)))
 
-(* §4: inconsistencies are "detected by periodically comparing the data
-   between the two layers", and repair runs at an operator-chosen
-   frequency.  The sweeper compares every device's exported state with the
-   logical subtree (a read-only snapshot comparison) and enqueues Repair
-   controls for divergent or quarantined subtrees. *)
-let sweep_repairs t () =
-  let device_diverged root =
-    match t.devices root with
-    | None -> false
-    | Some device ->
-      (match Recon.drift ~rules:t.cfg.repair_rules t.tree device with
-       | Recon.Differs _ -> true
-       | Recon.Same | Recon.Missing _ -> false)
-  in
-  let quarantined_roots =
-    List.filter_map (fun path -> t.devices path) (quarantined t)
-    |> List.map Devices.Device.root
-  in
-  let drifted =
-    List.filter
-      (fun root ->
-        (* Only sweep owned subtrees — the copies this shard keeps of
-           foreign subtrees go stale the moment the owner commits a
-           single-shard transaction there, and "repairing" a foreign device
-           against a stale copy would undo the owner's committed work.  Also
-           skip subtrees with transactions physically in flight: a transient
-           mismatch there is work in progress, not drift. *)
-        Shard.owns t.shard root
-        && Mglock.holders t.locks root = []
-        && device_diverged root)
-      t.device_roots
-  in
-  List.sort_uniq Data.Path.compare (quarantined_roots @ drifted)
-  |> List.iter (fun root -> enqueue_control t (Proto.Repair root))
-
 (* The watchdog automates §4's operator (see Watchdog): scan the in-flight
    transactions and escalate TERM → KILL on the overdue ones. *)
 let watch t () =
@@ -1148,30 +948,6 @@ let watch t () =
   in
   Watchdog.scan t.watchdog ~now:(Des.Sim.now t.sim) ~started ~signal
 
-(* Breaker-parked transactions have no lock waiter entry, so no release
-   ever wakes them; this monitor re-gates them and wakes the admissible
-   ones (gate is also what ages Tripped breakers into Half_open).  The
-   main loop notices the pending wake on its next iteration and drains. *)
-let regate_parked t () =
-  let now = Des.Sim.now t.sim in
-  let eligible =
-    List.filter_map
-      (function
-        | id, Sched.Breaker roots
-          when List.for_all
-                 (fun root -> Health.gate t.health ~now ~root <> `Defer)
-                 roots ->
-          Some id
-        | _ -> None)
-      (Sched.parked t.sched)
-  in
-  if eligible <> [] then begin
-    Sched.wake t.sched eligible;
-    Log.info (fun m ->
-        m "%s: breaker released %d parked txn(s)" t.cname
-          (List.length eligible))
-  end
-
 let run t () =
   (* Shard ownership is a lease: the ephemeral sequential member node in
      the shard's election recipe.  Holding the lease IS being the shard's
@@ -1183,15 +959,27 @@ let run t () =
   Coord.Recipes.await_leadership t.client ~election ~member;
   t.leading <- true;
   Log.info (fun m -> m "%s: elected leader" t.cname);
+  (* §4: inconsistencies are "detected by periodically comparing the data
+     between the two layers"; the sweep enqueues their repairs. *)
   Option.iter
-    (fun interval -> spawn_duty t ~name:"repair" ~interval (sweep_repairs t))
+    (fun interval ->
+      spawn_duty t ~name:"repair" ~interval (fun () ->
+          List.iter
+            (fun root -> enqueue_control t (Proto.Repair root))
+            (Recon.sweep t.recon ~locks:t.locks t.tree)))
     t.cfg.repair_interval;
   if t.cfg.watchdog.Watchdog.enabled then
     spawn_duty t ~name:"watchdog"
       ~interval:t.cfg.watchdog.Watchdog.poll_interval (watch t);
+  (* The main loop drains the re-gate's wakes on its next iteration. *)
   if t.cfg.health.Health.enabled then
     spawn_duty t ~name:"health" ~interval:t.cfg.health.Health.poll_interval
-      (regate_parked t);
+      (fun () ->
+        match Health.regate t.health ~now:(Des.Sim.now t.sim) t.sched with
+        | 0 -> ()
+        | n ->
+          Log.info (fun m ->
+              m "%s: breaker released %d parked txn(s)" t.cname n));
   recover t;
   schedule t;
   (* A whole burst is processed in one pass before the scheduler runs: a
@@ -1204,10 +992,13 @@ let run t () =
      reads inputQ while this window is in flight. *)
   while not t.stopped do
     if drain_twopc t || Sched.has_wakes t.sched then schedule t;
-    if
-      t.checkpoint_due
-      || List.compare_length_with t.folded Proto.checkpoint_period >= 0
-    then checkpoint t;
+    (* A checkpoint, taken between bursts so the tree and the table
+       agree: the tree includes the effects of every txn started so far
+       that has not rolled back. *)
+    if Recovery.due t.ledger then
+      Recovery.checkpoint t.ledger ~seq:(t.next_start_seq - 1)
+        ~max_request_seq:t.max_request_seq ~quarantine:(quarantined t)
+        ~started:(started_txns t) t.tree;
     match next_burst t with
     | [] -> ()
     | items ->

@@ -1,15 +1,19 @@
-(** The TROPIC controller (logical layer).
+(** The TROPIC controller: one shard's lead loop.
 
-    Each instance joins its shard's election; the winner accepts requests
-    from inputQ (shedding past the {!Health.admission} watermarks),
-    schedules them ({!Sched}: every ready transaction is attempted, and
-    only the oldest parked one's locks are reserved), simulates them against the logical tree under
-    constraint checks and multi-granularity locks, hands them to the
-    physical layer via phyQ and finalizes them when results come back —
-    rolling the logical layer back with undo actions on aborts.  It also
-    serves operator signals, reload and repair.  {!Persist} writes every
-    state transition to the coordination service, {!Recovery} rebuilds a
-    new leader from it, and {!Twopc} runs cross-shard transactions.
+    Each instance joins its shard's election.  The winner recovers
+    ({!Recovery}), then reads inputQ a burst at a time and routes each
+    item to the protocol that owns its state:
+    - a request is admitted (shed past the {!Health.admission}
+      watermarks) and scheduled here ({!Sched}): simulated against the
+      logical tree under constraint checks, gated by the {!Health}
+      breakers, locked and handed to the phyQ; a cross-shard one runs
+      {!Twopc};
+    - a result finalizes its transaction, rolling the logical layer back
+      with undo actions on an abort, and {!Health} scores it;
+    - a signal ends a transaction or flags it; a reload or repair goes to
+      {!Recon}.
+    Between bursts it takes the checkpoint its {!Recovery.ledger} is due.
+    {!Persist} writes every state transition to the coordination service.
 
     Logical work is charged to a CPU {!Des.Station} (simulation is
     single-threaded, as in the paper's Python prototype); its busy time is
@@ -88,10 +92,6 @@ type stats = {
       (** worker-reported rollback time of aborted replays *)
 }
 
-(** One-line per-phase latency breakdown ("p50/p99" per phase, [n/a] for
-    phases no transaction crossed), appended to experiment summaries. *)
-val phase_summary : stats -> string
-
 type t
 
 (** [trace] records a span tree per transaction (admission, scheduling,
@@ -105,17 +105,12 @@ type t
     and decision records (defaults to [client] — correct for shard 0 and
     for single-shard platforms).
 
-    [repair_deadline] bounds each reconciliation repair step in simulated
-    seconds (normally the workers' per-action deadline); without it a
-    repair step runs inline and a hung device stalls the main loop.
+    [repair_deadline] (normally the workers' per-action deadline) goes to
+    {!Recon.create}, [on_prune] to {!Recovery.ledger}.
 
     [stats] is the shard's counter record: every controller instance of
     one shard (leader, standbys and restarted ones) is given the same
-    record, so counters and latency recorders survive fail-over.
-
-    The leader checkpoints after every {!Proto.checkpoint_period}
-    terminal records, and prunes them in the same window; [on_prune]
-    gets their ids and final states just before. *)
+    record, so counters and latency recorders survive fail-over. *)
 val create :
   trace:Trace.t ->
   ?shard:Shard.t ->

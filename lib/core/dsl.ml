@@ -56,22 +56,9 @@ let action_count ctx = ctx.n_actions
 (* ------------------------------------------------------------------ *)
 (* Queries *)
 
-let query_opt ctx path =
-  ctx.reads <- path :: ctx.reads;
-  Data.Tree.find ctx.tree path
-
-let query ctx path =
-  match query_opt ctx path with
-  | Some node -> node
-  | None -> abort (Printf.sprintf "no such resource %s" (Data.Path.to_string path))
-
 let get_attr ctx path attr =
   ctx.reads <- path :: ctx.reads;
   Data.Tree.get_attr ctx.tree path attr
-
-let children ctx path =
-  ctx.reads <- path :: ctx.reads;
-  Option.value (Data.Tree.children ctx.tree path) ~default:[]
 
 (* ------------------------------------------------------------------ *)
 (* Actions *)

@@ -47,14 +47,8 @@ val find_action : env -> kind:string -> action:string -> action_def option
 
 (** {1 Primitives usable inside stored procedures} *)
 
-(** Read a node; records an R intent on the path. @raise Abort if absent. *)
-val query : ctx -> Data.Path.t -> Data.Tree.node
-
 (** Attribute of a node (recorded read); [None] if node or attribute absent. *)
 val get_attr : ctx -> Data.Path.t -> string -> Data.Value.t option
-
-(** Children (name, node) of a node (recorded read); [] if absent. *)
-val children : ctx -> Data.Path.t -> (string * Data.Tree.node) list
 
 (** Execute an action on the node at [path]: applies its logical
     implementation, appends an execution-log record, records a W intent,

@@ -53,11 +53,17 @@ type entry = {
 type t = {
   cfg : config;
   entries : (string, entry) Hashtbl.t; (* keyed by root path *)
+  started : (int, float) Hashtbl.t; (* Started time, for latency scores *)
   mutable listener : (event -> unit) option;
 }
 
 let create cfg =
-  { cfg; entries = Hashtbl.create 8; listener = None }
+  {
+    cfg;
+    entries = Hashtbl.create 8;
+    started = Hashtbl.create 32;
+    listener = None;
+  }
 
 let set_listener t f = t.listener <- Some f
 
@@ -165,10 +171,49 @@ let observe t ~now ~root ~txn ~ok ~retries ~timeouts ~latency =
         ()
   end
 
-let forget_probe t ~txn =
+let forget t ~txn =
   Hashtbl.iter
     (fun _ e -> if e.probe = Some txn then e.probe <- None)
-    t.entries
+    t.entries;
+  Hashtbl.remove t.started txn
+
+let admit t ~now roots =
+  let gates = List.map (fun root -> (root, gate t ~now ~root)) roots in
+  match List.filter (fun (_, g) -> g = `Defer) gates with
+  | [] ->
+    `Admit
+      (List.filter_map
+         (fun (root, g) -> if g = `Probe then Some root else None)
+         gates)
+  | deferred -> `Defer (List.map fst deferred)
+
+let start t ~now ~txn ~probes =
+  List.iter (fun root -> begin_probe t ~now ~root ~txn) probes;
+  Hashtbl.replace t.started txn now
+
+let report t ~now ~txn ~ok ~retries ~timeouts roots =
+  let latency =
+    match Hashtbl.find_opt t.started txn with
+    | Some s -> now -. s
+    | None -> 0.
+  in
+  Hashtbl.remove t.started txn;
+  List.iter
+    (fun root -> observe t ~now ~root ~txn ~ok ~retries ~timeouts ~latency)
+    roots
+
+let regate t ~now sched =
+  let eligible =
+    List.filter_map
+      (function
+        | id, Sched.Breaker roots
+          when List.for_all (fun root -> gate t ~now ~root <> `Defer) roots ->
+          Some id
+        | _ -> None)
+      (Sched.parked sched)
+  in
+  if eligible <> [] then Sched.wake sched eligible;
+  List.length eligible
 
 let score t ~root =
   match Hashtbl.find_opt t.entries (key root) with

@@ -18,10 +18,10 @@
        Half_open --canary commits--> Closed (scores reset)
        Half_open --canary fails / probe lost--> Tripped v}
 
-    While Tripped, {!gate} answers [`Defer] so the controller parks
+    While Tripped, {!admit} answers [`Defer] so the controller parks
     transactions that write under the subtree {e before} lock acquisition
     or hardware contact.  Once the cooldown elapses the breaker moves to
-    Half_open and admits exactly one canary transaction ([`Probe]); its
+    Half_open and admits exactly one canary transaction (a probe); its
     outcome decides whether the breaker closes or re-trips.  A canary
     that never reports back (lost with a crashed worker) is given one
     cooldown before the breaker re-trips and later re-probes.
@@ -78,37 +78,40 @@ type event = { kind : string; root : string; txn : int option }
     trace. *)
 val set_listener : t -> (event -> unit) -> unit
 
-(** Admission decision for one device root.  [`Admit] — breaker closed
-    (or tracking disabled); [`Probe] — breaker half-open with the canary
-    slot free, the caller may start this transaction as the probe;
-    [`Defer] — breaker tripped (or a canary is already out), park the
-    transaction.  Calling [gate] is what ages Tripped into Half_open and
-    re-trips a breaker whose canary was lost. *)
-val gate : t -> now:float -> root:Data.Path.t -> [ `Admit | `Probe | `Defer ]
+(** {1 Per-transaction admission and scoring} *)
 
-(** Claim the half-open canary slot for [txn].  No-op unless the breaker
-    is Half_open with no outstanding probe. *)
-val begin_probe : t -> now:float -> root:Data.Path.t -> txn:int -> unit
+(** Gate a writer on the device roots it writes.  [`Defer tripped] parks
+    it: those roots' breakers are tripped (or a canary is already out).
+    Otherwise [`Admit probes] names the half-open roots whose canary it
+    may be; with tracking disabled every writer is admitted.  Gating is
+    what ages Tripped into Half_open and re-trips a breaker whose canary
+    was lost. *)
+val admit :
+  t -> now:float -> Data.Path.t list ->
+  [ `Admit of Data.Path.t list | `Defer of Data.Path.t list ]
 
-(** Feed one finished transaction's outcome into the scores and the
+(** [txn] started: claim the canary slot of each of [probes] that is
+    Half_open with no outstanding probe, and note the time its latency
+    is scored from. *)
+val start : t -> now:float -> txn:int -> probes:Data.Path.t list -> unit
+
+(** Feed a started transaction's outcome into each root's scores and
     breaker state machine.  [ok] means physically committed.  A Tripped
-    breaker only updates scores — it never changes state here (only
-    {!gate} can age it out).  If [txn] is the outstanding canary, the
-    breaker closes on success (scores reset) and re-trips on failure. *)
-val observe :
-  t ->
-  now:float ->
-  root:Data.Path.t ->
-  txn:int ->
-  ok:bool ->
-  retries:int ->
-  timeouts:int ->
-  latency:float ->
-  unit
+    breaker only updates scores; it never changes state here (only
+    {!admit} and {!regate} age it out).  Where [txn] is the outstanding
+    canary, the breaker closes on success (scores reset) and re-trips on
+    failure. *)
+val report :
+  t -> now:float -> txn:int -> ok:bool -> retries:int -> timeouts:int ->
+  Data.Path.t list -> unit
 
-(** Drop [txn]'s canary claim without a verdict (operator KILL): frees
-    the probe slot so the next {!gate} can send another canary. *)
-val forget_probe : t -> txn:int -> unit
+(** Forget [txn] without a verdict (operator signal): free its canary
+    slot and drop its start time. *)
+val forget : t -> txn:int -> unit
+
+(** Wake the breaker-parked transactions that {!admit} would now admit
+    on every root (no release wakes them); returns how many. *)
+val regate : t -> now:float -> Sched.t -> int
 
 (** Combined score (max of the three EWMAs); 0 for untracked roots. *)
 val score : t -> root:Data.Path.t -> float

@@ -75,15 +75,7 @@ let ( let* ) r f = Result.bind r f
 let of_sexp sexp =
   match sexp with
   | Data.Sexp.List [ Data.Sexp.Atom "request"; Data.Sexp.Atom proc; Data.Sexp.List args ] ->
-    let* args =
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          let* v = Data.Value.of_sexp s in
-          Ok (v :: acc))
-        (Ok []) args
-      |> Result.map List.rev
-    in
+    let* args = Data.Sexp.map_result Data.Value.of_sexp args in
     Ok (Request { proc; args })
   | Data.Sexp.List
       [ Data.Sexp.Atom "result"; txn_id; outcome; retries; transient; timeouts;
@@ -151,12 +143,6 @@ let checkpoint_meta_key_ns ns = checkpoint_prefix_ns ns ^ "/meta"
 let overlay_key_ns ns root =
   checkpoint_prefix_ns ns ^ "/"
   ^ String.map (function '/' -> '|' | c -> c) (Data.Path.to_string root)
-
-(* Terminal records between two checkpoints.  Each checkpoint rewrites
-   the device roots changed since the last one, so a larger period writes
-   a hot root less often per txn; a smaller one keeps fewer folded records
-   in the store.  64 keeps the folded records under ~64 KB. *)
-let checkpoint_period = 64
 
 let txns_prefix_ns ns = ns ^ "/txns"
 let executing_prefix_ns ns = ns ^ "/executing"

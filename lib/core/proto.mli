@@ -75,10 +75,6 @@ val checkpoint_meta_key_ns : string -> string
     an overlay on the base. *)
 val overlay_key_ns : string -> Data.Path.t -> string
 
-(** A leader checkpoints after every [checkpoint_period] terminal records
-    (see DESIGN.md). *)
-val checkpoint_period : int
-
 val txns_prefix_ns : string -> string
 val executing_prefix_ns : string -> string
 val executing_key_ns : string -> int -> string

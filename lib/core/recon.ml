@@ -1,3 +1,7 @@
+let log_src = Logs.Src.create "tropic.recon" ~doc:"TROPIC reconciliation"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
 type rule = {
   rule_kind : string;
   rule_attr : string;
@@ -120,3 +124,123 @@ module Quarantine = struct
 
   let to_list q = Paths.elements q.paths
 end
+
+type t = {
+  name : string;
+  shard : Shard.t;
+  sim : Des.Sim.t;
+  rules : rule list;
+  deadline : float option;
+  constraints : Constraints.registry;
+  devices : Physical.device_lookup;
+  quarantine : Quarantine.t;
+  mutable next_owner : int; (* negative lock owners for reload *)
+}
+
+let create ~name ~shard ~sim ~rules ~deadline ~constraints ~devices =
+  {
+    name;
+    shard;
+    sim;
+    rules;
+    deadline;
+    constraints;
+    devices;
+    quarantine = Quarantine.create shard;
+    next_owner = -1;
+  }
+
+let quarantine r = r.quarantine
+
+let reload r ~locks ~sched tree path =
+  match r.devices path with
+  | None ->
+    Log.err (fun m -> m "%s: reload: no device at %a" r.name Data.Path.pp path);
+    tree
+  | Some device ->
+    let root = Devices.Device.root device in
+    let owner = r.next_owner in
+    r.next_owner <- owner - 1;
+    (match Mglock.try_acquire locks ~txn:owner [ (root, Mglock.W) ] with
+     | Error _ ->
+       Log.info (fun m ->
+           m "%s: reload of %a deferred (locked)" r.name Data.Path.pp root);
+       tree
+     | Ok () ->
+       let adopted = adopt r.constraints tree device in
+       Sched.wake sched (Mglock.release_all locks ~txn:owner);
+       (match adopted with
+        | Ok tree ->
+          Quarantine.clear r.quarantine root;
+          tree
+        | Error (`Missing e) ->
+          Log.err (fun m ->
+              m "%s: reload of %a failed: %s" r.name Data.Path.pp root
+                (Data.Tree.error_to_string e));
+          tree
+        | Error (`Violates violation) ->
+          Log.info (fun m ->
+              m "%s: reload of %a aborted: %a" r.name Data.Path.pp root
+                Constraints.pp_violation violation);
+          tree))
+
+let repair r tree path =
+  if not (Shard.owns r.shard path) then
+    Log.err (fun m ->
+        m "%s: repair of %a refused: foreign shard's subtree" r.name
+          Data.Path.pp path)
+  else
+    match r.devices path with
+    | None ->
+      Log.err (fun m -> m "%s: repair: no device at %a" r.name Data.Path.pp path)
+    | Some device ->
+      let root = Devices.Device.root device in
+      (match drift ~rules:r.rules tree device with
+       | Missing e ->
+         Log.err (fun m ->
+             m "%s: repair of %a: %s" r.name Data.Path.pp root
+               (Data.Tree.error_to_string e))
+       | Same -> Quarantine.clear r.quarantine root
+       | Differs plan ->
+         (* Steps run under the workers' per-action deadline, so the main
+            loop never hangs on a device; a failed step leaves the subtree
+            quarantined for the next sweep. *)
+         (match execute ~sim:r.sim ~deadline:r.deadline device plan with
+          | Ok () when plan.unrepaired = [] -> Quarantine.clear r.quarantine root
+          | result ->
+            Result.iter_error
+              (fun (step, err) ->
+                Log.err (fun m ->
+                    m "%s: repair step %a failed: %s" r.name pp_step step
+                      (Devices.Device.error_to_string err)))
+              result;
+            Log.info (fun m ->
+                m "%s: repair of %a incomplete (%d unrepaired diffs)" r.name
+                  Data.Path.pp root
+                  (List.length plan.unrepaired))))
+
+let sweep r ~locks tree =
+  let diverged root =
+    match r.devices root with
+    | None -> false
+    | Some device ->
+      (match drift ~rules:r.rules tree device with
+       | Differs _ -> true
+       | Same | Missing _ -> false)
+  in
+  let quarantined =
+    List.filter_map r.devices (Quarantine.to_list r.quarantine)
+    |> List.map Devices.Device.root
+  in
+  (* Only owned subtrees: the copies this shard keeps of foreign subtrees
+     go stale the moment the owner commits a single-shard transaction
+     there, and "repairing" a foreign device against a stale copy would
+     undo the owner's committed work.  Nor subtrees with transactions
+     physically in flight: a transient mismatch there is work in
+     progress, not drift. *)
+  let drifted =
+    List.filter
+      (fun root -> Mglock.holders locks root = [] && diverged root)
+      (Shard.roots_of r.shard r.shard.Shard.sid)
+  in
+  List.sort_uniq Data.Path.compare (quarantined @ drifted)

@@ -12,14 +12,6 @@ type checkpoint = {
 
 let ( let* ) r f = Result.bind r f
 
-let map_result f sexps =
-  List.fold_right
-    (fun s acc ->
-      let* acc = acc in
-      let* x = f s in
-      Ok (x :: acc))
-    sexps (Ok [])
-
 let corrupt what = function
   | Ok v -> v
   | Error reason -> failwith (Printf.sprintf "corrupt checkpoint %s: %s" what reason)
@@ -62,7 +54,7 @@ let with_meta tree value =
   let field name f = Result.bind (Data.Sexp.assoc name fields) f in
   let* seq = field "seq" Data.Sexp.to_int in
   let* max_request_seq = field "max_request_seq" Data.Sexp.to_int in
-  let list f sexp = Result.bind (Data.Sexp.to_list sexp) (map_result f) in
+  let list f sexp = Result.bind (Data.Sexp.to_list sexp) (Data.Sexp.map_result f) in
   let* quarantine = field "quarantine" (list Data.Path.of_sexp) in
   let* started = field "started" (list Data.Sexp.to_int) in
   Ok { seq; tree; max_request_seq; quarantine; started }
@@ -142,10 +134,59 @@ let changed_roots ~is_root prev tree =
   | exception Outside -> None
 
 let write key value = Coord.Types.Op_write { key; value; expect_version = None }
+let delete key = Coord.Types.Op_delete { key; expect_version = None }
 
-let checkpoint_ops ~ns ~roots ~is_root ~prev c =
+(* Terminal records between two checkpoints.  Each checkpoint rewrites
+   the device roots changed since the last one, so a larger period writes
+   a hot root less often per txn; a smaller one keeps fewer folded records
+   in the store.  64 keeps the folded records under ~64 KB. *)
+let checkpoint_period = 64
+
+type ledger = {
+  name : string;
+  ns : string;
+  shard : Shard.t;
+  persist : Persist.t;
+  is_root : Data.Path.t -> bool;
+  on_prune : (int * Txn.state) list -> unit;
+  mutable prev : Data.Tree.t;  (* the tree of the last checkpoint *)
+  mutable folded : (int * Txn.state) list;
+      (* terminal records the next checkpoint prunes, newest first *)
+  mutable requested : bool;
+}
+
+let ledger ~name ~ns ~shard ~persist ~on_prune =
+  let roots = shard.Shard.assignment in
+  let table = Hashtbl.create (List.length roots) in
+  List.iter (fun (root, _) -> Hashtbl.replace table root ()) roots;
+  {
+    name;
+    ns;
+    shard;
+    persist;
+    is_root = Hashtbl.mem table;
+    on_prune;
+    prev = Data.Tree.empty;
+    folded = [];
+    requested = false;
+  }
+
+(* A cross-shard record stays in the store: a participant's record is
+   what rebuilds its Twopc tombstone on a new leader, and a coordinator's
+   is what makes a new leader resend its verdict. *)
+let fold l (txn : Txn.t) =
+  if not (Twopc.is_participant txn || Twopc.is_cross l.shard txn) then
+    l.folded <- (txn.Txn.id, txn.Txn.state) :: l.folded
+
+let request_checkpoint l = l.requested <- true
+
+let due l =
+  l.requested || List.compare_length_with l.folded checkpoint_period >= 0
+
+let checkpoint_ops l c =
+  let ns = l.ns in
   let meta = write (Proto.checkpoint_meta_key_ns ns) (meta_to_string c) in
-  match changed_roots ~is_root prev c.tree with
+  match changed_roots ~is_root:l.is_root l.prev c.tree with
   | Some changed ->
     List.map
       (fun (root, node) ->
@@ -158,12 +199,25 @@ let checkpoint_ops ~ns ~roots ~is_root ~prev c =
     (* Something outside the device roots changed: a new base, and no
        overlay over it. *)
     (write (Proto.checkpoint_key_ns ns) (base_to_string ~seq:c.seq c.tree)
-     :: List.map
-          (fun root ->
-            Coord.Types.Op_delete
-              { key = Proto.overlay_key_ns ns root; expect_version = None })
-          roots)
+     :: List.map (fun (root, _) -> delete (Proto.overlay_key_ns ns root))
+          l.shard.Shard.assignment)
     @ [ meta ]
+
+(* The pruned outcomes go to [on_prune] first, so a reader finds one or
+   the other. *)
+let checkpoint l ~seq ~max_request_seq ~quarantine ~started tree =
+  let c = { seq; tree; max_request_seq; quarantine; started } in
+  let folded = List.rev l.folded in
+  l.on_prune folded;
+  Persist.append l.persist
+    (checkpoint_ops l c
+    @ List.map (fun (id, _) -> delete (Txn.record_key_ns l.ns id)) folded);
+  l.prev <- tree;
+  l.folded <- [];
+  l.requested <- false;
+  Log.info (fun m ->
+      m "%s: checkpoint at start_seq %d, %d records pruned" l.name seq
+        (List.length folded))
 
 let apply_log ~name ~what env tree (txn : Txn.t) log =
   List.fold_left
@@ -251,8 +305,10 @@ let scan client prefix f =
     (fun key -> Option.bind (Coord.Client.get client key) (fun (v, _) -> f v))
     (Coord.Client.get_children client prefix)
 
-let rebuild ~name client ~ns ~shard ~(checkpoint : checkpoint) ~txns ~locks
-    ~sched ~twopc ~persist records =
+let rebuild l client ~(checkpoint : checkpoint) ~txns ~locks ~sched ~twopc
+    records =
+  let name = l.name and ns = l.ns and shard = l.shard in
+  l.prev <- checkpoint.tree;
   (* Which Started txns still need a phyQ offer: not queued, not being
      executed, and not already reported. *)
   let phy_ids = scan client (Proto.phy_queue_ns ns) int_of_string_opt in
@@ -266,7 +322,8 @@ let rebuild ~name client ~ns ~shard ~(checkpoint : checkpoint) ~txns ~locks
   let quarantine = ref checkpoint.quarantine in
   let terminal (txn : Txn.t) =
     if Twopc.is_cross shard txn then Twopc.recover_terminal twopc txn;
-    Twopc.retire twopc txn
+    Twopc.retire twopc txn;
+    fold l txn
   in
   List.iter
     (fun (txn : Txn.t) ->
@@ -307,7 +364,7 @@ let rebuild ~name client ~ns ~shard ~(checkpoint : checkpoint) ~txns ~locks
           Twopc.recover_participant twopc txn ~started:true
         else if Twopc.is_cross shard txn then
           Twopc.recover_coordinator twopc txn ~offer
-        else if offer then Persist.offer persist txn.Txn.id
+        else if offer then Persist.offer l.persist txn.Txn.id
       | Txn.Failed _ ->
         (* A failed transaction left the layers inconsistent under its
            write set; a new leader must not serve those resources until

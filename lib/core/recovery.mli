@@ -1,16 +1,24 @@
-(** Idempotent fail-over recovery (paper §2.3): a new leader loads the
-    last checkpoint, undoes the txns it included that have rolled back
-    since, replays the Started and Committed records beyond it in
-    [start_seq] order, then rebuilds its lock table, scheduler and 2PC
-    tables from the records, re-offering what the phyQ and result scans
-    show was lost.  Signals need no scan: a KILL is the terminal record, a
-    TERM the record's [termed] flag.
+(** Idempotent fail-over recovery (paper §2.3) and the checkpoint it
+    starts from.  A new leader loads the last checkpoint, undoes the txns
+    it included that have rolled back since, replays the Started and
+    Committed records beyond it in [start_seq] order, then rebuilds its
+    lock table, scheduler and 2PC tables from the records, re-offering
+    what the phyQ and result scans show was lost.  Signals need no scan: a
+    KILL is the terminal record, a TERM the record's [termed] flag.
 
-    {b Layout.}  A checkpoint is the base (the full tree the bootstrap
-    writes), one overlay per device root changed since, and a meta value.
-    Its tree includes the effects of every txn with [start_seq <= seq]
-    that was Started or Committed when it was taken: the [started] ones,
-    and the committed ones whose records it pruned. *)
+    {b The checkpoint} (DESIGN.md §17) is the base (the full tree the
+    bootstrap writes), one overlay per device root changed since, and a
+    meta value.  The leader's {!ledger} folds in each terminal
+    single-shard record; after 64 of them, or on request, the leader
+    writes the overlays of the roots whose subtree is not physically the
+    last checkpoint's (a change outside every root writes a new base and
+    deletes the overlays) and the meta, and deletes the folded records in
+    the same {!Persist.append} window.  Its tree includes the effects of
+    every txn with [start_seq <= seq] that was Started or Committed when
+    it was taken: the [started] ones, and the committed ones whose
+    records it pruned.  Cross-shard records are never folded: a
+    participant's record rebuilds its {!Twopc} tombstone on a new leader,
+    and a coordinator's makes a new leader resend its verdict. *)
 
 type checkpoint = {
   seq : int;  (** the last start_seq whose simulated effects [tree] has *)
@@ -31,17 +39,40 @@ val load_checkpoint : Coord.Client.t -> ns:string -> checkpoint
 val save_checkpoint :
   seq:int -> Data.Tree.t -> Coord.Client.t -> ns:string -> bool
 
-(** The writes that make [c] the checkpoint, given [prev], the tree of the
-    last one: an overlay per device root whose subtree is not physically
-    [prev]'s, then the meta.  A change outside every device root writes a
-    new base instead and deletes the overlays of [roots]. *)
-val checkpoint_ops :
+(** A leader's checkpoint state: the records the next checkpoint prunes,
+    and the tree of the last one.  The overlays are those of [shard]'s
+    device roots; [on_prune] gets the ids and final states of the records
+    a checkpoint prunes, just before it is sent. *)
+type ledger
+
+val ledger :
+  name:string ->
   ns:string ->
-  roots:Data.Path.t list ->
-  is_root:(Data.Path.t -> bool) ->
-  prev:Data.Tree.t ->
-  checkpoint ->
-  Coord.Types.op list
+  shard:Shard.t ->
+  persist:Persist.t ->
+  on_prune:((int * Txn.state) list -> unit) ->
+  ledger
+
+(** Fold a terminal transaction into the next checkpoint, unless it is
+    cross-shard. *)
+val fold : ledger -> Txn.t -> unit
+
+(** Make {!due} true until the next checkpoint. *)
+val request_checkpoint : ledger -> unit
+
+(** A checkpoint was requested, or 64 records are folded. *)
+val due : ledger -> bool
+
+(** Take the checkpoint of [tree] as of [seq] and prune the folded
+    records.  Does not block. *)
+val checkpoint :
+  ledger ->
+  seq:int ->
+  max_request_seq:int ->
+  quarantine:Data.Path.t list ->
+  started:int list ->
+  Data.Tree.t ->
+  unit
 
 (** Every readable transaction record of the shard, in key order. *)
 val records : name:string -> Coord.Client.t -> ns:string -> Txn.t list
@@ -78,17 +109,15 @@ type t = {
     neither queued, executing nor reported.  [txns] gets the live
     (Accepted, Deferred, Started) records only, and each terminal shadow
     record leaves its {!Twopc.retire} tombstone: the state a leader that
-    never failed over holds. *)
+    never failed over holds.  The ledger starts from [checkpoint] and
+    folds in the terminal records. *)
 val rebuild :
-  name:string ->
+  ledger ->
   Coord.Client.t ->
-  ns:string ->
-  shard:Shard.t ->
   checkpoint:checkpoint ->
   txns:(int, Txn.t) Hashtbl.t ->
   locks:Mglock.t ->
   sched:Sched.t ->
   twopc:Twopc.t ->
-  persist:Persist.t ->
   Txn.t list ->
   t

@@ -9,7 +9,7 @@
       wakes it — O(woken) re-attempts instead of a rescan of the whole
       todoQ per completion;
     - a tripped breaker ([Breaker], with the gated device roots): the
-      health duty wakes it once {!Health.gate} admits every root;
+      health duty wakes it once {!Health.regate} admits every root;
     - a cross-shard prepare ([Votes]): nothing wakes it, the 2PC drain
       removes it once the votes (or the timeout) decide it.
 

@@ -40,15 +40,6 @@ let verdict_of_string = function
 
 let ( let* ) r f = Result.bind r f
 
-let map_result f sexps =
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* x = f s in
-      Ok (x :: acc))
-    (Ok []) sexps
-  |> Result.map List.rev
-
 let msg_to_sexp msg =
   let open Data.Sexp in
   match msg with
@@ -77,7 +68,7 @@ let msg_of_sexp sexp =
       [ Data.Sexp.Atom "prepare"; gid; coord; Data.Sexp.List roots ] ->
     let* gid = Data.Sexp.to_int gid in
     let* coord = Data.Sexp.to_int coord in
-    let* roots = map_result Data.Path.of_sexp roots in
+    let* roots = Data.Sexp.map_result Data.Path.of_sexp roots in
     Ok (Prepare { gid; coord; roots })
   | Data.Sexp.List
       [ Data.Sexp.Atom "prepared"; gid; shard; Data.Sexp.Atom ok;
@@ -85,7 +76,7 @@ let msg_of_sexp sexp =
     let* gid = Data.Sexp.to_int gid in
     let* shard = Data.Sexp.to_int shard in
     let* snaps =
-      map_result
+      Data.Sexp.map_result
         (function
           | Data.Sexp.List [ path; tree ] ->
             let* path = Data.Path.of_sexp path in
@@ -131,7 +122,7 @@ let decision_of_string s =
   | Data.Sexp.List [ Data.Sexp.Atom "abort" ] -> Ok Abort
   | Data.Sexp.List [ Data.Sexp.Atom "commit"; Data.Sexp.List slices ] ->
     let* slices =
-      map_result
+      Data.Sexp.map_result
         (function
           | Data.Sexp.List [ shard; log ] ->
             let* shard = Data.Sexp.to_int shard in

@@ -171,15 +171,7 @@ let of_sexp sexp =
   let* proc = Result.bind (Data.Sexp.assoc "proc" fields) Data.Sexp.to_atom in
   let* args_sexp = Data.Sexp.assoc "args" fields in
   let* args_list = Data.Sexp.to_list args_sexp in
-  let* args =
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        let* v = Data.Value.of_sexp s in
-        Ok (v :: acc))
-      (Ok []) args_list
-    |> Result.map List.rev
-  in
+  let* args = Data.Sexp.map_result Data.Value.of_sexp args_list in
   let* state_str =
     Result.bind (Data.Sexp.assoc "state" fields) Data.Sexp.to_atom
   in
@@ -188,17 +180,14 @@ let of_sexp sexp =
   let* locks_sexp = Data.Sexp.assoc "locks" fields in
   let* locks_list = Data.Sexp.to_list locks_sexp in
   let* locks =
-    List.fold_left
-      (fun acc entry ->
-        let* acc = acc in
-        match entry with
+    Data.Sexp.map_result
+      (function
         | Data.Sexp.List [ path; mode ] ->
           let* path = Data.Path.of_sexp path in
           let* mode = mode_of_sexp mode in
-          Ok ((path, mode) :: acc)
+          Ok (path, mode)
         | other -> Error ("bad lock entry: " ^ Data.Sexp.to_string other))
-      (Ok []) locks_list
-    |> Result.map List.rev
+      locks_list
   in
   let* submitted_at =
     Result.bind (Data.Sexp.assoc "submitted" fields) Data.Sexp.to_float

@@ -23,14 +23,7 @@ let record_to_sexp r =
 
 let ( let* ) r f = Result.bind r f
 
-let values_of_sexps sexps =
-  List.fold_left
-    (fun acc s ->
-      let* acc = acc in
-      let* v = Data.Value.of_sexp s in
-      Ok (v :: acc))
-    (Ok []) sexps
-  |> Result.map List.rev
+let values_of_sexps = Data.Sexp.map_result Data.Value.of_sexp
 
 let record_of_sexp sexp =
   match sexp with
@@ -52,14 +45,7 @@ let to_sexp log = Data.Sexp.List (List.map record_to_sexp log)
 
 let of_sexp sexp =
   match sexp with
-  | Data.Sexp.List records ->
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        let* r = record_of_sexp s in
-        Ok (r :: acc))
-      (Ok []) records
-    |> Result.map List.rev
+  | Data.Sexp.List records -> Data.Sexp.map_result record_of_sexp records
   | Data.Sexp.Atom _ -> Error "Xlog.of_sexp: expected a list"
 
 (* Write-path footprint and per-shard slicing (cross-shard 2PC): the

@@ -67,7 +67,6 @@ module Id = struct
   type id = {
     uid : int;
     path : path;
-    parent : id option;
     ancestors : id list; (* nearest (parent) first, ending with the root *)
   }
 
@@ -79,8 +78,7 @@ module Id = struct
   let table : (int * string, id) Hashtbl.t = Hashtbl.create 1024
   let next_uid = ref 1
 
-  let root =
-    { uid = 0; path = []; parent = None; ancestors = [] }
+  let root = { uid = 0; path = []; ancestors = [] }
 
   let intern p =
     let step node seg =
@@ -93,7 +91,6 @@ module Id = struct
           {
             uid;
             path = node.path @ [ seg ];
-            parent = Some node;
             ancestors = node :: node.ancestors;
           }
         in
@@ -104,12 +101,7 @@ module Id = struct
 
   let path node = node.path
   let uid node = node.uid
-  let equal a b = a.uid = b.uid
-  let compare a b = Int.compare a.uid b.uid
-  let hash node = node.uid
-  let parent node = node.parent
   let ancestors node = node.ancestors
-  let pp fmt node = pp fmt node.path
 end
 
 let to_sexp p = Sexp.Atom (to_string p)

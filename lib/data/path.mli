@@ -46,14 +46,11 @@ val append : t -> t -> t
 (** Interned path handles.
 
     [intern] hash-conses a path into a process-global table and returns a
-    small handle with O(1) [equal]/[hash]/[compare] and a pre-computed
-    ancestor chain — built for hot lock-table keys, where structural
-    comparison of segment lists dominated.  Handles for equal paths are
-    physically equal.  The table only grows; its size is bounded by the
-    number of distinct paths interned (the same order as the resource
-    tree), and [compare] orders handles by interning time, which is
-    deterministic for a deterministic workload — use {!Path.compare} on
-    {!path} when path order matters. *)
+    small handle with a dense integer identity and a pre-computed ancestor
+    chain — built for hot lock-table keys, where structural comparison of
+    segment lists dominated.  Handles for equal paths are physically
+    equal.  The table only grows; its size is bounded by the number of
+    distinct paths interned (the same order as the resource tree). *)
 module Id : sig
   type id
 
@@ -66,19 +63,9 @@ module Id : sig
   (** Dense small-int identity, unique per distinct path. *)
   val uid : id -> int
 
-  val equal : id -> id -> bool
-  val compare : id -> id -> int
-  val hash : id -> int
-  val root : id
-
-  (** [parent id] is [None] for the root; O(1). *)
-  val parent : id -> id option
-
   (** Strict ancestors, nearest (parent) first, ending with the root;
       cached at interning time, O(1). *)
   val ancestors : id -> id list
-
-  val pp : Format.formatter -> id -> unit
 end
 
 val to_sexp : t -> Sexp.t

@@ -8,7 +8,6 @@ let rec equal a b =
   | Atom _, List _ | List _, Atom _ -> false
 
 let atom s = Atom s
-let list xs = List xs
 let of_int i = Atom (string_of_int i)
 
 (* %h is an exact hexadecimal representation, so float round-trips are
@@ -206,6 +205,13 @@ let to_bool sexp =
   | Atom "false" -> Ok false
   | Atom s -> Error (Printf.sprintf "not a bool: %S" s)
   | List _ -> Error "expected bool, got list"
+
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] xs
 
 let assoc key fields =
   let matches = function

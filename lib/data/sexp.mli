@@ -16,7 +16,6 @@ val of_string : string -> (t, string) result
 (** {1 Construction helpers} *)
 
 val atom : string -> t
-val list : t list -> t
 val of_int : int -> t
 val of_float : float -> t
 val of_bool : bool -> t
@@ -28,6 +27,10 @@ val to_float : t -> (float, string) result
 val to_bool : t -> (bool, string) result
 val to_atom : t -> (string, string) result
 val to_list : t -> (t list, string) result
+
+(** [map_result f xs] decodes every element with [f], in order; the
+    first error wins. *)
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
 
 (** [assoc key fields] looks up [(key v)] in a list of two-element lists. *)
 val assoc : string -> t list -> (t, string) result

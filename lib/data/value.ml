@@ -74,15 +74,8 @@ let rec of_sexp sexp =
     Ok (Float f)
   | Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ] -> Ok (Str s)
   | Sexp.List (Sexp.Atom "list" :: xs) ->
-    let* xs =
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          let* v = of_sexp x in
-          Ok (v :: acc))
-        (Ok []) xs
-    in
-    Ok (List (List.rev xs))
+    let* xs = Sexp.map_result of_sexp xs in
+    Ok (List xs)
   | other -> Error ("Value.of_sexp: bad value " ^ Sexp.to_string other)
 
 let as_bool = function Bool b -> Some b | _ -> None

@@ -66,6 +66,13 @@ let dump_trace tracer ~file =
     (fun () -> output_string oc (Trace.to_chrome_json tracer));
   Trace.Check.validate tracer
 
+let phase_summary (st : Tropic.Controller.stats) =
+  let pair cdf = Metrics.Cdf.quantile_pair cdf ~p:0.99 in
+  Printf.sprintf
+    "phases[p50/p99 s]: simulate %s, lock-wait %s, replay %s, undo %s"
+    (pair st.simulate_lat) (pair st.lock_wait_lat) (pair st.replay_lat)
+    (pair st.undo_lat)
+
 let sched_summary (st : Tropic.Controller.stats) =
   let per_commit =
     if st.committed = 0 then 0.

@@ -17,6 +17,10 @@ val time_it : (unit -> 'a) -> 'a * float
 (** Print a section header to stdout. *)
 val section : string -> unit
 
+(** One-line per-phase latency breakdown of a shard ("p50/p99" per
+    phase, [n/a] for phases no transaction crossed). *)
+val phase_summary : Tropic.Controller.stats -> string
+
 (** One-line human summary of a shard's scheduler counters: deferrals
     per committed txn + wakeup counters. *)
 val sched_summary : Tropic.Controller.stats -> string

@@ -125,5 +125,5 @@ let print r =
     r.submitted r.committed r.aborted r.lost;
   Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.stats)
     (Common.robust_summary r.stats)
-    (Tropic.Controller.phase_summary r.stats)
+    (Common.phase_summary r.stats)
     r.membership

@@ -142,5 +142,5 @@ let print r =
     r.deferrals r.violations r.layers_consistent;
   Printf.printf "%s\n%s\n%s\n%s\n%!" (Common.sched_summary r.stats)
     (Common.robust_summary r.stats)
-    (Tropic.Controller.phase_summary r.stats)
+    (Common.phase_summary r.stats)
     r.membership

@@ -198,7 +198,7 @@ let print_result r =
     r.sim_events r.wall_seconds;
   Printf.printf "    %s\n    %s\n    %s\n%!" (Common.sched_summary r.stats)
     (Common.robust_summary r.stats)
-    (Tropic.Controller.phase_summary r.stats)
+    (Common.phase_summary r.stats)
 
 let print_fig4_fig5 ?(multipliers = [ 1; 2; 3; 4; 5 ]) cfg =
   Common.section

@@ -265,7 +265,7 @@ let print r =
         p.hosts p.offered p.committed p.throughput_per_s p.median_latency
         (Common.sched_summary p.stats)
         (Common.robust_summary p.stats)
-        (Tropic.Controller.phase_summary p.stats))
+        (Common.phase_summary p.stats))
     r.throughput;
   List.iter
     (fun m ->

@@ -351,7 +351,7 @@ let run_script ?(record_trace = false) ?(base_dir = ".") script =
           s.Tropic.Controller.deferrals s.Tropic.Controller.violations
           s.Tropic.Controller.sheds s.Tropic.Controller.breaker_trips
           s.Tropic.Controller.breaker_probes s.Tropic.Controller.breaker_closes;
-        emit "%s" (Tropic.Controller.phase_summary s)
+        emit "%s" (Common.phase_summary s)
       | Storm (count, host) ->
         (* Fire-and-forget burst: flood the controller without awaiting, so
            a following awaited command observes admission control. *)

@@ -29,14 +29,12 @@ let str_list_attr node name =
   match Value.as_list v with
   | None -> Error (Printf.sprintf "attribute %s is not a list" name)
   | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
+    Data.Sexp.map_result
+      (fun item ->
         match Value.as_str item with
-        | Some s -> Ok (s :: acc)
+        | Some s -> Ok s
         | None -> Error (Printf.sprintf "attribute %s has non-string items" name))
-      (Ok []) items
-    |> Result.map List.rev
+      items
 
 let sum_children node ~kind ~attr_name =
   Tree.Smap.fold

@@ -538,13 +538,14 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
   let records = Recovery.records ~name:"leader" client ~ns in
   let tree = Recovery.replay ~name:"leader" env checkpoint ~shard records in
   ( tree,
-    Recovery.rebuild ~name:"leader" client ~ns ~shard ~checkpoint
-      ~txns:(Hashtbl.create 8) ~locks:(Mglock.create ())
+    Recovery.rebuild
+      (Recovery.ledger ~name:"leader" ~ns ~shard ~persist ~on_prune:ignore)
+      client ~checkpoint ~txns:(Hashtbl.create 8) ~locks:(Mglock.create ())
       ~sched:(Sched.create ())
       ~twopc:
         (Twopc.create ~name:"leader" ~gclient:client ~shard ~timeout:10.
            ~record:true (Coord.Ensemble.sim ens))
-      ~persist records )
+      records )
 
 let test_replay_in_start_order () =
   Drive.ensemble (fun sim ens ->
@@ -609,14 +610,23 @@ let test_checkpoint_layout () =
       let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) Tcloud.Setup.small in
       let env = inv.Tcloud.Setup.env and tree0 = inv.Tcloud.Setup.tree in
       let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
-      let is_root p = List.exists (Data.Path.equal p) roots in
       let client = Coord.Ensemble.connect ens ~name:"leader" () in
       Alcotest.(check bool_c) "base written" true
         (Recovery.save_checkpoint ~seq:0 tree0 client ~ns);
-      let take ~prev c =
-        let ops = Recovery.checkpoint_ops ~ns ~roots ~is_root ~prev c in
-        if Result.is_error (Coord.Client.multi client ops) then
-          Alcotest.fail "checkpoint refused";
+      let persist = Persist.create ~name:"leader" ~ns ~client in
+      let ledger =
+        Recovery.ledger ~name:"leader" ~ns ~shard:(Shard.singleton ~roots)
+          ~persist ~on_prune:ignore
+      in
+      let keys () =
+        Coord.Client.get_children client (Proto.checkpoint_prefix_ns ns)
+      in
+      let take (c : Recovery.checkpoint) =
+        Recovery.checkpoint ledger ~seq:c.Recovery.seq
+          ~max_request_seq:c.Recovery.max_request_seq
+          ~quarantine:c.Recovery.quarantine ~started:c.Recovery.started
+          c.Recovery.tree;
+        Persist.barrier persist;
         let loaded = Recovery.load_checkpoint client ~ns in
         Alcotest.(check bool_c) "tree loads back" true
           (Data.Tree.equal c.Recovery.tree loaded.Recovery.tree);
@@ -627,25 +637,103 @@ let test_checkpoint_layout () =
           loaded.Recovery.started;
         Alcotest.(check (list string)) "quarantine"
           (List.map Data.Path.to_string c.Recovery.quarantine)
-          (List.map Data.Path.to_string loaded.Recovery.quarantine);
-        List.length ops
+          (List.map Data.Path.to_string loaded.Recovery.quarantine)
       in
+      (* The keys a checkpoint wrote: those new or at a new version. *)
+      let written c =
+        let versions () =
+          List.map (fun k -> (k, Option.map snd (Coord.Client.get client k))) (keys ())
+        in
+        let before = versions () in
+        take c;
+        List.filter_map
+          (fun (k, v) -> if List.assoc_opt k before = Some v then None else Some k)
+          (versions ())
+      in
+      let base_key = Proto.checkpoint_key_ns ns in
+      let base = [ base_key; Proto.checkpoint_meta_key_ns ns ] in
+      (* A fresh ledger has no previous tree: its first checkpoint is a
+         new base. *)
+      let c0 =
+        { Recovery.seq = 0; tree = tree0; max_request_seq = 0; quarantine = [];
+          started = [] }
+      in
+      Alcotest.(check (list string)) "the first writes a new base and the meta"
+        base (written c0);
+      Alcotest.(check (list string)) "the first is a new base" base (keys ());
       let tree1, _ = spawn env tree0 ~vm:"c1" ~h:1 in
       let c1 =
         { Recovery.seq = 1; tree = tree1; max_request_seq = 4;
           quarantine = [ Tcloud.Setup.compute_path 2 ]; started = [ 4 ] }
       in
-      Alcotest.(check int) "host 1 and storage 0, then the meta" 3
-        (take ~prev:tree0 c1);
+      let base_version () = Option.map snd (Coord.Client.get client base_key) in
+      let v0 = base_version () in
+      let overlays =
+        [ Proto.overlay_key_ns ns (Tcloud.Setup.compute_path 1);
+          Proto.overlay_key_ns ns (Tcloud.Setup.storage_path 0) ]
+      in
+      Alcotest.(check (list string)) "host 1 and storage 0, then the meta"
+        (List.sort compare (Proto.checkpoint_meta_key_ns ns :: overlays))
+        (List.sort compare (written c1));
+      Alcotest.(check bool_c) "the base is not rewritten" true (base_version () = v0);
+      Alcotest.(check (list string)) "the base, the meta and two overlays"
+        (List.sort compare (base @ overlays))
+        (keys ());
       let tree2 =
         match Data.Tree.set_attr tree1 (Data.Path.v "/vmRoot") "note" (Data.Value.Str "x") with
         | Ok tree -> tree
         | Error e -> Alcotest.fail (Data.Tree.error_to_string e)
       in
-      ignore (take ~prev:tree1 { c1 with Recovery.seq = 2; tree = tree2 });
-      Alcotest.(check (list string)) "a new base, no overlay"
-        [ Proto.checkpoint_key_ns ns; Proto.checkpoint_meta_key_ns ns ]
-        (Coord.Client.get_children client (Proto.checkpoint_prefix_ns ns)))
+      Alcotest.(check (list string)) "a change outside the roots writes a new base"
+        base
+        (written { c1 with Recovery.seq = 2; tree = tree2 });
+      Alcotest.(check (list string)) "a new base, no overlay" base (keys ()))
+
+(* The fold rule: a checkpoint prunes single-shard records only, and
+   becomes due at exactly 64 of them.  Cross-shard coordinator and
+   participant records are never folded, however many end. *)
+let test_checkpoint_fold_rule () =
+  Drive.ensemble (fun sim ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let inv = Tcloud.Setup.build ~rng:(Des.Sim.rng sim) Tcloud.Setup.small in
+      let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
+      let shard = Shard.make ~sid:0 ~shards:2 roots in
+      let owned = List.filter (Shard.owns shard) roots
+      and foreign = List.filter (fun r -> not (Shard.owns shard r)) roots in
+      let client = Coord.Ensemble.connect ens ~name:"leader" () in
+      let persist = Persist.create ~name:"leader" ~ns ~client in
+      let pruned = ref [] in
+      let ledger =
+        Recovery.ledger ~name:"leader" ~ns ~shard ~persist
+          ~on_prune:(fun records -> pruned := List.map fst records)
+      in
+      let ended ~id ~proc paths =
+        let args = List.map (fun p -> Data.Value.Str (Data.Path.to_string p)) paths in
+        stored ~args ~id ~state:Txn.Committed ~seq:id ~proc []
+      in
+      let single id = ended ~id ~proc:"stopVM" [ List.hd owned ] in
+      let cross = ended ~proc:"migrateVM" [ List.hd owned; List.hd foreign ] in
+      let part id = ended ~id ~proc:"__2pc_participant" [ List.hd owned ] in
+      Alcotest.(check bool_c) "the coordinator is cross-shard" true
+        (Twopc.is_cross shard (cross ~id:1000));
+      Alcotest.(check bool_c) "the shadow is a participant" true
+        (Twopc.is_participant (part 2000));
+      List.iter
+        (fun id ->
+          Recovery.fold ledger (single id);
+          Recovery.fold ledger (cross ~id:(1000 + id));
+          Recovery.fold ledger (part (2000 + id)))
+        (List.init 63 (fun i -> i + 1));
+      Alcotest.(check bool_c) "63 folded: not due" false (Recovery.due ledger);
+      Recovery.fold ledger (single 64);
+      Alcotest.(check bool_c) "64 folded: due" true (Recovery.due ledger);
+      Recovery.checkpoint ledger ~seq:64 ~max_request_seq:64 ~quarantine:[]
+        ~started:[] inv.Tcloud.Setup.tree;
+      Alcotest.(check (list int)) "only the single-shard records pruned"
+        (List.init 64 (fun i -> i + 1))
+        !pruned;
+      Alcotest.(check bool_c) "not due after the checkpoint" false
+        (Recovery.due ledger))
 
 (* ------------------------------------------------------------------ *)
 (* Platform runs on the non-blocking writer *)
@@ -849,6 +937,8 @@ let () =
             `Quick test_cross_coordinator_replays_own_slice;
           Alcotest.test_case "checkpoint: changed roots as overlays, else a new base"
             `Quick test_checkpoint_layout;
+          Alcotest.test_case "checkpoint: cross-shard records never folded, due at 64"
+            `Quick test_checkpoint_fold_rule;
         ] );
       ( "platform",
         [

@@ -162,11 +162,10 @@ let twoshard_spec ?(prepare_timeout = 20.) () =
     controller_session_timeout = 3.0;
   }
 
-let with_two_shards ?prepare_timeout ?(seed = 7) scenario =
+let with_two_shards ?prepare_timeout ?(seed = 7) ?(size = twoshard_size)
+    scenario =
   let sim = Des.Sim.create ~seed () in
-  let inv =
-    Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) twoshard_size
-  in
+  let inv = Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) size in
   let platform =
     Platform.create
       (twoshard_spec ?prepare_timeout ())
@@ -469,11 +468,43 @@ let test_kill_restart_keeps_phase_samples () =
         Alcotest.(check bool)
           (Printf.sprintf "shard %d reports simulate latency" sid)
           false
-          (Str_contains.contains (Controller.phase_summary st) "simulate n/a");
+          (Str_contains.contains (Experiments.Common.phase_summary st) "simulate n/a");
         Alcotest.(check int)
           (Printf.sprintf "shard %d spawn counted" sid)
           1 st.Controller.committed
       done)
+
+(* A repair is served by the subtree's owner only.  Host 1's owner starts
+   its prepopulated VM; the other shard's copy of host 1 still has it
+   stopped.  A Repair control sent to that other shard must be refused:
+   run against the stale copy, it would stop the VM again and undo the
+   owner's committed start. *)
+let test_foreign_repair_refused () =
+  let size = { twoshard_size with Tcloud.Setup.prepopulated_vms_per_host = 1 } in
+  with_two_shards ~size (fun platform inv ->
+      let host = host_path 1 and vm = Tcloud.Setup.prepop_vm_name ~host:1 ~index:0 in
+      let _, compute = inv.Tcloud.Setup.computes.(1) in
+      let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
+      let owner = Shard.owner_of (Shard.make ~sid:0 ~shards:2 roots) host in
+      (match
+         Platform.run_txn platform ~proc:"startVM"
+           ~args:(Tcloud.Procs.start_vm_args ~host:(Data.Path.to_string host) ~vm)
+       with
+       | Txn.Committed -> ()
+       | other -> Alcotest.failf "start: %s" (Txn.state_to_string other));
+      let foreign = 1 - owner in
+      let client =
+        Coord.Ensemble.connect (Platform.coord_ensemble platform foreign)
+          ~name:"operator" ()
+      in
+      ignore
+        (Coord.Recipes.enqueue client
+           ~queue:(Proto.input_queue_ns (Proto.ns_of_shard foreign))
+           (Proto.input_to_string (Proto.Control (Proto.Repair host))));
+      Coord.Client.close client;
+      Des.Proc.sleep 30.;
+      Alcotest.(check bool) "the owner's start stands" true
+        (Devices.Compute.vm_state compute vm = Some `Running))
 
 (* ------------------------------------------------------------------ *)
 
@@ -505,5 +536,7 @@ let () =
             test_kill_restart_keeps_phase_samples;
           Alcotest.test_case "kill of a decided coordinator releases participants"
             `Quick test_kill_decided_coordinator_releases_participants;
+          Alcotest.test_case "repair of a foreign shard's subtree is refused"
+            `Quick test_foreign_repair_refused;
         ] );
     ]

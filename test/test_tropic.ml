@@ -550,9 +550,19 @@ let test_recon_drift_verdicts () =
   Devices.Compute.force_remove_vm host "vm1";
   expect_unrepairable "removed VM" (drift device tree);
   (* Reload's adopt step takes the device's state as the subtree. *)
-  (match Recon.adopt (Constraints.create ()) tree device with
-   | Ok adopted when drift device adopted = Recon.Same -> ()
-   | Ok _ | Error _ -> Alcotest.fail "adopt: expected the device's state");
+  let root = Devices.Device.root device in
+  let recon =
+    Recon.create ~name:"recon" ~shard:(Shard.singleton ~roots:[ root ])
+      ~sim:(Des.Sim.create ()) ~rules:Tcloud.Rules.repair_rules ~deadline:None
+      ~constraints:(Constraints.create ())
+      ~devices:(Physical.lookup_of_list [ device ])
+  in
+  let adopted =
+    Recon.reload recon ~locks:(Mglock.create ()) ~sched:(Sched.create ()) tree
+      root
+  in
+  if drift device adopted <> Recon.Same then
+    Alcotest.fail "adopt: expected the device's state";
   let host, device, tree = recon_fixture () in
   Devices.Compute.preload_vm host ~name:"vm2" ~image:"vm2.img" ~mem_mb:512
     ~state:`Stopped;
@@ -562,7 +572,12 @@ let test_recon_quarantine () =
   let path = Data.Path.v in
   let roots = List.map path [ "/vmRoot/h0"; "/vmRoot/h1"; "/vmRoot/h2" ] in
   (* Round-robin over two shards: shard 0 owns h0 and h2, shard 1 h1. *)
-  let q = Recon.Quarantine.create (Shard.make ~sid:0 ~shards:2 roots) in
+  let q =
+    Recon.quarantine
+      (Recon.create ~name:"recon" ~shard:(Shard.make ~sid:0 ~shards:2 roots)
+         ~sim:(Des.Sim.create ()) ~rules:[] ~deadline:None
+         ~constraints:(Constraints.create ()) ~devices:(fun _ -> None))
+  in
   let listing () = List.map Data.Path.to_string (Recon.Quarantine.to_list q) in
   check bool_c "empty covers nothing" false
     (Recon.Quarantine.covers q (path "/vmRoot/h0"));
@@ -1268,12 +1283,13 @@ let standby_recovery platform env =
   let tree = Recovery.replay ~name:"standby" env checkpoint ~shard records in
   let txns = Hashtbl.create 8 in
   let r =
-    Recovery.rebuild ~name:"standby" client ~ns ~shard ~checkpoint ~txns
-      ~locks:(Mglock.create ()) ~sched:(Sched.create ())
+    Recovery.rebuild
+      (Recovery.ledger ~name:"standby" ~ns ~shard ~persist ~on_prune:ignore)
+      client ~checkpoint ~txns ~locks:(Mglock.create ()) ~sched:(Sched.create ())
       ~twopc:
         (Twopc.create ~name:"standby" ~gclient:client ~shard ~timeout:60.
            (Platform.sim platform) ~record:true)
-      ~persist records
+      records
   in
   Coord.Client.close client;
   let held =
@@ -1875,7 +1891,7 @@ let test_e2e_worker_crash_rescued_by_watchdog () =
 
 (* Random op sequences against one breaker; after every op:
    - the combined score stays in [0, 1];
-   - Tripped is only left through [gate], and never before the cooldown;
+   - Tripped is only left through [admit], and never before the cooldown;
    - at most one canary is outstanding while Half_open. *)
 let breaker_fsm_prop =
   let cfg =
@@ -1901,7 +1917,7 @@ let breaker_fsm_prop =
       let next_txn = ref 0 in
       let outstanding = ref None in
       let tripped_since = ref None in
-      let invariants ~via_gate =
+      let invariants ~via_admit =
         let s = Health.score h ~root in
         if s < 0. || s > 1. then
           QCheck.Test.fail_reportf "score %.3f outside [0, 1]" s;
@@ -1913,24 +1929,24 @@ let breaker_fsm_prop =
             QCheck.Test.fail_reportf
               "left Tripped after %.2fs, cooldown is %.2fs" (!now -. since)
               cfg.Health.cooldown;
-          if not via_gate then
-            QCheck.Test.fail_report "left Tripped without a gate call";
+          if not via_admit then
+            QCheck.Test.fail_report "left Tripped without an admit call";
           tripped_since := None
         | (Health.Closed | Health.Half_open), None -> ()
       in
       List.iter
         (fun (op, dt) ->
-          let via_gate = ref false in
+          let via_admit = ref false in
           (match op with
            | 0 -> now := !now +. dt (* time passes *)
            | 1 ->
-             via_gate := true;
-             ignore (Health.gate h ~now:!now ~root)
+             via_admit := true;
+             ignore (Health.admit h ~now:!now [ root ])
            | 2 ->
              (* Try to claim the canary slot with a fresh txn. *)
              incr next_txn;
              let before = !probes in
-             Health.begin_probe h ~now:!now ~root ~txn:!next_txn;
+             Health.start h ~now:!now ~txn:!next_txn ~probes:[ root ];
              if !probes > before then begin
                if !outstanding <> None then
                  QCheck.Test.fail_report
@@ -1948,18 +1964,21 @@ let breaker_fsm_prop =
                  (!next_txn, false)
              in
              let ok = op = 3 in
-             Health.observe h ~now:!now ~root ~txn ~ok
+             (* Restart the clock so the scored latency is 0.5 or 30 s. *)
+             Health.start h ~now:(!now -. if ok then 0.5 else 30.) ~txn
+               ~probes:[];
+             Health.report h ~now:!now ~txn ~ok
                ~retries:(if ok then 0 else 2)
                ~timeouts:(if ok then 0 else 1)
-               ~latency:(if ok then 0.5 else 30.);
+               [ root ];
              if is_probe then outstanding := None
            | _ ->
              (match !outstanding with
               | Some t ->
-                Health.forget_probe h ~txn:t;
+                Health.forget h ~txn:t;
                 outstanding := None
               | None -> ()));
-          invariants ~via_gate:!via_gate)
+          invariants ~via_admit:!via_admit)
         ops;
       true)
 
@@ -2268,6 +2287,34 @@ let test_trace_reserved_wait_names_head () =
         (Trace.attr (span_named (txn_spans tracer b) "lock-wait") "reserved");
       expect_valid_trace tracer)
 
+(* A reload of a subtree that a running txn holds locked is deferred, not
+   adopted mid-replay, and leaves no lock behind.  The out-of-band VM
+   appears while a spawn on the same host is Started; the reload ahead of
+   the spawn's result in inputQ must leave the tree alone, and only a
+   reload after the spawn adopts it. *)
+let test_e2e_reload_deferred_while_locked () =
+  with_platform (fun platform inv ->
+      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+      let oob = Data.Path.v (host0 ^ "/oob") in
+      let id = Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "busy") in
+      let leader = Platform.await_leader_controller platform in
+      while not (List.mem id (Controller.started_txns leader)) do
+        Des.Proc.sleep 0.01
+      done;
+      Devices.Compute.preload_vm compute0 ~name:"oob" ~image:"oob.img"
+        ~mem_mb:512 ~state:`Running;
+      Platform.reload platform (Data.Path.v host0);
+      expect_committed "spawn" (Platform.await platform id);
+      check bool_c "reload deferred while locked" false
+        (Data.Tree.mem (Controller.tree leader) oob);
+      check int_c "no lock left" 0 (Controller.lock_count leader);
+      check int_c "no waiter left" 0 (Controller.waiter_count leader);
+      Platform.reload platform (Data.Path.v host0);
+      Des.Proc.sleep 5.;
+      check bool_c "adopted once unlocked" true
+        (Data.Tree.mem (Controller.tree leader) oob);
+      check int_c "its lock released" 0 (Controller.lock_count leader))
+
 let suite =
   [
     ("xlog: codec roundtrip", `Quick, test_xlog_roundtrip);
@@ -2343,6 +2390,7 @@ let suite =
     ("trace: fault replay undo reversed", `Quick, test_trace_fault_replay_undo_reversed);
     ("trace: lock-wait names blocking holder", `Quick, test_trace_lock_wait_names_holder);
     ("trace: reserved lock-wait names the head", `Quick, test_trace_reserved_wait_names_head);
+    ("e2e: reload deferred while a txn holds the subtree", `Quick, test_e2e_reload_deferred_while_locked);
   ]
 
 let () = Alcotest.run "tropic" [ ("tropic", suite) ]

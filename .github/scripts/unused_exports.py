@@ -10,10 +10,12 @@ directories other than the module's own.  A value of a submodule
 name.  A file that opens the module (`open M`, `M.(...)`, `let open M`)
 counts a bare use of the name, and one that passes it whole to a
 functor (`Set.Make (Data.Path)`) counts its compare, equal and hash.
-Values referred to from test/ only are
-listed separately.  The match is textual, comments and strings removed,
-so a shared name can hide an unused value; the lists are a report, not a
-gate.  Exits 0.
+An interface that re-exports another (`include module type of struct
+include Stats end`) makes that module's values reachable under its own
+name too.  Values referred to from test/ only are listed separately.
+The match is textual, comments and strings removed, so a shared name can
+hide an unused value.  Exits 1 when some value has no reference outside
+its module; the test-only list is a report and never fails the run.
 """
 import os
 import re
@@ -76,6 +78,19 @@ def exports(path):
     return top, found
 
 
+def reexports(mlis):
+    """Module name -> the modules whose interface includes it whole."""
+    found = {}
+    for mli in mlis:
+        top = os.path.basename(mli)[:-4].capitalize()
+        text = strip(open(mli).read())
+        for m in re.finditer(
+                r"include\s+module\s+type\s+of\s+struct\s+include\s+(\w+)\s+end",
+                text):
+            found.setdefault(m.group(1), []).append(top)
+    return found
+
+
 def referenced(files, texts, own, qual, name):
     qualified = re.compile(r"\b%s\.%s\b" % (qual, re.escape(name)))
     opened = re.compile(r"\bopen!?\s+(\w+\.)*%s\b|\b%s\.\(" % (qual, qual))
@@ -99,14 +114,17 @@ def main():
     for f in code + tests:
         texts[f] = strip(open(f).read())
     unused, test_only = [], []
-    for mli in sources(ROOTS, ".mli"):
+    mlis = list(sources(ROOTS, ".mli"))
+    aliases = reexports(mlis)
+    for mli in mlis:
         top, vals = exports(mli)
         own = {mli[:-1], mli}
         for qual, name in vals:
             label = "%s: %s" % (mli, name if qual == top else qual + "." + name)
-            if referenced(code, texts, own, qual, name):
+            quals = [qual] + aliases.get(qual, [])
+            if any(referenced(code, texts, own, q, name) for q in quals):
                 continue
-            if referenced(tests, texts, own, qual, name):
+            if any(referenced(tests, texts, own, q, name) for q in quals):
                 test_only.append(label)
             else:
                 unused.append(label)
@@ -116,7 +134,7 @@ def main():
     print("exported vals referenced from test/ only: %d" % len(test_only))
     for label in test_only:
         print("  " + label)
-    return 0
+    return 1 if unused else 0
 
 
 if __name__ == "__main__":

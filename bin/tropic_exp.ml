@@ -103,13 +103,13 @@ let ha_cmd =
     let doc = "Controller session timeout (failure-detection time)." in
     Arg.(value & opt float 10. & info [ "session-timeout" ] ~doc)
   in
-  let run session_timeout seed =
+  let run quick session_timeout seed =
     let seed = effective_seed ~default:Experiments.Ha.default_seed seed in
-    Experiments.Ha.print (Experiments.Ha.run ~seed ~session_timeout ())
+    Experiments.Ha.print (Experiments.Ha.run ~seed ~quick ~session_timeout ())
   in
   Cmd.v
     (Cmd.info "ha" ~doc:"Section 6.4: controller fail-over recovery")
-    Term.(const run $ session $ seed_arg)
+    Term.(const run $ quick_flag $ session $ seed_arg)
 
 let trace_arg =
   let doc =
@@ -226,7 +226,7 @@ let span_cap = 400
 let print_chaos_result ~with_trace r =
   if with_trace then
     List.iter (fun line -> Printf.printf "  %s\n" line) r.Chaos.Runner.trace;
-  let total = Chaos.Runner.total r in
+  let total = Tropic.Stats.sum r.Chaos.Runner.stats in
   Printf.printf
     "seed %4d  %-19s %3d committed / %2d aborted / %2d failed, %2d faults, \
      quiesced at %.0fs, sched: %d deferrals, %d wakeups (%d spurious), \
@@ -235,17 +235,10 @@ let print_chaos_result ~with_trace r =
     r.Chaos.Runner.seed r.Chaos.Runner.schedule r.Chaos.Runner.committed
     r.Chaos.Runner.aborted r.Chaos.Runner.failed r.Chaos.Runner.injected
     r.Chaos.Runner.duration
-    (total (fun s -> s.Tropic.Controller.deferrals))
-    (total (fun s -> s.Tropic.Controller.wakeups))
-    (total (fun s -> s.Tropic.Controller.spurious_wakeups))
-    (total (fun s -> s.Tropic.Controller.exec_retries))
-    (total (fun s -> s.Tropic.Controller.transient_failures))
-    (total (fun s -> s.Tropic.Controller.timeouts))
-    (Experiments.Common.signals_summary r.Chaos.Runner.stats)
-    (total (fun s -> s.Tropic.Controller.sheds))
-    (total (fun s -> s.Tropic.Controller.breaker_trips))
-    (total (fun s -> s.Tropic.Controller.breaker_probes))
-    (total (fun s -> s.Tropic.Controller.breaker_closes));
+    total.deferrals total.wakeups total.spurious_wakeups total.exec_retries
+    total.transient_failures total.timeouts
+    (Experiments.Common.signals_summary total)
+    total.sheds total.breaker_trips total.breaker_probes total.breaker_closes;
   let m = r.Chaos.Runner.membership in
   if
     m.Coord.Types.joins > 0 || m.Coord.Types.leaves > 0
@@ -267,25 +260,17 @@ let print_chaos_result ~with_trace r =
   let shards = List.length r.Chaos.Runner.stats in
   if shards > 1 then begin
     Printf.printf "       2pc: %d started / %d committed / %d aborted / %d prepares (%d shards)\n"
-      (total (fun s -> s.Tropic.Controller.twopc_started))
-      (total (fun s -> s.Tropic.Controller.twopc_committed))
-      (total (fun s -> s.Tropic.Controller.twopc_aborted))
-      (total (fun s -> s.Tropic.Controller.twopc_prepares))
-      shards;
+      total.twopc_started total.twopc_committed total.twopc_aborted
+      total.twopc_prepares shards;
     List.iteri
-      (fun sid s ->
+      (fun sid (s : Tropic.Stats.stats) ->
         Printf.printf
           "       shard %d: %d committed / %d aborted / %d failed, shed %d, \
            %d wakeups, %s, 2pc %d started / %d committed / %d aborted / %d \
            prepares, %s\n"
-          sid s.Tropic.Controller.committed s.Tropic.Controller.aborted
-          s.Tropic.Controller.failed s.Tropic.Controller.sheds
-          s.Tropic.Controller.wakeups
-          (Experiments.Common.signals_summary [ s ])
-          s.Tropic.Controller.twopc_started
-          s.Tropic.Controller.twopc_committed
-          s.Tropic.Controller.twopc_aborted
-          s.Tropic.Controller.twopc_prepares
+          sid s.committed s.aborted s.failed s.sheds s.wakeups
+          (Experiments.Common.signals_summary s)
+          s.twopc_started s.twopc_committed s.twopc_aborted s.twopc_prepares
           (Experiments.Common.phase_summary s))
       r.Chaos.Runner.stats
   end;

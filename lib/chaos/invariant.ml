@@ -120,7 +120,7 @@ let poll_stuck_locks tracker platform =
     let gone =
       Hashtbl.fold
         (fun id _ acc ->
-          if Hashtbl.mem live id || not observed.(id mod shards) then acc
+          if Hashtbl.mem live id || not observed.(Tropic.Proto.shard_of_txn ~shards id) then acc
           else id :: acc)
         tracker.first_started []
     in

@@ -59,7 +59,7 @@ type result = {
   aborted : int;
   failed : int;
   injected : int;
-  stats : Tropic.Controller.stats list;
+  stats : Tropic.Stats.stats list;
   membership : Coord.Types.membership_stats;
   group : Coord.Types.group_stats;
   violations : Invariant.violation list;
@@ -68,7 +68,6 @@ type result = {
   duration : float;
 }
 
-let total r f = List.fold_left (fun acc s -> acc + f s) 0 r.stats
 
 let reproducer r =
   Printf.sprintf "tropic_exp chaos --build %s --schedule %s --seed %d"

@@ -73,7 +73,7 @@ type result = {
   aborted : int;
   failed : int;
   injected : int;  (** nemesis events actually fired *)
-  stats : Tropic.Controller.stats list;
+  stats : Tropic.Stats.stats list;
       (** one counter record per shard, in shard order, each shared by
           every controller instance of that shard, so it covers the whole
           run across fail-overs *)
@@ -93,9 +93,6 @@ type result = {
           i.e. when replaying a reproducer); empty otherwise *)
   duration : float;  (** virtual seconds to quiescence *)
 }
-
-(** [total r f] sums counter [f] over every shard's record. *)
-val total : result -> (Tropic.Controller.stats -> int) -> int
 
 (** One-line reproducer: the exact CLI invocation that replays this run. *)
 val reproducer : result -> string

@@ -79,11 +79,6 @@ type t = {
   steps : step list;
 }
 
-(** {1 Step builders} *)
-
-val at : float -> action -> step
-val every : ?start:float -> period:float -> until:float -> action -> step
-
 (** {1 Preset schedules (the default sweep grid)} *)
 
 (** All of the above, in sweep order. *)

@@ -26,104 +26,7 @@ let default_config =
   }
 
 
-type stats = {
-  mutable accepted : int;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable failed : int;
-  mutable deferrals : int;
-  mutable violations : int;
-  mutable wakeups : int;
-  mutable spurious_wakeups : int;
-  mutable terms : int;
-  mutable kills : int;
-  mutable auto_terms : int;
-  mutable auto_kills : int;
-  mutable exec_retries : int;
-  mutable transient_failures : int;
-  mutable timeouts : int;
-  mutable sheds : int;
-  mutable breaker_deferrals : int;
-  mutable breaker_trips : int;
-  mutable breaker_probes : int;
-  mutable breaker_closes : int;
-  mutable twopc_started : int;
-  mutable twopc_committed : int;
-  mutable twopc_aborted : int;
-  mutable twopc_prepares : int;
-  mutable take_conflicts : int;  (* worker takes that lost the race *)
-  (* Per-phase latency recorders (sim seconds).  Fed from direct
-     measurements — simulate and lock-wait controller-side, replay and
-     undo from the worker's exec stats — so they work with no trace
-     attached. *)
-  simulate_lat : Metrics.Cdf.t;
-  lock_wait_lat : Metrics.Cdf.t;
-  replay_lat : Metrics.Cdf.t;
-  undo_lat : Metrics.Cdf.t;
-}
-
-let fresh_stats () =
-  {
-    accepted = 0;
-    committed = 0;
-    aborted = 0;
-    failed = 0;
-    deferrals = 0;
-    violations = 0;
-    wakeups = 0;
-    spurious_wakeups = 0;
-    terms = 0;
-    kills = 0;
-    auto_terms = 0;
-    auto_kills = 0;
-    exec_retries = 0;
-    transient_failures = 0;
-    timeouts = 0;
-    sheds = 0;
-    breaker_deferrals = 0;
-    breaker_trips = 0;
-    breaker_probes = 0;
-    breaker_closes = 0;
-    twopc_started = 0;
-    twopc_committed = 0;
-    twopc_aborted = 0;
-    twopc_prepares = 0;
-    take_conflicts = 0;
-    simulate_lat = Metrics.Cdf.create ();
-    lock_wait_lat = Metrics.Cdf.create ();
-    replay_lat = Metrics.Cdf.create ();
-    undo_lat = Metrics.Cdf.create ();
-  }
-
-(* Sums the integer counters only: latency recorders are per shard and
-   are not summed across shards. *)
-let absorb_stats ~(into : stats) (src : stats) =
-  into.accepted <- into.accepted + src.accepted;
-  into.committed <- into.committed + src.committed;
-  into.aborted <- into.aborted + src.aborted;
-  into.failed <- into.failed + src.failed;
-  into.deferrals <- into.deferrals + src.deferrals;
-  into.violations <- into.violations + src.violations;
-  into.wakeups <- into.wakeups + src.wakeups;
-  into.spurious_wakeups <- into.spurious_wakeups + src.spurious_wakeups;
-  into.terms <- into.terms + src.terms;
-  into.kills <- into.kills + src.kills;
-  into.auto_terms <- into.auto_terms + src.auto_terms;
-  into.auto_kills <- into.auto_kills + src.auto_kills;
-  into.exec_retries <- into.exec_retries + src.exec_retries;
-  into.transient_failures <- into.transient_failures + src.transient_failures;
-  into.timeouts <- into.timeouts + src.timeouts;
-  into.sheds <- into.sheds + src.sheds;
-  into.breaker_deferrals <- into.breaker_deferrals + src.breaker_deferrals;
-  into.breaker_trips <- into.breaker_trips + src.breaker_trips;
-  into.breaker_probes <- into.breaker_probes + src.breaker_probes;
-  into.breaker_closes <- into.breaker_closes + src.breaker_closes;
-  into.twopc_started <- into.twopc_started + src.twopc_started;
-  into.twopc_committed <- into.twopc_committed + src.twopc_committed;
-  into.twopc_aborted <- into.twopc_aborted + src.twopc_aborted;
-  into.twopc_prepares <- into.twopc_prepares + src.twopc_prepares;
-  into.take_conflicts <- into.take_conflicts + src.take_conflicts
-
+include Stats
 
 type t = {
   cname : string;
@@ -167,24 +70,11 @@ let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
   let gclient = Option.value gclient ~default:client in
   let ns = Proto.ns_of_shard shard.Shard.sid in
   let persist = Persist.create ~name ~ns ~client in
-  let health = Health.create config.health in
+  let health = Health.create ~trace ~stats config.health in
   let recon =
     Recon.create ~name ~shard ~sim ~rules:config.repair_rules
       ~deadline:repair_deadline ~constraints:(Dsl.constraints_of env) ~devices
   in
-  (* Breaker transitions feed the shard's counters, and the trace (system
-     lane when no canary transaction is involved) when one is attached. *)
-  Health.set_listener health (fun ev ->
-      (match ev.Health.kind with
-       | "breaker-trip" -> stats.breaker_trips <- stats.breaker_trips + 1
-       | "breaker-probe" -> stats.breaker_probes <- stats.breaker_probes + 1
-       | "breaker-close" -> stats.breaker_closes <- stats.breaker_closes + 1
-       | _ -> ());
-      Trace.instant trace
-        ~txn:(Option.value ev.Health.txn ~default:0)
-        ~cat:"health" ~name:ev.Health.kind
-        ~attrs:[ ("root", ev.Health.root) ]
-        ());
   {
     cname = name;
     client;
@@ -198,7 +88,7 @@ let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
     cpu = Des.Station.create ~name:(name ^ ".cpu") sim;
     tree = Data.Tree.empty;
     locks = Mglock.create ();
-    sched = Sched.create ();
+    sched = Sched.create ~stats ();
     txns = Hashtbl.create 256;
     recon;
     ledger = Recovery.ledger ~name ~ns ~shard ~persist ~on_prune;
@@ -210,7 +100,7 @@ let create ~trace ?shard ?gclient ?repair_deadline ~on_prune ~name
     trace;
     persist;
     twopc =
-      Twopc.create ~trace
+      Twopc.create ~trace ~stats
         ?barrier:
           (if gclient == client then Some (fun () -> Persist.barrier persist)
            else None)
@@ -413,11 +303,9 @@ let rec local t (work : Twopc.local) =
     Twopc.applied t.twopc txn.Txn.id
   | Twopc.Decide_votes (txn, snaps) -> decide_cross t txn snaps
   | Twopc.Offer gid -> Persist.offer t.persist gid
-  | Twopc.End { role; txn; state; undo; quarantine } ->
+  | Twopc.End { count; txn; state; undo; quarantine } ->
     unschedule t txn.Txn.id;
-    terminate t ~undo ~quarantine ~count:(role = Twopc.Coord) txn state;
-    if role <> Twopc.Part then
-      t.st.twopc_aborted <- t.st.twopc_aborted + 1
+    terminate t ~undo ~quarantine ~count txn state
 
 (* Coordinator has every vote in: graft the participant snapshots, simulate
    the full procedure against the combined view, persist Started and reach
@@ -462,7 +350,6 @@ and decide_cross t (txn : Txn.t) snaps =
          | None -> ()
          | Some slices ->
            t.tree <- new_tree;
-           t.st.twopc_committed <- t.st.twopc_committed + 1;
            unschedule t gid;
            Health.start t.health ~now:(Des.Sim.now t.sim) ~txn:gid ~probes:[];
            Persist.offer t.persist gid;
@@ -538,7 +425,6 @@ let try_start_participant t (txn : Txn.t) : Sched.attempt =
            the record must hit the coordination service before the vote
            leaves, so it is never deferred into a batch flush. *)
         Persist.write_now t.persist txn;
-        t.st.twopc_prepares <- t.st.twopc_prepares + 1;
         Twopc.vote t.twopc gid (Ok snaps);
         `Started
       end
@@ -554,8 +440,8 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
     |> List.sort_uniq Data.Path.compare
   in
   if List.exists (in_quarantine t) own_roots then begin
-    terminate t txn (Txn.Aborted "resource quarantined pending reconciliation");
-    t.st.twopc_aborted <- t.st.twopc_aborted + 1;
+    Twopc.refuse t.twopc ~local:(local t) txn
+      "resource quarantined pending reconciliation";
     `Finished
   end
   else begin
@@ -565,7 +451,6 @@ let try_start_cross t (txn : Txn.t) ~participants : Sched.attempt =
     | Ok () ->
       txn.Txn.locks <- locks;
       Twopc.prepare t.twopc txn ~participants;
-      t.st.twopc_started <- t.st.twopc_started + 1;
       (* Parked with no lock waiter: the incoming votes (or the prepare
          timeout) resolve it. *)
       `Parked Sched.Votes
@@ -614,7 +499,6 @@ let try_start_single t (txn : Txn.t) : Sched.attempt =
       match Health.admit t.health ~now roots with
       | `Defer tripped ->
         txn.Txn.state <- Txn.Deferred;
-        t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
         ignore
           (Trace.begin_span t.trace ~txn:txn.Txn.id ~cat:"health"
              ~name:"breaker-park"
@@ -662,21 +546,13 @@ let rec schedule t =
   Persist.defer t.persist;
   let attempt txn ~woken =
     let outcome = try_start t txn ~woken in
-    (match outcome with
-     | `Started ->
-       Persist.release t.persist;
-       Persist.defer t.persist
-     | `Parked _ when woken <> None ->
-       t.st.spurious_wakeups <- t.st.spurious_wakeups + 1
-     | `Parked _ | `Finished -> ());
+    if outcome = `Started then begin
+      Persist.release t.persist;
+      Persist.defer t.persist
+    end;
     outcome
   in
-  (* Only a lock release's wake counts: a breaker re-gate is not one. *)
-  let on_wake = function
-    | Sched.Lock _ -> t.st.wakeups <- t.st.wakeups + 1
-    | Sched.Breaker _ | Sched.Votes -> ()
-  in
-  Sched.drain t.sched ~on_wake ~attempt;
+  Sched.drain t.sched ~attempt;
   Persist.release t.persist;
   if Sched.has_wakes t.sched then schedule t
 
@@ -852,11 +728,9 @@ let process_item t ~key ~payload =
   | Ok (Proto.Request { proc; args }) ->
     (match Proto.seq_of_item_key key with
      | Ok seq ->
-       (* Transaction ids carry the shard in the residue (id mod shards =
-          sid), so any party can route an id without a lookup; at one
-          shard this is the identity map.  Submitting clients compute the
-          same id from the enqueue key. *)
-       let txn_id = (seq * t.shard.Shard.count) + t.shard.Shard.sid in
+       let txn_id =
+         Proto.txn_id ~shards:t.shard.Shard.count ~sid:t.shard.Shard.sid seq
+       in
        accept_request t ~txn_id ~proc ~args
      | Error reason ->
        Log.err (fun m -> m "%s: %s" t.cname reason);

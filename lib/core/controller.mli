@@ -15,6 +15,11 @@
     Between bursts it takes the checkpoint its {!Recovery.ledger} is due.
     {!Persist} writes every state transition to the coordination service.
 
+    The shard's counters are a {!Stats} record, re-exported here.  The
+    controller hands it to its {!Sched}, {!Health} and {!Twopc}, and each
+    counts its own events; the controller counts admission, outcomes,
+    lock parks, signals, watchdog escalations and worker reports.
+
     Logical work is charged to a CPU {!Des.Station} (simulation is
     single-threaded, as in the paper's Python prototype); its busy time is
     what Figure 4 plots. *)
@@ -50,47 +55,9 @@ type config = {
 
 val default_config : config
 
-type stats = {
-  mutable accepted : int;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable failed : int;
-  mutable deferrals : int;       (** lock-conflict deferments *)
-  mutable violations : int;      (** constraint-violation aborts *)
-  mutable wakeups : int;
-      (** blocked txns re-readied because a released lock unparked them *)
-  mutable spurious_wakeups : int;
-      (** wakeups whose re-attempt conflicted again (re-parked) *)
-  mutable terms : int;     (** TERM signals handled (operator + watchdog) *)
-  mutable kills : int;     (** KILL signals handled (operator + watchdog) *)
-  mutable auto_terms : int;  (** TERMs issued by the watchdog *)
-  mutable auto_kills : int;  (** KILLs issued by the watchdog *)
-  mutable exec_retries : int;
-      (** physical-layer retry attempts, summed over worker reports *)
-  mutable transient_failures : int;
-      (** transient device errors observed by workers *)
-  mutable timeouts : int;  (** per-action deadline expiries *)
-  mutable sheds : int;
-      (** arrivals aborted by admission control ([Txn.overload_reason]) *)
-  mutable breaker_deferrals : int;
-      (** admission attempts parked because a written subtree's breaker
-          was open *)
-  mutable breaker_trips : int;    (** → Tripped transitions *)
-  mutable breaker_probes : int;   (** canary transactions dispatched *)
-  mutable breaker_closes : int;   (** canary successes re-closing a breaker *)
-  mutable twopc_started : int;    (** cross-shard coordinations begun here *)
-  mutable twopc_committed : int;  (** decision records created as Commit *)
-  mutable twopc_aborted : int;    (** cross-shard coordinations aborted *)
-  mutable twopc_prepares : int;   (** participant votes cast (ok = true) *)
-  mutable take_conflicts : int;   (** worker phyQ takes that lost the race *)
-  simulate_lat : Metrics.Cdf.t;
-      (** per-attempt logical simulation + CPU-model time *)
-  lock_wait_lat : Metrics.Cdf.t;
-      (** park-to-reattempt time of lock-conflict deferments *)
-  replay_lat : Metrics.Cdf.t;  (** worker-reported physical replay time *)
-  undo_lat : Metrics.Cdf.t;
-      (** worker-reported rollback time of aborted replays *)
-}
+(** The shard's counter record ({!Stats}): [stats], [fresh_stats],
+    [absorb_stats] and [sum]. *)
+include module type of struct include Stats end
 
 type t
 
@@ -108,9 +75,8 @@ type t
     [repair_deadline] (normally the workers' per-action deadline) goes to
     {!Recon.create}, [on_prune] to {!Recovery.ledger}.
 
-    [stats] is the shard's counter record: every controller instance of
-    one shard (leader, standbys and restarted ones) is given the same
-    record, so counters and latency recorders survive fail-over. *)
+    [stats] is the shard's counter record, the same for every controller
+    and worker instance of the shard, so it survives fail-over. *)
 val create :
   trace:Trace.t ->
   ?shard:Shard.t ->
@@ -148,14 +114,6 @@ val tree : t -> Data.Tree.t
 (** The shard's counter record, shared with every other controller
     instance of the same shard. *)
 val stats : t -> stats
-
-(** Zeroed counters with empty latency recorders: a shard's record, or
-    an accumulator for {!absorb_stats}. *)
-val fresh_stats : unit -> stats
-
-(** [absorb_stats ~into src] adds [src]'s integer counters into [into].
-    Latency recorders are per shard and are not summed across shards. *)
-val absorb_stats : into:stats -> stats -> unit
 
 (** Scheduled-but-not-started transactions: ready + blocked (the
     refactored todoQ length). *)

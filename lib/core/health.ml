@@ -37,10 +37,8 @@ let shed s ~pending =
     s.admission.queue_high;
   s.shedding
 
-type event = { kind : string; root : string; txn : int option }
-
 type entry = {
-  ekey : string; (* root path, for event reporting *)
+  ekey : string; (* root path, for the trace *)
   mutable state : breaker_state;
   mutable failure : float;
   mutable timeout : float;
@@ -52,25 +50,26 @@ type entry = {
 
 type t = {
   cfg : config;
+  trace : Trace.t;
+  st : Stats.stats;
   entries : (string, entry) Hashtbl.t; (* keyed by root path *)
   started : (int, float) Hashtbl.t; (* Started time, for latency scores *)
-  mutable listener : (event -> unit) option;
 }
 
-let create cfg =
+let create ~trace ~stats cfg =
   {
     cfg;
+    trace;
+    st = stats;
     entries = Hashtbl.create 8;
     started = Hashtbl.create 32;
-    listener = None;
   }
 
-let set_listener t f = t.listener <- Some f
-
-let emit t kind e ~txn =
-  match t.listener with
-  | None -> ()
-  | Some f -> f { kind; root = e.ekey; txn }
+(* A breaker transition, on the system lane when no canary is involved. *)
+let instant t name e ~txn =
+  Trace.instant t.trace ~txn:(Option.value txn ~default:0) ~cat:"health" ~name
+    ~attrs:[ ("root", e.ekey) ]
+    ()
 
 let key root = Data.Path.to_string root
 
@@ -101,7 +100,8 @@ let trip t e ~now =
   e.state <- Tripped;
   e.tripped_at <- now;
   e.probe <- None;
-  emit t "breaker-trip" e ~txn:None
+  t.st.breaker_trips <- t.st.breaker_trips + 1;
+  instant t "breaker-trip" e ~txn:None
 
 let gate t ~now ~root =
   if not t.cfg.enabled then `Admit
@@ -135,7 +135,8 @@ let begin_probe t ~now ~root ~txn =
     | Half_open, None ->
       e.probe <- Some txn;
       e.probe_at <- now;
-      emit t "breaker-probe" e ~txn:(Some txn)
+      t.st.breaker_probes <- t.st.breaker_probes + 1;
+      instant t "breaker-probe" e ~txn:(Some txn)
     | _, _ -> ()
   end
 
@@ -158,7 +159,8 @@ let observe t ~now ~root ~txn ~ok ~retries ~timeouts ~latency =
         e.failure <- 0.;
         e.timeout <- 0.;
         e.latency <- 0.;
-        emit t "breaker-close" e ~txn:(Some txn)
+        t.st.breaker_closes <- t.st.breaker_closes + 1;
+        instant t "breaker-close" e ~txn:(Some txn)
       end
       else trip t e ~now
     end
@@ -185,7 +187,9 @@ let admit t ~now roots =
       (List.filter_map
          (fun (root, g) -> if g = `Probe then Some root else None)
          gates)
-  | deferred -> `Defer (List.map fst deferred)
+  | deferred ->
+    t.st.breaker_deferrals <- t.st.breaker_deferrals + 1;
+    `Defer (List.map fst deferred)
 
 let start t ~now ~txn ~probes =
   List.iter (fun root -> begin_probe t ~now ~root ~txn) probes;

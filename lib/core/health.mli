@@ -66,17 +66,14 @@ val shed : shedder -> pending:int -> bool
 
 type t
 
-val create : config -> t
-
-(** Breaker transition notification: [kind] is ["breaker-trip"],
-    ["breaker-probe"] or ["breaker-close"]; [root] the subtree's root
-    path; [txn] the canary transaction when one is involved. *)
-type event = { kind : string; root : string; txn : int option }
-
-(** At most one listener; used by the controller to count breaker
-    transitions in its shard's stats and surface them into the span
-    trace. *)
-val set_listener : t -> (event -> unit) -> unit
+(** [stats] is the shard's record: the tracker counts every breaker
+    transition into [breaker_trips], [breaker_probes] and
+    [breaker_closes], and every [`Defer] of {!admit} into
+    [breaker_deferrals].  Each transition is also a ["health"] instant
+    in [trace] (["breaker-trip"], ["breaker-probe"] or
+    ["breaker-close"], with the subtree's [root]), on the canary's lane
+    when one is involved and on the system lane otherwise. *)
+val create : trace:Trace.t -> stats:Stats.stats -> config -> t
 
 (** {1 Per-transaction admission and scoring} *)
 

@@ -50,9 +50,9 @@ type t = {
   control : Controller.t array;
   work : Worker.t array;
   submitters : Coord.Client.t array array;  (* per shard *)
-  stats : Controller.stats array;
-      (* per shard: the one counter record every controller instance of
-         that shard writes, so counters survive fail-over *)
+  stats : Stats.stats array;
+      (* per shard: the one counter record every controller and worker
+         instance of that shard writes, so counters survive fail-over *)
   mutable next_submitter : int;
   (* await support: key -> wakeup channels, fed by per-client dispatchers.
      Namespaced keys are globally unique, so one table serves all shards. *)
@@ -93,7 +93,7 @@ let route t ~args =
     | Router.Cross { coord; _ } -> coord
 
 let shard_of_path t path = Shard.owner_of t.pshard path
-let shard_of_txn t txn_id = txn_id mod t.pspec.shards
+let shard_of_txn t txn_id = Proto.shard_of_txn ~shards:t.pspec.shards txn_id
 let ns_of_txn t txn_id = Proto.ns_of_shard (shard_of_txn t txn_id)
 
 let controller_slots t sid =
@@ -271,12 +271,9 @@ let connect_controller t sid cname =
 let connect_worker t i wname =
   let sid = i / t.pspec.workers in
   let client = Coord.Ensemble.connect t.ensembles.(sid) ~name:wname () in
-  let st = t.stats.(sid) in
   Worker.create ~retry:t.pspec.worker_retry ~trace:t.ptrace
     ~ns:(Proto.ns_of_shard sid) ~rank:(i mod t.pspec.workers)
-    ~on_conflict:(fun () ->
-      st.Controller.take_conflicts <- st.Controller.take_conflicts + 1)
-    ~name:wname ~client
+    ~stats:t.stats.(sid) ~name:wname ~client
     ~mode:t.pspec.mode ~devices:t.pdevices ~sim:t.psim ()
 
 let create pspec env ~initial_tree ~devices psim =
@@ -313,7 +310,7 @@ let create pspec env ~initial_tree ~devices psim =
       control = [||];
       work = [||];
       submitters;
-      stats = Array.init pspec.shards (fun _ -> Controller.fresh_stats ());
+      stats = Array.init pspec.shards (fun _ -> Stats.fresh_stats ());
       next_submitter = 0;
       awaiters = Hashtbl.create 256;
       pruned =
@@ -392,15 +389,14 @@ let enqueue_input t sid item =
     ~queue:(Proto.input_queue_ns (Proto.ns_of_shard sid))
     (Proto.input_to_string item)
 
-(* Transaction ids carry their shard in the residue: [id = seq * shards +
-   sid].  The accepting controller derives the same id from the queue-item
-   sequence number, so the platform can compute it at submit time without
-   a round trip. *)
+(* The accepting controller derives the same id ({!Proto.txn_id}) from the
+   queue-item sequence number, so the platform computes it at submit time
+   without a round trip. *)
 let submit t ~proc ~args =
   let sid = route t ~args in
   let key = enqueue_input t sid (Proto.Request { proc; args }) in
   match Proto.seq_of_item_key key with
-  | Ok seq -> (seq * t.pspec.shards) + sid
+  | Ok seq -> Proto.txn_id ~shards:t.pspec.shards ~sid seq
   | Error reason -> failwith ("Platform.submit: " ^ reason)
 
 (* The record's state; a pruned record's is noted before the delete is
@@ -506,7 +502,7 @@ let shard_stats t sid = t.stats.(sid)
 
 (* Every instance writes its shard's record, so a retired instance leaves
    no counters behind. *)
-let shard_retired_stats _ _ = Controller.fresh_stats ()
+let shard_retired_stats _ _ = Stats.fresh_stats ()
 
 let kill_worker t i = Worker.crash t.work.(i)
 

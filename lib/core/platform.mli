@@ -139,11 +139,11 @@ val shard_leader : t -> int -> Controller.t option
     counters and latency recorders cover the whole run across
     fail-overs.  The same record {!Controller.stats} returns for any of
     them. *)
-val shard_stats : t -> int -> Controller.stats
+val shard_stats : t -> int -> Stats.stats
 
 (** Always a fresh, empty record: no counters are banked apart from
     {!shard_stats}, so "retired + leader" sums stay exact. *)
-val shard_retired_stats : t -> int -> Controller.stats
+val shard_retired_stats : t -> int -> Stats.stats
 
 val shard_leader_index : t -> int -> int option
 

@@ -125,6 +125,9 @@ let seq_of_item_key key =
      | Some n -> Ok n
      | None -> Error (Printf.sprintf "bad item key %S" key))
 
+let txn_id ~shards ~sid seq = (seq * shards) + sid
+let shard_of_txn ~shards id = id mod shards
+
 (* Shard 0 keeps the historical namespace, so a single-shard platform is
    bit-identical with the pre-sharding layout (checkpoints, records and
    queues land on the same keys). *)

@@ -47,6 +47,15 @@ val input_of_string : string -> (input_item, string) result
     (e.g. ".../item-0000000042" -> 42). *)
 val seq_of_item_key : string -> (int, string) result
 
+(** {1 Transaction ids}
+
+    An id carries its shard in the residue, [id = seq * shards + sid]
+    with [seq] the sequence number of its request item in shard [sid]'s
+    inputQ, so any party routes an id without a lookup. *)
+
+val txn_id : shards:int -> sid:int -> int -> int
+val shard_of_txn : shards:int -> int -> int
+
 (** {1 Well-known coordination-service keys}
 
     Every shard runs the full controller/worker key layout under its own

@@ -46,22 +46,22 @@ type attempt = [ `Started | `Finished | `Parked of cause ]
 
 type t
 
-val create : unit -> t
+(** [stats] is the shard's record: the scheduler counts the wakes it
+    delivers from a lock park into [wakeups] (a breaker re-gate is not
+    one), and the woken transactions that park again into
+    [spurious_wakeups].  A wake counts when it is delivered, so one a
+    crashed leader delivered but never attempted still counts. *)
+val create : stats:Stats.stats -> unit -> t
 
 (** Enqueue a newly accepted transaction at the back of the ready queue. *)
 val submit : t -> Txn.t -> unit
 
-(** Deliver the pending wakes (front of the ready queue, ascending id,
-    [on_wake] told each one's cause), then run every ready transaction
-    through [attempt] until the queue is empty; blocked transactions are
-    not re-attempted.  [woken] is the cause the transaction was woken
-    from, [None] on its first attempt.  Wakes posted during the drain wait
-    for the next one. *)
-val drain :
-  t ->
-  on_wake:(cause -> unit) ->
-  attempt:(Txn.t -> woken:cause option -> attempt) ->
-  unit
+(** Deliver the pending wakes (front of the ready queue, ascending id),
+    then run every ready transaction through [attempt] until the queue is
+    empty; blocked transactions are not re-attempted.  [woken] is the
+    cause the transaction was woken from, [None] on its first attempt.
+    Wakes posted during the drain wait for the next one. *)
+val drain : t -> attempt:(Txn.t -> woken:cause option -> attempt) -> unit
 
 (** Mark blocked transactions for delivery by the next {!drain}.  Ids that
     are not blocked — signalled away, or internal lock owners — are

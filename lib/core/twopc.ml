@@ -160,6 +160,7 @@ type t = {
   timeout : float;
   record : bool;
   trace : Trace.t;
+  st : Stats.stats;
   sim : Des.Sim.t;
   pending : (int, pending) Hashtbl.t;
   parts : (int, part) Hashtbl.t;
@@ -172,8 +173,8 @@ type t = {
          the answer to a redelivered Prepare *)
 }
 
-let create ?(trace = Trace.off) ?(barrier = ignore) ~name ~gclient ~shard
-    ~timeout ~record sim =
+let create ?(trace = Trace.off) ?(barrier = ignore) ~stats ~name ~gclient
+    ~shard ~timeout ~record sim =
   {
     name;
     gclient;
@@ -182,6 +183,7 @@ let create ?(trace = Trace.off) ?(barrier = ignore) ~name ~gclient ~shard
     timeout;
     record;
     trace;
+    st = stats;
     sim;
     pending = Hashtbl.create 8;
     parts = Hashtbl.create 8;
@@ -289,8 +291,6 @@ let graft tree snaps =
          | Error _ -> tree))
     tree snaps
 
-type role = Coord | Part | Presumed
-
 type local =
   | Admit of Txn.t
   | Revote of Txn.t
@@ -298,14 +298,20 @@ type local =
   | Decide_votes of Txn.t * snap list
   | Offer of int
   | End of {
-      role : role;
+      count : bool;
       txn : Txn.t;
       state : Txn.state;
       undo : bool;
       quarantine : bool;
     }
 
-let ending role txn state = End { role; txn; state; undo = false; quarantine = false }
+(* Only a coordination that aborts ends its coordinator; the abort is
+   client-visible, so it counts. *)
+let end_coord t ~local ?(undo = false) txn reason =
+  local
+    (End
+       { count = true; txn; state = Txn.Aborted reason; undo; quarantine = false });
+  t.st.twopc_aborted <- t.st.twopc_aborted + 1
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator *)
@@ -323,7 +329,10 @@ let prepare t (txn : Txn.t) ~participants =
         |> List.sort_uniq Data.Path.compare
       in
       send t ~shard (Prepare { gid; coord = sid t; roots }))
-    participants
+    participants;
+  t.st.twopc_started <- t.st.twopc_started + 1
+
+let refuse t ~local txn reason = end_coord t ~local txn reason
 
 let abort t ~local (txn : Txn.t) reason =
   let gid = txn.Txn.id in
@@ -334,7 +343,7 @@ let abort t ~local (txn : Txn.t) reason =
      send_decide t ~gid p.participants Abort
    | None -> ());
   instant t ~txn:gid "2pc-abort";
-  local (ending Coord txn (Txn.Aborted reason))
+  end_coord t ~local txn reason
 
 let permitted t gid shard =
   shard = sid t
@@ -358,13 +367,14 @@ let commit_point t ~local (txn : Txn.t) log =
        tree was never applied, so nothing rolls back. *)
     Hashtbl.remove t.pending gid;
     instant t ~txn:gid "2pc-abort";
-    local (ending Coord txn (Txn.Aborted "2pc decision lost to presumed abort"));
+    end_coord t ~local txn "2pc decision lost to presumed abort";
     send_decide t ~gid p.participants Abort;
     None
   | Commit _ ->
     p.is_decided <- true;
     p.p_deadline <- deadline t;
     instant t ~txn:gid "2pc-decide-commit";
+    t.st.twopc_committed <- t.st.twopc_committed + 1;
     Some slices
 
 let announce t gid slices =
@@ -436,6 +446,7 @@ let vote t gid result =
   | Some part ->
     (match result with
      | Ok _ ->
+       t.st.twopc_prepares <- t.st.twopc_prepares + 1;
        part.deadline <- deadline t;
        instant t ~txn:gid "2pc-prepared"
      | Error _ -> Hashtbl.remove t.parts gid);
@@ -456,10 +467,10 @@ let applied t gid =
 
 (* Participant-side endings forget the part before the controller ends the
    shadow transaction. *)
-let end_part t ~local ?(role = Part) ?(undo = false) ?(quarantine = false)
-    (txn : Txn.t) state =
+let end_part t ~local ?(undo = false) ?(quarantine = false) (txn : Txn.t)
+    state =
   Hashtbl.remove t.parts txn.Txn.id;
-  local (End { role; txn; state; undo; quarantine })
+  local (End { count = false; txn; state; undo; quarantine })
 
 (* The coordinator's verdict, mirrored: an applied slice rolls back through
    the ordinary undo machinery, and a failed one is quarantined as well. *)
@@ -562,8 +573,8 @@ let check_timeouts t ~txns ~local =
               match propose t gid Abort with
               | Abort ->
                 instant t ~txn:gid "2pc-presume-abort";
-                end_part t ~local ~role:Presumed txn
-                  (Txn.Aborted "2pc presumed abort");
+                end_part t ~local txn (Txn.Aborted "2pc presumed abort");
+                t.st.twopc_aborted <- t.st.twopc_aborted + 1;
                 true
               | Commit slices ->
                 let log =
@@ -588,7 +599,7 @@ let recover_participant t (txn : Txn.t) ~started =
      consults the decision record. *)
   Hashtbl.replace t.parts txn.Txn.id
     {
-      coord = txn.Txn.id mod t.shard.Shard.count;
+      coord = Proto.shard_of_txn ~shards:t.shard.Shard.count txn.Txn.id;
       is_applied = started && txn.Txn.log <> [];
       deadline = (if started then Des.Sim.now t.sim else deadline t);
     }
@@ -630,10 +641,7 @@ let resolve_recovered t ~local =
            undo exactly that slice. *)
         txn.Txn.log <- Xlog.slice txn.Txn.log ~keep:(Shard.owns t.shard);
         instant t ~txn:gid "2pc-recovery-abort";
-        local
-          (End
-             { role = Coord; txn; undo = true; quarantine = false;
-               state = Txn.Aborted "2pc presumed abort on recovery" });
+        end_coord t ~local ~undo:true txn "2pc presumed abort on recovery";
         send_decide t ~gid participants Abort;
         progressed := true
       in

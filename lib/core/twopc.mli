@@ -63,10 +63,13 @@ type t
     decision record.  [barrier] (default none) runs before every write on
     [gclient]: the controller passes {!Persist.barrier} when [gclient] is
     its own session.  [trace] (default {!Trace.off}) records the
-    protocol's [2pc] instants. *)
+    protocol's [2pc] instants.  [stats] is the shard's record, whose
+    [twopc_*] counters the protocol counts where it prepares, decides,
+    votes and aborts. *)
 val create :
   ?trace:Trace.t ->
   ?barrier:(unit -> unit) ->
+  stats:Stats.stats ->
   name:string ->
   gclient:Coord.Client.t ->
   shard:Shard.t ->
@@ -99,10 +102,6 @@ val graft : Data.Tree.t -> snap list -> Data.Tree.t
 
 (** {1 Work handed back to the controller} *)
 
-(** What an ending counts for: a coordinator abort is client-visible and a
-    2PC abort; a participant's counts for neither, bar a presumed abort. *)
-type role = Coord | Part | Presumed
-
 type local =
   | Admit of Txn.t  (** a new shadow transaction: track, persist, submit *)
   | Revote of Txn.t
@@ -113,7 +112,10 @@ type local =
       (** every vote is in: simulate and reach the commit point *)
   | Offer of int  (** offer a recovered decided coordinator to the phyQ *)
   | End of {
-      role : role;
+      count : bool;
+          (** the outcome is client-visible (a coordinator's), so it
+              counts in the shard's terminal counters; a participant
+              shadow's is the coordinator's to count *)
       txn : Txn.t;
       state : Txn.state;
       undo : bool;  (** roll the logical effects back first *)
@@ -124,6 +126,10 @@ type local =
 
 (** Open the prepare round of [txn] (its own roots are already locked). *)
 val prepare : t -> Txn.t -> participants:int list -> unit
+
+(** Abort [txn] before its prepare round: nothing was sent or recorded,
+    so nothing is; [txn] ends like any coordinator abort. *)
+val refuse : t -> local:(local -> unit) -> Txn.t -> string -> unit
 
 (** Abort before the commit point: drop the pending entry, record and send
     Abort, and end [txn]. *)

@@ -14,14 +14,14 @@ type t = {
   sim : Des.Sim.t;
   retry : Physical.retry_policy;
   trace : Trace.t;
-  on_conflict : unit -> unit;
+  st : Stats.stats;
   mutable stopped : bool;
   mutable procs : Des.Proc.t list;
 }
 
 let create ?(retry = Physical.no_retry) ?(trace = Trace.off)
-    ?(ns = Proto.default_ns) ?(rank = 0) ?(on_conflict = ignore) ~name ~client
-    ~mode ~devices ~sim () =
+    ?(ns = Proto.default_ns) ?(rank = 0) ~stats ~name ~client ~mode ~devices
+    ~sim () =
   {
     wname = name;
     rank;
@@ -32,7 +32,7 @@ let create ?(retry = Physical.no_retry) ?(trace = Trace.off)
     sim;
     retry;
     trace;
-    on_conflict;
+    st = stats;
     stopped = false;
     procs = [];
   }
@@ -210,7 +210,7 @@ let rec take_first w = function
        (match take w ~key ~marker with
         | Some claimed -> run_taken w txn_id ~marker ~claimed
         | None ->
-          w.on_conflict ();
+          w.st.take_conflicts <- w.st.take_conflicts + 1;
           take_first w older))
 
 let run w () =

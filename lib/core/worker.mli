@@ -32,14 +32,15 @@ type t
     shard namespace whose queues this worker serves (default
     {!Proto.default_ns}); [client] must connect to that shard's
     coordination ensemble.  [rank] (default 0) is the worker's index in
-    its shard's pool, kept across restarts; [on_conflict] is called on
-    every take that lost the race. *)
+    its shard's pool, kept across restarts.  [stats] is the shard's
+    record: the worker counts every take that lost the race into its
+    [take_conflicts]. *)
 val create :
   ?retry:Physical.retry_policy ->
   ?trace:Trace.t ->
   ?ns:string ->
   ?rank:int ->
-  ?on_conflict:(unit -> unit) ->
+  stats:Stats.stats ->
   name:string ->
   client:Coord.Client.t ->
   mode:mode ->

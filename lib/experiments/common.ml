@@ -33,19 +33,15 @@ let time_it f =
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 
-let signals_summary (stats : Tropic.Controller.stats list) =
-  let total f = List.fold_left (fun n st -> n + f st) 0 stats in
-  Printf.sprintf "signals %d TERM / %d KILL (watchdog %d/%d)"
-    (total (fun st -> st.Tropic.Controller.terms))
-    (total (fun st -> st.Tropic.Controller.kills))
-    (total (fun st -> st.Tropic.Controller.auto_terms))
-    (total (fun st -> st.Tropic.Controller.auto_kills))
+let signals_summary (st : Tropic.Stats.stats) =
+  Printf.sprintf "signals %d TERM / %d KILL (watchdog %d/%d)" st.terms st.kills
+    st.auto_terms st.auto_kills
 
-let robust_summary (st : Tropic.Controller.stats) =
+let robust_summary (st : Tropic.Stats.stats) =
   Printf.sprintf
     "robust: retries %d (%d transient, %d timeouts), %s, shed %d, breaker \
      %d trips / %d probes / %d closes (%d deferred)"
-    st.exec_retries st.transient_failures st.timeouts (signals_summary [ st ])
+    st.exec_retries st.transient_failures st.timeouts (signals_summary st)
     st.sheds st.breaker_trips st.breaker_probes st.breaker_closes
     st.breaker_deferrals
 
@@ -66,14 +62,14 @@ let dump_trace tracer ~file =
     (fun () -> output_string oc (Trace.to_chrome_json tracer));
   Trace.Check.validate tracer
 
-let phase_summary (st : Tropic.Controller.stats) =
+let phase_summary (st : Tropic.Stats.stats) =
   let pair cdf = Metrics.Cdf.quantile_pair cdf ~p:0.99 in
   Printf.sprintf
     "phases[p50/p99 s]: simulate %s, lock-wait %s, replay %s, undo %s"
     (pair st.simulate_lat) (pair st.lock_wait_lat) (pair st.replay_lat)
     (pair st.undo_lat)
 
-let sched_summary (st : Tropic.Controller.stats) =
+let sched_summary (st : Tropic.Stats.stats) =
   let per_commit =
     if st.committed = 0 then 0.
     else float_of_int st.deferrals /. float_of_int st.committed

@@ -19,18 +19,19 @@ val section : string -> unit
 
 (** One-line per-phase latency breakdown of a shard ("p50/p99" per
     phase, [n/a] for phases no transaction crossed). *)
-val phase_summary : Tropic.Controller.stats -> string
+val phase_summary : Tropic.Stats.stats -> string
 
 (** One-line human summary of a shard's scheduler counters: deferrals
     per committed txn + wakeup counters. *)
-val sched_summary : Tropic.Controller.stats -> string
+val sched_summary : Tropic.Stats.stats -> string
 
-(** ["signals T TERM / K KILL (watchdog a/b)"], summed over [stats]. *)
-val signals_summary : Tropic.Controller.stats list -> string
+(** ["signals T TERM / K KILL (watchdog a/b)"] of one record (a shard's,
+    or a {!Tropic.Stats.sum}). *)
+val signals_summary : Tropic.Stats.stats -> string
 
 (** One-line human summary of a shard's retry/timeout/signal, shed and
     breaker counters. *)
-val robust_summary : Tropic.Controller.stats -> string
+val robust_summary : Tropic.Stats.stats -> string
 
 (** One-line summary of the coordination-membership counters summed over
     every shard's ensemble (joins, leaves, catch-ups, stale replication

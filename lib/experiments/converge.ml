@@ -12,7 +12,7 @@ let vlan_name = "tenants"
 
 type result = {
   phases : (string * Plan.Executor.report) list;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
   todo : int;
   trace : Trace.t option;
 }

@@ -14,7 +14,7 @@ val default_seed : int
 
 type result = {
   phases : (string * Plan.Executor.report) list;  (** in execution order *)
-  stats : Tropic.Controller.stats;  (** the shard's controller counters *)
+  stats : Tropic.Stats.stats;  (** the shard's controller counters *)
   todo : int;  (** scheduled-but-not-started transactions at the end *)
   trace : Trace.t option;
 }

@@ -9,15 +9,17 @@ type result = {
   committed : int;
   aborted : int;
   lost : int;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
   membership : string;
 }
 
 (* Historical seed of this experiment's runs; --seed overrides it. *)
 let default_seed = 64
 
-let run ?(seed = default_seed) ?(session_timeout = 10.) ?(rate = 2.)
-    ?(kill_at = 60.) ?(duration = 180.) () =
+let run ?(seed = default_seed) ?(quick = false) ?(session_timeout = 10.)
+    ?(rate = 2.) ?kill_at ?duration () =
+  let kill_at = Option.value kill_at ~default:(if quick then 20. else 60.) in
+  let duration = Option.value duration ~default:(if quick then 60. else 180.) in
   let sim = Des.Sim.create ~seed () in
   let size =
     {

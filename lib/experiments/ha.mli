@@ -18,7 +18,7 @@ type result = {
   committed : int;
   aborted : int;
   lost : int;                     (** must be 0 *)
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
       (** the shard's counters and per-phase latency recorders, summed
           over the killed leader and its successor *)
   membership : string;  (** coordination membership/session counters *)
@@ -27,8 +27,11 @@ type result = {
 (** Simulation seed used when [?seed] is not given. *)
 val default_seed : int
 
+(** Submits [rate] txn/s for [duration] seconds (default 180) and kills
+    the leader at [kill_at] (default 60); [quick] (default false) makes
+    the defaults 60 and 20. *)
 val run :
-  ?seed:int -> ?session_timeout:float -> ?rate:float -> ?kill_at:float ->
-  ?duration:float -> unit -> result
+  ?seed:int -> ?quick:bool -> ?session_timeout:float -> ?rate:float ->
+  ?kill_at:float -> ?duration:float -> unit -> result
 
 val print : result -> unit

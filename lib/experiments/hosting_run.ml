@@ -12,7 +12,7 @@ type result = {
   deferrals : int;
   violations : int;
   layers_consistent : bool;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
   membership : string;
   trace : Trace.t option;
 }

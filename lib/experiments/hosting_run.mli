@@ -19,7 +19,7 @@ type result = {
   layers_consistent : bool;
       (** every non-quarantined device equals its logical subtree at the
           end of the run *)
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
       (** the shard's counters and per-phase latency recorders, summed
           over every controller instance of the run *)
   membership : string;  (** coordination membership/session counters *)

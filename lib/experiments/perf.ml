@@ -41,7 +41,7 @@ type result = {
   latency : Metrics.Cdf.t;
   sim_events : int;
   wall_seconds : float;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
 }
 
 (* The paper's logical-only deployment (§5, §6.1): 8 VM slots per host,

@@ -35,7 +35,7 @@ type result = {
   latency : Metrics.Cdf.t;
   sim_events : int;
   wall_seconds : float;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
       (** the shard's counters and per-phase latency recorders, summed
           over every controller instance of the run *)
 }

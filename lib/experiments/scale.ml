@@ -4,7 +4,7 @@ type throughput_point = {
   committed : int;
   throughput_per_s : float;
   median_latency : float;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
 }
 
 type memory_point = {

@@ -13,7 +13,7 @@ type throughput_point = {
   committed : int;
   throughput_per_s : float;
   median_latency : float;
-  stats : Tropic.Controller.stats;
+  stats : Tropic.Stats.stats;
       (** the shard's counters and per-phase latency recorders, summed
           over every controller instance of the run *)
 }

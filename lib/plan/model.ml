@@ -237,6 +237,9 @@ let skeleton t =
       tree_err (Tree.insert tree (Path.v ("/" ^ name)) ~kind ()))
     (Ok Tree.empty) roots
 
+(* The actual tree restricted to the managed schema.  Errors when a
+   managed host or switch is missing from the tree (the planner cannot
+   create hardware). *)
 let project t ~actual =
   let* base = skeleton t in
   let* projected =
@@ -273,6 +276,7 @@ let project t ~actual =
       | Some node -> graft tree path (project_switch_node node))
     (Ok projected) t.switches
 
+(* The goal rendered as a tree over the managed schema. *)
 let desired t =
   let* base = skeleton t in
   let* tree =

@@ -39,16 +39,6 @@ val to_string : t -> string
     and a VM listed on more than one host. *)
 val of_string : string -> (t, string) result
 
-(** {1 Projection} *)
-
-(** The actual tree restricted to the managed schema.  Errors when a
-    managed host or switch is missing from the tree (the planner cannot
-    create hardware). *)
-val project : t -> actual:Data.Tree.t -> (Data.Tree.t, string) result
-
-(** The goal rendered as a tree over the managed schema. *)
-val desired : t -> (Data.Tree.t, string) result
-
 (** [diff t ~actual] is [Diff.diff] between the two projections: the
     actionable drift, empty iff the system is converged. *)
 val diff : t -> actual:Data.Tree.t -> (Data.Diff.change list, string) result

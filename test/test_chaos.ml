@@ -83,10 +83,8 @@ let test_hang_storm_clean () =
   let rescued =
     List.exists
       (fun r ->
-        let total = Chaos.Runner.total r in
-        total (fun s -> s.Tropic.Controller.auto_terms) > 0
-        || total (fun s -> s.Tropic.Controller.timeouts) > 0
-        || total (fun s -> s.Tropic.Controller.exec_retries) > 0)
+        let total = Tropic.Stats.sum r.Chaos.Runner.stats in
+        total.auto_terms > 0 || total.timeouts > 0 || total.exec_retries > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "robustness layer exercised on some seed" true rescued
@@ -131,9 +129,8 @@ let test_flap_storm_clean () =
   let engaged =
     List.exists
       (fun r ->
-        let total = Chaos.Runner.total r in
-        total (fun s -> s.Tropic.Controller.sheds) > 0
-        || total (fun s -> s.Tropic.Controller.breaker_trips) > 0)
+        let total = Tropic.Stats.sum r.Chaos.Runner.stats in
+        total.sheds > 0 || total.breaker_trips > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "overload layer exercised on some seed" true engaged
@@ -225,11 +222,11 @@ let test_shard_crash_clean () =
         (Printf.sprintf "seed %d: cross-shard commits happened"
            r.Chaos.Runner.seed)
         true
-        (Chaos.Runner.total r (fun s -> s.Tropic.Controller.twopc_committed) > 0))
+        ((Tropic.Stats.sum r.Chaos.Runner.stats).twopc_committed > 0))
     sweep.Chaos.Runner.runs;
   let prepared =
     List.exists
-      (fun r -> Chaos.Runner.total r (fun s -> s.Tropic.Controller.twopc_prepares) > 0)
+      (fun r -> (Tropic.Stats.sum r.Chaos.Runner.stats).twopc_prepares > 0)
       sweep.Chaos.Runner.runs
   in
   check bool_c "participants voted on some seed" true prepared

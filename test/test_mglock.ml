@@ -541,7 +541,7 @@ let sched_prop =
   QCheck.Test.make ~name:"scheduler: head reserved, work conserved, no lost wakeup"
     ~count:500 sched_ops_arbitrary (fun ops ->
       let locks = Mglock.create () in
-      let sched = Tropic.Sched.create () in
+      let sched = Tropic.Sched.create ~stats:(Tropic.Stats.fresh_stats ()) () in
       let wanted = Hashtbl.create 16 in (* id -> request *)
       let running = ref [] (* started, oldest first *) in
       let parked = ref [] and cancelled = ref [] and granted = ref [] in
@@ -578,7 +578,7 @@ let sched_prop =
           parked := id :: !parked;
           `Parked (Tropic.Sched.Lock 0.)
       in
-      let drain () = Tropic.Sched.drain sched ~on_wake:ignore ~attempt in
+      let drain () = Tropic.Sched.drain sched ~attempt in
       let finish id =
         running := List.filter (( <> ) id) !running;
         Tropic.Sched.wake sched (Mglock.release_all locks ~txn:id);
@@ -623,8 +623,9 @@ let sched_prop =
    (under each cause) as a random script says.  Checked after every step:
    the drain attempts the woken blocked entries first, ascending by id and
    handed the cause they parked under, then the ready ones in FIFO order;
-   [length] = ready + blocked, and [parked] lists the blocked entries with
-   no wake pending.  At the end every entry is woken and finished: each
+   [length] = ready + blocked, [parked] lists the blocked entries with
+   no wake pending, and the record counts each wake delivered from a lock
+   park and each woken entry that parks again.  At the end every entry is woken and finished: each
    submitted txn left the scheduler exactly once — none lost, none
    duplicated. *)
 
@@ -662,7 +663,8 @@ let sched_model_prop =
   QCheck.Test.make ~name:"scheduler: agrees with a list model" ~count:500
     sched_steps_arbitrary (fun steps ->
       let module S = Tropic.Sched in
-      let sched = S.create () in
+      let stats = Tropic.Stats.fresh_stats () in
+      let sched = S.create ~stats () in
       (* the model: ready FIFO, blocked entries, ids with a wake pending *)
       let ready = ref [] and blocked = ref [] and wakes = ref [] in
       let left = Hashtbl.create 16 (* id -> times it left the scheduler *) in
@@ -672,6 +674,8 @@ let sched_model_prop =
       in
       let ids l = String.concat "," (List.map (fun (id, _) -> string_of_int id) l) in
       let next_id = ref 0 and attempts = ref 0 in
+      (* the counters: wakes delivered from a lock park, woken re-parks *)
+      let wakeups = ref 0 and spurious = ref 0 in
       let drain script =
         let delivered =
           List.filter (fun (id, _) -> List.mem id !wakes) !blocked
@@ -679,9 +683,12 @@ let sched_model_prop =
         in
         blocked := List.filter (fun (id, _) -> not (List.mem id !wakes)) !blocked;
         wakes := [];
+        List.iter
+          (function _, S.Lock _ -> incr wakeups | _, (S.Breaker _ | S.Votes) -> ())
+          delivered;
         let expected = List.map (fun (id, c) -> (id, Some c)) delivered @ !ready in
         ready := [];
-        let seen = ref [] and reported = ref [] and k = ref 0 in
+        let seen = ref [] and k = ref 0 in
         let attempt (txn : Tropic.Txn.t) ~woken =
           let id = txn.Tropic.Txn.id in
           seen := (id, woken) :: !seen;
@@ -689,6 +696,7 @@ let sched_model_prop =
           incr k;
           incr attempts;
           let park cause =
+            if woken <> None then incr spurious;
             blocked := !blocked @ [ (id, cause) ];
             `Parked cause
           in
@@ -699,11 +707,17 @@ let sched_model_prop =
           | 3 -> park (S.Breaker [ p (Printf.sprintf "/h%d" !attempts) ])
           | _ -> park S.Votes
         in
-        S.drain sched ~attempt ~on_wake:(fun c -> reported := c :: !reported);
-        (* each delivered entry is reported once, with the cause it parked
-           under (the calls come in descending id; the list reverses them) *)
-        if !reported <> List.map snd delivered then
-          QCheck.Test.fail_reportf "on_wake reported other causes than delivered";
+        S.drain sched ~attempt;
+        (* each delivered entry is attempted first and handed the cause it
+           parked under; a ready one is handed none *)
+        let woken = List.map snd (List.rev !seen) in
+        if
+          List.filteri (fun i _ -> i < List.length delivered) woken
+          <> List.map (fun (_, c) -> Some c) delivered
+          || List.exists Option.is_some
+               (List.filteri (fun i _ -> i >= List.length delivered) woken)
+        then
+          QCheck.Test.fail_reportf "attempts were handed other causes than delivered";
         if List.rev !seen <> expected then
           QCheck.Test.fail_reportf "drain attempted [%s], model expects [%s]"
             (ids (List.rev !seen)) (ids expected)
@@ -722,7 +736,14 @@ let sched_model_prop =
           QCheck.Test.fail_reportf "%s: parked [%s], model [%s]" what
             (ids (S.parked sched)) (ids (List.sort compare parked));
         if S.has_wakes sched <> (!wakes <> []) then
-          QCheck.Test.fail_reportf "%s: has_wakes differs from the model" what
+          QCheck.Test.fail_reportf "%s: has_wakes differs from the model" what;
+        if
+          stats.Tropic.Stats.wakeups <> !wakeups
+          || stats.Tropic.Stats.spurious_wakeups <> !spurious
+        then
+          QCheck.Test.fail_reportf "%s: wakeups %d (%d spurious), model %d (%d)"
+            what stats.Tropic.Stats.wakeups stats.Tropic.Stats.spurious_wakeups
+            !wakeups !spurious
       in
       List.iter
         (fun step ->

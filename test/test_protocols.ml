@@ -96,7 +96,7 @@ let prop_decision_roundtrip =
 let two_shards = Shard.make ~sid:0 ~shards:2 [ Data.Path.v "/a"; Data.Path.v "/b" ]
 
 let twopc ?(record = true) sim ens sid =
-  Twopc.create
+  Twopc.create ~stats:(Stats.fresh_stats ())
     ~name:(Printf.sprintf "tp%d" sid)
     ~gclient:(Coord.Ensemble.connect ens ~name:(Printf.sprintf "tp%d" sid) ())
     ~shard:(Shard.view two_shards ~sid) ~timeout:10. ~record sim
@@ -397,7 +397,7 @@ let run_take ~foreign_marker =
              ~value:"worker-9" ());
       Persist.offer p 31;
       let w =
-        Worker.create ~ns ~name:"worker-0"
+        Worker.create ~ns ~stats:(Stats.fresh_stats ()) ~name:"worker-0"
           ~client:(Coord.Ensemble.connect ens ~name:"worker-0" ())
           ~mode:(Worker.Logical_only 0.01) ~devices:(fun _ -> None) ~sim ()
       in
@@ -448,7 +448,7 @@ let test_take_past_foreign_marker () =
 (* Four Started txns on the phyQ and four workers of ranks 0-3 started at
    once: each takes a different item, so no take loses a race. *)
 let test_workers_take_distinct_items () =
-  let conflicts = ref 0 and results = ref [] in
+  let stats = Stats.fresh_stats () and results = ref [] in
   Drive.ensemble (fun sim ens ->
       ignore (Coord.Ensemble.await_leader ens);
       let c = Coord.Ensemble.connect ens ~name:"setup" () in
@@ -468,8 +468,7 @@ let test_workers_take_distinct_items () =
       let workers =
         List.init 4 (fun rank ->
             let name = Printf.sprintf "worker-%d" rank in
-            Worker.create ~ns ~rank
-              ~on_conflict:(fun () -> incr conflicts)
+            Worker.create ~ns ~rank ~stats
               ~name ~client:(Coord.Ensemble.connect ens ~name ())
               ~mode:(Worker.Logical_only 0.01) ~devices:(fun _ -> None) ~sim ())
       in
@@ -496,7 +495,7 @@ let test_workers_take_distinct_items () =
       List.iter Worker.crash workers);
   Alcotest.(check (list int)) "four distinct takes" [ 41; 42; 43; 44 ]
     (List.sort compare !results);
-  Alcotest.(check int) "no lost race" 0 !conflicts
+  Alcotest.(check int) "no lost race" 0 stats.Stats.take_conflicts
 
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
@@ -541,10 +540,11 @@ let recover ens ~shard ~checkpoint:(seq, tree) env records =
     Recovery.rebuild
       (Recovery.ledger ~name:"leader" ~ns ~shard ~persist ~on_prune:ignore)
       client ~checkpoint ~txns:(Hashtbl.create 8) ~locks:(Mglock.create ())
-      ~sched:(Sched.create ())
+      ~sched:(Sched.create ~stats:(Stats.fresh_stats ()) ())
       ~twopc:
-        (Twopc.create ~name:"leader" ~gclient:client ~shard ~timeout:10.
-           ~record:true (Coord.Ensemble.sim ens))
+        (Twopc.create ~stats:(Stats.fresh_stats ()) ~name:"leader"
+           ~gclient:client ~shard ~timeout:10. ~record:true
+           (Coord.Ensemble.sim ens))
       records )
 
 let test_replay_in_start_order () =

@@ -134,6 +134,19 @@ let prop_router_pathless_routes_to_zero =
       Router.classify shard ~args:[ Data.Value.Str "vm"; Data.Value.Int 1 ]
       = Router.Single 0)
 
+(* A txn id names its shard: [Proto.shard_of_txn] recovers the [sid] that
+   [Proto.txn_id] encoded, at every shard count from 1 to 8. *)
+let prop_txn_id_roundtrip =
+  QCheck.Test.make ~name:"txn ids route back to their shard (1-8 shards)"
+    ~count:500
+    QCheck.(triple (int_range 1 8) (int_range 0 7) (int_range 1 1_000_000))
+    (fun (shards, sid, seq) ->
+      let sid = sid mod shards in
+      let id = Proto.txn_id ~shards ~sid seq in
+      Proto.shard_of_txn ~shards id = sid
+      && (shards > 1 || id = seq)
+      && Proto.txn_id ~shards ~sid (seq + 1) = id + shards)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end 2PC on a two-shard platform *)
 
@@ -506,6 +519,94 @@ let test_foreign_repair_refused () =
       Alcotest.(check bool) "the owner's start stands" true
         (Devices.Compute.vm_state compute vm = Some `Running))
 
+(* Each twopc_* counter moves by exactly one over two cross-shard
+   migrates: the first passes its commit point (one coordination started
+   and committed, one participant vote) and is then killed, which
+   quarantines the coordinator's own root; the second touches that root,
+   so the coordinator refuses it before the prepare round (one abort,
+   and no message: no start and no vote). *)
+let test_twopc_counters_move_once () =
+  let sim = Des.Sim.create ~seed:7 () in
+  let inv =
+    Tcloud.Setup.build ~timing:`Process ~rng:(Des.Sim.rng sim) twoshard_size
+  in
+  let platform =
+    Platform.create (twoshard_spec ()) inv.Tcloud.Setup.env
+      ~initial_tree:inv.Tcloud.Setup.tree ~devices:inv.Tcloud.Setup.devices sim
+  in
+  let src, dst = (0, 1) in
+  let coord_sid = Platform.shard_of_path platform (host_path dst) in
+  let part_sid = Platform.shard_of_path platform (host_path src) in
+  (* A second source host on the participant's shard, untouched by the
+     kill's quarantine. *)
+  let src2 =
+    List.find
+      (fun h ->
+        h > dst && Platform.shard_of_path platform (host_path h) = part_sid)
+      (List.init (Array.length inv.Tcloud.Setup.computes) Fun.id)
+  in
+  let counters () =
+    let st =
+      Stats.sum
+        (List.init (Platform.shard_count platform) (Platform.shard_stats platform))
+    in
+    [ st.twopc_started; st.twopc_committed; st.twopc_prepares; st.twopc_aborted ]
+  in
+  (* Snapshots taken inside the run, checked once it is over. *)
+  let seen = ref [] in
+  let snapshot what = seen := (what, counters ()) :: !seen in
+  let killed = ref None and refused = ref None in
+  let quiesced =
+    Platform.run ~until:3000. platform (fun () ->
+        spawn_on platform ~vm:"web1" ~host:src;
+        spawn_on platform ~vm:"web2" ~host:src2;
+        snapshot "single-shard spawns";
+        let gid =
+          Platform.submit platform ~proc:"migrateVM"
+            ~args:(migrate_args ~src ~dst ~vm:"web1")
+        in
+        let started () =
+          match Platform.shard_leader platform coord_sid with
+          | None -> false
+          | Some c -> List.mem gid (Controller.started_txns c)
+        in
+        if await_cond ~gap:0.05 started then begin
+          Platform.signal platform gid Proto.Kill;
+          killed := Some (Platform.await platform gid);
+          snapshot "decided, then killed";
+          refused :=
+            Some
+              (Platform.run_txn platform ~proc:"migrateVM"
+                 ~args:(migrate_args ~src:src2 ~dst ~vm:"web2"));
+          snapshot "refused before prepare"
+        end)
+  in
+  Alcotest.(check bool) "run quiesces" true quiesced;
+  (match !killed with
+   | Some (Txn.Failed _) -> ()
+   | Some other ->
+     Alcotest.failf "killed migrate: expected failed, got %s"
+       (Txn.state_to_string other)
+   | None -> Alcotest.fail "the coordinator never started the migrate");
+  (match !refused with
+   | Some (Txn.Aborted reason) ->
+     Alcotest.(check bool) "refused for the quarantine" true
+       (Str_contains.contains reason "quarantined")
+   | Some other ->
+     Alcotest.failf "migrate into quarantine: expected aborted, got %s"
+       (Txn.state_to_string other)
+   | None -> Alcotest.fail "the second migrate never ran");
+  snapshot "at quiescence";
+  Alcotest.(check (list (pair string (list int))))
+    "started / committed / prepares / aborted"
+    [
+      ("single-shard spawns", [ 0; 0; 0; 0 ]);
+      ("decided, then killed", [ 1; 1; 1; 0 ]);
+      ("refused before prepare", [ 1; 1; 1; 1 ]);
+      ("at quiescence", [ 1; 1; 1; 1 ]);
+    ]
+    (List.rev !seen)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ?rand:None) tests)
@@ -521,7 +622,11 @@ let () =
           prop_singleton_owns_everything;
         ];
       qsuite "router"
-        [ prop_router_cross_iff_owners_span; prop_router_pathless_routes_to_zero ];
+        [
+          prop_router_cross_iff_owners_span;
+          prop_router_pathless_routes_to_zero;
+          prop_txn_id_roundtrip;
+        ];
       ( "2pc",
         [
           Alcotest.test_case "cross-shard migrate commits" `Quick
@@ -538,5 +643,7 @@ let () =
             `Quick test_kill_decided_coordinator_releases_participants;
           Alcotest.test_case "repair of a foreign shard's subtree is refused"
             `Quick test_foreign_repair_refused;
+          Alcotest.test_case "each twopc counter moves by exactly one" `Quick
+            test_twopc_counters_move_once;
         ] );
     ]

@@ -558,8 +558,9 @@ let test_recon_drift_verdicts () =
       ~devices:(Physical.lookup_of_list [ device ])
   in
   let adopted =
-    Recon.reload recon ~locks:(Mglock.create ()) ~sched:(Sched.create ()) tree
-      root
+    Recon.reload recon ~locks:(Mglock.create ())
+      ~sched:(Sched.create ~stats:(Stats.fresh_stats ()) ())
+      tree root
   in
   if drift device adopted <> Recon.Same then
     Alcotest.fail "adopt: expected the device's state";
@@ -1285,10 +1286,12 @@ let standby_recovery platform env =
   let r =
     Recovery.rebuild
       (Recovery.ledger ~name:"standby" ~ns ~shard ~persist ~on_prune:ignore)
-      client ~checkpoint ~txns ~locks:(Mglock.create ()) ~sched:(Sched.create ())
+      client ~checkpoint ~txns ~locks:(Mglock.create ())
+      ~sched:(Sched.create ~stats:(Stats.fresh_stats ()) ())
       ~twopc:
-        (Twopc.create ~name:"standby" ~gclient:client ~shard ~timeout:60.
-           (Platform.sim platform) ~record:true)
+        (Twopc.create ~stats:(Stats.fresh_stats ()) ~name:"standby"
+           ~gclient:client ~shard ~timeout:60. (Platform.sim platform)
+           ~record:true)
       records
   in
   Coord.Client.close client;
@@ -1908,10 +1911,8 @@ let breaker_fsm_prop =
   in
   QCheck.Test.make ~name:"health breaker FSM invariants" ~count:300
     (QCheck.make gen) (fun ops ->
-      let h = Health.create cfg in
-      let probes = ref 0 in
-      Health.set_listener h (fun ev ->
-          if ev.Health.kind = "breaker-probe" then incr probes);
+      let stats = Stats.fresh_stats () in
+      let h = Health.create ~trace:Trace.off ~stats cfg in
       let root = Data.Path.v host0 in
       let now = ref 0. in
       let next_txn = ref 0 in
@@ -1945,9 +1946,9 @@ let breaker_fsm_prop =
            | 2 ->
              (* Try to claim the canary slot with a fresh txn. *)
              incr next_txn;
-             let before = !probes in
+             let before = stats.Stats.breaker_probes in
              Health.start h ~now:!now ~txn:!next_txn ~probes:[ root ];
-             if !probes > before then begin
+             if stats.Stats.breaker_probes > before then begin
                if !outstanding <> None then
                  QCheck.Test.fail_report
                    "second canary admitted while one is outstanding";
@@ -2021,59 +2022,61 @@ let test_e2e_admission_sheds_overload () =
    transactions writing under it are deferred (not failed) while Tripped;
    once the device heals, the cooldown canary commits and the breaker
    closes, releasing the parked transaction. *)
-let test_e2e_breaker_trips_then_canary_reopens () =
-  let spec =
-    {
-      quick_spec with
-      Platform.worker_retry =
-        { Physical.default_retry with Physical.max_attempts = 2 };
-      Platform.controller_config =
-        {
-          Tcloud.Setup.controller_config with
-          Controller.health =
-            {
-              Health.default_config with
-              Health.alpha = 0.9;
-              trip_threshold = 0.6;
-              cooldown = 15.;
-              poll_interval = 1.0;
-            };
-        };
-    }
+let breaker_reopen_spec =
+  {
+    quick_spec with
+    Platform.worker_retry =
+      { Physical.default_retry with Physical.max_attempts = 2 };
+    Platform.controller_config =
+      {
+        Tcloud.Setup.controller_config with
+        Controller.health =
+          {
+            Health.default_config with
+            Health.alpha = 0.9;
+            trip_threshold = 0.6;
+            cooldown = 15.;
+            poll_interval = 1.0;
+          };
+      };
+  }
+
+let breaker_reopen_scenario platform inv =
+  let _, compute0 = inv.Tcloud.Setup.computes.(0) in
+  let faults = Devices.Device.faults (Devices.Compute.device compute0) in
+  (match Devices.Fault.set_probability faults 1.0 with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  (* Every action on host 0 fails: the first spawn aborts on rollback
+     and its failure sample (alpha 0.9) trips the breaker. *)
+  (match Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "cb1") with
+   | Txn.Aborted _ | Txn.Failed _ -> ()
+   | other ->
+     Alcotest.failf "expected abort under faults, got %s"
+       (Txn.state_to_string other));
+  let leader = Platform.await_leader_controller platform in
+  let st = Controller.stats leader in
+  check bool_c "breaker tripped" true (st.Controller.breaker_trips >= 1);
+  (* A transaction submitted while Tripped parks at admission. *)
+  let parked =
+    Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "cb2")
   in
-  with_platform ~spec (fun platform inv ->
-      let _, compute0 = inv.Tcloud.Setup.computes.(0) in
-      let faults = Devices.Device.faults (Devices.Compute.device compute0) in
-      (match Devices.Fault.set_probability faults 1.0 with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail e);
-      (* Every action on host 0 fails: the first spawn aborts on rollback
-         and its failure sample (alpha 0.9) trips the breaker. *)
-      (match Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "cb1") with
-       | Txn.Aborted _ | Txn.Failed _ -> ()
-       | other ->
-         Alcotest.failf "expected abort under faults, got %s"
-           (Txn.state_to_string other));
-      let leader = Platform.await_leader_controller platform in
-      let st = Controller.stats leader in
-      check bool_c "breaker tripped" true (st.Controller.breaker_trips >= 1);
-      (* A transaction submitted while Tripped parks at admission. *)
-      let parked =
-        Platform.submit platform ~proc:"spawnVM" ~args:(spawn_args "cb2")
-      in
-      Des.Proc.sleep 5.;
-      check bool_c "parked txn deferred, not finished" true
-        (st.Controller.breaker_deferrals >= 1);
-      (* Heal the device; after the cooldown the canary commits, closes
-         the breaker and the parked transaction drains. *)
-      (match Devices.Fault.set_probability faults 0.0 with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail e);
-      expect_committed "parked txn commits after reopen"
-        (Platform.await platform parked);
-      let st = Controller.stats leader in
-      check bool_c "canary probed" true (st.Controller.breaker_probes >= 1);
-      check bool_c "breaker closed" true (st.Controller.breaker_closes >= 1))
+  Des.Proc.sleep 5.;
+  check bool_c "parked txn deferred, not finished" true
+    (st.Controller.breaker_deferrals >= 1);
+  (* Heal the device; after the cooldown the canary commits, closes
+     the breaker and the parked transaction drains. *)
+  (match Devices.Fault.set_probability faults 0.0 with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  expect_committed "parked txn commits after reopen"
+    (Platform.await platform parked);
+  let st = Controller.stats leader in
+  check bool_c "canary probed" true (st.Controller.breaker_probes >= 1);
+  check bool_c "breaker closed" true (st.Controller.breaker_closes >= 1)
+
+let test_e2e_breaker_trips_then_canary_reopens () =
+  with_platform ~spec:breaker_reopen_spec breaker_reopen_scenario
 
 (* Breaker counters live in the shard's record, fed by breaker events:
    a trip seen by one leader stays counted after fail-over, whichever
@@ -2315,6 +2318,33 @@ let test_e2e_reload_deferred_while_locked () =
         (Data.Tree.mem (Controller.tree leader) oob);
       check int_c "its lock released" 0 (Controller.lock_count leader))
 
+(* The breaker counters have one writer, [Health], which emits the health
+   instants too: over the trip-then-reopen run each counter equals the
+   number of instants of its kind, and each deferral opens one
+   breaker-park span. *)
+let test_e2e_breaker_counters_match_instants () =
+  let ran = ref None in
+  with_traced_platform ~spec:breaker_reopen_spec (fun platform inv tracer ->
+      breaker_reopen_scenario platform inv;
+      ran := Some (platform, tracer));
+  let platform, tracer = Option.get !ran in
+  let st = Platform.shard_stats platform 0 in
+  let instants name =
+    List.length
+      (List.filter
+         (fun e -> e.Trace.ecat = "health" && e.Trace.ename = name)
+         (Trace.events tracer))
+  in
+  let parks =
+    List.filter
+      (fun s -> s.Trace.cat = "health" && s.Trace.name = "breaker-park")
+      (Trace.spans tracer)
+  in
+  check int_c "trips" (instants "breaker-trip") st.Stats.breaker_trips;
+  check int_c "probes" (instants "breaker-probe") st.Stats.breaker_probes;
+  check int_c "closes" (instants "breaker-close") st.Stats.breaker_closes;
+  check int_c "deferrals" (List.length parks) st.Stats.breaker_deferrals
+
 let suite =
   [
     ("xlog: codec roundtrip", `Quick, test_xlog_roundtrip);
@@ -2391,6 +2421,7 @@ let suite =
     ("trace: lock-wait names blocking holder", `Quick, test_trace_lock_wait_names_holder);
     ("trace: reserved lock-wait names the head", `Quick, test_trace_reserved_wait_names_head);
     ("e2e: reload deferred while a txn holds the subtree", `Quick, test_e2e_reload_deferred_while_locked);
+    ("overload: breaker counters match the health instants", `Quick, test_e2e_breaker_counters_match_instants);
   ]
 
 let () = Alcotest.run "tropic" [ ("tropic", suite) ]

@@ -56,9 +56,6 @@ module Quarantine : sig
       owning shard quarantines and heals its own slice. *)
   val add : t -> Data.Path.t list -> unit
 
-  (** Lift every entry at or below a path. *)
-  val clear : t -> Data.Path.t -> unit
-
   (** Is the path or an ancestor quarantined?  O(1) on an empty set. *)
   val covers : t -> Data.Path.t -> bool
 

@@ -167,39 +167,57 @@ let rec node_to_sexp node =
 
 let ( let* ) r f = Result.bind r f
 
-let rec node_of_sexp sexp =
-  match sexp with
-  | Sexp.List
-      [
-        Sexp.Atom "node";
-        Sexp.Atom kind;
-        Sexp.List (Sexp.Atom "attrs" :: attrs);
-        Sexp.List (Sexp.Atom "children" :: children);
-      ] ->
-    let* attrs =
-      List.fold_left
-        (fun acc entry ->
-          let* acc = acc in
-          match entry with
-          | Sexp.List [ Sexp.Atom name; v ] ->
-            let* v = Value.of_sexp v in
-            Ok ((name, v) :: acc)
-          | other -> Error ("bad attr entry: " ^ Sexp.to_string other))
-        (Ok []) attrs
-    in
-    let* children =
-      List.fold_left
-        (fun acc entry ->
-          let* acc = acc in
-          match entry with
-          | Sexp.List [ Sexp.Atom name; child ] ->
-            let* child = node_of_sexp child in
-            Ok ((name, child) :: acc)
-          | other -> Error ("bad child entry: " ^ Sexp.to_string other))
-        (Ok []) children
-    in
-    Ok (make_node ~kind ~attrs ~children ())
-  | other -> Error ("Tree.node_of_sexp: bad node " ^ Sexp.to_string other)
+(* One decode shares equal kinds, attribute names and scalar values: a
+   checkpoint of thousands of like nodes then holds one copy of each, not
+   one per node.  The tables live for the call only. *)
+let node_of_sexp sexp =
+  let strings = Hashtbl.create 64 and scalars = Hashtbl.create 64 in
+  let share tbl v =
+    match Hashtbl.find_opt tbl v with
+    | Some shared -> shared
+    | None ->
+      Hashtbl.add tbl v v;
+      v
+  in
+  let scalar = function
+    | (Value.Str _ | Value.Int _ | Value.Bool _) as v -> share scalars v
+    | v -> v
+  in
+  let rec go sexp =
+    match sexp with
+    | Sexp.List
+        [
+          Sexp.Atom "node";
+          Sexp.Atom kind;
+          Sexp.List (Sexp.Atom "attrs" :: attrs);
+          Sexp.List (Sexp.Atom "children" :: children);
+        ] ->
+      let* attrs =
+        List.fold_left
+          (fun acc entry ->
+            let* acc = acc in
+            match entry with
+            | Sexp.List [ Sexp.Atom name; v ] ->
+              let* v = Value.of_sexp v in
+              Ok ((share strings name, scalar v) :: acc)
+            | other -> Error ("bad attr entry: " ^ Sexp.to_string other))
+          (Ok []) attrs
+      in
+      let* children =
+        List.fold_left
+          (fun acc entry ->
+            let* acc = acc in
+            match entry with
+            | Sexp.List [ Sexp.Atom name; child ] ->
+              let* child = go child in
+              Ok ((name, child) :: acc)
+            | other -> Error ("bad child entry: " ^ Sexp.to_string other))
+          (Ok []) children
+      in
+      Ok (make_node ~kind:(share strings kind) ~attrs ~children ())
+    | other -> Error ("Tree.node_of_sexp: bad node " ^ Sexp.to_string other)
+  in
+  go sexp
 
 let to_sexp = node_to_sexp
 let of_sexp = node_of_sexp

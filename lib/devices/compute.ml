@@ -1,10 +1,15 @@
+module Smap = Data.Tree.Smap
+module Sset = Set.Make (String)
+
 type vm = { mutable state : [ `Stopped | `Running ]; vm_mem_mb : int; image : string }
 
+(* Persistent maps in mutable fields: an idle host holds two empty values,
+   where a [Hashtbl] would hold two bucket arrays. *)
 type t = {
   host_mem_mb : int;
   host_hypervisor : string;
-  vms : (string, vm) Hashtbl.t;
-  imported : (string, unit) Hashtbl.t;
+  mutable vms : vm Smap.t;
+  mutable imported : Sset.t;
   handle : Device.t Lazy.t;
 }
 
@@ -12,81 +17,76 @@ let state_string = function
   | `Stopped -> Schema.state_stopped
   | `Running -> Schema.state_running
 
-let export_state host () =
-  let vm_children =
-    Hashtbl.fold
-      (fun name vm acc ->
-        let node =
-          Data.Tree.make_node ~kind:Schema.vm_kind
-            ~attrs:
-              [
-                Schema.attr_state, Data.Value.Str (state_string vm.state);
-                Schema.attr_mem_mb, Data.Value.Int vm.vm_mem_mb;
-                Schema.attr_image, Data.Value.Str vm.image;
-              ]
-            ()
-        in
-        (name, node) :: acc)
-      host.vms []
-  in
-  let imported =
-    Hashtbl.fold (fun k () acc -> k :: acc) host.imported []
-    |> List.sort String.compare
-    |> List.map (fun i -> Data.Value.Str i)
-  in
-  Data.Tree.make_node ~kind:Schema.vm_host_kind
+let vm_node vm =
+  Data.Tree.make_node ~kind:Schema.vm_kind
     ~attrs:
       [
-        Schema.attr_mem_mb, Data.Value.Int host.host_mem_mb;
-        Schema.attr_hypervisor, Data.Value.Str host.host_hypervisor;
-        Schema.attr_imported, Data.Value.List imported;
+        Schema.attr_state, Data.Value.Str (state_string vm.state);
+        Schema.attr_mem_mb, Data.Value.Int vm.vm_mem_mb;
+        Schema.attr_image, Data.Value.Str vm.image;
       ]
-    ~children:vm_children ()
+    ()
+
+let export_state host () =
+  let imported =
+    List.map (fun i -> Data.Value.Str i) (Sset.elements host.imported)
+  in
+  let node =
+    Data.Tree.make_node ~kind:Schema.vm_host_kind
+      ~attrs:
+        [
+          Schema.attr_mem_mb, Data.Value.Int host.host_mem_mb;
+          Schema.attr_hypervisor, Data.Value.Str host.host_hypervisor;
+          Schema.attr_imported, Data.Value.List imported;
+        ]
+      ()
+  in
+  { node with children = Smap.map vm_node host.vms }
 
 let ( let* ) r f = Result.bind r f
 
 let dispatch host ~action ~args =
   if String.equal action Schema.act_import_image then
     let* image = Device.str_arg args 0 in
-    if Hashtbl.mem host.imported image then
+    if Sset.mem image host.imported then
       Error (Printf.sprintf "image %s already imported" image)
-    else Ok (Hashtbl.replace host.imported image ())
+    else Ok (host.imported <- Sset.add image host.imported)
   else if String.equal action Schema.act_unimport_image then
     let* image = Device.str_arg args 0 in
-    if not (Hashtbl.mem host.imported image) then
+    if not (Sset.mem image host.imported) then
       Error (Printf.sprintf "image %s not imported" image)
-    else if
-      Hashtbl.fold
-        (fun _ vm used -> used || String.equal vm.image image)
-        host.vms false
-    then Error (Printf.sprintf "image %s still used by a VM" image)
-    else Ok (Hashtbl.remove host.imported image)
+    else if Smap.exists (fun _ vm -> String.equal vm.image image) host.vms then
+      Error (Printf.sprintf "image %s still used by a VM" image)
+    else Ok (host.imported <- Sset.remove image host.imported)
   else if String.equal action Schema.act_create_vm then
     let* name = Device.str_arg args 0 in
     let* image = Device.str_arg args 1 in
     let* mem = Device.int_arg args 2 in
-    if Hashtbl.mem host.vms name then
+    if Smap.mem name host.vms then
       Error (Printf.sprintf "vm %s already exists" name)
-    else if not (Hashtbl.mem host.imported image) then
+    else if not (Sset.mem image host.imported) then
       Error (Printf.sprintf "image %s not imported" image)
-    else Ok (Hashtbl.replace host.vms name { state = `Stopped; vm_mem_mb = mem; image })
+    else
+      let vm = { state = `Stopped; vm_mem_mb = mem; image } in
+      Ok (host.vms <- Smap.add name vm host.vms)
   else if String.equal action Schema.act_remove_vm then
     let* name = Device.str_arg args 0 in
-    (match Hashtbl.find_opt host.vms name with
+    (match Smap.find_opt name host.vms with
      | None -> Error (Printf.sprintf "vm %s does not exist" name)
      | Some { state = `Running; _ } ->
        Error (Printf.sprintf "vm %s is running" name)
-     | Some { state = `Stopped; _ } -> Ok (Hashtbl.remove host.vms name))
+     | Some { state = `Stopped; _ } ->
+       Ok (host.vms <- Smap.remove name host.vms))
   else if String.equal action Schema.act_start_vm then
     let* name = Device.str_arg args 0 in
-    (match Hashtbl.find_opt host.vms name with
+    (match Smap.find_opt name host.vms with
      | None -> Error (Printf.sprintf "vm %s does not exist" name)
      | Some ({ state = `Stopped; _ } as vm) -> Ok (vm.state <- `Running)
      | Some { state = `Running; _ } ->
        Error (Printf.sprintf "vm %s already running" name))
   else if String.equal action Schema.act_stop_vm then
     let* name = Device.str_arg args 0 in
-    (match Hashtbl.find_opt host.vms name with
+    (match Smap.find_opt name host.vms with
      | None -> Error (Printf.sprintf "vm %s does not exist" name)
      | Some ({ state = `Running; _ } as vm) -> Ok (vm.state <- `Stopped)
      | Some { state = `Stopped; _ } ->
@@ -102,8 +102,8 @@ let create ?(timing = `Instant) ?latency ?rng ~root ~mem_mb ~hypervisor () =
     {
       host_mem_mb = mem_mb;
       host_hypervisor = hypervisor;
-      vms = Hashtbl.create 8;
-      imported = Hashtbl.create 8;
+      vms = Smap.empty;
+      imported = Sset.empty;
       handle =
         lazy
           (Device.make ~root ~kind:Schema.vm_host_kind ~timing ~latency ~rng
@@ -116,26 +116,22 @@ let create ?(timing = `Instant) ?latency ?rng ~root ~mem_mb ~hypervisor () =
 let device host = Lazy.force host.handle
 
 let preload_vm host ~name ~image ~mem_mb ~state =
-  if not (Hashtbl.mem host.imported image) then
-    Hashtbl.replace host.imported image ();
-  Hashtbl.replace host.vms name { state; vm_mem_mb = mem_mb; image }
+  host.imported <- Sset.add image host.imported;
+  host.vms <- Smap.add name { state; vm_mem_mb = mem_mb; image } host.vms
 let mem_mb host = host.host_mem_mb
 
-let vm_names host =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) host.vms [])
+let vm_names host = List.map fst (Smap.bindings host.vms)
 
 let vm_state host name =
-  Option.map (fun vm -> vm.state) (Hashtbl.find_opt host.vms name)
+  Option.map (fun vm -> vm.state) (Smap.find_opt name host.vms)
 
-let used_mem_mb host =
-  Hashtbl.fold (fun _ vm acc -> acc + vm.vm_mem_mb) host.vms 0
+let used_mem_mb host = Smap.fold (fun _ vm acc -> acc + vm.vm_mem_mb) host.vms 0
 
-let power_cycle host =
-  Hashtbl.iter (fun _ vm -> vm.state <- `Stopped) host.vms
+let power_cycle host = Smap.iter (fun _ vm -> vm.state <- `Stopped) host.vms
 
-let force_remove_vm host name = Hashtbl.remove host.vms name
+let force_remove_vm host name = host.vms <- Smap.remove name host.vms
 
 let force_set_vm_state host name state =
-  match Hashtbl.find_opt host.vms name with
+  match Smap.find_opt name host.vms with
   | Some vm -> vm.state <- state
   | None -> ()

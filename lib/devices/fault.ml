@@ -11,26 +11,32 @@ type plan =
   | Fail_always of severity
   | Hang_next of int
 
+module Smap = Data.Tree.Smap
+
+(* Plans by action in a persistent map held in a mutable field: a device
+   with no plan holds an empty value, not a bucket array. *)
 type t = {
-  plans : (string, plan) Hashtbl.t;
+  mutable plans : plan Smap.t;
   mutable probability : float;
   mutable injected_count : int;
   mutable hang_count : int;
 }
 
 let create () =
-  { plans = Hashtbl.create 8; probability = 0.; injected_count = 0; hang_count = 0 }
+  { plans = Smap.empty; probability = 0.; injected_count = 0; hang_count = 0 }
+
+let set t action plan = t.plans <- Smap.add action plan t.plans
 
 let fail_next ?(count = 1) ?(severity = Permanent) t ~action =
-  if count > 0 then Hashtbl.replace t.plans action (Fail_next (count, severity))
+  if count > 0 then set t action (Fail_next (count, severity))
 
 let fail_always ?(severity = Permanent) t ~action =
-  Hashtbl.replace t.plans action (Fail_always severity)
+  set t action (Fail_always severity)
 
 let hang_next ?(count = 1) t ~action =
-  if count > 0 then Hashtbl.replace t.plans action (Hang_next count)
+  if count > 0 then set t action (Hang_next count)
 
-let clear t ~action = Hashtbl.remove t.plans action
+let clear t ~action = t.plans <- Smap.remove action t.plans
 
 (* Clamped to [0,1]; NaN has no sensible clamp and is rejected. *)
 let set_probability t p =
@@ -44,19 +50,19 @@ let probability t = t.probability
 
 let check t ~rng ~action =
   let planned =
-    match Hashtbl.find_opt t.plans action with
+    match Smap.find_opt action t.plans with
     | Some (Fail_next (1, severity)) ->
-      Hashtbl.remove t.plans action;
+      clear t ~action;
       Some (`Fail severity)
     | Some (Fail_next (n, severity)) ->
-      Hashtbl.replace t.plans action (Fail_next (n - 1, severity));
+      set t action (Fail_next (n - 1, severity));
       Some (`Fail severity)
     | Some (Fail_always severity) -> Some (`Fail severity)
     | Some (Hang_next 1) ->
-      Hashtbl.remove t.plans action;
+      clear t ~action;
       Some `Hang
     | Some (Hang_next n) ->
-      Hashtbl.replace t.plans action (Hang_next (n - 1));
+      set t action (Hang_next (n - 1));
       Some `Hang
     | None -> None
   in

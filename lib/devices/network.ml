@@ -1,36 +1,39 @@
+module Smap = Data.Tree.Smap
+
 type vlan = { vlan_name : string; mutable ports : string list }
 
+(* VLANs keyed by their child name in the exported tree, in a persistent
+   map held in a mutable field: no bucket array per switch. *)
 type t = {
   limit : int;
-  vlans : (int, vlan) Hashtbl.t;
+  mutable vlans : vlan Smap.t;
   handle : Device.t Lazy.t;
 }
 
 let vlan_key id = Printf.sprintf "vlan%04d" id
 
+let vlan_node vlan =
+  Data.Tree.make_node ~kind:Schema.vlan_kind
+    ~attrs:
+      [
+        Schema.attr_vlan_name, Data.Value.Str vlan.vlan_name;
+        ( Schema.attr_ports,
+          Data.Value.List
+            (List.map
+               (fun p -> Data.Value.Str p)
+               (List.sort String.compare vlan.ports)) );
+      ]
+    ()
+
 let export_state switch () =
-  let children =
-    Hashtbl.fold
-      (fun id vlan acc ->
-        let node =
-          Data.Tree.make_node ~kind:Schema.vlan_kind
-            ~attrs:
-              [
-                Schema.attr_vlan_name, Data.Value.Str vlan.vlan_name;
-                ( Schema.attr_ports,
-                  Data.Value.List
-                    (List.map
-                       (fun p -> Data.Value.Str p)
-                       (List.sort String.compare vlan.ports)) );
-              ]
-            ()
-        in
-        (vlan_key id, node) :: acc)
-      switch.vlans []
+  let node =
+    Data.Tree.make_node ~kind:Schema.switch_kind
+      ~attrs:[ Schema.attr_max_vlans, Data.Value.Int switch.limit ]
+      ()
   in
-  Data.Tree.make_node ~kind:Schema.switch_kind
-    ~attrs:[ Schema.attr_max_vlans, Data.Value.Int switch.limit ]
-    ~children ()
+  { node with children = Smap.map vlan_node switch.vlans }
+
+let find_vlan switch id = Smap.find_opt (vlan_key id) switch.vlans
 
 let ( let* ) r f = Result.bind r f
 
@@ -38,22 +41,26 @@ let dispatch switch ~action ~args =
   if String.equal action Schema.act_create_vlan then
     let* id = Device.int_arg args 0 in
     let* name = Device.str_arg args 1 in
-    if Hashtbl.mem switch.vlans id then
+    if Smap.mem (vlan_key id) switch.vlans then
       Error (Printf.sprintf "vlan %d already exists" id)
-    else if Hashtbl.length switch.vlans >= switch.limit then
+    else if Smap.cardinal switch.vlans >= switch.limit then
       Error "switch out of vlan capacity"
-    else Ok (Hashtbl.replace switch.vlans id { vlan_name = name; ports = [] })
+    else
+      Ok
+        (switch.vlans <-
+           Smap.add (vlan_key id) { vlan_name = name; ports = [] } switch.vlans)
   else if String.equal action Schema.act_remove_vlan then
     let* id = Device.int_arg args 0 in
-    (match Hashtbl.find_opt switch.vlans id with
+    (match find_vlan switch id with
      | None -> Error (Printf.sprintf "vlan %d does not exist" id)
      | Some { ports = _ :: _; _ } ->
        Error (Printf.sprintf "vlan %d still has ports" id)
-     | Some { ports = []; _ } -> Ok (Hashtbl.remove switch.vlans id))
+     | Some { ports = []; _ } ->
+       Ok (switch.vlans <- Smap.remove (vlan_key id) switch.vlans))
   else if String.equal action Schema.act_add_port then
     let* id = Device.int_arg args 0 in
     let* port = Device.str_arg args 1 in
-    (match Hashtbl.find_opt switch.vlans id with
+    (match find_vlan switch id with
      | None -> Error (Printf.sprintf "vlan %d does not exist" id)
      | Some vlan ->
        if List.mem port vlan.ports then
@@ -62,7 +69,7 @@ let dispatch switch ~action ~args =
   else if String.equal action Schema.act_remove_port then
     let* id = Device.int_arg args 0 in
     let* port = Device.str_arg args 1 in
-    (match Hashtbl.find_opt switch.vlans id with
+    (match find_vlan switch id with
      | None -> Error (Printf.sprintf "vlan %d does not exist" id)
      | Some vlan ->
        if not (List.mem port vlan.ports) then
@@ -78,7 +85,7 @@ let create ?(timing = `Instant) ?latency ?rng ~root ~max_vlans () =
   let rec switch =
     {
       limit = max_vlans;
-      vlans = Hashtbl.create 16;
+      vlans = Smap.empty;
       handle =
         lazy
           (Device.make ~root ~kind:Schema.switch_kind ~timing ~latency ~rng
@@ -93,6 +100,7 @@ let device switch = Lazy.force switch.handle
 let ports_of switch id =
   Option.map
     (fun vlan -> List.sort String.compare vlan.ports)
-    (Hashtbl.find_opt switch.vlans id)
+    (find_vlan switch id)
 
-let force_remove_vlan switch id = Hashtbl.remove switch.vlans id
+let force_remove_vlan switch id =
+  switch.vlans <- Smap.remove (vlan_key id) switch.vlans

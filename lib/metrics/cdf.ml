@@ -1,27 +1,46 @@
-type t = { mutable samples : float list; mutable n : int; mutable dirty : bool;
-           mutable sorted : float array }
+(* Samples sit unboxed in a growable array, oldest first: 8 bytes each,
+   where a list of boxed floats costs 40.  [sorted] is current when it
+   holds all [n] samples. *)
+type t = {
+  mutable samples : float array;
+  mutable n : int;
+  mutable sorted : float array;
+}
 
-let create () = { samples = []; n = 0; dirty = true; sorted = [||] }
+let create () = { samples = [||]; n = 0; sorted = [||] }
 
 let add t v =
-  t.samples <- v :: t.samples;
-  t.n <- t.n + 1;
-  t.dirty <- true
+  if t.n = Array.length t.samples then begin
+    let grown = Array.make (max 16 (2 * t.n)) 0. in
+    Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end;
+  t.samples.(t.n) <- v;
+  t.n <- t.n + 1
 
 let count t = t.n
 
+(* Sorted from a newest-first copy: [Array.sort] is not stable, so the
+   copy's order decides where equal keys ([0.] and [-0.]) land, and the
+   list model in the tests pins it. *)
 let ensure_sorted t =
-  if t.dirty then begin
-    let a = Array.of_list t.samples in
+  if Array.length t.sorted <> t.n then begin
+    let a = Array.init t.n (fun i -> t.samples.(t.n - 1 - i)) in
     Array.sort Float.compare a;
-    t.sorted <- a;
-    t.dirty <- false
+    t.sorted <- a
   end;
   t.sorted
 
+(* Summed newest first: the order fixes the rounding. *)
 let mean t =
   if t.n = 0 then 0.
-  else List.fold_left ( +. ) 0. t.samples /. float_of_int t.n
+  else begin
+    let sum = ref 0. in
+    for i = t.n - 1 downto 0 do
+      sum := !sum +. t.samples.(i)
+    done;
+    !sum /. float_of_int t.n
+  end
 
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Cdf.quantile: q out of range";

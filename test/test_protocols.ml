@@ -445,15 +445,15 @@ let test_take_past_foreign_marker () =
   Alcotest.(check (option string)) "foreign marker untouched" (Some "worker-9")
     marker
 
-(* Four Started txns on the phyQ and four workers of ranks 0-3 started at
-   once: each takes a different item, so no take loses a race. *)
-let test_workers_take_distinct_items () =
+(* Started txns [ids] on the phyQ and [workers] workers of ranks 0, 1, …
+   started at once; returns the txn ids whose results arrived, once one per
+   id has, and the workers' shared counters. *)
+let run_workers ~ids ~workers =
   let stats = Stats.fresh_stats () and results = ref [] in
   Drive.ensemble (fun sim ens ->
       ignore (Coord.Ensemble.await_leader ens);
       let c = Coord.Ensemble.connect ens ~name:"setup" () in
       let p = persist ens in
-      let ids = [ 41; 42; 43; 44 ] in
       Persist.defer p;
       List.iter
         (fun id ->
@@ -466,7 +466,7 @@ let test_workers_take_distinct_items () =
       Persist.release p;
       Persist.barrier p;
       let workers =
-        List.init 4 (fun rank ->
+        List.init workers (fun rank ->
             let name = Printf.sprintf "worker-%d" rank in
             Worker.create ~ns ~rank ~stats
               ~name ~client:(Coord.Ensemble.connect ens ~name ())
@@ -476,7 +476,9 @@ let test_workers_take_distinct_items () =
       let input = Proto.input_queue_ns ns in
       let rec wait n =
         if n = 0 then Alcotest.fail "the results never arrived"
-        else if List.length (Coord.Client.get_children c input) < 4 then begin
+        else if
+          List.length (Coord.Client.get_children c input) < List.length ids
+        then begin
           Des.Proc.sleep 0.05;
           wait (n - 1)
         end
@@ -493,9 +495,21 @@ let test_workers_take_distinct_items () =
             | None -> None)
           (Coord.Client.get_children c input);
       List.iter Worker.crash workers);
-  Alcotest.(check (list int)) "four distinct takes" [ 41; 42; 43; 44 ]
-    (List.sort compare !results);
+  (List.sort compare !results, stats)
+
+(* Four Started txns on the phyQ and four workers of ranks 0-3 started at
+   once: each takes a different item, so no take loses a race. *)
+let test_workers_take_distinct_items () =
+  let results, stats = run_workers ~ids:[ 41; 42; 43; 44 ] ~workers:4 in
+  Alcotest.(check (list int)) "four distinct takes" [ 41; 42; 43; 44 ] results;
   Alcotest.(check int) "no lost race" 0 stats.Stats.take_conflicts
+
+(* One item and two workers: both read it as their first candidate, one
+   take wins and the other is counted as lost. *)
+let test_lost_take_counted () =
+  let results, stats = run_workers ~ids:[ 51 ] ~workers:2 in
+  Alcotest.(check (list int)) "one take ran" [ 51 ] results;
+  Alcotest.(check int) "one lost race" 1 stats.Stats.take_conflicts
 
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
@@ -928,6 +942,8 @@ let () =
             `Quick test_take_past_foreign_marker;
           Alcotest.test_case "four workers take four distinct items" `Quick
             test_workers_take_distinct_items;
+          Alcotest.test_case "two workers race for one item" `Quick
+            test_lost_take_counted;
         ] );
       ( "recovery",
         [

@@ -322,6 +322,23 @@ let test_setup_scales () =
   check int_c "device count" (500 + 125 + 1)
     (List.length inv.Tcloud.Setup.devices)
 
+(* The devices at the ec2-burst benchmark's size (4 000 hosts, 1 000
+   storages, no pre-populated VM) sharing one RNG, as a deployment's do:
+   an idle device holds empty persistent maps, not bucket arrays. *)
+let test_device_footprint () =
+  let size =
+    Experiments.Perf.deployment_size
+      { Experiments.Perf.default_config with Experiments.Perf.hosts = 4_000 }
+  in
+  check int_c "storage hosts" 1_000 size.Tcloud.Setup.storage_hosts;
+  check int_c "no pre-populated VM" 0 size.Tcloud.Setup.prepopulated_vms_per_host;
+  let inv = Tcloud.Setup.build ~rng:(Random.State.make [| 1 |]) size in
+  let bytes = Obj.reachable_words (Obj.repr inv.Tcloud.Setup.devices) * 8 in
+  check bool_c
+    (Printf.sprintf "%d bytes <= 2.5 MB" bytes)
+    true
+    (bytes <= 2_500_000)
+
 let test_controller_config_has_repair_rules () =
   check bool_c "repair rules wired" true
     (List.length Tcloud.Setup.controller_config.Controller.repair_rules >= 2)
@@ -340,6 +357,7 @@ let suite =
     ("setup: prepopulated VMs usable", `Quick, test_setup_prepopulated_spawnable);
     ("setup: scales", `Quick, test_setup_scales);
     ("setup: controller config", `Quick, test_controller_config_has_repair_rules);
+    ("setup: device footprint at ec2-burst size", `Quick, test_device_footprint);
   ]
 
 let () = Alcotest.run "tcloud" [ ("tcloud", suite) ]

@@ -571,14 +571,33 @@ let test_recon_drift_verdicts () =
 
 let test_recon_quarantine () =
   let path = Data.Path.v in
-  let roots = List.map path [ "/vmRoot/h0"; "/vmRoot/h1"; "/vmRoot/h2" ] in
-  (* Round-robin over two shards: shard 0 owns h0 and h2, shard 1 h1. *)
-  let q =
-    Recon.quarantine
-      (Recon.create ~name:"recon" ~shard:(Shard.make ~sid:0 ~shards:2 roots)
-         ~sim:(Des.Sim.create ()) ~rules:[] ~deadline:None
-         ~constraints:(Constraints.create ()) ~devices:(fun _ -> None))
+  let names = [ "h0"; "h1"; "h2" ] in
+  let roots = List.map (fun n -> path ("/vmRoot/" ^ n)) names in
+  let devices =
+    List.map
+      (fun root ->
+        Devices.Compute.device
+          (Devices.Compute.create ~root ~mem_mb:4096 ~hypervisor:"xen" ()))
+      roots
   in
+  (* The tree mirrors every device, so a repair finds nothing to do. *)
+  let tree =
+    Data.Tree.make_node ~kind:"root"
+      ~children:
+        [ ( "vmRoot",
+            Data.Tree.make_node ~kind:Schema.vm_root_kind
+              ~children:(List.combine names (List.map Devices.Device.export devices))
+              () ) ]
+      ()
+  in
+  (* Round-robin over two shards: shard 0 owns h0 and h2, shard 1 h1. *)
+  let recon =
+    Recon.create ~name:"recon" ~shard:(Shard.make ~sid:0 ~shards:2 roots)
+      ~sim:(Des.Sim.create ()) ~rules:[] ~deadline:None
+      ~constraints:(Constraints.create ())
+      ~devices:(Physical.lookup_of_list devices)
+  in
+  let q = Recon.quarantine recon in
   let listing () = List.map Data.Path.to_string (Recon.Quarantine.to_list q) in
   check bool_c "empty covers nothing" false
     (Recon.Quarantine.covers q (path "/vmRoot/h0"));
@@ -593,15 +612,16 @@ let test_recon_quarantine () =
     (Recon.Quarantine.covers q (path "/vmRoot/h2/vm7"));
   check bool_c "ancestor not covered" false
     (Recon.Quarantine.covers q (path "/vmRoot/h0"));
-  Recon.Quarantine.clear q (path "/vmRoot/h0/vm1");
-  check (Alcotest.list string_c) "clear keeps the sibling VM"
-    [ "/vmRoot/h0/vm2"; "/vmRoot/h2" ]
-    (listing ());
-  Recon.Quarantine.clear q (path "/vmRoot/h0");
-  check (Alcotest.list string_c) "clear keeps the sibling host"
+  Recon.repair recon tree (path "/vmRoot/h0");
+  check (Alcotest.list string_c) "repair lifts every entry below the host"
     [ "/vmRoot/h2" ] (listing ());
   check bool_c "sibling still covered" true
-    (Recon.Quarantine.covers q (path "/vmRoot/h2"))
+    (Recon.Quarantine.covers q (path "/vmRoot/h2"));
+  ignore
+    (Recon.reload recon ~locks:(Mglock.create ())
+       ~sched:(Sched.create ~stats:(Stats.fresh_stats ()) ())
+       tree (path "/vmRoot/h2"));
+  check (Alcotest.list string_c) "reload lifts the host" [] (listing ())
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end platform tests *)

@@ -230,6 +230,127 @@ let test_gauge_rate () =
       if r < 9. || r > 11. then Alcotest.failf "rate %.2f outside [9, 11]" r)
     (Metrics.Series.rows series)
 
+(* The list-based recorder [Metrics.Cdf] used to be, kept as the model its
+   array-backed one must match bit for bit. *)
+module Cdf_model = struct
+  type t = {
+    mutable samples : float list;
+    mutable n : int;
+    mutable sorted : float array option;
+  }
+
+  let create () = { samples = []; n = 0; sorted = None }
+
+  let add t v =
+    t.samples <- v :: t.samples;
+    t.n <- t.n + 1;
+    t.sorted <- None
+
+  let sorted t =
+    match t.sorted with
+    | Some a -> a
+    | None ->
+      let a = Array.of_list t.samples in
+      Array.sort Float.compare a;
+      t.sorted <- Some a;
+      a
+
+  let mean t =
+    if t.n = 0 then 0.
+    else List.fold_left ( +. ) 0. t.samples /. float_of_int t.n
+
+  let quantile t q =
+    if q < 0. || q > 1. then invalid_arg "Cdf.quantile: q out of range";
+    if t.n = 0 then 0.
+    else (sorted t).(int_of_float (q *. float_of_int (t.n - 1)))
+
+  let quantile_opt t q = if t.n = 0 then None else Some (quantile t q)
+  let min_value t = quantile t 0.
+  let max_value t = quantile t 1.
+
+  let points ?(points = 100) t =
+    let a = sorted t in
+    let n = Array.length a in
+    if n = 0 then []
+    else begin
+      let step = max 1 (n / points) in
+      let out = ref [] in
+      let i = ref 0 in
+      while !i < n do
+        out := (a.(!i), float_of_int (!i + 1) /. float_of_int n) :: !out;
+        i := !i + step
+      done;
+      let out =
+        match !out with
+        | (v, _) :: _ when v = a.(n - 1) -> !out
+        | _ -> (a.(n - 1), 1.) :: !out
+      in
+      List.rev out
+    end
+
+  let render ?(label = "latency (s)") t =
+    if t.n = 0 then Printf.sprintf "%s: no samples\n" label
+    else begin
+      let buf = Buffer.create 512 in
+      Buffer.add_string buf
+        (Printf.sprintf "%s: n=%d mean=%.4f min=%.4f max=%.4f\n" label t.n
+           (mean t) (min_value t) (max_value t));
+      List.iter
+        (fun q ->
+          Buffer.add_string buf
+            (Printf.sprintf "  p%-5g %10.4f\n" (q *. 100.) (quantile t q)))
+        [ 0.10; 0.25; 0.50; 0.75; 0.90; 0.95; 0.99; 1.0 ];
+      Buffer.contents buf
+    end
+end
+
+(* Samples mix arbitrary floats with a few repeated values (signed zeros
+   among them), so ranks tie and sums round. *)
+let cdf_matches_model_prop =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (3, float); (2, float_range (-1e3) 1e3);
+          (1, oneofl [ 0.; -0.; 1.; 0.1; 2.5 ]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_bound 5_000) sample)
+        (list_size (int_range 1 8) (float_bound_inclusive 1.)))
+  in
+  let print (xs, qs) =
+    Printf.sprintf "%d samples, q = %s" (List.length xs)
+      (String.concat " " (List.map string_of_float qs))
+  in
+  QCheck.Test.make ~name:"cdf: array recorder matches the list model"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (xs, qs) ->
+      let c = Metrics.Cdf.create () and m = Cdf_model.create () in
+      List.iter (fun x -> Metrics.Cdf.add c x; Cdf_model.add m x) xs;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let same_opt a b =
+        match (a, b) with
+        | Some a, Some b -> same a b
+        | None, None -> true
+        | _ -> false
+      in
+      let same_points a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (v, f) (v', f') -> same v v' && same f f') a b
+      in
+      Metrics.Cdf.count c = m.Cdf_model.n
+      && List.for_all
+           (fun q ->
+             same (Metrics.Cdf.quantile c q) (Cdf_model.quantile m q)
+             && same_opt (Metrics.Cdf.quantile_opt c q) (Cdf_model.quantile_opt m q))
+           (0. :: 1. :: qs)
+      && same (Metrics.Cdf.mean c) (Cdf_model.mean m)
+      && same (Metrics.Cdf.min_value c) (Cdf_model.min_value m)
+      && same (Metrics.Cdf.max_value c) (Cdf_model.max_value m)
+      && same_points (Metrics.Cdf.points c) (Cdf_model.points m)
+      && same_points (Metrics.Cdf.points ~points:7 c) (Cdf_model.points ~points:7 m)
+      && String.equal (Metrics.Cdf.render c) (Cdf_model.render m))
+
 let suite =
   [
     ("ec2: Figure 3 statistics", `Quick, test_ec2_statistics);
@@ -249,6 +370,7 @@ let suite =
     ("cdf: empty recorder placeholders", `Quick, test_cdf_empty_placeholder);
     ("gauge: utilization", `Quick, test_gauge_utilization);
     ("gauge: rate", `Quick, test_gauge_rate);
+    QCheck_alcotest.to_alcotest cdf_matches_model_prop;
   ]
 
 let () = Alcotest.run "workload" [ ("workload", suite) ]

@@ -61,49 +61,6 @@ let ancestors p =
 
 let append p q = p @ q
 
-module Id = struct
-  type path = t
-
-  type id = {
-    uid : int;
-    path : path;
-    ancestors : id list; (* nearest (parent) first, ending with the root *)
-  }
-
-  (* One global interning table: nodes are identified by (parent uid,
-     segment), so interning a path walks its segments from the root and
-     each step is a single small-key hash lookup.  The table only ever
-     grows, but it is bounded by the number of distinct paths the process
-     locks — the same order as the resource tree itself. *)
-  let table : (int * string, id) Hashtbl.t = Hashtbl.create 1024
-  let next_uid = ref 1
-
-  let root = { uid = 0; path = []; ancestors = [] }
-
-  let intern p =
-    let step node seg =
-      match Hashtbl.find_opt table (node.uid, seg) with
-      | Some child -> child
-      | None ->
-        let uid = !next_uid in
-        incr next_uid;
-        let child =
-          {
-            uid;
-            path = node.path @ [ seg ];
-            ancestors = node :: node.ancestors;
-          }
-        in
-        Hashtbl.replace table (node.uid, seg) child;
-        child
-    in
-    List.fold_left step root p
-
-  let path node = node.path
-  let uid node = node.uid
-  let ancestors node = node.ancestors
-end
-
 let to_sexp p = Sexp.Atom (to_string p)
 
 let of_sexp sexp =

@@ -43,30 +43,5 @@ val ancestors : t -> t list
 (** [append p q] concatenates [q]'s segments under [p]. *)
 val append : t -> t -> t
 
-(** Interned path handles.
-
-    [intern] hash-conses a path into a process-global table and returns a
-    small handle with a dense integer identity and a pre-computed ancestor
-    chain — built for hot lock-table keys, where structural comparison of
-    segment lists dominated.  Handles for equal paths are physically
-    equal.  The table only grows; its size is bounded by the number of
-    distinct paths interned (the same order as the resource tree). *)
-module Id : sig
-  type id
-
-  (** Intern a path; O(depth), one hash lookup per segment. *)
-  val intern : t -> id
-
-  (** The path this handle stands for (no copy). *)
-  val path : id -> t
-
-  (** Dense small-int identity, unique per distinct path. *)
-  val uid : id -> int
-
-  (** Strict ancestors, nearest (parent) first, ending with the root;
-      cached at interning time, O(1). *)
-  val ancestors : id -> id list
-end
-
 val to_sexp : t -> Sexp.t
 val of_sexp : Sexp.t -> (t, string) result

@@ -9,7 +9,6 @@ type state =
   | Finished of (unit, exn) result
 
 type t = {
-  pid : int;
   pname : string;
   sim : Sim.t;
   mutable state : state;
@@ -21,11 +20,8 @@ type _ Effect.t +=
   | Suspend : (t -> 'b resumer -> unit -> unit) -> 'b Effect.t
   | Self : t Effect.t
 
-let counter = ref 0
-
 let alive p = match p.state with Finished _ -> false | Embryo | Running | Suspended _ -> true
 let name p = p.pname
-let id p = p.pid
 let sim_of p = p.sim
 
 let result p =
@@ -95,14 +91,9 @@ let start p body =
           | _ -> None);
     }
 
-let spawn ?name sim body =
-  incr counter;
-  let pid = !counter in
-  let pname =
-    match name with Some n -> n | None -> Printf.sprintf "proc-%d" pid
-  in
+let spawn ?(name = "proc") sim body =
   let p =
-    { pid; pname; sim; state = Embryo; kill_requested = false; joiners = [] }
+    { pname = name; sim; state = Embryo; kill_requested = false; joiners = [] }
   in
   ignore
     (Sim.after sim 0. (fun () ->

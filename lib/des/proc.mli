@@ -19,9 +19,10 @@ exception Killed
     suspension point. *)
 type 'a resumer = ('a, exn) result -> unit
 
-(** [spawn ?name sim body] schedules a new process.  [body] starts running
-    at the current simulation time (after pending events).  An exception
-    escaping [body] is recorded via {!Sim.record_failure}, except {!Killed}. *)
+(** [spawn ?name sim body] schedules a new process named [name] (default
+    ["proc"]).  [body] starts running at the current simulation time (after
+    pending events).  An exception escaping [body] is recorded via
+    {!Sim.record_failure} under the process's name, except {!Killed}. *)
 val spawn : ?name:string -> Sim.t -> (unit -> unit) -> t
 
 (** {1 Operations callable only from inside a process} *)
@@ -53,7 +54,6 @@ val kill : t -> unit
 
 val alive : t -> bool
 val name : t -> string
-val id : t -> int
 val sim_of : t -> Sim.t
 
 (** [result p] is [Some r] once [p] has finished. *)

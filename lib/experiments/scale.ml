@@ -178,7 +178,10 @@ let history_memory ~seed ~aborts counts =
       List.iter
         (fun target ->
           let session h =
-            Des.Proc.spawn sim (fun () ->
+            Des.Proc.spawn
+              ~name:(Printf.sprintf "scale-session-%d" h)
+              sim
+              (fun () ->
                 let host =
                   Data.Path.to_string (Tcloud.Setup.compute_path h)
                 and storage =

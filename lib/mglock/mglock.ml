@@ -1,5 +1,4 @@
 module Path = Data.Path
-module Id = Data.Path.Id
 
 type mode = R | W | IR | IW
 
@@ -43,24 +42,25 @@ let pp_conflict fmt c =
 
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
+module Pmap = Map.Make (Path)
 
-(* One entry per interned tree node that currently carries holders or
-   waiters.  Holder maps stay as small immutable maps so snapshots
-   (holders/held_by) and deterministic txn-id iteration come for free. *)
+(* One entry per tree node that currently carries holders or waiters.
+   Holder maps stay as small immutable maps so snapshots (holders/held_by)
+   and deterministic txn-id iteration come for free. *)
 type entry = {
-  node : Id.id;
+  node : Path.t;
   mutable eholders : mode Imap.t; (* txn -> mode *)
   mutable waiters : Iset.t; (* txns deferred on a conflict at this node *)
 }
 
 (* A waiter registration: the node the txn is parked on, and its full
-   requirement set (intention locks included) keyed by node uid — the
+   requirement set (intention locks included) keyed by node — the
    reservation it holds while it is the oldest waiter. *)
-type waiter = { on : Id.id; wants : mode Imap.t }
+type waiter = { on : Path.t; wants : mode Pmap.t }
 
 type t = {
-  entries : (int, entry) Hashtbl.t; (* Id.uid -> entry *)
-  by_txn : (int, Id.id list) Hashtbl.t; (* txn -> nodes it locks *)
+  entries : (Path.t, entry) Hashtbl.t; (* node -> entry *)
+  by_txn : (int, Path.t list) Hashtbl.t; (* txn -> nodes it locks *)
   mutable waiting : waiter Imap.t; (* waiter txn -> registration *)
   mutable attempts : int; (* cumulative try_acquire calls *)
 }
@@ -73,19 +73,19 @@ let create () =
     attempts = 0;
   }
 
-let find_entry t node = Hashtbl.find_opt t.entries (Id.uid node)
+let find_entry t node = Hashtbl.find_opt t.entries node
 
 let find_or_create_entry t node =
   match find_entry t node with
   | Some e -> e
   | None ->
     let e = { node; eholders = Imap.empty; waiters = Iset.empty } in
-    Hashtbl.replace t.entries (Id.uid node) e;
+    Hashtbl.replace t.entries node e;
     e
 
 let drop_entry_if_empty t e =
   if Imap.is_empty e.eholders && Iset.is_empty e.waiters then
-    Hashtbl.remove t.entries (Id.uid e.node)
+    Hashtbl.remove t.entries e.node
 
 (* The full requirement implied by a request: each requested lock plus
    intention locks on all ancestors, merged per node with [join].  Returned
@@ -93,18 +93,17 @@ let drop_entry_if_empty t e =
 let requirements locks =
   let tbl = Hashtbl.create 16 in
   let add node mode =
-    match Hashtbl.find_opt tbl (Id.uid node) with
-    | None -> Hashtbl.replace tbl (Id.uid node) (node, mode)
-    | Some (_, m) -> Hashtbl.replace tbl (Id.uid node) (node, join m mode)
+    match Hashtbl.find_opt tbl node with
+    | None -> Hashtbl.replace tbl node mode
+    | Some m -> Hashtbl.replace tbl node (join m mode)
   in
   List.iter
     (fun (path, mode) ->
-      let node = Id.intern path in
-      add node mode;
-      List.iter (fun anc -> add anc (intention mode)) (Id.ancestors node))
+      add path mode;
+      List.iter (fun anc -> add anc (intention mode)) (Path.ancestors path))
     locks;
-  Hashtbl.fold (fun _ nm acc -> nm :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Path.compare (Id.path a) (Id.path b))
+  Hashtbl.fold (fun node mode acc -> (node, mode) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Path.compare a b)
 
 (* An upgrade must be checked at the strength it will actually be stored
    at: the join of what the txn already holds with what it now wants (e.g.
@@ -129,7 +128,7 @@ let find_conflict t ~txn wanted =
               if holder <> txn && not (compatible held effective) then
                 Some
                   {
-                    path = Id.path node;
+                    path = node;
                     wanted = effective;
                     holder;
                     held;
@@ -148,7 +147,7 @@ let find_reserved t ~txn wanted =
   | Some (head, w) when head < txn ->
     List.find_map
       (fun (node, mode) ->
-        match Imap.find_opt (Id.uid node) w.wants with
+        match Pmap.find_opt node w.wants with
         | None -> None
         | Some reserved ->
           let effective =
@@ -160,7 +159,7 @@ let find_reserved t ~txn wanted =
           else
             Some
               {
-                path = Id.path w.on;
+                path = w.on;
                 wanted = effective;
                 holder = head;
                 held = reserved;
@@ -211,15 +210,14 @@ let cancel_wait t ~txn =
 
 let wait t ~txn ~on locks =
   cancel_wait t ~txn;
-  let node = Id.intern on in
-  let e = find_or_create_entry t node in
+  let e = find_or_create_entry t on in
   e.waiters <- Iset.add txn e.waiters;
   let wants =
     List.fold_left
-      (fun acc (n, mode) -> Imap.add (Id.uid n) mode acc)
-      Imap.empty (requirements locks)
+      (fun acc (n, mode) -> Pmap.add n mode acc)
+      Pmap.empty (requirements locks)
   in
-  t.waiting <- Imap.add txn { on = node; wants } t.waiting
+  t.waiting <- Imap.add txn { on; wants } t.waiting
 
 let release_all t ~txn =
   match Hashtbl.find_opt t.by_txn txn with
@@ -247,12 +245,12 @@ let release_all t ~txn =
     Iset.elements !woken
 
 let waiting_on t ~txn =
-  Option.map (fun w -> Id.path w.on) (Imap.find_opt txn t.waiting)
+  Option.map (fun w -> w.on) (Imap.find_opt txn t.waiting)
 
 let waiter_count t = Imap.cardinal t.waiting
 
 let holders t path =
-  match find_entry t (Id.intern path) with
+  match find_entry t path with
   | None -> []
   | Some e -> Imap.bindings e.eholders
 
@@ -266,7 +264,7 @@ let held_by t ~txn =
            | None -> None
            | Some e ->
              Option.map
-               (fun mode -> (Id.path node, mode))
+               (fun mode -> (node, mode))
                (Imap.find_opt txn e.eholders))
     |> List.sort (fun (a, _) (b, _) -> Path.compare a b)
 

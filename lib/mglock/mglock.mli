@@ -11,7 +11,7 @@
     rules out deadlocks — a transaction never holds some locks while waiting
     for others.
 
-    The table is keyed by interned paths ({!Data.Path.Id}), and it doubles
+    The table is keyed by tree paths and nothing outlives it.  It doubles
     as the scheduler's wake-up index: a deferred transaction parks on the
     node its conflict arose at ({!wait}), and {!release_all} returns every
     parked transaction whose node the releasing transaction held — the set

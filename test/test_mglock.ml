@@ -784,6 +784,32 @@ let sched_model_prop =
         (List.init !next_id (fun i -> i + 1))
       && S.length sched = 0)
 
+(* ------------------------------------------------------------------ *)
+(* No state outlives its table *)
+
+(* Every path a table has seen is garbage once the table is: nothing about
+   a lock table is kept process-wide, so one run's paths never weigh on
+   the next run's heap. *)
+let test_dropped_table_leaves_nothing () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let use_table () =
+    let t = Mglock.create () in
+    for i = 1 to 20_000 do
+      let path = p (Printf.sprintf "/leak/h%d/vm%d" (i / 100) i) in
+      acquire_ok t ~txn:i [ path, Mglock.W ];
+      ignore (Mglock.release_all t ~txn:i)
+    done;
+    check int_c "empty after release" 0 (Mglock.lock_count t)
+  in
+  let before = live_words () in
+  use_table ();
+  let grown = live_words () - before in
+  if grown > 1_000 then
+    Alcotest.failf "%d words still live after the table was dropped" grown
+
 let suite =
   [
     ("compatibility matrix", `Quick, test_compat_matrix);
@@ -815,6 +841,7 @@ let suite =
     QCheck_alcotest.to_alcotest refused_acquire_unchanged_prop;
     QCheck_alcotest.to_alcotest sched_prop;
     QCheck_alcotest.to_alcotest sched_model_prop;
+    ("dropped table leaves nothing", `Quick, test_dropped_table_leaves_nothing);
   ]
 
 let () = Alcotest.run "mglock" [ ("mglock", suite) ]

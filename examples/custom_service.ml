@@ -81,7 +81,7 @@ let pool_capacity =
     check =
       (fun _tree _path node ->
         let used = Tree.Smap.cardinal node.Tree.children in
-        match Tree.Smap.find_opt attr_capacity node.Tree.attrs with
+        match Tree.attr node attr_capacity with
         | Some (Value.Int capacity) when used <= capacity -> Ok ()
         | Some (Value.Int capacity) ->
           Error (Printf.sprintf "%d addresses exceed capacity %d" used capacity)
@@ -100,7 +100,7 @@ let one_ip_per_vm =
             match acc with
             | Error _ -> acc
             | Ok () ->
-              (match Tree.Smap.find_opt attr_bound_to ip.Tree.attrs with
+              (match Tree.attr ip attr_bound_to with
                | Some (Value.Str vm) ->
                  if Hashtbl.mem owners vm then
                    Error

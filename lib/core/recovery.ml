@@ -107,10 +107,7 @@ let changed_roots ~is_root prev tree =
     else if is_root path then (path, b) :: acc
     else if
       (not (String.equal a.Data.Tree.kind b.Data.Tree.kind))
-      || not
-           (a.Data.Tree.attrs == b.Data.Tree.attrs
-           || Data.Tree.Smap.equal Data.Value.equal a.Data.Tree.attrs
-                b.Data.Tree.attrs)
+      || not (Data.Tree.attrs_equal a b)
     then raise Outside
     else begin
       let matched = ref 0 in

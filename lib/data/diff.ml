@@ -20,33 +20,36 @@ let pp_change fmt = function
 
 let change_to_string c = Format.asprintf "%a" pp_change c
 
-(* The ordering contract (see diff.mli) is enforced structurally: every
-   per-node pass below folds over an [Smap.merge] of the old and new maps,
-   and [Smap.fold] visits keys in ascending name order.  The accumulator is
-   built by prepending and reversed once at the end, so emission order is
-   final order. *)
+(* The ordering contract (see diff.mli) is enforced structurally: attribute
+   changes come from a merge of the two nodes' bindings, which {!Tree.attrs}
+   lists in ascending name order, and child changes from a fold over an
+   [Smap.merge] of the children, which [Smap.fold] visits in ascending name
+   order.  The accumulator is built by prepending and reversed once at the
+   end, so emission order is final order. *)
 let diff ~old_tree ~new_tree =
+  let rec attrs path olds news acc =
+    match (olds, news) with
+    | [], [] -> acc
+    | (name, old_v) :: olds, [] ->
+      attrs path olds [] (Attr_removed (path, name, old_v) :: acc)
+    | [], (name, new_v) :: news ->
+      attrs path [] news (Attr_set (path, name, None, new_v) :: acc)
+    | (o, old_v) :: olds', (n, new_v) :: news' ->
+      let c = String.compare o n in
+      if c < 0 then attrs path olds' news (Attr_removed (path, o, old_v) :: acc)
+      else if c > 0 then
+        attrs path olds news' (Attr_set (path, n, None, new_v) :: acc)
+      else if Value.equal old_v new_v then attrs path olds' news' acc
+      else attrs path olds' news' (Attr_set (path, n, Some old_v, new_v) :: acc)
+  in
   let rec go path (old_node : Tree.node) (new_node : Tree.node) acc =
     let acc =
       if String.equal old_node.Tree.kind new_node.Tree.kind then acc
       else Kind_changed (path, old_node.Tree.kind, new_node.Tree.kind) :: acc
     in
-    let attrs =
-      Tree.Smap.merge
-        (fun _ o n -> Some (o, n))
-        old_node.Tree.attrs new_node.Tree.attrs
-    in
     let acc =
-      Tree.Smap.fold
-        (fun name pair acc ->
-          match pair with
-          | Some old_v, None -> Attr_removed (path, name, old_v) :: acc
-          | None, Some new_v -> Attr_set (path, name, None, new_v) :: acc
-          | Some old_v, Some new_v when Value.equal old_v new_v -> acc
-          | Some old_v, Some new_v ->
-            Attr_set (path, name, Some old_v, new_v) :: acc
-          | None, None -> acc)
-        attrs acc
+      if Tree.attrs_equal old_node new_node then acc
+      else attrs path (Tree.attrs old_node) (Tree.attrs new_node) acc
     in
     let children =
       Tree.Smap.merge
@@ -71,10 +74,7 @@ let apply tree = function
      | Error _ as e -> e
      | Ok t -> Tree.replace_subtree t p node)
   | Removed p -> Tree.remove tree p
-  | Kind_changed (p, _, new_kind) ->
-    (match Tree.find tree p with
-     | None -> Error (Tree.Missing p)
-     | Some n -> Tree.replace_subtree tree p { n with Tree.kind = new_kind })
+  | Kind_changed (p, _, new_kind) -> Tree.set_kind tree p new_kind
   | Attr_set (p, name, _, v) -> Tree.set_attr tree p name v
   | Attr_removed (p, name, _) -> Tree.remove_attr tree p name
 

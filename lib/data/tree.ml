@@ -2,7 +2,8 @@ module Smap = Map.Make (String)
 
 type node = {
   kind : string;
-  attrs : Value.t Smap.t;
+  names : string array;
+  values : Value.t array;
   children : node Smap.t;
 }
 
@@ -22,19 +23,68 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
+(* Attributes: [names] ascending and distinct, [values] parallel to it.
+   A kind fixes its names, so a node takes its [names] array from a like
+   node wherever one is at hand (a copy-on-write update, the sibling before
+   it, an earlier node of the same decode) and holds only its values.
+   Nothing is shared through a table that outlives the call. *)
+
+(* Literal arrays, allocated inline, up to the three bindings a kind
+   usually has; [Array.of_list] calls into the runtime. *)
+let arrays = function
+  | [] -> ([||], [||])
+  | [ (a, x) ] -> ([| a |], [| x |])
+  | [ (a, x); (b, y) ] -> ([| a; b |], [| x; y |])
+  | [ (a, x); (b, y); (c, z) ] -> ([| a; b; c |], [| x; y; z |])
+  | l -> (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
+
+(* Sorted by name; of a repeated name the last binding wins.  An insertion
+   sort: a node has its kind's few attributes. *)
+let layout attrs =
+  let rec add ((name, _) as b) = function
+    | [] -> [ b ]
+    | ((n, _) as h) :: rest ->
+      let c = String.compare name n in
+      if c < 0 then b :: h :: rest
+      else if c = 0 then b :: rest
+      else h :: add b rest
+  in
+  arrays (List.fold_left (fun sorted b -> add b sorted) [] attrs)
+
+let index node name =
+  let rec go i =
+    if i = Array.length node.names then None
+    else if String.equal node.names.(i) name then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let attr node name =
+  match index node name with Some i -> Some node.values.(i) | None -> None
+
+let attrs node =
+  List.init (Array.length node.names) (fun i -> (node.names.(i), node.values.(i)))
+
+let arrays_equal eq a b =
+  a == b || (Array.length a = Array.length b && Array.for_all2 eq a b)
+
+let attrs_equal a b =
+  arrays_equal String.equal a.names b.names
+  && arrays_equal Value.equal a.values b.values
+
 let make_node ~kind ?(attrs = []) ?(children = []) () =
-  {
-    kind;
-    attrs = Smap.of_seq (List.to_seq attrs);
-    children = Smap.of_seq (List.to_seq children);
-  }
+  let names, values = layout attrs in
+  { kind; names; values; children = Smap.of_seq (List.to_seq children) }
+
+let with_children node children = { node with children }
 
 let empty = make_node ~kind:"root" ()
 
 let rec node_equal a b =
-  String.equal a.kind b.kind
-  && Smap.equal Value.equal a.attrs b.attrs
-  && Smap.equal node_equal a.children b.children
+  a == b
+  || String.equal a.kind b.kind
+     && attrs_equal a b
+     && Smap.equal node_equal a.children b.children
 
 let equal = node_equal
 
@@ -48,10 +98,7 @@ let rec find_node node segs =
 
 let find t path = find_node t (Path.segments path)
 let mem t path = Option.is_some (find t path)
-
-let get_attr t path name =
-  Option.bind (find t path) (fun node -> Smap.find_opt name node.attrs)
-
+let get_attr t path name = Option.bind (find t path) (fun node -> attr node name)
 let kind t path = Option.map (fun node -> node.kind) (find t path)
 
 let children t path =
@@ -69,6 +116,24 @@ let fold f t init =
   go Path.root t init
 
 let size t = fold (fun path _ acc -> if Path.is_root path then acc else acc + 1) t 0
+
+(* [child] is about to sit under [parent] as [name], replacing [current]:
+   unless it keeps [current]'s names, it takes those of the sibling just
+   before it when that is of its kind with equal names. *)
+let share_names parent name current child =
+  match current with
+  | Some cur when cur.names == child.names -> child
+  | _ when Array.length child.names = 0 -> child
+  | _ ->
+    (match
+       Smap.find_last_opt (fun k -> String.compare k name < 0) parent.children
+     with
+     | Some (_, sib)
+       when sib.names != child.names
+            && String.equal sib.kind child.kind
+            && arrays_equal String.equal sib.names child.names ->
+       { child with names = sib.names }
+     | _ -> child)
 
 (* Rebuild the spine from the root to [path], applying [f] to the node at
    [path] ([f None] when absent; returning [None] deletes it). *)
@@ -90,6 +155,7 @@ let update t path (f : node option -> (node option, error) result) =
           | Some _ ->
             Ok (Some { node with children = Smap.remove last node.children }))
        | Ok (Some child') ->
+         let child' = share_names node last current child' in
          Ok (Some { node with children = Smap.add last child' node.children }))
     | seg :: rest ->
       (match Smap.find_opt seg node.children with
@@ -128,13 +194,27 @@ let modify_existing t path f =
     | None -> Error (Missing path)
     | Some node -> Ok (Some (f node)))
 
+(* Copy-on-write: setting a bound name copies the values and keeps the
+   node's [names]. *)
 let set_attr t path name value =
   modify_existing t path (fun node ->
-      { node with attrs = Smap.add name value node.attrs })
+      match index node name with
+      | Some i ->
+        let values = Array.copy node.values in
+        values.(i) <- value;
+        { node with values }
+      | None ->
+        let names, values = layout ((name, value) :: attrs node) in
+        { node with names; values })
 
 let remove_attr t path name =
   modify_existing t path (fun node ->
-      { node with attrs = Smap.remove name node.attrs })
+      let names, values =
+        layout (List.filter (fun (n, _) -> not (String.equal n name)) (attrs node))
+      in
+      { node with names; values })
+
+let set_kind t path kind = modify_existing t path (fun node -> { node with kind })
 
 let replace_subtree t path node =
   if Path.is_root path then Ok node
@@ -156,7 +236,7 @@ let rec node_to_sexp node =
         (Sexp.Atom "attrs"
          :: List.map
               (fun (name, v) -> Sexp.List [ Sexp.Atom name; Value.to_sexp v ])
-              (Smap.bindings node.attrs));
+              (attrs node));
       Sexp.List
         (Sexp.Atom "children"
          :: List.map
@@ -167,11 +247,14 @@ let rec node_to_sexp node =
 
 let ( let* ) r f = Result.bind r f
 
-(* One decode shares equal kinds, attribute names and scalar values: a
-   checkpoint of thousands of like nodes then holds one copy of each, not
-   one per node.  The tables live for the call only. *)
+(* One decode shares equal kinds, attribute names and scalar values, and
+   gives a node the names array of the last node of its kind when they are
+   equal: a checkpoint of thousands of like nodes then holds one copy of
+   each, not one per node.  The tables live for the call only. *)
 let node_of_sexp sexp =
-  let strings = Hashtbl.create 64 and scalars = Hashtbl.create 64 in
+  let strings = Hashtbl.create 64
+  and scalars = Hashtbl.create 64
+  and kind_names = ref [] in
   let share tbl v =
     match Hashtbl.find_opt tbl v with
     | Some shared -> shared
@@ -214,7 +297,15 @@ let node_of_sexp sexp =
             | other -> Error ("bad child entry: " ^ Sexp.to_string other))
           (Ok []) children
       in
-      Ok (make_node ~kind:(share strings kind) ~attrs ~children ())
+      let kind = share strings kind and names, values = layout attrs in
+      let names =
+        match List.assq_opt kind !kind_names with
+        | Some shared when arrays_equal String.equal shared names -> shared
+        | _ ->
+          kind_names := (kind, names) :: List.remove_assq kind !kind_names;
+          names
+      in
+      Ok { kind; names; values; children = Smap.of_seq (List.to_seq children) }
     | other -> Error ("Tree.node_of_sexp: bad node " ^ Sexp.to_string other)
   in
   go sexp
@@ -230,9 +321,9 @@ let of_string s =
 let pp fmt t =
   let rec go indent name node =
     Format.fprintf fmt "%s%s [%s]" indent name node.kind;
-    Smap.iter
-      (fun attr_name v -> Format.fprintf fmt " %s=%a" attr_name Value.pp v)
-      node.attrs;
+    List.iter
+      (fun (attr_name, v) -> Format.fprintf fmt " %s=%a" attr_name Value.pp v)
+      (attrs node);
     Format.pp_print_newline fmt ();
     Smap.iter (fun child_name child -> go (indent ^ "  ") child_name child)
       node.children

@@ -1,5 +1,5 @@
 (** The hierarchical resource data model: a persistent (immutable) tree of
-    typed nodes with attribute maps.
+    typed nodes with attributes.
 
     Persistence is what makes the logical layer cheap to checkpoint and roll
     back: the controller keeps the pre-transaction tree value and restores
@@ -7,9 +7,20 @@
 
 module Smap : Map.S with type key = string
 
-type node = {
+(** A node's attributes are two parallel arrays: [names] in ascending
+    order with no repeats, and [values.(i)] bound to [names.(i)].  A kind
+    fixes its attribute names, so like nodes hold one [names] array between
+    them: an update that keeps the names keeps the array, a node placed
+    under a parent takes the array of the sibling before it when that is of
+    its kind with equal names, and within one {!node_of_sexp} a node takes
+    the array of the last decoded node of its kind when the names are
+    equal.  No table outlives the call that made it.  The type is
+    private so that the invariant holds; read attributes with {!attr} and
+    {!attrs}. *)
+type node = private {
   kind : string;  (** entity type, e.g. ["vmHost"], ["vm"], ["image"] *)
-  attrs : Value.t Smap.t;
+  names : string array;
+  values : Value.t array;
   children : node Smap.t;
 }
 
@@ -24,7 +35,22 @@ type error =
 val error_to_string : error -> string
 
 val empty : t
+
+(** Structural equality; physically equal nodes and name arrays compare
+    without a walk. *)
 val equal : t -> t -> bool
+
+(** {1 Attributes of a node} *)
+
+(** [attr node name] is the value bound to [name]: a scan of the node's
+    few names. *)
+val attr : node -> string -> Value.t option
+
+(** Every binding, in ascending name order (the encoded order). *)
+val attrs : node -> (string * Value.t) list
+
+(** Same attribute names and values. *)
+val attrs_equal : node -> node -> bool
 
 (** {1 Reading} *)
 
@@ -54,8 +80,12 @@ val insert :
 (** Removes the node and its whole subtree. *)
 val remove : t -> Path.t -> (t, error) result
 
+(** Copy-on-write: the node gets a fresh values array and, when [name]
+    is already bound, keeps its names array. *)
 val set_attr : t -> Path.t -> string -> Value.t -> (t, error) result
+
 val remove_attr : t -> Path.t -> string -> (t, error) result
+val set_kind : t -> Path.t -> string -> (t, error) result
 
 (** [replace_subtree t path node] substitutes the node (with children) at
     [path]; used by reload to adopt freshly retrieved physical state. *)
@@ -76,7 +106,11 @@ val of_string : string -> (t, string) result
 (** Render as an indented outline (for examples and debugging). *)
 val pp : Format.formatter -> t -> unit
 
-(** Build a node value directly (for {!replace_subtree} and tests). *)
+(** Build a node value directly (for {!replace_subtree} and tests).  Of a
+    name bound twice in [attrs], the last binding wins. *)
 val make_node :
   kind:string -> ?attrs:(string * Value.t) list ->
   ?children:(string * node) list -> unit -> node
+
+(** [node] with its children replaced. *)
+val with_children : node -> node Smap.t -> node

@@ -41,7 +41,7 @@ let export_state host () =
         ]
       ()
   in
-  { node with children = Smap.map vm_node host.vms }
+  Data.Tree.with_children node (Smap.map vm_node host.vms)
 
 let ( let* ) r f = Result.bind r f
 

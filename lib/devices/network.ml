@@ -31,7 +31,7 @@ let export_state switch () =
       ~attrs:[ Schema.attr_max_vlans, Data.Value.Int switch.limit ]
       ()
   in
-  { node with children = Smap.map vlan_node switch.vlans }
+  Data.Tree.with_children node (Smap.map vlan_node switch.vlans)
 
 let find_vlan switch id = Smap.find_opt (vlan_key id) switch.vlans
 

@@ -29,7 +29,7 @@ let export_state host () =
       ~attrs:[ Schema.attr_size_mb, Data.Value.Int host.capacity ]
       ()
   in
-  { node with children = Smap.map image_node host.images }
+  Data.Tree.with_children node (Smap.map image_node host.images)
 
 let used_mb host = Smap.fold (fun _ img acc -> acc + img.size_mb) host.images 0
 

@@ -154,7 +154,7 @@ let project_host_node (node : Tree.node) =
       (fun name (child : Tree.node) acc ->
         if String.equal child.Tree.kind Schema.vm_kind then
           let keep attr =
-            match Tree.Smap.find_opt attr child.Tree.attrs with
+            match Tree.attr child attr with
             | Some v -> [ attr, v ]
             | None -> []
           in
@@ -178,7 +178,7 @@ let desired_host_node h =
 
 let project_vlan_node (node : Tree.node) =
   let keep attr =
-    match Tree.Smap.find_opt attr node.Tree.attrs with
+    match Tree.attr node attr with
     | Some v -> [ attr, v ]
     | None -> []
   in

@@ -73,12 +73,12 @@ let vlan_id_of_name name =
 
 let node_vm_change ~vm ~host (node : Tree.node) =
   let running =
-    match Tree.Smap.find_opt Schema.attr_state node.Tree.attrs with
+    match Tree.attr node Schema.attr_state with
     | Some (Value.Str s) -> String.equal s Schema.state_running
     | Some _ | None -> false
   in
   let mem =
-    match Tree.Smap.find_opt Schema.attr_mem_mb node.Tree.attrs with
+    match Tree.attr node Schema.attr_mem_mb with
     | Some (Value.Int m) -> m
     | Some _ | None -> 0
   in
@@ -131,13 +131,13 @@ let classify ~actual changes =
            (match vlan_path_parts path with
             | Some (sw, id) ->
               let name =
-                match Tree.Smap.find_opt Schema.attr_vlan_name node.Tree.attrs with
+                match Tree.attr node Schema.attr_vlan_name with
                 | Some (Value.Str s) -> s
                 | Some _ | None -> Printf.sprintf "vlan%d" id
               in
               emit (Create_vlan { cv_switch = sw; cv_id = id; cv_name = name });
               let ports =
-                match Tree.Smap.find_opt Schema.attr_ports node.Tree.attrs with
+                match Tree.attr node Schema.attr_ports with
                 | Some v -> str_ports v
                 | None -> []
               in
@@ -563,7 +563,7 @@ let host_free ~actual host =
   | None -> 0
   | Some node ->
     let capacity =
-      match Tree.Smap.find_opt Schema.attr_mem_mb node.Tree.attrs with
+      match Tree.attr node Schema.attr_mem_mb with
       | Some (Value.Int m) -> m
       | Some _ | None -> 0
     in
@@ -573,7 +573,7 @@ let host_free ~actual host =
           if String.equal child.Tree.kind Schema.vm_kind then
             acc
             +
-            match Tree.Smap.find_opt Schema.attr_mem_mb child.Tree.attrs with
+            match Tree.attr child Schema.attr_mem_mb with
             | Some (Value.Int m) -> m
             | Some _ | None -> 0
           else acc)

@@ -8,7 +8,7 @@ let ( let* ) r f = Result.bind r f
 (* Typed accessors *)
 
 let attr node name =
-  match Tree.Smap.find_opt name node.Tree.attrs with
+  match Tree.attr node name with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing attribute %s" name)
 
@@ -40,7 +40,7 @@ let sum_children node ~kind ~attr_name =
   Tree.Smap.fold
     (fun _ (child : Tree.node) acc ->
       if String.equal child.Tree.kind kind then
-        match Tree.Smap.find_opt attr_name child.Tree.attrs with
+        match Tree.attr child attr_name with
         | Some v -> acc + Option.value (Value.as_int v) ~default:0
         | None -> acc
       else acc)
@@ -100,7 +100,7 @@ let unimport_image tree path args =
       Tree.Smap.exists
         (fun _ (vm : Tree.node) ->
           String.equal vm.Tree.kind Schema.vm_kind
-          && Tree.Smap.find_opt Schema.attr_image vm.Tree.attrs
+          && Tree.attr vm Schema.attr_image
              = Some (Value.Str image))
         host.Tree.children
     in
@@ -298,8 +298,8 @@ let remove_vm_undo tree path args =
     (match Tree.find tree (Data.Path.child path name) with
      | Some vm ->
        (match
-          ( Tree.Smap.find_opt Schema.attr_image vm.Tree.attrs,
-            Tree.Smap.find_opt Schema.attr_mem_mb vm.Tree.attrs )
+          ( Tree.attr vm Schema.attr_image,
+            Tree.attr vm Schema.attr_mem_mb )
         with
         | Some image, Some mem ->
           Some (Schema.act_create_vm, [ Value.Str name; image; mem ])
@@ -312,7 +312,7 @@ let remove_vlan_undo tree path args =
   | [ Value.Int id ] ->
     (match Tree.find tree (Data.Path.child path (vlan_node_name id)) with
      | Some vlan ->
-       (match Tree.Smap.find_opt Schema.attr_vlan_name vlan.Tree.attrs with
+       (match Tree.attr vlan Schema.attr_vlan_name with
         | Some name -> Some (Schema.act_create_vlan, [ Value.Int id; name ])
         | None -> None)
      | None -> None)

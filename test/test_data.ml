@@ -683,6 +683,242 @@ let tree_model_prop =
                attrs)
         model)
 
+(* Attribute layout: the tree against the map model, the node layout that
+   held each node's attributes in an [Smap] (kept here as the reference).
+   Random insert / set_attr / remove_attr / replace_subtree / Diff.patch
+   sequences run on both; after every step reads, equality, diffs against
+   the previous step, the binding order and the encoded bytes must agree. *)
+
+module Map_model = struct
+  module Smap = Tree.Smap
+
+  type node = { kind : string; attrs : Value.t Smap.t; children : node Smap.t }
+
+  let leaf kind attrs =
+    { kind; attrs = Smap.of_seq (List.to_seq attrs); children = Smap.empty }
+
+  let empty = leaf "root" []
+
+  let rec find node = function
+    | [] -> Some node
+    | seg :: rest -> Option.bind (Smap.find_opt seg node.children) (fun c -> find c rest)
+
+  (* [f] maps the node at the path ([None] when absent); [None] when the
+     update fails, as the tree's would. *)
+  let rec update node segs f =
+    match segs with
+    | [] -> f (Some node)
+    | [ last ] ->
+      Option.map
+        (fun child -> { node with children = Smap.add last child node.children })
+        (f (Smap.find_opt last node.children))
+    | seg :: rest ->
+      Option.bind (Smap.find_opt seg node.children) (fun child ->
+          Option.map
+            (fun child -> { node with children = Smap.add seg child node.children })
+            (update child rest f))
+
+  let existing g = function Some n -> Some (g n) | None -> None
+
+  let insert m segs kind attrs =
+    if segs = [] then None
+    else update m segs (function Some _ -> None | None -> Some (leaf kind attrs))
+
+  let set_attr m segs a v =
+    update m segs (existing (fun n -> { n with attrs = Smap.add a v n.attrs }))
+
+  let remove_attr m segs a =
+    update m segs (existing (fun n -> { n with attrs = Smap.remove a n.attrs }))
+
+  let replace m segs node =
+    if segs = [] then None else update m segs (existing (fun _ -> node))
+
+  let rec equal a b =
+    String.equal a.kind b.kind
+    && Smap.equal Value.equal a.attrs b.attrs
+    && Smap.equal equal a.children b.children
+
+  let rec to_sexp n =
+    Sexp.List
+      [
+        Sexp.Atom "node";
+        Sexp.Atom n.kind;
+        Sexp.List
+          (Sexp.Atom "attrs"
+           :: List.map
+                (fun (a, v) -> Sexp.List [ Sexp.Atom a; Value.to_sexp v ])
+                (Smap.bindings n.attrs));
+        Sexp.List
+          (Sexp.Atom "children"
+           :: List.map
+                (fun (c, child) -> Sexp.List [ Sexp.Atom c; to_sexp child ])
+                (Smap.bindings n.children));
+      ]
+
+  let to_string n = Sexp.to_string (to_sexp n)
+
+  (* The diff as it was computed over attribute maps. *)
+  let diff old_tree new_tree =
+    let tree n = ok_or_fail "model node" (Tree.of_string (to_string n)) in
+    let rec go path o n acc =
+      let acc =
+        if String.equal o.kind n.kind then acc
+        else Diff.Kind_changed (path, o.kind, n.kind) :: acc
+      in
+      let acc =
+        Smap.fold
+          (fun a pair acc ->
+            match pair with
+            | Some ov, None -> Diff.Attr_removed (path, a, ov) :: acc
+            | None, Some nv -> Diff.Attr_set (path, a, None, nv) :: acc
+            | Some ov, Some nv when Value.equal ov nv -> acc
+            | Some ov, Some nv -> Diff.Attr_set (path, a, Some ov, nv) :: acc
+            | None, None -> acc)
+          (Smap.merge (fun _ o n -> Some (o, n)) o.attrs n.attrs)
+          acc
+      in
+      Smap.fold
+        (fun c pair acc ->
+          let p = Path.child path c in
+          match pair with
+          | Some _, None -> Diff.Removed p :: acc
+          | None, Some nc -> Diff.Added (p, tree nc) :: acc
+          | Some oc, Some nc -> go p oc nc acc
+          | None, None -> acc)
+        (Smap.merge (fun _ o n -> Some (o, n)) o.children n.children)
+        acc
+    in
+    List.rev (go Path.root old_tree new_tree [])
+end
+
+type layout_op =
+  | L_insert of string * string * (string * int) list
+  | L_set of string * string * int
+  | L_remove_attr of string * string
+  | L_replace of string * string * (string * int) list
+  | L_patch_back of int  (* patch to the tree this many steps back *)
+
+let layout_paths = [ "/a"; "/a/b"; "/a/c"; "/a/b/d"; "/a/b/e"; "/f"; "/f/g" ]
+let layout_names = [ "state"; "mem"; "image"; "zone"; "a" ]
+
+let layout_op_gen =
+  let open QCheck.Gen in
+  let path = oneofl layout_paths and name = oneofl layout_names in
+  let kind = map (fun k -> "k" ^ string_of_int k) (int_bound 1) in
+  let attrs = list_size (int_bound 4) (pair name (int_bound 3)) in
+  frequency
+    [
+      5, map3 (fun p k a -> L_insert (p, k, a)) path kind attrs;
+      4, map3 (fun p a v -> L_set (p, a, v)) path name (int_bound 3);
+      2, map2 (fun p a -> L_remove_attr (p, a)) path name;
+      2, map3 (fun p k a -> L_replace (p, k, a)) path kind attrs;
+      1, map (fun k -> L_patch_back (k + 1)) (int_bound 5);
+    ]
+
+let show_layout_op =
+  let attrs a =
+    String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) a)
+  in
+  function
+  | L_insert (p, k, a) -> Printf.sprintf "insert %s %s [%s]" p k (attrs a)
+  | L_set (p, a, v) -> Printf.sprintf "set %s.%s=%d" p a v
+  | L_remove_attr (p, a) -> Printf.sprintf "unset %s.%s" p a
+  | L_replace (p, k, a) -> Printf.sprintf "replace %s %s [%s]" p k (attrs a)
+  | L_patch_back k -> Printf.sprintf "patch back %d" k
+
+let layout_prop =
+  QCheck.Test.make ~name:"tree: attribute layout matches the map model"
+    ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_layout_op ops))
+       QCheck.Gen.(list_size (int_bound 40) layout_op_gen))
+    (fun ops ->
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let ints = List.map (fun (n, v) -> (n, Value.Int v)) in
+      let show cs =
+        String.concat "; "
+          (List.map
+             (fun c ->
+               Diff.change_to_string c
+               ^
+               match c with
+               | Diff.Added (_, n) -> " " ^ Tree.to_string n
+               | _ -> "")
+             cs)
+      in
+      let agree what tree model =
+        match (tree, model) with
+        | Ok tree, Some model -> Some (tree, model)
+        | Error _, None -> None
+        | Ok _, None | Error _, Some _ -> fail "%s: only one side failed" what
+      in
+      let step history (tree, model) op =
+        let segs p = Path.segments (Path.v p) in
+        let next =
+          match op with
+          | L_insert (p, kind, a) ->
+            agree "insert"
+              (Tree.insert tree (Path.v p) ~kind ~attrs:(ints a) ())
+              (Map_model.insert model (segs p) kind (ints a))
+          | L_set (p, a, v) ->
+            agree "set_attr"
+              (Tree.set_attr tree (Path.v p) a (Value.Int v))
+              (Map_model.set_attr model (segs p) a (Value.Int v))
+          | L_remove_attr (p, a) ->
+            agree "remove_attr"
+              (Tree.remove_attr tree (Path.v p) a)
+              (Map_model.remove_attr model (segs p) a)
+          | L_replace (p, kind, a) ->
+            agree "replace_subtree"
+              (Tree.replace_subtree tree (Path.v p)
+                 (Tree.make_node ~kind ~attrs:(ints a) ()))
+              (Map_model.replace model (segs p) (Map_model.leaf kind (ints a)))
+          | L_patch_back k ->
+            (match List.nth_opt history (k - 1) with
+             | None -> None
+             | Some (old_tree, old_model) ->
+               agree "patch"
+                 (Diff.patch tree (Diff.diff ~old_tree:tree ~new_tree:old_tree))
+                 (Some old_model))
+        in
+        Option.value next ~default:(tree, model)
+      in
+      let check (prev_tree, prev_model) (tree, model) =
+        let encoded = Tree.to_string tree in
+        if encoded <> Map_model.to_string model then
+          fail "encoding %s differs from the model's %s" encoded
+            (Map_model.to_string model);
+        Tree.fold
+          (fun path node () ->
+            match Map_model.find model (Path.segments path) with
+            | None -> fail "%s missing from the model" (Path.to_string path)
+            | Some m ->
+              if Tree.attrs node <> Tree.Smap.bindings m.Map_model.attrs then
+                fail "bindings of %s out of order" (Path.to_string path);
+              List.iter
+                (fun a ->
+                  if Tree.get_attr tree path a <> Tree.Smap.find_opt a m.Map_model.attrs
+                  then fail "get_attr %s.%s" (Path.to_string path) a)
+                layout_names)
+          tree ();
+        if Tree.equal prev_tree tree <> Map_model.equal prev_model model then
+          fail "equal disagrees";
+        let d = show (Diff.diff ~old_tree:prev_tree ~new_tree:tree) in
+        let m = show (Map_model.diff prev_model model) in
+        if d <> m then fail "diff [%s] but the model's is [%s]" d m
+      in
+      let _ =
+        List.fold_left
+          (fun history op ->
+            let current = List.hd history in
+            let next = step (List.tl history) current op in
+            check current next;
+            next :: history)
+          [ (Tree.empty, Map_model.empty) ]
+          ops
+      in
+      true)
+
 let suite =
   [
     ("sexp: print/parse cases", `Quick, test_sexp_print_parse);
@@ -718,6 +954,7 @@ let suite =
     QCheck_alcotest.to_alcotest diff_patch_prop;
     QCheck_alcotest.to_alcotest diff_no_nested_subtree_changes_prop;
     QCheck_alcotest.to_alcotest tree_model_prop;
+    QCheck_alcotest.to_alcotest layout_prop;
   ]
 
 let () = Alcotest.run "data" [ ("data", suite) ]

@@ -98,7 +98,7 @@ let test_compute_export () =
   check string_c "kind" Schema.vm_host_kind node.Data.Tree.kind;
   (match Data.Tree.Smap.find_opt "vm1" node.Data.Tree.children with
    | Some vm_node ->
-     (match Data.Tree.Smap.find_opt Schema.attr_state vm_node.Data.Tree.attrs with
+     (match Data.Tree.attr vm_node Schema.attr_state with
       | Some (Data.Value.Str s) -> check string_c "state" Schema.state_running s
       | _ -> Alcotest.fail "state attr")
    | None -> Alcotest.fail "vm1 exported")
@@ -304,7 +304,7 @@ let test_switch_export () =
   let node = Device.export d in
   match Data.Tree.Smap.find_opt "vlan0007" node.Data.Tree.children with
   | Some vlan ->
-    (match Data.Tree.Smap.find_opt Schema.attr_ports vlan.Data.Tree.attrs with
+    (match Data.Tree.attr vlan Schema.attr_ports with
      | Some (Data.Value.List [ Data.Value.Str "p1" ]) -> ()
      | _ -> Alcotest.fail "ports attr")
   | None -> Alcotest.fail "vlan exported"

@@ -339,6 +339,22 @@ let test_device_footprint () =
     true
     (bytes <= 2_500_000)
 
+(* The initial tree at the same size: 6 011 nodes, 4 000 of them hosts with
+   three attributes.  With each node holding a value array and sharing its
+   kind's name array it takes 1.11 MB; 22 words per host node (an
+   attribute map) would take it past the bound. *)
+let test_tree_footprint () =
+  let size =
+    Experiments.Perf.deployment_size
+      { Experiments.Perf.default_config with Experiments.Perf.hosts = 4_000 }
+  in
+  let inv = Tcloud.Setup.build ~rng:(Random.State.make [| 1 |]) size in
+  let bytes = Obj.reachable_words (Obj.repr inv.Tcloud.Setup.tree) * 8 in
+  check bool_c
+    (Printf.sprintf "%d bytes <= 1.25 MB" bytes)
+    true
+    (bytes <= 1_250_000)
+
 let test_controller_config_has_repair_rules () =
   check bool_c "repair rules wired" true
     (List.length Tcloud.Setup.controller_config.Controller.repair_rules >= 2)
@@ -358,6 +374,7 @@ let suite =
     ("setup: scales", `Quick, test_setup_scales);
     ("setup: controller config", `Quick, test_controller_config_has_repair_rules);
     ("setup: device footprint at ec2-burst size", `Quick, test_device_footprint);
+    ("setup: tree footprint at ec2-burst size", `Quick, test_tree_footprint);
   ]
 
 let () = Alcotest.run "tcloud" [ ("tcloud", suite) ]

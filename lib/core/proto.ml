@@ -34,87 +34,93 @@ type input_item =
   | Result of { txn_id : int; outcome : outcome; exec : exec_stats }
   | Control of control
 
-let outcome_to_sexp =
-  let open Data.Sexp in
-  function
-  | Phy_committed -> List [ Atom "committed" ]
-  | Phy_aborted reason -> List [ Atom "aborted"; Atom reason ]
-  | Phy_failed reason -> List [ Atom "failed"; Atom reason ]
+module Print = Data.Sexp.Print
+module Read = Data.Sexp.Read
 
-let outcome_of_sexp = function
-  | Data.Sexp.List [ Data.Sexp.Atom "committed" ] -> Ok Phy_committed
-  | Data.Sexp.List [ Data.Sexp.Atom "aborted"; Data.Sexp.Atom reason ] ->
-    Ok (Phy_aborted reason)
-  | Data.Sexp.List [ Data.Sexp.Atom "failed"; Data.Sexp.Atom reason ] ->
-    Ok (Phy_failed reason)
-  | other -> Error ("bad outcome: " ^ Data.Sexp.to_string other)
+(* Codec: (request <proc> (<arg>...)),
+   (result <id> (committed)|(aborted <r>)|(failed <r>) <retries> <transient>
+   <timeouts> <replay_s> <undo_s>), (control reload|repair <path>),
+   (control signal <id> TERM|KILL). *)
+let input_to_string item =
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          match item with
+          | Request { proc; args } ->
+            Print.atom p "request";
+            Print.atom p proc;
+            Print.list p (fun p -> List.iter (Data.Value.print p) args)
+          | Result { txn_id; outcome; exec } ->
+            Print.atom p "result";
+            Print.int p txn_id;
+            Print.list p (fun p ->
+                match outcome with
+                | Phy_committed -> Print.atom p "committed"
+                | Phy_aborted reason ->
+                  Print.atom p "aborted";
+                  Print.atom p reason
+                | Phy_failed reason ->
+                  Print.atom p "failed";
+                  Print.atom p reason);
+            Print.int p exec.retries;
+            Print.int p exec.transient_failures;
+            Print.int p exec.timeouts;
+            Print.atom p (Printf.sprintf "%.6f" exec.replay_s);
+            Print.atom p (Printf.sprintf "%.6f" exec.undo_s)
+          | Control control ->
+            Print.atom p "control";
+            (match control with
+             | Reload path ->
+               Print.atom p "reload";
+               Data.Path.print p path
+             | Repair path ->
+               Print.atom p "repair";
+               Data.Path.print p path
+             | Signal (txn_id, signal) ->
+               Print.atom p "signal";
+               Print.int p txn_id;
+               Print.atom p (signal_to_string signal))))
 
-let to_sexp item =
-  let open Data.Sexp in
-  match item with
-  | Request { proc; args } ->
-    List
-      [ Atom "request"; Atom proc; List (List.map Data.Value.to_sexp args) ]
-  | Result { txn_id; outcome; exec } ->
-    List
-      [ Atom "result"; of_int txn_id; outcome_to_sexp outcome;
-        of_int exec.retries; of_int exec.transient_failures;
-        of_int exec.timeouts; Atom (Printf.sprintf "%.6f" exec.replay_s);
-        Atom (Printf.sprintf "%.6f" exec.undo_s) ]
-  | Control (Reload path) ->
-    List [ Atom "control"; Atom "reload"; Data.Path.to_sexp path ]
-  | Control (Repair path) ->
-    List [ Atom "control"; Atom "repair"; Data.Path.to_sexp path ]
-  | Control (Signal (txn_id, signal)) ->
-    List
-      [ Atom "control"; Atom "signal"; of_int txn_id;
-        Atom (signal_to_string signal) ]
-
-let ( let* ) r f = Result.bind r f
-
-let of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List [ Data.Sexp.Atom "request"; Data.Sexp.Atom proc; Data.Sexp.List args ] ->
-    let* args = Data.Sexp.map_result Data.Value.of_sexp args in
-    Ok (Request { proc; args })
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "result"; txn_id; outcome; retries; transient; timeouts;
-        Data.Sexp.Atom replay_s; Data.Sexp.Atom undo_s ] ->
-    let* txn_id = Data.Sexp.to_int txn_id in
-    let* outcome = outcome_of_sexp outcome in
-    let* retries = Data.Sexp.to_int retries in
-    let* transient_failures = Data.Sexp.to_int transient in
-    let* timeouts = Data.Sexp.to_int timeouts in
-    let to_float what s =
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad %s %S" what s)
-    in
-    let* replay_s = to_float "replay_s" replay_s in
-    let* undo_s = to_float "undo_s" undo_s in
-    Ok
-      (Result
-         { txn_id; outcome;
-           exec = { retries; transient_failures; timeouts; replay_s; undo_s }
-         })
-  | Data.Sexp.List [ Data.Sexp.Atom "control"; Data.Sexp.Atom "reload"; path ] ->
-    let* path = Data.Path.of_sexp path in
-    Ok (Control (Reload path))
-  | Data.Sexp.List [ Data.Sexp.Atom "control"; Data.Sexp.Atom "repair"; path ] ->
-    let* path = Data.Path.of_sexp path in
-    Ok (Control (Repair path))
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "control"; Data.Sexp.Atom "signal"; txn_id; Data.Sexp.Atom s ] ->
-    let* txn_id = Data.Sexp.to_int txn_id in
-    let* signal = signal_of_string s in
-    Ok (Control (Signal (txn_id, signal)))
-  | other -> Error ("Proto.of_sexp: " ^ Data.Sexp.to_string other)
-
-let input_to_string item = Data.Sexp.to_string (to_sexp item)
-
-let input_of_string s =
-  let* sexp = Data.Sexp.of_string s in
-  of_sexp sexp
+let input_of_string =
+  Read.of_string (fun r ->
+      Read.enter r;
+      let item =
+        match Read.atom r with
+        | "request" ->
+          let proc = Read.atom r in
+          Request { proc; args = Read.list r Data.Value.read }
+        | "result" ->
+          let txn_id = Read.int r in
+          Read.enter r;
+          let outcome =
+            match Read.atom r with
+            | "committed" -> Phy_committed
+            | "aborted" -> Phy_aborted (Read.atom r)
+            | "failed" -> Phy_failed (Read.atom r)
+            | other -> Read.fail r ("bad outcome: " ^ other)
+          in
+          Read.leave r;
+          let retries = Read.int r in
+          let transient_failures = Read.int r in
+          let timeouts = Read.int r in
+          let replay_s = Read.float r in
+          let undo_s = Read.float r in
+          Result
+            { txn_id; outcome;
+              exec = { retries; transient_failures; timeouts; replay_s; undo_s } }
+        | "control" ->
+          (match Read.atom r with
+           | "reload" -> Control (Reload (Data.Path.read r))
+           | "repair" -> Control (Repair (Data.Path.read r))
+           | "signal" ->
+             let txn_id = Read.int r in
+             (match signal_of_string (Read.atom r) with
+              | Ok signal -> Control (Signal (txn_id, signal))
+              | Error msg -> Read.fail r msg)
+           | other -> Read.fail r ("bad control: " ^ other))
+        | other -> Read.fail r ("bad input item: " ^ other)
+      in
+      Read.leave r;
+      item)
 
 let seq_of_item_key key =
   match String.rindex_opt key '-' with

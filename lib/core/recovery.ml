@@ -16,48 +16,67 @@ let corrupt what = function
   | Ok v -> v
   | Error reason -> failwith (Printf.sprintf "corrupt checkpoint %s: %s" what reason)
 
-let base_of_string value =
-  let* sexp = Data.Sexp.of_string value in
-  match sexp with
-  | Data.Sexp.List [ seq; tree ] ->
-    let* seq = Data.Sexp.to_int seq in
-    let* tree = Data.Tree.of_sexp tree in
-    Ok (seq, tree)
-  | _ -> Error "not (seq tree)"
+module Print = Data.Sexp.Print
+module Read = Data.Sexp.Read
+
+(* Codec: the base is (<seq> <node>), an overlay (<root> <node>), the meta
+   ((seq <n>) (max_request_seq <n>) (quarantine (<path>...)) (started (<n>...))). *)
+let base_of_string =
+  Read.of_string (fun r ->
+      Read.enter r;
+      let seq = Read.int r in
+      let tree = Data.Tree.read r in
+      Read.leave r;
+      (seq, tree))
 
 let base_to_string ~seq tree =
-  Data.Sexp.to_string (Data.Sexp.List [ Data.Sexp.of_int seq; Data.Tree.to_sexp tree ])
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          Print.int p seq;
+          Data.Tree.print p tree))
+
+let overlay_to_string root node =
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          Data.Path.print p root;
+          Data.Tree.print p node))
 
 let apply_overlay tree value =
-  let* sexp = Data.Sexp.of_string value in
-  match sexp with
-  | Data.Sexp.List [ path; node ] ->
-    let* path = Data.Path.of_sexp path in
-    let* node = Data.Tree.node_of_sexp node in
-    Result.map_error Data.Tree.error_to_string
-      (Data.Tree.replace_subtree tree path node)
-  | _ -> Error "not (path node)"
+  let* path, node =
+    Read.of_string
+      (fun r ->
+        Read.enter r;
+        let path = Data.Path.read r in
+        let node = Data.Tree.read r in
+        Read.leave r;
+        (path, node))
+      value
+  in
+  Result.map_error Data.Tree.error_to_string
+    (Data.Tree.replace_subtree tree path node)
 
 let meta_to_string c =
-  let open Data.Sexp in
-  to_string
-    (List
-       [ List [ Atom "seq"; of_int c.seq ];
-         List [ Atom "max_request_seq"; of_int c.max_request_seq ];
-         List [ Atom "quarantine"; List (List.map Data.Path.to_sexp c.quarantine) ];
-         List [ Atom "started"; List (List.map of_int c.started) ] ])
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          Print.field p "seq" (fun p -> Print.int p c.seq);
+          Print.field p "max_request_seq" (fun p -> Print.int p c.max_request_seq);
+          Print.field p "quarantine" (fun p ->
+              Print.list p (fun p -> List.iter (Data.Path.print p) c.quarantine));
+          Print.field p "started" (fun p ->
+              Print.list p (fun p -> List.iter (Print.int p) c.started))))
 
 (* The meta value over [tree]. *)
-let with_meta tree value =
-  let* sexp = Data.Sexp.of_string value in
-  let* fields = Data.Sexp.to_list sexp in
-  let field name f = Result.bind (Data.Sexp.assoc name fields) f in
-  let* seq = field "seq" Data.Sexp.to_int in
-  let* max_request_seq = field "max_request_seq" Data.Sexp.to_int in
-  let list f sexp = Result.bind (Data.Sexp.to_list sexp) (Data.Sexp.map_result f) in
-  let* quarantine = field "quarantine" (list Data.Path.of_sexp) in
-  let* started = field "started" (list Data.Sexp.to_int) in
-  Ok { seq; tree; max_request_seq; quarantine; started }
+let with_meta tree =
+  Read.of_string (fun r ->
+      Read.enter r;
+      let seq = Read.field r "seq" Read.int in
+      let max_request_seq = Read.field r "max_request_seq" Read.int in
+      let quarantine =
+        Read.field r "quarantine" (fun r -> Read.list r Data.Path.read)
+      in
+      let started = Read.field r "started" (fun r -> Read.list r Read.int) in
+      Read.leave r;
+      { seq; tree; max_request_seq; quarantine; started })
 
 let load_checkpoint client ~ns =
   let base_key = Proto.checkpoint_key_ns ns
@@ -187,9 +206,7 @@ let checkpoint_ops l c =
   | Some changed ->
     List.map
       (fun (root, node) ->
-        write (Proto.overlay_key_ns ns root)
-          (Data.Sexp.to_string
-             (Data.Sexp.List [ Data.Path.to_sexp root; Data.Tree.node_to_sexp node ])))
+        write (Proto.overlay_key_ns ns root) (overlay_to_string root node))
       changed
     @ [ meta ]
   | None ->

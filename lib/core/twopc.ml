@@ -12,7 +12,7 @@ let queue sid = Printf.sprintf "/tropic/2pc/q%03d" sid
 let decision_key gid = Printf.sprintf "/tropic/2pc/d%010d" gid
 let finish_key gid = Printf.sprintf "/tropic/2pc/f%010d" gid
 
-type snap = Data.Path.t * Data.Sexp.t
+type snap = Data.Path.t * Data.Tree.node
 type verdict = Committed | Rolled_back | Failed
 
 type msg =
@@ -38,101 +38,115 @@ let verdict_of_string = function
   | "failed" -> Failed
   | _ -> Rolled_back
 
-let ( let* ) r f = Result.bind r f
+module Print = Data.Sexp.Print
+module Read = Data.Sexp.Read
 
-let msg_to_sexp msg =
-  let open Data.Sexp in
-  match msg with
-  | Prepare { gid; coord; roots } ->
-    List
-      [ Atom "prepare"; of_int gid; of_int coord;
-        List (List.map Data.Path.to_sexp roots) ]
-  | Prepared { gid; shard; ok; reason; snaps } ->
-    List
-      [ Atom "prepared"; of_int gid; of_int shard;
-        Atom (if ok then "ok" else "no"); Atom reason;
-        List
-          (List.map
-             (fun (path, tree) -> List [ Data.Path.to_sexp path; tree ])
-             snaps) ]
-  | Decide { gid; commit; log } ->
-    List
-      [ Atom "decide"; of_int gid; Atom (if commit then "commit" else "abort");
-        Xlog.to_sexp log ]
-  | Finish { gid; verdict } ->
-    List [ Atom "finish"; of_int gid; Atom (verdict_to_string verdict) ]
+(* Codec: (prepare <gid> <coord> (<root>...)),
+   (prepared <gid> <shard> ok|no <reason> ((<root> <node>)...)),
+   (decide <gid> commit|abort <log>), (finish <gid> <verdict>). *)
+let msg_to_string msg =
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          match msg with
+          | Prepare { gid; coord; roots } ->
+            Print.atom p "prepare";
+            Print.int p gid;
+            Print.int p coord;
+            Print.list p (fun p -> List.iter (Data.Path.print p) roots)
+          | Prepared { gid; shard; ok; reason; snaps } ->
+            Print.atom p "prepared";
+            Print.int p gid;
+            Print.int p shard;
+            Print.atom p (if ok then "ok" else "no");
+            Print.atom p reason;
+            Print.list p (fun p ->
+                List.iter
+                  (fun (path, node) ->
+                    Print.list p (fun p ->
+                        Data.Path.print p path;
+                        Data.Tree.print p node))
+                  snaps)
+          | Decide { gid; commit; log } ->
+            Print.atom p "decide";
+            Print.int p gid;
+            Print.atom p (if commit then "commit" else "abort");
+            Xlog.print p log
+          | Finish { gid; verdict } ->
+            Print.atom p "finish";
+            Print.int p gid;
+            Print.atom p (verdict_to_string verdict)))
 
-let msg_of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "prepare"; gid; coord; Data.Sexp.List roots ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* coord = Data.Sexp.to_int coord in
-    let* roots = Data.Sexp.map_result Data.Path.of_sexp roots in
-    Ok (Prepare { gid; coord; roots })
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "prepared"; gid; shard; Data.Sexp.Atom ok;
-        Data.Sexp.Atom reason; Data.Sexp.List snaps ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* shard = Data.Sexp.to_int shard in
-    let* snaps =
-      Data.Sexp.map_result
-        (function
-          | Data.Sexp.List [ path; tree ] ->
-            let* path = Data.Path.of_sexp path in
-            Ok (path, tree)
-          | other -> Error ("bad snap: " ^ Data.Sexp.to_string other))
-        snaps
-    in
-    Ok (Prepared { gid; shard; ok = ok = "ok"; reason; snaps })
-  | Data.Sexp.List
-      [ Data.Sexp.Atom "decide"; gid; Data.Sexp.Atom decision; log ] ->
-    let* gid = Data.Sexp.to_int gid in
-    let* log = Xlog.of_sexp log in
-    Ok (Decide { gid; commit = decision = "commit"; log })
-  | Data.Sexp.List [ Data.Sexp.Atom "finish"; gid; Data.Sexp.Atom v ] ->
-    let* gid = Data.Sexp.to_int gid in
-    Ok (Finish { gid; verdict = verdict_of_string v })
-  | other -> Error ("Twopc.msg_of_sexp: " ^ Data.Sexp.to_string other)
-
-let msg_to_string msg = Data.Sexp.to_string (msg_to_sexp msg)
-
-let msg_of_string s =
-  let* sexp = Data.Sexp.of_string s in
-  msg_of_sexp sexp
+let msg_of_string =
+  Read.of_string (fun r ->
+      Read.enter r;
+      let msg =
+        match Read.atom r with
+        | "prepare" ->
+          let gid = Read.int r in
+          let coord = Read.int r in
+          Prepare { gid; coord; roots = Read.list r Data.Path.read }
+        | "prepared" ->
+          let gid = Read.int r in
+          let shard = Read.int r in
+          let ok = Read.atom r = "ok" in
+          let reason = Read.atom r in
+          let snaps =
+            Read.list r (fun r ->
+                Read.enter r;
+                let path = Data.Path.read r in
+                let node = Data.Tree.read r in
+                Read.leave r;
+                (path, node))
+          in
+          Prepared { gid; shard; ok; reason; snaps }
+        | "decide" ->
+          let gid = Read.int r in
+          let commit = Read.atom r = "commit" in
+          Decide { gid; commit; log = Xlog.read r }
+        | "finish" ->
+          let gid = Read.int r in
+          Finish { gid; verdict = verdict_of_string (Read.atom r) }
+        | other -> Read.fail r ("bad 2pc message: " ^ other)
+      in
+      Read.leave r;
+      msg)
 
 type decision = Commit of (int * Xlog.t) list | Abort
 
+(* (abort), or (commit ((<shard> <log>)...)) *)
 let decision_to_string d =
-  let open Data.Sexp in
-  to_string
-    (match d with
-    | Abort -> List [ Atom "abort" ]
-    | Commit slices ->
-      List
-        [ Atom "commit";
-          List
-            (List.map
-               (fun (shard, log) -> List [ of_int shard; Xlog.to_sexp log ])
-               slices) ])
+  Print.to_string (fun p ->
+      Print.list p (fun p ->
+          match d with
+          | Abort -> Print.atom p "abort"
+          | Commit slices ->
+            Print.atom p "commit";
+            Print.list p (fun p ->
+                List.iter
+                  (fun (shard, log) ->
+                    Print.list p (fun p ->
+                        Print.int p shard;
+                        Xlog.print p log))
+                  slices)))
 
-let decision_of_string s =
-  let* sexp = Data.Sexp.of_string s in
-  match sexp with
-  | Data.Sexp.List [ Data.Sexp.Atom "abort" ] -> Ok Abort
-  | Data.Sexp.List [ Data.Sexp.Atom "commit"; Data.Sexp.List slices ] ->
-    let* slices =
-      Data.Sexp.map_result
-        (function
-          | Data.Sexp.List [ shard; log ] ->
-            let* shard = Data.Sexp.to_int shard in
-            let* log = Xlog.of_sexp log in
-            Ok (shard, log)
-          | other -> Error ("bad slice: " ^ Data.Sexp.to_string other))
-        slices
-    in
-    Ok (Commit slices)
-  | other -> Error ("Twopc.decision_of_string: " ^ Data.Sexp.to_string other)
+let decision_of_string =
+  Read.of_string (fun r ->
+      Read.enter r;
+      let d =
+        match Read.atom r with
+        | "abort" -> Abort
+        | "commit" ->
+          Commit
+            (Read.list r (fun r ->
+                 Read.enter r;
+                 let shard = Read.int r in
+                 let log = Xlog.read r in
+                 Read.leave r;
+                 (shard, log)))
+        | other -> Read.fail r ("bad 2pc decision: " ^ other)
+      in
+      Read.leave r;
+      d)
 
 (* ------------------------------------------------------------------ *)
 (* State *)
@@ -276,19 +290,16 @@ let snapshots tree roots =
   List.filter_map
     (fun root ->
       match Data.Tree.subtree tree root with
-      | Ok node -> Some (root, Data.Tree.node_to_sexp node)
+      | Ok node -> Some (root, node)
       | Error _ -> None)
     roots
 
 let graft tree snaps =
   List.fold_left
-    (fun tree (path, sexp) ->
-      match Data.Tree.node_of_sexp sexp with
-      | Error _ -> tree
-      | Ok node ->
-        (match Data.Tree.replace_subtree tree path node with
-         | Ok tree' -> tree'
-         | Error _ -> tree))
+    (fun tree (path, node) ->
+      match Data.Tree.replace_subtree tree path node with
+      | Ok tree' -> tree'
+      | Error _ -> tree)
     tree snaps
 
 type local =

@@ -25,7 +25,7 @@ val is_participant : Txn.t -> bool
 (** {1 Wire format} *)
 
 (** Locked-subtree snapshot a participant votes with. *)
-type snap = Data.Path.t * Data.Sexp.t
+type snap = Data.Path.t * Data.Tree.node
 
 (** How a cross-shard transaction ended physically. *)
 type verdict = Committed | Rolled_back | Failed

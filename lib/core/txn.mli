@@ -28,12 +28,6 @@ val overload_reason : string
     outcome, not an orchestration failure. *)
 val is_overload : state -> bool
 
-(** Cached sexp renderings of the immutable-ish record parts (args, log,
-    locks), so persisting every state transition doesn't re-serialize the
-    whole execution log each time; invalidated by rebinding [log] or
-    [locks] (identity-keyed).  Managed by {!to_string} — leave it [None]. *)
-type ser_cache
-
 type t = {
   id : int;
   proc : string;                     (** stored procedure name *)
@@ -48,7 +42,6 @@ type t = {
       (** TERMed while Started: its worker stops and undoes (§4) *)
   mutable submitted_at : float;
   mutable finished_at : float option;
-  mutable ser_cache : ser_cache option;
 }
 
 (** The paths [t] holds W locks on: its write set. *)

@@ -9,44 +9,48 @@ type record = {
 
 type t = record list
 
-let record_to_sexp r =
-  let open Data.Sexp in
-  List
-    [
-      of_int r.index;
-      Data.Path.to_sexp r.path;
-      Atom r.action;
-      List (List.map Data.Value.to_sexp r.args);
-      (match r.undo with Some u -> List [ Atom "undo"; Atom u ] | None -> List []);
-      List (List.map Data.Value.to_sexp r.undo_args);
-    ]
+module Print = Data.Sexp.Print
+module Read = Data.Sexp.Read
 
-let ( let* ) r f = Result.bind r f
+(* Codec: ((<index> <path> <action> (<arg>...) (undo <action>)|() (<undo arg>...))...) *)
+let print p log =
+  let values vs p = List.iter (Data.Value.print p) vs in
+  Print.list p (fun p ->
+      List.iter
+        (fun r ->
+          Print.list p (fun p ->
+              Print.int p r.index;
+              Data.Path.print p r.path;
+              Print.atom p r.action;
+              Print.list p (values r.args);
+              Print.list p (fun p ->
+                  Option.iter
+                    (fun u ->
+                      Print.atom p "undo";
+                      Print.atom p u)
+                    r.undo);
+              Print.list p (values r.undo_args)))
+        log)
 
-let values_of_sexps = Data.Sexp.map_result Data.Value.of_sexp
-
-let record_of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List [ index; path; Data.Sexp.Atom action; Data.Sexp.List args; undo_part; Data.Sexp.List undo_args ] ->
-    let* index = Data.Sexp.to_int index in
-    let* path = Data.Path.of_sexp path in
-    let* args = values_of_sexps args in
-    let* undo =
-      match undo_part with
-      | Data.Sexp.List [ Data.Sexp.Atom "undo"; Data.Sexp.Atom u ] -> Ok (Some u)
-      | Data.Sexp.List [] -> Ok None
-      | other -> Error ("bad undo field: " ^ Data.Sexp.to_string other)
-    in
-    let* undo_args = values_of_sexps undo_args in
-    Ok { index; path; action; args; undo; undo_args }
-  | other -> Error ("Xlog.record_of_sexp: " ^ Data.Sexp.to_string other)
-
-let to_sexp log = Data.Sexp.List (List.map record_to_sexp log)
-
-let of_sexp sexp =
-  match sexp with
-  | Data.Sexp.List records -> Data.Sexp.map_result record_of_sexp records
-  | Data.Sexp.Atom _ -> Error "Xlog.of_sexp: expected a list"
+let read r =
+  Read.list r (fun r ->
+      Read.enter r;
+      let index = Read.int r in
+      let path = Data.Path.read r in
+      let action = Read.atom r in
+      let args = Read.list r Data.Value.read in
+      Read.enter r;
+      let undo =
+        if Read.at_end r then None
+        else begin
+          Read.expect r "undo";
+          Some (Read.atom r)
+        end
+      in
+      Read.leave r;
+      let undo_args = Read.list r Data.Value.read in
+      Read.leave r;
+      { index; path; action; args; undo; undo_args })
 
 (* Write-path footprint and per-shard slicing (cross-shard 2PC): the
    participant's share of a decided transaction is exactly the log records

@@ -16,8 +16,11 @@ type record = {
 
 type t = record list (* in execution order *)
 
-val to_sexp : t -> Data.Sexp.t
-val of_sexp : Data.Sexp.t -> (t, string) result
+(** {1 Codec} One list of records, each
+    [(<index> <path> <action> (<arg>...) (undo <action>)|() (<undo arg>...))]. *)
+
+val print : Data.Sexp.Print.t -> t -> unit
+val read : Data.Sexp.Read.t -> t
 
 (** Records whose target path satisfies [keep] — a shard's slice of a
     cross-shard transaction's log. *)

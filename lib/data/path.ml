@@ -61,9 +61,9 @@ let ancestors p =
 
 let append p q = p @ q
 
-let to_sexp p = Sexp.Atom (to_string p)
+let print p path = Sexp.Print.atom p (to_string path)
 
-let of_sexp sexp =
-  match sexp with
-  | Sexp.Atom s -> of_string s
-  | Sexp.List _ -> Error "Path.of_sexp: expected atom"
+let read r =
+  match of_string (Sexp.Read.atom r) with
+  | Ok path -> path
+  | Error msg -> Sexp.Read.fail r msg

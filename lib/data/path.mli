@@ -43,5 +43,7 @@ val ancestors : t -> t list
 (** [append p q] concatenates [q]'s segments under [p]. *)
 val append : t -> t -> t
 
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> (t, string) result
+(** {1 Codec} The path as one atom, ["/a/b"]. *)
+
+val print : Sexp.Print.t -> t -> unit
+val read : Sexp.Read.t -> t

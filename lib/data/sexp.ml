@@ -10,201 +10,301 @@ let rec equal a b =
 let atom s = Atom s
 let of_int i = Atom (string_of_int i)
 
-(* %h is an exact hexadecimal representation, so float round-trips are
-   lossless; plain integers stay readable. *)
-let of_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Atom (Printf.sprintf "%.0f." f)
-  else Atom (Printf.sprintf "%h" f)
+let rec plain s i =
+  i = String.length s
+  ||
+  match String.unsafe_get s i with
+  | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' | '\000' .. '\031' | '\127' ->
+    false
+  | _ -> plain s (i + 1)
 
-let of_bool b = Atom (if b then "true" else "false")
+let needs_quoting s = String.length s = 0 || not (plain s 0)
 
-let needs_quoting s =
-  String.length s = 0
-  || String.exists
-       (fun c ->
-         match c with
-         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' -> true
-         | c -> Char.code c < 32 || Char.code c = 127)
-       s
+(* The letter after the backslash; '\000' when [c] prints as itself. *)
+let escape = function
+  | '"' -> '"'
+  | '\\' -> '\\'
+  | '\n' -> 'n'
+  | '\t' -> 't'
+  | '\r' -> 'r'
+  | _ -> '\000'
 
-let escaped_char = function
-  | '"' -> Some '"'
-  | '\\' -> Some '\\'
-  | '\n' -> Some 'n'
-  | '\t' -> Some 't'
-  | '\r' -> Some 'r'
-  | _ -> None
+module Print = struct
+  (* The emitter runs twice: a counting pass that only advances [pos],
+     then a writing pass into one string of exactly that size, so a
+     megabyte checkpoint is neither built as a tree of atoms nor doubled
+     through a [Buffer]. *)
+  type t = {
+    out : Bytes.t;
+    writing : bool;
+    mutable pos : int;
+    mutable sep : bool;  (* the next item follows another in its list *)
+  }
 
-(* Printed length, so [to_string] fills one exactly-sized buffer instead of
-   doubling a [Buffer] through megabytes of store snapshot. *)
-let rec printed_length = function
-  | Atom s when needs_quoting s ->
-    String.fold_left
-      (fun n c -> n + if escaped_char c = None then 1 else 2)
-      2 s
-  | Atom s -> String.length s
-  | List [] -> 2
-  | List xs ->
-    (* two parentheses and a space between neighbours: n + 1 separators *)
-    List.fold_left (fun n x -> n + 1 + printed_length x) 1 xs
+  let put p c =
+    if p.writing then Bytes.set p.out p.pos c;
+    p.pos <- p.pos + 1
+
+  let next p =
+    if p.sep then put p ' ';
+    p.sep <- true
+
+  (* An atom known to need no quoting. *)
+  let bare p s =
+    next p;
+    let n = String.length s in
+    if p.writing then Bytes.blit_string s 0 p.out p.pos n;
+    p.pos <- p.pos + n
+
+  let atom p s =
+    if not (needs_quoting s) then bare p s
+    else begin
+      next p;
+      put p '"';
+      String.iter
+        (fun c ->
+          match escape c with
+          | '\000' -> put p c
+          | e ->
+            put p '\\';
+            put p e)
+        s;
+      put p '"'
+    end
+
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+  (* Written in place: [string_of_int] would allocate, twice. *)
+  let int p i =
+    if i = min_int then bare p (string_of_int i)
+    else begin
+      next p;
+      let n = abs i in
+      let width = digits n + if i < 0 then 1 else 0 in
+      if p.writing then begin
+        if i < 0 then Bytes.set p.out p.pos '-';
+        let rec fill j n =
+          Bytes.set p.out j (Char.unsafe_chr (48 + (n mod 10)));
+          if n >= 10 then fill (j - 1) (n / 10)
+        in
+        fill (p.pos + width - 1) n
+      end;
+      p.pos <- p.pos + width
+    end
+
+  (* %h is an exact hexadecimal representation, so float round-trips are
+     lossless; plain integers stay readable. *)
+  let float p f =
+    bare p
+      (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f." f
+       else Printf.sprintf "%h" f)
+
+  let list p items =
+    next p;
+    put p '(';
+    p.sep <- false;
+    items p;
+    put p ')';
+    p.sep <- true
+
+  let field p name value =
+    list p (fun p ->
+        atom p name;
+        value p)
+
+  let to_string emit =
+    let count = { out = Bytes.empty; writing = false; pos = 0; sep = false } in
+    emit count;
+    let p =
+      { out = Bytes.create count.pos; writing = true; pos = 0; sep = false }
+    in
+    emit p;
+    if p.pos <> count.pos then
+      invalid_arg "Sexp.Print.to_string: the writing pass disagrees with the count";
+    Bytes.unsafe_to_string p.out
+end
+
+module Read = struct
+  type t = { s : string; mutable pos : int }
+
+  exception Parse_error of string
+
+  let fail r msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg r.pos))
+
+  (* Whitespace, and [;] comments to the end of the line. *)
+  let rec skip r =
+    if r.pos < String.length r.s then
+      match String.unsafe_get r.s r.pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        r.pos <- r.pos + 1;
+        skip r
+      | ';' ->
+        while r.pos < String.length r.s && String.unsafe_get r.s r.pos <> '\n' do
+          r.pos <- r.pos + 1
+        done;
+        skip r
+      | _ -> ()
+
+  (* The next significant character, or '\000' at the end of the input
+     ([at_eof] tells that from a NUL byte). *)
+  let peek r =
+    skip r;
+    if r.pos < String.length r.s then String.unsafe_get r.s r.pos else '\000'
+
+  let at_eof r = r.pos >= String.length r.s
+
+  let enter r =
+    if peek r = '(' then r.pos <- r.pos + 1
+    else if at_eof r then fail r "unexpected end of input"
+    else fail r "expected '('"
+
+  let leave r =
+    if peek r = ')' then r.pos <- r.pos + 1
+    else if at_eof r then fail r "unterminated list"
+    else fail r "expected ')'"
+
+  (* True at the end of the input too, so that the [leave] after a loop
+     on [at_end] reports the unterminated list. *)
+  let at_end r =
+    match peek r with ')' -> true | _ -> at_eof r
+
+  let is_list r = peek r = '('
+
+  let unescape = function 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c
+
+  let quoted r =
+    let s = r.s and n = String.length r.s in
+    let start = r.pos + 1 in
+    let escapes = ref 0 in
+    let rec scan i =
+      if i >= n then (r.pos <- n; fail r "unterminated string")
+      else
+        match String.unsafe_get s i with
+        | '"' -> i
+        | '\\' when i + 1 >= n -> (r.pos <- n; fail r "unterminated escape")
+        | '\\' ->
+          (match String.unsafe_get s (i + 1) with
+           | '"' | '\\' | 'n' | 't' | 'r' ->
+             incr escapes;
+             scan (i + 2)
+           | c -> (r.pos <- i; fail r (Printf.sprintf "bad escape \\%c" c)))
+        | _ -> scan (i + 1)
+    in
+    let stop = scan start in
+    r.pos <- stop + 1;
+    if !escapes = 0 then String.sub s start (stop - start)
+    else begin
+      let out = Bytes.create (stop - start - !escapes) in
+      let rec fill i j =
+        if i < stop then
+          match String.unsafe_get s i with
+          | '\\' ->
+            Bytes.unsafe_set out j (unescape (String.unsafe_get s (i + 1)));
+            fill (i + 2) (j + 1)
+          | c ->
+            Bytes.unsafe_set out j c;
+            fill (i + 1) (j + 1)
+      in
+      fill start 0;
+      Bytes.unsafe_to_string out
+    end
+
+  (* A bare atom ends at whitespace, a parenthesis, a quote or a comment. *)
+  let delimiter = function
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true
+    | _ -> false
+
+  let bare r =
+    let s = r.s and n = String.length r.s in
+    let start = r.pos in
+    let rec scan i = if i >= n || delimiter (String.unsafe_get s i) then i else scan (i + 1) in
+    r.pos <- scan start;
+    String.sub s start (r.pos - start)
+
+  let atom r =
+    match peek r with
+    | '"' -> quoted r
+    | '(' -> fail r "expected an atom, got a list"
+    | ')' -> fail r "unexpected ')'"
+    | _ when at_eof r -> fail r "unexpected end of input"
+    | _ -> bare r
+
+  (* The next atom must be [word]; unless it is quoted, nothing is
+     allocated. *)
+  let expect r word =
+    let n = String.length word in
+    if peek r = '"' then begin
+      if not (String.equal (quoted r) word) then
+        fail r (Printf.sprintf "expected %S" word)
+    end
+    else begin
+      let s = r.s and p = r.pos in
+      let rec same i =
+        i = n || (String.unsafe_get s (p + i) = String.unsafe_get word i && same (i + 1))
+      in
+      if
+        p + n <= String.length s
+        && (p + n = String.length s || delimiter (String.unsafe_get s (p + n)))
+        && same 0
+      then r.pos <- p + n
+      else fail r (Printf.sprintf "expected %S" word)
+    end
+
+  let int r =
+    let s = atom r in
+    match int_of_string_opt s with
+    | Some i -> i
+    | None -> fail r (Printf.sprintf "not an int: %S" s)
+
+  let float r =
+    let s = atom r in
+    match float_of_string_opt s with
+    | Some f -> f
+    | None -> fail r (Printf.sprintf "not a float: %S" s)
+
+  let list r item =
+    enter r;
+    let rec go acc = if at_end r then (leave r; List.rev acc) else go (item r :: acc) in
+    go []
+
+  let field r name value =
+    enter r;
+    expect r name;
+    let v = value r in
+    leave r;
+    v
+
+  let of_string read s =
+    let r = { s; pos = 0 } in
+    match
+      let v = read r in
+      skip r;
+      if not (at_eof r) then fail r "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Parse_error msg -> Error msg
+end
 
 let to_string sexp =
-  let out = Bytes.create (printed_length sexp) in
-  let put pos c =
-    Bytes.unsafe_set out pos c;
-    pos + 1
+  let rec go p = function
+    | Atom s -> Print.atom p s
+    | List xs -> Print.list p (fun p -> List.iter (go p) xs)
   in
-  let rec go pos = function
-    | Atom s when needs_quoting s ->
-      put
-        (String.fold_left
-           (fun pos c ->
-             match escaped_char c with
-             | Some e -> put (put pos '\\') e
-             | None -> put pos c)
-           (put pos '"') s)
-        '"'
-    | Atom s ->
-      Bytes.blit_string s 0 out pos (String.length s);
-      pos + String.length s
-    | List [] -> put (put pos '(') ')'
-    | List (x :: xs) ->
-      put
-        (List.fold_left (fun pos x -> go (put pos ' ') x) (go (put pos '(') x) xs)
-        ')'
+  Print.to_string (fun p -> go p sexp)
+
+let of_string =
+  let rec go r =
+    if Read.is_list r then List (Read.list r go) else Atom (Read.atom r)
   in
-  ignore (go 0 sexp);
-  Bytes.unsafe_to_string out
+  Read.of_string go
 
-
-exception Parse_error of string
-
-let of_string input =
-  let n = String.length input in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
-  (* [;] starts a comment running to end of line — the atom printer quotes
-     any atom containing [;], so reading back printed output is safe. *)
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      let rec to_eol () =
-        match peek () with
-        | Some '\n' | None -> ()
-        | Some _ ->
-          advance ();
-          to_eol ()
-      in
-      to_eol ();
-      skip_ws ()
-    | Some _ | None -> ()
-  in
-  let parse_quoted () =
-    advance ();
-    (* opening quote *)
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char buf '"'
-         | Some '\\' -> Buffer.add_char buf '\\'
-         | Some 'n' -> Buffer.add_char buf '\n'
-         | Some 't' -> Buffer.add_char buf '\t'
-         | Some 'r' -> Buffer.add_char buf '\r'
-         | Some c -> fail (Printf.sprintf "bad escape \\%c" c)
-         | None -> fail "unterminated escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Atom (Buffer.contents buf)
-  in
-  let parse_bare () =
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"') | None -> ()
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ();
-    if !pos = start then fail "empty atom";
-    Atom (String.sub input start (!pos - start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '(' ->
-      advance ();
-      let rec items acc =
-        skip_ws ();
-        match peek () with
-        | Some ')' ->
-          advance ();
-          List (List.rev acc)
-        | None -> fail "unterminated list"
-        | Some _ -> items (parse_value () :: acc)
-      in
-      items []
-    | Some ')' -> fail "unexpected ')'"
-    | Some '"' -> parse_quoted ()
-    | Some _ -> parse_bare ()
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
-let to_atom = function
-  | Atom s -> Ok s
-  | List _ -> Error "expected atom, got list"
-
-let to_list = function
-  | List xs -> Ok xs
-  | Atom s -> Error (Printf.sprintf "expected list, got atom %S" s)
-
-let to_int sexp =
-  match sexp with
+let to_int = function
   | Atom s ->
     (match int_of_string_opt s with
      | Some i -> Ok i
      | None -> Error (Printf.sprintf "not an int: %S" s))
   | List _ -> Error "expected int, got list"
-
-let to_float sexp =
-  match sexp with
-  | Atom s ->
-    (match float_of_string_opt s with
-     | Some f -> Ok f
-     | None -> Error (Printf.sprintf "not a float: %S" s))
-  | List _ -> Error "expected float, got list"
-
-let to_bool sexp =
-  match sexp with
-  | Atom "true" -> Ok true
-  | Atom "false" -> Ok false
-  | Atom s -> Error (Printf.sprintf "not a bool: %S" s)
-  | List _ -> Error "expected bool, got list"
 
 let map_result f xs =
   let rec go acc = function
@@ -212,13 +312,3 @@ let map_result f xs =
     | x :: rest -> (match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
   in
   go [] xs
-
-let assoc key fields =
-  let matches = function
-    | List (Atom k :: _) -> String.equal k key
-    | List _ | Atom _ -> false
-  in
-  match List.find_opt matches fields with
-  | Some (List [ _; v ]) -> Ok v
-  | Some (List (_ :: vs)) -> Ok (List vs)
-  | Some _ | None -> Error (Printf.sprintf "missing field %S" key)

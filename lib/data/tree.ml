@@ -226,32 +226,36 @@ let replace_subtree t path node =
 let subtree t path =
   match find t path with Some node -> Ok node | None -> Error (Missing path)
 
-(* Codec: (node <kind> (attrs (<name> <value>)...) (children (<name> <node>)...)) *)
-let rec node_to_sexp node =
-  Sexp.List
-    [
-      Sexp.Atom "node";
-      Sexp.Atom node.kind;
-      Sexp.List
-        (Sexp.Atom "attrs"
-         :: List.map
-              (fun (name, v) -> Sexp.List [ Sexp.Atom name; Value.to_sexp v ])
-              (attrs node));
-      Sexp.List
-        (Sexp.Atom "children"
-         :: List.map
-              (fun (name, child) ->
-                Sexp.List [ Sexp.Atom name; node_to_sexp child ])
-              (Smap.bindings node.children));
-    ]
+module Print = Sexp.Print
+module Read = Sexp.Read
 
-let ( let* ) r f = Result.bind r f
+(* Codec: (node <kind> (attrs (<name> <value>)...) (children (<name> <node>)...)) *)
+let rec print p node =
+  Print.list p (fun p ->
+      Print.atom p "node";
+      Print.atom p node.kind;
+      Print.list p (fun p ->
+          Print.atom p "attrs";
+          Array.iteri
+            (fun i name ->
+              Print.list p (fun p ->
+                  Print.atom p name;
+                  Value.print p node.values.(i)))
+            node.names);
+      Print.list p (fun p ->
+          Print.atom p "children";
+          Smap.iter
+            (fun name child ->
+              Print.list p (fun p ->
+                  Print.atom p name;
+                  print p child))
+            node.children))
 
 (* One decode shares equal kinds, attribute names and scalar values, and
    gives a node the names array of the last node of its kind when they are
    equal: a checkpoint of thousands of like nodes then holds one copy of
    each, not one per node.  The tables live for the call only. *)
-let node_of_sexp sexp =
+let read r =
   let strings = Hashtbl.create 64
   and scalars = Hashtbl.create 64
   and kind_names = ref [] in
@@ -266,57 +270,45 @@ let node_of_sexp sexp =
     | (Value.Str _ | Value.Int _ | Value.Bool _) as v -> share scalars v
     | v -> v
   in
-  let rec go sexp =
-    match sexp with
-    | Sexp.List
-        [
-          Sexp.Atom "node";
-          Sexp.Atom kind;
-          Sexp.List (Sexp.Atom "attrs" :: attrs);
-          Sexp.List (Sexp.Atom "children" :: children);
-        ] ->
-      let* attrs =
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            match entry with
-            | Sexp.List [ Sexp.Atom name; v ] ->
-              let* v = Value.of_sexp v in
-              Ok ((share strings name, scalar v) :: acc)
-            | other -> Error ("bad attr entry: " ^ Sexp.to_string other))
-          (Ok []) attrs
-      in
-      let* children =
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            match entry with
-            | Sexp.List [ Sexp.Atom name; child ] ->
-              let* child = go child in
-              Ok ((name, child) :: acc)
-            | other -> Error ("bad child entry: " ^ Sexp.to_string other))
-          (Ok []) children
-      in
-      let kind = share strings kind and names, values = layout attrs in
-      let names =
-        match List.assq_opt kind !kind_names with
-        | Some shared when arrays_equal String.equal shared names -> shared
-        | _ ->
-          kind_names := (kind, names) :: List.remove_assq kind !kind_names;
-          names
-      in
-      Ok { kind; names; values; children = Smap.of_seq (List.to_seq children) }
-    | other -> Error ("Tree.node_of_sexp: bad node " ^ Sexp.to_string other)
+  (* Entries [(<name> <item>)...] up to the list's end, last first. *)
+  let rec entries key item acc =
+    if Read.at_end r then begin
+      Read.leave r;
+      acc
+    end
+    else begin
+      Read.enter r;
+      let name = key (Read.atom r) in
+      let x = item () in
+      Read.leave r;
+      entries key item ((name, x) :: acc)
+    end
   in
-  go sexp
+  let rec node () =
+    Read.enter r;
+    Read.expect r "node";
+    let kind = share strings (Read.atom r) in
+    Read.enter r;
+    Read.expect r "attrs";
+    let attrs = entries (share strings) (fun () -> scalar (Value.read r)) [] in
+    Read.enter r;
+    Read.expect r "children";
+    let children = entries Fun.id node [] in
+    Read.leave r;
+    let names, values = layout attrs in
+    let names =
+      match List.assq_opt kind !kind_names with
+      | Some shared when arrays_equal String.equal shared names -> shared
+      | _ ->
+        kind_names := (kind, names) :: List.remove_assq kind !kind_names;
+        names
+    in
+    { kind; names; values; children = Smap.of_seq (List.to_seq children) }
+  in
+  node ()
 
-let to_sexp = node_to_sexp
-let of_sexp = node_of_sexp
-let to_string t = Sexp.to_string (to_sexp t)
-
-let of_string s =
-  let* sexp = Sexp.of_string s in
-  of_sexp sexp
+let to_string t = Print.to_string (fun p -> print p t)
+let of_string = Read.of_string read
 
 let pp fmt t =
   let rec go indent name node =

@@ -12,7 +12,7 @@ module Smap : Map.S with type key = string
     fixes its attribute names, so like nodes hold one [names] array between
     them: an update that keeps the names keeps the array, a node placed
     under a parent takes the array of the sibling before it when that is of
-    its kind with equal names, and within one {!node_of_sexp} a node takes
+    its kind with equal names, and within one {!read} a node takes
     the array of the last decoded node of its kind when the names are
     equal.  No table outlives the call that made it.  The type is
     private so that the invariant holds; read attributes with {!attr} and
@@ -96,10 +96,15 @@ val subtree : t -> Path.t -> (node, error) result
 
 (** {1 Codec} *)
 
-val node_to_sexp : node -> Sexp.t
-val node_of_sexp : Sexp.t -> (node, string) result
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> (t, string) result
+(** [(node <kind> (attrs (<name> <value>)...) (children (<name> <node>)...))],
+    attributes and children in name order. *)
+val print : Sexp.Print.t -> node -> unit
+
+(** Shares within the one call the equal kinds, attribute names and
+    [Str], [Int] and [Bool] values it reads, and each kind's names array
+    (see {!node}). *)
+val read : Sexp.Read.t -> node
+
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

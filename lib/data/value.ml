@@ -50,33 +50,52 @@ let rec pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let rec to_sexp = function
-  | Null -> Sexp.List [ Sexp.Atom "null" ]
-  | Bool b -> Sexp.List [ Sexp.Atom "bool"; Sexp.of_bool b ]
-  | Int i -> Sexp.List [ Sexp.Atom "int"; Sexp.of_int i ]
-  | Float f -> Sexp.List [ Sexp.Atom "float"; Sexp.of_float f ]
-  | Str s -> Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ]
-  | List xs -> Sexp.List (Sexp.Atom "list" :: List.map to_sexp xs)
+module Print = Sexp.Print
+module Read = Sexp.Read
 
-let ( let* ) r f = Result.bind r f
+(* Codec: (null) (bool <b>) (int <i>) (float <f>) (str <s>) (list <v>...) *)
+let rec print p v =
+  Print.list p (fun p ->
+      match v with
+      | Null -> Print.atom p "null"
+      | Bool b ->
+        Print.atom p "bool";
+        Print.atom p (if b then "true" else "false")
+      | Int i ->
+        Print.atom p "int";
+        Print.int p i
+      | Float f ->
+        Print.atom p "float";
+        Print.float p f
+      | Str s ->
+        Print.atom p "str";
+        Print.atom p s
+      | List xs ->
+        Print.atom p "list";
+        List.iter (print p) xs)
 
-let rec of_sexp sexp =
-  match sexp with
-  | Sexp.List [ Sexp.Atom "null" ] -> Ok Null
-  | Sexp.List [ Sexp.Atom "bool"; b ] ->
-    let* b = Sexp.to_bool b in
-    Ok (Bool b)
-  | Sexp.List [ Sexp.Atom "int"; i ] ->
-    let* i = Sexp.to_int i in
-    Ok (Int i)
-  | Sexp.List [ Sexp.Atom "float"; f ] ->
-    let* f = Sexp.to_float f in
-    Ok (Float f)
-  | Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ] -> Ok (Str s)
-  | Sexp.List (Sexp.Atom "list" :: xs) ->
-    let* xs = Sexp.map_result of_sexp xs in
-    Ok (List xs)
-  | other -> Error ("Value.of_sexp: bad value " ^ Sexp.to_string other)
+let rec read r =
+  Read.enter r;
+  let v =
+    match Read.atom r with
+    | "null" -> Null
+    | "bool" ->
+      (match Read.atom r with
+       | "true" -> Bool true
+       | "false" -> Bool false
+       | s -> Read.fail r (Printf.sprintf "not a bool: %S" s))
+    | "int" -> Int (Read.int r)
+    | "float" -> Float (Read.float r)
+    | "str" -> Str (Read.atom r)
+    | "list" ->
+      let rec items acc =
+        if Read.at_end r then List (List.rev acc) else items (read r :: acc)
+      in
+      items []
+    | tag -> Read.fail r (Printf.sprintf "bad value tag %S" tag)
+  in
+  Read.leave r;
+  v
 
 let as_bool = function Bool b -> Some b | _ -> None
 let as_int = function Int i -> Some i | _ -> None

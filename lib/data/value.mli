@@ -13,8 +13,10 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> (t, string) result
+(** {1 Codec} [(int 3)], [(str "a b")], [(list (null) (bool true))]... *)
+
+val print : Sexp.Print.t -> t -> unit
+val read : Sexp.Read.t -> t
 
 (** {1 Typed accessors} — [None] on a type mismatch. *)
 

@@ -63,22 +63,6 @@ let test_sexp_comments () =
   check bool_c "quoted semicolon roundtrips" true
     (Sexp.equal tricky (ok_or_fail "re" (Sexp.of_string (Sexp.to_string tricky))))
 
-let test_sexp_assoc () =
-  let fields =
-    [
-      Sexp.List [ Sexp.Atom "id"; Sexp.Atom "42" ];
-      Sexp.List [ Sexp.Atom "tags"; Sexp.Atom "a"; Sexp.Atom "b" ];
-    ]
-  in
-  check int_c "assoc scalar" 42
-    (ok_or_fail "id" (Result.bind (Sexp.assoc "id" fields) Sexp.to_int));
-  (match Sexp.assoc "tags" fields with
-   | Ok (Sexp.List [ Sexp.Atom "a"; Sexp.Atom "b" ]) -> ()
-   | _ -> Alcotest.fail "multi-value assoc");
-  match Sexp.assoc "missing" fields with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected missing field error"
-
 let sexp_gen =
   let open QCheck.Gen in
   let atom_gen = string_size ~gen:printable (int_range 0 12) in
@@ -212,10 +196,28 @@ let value_gen =
 
 let value_arbitrary = QCheck.make ~print:Value.to_string value_gen
 
+(* The value encoding as it was built through Sexp.t before the codecs
+   printed directly: the model the direct printer must match. *)
+let rec value_sexp = function
+  | Value.Null -> Sexp.List [ Sexp.Atom "null" ]
+  | Value.Bool b -> Sexp.List [ Sexp.Atom "bool"; Sexp.Atom (string_of_bool b) ]
+  | Value.Int i -> Sexp.List [ Sexp.Atom "int"; Sexp.Atom (string_of_int i) ]
+  | Value.Float f ->
+    Sexp.List
+      [ Sexp.Atom "float";
+        Sexp.Atom
+          (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f." f
+           else Printf.sprintf "%h" f) ]
+  | Value.Str s -> Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ]
+  | Value.List xs -> Sexp.List (Sexp.Atom "list" :: List.map value_sexp xs)
+
 let value_roundtrip_prop =
   QCheck.Test.make ~name:"value sexp roundtrip" ~count:500 value_arbitrary
     (fun v ->
-      match Value.of_sexp (Value.to_sexp v) with
+      match
+        Sexp.Read.of_string Value.read
+          (Sexp.Print.to_string (fun p -> Value.print p v))
+      with
       | Ok v' -> Value.equal v v'
       | Error _ -> false)
 
@@ -746,7 +748,7 @@ module Map_model = struct
         Sexp.List
           (Sexp.Atom "attrs"
            :: List.map
-                (fun (a, v) -> Sexp.List [ Sexp.Atom a; Value.to_sexp v ])
+                (fun (a, v) -> Sexp.List [ Sexp.Atom a; value_sexp v ])
                 (Smap.bindings n.attrs));
         Sexp.List
           (Sexp.Atom "children"
@@ -755,7 +757,7 @@ module Map_model = struct
                 (Smap.bindings n.children));
       ]
 
-  let to_string n = Sexp.to_string (to_sexp n)
+  let to_string n = buffer_to_string (to_sexp n)
 
   (* The diff as it was computed over attribute maps. *)
   let diff old_tree new_tree =
@@ -919,13 +921,246 @@ let layout_prop =
       in
       true)
 
+(* ------------------------------------------------------------------ *)
+(* The codecs of the data model and the records against Sexp.t *)
+
+let test_sexp_comment_after_atom () =
+  let parsed = ok_or_fail "parse" (Sexp.of_string "(a; comment\n b)") in
+  check string_c "the comment ends the atom" "(a b)" (Sexp.to_string parsed)
+
+(* Sexp.t builders of the record encodings as they were before the codecs
+   printed directly; printed by [buffer_to_string], they are the model. *)
+let rec tree_sexp node =
+  Sexp.List
+    [ Sexp.Atom "node";
+      Sexp.Atom node.Tree.kind;
+      Sexp.List
+        (Sexp.Atom "attrs"
+         :: List.map (fun (a, v) -> Sexp.List [ Sexp.Atom a; value_sexp v ])
+              (Tree.attrs node));
+      Sexp.List
+        (Sexp.Atom "children"
+         :: List.map (fun (c, child) -> Sexp.List [ Sexp.Atom c; tree_sexp child ])
+              (Tree.Smap.bindings node.Tree.children)) ]
+
+let xlog_sexp log =
+  Sexp.List
+    (List.map
+       (fun (r : Tropic.Xlog.record) ->
+         Sexp.List
+           [ Sexp.Atom (string_of_int r.index);
+             Sexp.Atom (Path.to_string r.path);
+             Sexp.Atom r.action;
+             Sexp.List (List.map value_sexp r.args);
+             (match r.undo with
+              | Some u -> Sexp.List [ Sexp.Atom "undo"; Sexp.Atom u ]
+              | None -> Sexp.List []);
+             Sexp.List (List.map value_sexp r.undo_args) ])
+       log)
+
+let txn_sexp (t : Tropic.Txn.t) =
+  let field name v = Sexp.List [ Sexp.Atom name; v ] in
+  let float f =
+    match value_sexp (Value.Float f) with
+    | Sexp.List [ _; atom ] -> atom
+    | other -> other
+  in
+  Sexp.List
+    ([ field "id" (Sexp.Atom (string_of_int t.id));
+       field "proc" (Sexp.Atom t.proc);
+       field "args" (Sexp.List (List.map value_sexp t.args));
+       field "state" (Sexp.Atom (Tropic.Txn.state_to_string t.state));
+       field "log" (xlog_sexp t.log);
+       field "locks"
+         (Sexp.List
+            (List.map
+               (fun (p, m) ->
+                 Sexp.List
+                   [ Sexp.Atom (Path.to_string p); Sexp.Atom (Mglock.mode_to_string m) ])
+               t.locks));
+       field "submitted" (float t.submitted_at);
+       field "start_seq"
+         (match t.start_seq with
+          | Some n -> Sexp.Atom (string_of_int n)
+          | None -> Sexp.Atom "none") ]
+    @ if t.termed then [ field "termed" (Sexp.Atom "true") ] else [])
+
+(* [buffer_to_string] with a line comment after every item and around
+   every list, the one after an atom right against it. *)
+let commented_to_string sexp =
+  let buf = Buffer.create 64 in
+  let rec go = function
+    | Sexp.Atom _ as atom ->
+      Buffer.add_string buf (buffer_to_string atom);
+      Buffer.add_string buf ";c (\"\n"
+    | Sexp.List xs ->
+      Buffer.add_string buf "( ; open\n";
+      List.iter
+        (fun x ->
+          go x;
+          Buffer.add_string buf "\t")
+        xs;
+      Buffer.add_string buf ") ; close\n"
+  in
+  go sexp;
+  Buffer.contents buf
+
+type codec_case =
+  | Doc of Sexp.t
+  | Tree_case of Tree.t
+  | Log of Tropic.Xlog.t
+  | Record of Tropic.Txn.t
+
+let codec_case_gen =
+  let open QCheck.Gen in
+  (* The empty atom, every byte the printer escapes or quotes for, and
+     non-ASCII bytes. *)
+  let atom =
+    string_size
+      ~gen:
+        (frequency
+           [ (4, char_range 'a' 'z');
+             (3, oneofl [ ' '; '('; ')'; '"'; '\\'; ';'; '\n'; '\t'; '\r'; '\127' ]);
+             (1, map Char.chr (int_range 0 31));
+             (1, map Char.chr (int_range 128 255)) ])
+      (int_range 0 6)
+  in
+  (* Digit-count edges and the one int whose negation overflows. *)
+  let int = oneof [ int; oneofl [ 0; 9; 10; -1; -10; max_int; min_int ] ] in
+  let float =
+    oneof
+      [ float_bound_inclusive 1e9;
+        map float_of_int int;
+        oneofl [ 0.5; -0.; -2.75; 1e15; 1e300; 5e-324; infinity; neg_infinity ] ]
+  in
+  let value =
+    fix
+      (fun self n ->
+        let scalar =
+          oneof
+            [ return Value.Null;
+              map (fun b -> Value.Bool b) bool;
+              map (fun i -> Value.Int i) int;
+              map (fun f -> Value.Float f) float;
+              map (fun s -> Value.Str s) atom ]
+        in
+        if n = 0 then scalar
+        else
+          frequency
+            [ (3, scalar);
+              (1, map (fun xs -> Value.List xs) (list_size (int_bound 3) (self (n - 1)))) ])
+      2
+  in
+  let values = list_size (int_bound 3) value in
+  let path =
+    map
+      (fun segs -> Path.v ("/" ^ String.concat "/" segs))
+      (list_size (int_range 1 3) (string_size ~gen:(char_range 'a' 'c') (int_range 1 3)))
+  in
+  let node =
+    fix
+      (fun self n ->
+        let* kind = atom in
+        let* attrs = list_size (int_bound 2) (pair atom value) in
+        let* children =
+          if n = 0 then return [] else list_size (int_bound 3) (pair atom (self (n - 1)))
+        in
+        return (Tree.make_node ~kind ~attrs ~children ()))
+      2
+  in
+  let log =
+    let* n = int_bound 3 in
+    flatten_l
+      (List.init n (fun i ->
+           let* path = path in
+           let* action = atom in
+           let* args = values in
+           let* undo = opt atom in
+           let* undo_args = values in
+           return { Tropic.Xlog.index = i + 1; path; action; args; undo; undo_args }))
+  in
+  let record =
+    let* id = int in
+    let* proc = atom in
+    let* args = values in
+    let* submitted_at = float in
+    let* state =
+      oneof
+        [ oneofl
+            Tropic.Txn.[ Initialized; Accepted; Deferred; Started; Committed ];
+          map (fun r -> Tropic.Txn.Aborted r) atom;
+          map (fun r -> Tropic.Txn.Failed r) atom ]
+    in
+    let* log = log in
+    let* locks =
+      list_size (int_bound 3) (pair path (oneofl Mglock.[ R; W; IR; IW ]))
+    in
+    let* start_seq = opt int in
+    let* termed = bool in
+    let t = Tropic.Txn.make ~id ~proc ~args ~submitted_at in
+    t.state <- state;
+    t.log <- log;
+    t.locks <- locks;
+    t.start_seq <- start_seq;
+    t.termed <- termed;
+    return t
+  in
+  let doc =
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           if n = 0 then map (fun s -> Sexp.Atom s) atom
+           else
+             frequency
+               [ (2, map (fun s -> Sexp.Atom s) atom);
+                 (1, map (fun xs -> Sexp.List xs) (list_size (int_bound 4) (self (n / 2)))) ])
+  in
+  frequency
+    [ (2, map (fun xs -> Doc (Sexp.List xs)) (list_size (int_bound 4) doc));
+      (1, map (fun t -> Tree_case t) node);
+      (1, map (fun l -> Log l) log);
+      (1, map (fun t -> Record t) record) ]
+
+let codec_case_model = function
+  | Doc sexp -> sexp
+  | Tree_case t -> tree_sexp t
+  | Log log -> xlog_sexp log
+  | Record t -> txn_sexp t
+
+(* Each codec prints what the model prints, reads it back (also with
+   comments between the items), and reads every proper prefix of it as
+   an [Error], never an exception. *)
+let codec_model_prop =
+  QCheck.Test.make ~name:"codec: printer and reader agree with the Sexp.t model"
+    ~count:300
+    (QCheck.make codec_case_gen ~print:(fun case ->
+         buffer_to_string (codec_case_model case)))
+    (fun case ->
+      let agree encoded decode same =
+        let model = codec_case_model case in
+        let reads s = match decode s with Ok v -> same v | Error _ -> false in
+        String.equal encoded (buffer_to_string model)
+        && reads encoded
+        && reads (commented_to_string model)
+        && List.for_all
+             (fun n -> Result.is_error (decode (String.sub encoded 0 n)))
+             (List.init (String.length encoded) Fun.id)
+      in
+      match case with
+      | Doc sexp -> agree (Sexp.to_string sexp) Sexp.of_string (Sexp.equal sexp)
+      | Tree_case t -> agree (Tree.to_string t) Tree.of_string (Tree.equal t)
+      | Log log ->
+        agree
+          (Sexp.Print.to_string (fun p -> Tropic.Xlog.print p log))
+          (Sexp.Read.of_string Tropic.Xlog.read)
+          (( = ) log)
+      | Record t -> agree (Tropic.Txn.to_string t) Tropic.Txn.of_string (( = ) t))
+
 let suite =
   [
     ("sexp: print/parse cases", `Quick, test_sexp_print_parse);
     ("sexp: parse errors", `Quick, test_sexp_parse_errors);
     ("sexp: whitespace", `Quick, test_sexp_whitespace);
     ("sexp: line comments", `Quick, test_sexp_comments);
-    ("sexp: assoc", `Quick, test_sexp_assoc);
     QCheck_alcotest.to_alcotest sexp_roundtrip_prop;
     QCheck_alcotest.to_alcotest sexp_exact_printer_prop;
     QCheck_alcotest.to_alcotest sexp_fuzz_prop;
@@ -955,6 +1190,8 @@ let suite =
     QCheck_alcotest.to_alcotest diff_no_nested_subtree_changes_prop;
     QCheck_alcotest.to_alcotest tree_model_prop;
     QCheck_alcotest.to_alcotest layout_prop;
+    ("sexp: comment right after an atom", `Quick, test_sexp_comment_after_atom);
+    QCheck_alcotest.to_alcotest codec_model_prop;
   ]
 
 let () = Alcotest.run "data" [ ("data", suite) ]

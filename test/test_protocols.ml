@@ -41,16 +41,17 @@ let gen_log =
     let* n = int_range 0 4 in
     flatten_l (List.init n (fun i -> gen_record (i + 1))))
 
-let gen_sexp =
+let gen_node =
   QCheck.Gen.(
-    sized_size (int_range 0 3)
+    sized_size (int_range 0 2)
     @@ fix (fun self n ->
-           if n = 0 then map (fun s -> Data.Sexp.Atom s) gen_name
-           else
-             frequency
-               [ (1, map (fun s -> Data.Sexp.Atom s) gen_name);
-                 (2, map (fun l -> Data.Sexp.List l)
-                       (list_size (int_range 0 3) (self (n - 1)))) ]))
+           let* kind = gen_name in
+           let* attrs = list_size (int_range 0 3) (pair gen_name gen_value) in
+           let* children =
+             if n = 0 then return []
+             else list_size (int_range 0 3) (pair gen_name (self (n - 1)))
+           in
+           return (Data.Tree.make_node ~kind ~attrs ~children ())))
 
 let gen_msg =
   QCheck.Gen.(
@@ -62,7 +63,7 @@ let gen_msg =
         (let* shard = small_nat in
          let* ok = bool in
          let* reason = gen_name in
-         let* snaps = list_size (int_range 0 3) (pair gen_path gen_sexp) in
+         let* snaps = list_size (int_range 0 3) (pair gen_path gen_node) in
          return (Twopc.Prepared { gid; shard; ok; reason; snaps }));
         (let* commit = bool in
          let* log = gen_log in
@@ -83,7 +84,16 @@ let gen_decision =
 let prop_msg_roundtrip =
   QCheck.Test.make ~name:"every 2pc message survives the codec" ~count:300
     (QCheck.make gen_msg ~print:Twopc.msg_to_string)
-    (fun msg -> Twopc.msg_of_string (Twopc.msg_to_string msg) = Ok msg)
+    (fun msg ->
+      match Twopc.msg_of_string (Twopc.msg_to_string msg), msg with
+      | Ok (Twopc.Prepared got), Twopc.Prepared sent ->
+        (* Equal trees need not be equal maps under [=]. *)
+        got.gid = sent.gid && got.shard = sent.shard && got.ok = sent.ok
+        && got.reason = sent.reason
+        && List.equal
+             (fun (p, n) (q, m) -> Data.Path.equal p q && Data.Tree.equal n m)
+             got.snaps sent.snaps
+      | got, _ -> got = Ok msg)
 
 let prop_decision_roundtrip =
   QCheck.Test.make ~name:"every 2pc decision survives the codec" ~count:300
@@ -905,6 +915,62 @@ let prop_leader_kill_anywhere =
     QCheck.(pair (int_range 1 1000) (float_range 0. 0.4))
     (fun (seed, kill_at) -> toggle_run_survives_kill ~seed ~kill_at)
 
+(* The md5 of three encodings, taken when the codec still printed through
+   Sexp.t: a 64-host tree, a committed spawnVM record and a checkpoint
+   (base, one overlay, meta).  A codec change that moves one byte must
+   change these on purpose. *)
+let test_pinned_wire_bytes () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let pin what expected s = Alcotest.(check string) what expected (md5 s) in
+  let inv =
+    Tcloud.Setup.build
+      { Tcloud.Setup.small with Tcloud.Setup.compute_hosts = 64 }
+  in
+  let env = inv.Tcloud.Setup.env and tree0 = inv.Tcloud.Setup.tree in
+  pin "64-host tree" "7226cabace9b539abaf1d13254429ffa" (Data.Tree.to_string tree0);
+  let args =
+    Tcloud.Procs.spawn_vm_args ~vm:"pinned" ~template:"base.img" ~mem_mb:512
+      ~storage:(Data.Path.to_string (Tcloud.Setup.storage_path 0))
+      ~host:(host 1)
+  in
+  let s =
+    match Logical.simulate env ~tree:tree0 ~proc:"spawnVM" ~args with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let txn = Txn.make ~id:42 ~proc:"spawnVM" ~args ~submitted_at:12.625 in
+  txn.Txn.state <- Txn.Committed;
+  txn.Txn.log <- s.Logical.log;
+  txn.Txn.locks <- s.Logical.locks;
+  txn.Txn.start_seq <- Some 7;
+  pin "committed spawnVM record" "90497b64676b5cb279fed9d85ffe4ba9" (Txn.to_string txn);
+  Drive.ensemble (fun _ ens ->
+      ignore (Coord.Ensemble.await_leader ens);
+      let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
+      let client = Coord.Ensemble.connect ens ~name:"leader" () in
+      let persist = Persist.create ~name:"leader" ~ns ~client in
+      let ledger =
+        Recovery.ledger ~name:"leader" ~ns ~shard:(Shard.singleton ~roots)
+          ~persist ~on_prune:ignore
+      in
+      let take ~seq tree =
+        Recovery.checkpoint ledger ~seq ~max_request_seq:(seq + 40)
+          ~quarantine:[ Tcloud.Setup.compute_path 2 ] ~started:[ seq; 9 ] tree;
+        Persist.barrier persist
+      in
+      take ~seq:3 tree0;
+      take ~seq:4 s.Logical.new_tree;
+      let value key =
+        match Coord.Client.get client key with
+        | Some (value, _) -> value
+        | None -> Alcotest.failf "%s missing" key
+      in
+      pin "checkpoint base, overlay and meta" "db7316e1e5f7e829fe5567161c6e0d29"
+        (String.concat "\n"
+           [ value (Proto.checkpoint_key_ns ns);
+             value (Proto.overlay_key_ns ns (Tcloud.Setup.compute_path 1));
+             value (Proto.checkpoint_meta_key_ns ns) ]))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -955,6 +1021,8 @@ let () =
             `Quick test_checkpoint_layout;
           Alcotest.test_case "checkpoint: cross-shard records never folded, due at 64"
             `Quick test_checkpoint_fold_rule;
+          Alcotest.test_case "codec: pinned wire bytes" `Quick
+            test_pinned_wire_bytes;
         ] );
       ( "platform",
         [

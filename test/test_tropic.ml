@@ -46,7 +46,10 @@ let sample_log =
   ]
 
 let test_xlog_roundtrip () =
-  match Xlog.of_sexp (Xlog.to_sexp sample_log) with
+  match
+    Data.Sexp.Read.of_string Xlog.read
+      (Data.Sexp.Print.to_string (fun p -> Xlog.print p sample_log))
+  with
   | Ok log ->
     check int_c "length" 2 (List.length log);
     check bool_c "equal" true (log = sample_log)

@@ -37,6 +37,9 @@ type input_item =
 module Print = Data.Sexp.Print
 module Read = Data.Sexp.Read
 
+(* A result carries its durations to the microsecond. *)
+let micros s = float_of_string (Printf.sprintf "%.6f" s)
+
 (* Codec: (request <proc> (<arg>...)),
    (result <id> (committed)|(aborted <r>)|(failed <r>) <retries> <transient>
    <timeouts> <replay_s> <undo_s>), (control reload|repair <path>),
@@ -64,8 +67,8 @@ let input_to_string item =
             Print.int p exec.retries;
             Print.int p exec.transient_failures;
             Print.int p exec.timeouts;
-            Print.atom p (Printf.sprintf "%.6f" exec.replay_s);
-            Print.atom p (Printf.sprintf "%.6f" exec.undo_s)
+            Print.float p (micros exec.replay_s);
+            Print.float p (micros exec.undo_s)
           | Control control ->
             Print.atom p "control";
             (match control with

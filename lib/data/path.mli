@@ -18,6 +18,9 @@ val of_string : string -> (t, string) result
 (** Like {!of_string} but raises [Invalid_argument]; for literals in code. *)
 val v : string -> t
 
+(** [seg] is a non-empty string of the characters a segment may hold. *)
+val valid_segment : string -> bool
+
 (** [child p seg] appends one segment.
     @raise Invalid_argument on a malformed segment. *)
 val child : t -> string -> t

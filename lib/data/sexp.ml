@@ -49,26 +49,47 @@ module Print = struct
     if p.sep then put p ' ';
     p.sep <- true
 
-  (* An atom known to need no quoting. *)
-  let bare p s =
-    next p;
+  let blit p s =
     let n = String.length s in
     if p.writing then Bytes.blit_string s 0 p.out p.pos n;
     p.pos <- p.pos + n
+
+  (* An atom known to need no quoting. *)
+  let bare p s =
+    next p;
+    blit p s
+
+  let escaped p s =
+    String.iter
+      (fun c ->
+        match escape c with
+        | '\000' -> put p c
+        | e ->
+          put p '\\';
+          put p e)
+      s
 
   let atom p s =
     if not (needs_quoting s) then bare p s
     else begin
       next p;
       put p '"';
-      String.iter
-        (fun c ->
-          match escape c with
-          | '\000' -> put p c
-          | e ->
-            put p '\\';
-            put p e)
-        s;
+      escaped p s;
+      put p '"'
+    end
+
+  (* [mark] is a plain byte, so the atom is never empty and needs quoting
+     only for what [s] holds; no [mark ^ s] is built. *)
+  let marked p mark s =
+    next p;
+    if plain s 0 then begin
+      put p mark;
+      blit p s
+    end
+    else begin
+      put p '"';
+      put p mark;
+      escaped p s;
       put p '"'
     end
 
@@ -95,7 +116,7 @@ module Print = struct
   (* %h is an exact hexadecimal representation, so float round-trips are
      lossless; plain integers stay readable. *)
   let float p f =
-    bare p
+    marked p '~'
       (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f." f
        else Printf.sprintf "%h" f)
 
@@ -170,11 +191,18 @@ module Read = struct
 
   let is_list r = peek r = '('
 
+  let mark r =
+    match peek r with
+    | '"' when r.pos + 1 < String.length r.s -> String.unsafe_get r.s (r.pos + 1)
+    | c -> c
+
   let unescape = function 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c
 
-  let quoted r =
+  (* The quoted atom at [r.pos], less its first [skip] bytes, which the
+     caller knows are plain. *)
+  let quoted r skip =
     let s = r.s and n = String.length r.s in
-    let start = r.pos + 1 in
+    let start = r.pos + 1 + skip in
     let escapes = ref 0 in
     let rec scan i =
       if i >= n then (r.pos <- n; fail r "unterminated string")
@@ -214,27 +242,32 @@ module Read = struct
     | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> true
     | _ -> false
 
-  let bare r =
+  let bare r skip =
     let s = r.s and n = String.length r.s in
     let start = r.pos in
     let rec scan i = if i >= n || delimiter (String.unsafe_get s i) then i else scan (i + 1) in
     r.pos <- scan start;
-    String.sub s start (r.pos - start)
+    String.sub s (start + skip) (r.pos - start - skip)
 
   let atom r =
     match peek r with
-    | '"' -> quoted r
+    | '"' -> quoted r 0
     | '(' -> fail r "expected an atom, got a list"
     | ')' -> fail r "unexpected ')'"
     | _ when at_eof r -> fail r "unexpected end of input"
-    | _ -> bare r
+    | _ -> bare r 0
+
+  let marked r c =
+    if mark r <> c then fail r (Printf.sprintf "expected an atom marked %C" c)
+    else if peek r = '"' then quoted r 1
+    else bare r 1
 
   (* The next atom must be [word]; unless it is quoted, nothing is
      allocated. *)
   let expect r word =
     let n = String.length word in
     if peek r = '"' then begin
-      if not (String.equal (quoted r) word) then
+      if not (String.equal (quoted r 0) word) then
         fail r (Printf.sprintf "expected %S" word)
     end
     else begin
@@ -257,7 +290,7 @@ module Read = struct
     | None -> fail r (Printf.sprintf "not an int: %S" s)
 
   let float r =
-    let s = atom r in
+    let s = marked r '~' in
     match float_of_string_opt s with
     | Some f -> f
     | None -> fail r (Printf.sprintf "not a float: %S" s)

@@ -25,10 +25,17 @@ module Print : sig
   val to_string : (t -> unit) -> string
 
   val atom : t -> string -> unit
+
+  (** [marked p mark s] emits the one atom [mark] then [s], quoted when [s]
+      needs it; [mark] must be a byte that needs no quoting.  A decoder
+      tells such atoms apart by their first byte ({!Read.mark}). *)
+  val marked : t -> char -> string -> unit
+
+  (** Decimal digits, with a leading [-] when negative. *)
   val int : t -> int -> unit
 
-  (** Integral floats below 1e15 as ["3."]; others in exact [%h]
-      hexadecimal, so that a float reads back equal. *)
+  (** Marked with [~]: integral floats below 1e15 as [~3.]; others in
+      exact [%h] hexadecimal, so that a float reads back equal. *)
   val float : t -> float -> unit
 
   (** [list p items] emits a parenthesised list of what [items] emits. *)
@@ -61,10 +68,21 @@ module Read : sig
 
   val atom : t -> string
 
+  (** The first byte of the next item, consuming nothing: ['('] for a list,
+      [')'] at the end of one, ['\000'] at the end of the input, and for
+      an atom its own first byte (inside the quotes of a quoted one). *)
+  val mark : t -> char
+
+  (** [marked r mark] reads an atom that {!Print.marked} wrote with
+      [mark], and gives it without the mark. *)
+  val marked : t -> char -> string
+
   (** [expect r word] consumes the atom [word], or fails. *)
   val expect : t -> string -> unit
 
   val int : t -> int
+
+  (** A {!Print.float} atom. *)
   val float : t -> float
 
   (** [list r item] reads a parenthesised list, [item] for each element. *)

@@ -76,6 +76,17 @@ let make_node ~kind ?(attrs = []) ?(children = []) () =
   let names, values = layout attrs in
   { kind; names; values; children = Smap.of_seq (List.to_seq children) }
 
+let maker ~kind names =
+  let sorted, position = layout (List.mapi (fun i name -> (name, i)) names) in
+  if Array.length sorted <> List.length names then
+    invalid_arg "Tree.maker: a name is given twice";
+  fun values ->
+    let values = Array.of_list values in
+    if Array.length values <> Array.length sorted then
+      invalid_arg "Tree.maker: one value per name";
+    { kind; names = sorted; values = Array.map (Array.get values) position;
+      children = Smap.empty }
+
 let with_children node children = { node with children }
 
 let empty = make_node ~kind:"root" ()
@@ -229,83 +240,103 @@ let subtree t path =
 module Print = Sexp.Print
 module Read = Sexp.Read
 
-(* Codec: (node <kind> (attrs (<name> <value>)...) (children (<name> <node>)...)) *)
-let rec print p node =
-  Print.list p (fun p ->
-      Print.atom p "node";
-      Print.atom p node.kind;
-      Print.list p (fun p ->
-          Print.atom p "attrs";
-          Array.iteri
-            (fun i name ->
-              Print.list p (fun p ->
-                  Print.atom p name;
-                  Value.print p node.values.(i)))
-            node.names);
-      Print.list p (fun p ->
-          Print.atom p "children";
-          Smap.iter
-            (fun name child ->
-              Print.list p (fun p ->
-                  Print.atom p name;
-                  print p child))
-            node.children))
+(* Codec: (<layouts> <node>).  A layout is a kind and its attribute names,
+   (<kind> <name>...); the encoding lists each layout of the subtree once,
+   in first-use (preorder) order, and a node is
+   (<layout index> <value>... <child name> <child node>...), its values in
+   the layout's name order and its children in name order. *)
 
-(* One decode shares equal kinds, attribute names and scalar values, and
-   gives a node the names array of the last node of its kind when they are
-   equal: a checkpoint of thousands of like nodes then holds one copy of
-   each, not one per node.  The tables live for the call only. *)
-let read r =
-  let strings = Hashtbl.create 64
-  and scalars = Hashtbl.create 64
-  and kind_names = ref [] in
-  let share tbl v =
-    match Hashtbl.find_opt tbl v with
-    | Some shared -> shared
-    | None ->
-      Hashtbl.add tbl v v;
-      v
+let same_layout a b = String.equal a.kind b.kind && arrays_equal String.equal a.names b.names
+
+(* One node of each layout of [root]'s subtree, in first-use order.  Like
+   nodes share one names array, so most tests are a physical comparison;
+   the newest layout is tested first, as siblings are mostly alike. *)
+let layouts root =
+  let rec collect acc node =
+    let acc = if List.exists (same_layout node) acc then acc else node :: acc in
+    Smap.fold (fun _ child acc -> collect acc child) node.children acc
   in
+  Array.of_list (List.rev (collect [] root))
+
+let print p root =
+  let table = layouts root in
+  let last = ref 0 in
+  let index node =
+    if not (same_layout node table.(!last)) then begin
+      let rec find i = if same_layout node table.(i) then i else find (i + 1) in
+      last := find 0
+    end;
+    !last
+  in
+  let rec node p n =
+    Print.list p (fun p ->
+        Print.int p (index n);
+        Array.iter (Value.print p) n.values;
+        Smap.iter
+          (fun name child ->
+            Print.atom p name;
+            node p child)
+          n.children)
+  in
+  Print.list p (fun p ->
+      Print.list p (fun p ->
+          Array.iter
+            (fun l ->
+              Print.list p (fun p ->
+                  Print.atom p l.kind;
+                  Array.iter (Print.atom p) l.names))
+            table);
+      node p root)
+
+(* Every node takes its kind and names array from the layout table, and
+   equal scalar values are shared: a checkpoint of thousands of like nodes
+   holds one copy of each.  The tables live for the call only. *)
+let read r =
+  let scalars = Hashtbl.create 64 in
   let scalar = function
-    | (Value.Str _ | Value.Int _ | Value.Bool _) as v -> share scalars v
+    | (Value.Str _ | Value.Int _ | Value.Bool _) as v ->
+      (match Hashtbl.find_opt scalars v with
+       | Some shared -> shared
+       | None ->
+         Hashtbl.add scalars v v;
+         v)
     | v -> v
   in
-  (* Entries [(<name> <item>)...] up to the list's end, last first. *)
-  let rec entries key item acc =
-    if Read.at_end r then begin
-      Read.leave r;
-      acc
-    end
-    else begin
-      Read.enter r;
-      let name = key (Read.atom r) in
-      let x = item () in
-      Read.leave r;
-      entries key item ((name, x) :: acc)
-    end
+  let read_layout r =
+    match Read.list r Read.atom with
+    | [] -> Read.fail r "empty layout"
+    | kind :: names ->
+      let names = Array.of_list names in
+      for i = 1 to Array.length names - 1 do
+        if String.compare names.(i - 1) names.(i) >= 0 then
+          Read.fail r "layout names out of order"
+      done;
+      (kind, names)
   in
+  Read.enter r;
+  let table = Array.of_list (Read.list r read_layout) in
   let rec node () =
     Read.enter r;
-    Read.expect r "node";
-    let kind = share strings (Read.atom r) in
-    Read.enter r;
-    Read.expect r "attrs";
-    let attrs = entries (share strings) (fun () -> scalar (Value.read r)) [] in
-    Read.enter r;
-    Read.expect r "children";
-    let children = entries Fun.id node [] in
-    Read.leave r;
-    let names, values = layout attrs in
-    let names =
-      match List.assq_opt kind !kind_names with
-      | Some shared when arrays_equal String.equal shared names -> shared
-      | _ ->
-        kind_names := (kind, names) :: List.remove_assq kind !kind_names;
-        names
+    let i = Read.int r in
+    if i < 0 || i >= Array.length table then Read.fail r "layout index out of range";
+    let kind, names = table.(i) in
+    let values = Array.map (fun _ -> scalar (Value.read r)) names in
+    let rec children acc =
+      if Read.at_end r then begin
+        Read.leave r;
+        acc
+      end
+      else begin
+        let name = Read.atom r in
+        children ((name, node ()) :: acc)
+      end
     in
+    let children = children [] in
     { kind; names; values; children = Smap.of_seq (List.to_seq children) }
   in
-  node ()
+  let root = node () in
+  Read.leave r;
+  root
 
 let to_string t = Print.to_string (fun p -> print p t)
 let of_string = Read.of_string read

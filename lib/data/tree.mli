@@ -12,9 +12,9 @@ module Smap : Map.S with type key = string
     fixes its attribute names, so like nodes hold one [names] array between
     them: an update that keeps the names keeps the array, a node placed
     under a parent takes the array of the sibling before it when that is of
-    its kind with equal names, and within one {!read} a node takes
-    the array of the last decoded node of its kind when the names are
-    equal.  No table outlives the call that made it.  The type is
+    its kind with equal names, a {!maker} gives every node it makes one
+    array, and within one {!read} every node of a layout takes the
+    layout's array.  No table outlives the call that made it.  The type is
     private so that the invariant holds; read attributes with {!attr} and
     {!attrs}. *)
 type node = private {
@@ -96,13 +96,16 @@ val subtree : t -> Path.t -> (node, error) result
 
 (** {1 Codec} *)
 
-(** [(node <kind> (attrs (<name> <value>)...) (children (<name> <node>)...))],
-    attributes and children in name order. *)
+(** Positional: [(<layouts> <node>)].  The layouts [((<kind> <name>...)...)]
+    are the distinct kinds and attribute names of the subtree, each once,
+    in first-use (preorder) order; a node is
+    [(<layout index> <value>... <child name> <child node>...)], its values
+    in its layout's name order and its children in name order.  An
+    [image] node reads [(5 f 10240 t)]. *)
 val print : Sexp.Print.t -> node -> unit
 
-(** Shares within the one call the equal kinds, attribute names and
-    [Str], [Int] and [Bool] values it reads, and each kind's names array
-    (see {!node}). *)
+(** Every node takes its kind and names array from the layout table, and
+    equal [Str], [Int] and [Bool] values are shared within the one call. *)
 val read : Sexp.Read.t -> node
 
 val to_string : t -> string
@@ -116,6 +119,14 @@ val pp : Format.formatter -> t -> unit
 val make_node :
   kind:string -> ?attrs:(string * Value.t) list ->
   ?children:(string * node) list -> unit -> node
+
+(** [maker ~kind names values] is a childless node of [kind] that binds
+    [names] to [values] in order.  Partially applied, it declares a kind's
+    layout once: every node it makes holds one names array, where
+    {!make_node} allocates one per node.
+    @raise Invalid_argument on a repeated name, or when [values] and
+    [names] differ in length. *)
+val maker : kind:string -> string list -> Value.t list -> node
 
 (** [node] with its children replaced. *)
 val with_children : node -> node Smap.t -> node

@@ -53,49 +53,32 @@ let to_string v = Format.asprintf "%a" pp v
 module Print = Sexp.Print
 module Read = Sexp.Read
 
-(* Codec: (null) (bool <b>) (int <i>) (float <f>) (str <s>) (list <v>...) *)
-let rec print p v =
-  Print.list p (fun p ->
-      match v with
-      | Null -> Print.atom p "null"
-      | Bool b ->
-        Print.atom p "bool";
-        Print.atom p (if b then "true" else "false")
-      | Int i ->
-        Print.atom p "int";
-        Print.int p i
-      | Float f ->
-        Print.atom p "float";
-        Print.float p f
-      | Str s ->
-        Print.atom p "str";
-        Print.atom p s
-      | List xs ->
-        Print.atom p "list";
-        List.iter (print p) xs)
+(* Codec: a value is typed by its shape, with no tag: [n], [t], [f],
+   decimal digits for an int, a [~] float, a ['] string and a list in
+   parentheses. *)
+let rec print p = function
+  | Null -> Print.atom p "n"
+  | Bool b -> Print.atom p (if b then "t" else "f")
+  | Int i -> Print.int p i
+  | Float f -> Print.float p f
+  | Str s -> Print.marked p '\'' s
+  | List xs -> Print.list p (fun p -> List.iter (print p) xs)
+
+let word r w v =
+  Read.expect r w;
+  v
 
 let rec read r =
-  Read.enter r;
-  let v =
-    match Read.atom r with
-    | "null" -> Null
-    | "bool" ->
-      (match Read.atom r with
-       | "true" -> Bool true
-       | "false" -> Bool false
-       | s -> Read.fail r (Printf.sprintf "not a bool: %S" s))
-    | "int" -> Int (Read.int r)
-    | "float" -> Float (Read.float r)
-    | "str" -> Str (Read.atom r)
-    | "list" ->
-      let rec items acc =
-        if Read.at_end r then List (List.rev acc) else items (read r :: acc)
-      in
-      items []
-    | tag -> Read.fail r (Printf.sprintf "bad value tag %S" tag)
-  in
-  Read.leave r;
-  v
+  match Read.mark r with
+  | '(' -> List (Read.list r read)
+  | '\'' -> Str (Read.marked r '\'')
+  | '~' -> Float (Read.float r)
+  | '-' | '0' .. '9' -> Int (Read.int r)
+  | 'n' -> word r "n" Null
+  | 't' -> word r "t" (Bool true)
+  | 'f' -> word r "f" (Bool false)
+  | ')' | '\000' -> Read.fail r "expected a value"
+  | c -> Read.fail r (Printf.sprintf "unknown value mark %C" c)
 
 let as_bool = function Bool b -> Some b | _ -> None
 let as_int = function Int i -> Some i | _ -> None

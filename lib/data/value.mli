@@ -13,7 +13,8 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** {1 Codec} [(int 3)], [(str "a b")], [(list (null) (bool true))]... *)
+(** {1 Codec} Typed by shape: [n], [t], [f], [3], [~2.5] (as
+    {!Sexp.Print.float}), ['a] or ["'a b"], and [(n t (3))] for a list. *)
 
 val print : Sexp.Print.t -> t -> unit
 val read : Sexp.Read.t -> t

@@ -17,15 +17,18 @@ let state_string = function
   | `Stopped -> Schema.state_stopped
   | `Running -> Schema.state_running
 
+(* Every exported VM, of every host, holds this maker's names array. *)
+let vm_maker =
+  Data.Tree.maker ~kind:Schema.vm_kind
+    [ Schema.attr_state; Schema.attr_mem_mb; Schema.attr_image ]
+
 let vm_node vm =
-  Data.Tree.make_node ~kind:Schema.vm_kind
-    ~attrs:
-      [
-        Schema.attr_state, Data.Value.Str (state_string vm.state);
-        Schema.attr_mem_mb, Data.Value.Int vm.vm_mem_mb;
-        Schema.attr_image, Data.Value.Str vm.image;
-      ]
-    ()
+  vm_maker
+    [
+      Data.Value.Str (state_string vm.state);
+      Data.Value.Int vm.vm_mem_mb;
+      Data.Value.Str vm.image;
+    ]
 
 let export_state host () =
   let imported =

@@ -12,18 +12,17 @@ type t = {
 
 let vlan_key id = Printf.sprintf "vlan%04d" id
 
+(* Every exported VLAN, of every switch, holds this maker's names array. *)
+let vlan_maker =
+  Data.Tree.maker ~kind:Schema.vlan_kind [ Schema.attr_vlan_name; Schema.attr_ports ]
+
 let vlan_node vlan =
-  Data.Tree.make_node ~kind:Schema.vlan_kind
-    ~attrs:
-      [
-        Schema.attr_vlan_name, Data.Value.Str vlan.vlan_name;
-        ( Schema.attr_ports,
-          Data.Value.List
-            (List.map
-               (fun p -> Data.Value.Str p)
-               (List.sort String.compare vlan.ports)) );
-      ]
-    ()
+  vlan_maker
+    [
+      Data.Value.Str vlan.vlan_name;
+      Data.Value.List
+        (List.map (fun p -> Data.Value.Str p) (List.sort String.compare vlan.ports));
+    ]
 
 let export_state switch () =
   let node =

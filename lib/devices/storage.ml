@@ -13,15 +13,18 @@ type t = {
   handle : Device.t Lazy.t;
 }
 
+(* Every exported image, of every host, holds this maker's names array. *)
+let image_maker =
+  Data.Tree.maker ~kind:Schema.image_kind
+    [ Schema.attr_size_mb; Schema.attr_template; Schema.attr_exported ]
+
 let image_node img =
-  Data.Tree.make_node ~kind:Schema.image_kind
-    ~attrs:
-      [
-        Schema.attr_size_mb, Data.Value.Int img.size_mb;
-        Schema.attr_template, Data.Value.Bool img.template;
-        Schema.attr_exported, Data.Value.Bool img.exported;
-      ]
-    ()
+  image_maker
+    [
+      Data.Value.Int img.size_mb;
+      Data.Value.Bool img.template;
+      Data.Value.Bool img.exported;
+    ]
 
 let export_state host () =
   let node =

@@ -65,6 +65,13 @@ let int_arg args i =
   | Some (Value.Int n) -> Ok n
   | Some _ | None -> Error (Printf.sprintf "argument %d: expected int" i)
 
+(* A name that becomes a path segment: a malformed one is an error, so the
+   txn aborts with a reason where [Data.Path.child] would raise. *)
+let name_arg args i =
+  let* name = str_arg args i in
+  if Data.Path.valid_segment name then Ok name
+  else Error (Printf.sprintf "argument %d: %S is not a valid name" i name)
+
 let node_at tree path =
   match Tree.find tree path with
   | Some node -> Ok node
@@ -112,7 +119,7 @@ let unimport_image tree path args =
            (Value.List (List.map (fun s -> Value.Str s) remaining)))
 
 let create_vm tree path args =
-  let* name = str_arg args 0 in
+  let* name = name_arg args 0 in
   let* image = str_arg args 1 in
   let* mem = int_arg args 2 in
   let* host = node_at tree path in
@@ -139,14 +146,14 @@ let vm_state tree path name =
   Ok (vm_path, state)
 
 let remove_vm tree path args =
-  let* name = str_arg args 0 in
+  let* name = name_arg args 0 in
   let* vm_path, state = vm_state tree path name in
   if String.equal state Schema.state_running then
     Error (Printf.sprintf "vm %s is running" name)
   else tree_err (Tree.remove tree vm_path)
 
 let set_vm_state tree path args ~from_state ~to_state =
-  let* name = str_arg args 0 in
+  let* name = name_arg args 0 in
   let* vm_path, state = vm_state tree path name in
   if not (String.equal state from_state) then
     Error (Printf.sprintf "vm %s is %s, not %s" name state from_state)
@@ -178,7 +185,7 @@ let bool_attr node name =
 
 let clone_image tree path args =
   let* template = str_arg args 0 in
-  let* image = str_arg args 1 in
+  let* image = name_arg args 1 in
   let* host = node_at tree path in
   let* template_node = image_node host template in
   let* is_template = bool_attr template_node Schema.attr_template in
@@ -198,7 +205,7 @@ let clone_image tree path args =
          ())
 
 let remove_image tree path args =
-  let* image = str_arg args 0 in
+  let* image = name_arg args 0 in
   let* host = node_at tree path in
   let* node = image_node host image in
   let* is_template = bool_attr node Schema.attr_template in
@@ -208,7 +215,7 @@ let remove_image tree path args =
   else tree_err (Tree.remove tree (Data.Path.child path image))
 
 let set_exported tree path args ~target =
-  let* image = str_arg args 0 in
+  let* image = name_arg args 0 in
   let* host = node_at tree path in
   let* node = image_node host image in
   let* exported = bool_attr node Schema.attr_exported in
@@ -294,7 +301,7 @@ let first_arg args = match args with a :: _ -> [ a ] | [] -> []
    volume still exists at every point a removeVM appears in a procedure). *)
 let remove_vm_undo tree path args =
   match args with
-  | [ Value.Str name ] ->
+  | [ Value.Str name ] when Data.Path.valid_segment name ->
     (match Tree.find tree (Data.Path.child path name) with
      | Some vm ->
        (match

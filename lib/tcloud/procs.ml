@@ -23,6 +23,8 @@ let path_arg args i =
   | Error reason -> Dsl.abort (Printf.sprintf "argument %d: %s" i reason)
 
 let vm_attr ctx host_path vm name =
+  if not (Data.Path.valid_segment vm) then
+    Dsl.abort (Printf.sprintf "%S is not a valid VM name" vm);
   match Dsl.get_attr ctx (Data.Path.child host_path vm) name with
   | Some v -> v
   | None ->

@@ -196,20 +196,46 @@ let value_gen =
 
 let value_arbitrary = QCheck.make ~print:Value.to_string value_gen
 
-(* The value encoding as it was built through Sexp.t before the codecs
-   printed directly: the model the direct printer must match. *)
+(* The value encoding as a Sexp.t, built apart from the codec: the model
+   the direct printer must match.  A value is typed by its shape. *)
 let rec value_sexp = function
-  | Value.Null -> Sexp.List [ Sexp.Atom "null" ]
-  | Value.Bool b -> Sexp.List [ Sexp.Atom "bool"; Sexp.Atom (string_of_bool b) ]
-  | Value.Int i -> Sexp.List [ Sexp.Atom "int"; Sexp.Atom (string_of_int i) ]
+  | Value.Null -> Sexp.Atom "n"
+  | Value.Bool b -> Sexp.Atom (if b then "t" else "f")
+  | Value.Int i -> Sexp.Atom (string_of_int i)
   | Value.Float f ->
+    Sexp.Atom
+      (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "~%.0f." f
+       else Printf.sprintf "~%h" f)
+  | Value.Str s -> Sexp.Atom ("'" ^ s)
+  | Value.List xs -> Sexp.List (List.map value_sexp xs)
+
+(* The tree encoding as a Sexp.t over any node shape: [kind n], [attrs n]
+   (bindings in name order) and [children n] (in name order).  The layouts
+   ((<kind> <name>...)...) in first-use preorder, then the nodes
+   (<layout index> <value>... <child name> <child node>...). *)
+let positional_sexp ~kind ~attrs ~children root =
+  let layout n = (kind n, List.map fst (attrs n)) in
+  let rec collect seen n =
+    let seen = if List.mem (layout n) seen then seen else layout n :: seen in
+    List.fold_left (fun seen (_, c) -> collect seen c) seen (children n)
+  in
+  let table = List.rev (collect [] root) in
+  let index n =
+    let rec find i = function
+      | l :: rest -> if l = layout n then i else find (i + 1) rest
+      | [] -> assert false
+    in
+    find 0 table
+  in
+  let rec node n =
     Sexp.List
-      [ Sexp.Atom "float";
-        Sexp.Atom
-          (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f." f
-           else Printf.sprintf "%h" f) ]
-  | Value.Str s -> Sexp.List [ Sexp.Atom "str"; Sexp.Atom s ]
-  | Value.List xs -> Sexp.List (Sexp.Atom "list" :: List.map value_sexp xs)
+      ((Sexp.Atom (string_of_int (index n)) :: List.map (fun (_, v) -> value_sexp v) (attrs n))
+       @ List.concat_map (fun (c, child) -> [ Sexp.Atom c; node child ]) (children n))
+  in
+  Sexp.List
+    [ Sexp.List
+        (List.map (fun (k, names) -> Sexp.List (List.map Sexp.atom (k :: names))) table);
+      node root ]
 
 let value_roundtrip_prop =
   QCheck.Test.make ~name:"value sexp roundtrip" ~count:500 value_arbitrary
@@ -740,22 +766,11 @@ module Map_model = struct
     && Smap.equal Value.equal a.attrs b.attrs
     && Smap.equal equal a.children b.children
 
-  let rec to_sexp n =
-    Sexp.List
-      [
-        Sexp.Atom "node";
-        Sexp.Atom n.kind;
-        Sexp.List
-          (Sexp.Atom "attrs"
-           :: List.map
-                (fun (a, v) -> Sexp.List [ Sexp.Atom a; value_sexp v ])
-                (Smap.bindings n.attrs));
-        Sexp.List
-          (Sexp.Atom "children"
-           :: List.map
-                (fun (c, child) -> Sexp.List [ Sexp.Atom c; to_sexp child ])
-                (Smap.bindings n.children));
-      ]
+  let to_sexp =
+    positional_sexp
+      ~kind:(fun n -> n.kind)
+      ~attrs:(fun n -> Smap.bindings n.attrs)
+      ~children:(fun n -> Smap.bindings n.children)
 
   let to_string n = buffer_to_string (to_sexp n)
 
@@ -928,20 +943,13 @@ let test_sexp_comment_after_atom () =
   let parsed = ok_or_fail "parse" (Sexp.of_string "(a; comment\n b)") in
   check string_c "the comment ends the atom" "(a b)" (Sexp.to_string parsed)
 
-(* Sexp.t builders of the record encodings as they were before the codecs
-   printed directly; printed by [buffer_to_string], they are the model. *)
-let rec tree_sexp node =
-  Sexp.List
-    [ Sexp.Atom "node";
-      Sexp.Atom node.Tree.kind;
-      Sexp.List
-        (Sexp.Atom "attrs"
-         :: List.map (fun (a, v) -> Sexp.List [ Sexp.Atom a; value_sexp v ])
-              (Tree.attrs node));
-      Sexp.List
-        (Sexp.Atom "children"
-         :: List.map (fun (c, child) -> Sexp.List [ Sexp.Atom c; tree_sexp child ])
-              (Tree.Smap.bindings node.Tree.children)) ]
+(* Sexp.t builders of the record encodings, apart from the codecs; printed
+   by [buffer_to_string], they are the model. *)
+let tree_sexp =
+  positional_sexp
+    ~kind:(fun n -> n.Tree.kind)
+    ~attrs:Tree.attrs
+    ~children:(fun n -> Tree.Smap.bindings n.Tree.children)
 
 let xlog_sexp log =
   Sexp.List
@@ -960,11 +968,6 @@ let xlog_sexp log =
 
 let txn_sexp (t : Tropic.Txn.t) =
   let field name v = Sexp.List [ Sexp.Atom name; v ] in
-  let float f =
-    match value_sexp (Value.Float f) with
-    | Sexp.List [ _; atom ] -> atom
-    | other -> other
-  in
   Sexp.List
     ([ field "id" (Sexp.Atom (string_of_int t.id));
        field "proc" (Sexp.Atom t.proc);
@@ -978,7 +981,7 @@ let txn_sexp (t : Tropic.Txn.t) =
                  Sexp.List
                    [ Sexp.Atom (Path.to_string p); Sexp.Atom (Mglock.mode_to_string m) ])
                t.locks));
-       field "submitted" (float t.submitted_at);
+       field "submitted" (value_sexp (Value.Float t.submitted_at));
        field "start_seq"
          (match t.start_seq with
           | Some n -> Sexp.Atom (string_of_int n)
@@ -1011,114 +1014,124 @@ type codec_case =
   | Log of Tropic.Xlog.t
   | Record of Tropic.Txn.t
 
+(* The empty atom, every byte the printer escapes or quotes for, and
+   non-ASCII bytes. *)
+let codec_atom_gen =
+  let open QCheck.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [ (4, char_range 'a' 'z');
+           (3, oneofl [ ' '; '('; ')'; '"'; '\\'; ';'; '\n'; '\t'; '\r'; '\127' ]);
+           (1, map Char.chr (int_range 0 31));
+           (1, map Char.chr (int_range 128 255)) ])
+    (int_range 0 6)
+
+(* Digit-count edges and the one int whose negation overflows. *)
+let codec_int_gen =
+  QCheck.Gen.(oneof [ int; oneofl [ 0; 9; 10; -1; -10; max_int; min_int ] ])
+
+let codec_float_gen =
+  let open QCheck.Gen in
+  oneof
+    [ float_bound_inclusive 1e9;
+      map float_of_int codec_int_gen;
+      oneofl [ 0.5; -0.; -2.75; 1e15; 1e300; 5e-324; infinity; neg_infinity ] ]
+
+let codec_value_gen =
+  let open QCheck.Gen in
+  fix
+    (fun self n ->
+      let scalar =
+        oneof
+          [ return Value.Null;
+            map (fun b -> Value.Bool b) bool;
+            map (fun i -> Value.Int i) codec_int_gen;
+            map (fun f -> Value.Float f) codec_float_gen;
+            map (fun s -> Value.Str s) codec_atom_gen ]
+      in
+      if n = 0 then scalar
+      else
+        frequency
+          [ (3, scalar);
+            (1, map (fun xs -> Value.List xs) (list_size (int_bound 3) (self (n - 1)))) ])
+    2
+
+let codec_values_gen = QCheck.Gen.(list_size (int_bound 3) codec_value_gen)
+
+let codec_path_gen =
+  let open QCheck.Gen in
+  map
+    (fun segs -> Path.v ("/" ^ String.concat "/" segs))
+    (list_size (int_range 1 3) (string_size ~gen:(char_range 'a' 'c') (int_range 1 3)))
+
+let codec_node_gen =
+  let open QCheck.Gen in
+  fix
+    (fun self n ->
+      let* kind = codec_atom_gen in
+      let* attrs = list_size (int_bound 2) (pair codec_atom_gen codec_value_gen) in
+      let* children =
+        if n = 0 then return [] else list_size (int_bound 3) (pair codec_atom_gen (self (n - 1)))
+      in
+      return (Tree.make_node ~kind ~attrs ~children ()))
+    2
+
+let codec_log_gen =
+  let open QCheck.Gen in
+  let* n = int_bound 3 in
+  flatten_l
+    (List.init n (fun i ->
+         let* path = codec_path_gen in
+         let* action = codec_atom_gen in
+         let* args = codec_values_gen in
+         let* undo = opt codec_atom_gen in
+         let* undo_args = codec_values_gen in
+         return { Tropic.Xlog.index = i + 1; path; action; args; undo; undo_args }))
+
+let codec_record_gen =
+  let open QCheck.Gen in
+  let* id = codec_int_gen in
+  let* proc = codec_atom_gen in
+  let* args = codec_values_gen in
+  let* submitted_at = codec_float_gen in
+  let* state =
+    oneof
+      [ oneofl
+          Tropic.Txn.[ Initialized; Accepted; Deferred; Started; Committed ];
+        map (fun r -> Tropic.Txn.Aborted r) codec_atom_gen;
+        map (fun r -> Tropic.Txn.Failed r) codec_atom_gen ]
+  in
+  let* log = codec_log_gen in
+  let* locks =
+    list_size (int_bound 3) (pair codec_path_gen (oneofl Mglock.[ R; W; IR; IW ]))
+  in
+  let* start_seq = opt codec_int_gen in
+  let* termed = bool in
+  let t = Tropic.Txn.make ~id ~proc ~args ~submitted_at in
+  t.state <- state;
+  t.log <- log;
+  t.locks <- locks;
+  t.start_seq <- start_seq;
+  t.termed <- termed;
+  return t
+
 let codec_case_gen =
   let open QCheck.Gen in
-  (* The empty atom, every byte the printer escapes or quotes for, and
-     non-ASCII bytes. *)
-  let atom =
-    string_size
-      ~gen:
-        (frequency
-           [ (4, char_range 'a' 'z');
-             (3, oneofl [ ' '; '('; ')'; '"'; '\\'; ';'; '\n'; '\t'; '\r'; '\127' ]);
-             (1, map Char.chr (int_range 0 31));
-             (1, map Char.chr (int_range 128 255)) ])
-      (int_range 0 6)
-  in
-  (* Digit-count edges and the one int whose negation overflows. *)
-  let int = oneof [ int; oneofl [ 0; 9; 10; -1; -10; max_int; min_int ] ] in
-  let float =
-    oneof
-      [ float_bound_inclusive 1e9;
-        map float_of_int int;
-        oneofl [ 0.5; -0.; -2.75; 1e15; 1e300; 5e-324; infinity; neg_infinity ] ]
-  in
-  let value =
-    fix
-      (fun self n ->
-        let scalar =
-          oneof
-            [ return Value.Null;
-              map (fun b -> Value.Bool b) bool;
-              map (fun i -> Value.Int i) int;
-              map (fun f -> Value.Float f) float;
-              map (fun s -> Value.Str s) atom ]
-        in
-        if n = 0 then scalar
-        else
-          frequency
-            [ (3, scalar);
-              (1, map (fun xs -> Value.List xs) (list_size (int_bound 3) (self (n - 1)))) ])
-      2
-  in
-  let values = list_size (int_bound 3) value in
-  let path =
-    map
-      (fun segs -> Path.v ("/" ^ String.concat "/" segs))
-      (list_size (int_range 1 3) (string_size ~gen:(char_range 'a' 'c') (int_range 1 3)))
-  in
-  let node =
-    fix
-      (fun self n ->
-        let* kind = atom in
-        let* attrs = list_size (int_bound 2) (pair atom value) in
-        let* children =
-          if n = 0 then return [] else list_size (int_bound 3) (pair atom (self (n - 1)))
-        in
-        return (Tree.make_node ~kind ~attrs ~children ()))
-      2
-  in
-  let log =
-    let* n = int_bound 3 in
-    flatten_l
-      (List.init n (fun i ->
-           let* path = path in
-           let* action = atom in
-           let* args = values in
-           let* undo = opt atom in
-           let* undo_args = values in
-           return { Tropic.Xlog.index = i + 1; path; action; args; undo; undo_args }))
-  in
-  let record =
-    let* id = int in
-    let* proc = atom in
-    let* args = values in
-    let* submitted_at = float in
-    let* state =
-      oneof
-        [ oneofl
-            Tropic.Txn.[ Initialized; Accepted; Deferred; Started; Committed ];
-          map (fun r -> Tropic.Txn.Aborted r) atom;
-          map (fun r -> Tropic.Txn.Failed r) atom ]
-    in
-    let* log = log in
-    let* locks =
-      list_size (int_bound 3) (pair path (oneofl Mglock.[ R; W; IR; IW ]))
-    in
-    let* start_seq = opt int in
-    let* termed = bool in
-    let t = Tropic.Txn.make ~id ~proc ~args ~submitted_at in
-    t.state <- state;
-    t.log <- log;
-    t.locks <- locks;
-    t.start_seq <- start_seq;
-    t.termed <- termed;
-    return t
-  in
   let doc =
     sized_size (int_bound 6)
     @@ fix (fun self n ->
-           if n = 0 then map (fun s -> Sexp.Atom s) atom
+           if n = 0 then map (fun s -> Sexp.Atom s) codec_atom_gen
            else
              frequency
-               [ (2, map (fun s -> Sexp.Atom s) atom);
+               [ (2, map (fun s -> Sexp.Atom s) codec_atom_gen);
                  (1, map (fun xs -> Sexp.List xs) (list_size (int_bound 4) (self (n / 2)))) ])
   in
   frequency
     [ (2, map (fun xs -> Doc (Sexp.List xs)) (list_size (int_bound 4) doc));
-      (1, map (fun t -> Tree_case t) node);
-      (1, map (fun l -> Log l) log);
-      (1, map (fun t -> Record t) record) ]
+      (1, map (fun t -> Tree_case t) codec_node_gen);
+      (1, map (fun l -> Log l) codec_log_gen);
+      (1, map (fun t -> Record t) codec_record_gen) ]
 
 let codec_case_model = function
   | Doc sexp -> sexp
@@ -1154,6 +1167,136 @@ let codec_model_prop =
           (Sexp.Read.of_string Tropic.Xlog.read)
           (( = ) log)
       | Record t -> agree (Tropic.Txn.to_string t) Tropic.Txn.of_string (( = ) t))
+
+(* Every single-atom corruption of a valid encoding that the grammar
+   rules out, with what it does.  The encoding is read as a Sexp.t, one
+   atom or item changed, and printed again. *)
+let corruptions =
+  (* [each f xs]: each element of [xs] in turn replaced by each of [f x]. *)
+  let each f xs =
+    List.concat
+      (List.mapi
+         (fun i x ->
+           List.map
+             (fun (what, x') -> (what, List.mapi (fun j y -> if j = i then x' else y) xs))
+             (f x))
+         xs)
+  in
+  let is_int a =
+    a <> "" && match a.[0] with '-' | '0' .. '9' -> true | _ -> false
+  in
+  let non_numeric = "non-numeric int" in
+  let with_letter a = Sexp.Atom (a ^ "z") in
+  let rec value = function
+    | Sexp.Atom a ->
+      ("unknown value mark", Sexp.Atom ("?" ^ a))
+      :: (if is_int a then [ (non_numeric, with_letter a) ] else [])
+    | Sexp.List xs -> List.map (fun (w, xs) -> (w, Sexp.List xs)) (each value xs)
+  in
+  let values = function
+    | Sexp.List xs -> List.map (fun (w, xs) -> (w, Sexp.List xs)) (each value xs)
+    | Sexp.Atom _ -> []
+  in
+  let rec split k = function
+    | x :: rest when k > 0 ->
+      let taken, left = split (k - 1) rest in
+      (x :: taken, left)
+    | rest -> ([], rest)
+  in
+  let tree layouts root =
+    let arity i = List.length (List.nth layouts i) - 1 in
+    let rec node = function
+      | Sexp.List (Sexp.Atom idx :: rest) ->
+        let vs, children = split (arity (int_of_string idx)) rest in
+        let at idx vs children = Sexp.List ((idx :: vs) @ children) in
+        let idx' = Sexp.Atom idx in
+        [ ("layout index out of range", at (Sexp.Atom (string_of_int (List.length layouts))) vs children);
+          ("negative layout index", at (Sexp.Atom "-1") vs children);
+          (non_numeric, at (with_letter idx) vs children);
+          ("one value too many", at idx' (vs @ [ Sexp.Atom "0" ]) children) ]
+        @ (match List.rev vs with
+           | _ :: rest -> [ ("one value too few", at idx' (List.rev rest) children) ]
+           | [] -> [])
+        @ List.map (fun (w, vs) -> (w, at idx' vs children)) (each value vs)
+        @ List.map
+            (fun (w, children) -> (w, at idx' vs children))
+            (each (function Sexp.Atom _ -> [] | child -> node child) children)
+      | _ -> Alcotest.fail "not a node"
+    in
+    node root
+  in
+  function
+  | `Tree (Sexp.List [ Sexp.List layouts; root ]) ->
+    let layouts = List.map (function Sexp.List l -> l | Sexp.Atom _ -> []) layouts in
+    List.map
+      (fun (w, root) -> (w, Sexp.List [ Sexp.List (List.map (fun l -> Sexp.List l) layouts); root ]))
+      (tree layouts root)
+  | `Record (Sexp.List fields) ->
+    let record = function
+      | Sexp.List [ (Sexp.Atom "id" as f); Sexp.Atom id ] ->
+        [ (non_numeric, Sexp.List [ f; with_letter id ]) ]
+      | Sexp.List [ (Sexp.Atom "args" as f); args ] ->
+        List.map (fun (w, args) -> (w, Sexp.List [ f; args ])) (values args)
+      | Sexp.List [ (Sexp.Atom "log" as f); Sexp.List log ] ->
+        let entry = function
+          | Sexp.List [ Sexp.Atom index; path; action; args; undo; undo_args ] ->
+            let at index args undo_args = Sexp.List [ index; path; action; args; undo; undo_args ] in
+            let index' = Sexp.Atom index in
+            (non_numeric, at (with_letter index) args undo_args)
+            :: List.map (fun (w, args) -> (w, at index' args undo_args)) (values args)
+            @ List.map (fun (w, undo_args) -> (w, at index' args undo_args)) (values undo_args)
+          | _ -> Alcotest.fail "not a log entry"
+        in
+        List.map (fun (w, log) -> (w, Sexp.List [ f; Sexp.List log ])) (each entry log)
+      | _ -> []
+    in
+    List.map (fun (w, fields) -> (w, Sexp.List fields)) (each record fields)
+  | `Value v -> value v
+  | `Tree (Sexp.Atom _ | Sexp.List _) | `Record (Sexp.Atom _) ->
+    Alcotest.fail "not an encoding"
+
+(* A malformed encoding is an [Error], never an exception nor a value:
+   an out-of-range layout index, one value too few or too many, an
+   unknown value mark or a non-numeric int. *)
+let malformed_prop =
+  QCheck.Test.make ~name:"codec: a corrupted atom is an Error, never an exception"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         oneof
+           [ map (fun t -> `Tree t) codec_node_gen;
+             map (fun t -> `Record t) codec_record_gen;
+             map (fun v -> `Value v) codec_value_gen ])
+       ~print:(function
+         | `Tree t -> Tree.to_string t
+         | `Record t -> Tropic.Txn.to_string t
+         | `Value v -> Value.to_string v))
+    (fun case ->
+      let encoded, decode =
+        match case with
+        | `Tree t -> (Tree.to_string t, fun s -> Result.map ignore (Tree.of_string s))
+        | `Record t -> (Tropic.Txn.to_string t, fun s -> Result.map ignore (Tropic.Txn.of_string s))
+        | `Value v ->
+          ( Sexp.Print.to_string (fun p -> Value.print p v),
+            fun s -> Result.map ignore (Sexp.Read.of_string Value.read s) )
+      in
+      let sexp = ok_or_fail "encoding" (Sexp.of_string encoded) in
+      let shape =
+        match case with
+        | `Tree _ -> `Tree sexp
+        | `Record _ -> `Record sexp
+        | `Value _ -> `Value sexp
+      in
+      List.iter
+        (fun (what, corrupted) ->
+          let s = Sexp.to_string corrupted in
+          match decode s with
+          | Error _ -> ()
+          | Ok () -> QCheck.Test.fail_reportf "%s read back: %s" what s
+          | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s: %s" what (Printexc.to_string e) s)
+        (corruptions shape);
+      true)
 
 let suite =
   [
@@ -1192,6 +1335,7 @@ let suite =
     QCheck_alcotest.to_alcotest layout_prop;
     ("sexp: comment right after an atom", `Quick, test_sexp_comment_after_atom);
     QCheck_alcotest.to_alcotest codec_model_prop;
+    QCheck_alcotest.to_alcotest malformed_prop;
   ]
 
 let () = Alcotest.run "data" [ ("data", suite) ]

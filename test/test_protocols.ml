@@ -915,19 +915,23 @@ let prop_leader_kill_anywhere =
     QCheck.(pair (int_range 1 1000) (float_range 0. 0.4))
     (fun (seed, kill_at) -> toggle_run_survives_kill ~seed ~kill_at)
 
-(* The md5 of three encodings, taken when the codec still printed through
-   Sexp.t: a 64-host tree, a committed spawnVM record and a checkpoint
-   (base, one overlay, meta).  A codec change that moves one byte must
-   change these on purpose. *)
+(* The md5 and length of three encodings in the positional grammar: a
+   64-host tree, a committed spawnVM record and a checkpoint (base, one
+   overlay, meta).  A codec change that moves one byte must change these
+   on purpose, and the lengths fail a change that bloats the encoding. *)
 let test_pinned_wire_bytes () =
   let md5 s = Digest.to_hex (Digest.string s) in
-  let pin what expected s = Alcotest.(check string) what expected (md5 s) in
+  let pin what ~bytes expected s =
+    Alcotest.(check string) what expected (md5 s);
+    Alcotest.(check int) (what ^ " bytes") bytes (String.length s)
+  in
   let inv =
     Tcloud.Setup.build
       { Tcloud.Setup.small with Tcloud.Setup.compute_hosts = 64 }
   in
   let env = inv.Tcloud.Setup.env and tree0 = inv.Tcloud.Setup.tree in
-  pin "64-host tree" "7226cabace9b539abaf1d13254429ffa" (Data.Tree.to_string tree0);
+  pin "64-host tree" ~bytes:2036 "390b70d7fd555c554ce5f525be3e9308"
+    (Data.Tree.to_string tree0);
   let args =
     Tcloud.Procs.spawn_vm_args ~vm:"pinned" ~template:"base.img" ~mem_mb:512
       ~storage:(Data.Path.to_string (Tcloud.Setup.storage_path 0))
@@ -943,7 +947,8 @@ let test_pinned_wire_bytes () =
   txn.Txn.log <- s.Logical.log;
   txn.Txn.locks <- s.Logical.locks;
   txn.Txn.start_seq <- Some 7;
-  pin "committed spawnVM record" "90497b64676b5cb279fed9d85ffe4ba9" (Txn.to_string txn);
+  pin "committed spawnVM record" ~bytes:645 "1ef485436483f3ea7af7e690941924df"
+    (Txn.to_string txn);
   Drive.ensemble (fun _ ens ->
       ignore (Coord.Ensemble.await_leader ens);
       let roots = List.map Devices.Device.root inv.Tcloud.Setup.devices in
@@ -965,7 +970,7 @@ let test_pinned_wire_bytes () =
         | Some (value, _) -> value
         | None -> Alcotest.failf "%s missing" key
       in
-      pin "checkpoint base, overlay and meta" "db7316e1e5f7e829fe5567161c6e0d29"
+      pin "checkpoint base, overlay and meta" ~bytes:2268 "8cfe669e0f03973b53046c187b38889a"
         (String.concat "\n"
            [ value (Proto.checkpoint_key_ns ns);
              value (Proto.overlay_key_ns ns (Tcloud.Setup.compute_path 1));

@@ -307,6 +307,55 @@ let test_setup_prepopulated_spawnable () =
   in
   check int_c "one action" 1 result.Logical.actions
 
+(* Exports declare each kind's layout once, so the initial tree holds one
+   names array per kind, across every device. *)
+let test_setup_one_names_array_per_kind () =
+  let inv =
+    Tcloud.Setup.build
+      {
+        Tcloud.Setup.small with
+        Tcloud.Setup.compute_hosts = 8;
+        storage_hosts = 4;
+        switches = 2;
+        prepopulated_vms_per_host = 2;
+      }
+  in
+  let arrays =
+    Data.Tree.fold
+      (fun _ node acc ->
+        let kind = node.Data.Tree.kind in
+        let seen = Option.value (List.assoc_opt kind acc) ~default:[] in
+        if List.memq node.Data.Tree.names seen then acc
+        else (kind, node.Data.Tree.names :: seen) :: List.remove_assoc kind acc)
+      inv.Tcloud.Setup.tree []
+  in
+  check bool_c "vm and image nodes are present" true
+    (List.mem_assoc Schema.vm_kind arrays && List.mem_assoc Schema.image_kind arrays);
+  List.iter
+    (fun (kind, seen) -> check int_c (kind ^ " names arrays") 1 (List.length seen))
+    arrays
+
+(* A VM name that is not a path segment aborts the procedure; none raises. *)
+let test_proc_malformed_name_aborts () =
+  let inv =
+    Tcloud.Setup.build
+      { Tcloud.Setup.small with Tcloud.Setup.prepopulated_vms_per_host = 1 }
+  in
+  let host1 = "/vmRoot/host00001" in
+  List.iter
+    (fun (proc, args) ->
+      ignore (expect_error proc (simulate ~inv proc args)))
+    [
+      ( "spawnVM",
+        Tcloud.Procs.spawn_vm_args ~vm:"bad name" ~template:"base.img" ~mem_mb:512
+          ~storage:storage0_s ~host:host0_s );
+      "startVM", Tcloud.Procs.start_vm_args ~host:host0_s ~vm:"bad/name";
+      "stopVM", Tcloud.Procs.stop_vm_args ~host:host0_s ~vm:"";
+      ( "destroyVM",
+        Tcloud.Procs.destroy_vm_args ~host:host0_s ~storage:storage0_s ~vm:"bad name" );
+      "migrateVM", Tcloud.Procs.migrate_vm_args ~src:host0_s ~dst:host1 ~vm:"bad name";
+    ]
+
 let test_setup_scales () =
   let inv =
     Tcloud.Setup.build
@@ -375,6 +424,8 @@ let suite =
     ("setup: controller config", `Quick, test_controller_config_has_repair_rules);
     ("setup: device footprint at ec2-burst size", `Quick, test_device_footprint);
     ("setup: tree footprint at ec2-burst size", `Quick, test_tree_footprint);
+    ("setup: one names array per kind", `Quick, test_setup_one_names_array_per_kind);
+    ("proc: malformed VM name aborts", `Quick, test_proc_malformed_name_aborts);
   ]
 
 let () = Alcotest.run "tcloud" [ ("tcloud", suite) ]

@@ -701,6 +701,21 @@ let test_e2e_violation_aborts_before_devices () =
       check int_c "no device ops" 0
         (Devices.Device.ops (Devices.Storage.device storage_dev)))
 
+(* A VM name that is not a path segment aborts the txn with a reason; no
+   controller process dies on it. *)
+let test_e2e_malformed_name_aborts () =
+  with_platform (fun platform inv ->
+      (match Platform.run_txn platform ~proc:"spawnVM" ~args:(spawn_args "bad name") with
+       | Txn.Aborted reason ->
+         check bool_c "reason names the argument" true
+           (Str_contains.contains reason "not a valid name")
+       | other -> Alcotest.failf "expected abort, got %s" (Txn.state_to_string other));
+      check int_c "no process failed" 0
+        (List.length (Des.Sim.failures (Platform.sim platform)));
+      let _, storage_dev = inv.Tcloud.Setup.storages.(0) in
+      check int_c "no device ops" 0
+        (Devices.Device.ops (Devices.Storage.device storage_dev)))
+
 let test_e2e_physical_failure_rolls_back_both_layers () =
   with_platform (fun platform inv ->
       let _, compute0 = inv.Tcloud.Setup.computes.(0) in
@@ -2445,6 +2460,7 @@ let suite =
     ("trace: reserved lock-wait names the head", `Quick, test_trace_reserved_wait_names_head);
     ("e2e: reload deferred while a txn holds the subtree", `Quick, test_e2e_reload_deferred_while_locked);
     ("overload: breaker counters match the health instants", `Quick, test_e2e_breaker_counters_match_instants);
+    ("e2e: malformed VM name aborts", `Quick, test_e2e_malformed_name_aborts);
   ]
 
 let () = Alcotest.run "tropic" [ ("tropic", suite) ]
